@@ -5,16 +5,36 @@
 //! predictor from BOOM v2 (based on Gshare)" against "the more recent
 //! TAGE-based predictor" on identical workloads; these are those two
 //! predictors.
+//!
+//! # Folded history
+//!
+//! Each TAGE table hashes the newest `len` bits of global history into its
+//! index and tag by *folding*: XORing together consecutive `chunk`-bit
+//! slices of those `len` bits (bit `i` lands on bit `i % chunk`). Instead of
+//! refolding on every lookup, every table keeps its folds as circular-shift
+//! registers, as real TAGE hardware does, and updates them in O(1) when a
+//! bit enters the history:
+//!
+//! ```text
+//! f = (f << 1) | taken        // every bit moves up one position
+//! f ^= out << (len % chunk)   // drop the bit leaving the window
+//! f ^= f >> chunk             // rotate bit `chunk` back into bit 0
+//! f &= (1 << chunk) - 1
+//! ```
+//!
+//! where `out` is history bit `len - 1` before the shift. Shifting the
+//! history moves bit `i` to `i + 1`, i.e. from fold position `i % chunk` to
+//! `(i + 1) % chunk`: a one-bit rotation of the fold. The bit leaving the
+//! window would land on `len % chunk`, so XORing it there cancels it. The
+//! register therefore equals the from-scratch fold after every update.
 
 use crate::config::BpredConfig;
 
 /// A direction predictor for conditional branches.
 pub trait DirectionPredictor {
-    /// Predicts the direction of the branch at `pc`.
-    fn predict(&mut self, pc: u64) -> bool;
-
-    /// Trains the predictor with the resolved outcome.
-    fn update(&mut self, pc: u64, taken: bool);
+    /// Predicts the direction of the branch at `pc`, then trains with the
+    /// resolved outcome `taken`. Returns the prediction.
+    fn resolve(&mut self, pc: u64, taken: bool) -> bool;
 
     /// The predictor's display name.
     fn name(&self) -> &'static str;
@@ -47,10 +67,9 @@ impl StaticPredictor {
 }
 
 impl DirectionPredictor for StaticPredictor {
-    fn predict(&mut self, _pc: u64) -> bool {
+    fn resolve(&mut self, _pc: u64, _taken: bool) -> bool {
         self.taken
     }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
     fn name(&self) -> &'static str {
         if self.taken {
             "always-taken"
@@ -76,19 +95,14 @@ impl BimodalPredictor {
             mask: (size - 1) as u64,
         }
     }
-
-    fn index(&self, pc: u64) -> usize {
-        ((pc >> 2) & self.mask) as usize
-    }
 }
 
 impl DirectionPredictor for BimodalPredictor {
-    fn predict(&mut self, pc: u64) -> bool {
-        counter_taken(self.counters[self.index(pc)])
-    }
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.counters[i] = counter_update(self.counters[i], taken);
+    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+        let c = &mut self.counters[((pc >> 2) & self.mask) as usize];
+        let predicted = counter_taken(*c);
+        *c = counter_update(*c, taken);
+        predicted
     }
     fn name(&self) -> &'static str {
         "bimodal"
@@ -115,20 +129,16 @@ impl GsharePredictor {
             table_mask: (size - 1) as u64,
         }
     }
-
-    fn index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) & self.table_mask) as usize
-    }
 }
 
 impl DirectionPredictor for GsharePredictor {
-    fn predict(&mut self, pc: u64) -> bool {
-        counter_taken(self.counters[self.index(pc)])
-    }
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.counters[i] = counter_update(self.counters[i], taken);
+    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+        let i = (((pc >> 2) ^ self.history) & self.table_mask) as usize;
+        let c = &mut self.counters[i];
+        let predicted = counter_taken(*c);
+        *c = counter_update(*c, taken);
         self.history = ((self.history << 1) | taken as u64) & self.history_mask;
+        predicted
     }
     fn name(&self) -> &'static str {
         "gshare"
@@ -142,20 +152,94 @@ struct TageEntry {
     useful: u8,
 }
 
+/// A `len`-bit history window folded into `CHUNK` bits, kept as a
+/// circular-shift register (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct FoldedHistory<const CHUNK: u32> {
+    value: u64,
+    /// Fold position the bit leaving the window lands on: `len % CHUNK`.
+    out_shift: u32,
+}
+
+impl<const CHUNK: u32> FoldedHistory<CHUNK> {
+    fn new(len: u32) -> FoldedHistory<CHUNK> {
+        FoldedHistory {
+            value: 0,
+            out_shift: len % CHUNK,
+        }
+    }
+
+    /// Shifts `taken` into the window and `out` (the window's oldest bit
+    /// before the shift) out of it.
+    fn push(&mut self, taken: u64, out: u64) {
+        let mut f = (self.value << 1) | taken;
+        f ^= out << self.out_shift;
+        f ^= f >> CHUNK;
+        self.value = f & ((1 << CHUNK) - 1);
+    }
+}
+
+/// One tagged TAGE table, the folds of its history window, and where the
+/// branch being resolved falls in it.
+///
+/// Index and tag use *different* chunk widths (like the circular shift
+/// registers of real TAGE), so a history pattern that aliases in the index
+/// fold still disambiguates through the tag.
+#[derive(Debug, Clone)]
+struct TaggedTable {
+    entries: Vec<TageEntry>,
+    history_len: u32,
+    index_fold: FoldedHistory<10>,
+    tag_fold: FoldedHistory<11>,
+    index_salt: u64,
+    tag_salt: u64,
+    /// The entry index of the branch being resolved.
+    slot: usize,
+    /// The tag of the branch being resolved.
+    tag: u16,
+}
+
+impl TaggedTable {
+    fn new(table: usize, size: usize, history_len: u32) -> TaggedTable {
+        TaggedTable {
+            entries: vec![TageEntry::default(); size],
+            history_len,
+            index_fold: FoldedHistory::new(history_len),
+            tag_fold: FoldedHistory::new(history_len),
+            index_salt: (table as u64).wrapping_mul(0x9e37),
+            tag_salt: (table as u64) << 7,
+            slot: 0,
+            tag: 0,
+        }
+    }
+
+    /// Maps the branch at `pc` to its slot and tag under the current folds.
+    fn look_up(&mut self, pc: u64) {
+        let mask = self.entries.len() as u64 - 1;
+        self.slot = (((pc >> 2) ^ self.index_fold.value ^ self.index_salt) & mask) as usize;
+        self.tag = ((((pc >> 2) >> 4) ^ self.tag_fold.value ^ self.tag_salt) & 0x3ff) as u16 | 1;
+    }
+
+    /// Whether the branch's slot carries its tag.
+    fn hits(&self) -> bool {
+        self.entries[self.slot].tag == self.tag
+    }
+
+    /// The branch's slot.
+    fn entry(&mut self) -> &mut TageEntry {
+        &mut self.entries[self.slot]
+    }
+}
+
 /// A TAGE predictor: a bimodal base plus tagged tables indexed with
 /// geometrically growing history lengths. The longest matching table
 /// provides the prediction; allocation on mispredict steals weak entries.
 #[derive(Debug, Clone)]
 pub struct TagePredictor {
     base: BimodalPredictor,
-    tables: Vec<Vec<TageEntry>>,
-    history_lengths: Vec<u32>,
-    table_mask: u64,
+    tables: Vec<TaggedTable>,
+    /// Global history, newest outcome in bit 0 (lengths are at most 127).
     history: u128,
-    /// Provider table of the last prediction (None = base).
-    last_provider: Option<usize>,
-    last_index: usize,
-    alloc_tick: u64,
 }
 
 impl TagePredictor {
@@ -164,97 +248,42 @@ impl TagePredictor {
         let size = 1usize << table_bits;
         let tables = tables.max(1);
         // Geometric history series from min to max.
-        let mut history_lengths = Vec::with_capacity(tables as usize);
-        for i in 0..tables {
-            let f = if tables == 1 {
-                0.0
-            } else {
-                i as f64 / (tables - 1) as f64
-            };
-            let len = (min_history as f64 * (max_history as f64 / min_history as f64).powf(f))
-                .round() as u32;
-            history_lengths.push(len.clamp(1, 127));
-        }
+        let tagged = (0..tables)
+            .map(|i| {
+                let f = if tables == 1 {
+                    0.0
+                } else {
+                    i as f64 / (tables - 1) as f64
+                };
+                let len = (min_history as f64 * (max_history as f64 / min_history as f64).powf(f))
+                    .round() as u32;
+                TaggedTable::new(i as usize, size, len.clamp(1, 127))
+            })
+            .collect();
         TagePredictor {
             base: BimodalPredictor::new(table_bits),
-            tables: vec![vec![TageEntry::default(); size]; tables as usize],
-            history_lengths,
-            table_mask: (size - 1) as u64,
+            tables: tagged,
             history: 0,
-            last_provider: None,
-            last_index: 0,
-            alloc_tick: 0,
         }
     }
 
-    /// Folds `bits` of global history by XORing `chunk`-bit slices.
-    ///
-    /// Index and tag use *different* chunk widths (like the circular shift
-    /// registers of real TAGE), so a history pattern that aliases in the
-    /// index fold still disambiguates through the tag.
-    fn folded_history(&self, bits: u32, chunk: u32) -> u64 {
-        let mut h = if bits >= 128 {
-            self.history
-        } else {
-            self.history & ((1u128 << bits) - 1)
-        };
-        let mask = (1u128 << chunk) - 1;
-        let mut folded = 0u64;
-        while h != 0 {
-            folded ^= (h & mask) as u64;
-            h >>= chunk;
-        }
-        folded
-    }
-
-    fn index_and_tag(&self, pc: u64, table: usize) -> (usize, u16) {
-        let len = self.history_lengths[table];
-        let idx_hist = self.folded_history(len, 10);
-        let tag_hist = self.folded_history(len, 11);
-        let index = (((pc >> 2) ^ idx_hist ^ (table as u64).wrapping_mul(0x9e37)) & self.table_mask)
-            as usize;
-        let tag = ((((pc >> 2) >> 4) ^ tag_hist ^ (table as u64) << 7) & 0x3ff) as u16 | 1;
-        (index, tag)
-    }
-
-    fn find_provider(&self, pc: u64) -> Option<(usize, usize)> {
-        // Longest history table with a tag match wins.
-        for t in (0..self.tables.len()).rev() {
-            let (index, tag) = self.index_and_tag(pc, t);
-            if self.tables[t][index].tag == tag {
-                return Some((t, index));
-            }
-        }
-        None
+    /// Each tagged table's history length, shortest first.
+    pub fn history_lengths(&self) -> Vec<u32> {
+        self.tables.iter().map(|t| t.history_len).collect()
     }
 }
 
 impl DirectionPredictor for TagePredictor {
-    fn predict(&mut self, pc: u64) -> bool {
-        match self.find_provider(pc) {
-            Some((t, i)) => {
-                self.last_provider = Some(t);
-                self.last_index = i;
-                self.tables[t][i].counter >= 0
-            }
-            None => {
-                self.last_provider = None;
-                self.base.predict(pc)
-            }
+    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+        for t in &mut self.tables {
+            t.look_up(pc);
         }
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        // Re-derive the prediction state (robust even if predict() wasn't
-        // the immediately preceding call).
-        let provider = self.find_provider(pc);
+        // Longest history table with a tag match provides.
+        let provider = self.tables.iter().rposition(TaggedTable::hits);
         let predicted = match provider {
-            Some((t, i)) => self.tables[t][i].counter >= 0,
-            None => self.base.predict(pc),
-        };
-        match provider {
-            Some((t, i)) => {
-                let e = &mut self.tables[t][i];
+            Some(p) => {
+                let e = self.tables[p].entry();
+                let predicted = e.counter >= 0;
                 e.counter = if taken {
                     (e.counter + 1).min(3)
                 } else {
@@ -265,39 +294,42 @@ impl DirectionPredictor for TagePredictor {
                 } else {
                     e.useful = e.useful.saturating_sub(1);
                 }
+                predicted
             }
-            None => self.base.update(pc, taken),
-        }
+            None => self.base.resolve(pc, taken),
+        };
+
         // Allocate a new entry in a longer-history table on a mispredict.
         if predicted != taken {
-            let start = provider.map(|(t, _)| t + 1).unwrap_or(0);
-            self.alloc_tick = self.alloc_tick.wrapping_add(1);
-            let mut allocated = false;
-            for t in start..self.tables.len() {
-                let (index, tag) = self.index_and_tag(pc, t);
-                let e = &mut self.tables[t][index];
-                if e.useful == 0 {
-                    *e = TageEntry {
+            let longer = &mut self.tables[provider.map_or(0, |p| p + 1)..];
+            match longer.iter_mut().find(|t| t.entries[t.slot].useful == 0) {
+                Some(t) => {
+                    let tag = t.tag;
+                    *t.entry() = TageEntry {
                         tag,
                         counter: if taken { 0 } else { -1 },
                         useful: 0,
                     };
-                    allocated = true;
-                    break;
                 }
-            }
-            if !allocated {
                 // Decay usefulness so future allocations can succeed.
-                for t in start..self.tables.len() {
-                    let (index, _) = self.index_and_tag(pc, t);
-                    let e = &mut self.tables[t][index];
-                    e.useful = e.useful.saturating_sub(1);
+                None => {
+                    for t in longer {
+                        let e = t.entry();
+                        e.useful = e.useful.saturating_sub(1);
+                    }
                 }
             }
         }
-        // Always update the base predictor's history-free counters too when
-        // it provided, handled above; advance global history.
+
+        // Advance global history and every table's folds.
+        let bit = taken as u64;
+        for t in &mut self.tables {
+            let out = (self.history >> (t.history_len - 1)) as u64 & 1;
+            t.index_fold.push(bit, out);
+            t.tag_fold.push(bit, out);
+        }
         self.history = (self.history << 1) | taken as u128;
+        predicted
     }
 
     fn name(&self) -> &'static str {
@@ -329,11 +361,14 @@ pub fn build_predictor(config: &BpredConfig) -> Box<dyn DirectionPredictor + Sen
     }
 }
 
-/// A return-address stack for predicting `ret` targets.
+/// A return-address stack for predicting `ret` targets: a fixed ring that
+/// overwrites its oldest entry when a push finds it full.
 #[derive(Debug, Clone)]
 pub struct ReturnAddressStack {
-    stack: Vec<u64>,
-    capacity: usize,
+    ring: Box<[u64]>,
+    /// Slot the next push writes.
+    top: usize,
+    len: usize,
 }
 
 impl Default for ReturnAddressStack {
@@ -344,24 +379,35 @@ impl Default for ReturnAddressStack {
 
 impl ReturnAddressStack {
     /// Creates a RAS with the given depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> ReturnAddressStack {
+        assert!(capacity > 0, "return-address stack needs a slot");
         ReturnAddressStack {
-            stack: Vec::with_capacity(capacity),
-            capacity,
+            ring: vec![0; capacity].into_boxed_slice(),
+            top: 0,
+            len: 0,
         }
     }
 
-    /// Pushes a return address (on `call`).
+    /// Pushes a return address (on `call`). A full stack drops its oldest
+    /// entry.
     pub fn push(&mut self, addr: u64) {
-        if self.stack.len() == self.capacity {
-            self.stack.remove(0);
-        }
-        self.stack.push(addr);
+        self.ring[self.top] = addr;
+        self.top = (self.top + 1) % self.ring.len();
+        self.len = (self.len + 1).min(self.ring.len());
     }
 
-    /// Pops a predicted return target (on `ret`).
+    /// Pops a predicted return target (on `ret`), newest first.
     pub fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        self.top = (self.top + self.ring.len() - 1) % self.ring.len();
+        Some(self.ring[self.top])
     }
 }
 
@@ -371,13 +417,10 @@ mod tests {
 
     /// Measures accuracy of a predictor on a synthetic branch trace.
     fn accuracy(p: &mut dyn DirectionPredictor, trace: &[(u64, bool)]) -> f64 {
-        let mut correct = 0usize;
-        for (pc, taken) in trace {
-            if p.predict(*pc) == *taken {
-                correct += 1;
-            }
-            p.update(*pc, *taken);
-        }
+        let correct = trace
+            .iter()
+            .filter(|(pc, taken)| p.resolve(*pc, *taken) == *taken)
+            .count();
         correct as f64 / trace.len() as f64
     }
 
@@ -401,9 +444,8 @@ mod tests {
     #[test]
     fn static_predictors() {
         let mut t = StaticPredictor::new(true);
-        assert!(t.predict(0));
-        t.update(0, false);
-        assert!(t.predict(0));
+        assert!(t.resolve(0, false));
+        assert!(t.resolve(0, false));
     }
 
     #[test]
@@ -456,17 +498,52 @@ mod tests {
         assert!(acc > 0.9, "tage loop accuracy {acc:.3}");
     }
 
+    /// The from-scratch fold the circular-shift registers replace.
+    fn scratch_fold(history: u128, len: u32, chunk: u32) -> u64 {
+        let mut h = history & ((1u128 << len) - 1);
+        let mut folded = 0u64;
+        while h != 0 {
+            folded ^= (h & ((1u128 << chunk) - 1)) as u64;
+            h >>= chunk;
+        }
+        folded
+    }
+
+    #[test]
+    fn folds_equal_scratch_folds_after_every_update() {
+        let mut tage = TagePredictor::new(6, 10, 1, 127);
+        assert_eq!(tage.history_lengths(), [1, 3, 7, 18, 48, 127]);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            tage.resolve(x & 0xfffc, x >> 63 == 1);
+            for t in &tage.tables {
+                let len = t.history_len;
+                assert_eq!(
+                    t.index_fold.value,
+                    scratch_fold(tage.history, len, 10),
+                    "index fold, len {len}, step {step}"
+                );
+                assert_eq!(
+                    t.tag_fold.value,
+                    scratch_fold(tage.history, len, 11),
+                    "tag fold, len {len}, step {step}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn predictors_deterministic() {
         let trace = pattern_trace(500);
         let run = || {
             let mut p = build_predictor(&BpredConfig::default_tage());
-            let mut outcomes = Vec::new();
-            for (pc, taken) in &trace {
-                outcomes.push(p.predict(*pc));
-                p.update(*pc, *taken);
-            }
-            outcomes
+            trace
+                .iter()
+                .map(|(pc, taken)| p.resolve(*pc, *taken))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -489,6 +566,23 @@ mod tests {
         ras.push(3); // evicts 1
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
+        assert_eq!(ras.pop(), None);
+    }
+
+    #[test]
+    fn ras_overflow_keeps_newest_entries_across_wraps() {
+        let mut ras = ReturnAddressStack::new(3);
+        for addr in 1..=10 {
+            ras.push(addr);
+        }
+        assert_eq!(ras.pop(), Some(10));
+        ras.push(11);
+        assert_eq!(ras.pop(), Some(11));
+        assert_eq!(ras.pop(), Some(9));
+        assert_eq!(ras.pop(), Some(8));
+        assert_eq!(ras.pop(), None);
+        ras.push(12);
+        assert_eq!(ras.pop(), Some(12));
         assert_eq!(ras.pop(), None);
     }
 

@@ -31,10 +31,11 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One way of a set. `lru` is the access tick of the way's last use; 0
+/// marks an invalid way (ticks start at 1).
+#[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
-    valid: bool,
     lru: u64,
 }
 
@@ -43,7 +44,15 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every set's ways, set after set.
+    ways: Vec<Way>,
+    assoc: usize,
+    line_shift: u32,
+    set_bits: u32,
+    set_mask: u64,
+    /// The line of the last access. It is the most recently used way of
+    /// its set, so repeating it hits without changing the LRU order.
+    last_line: Option<u64>,
     tick: u64,
     stats: CacheStats,
 }
@@ -63,17 +72,12 @@ impl Cache {
         assert!(config.ways > 0, "cache needs at least one way");
         Cache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.ways as usize
-                ];
-                config.sets as usize
-            ],
+            ways: vec![Way::default(); config.sets as usize * config.ways as usize],
+            assoc: config.ways as usize,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: config.sets.trailing_zeros(),
+            set_mask: config.sets as u64 - 1,
+            last_line: None,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -91,35 +95,34 @@ impl Cache {
 
     /// Accesses `addr`, updating LRU state and statistics.
     pub fn access(&mut self, addr: u64) -> Access {
-        self.tick += 1;
         self.stats.accesses += 1;
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.config.sets as u64) as usize;
-        let tag = line / self.config.sets as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
+            return Access::Hit;
+        }
+        self.last_line = Some(line);
+        self.tick += 1;
+        let first = (line & self.set_mask) as usize * self.assoc;
+        let tag = line >> self.set_bits;
+        let set = &mut self.ways[first..first + self.assoc];
+        if let Some(way) = set.iter_mut().find(|w| w.lru != 0 && w.tag == tag) {
             way.lru = self.tick;
             return Access::Hit;
         }
         self.stats.misses += 1;
-        // Fill the invalid or least-recently-used way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("ways > 0");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.lru = self.tick;
+        // Fill the first invalid way, else the least-recently-used one.
+        let victim = set.iter_mut().min_by_key(|w| w.lru).expect("ways > 0");
+        *victim = Way {
+            tag,
+            lru: self.tick,
+        };
         Access::Miss
     }
 
     /// Invalidates all lines (keeps statistics).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
-        }
+        self.ways.fill(Way::default());
+        self.last_line = None;
     }
 }
 

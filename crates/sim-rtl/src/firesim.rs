@@ -8,6 +8,7 @@
 
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
+use marshal_isa::interp::RetireKind;
 use marshal_isa::MexeFile;
 use marshal_sim_functional::boot::{simulate_linux, simulate_linux_checkpointed};
 use marshal_sim_functional::checkpoint::BootSnapshot;
@@ -90,6 +91,50 @@ impl TimedExecutor {
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
     }
+
+    /// The timed step loop: steps `runner` and charges every retired
+    /// instruction and serviced syscall to the pipeline until the program
+    /// exits or retires more than `budget` instructions.
+    ///
+    /// Returns the exit code (`None` when the budget ran out) and the
+    /// instructions retired.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`UserRunner::step`].
+    fn run<S: OsServices + ?Sized>(
+        &mut self,
+        runner: &mut UserRunner,
+        os: &mut S,
+        budget: u64,
+    ) -> Result<(Option<i64>, u64), SimError> {
+        let start_insts = runner.cpu.instret;
+        loop {
+            let executed = runner.cpu.instret - start_insts;
+            if executed > budget {
+                return Ok((None, executed));
+            }
+            // Make rdcycle observe modelled time.
+            runner.cpu.cycle = self.pipeline.counters().cycles;
+            match runner.step(os)? {
+                UserStep::Retired(r) => {
+                    let is_remote = match r.kind {
+                        RetireKind::Load { addr } | RetireKind::Store { addr } => {
+                            runner.bus.is_remote(addr)
+                        }
+                        _ => false,
+                    };
+                    self.pipeline.retire(&r, is_remote);
+                }
+                UserStep::Syscall { sys } => {
+                    self.pipeline.syscall(sys);
+                }
+                UserStep::Exited(code) => {
+                    return Ok((Some(code), runner.cpu.instret - start_insts));
+                }
+            }
+        }
+    }
 }
 
 impl Executor for TimedExecutor {
@@ -101,40 +146,20 @@ impl Executor for TimedExecutor {
     ) -> Result<(i64, u64), SimError> {
         let budget = os.remaining_budget()?;
         let mut runner = UserRunner::new(exe, args)?;
-        let start_insts = runner.cpu.instret;
         let start_cycles = self.pipeline.counters().cycles;
-        loop {
-            let executed = runner.cpu.instret - start_insts;
-            if executed > budget {
+        let (exit, insts) = self.run(&mut runner, os, budget)?;
+        let cycles = self.pipeline.counters().cycles - start_cycles;
+        match exit {
+            Some(code) => {
+                os.account(insts, cycles);
+                Ok((code, insts))
+            }
+            None => {
                 // Account the consumed budget so `remaining_budget()`
                 // reports exhaustion — the boot-flow watchdog relies on
                 // this to recognise a hung guest (see FunctionalExecutor).
-                let cycles = self.pipeline.counters().cycles - start_cycles;
                 os.account(budget, cycles);
-                return Err(SimError::Budget { limit: budget });
-            }
-            // Make rdcycle observe modelled time.
-            runner.cpu.cycle = self.pipeline.counters().cycles;
-            match runner.step(os)? {
-                UserStep::Retired(r) => {
-                    let is_remote = match r.kind {
-                        marshal_isa::interp::RetireKind::Load { addr }
-                        | marshal_isa::interp::RetireKind::Store { addr } => {
-                            runner.bus.is_remote(addr)
-                        }
-                        _ => false,
-                    };
-                    self.pipeline.retire(&r, is_remote);
-                }
-                UserStep::Syscall { sys } => {
-                    self.pipeline.syscall(sys);
-                }
-                UserStep::Exited(code) => {
-                    let insts = runner.cpu.instret - start_insts;
-                    let cycles = self.pipeline.counters().cycles - start_cycles;
-                    os.account(insts, cycles);
-                    return Ok((code, insts));
-                }
+                Err(SimError::Budget { limit: budget })
             }
         }
     }
@@ -303,26 +328,12 @@ impl FireSim {
         let mut exec = TimedExecutor::new(&self.hw);
         let mut runner = UserRunner::new(&exe, &[])?;
         runner.bus.enable_uart();
-        let (exit_code, instructions, timed_out) = loop {
-            if runner.cpu.instret > self.max_instructions {
-                // Watchdog: terminate the hung guest but salvage the
-                // serial log and performance report gathered so far.
-                break (
-                    marshal_sim_functional::machine::WATCHDOG_EXIT_CODE,
-                    runner.cpu.instret,
-                    true,
-                );
-            }
-            runner.cpu.cycle = exec.pipeline.counters().cycles;
-            match runner.step(&mut os)? {
-                UserStep::Retired(r) => {
-                    exec.pipeline.retire(&r, false);
-                }
-                UserStep::Syscall { sys } => {
-                    exec.pipeline.syscall(sys);
-                }
-                UserStep::Exited(code) => break (code, runner.cpu.instret, false),
-            }
+        // Watchdog: a hung guest is terminated, but the serial log and
+        // performance report gathered so far are salvaged.
+        let (exit, instructions) = exec.run(&mut runner, &mut os, self.max_instructions)?;
+        let (exit_code, timed_out) = match exit {
+            Some(code) => (code, false),
+            None => (marshal_sim_functional::machine::WATCHDOG_EXIT_CODE, true),
         };
         let report = self.report(&exec);
         if timed_out {
@@ -525,6 +536,32 @@ nofb:
         assert_eq!(result.exit_code, 0);
         assert!(report.counters.cycles >= report.counters.instructions);
         assert!(result.serial.contains("cycles"));
+    }
+
+    #[test]
+    fn bare_metal_remote_accesses_are_timed() {
+        // Bare-metal nodes run the same timed step loop as Linux guests,
+        // so touching a mapped remote window pays remote-memory faults.
+        let src = r#"
+_start:
+        li      a0, 2
+        li      a7, 2002       # MMAP_REMOTE
+        ecall
+        ld      t0, 0(a0)
+        li      t1, 4096
+        add     a0, a0, t1
+        ld      t0, 0(a0)
+        li      a0, 0
+        li      a7, 93
+        ecall
+"#;
+        let exe = assemble(src, abi::USER_BASE).unwrap();
+        let hw = HardwareConfig::rocket().with_remote(crate::RemoteMemConfig::Pfa(
+            crate::pfa::RemoteTimings::default(),
+        ));
+        let (result, report) = FireSim::new(hw).launch_bare(&exe.to_bytes()).unwrap();
+        assert_eq!(result.exit_code, 0);
+        assert_eq!(report.pfa.unwrap().faults, 2);
     }
 
     #[test]

@@ -196,9 +196,7 @@ impl Pipeline {
             }
             RetireKind::Branch { taken, .. } => {
                 self.counters.branches += 1;
-                let predicted = self.predictor.predict(r.pc);
-                self.predictor.update(r.pc, taken);
-                if predicted != taken {
+                if self.predictor.resolve(r.pc, taken) != taken {
                     self.counters.mispredicts += 1;
                     cycles += self.core.mispredict_penalty;
                 }
@@ -288,23 +286,28 @@ mod tests {
     use marshal_isa::mem::FlatMemory;
 
     /// Runs a program through both the functional core and the pipeline,
-    /// returning the cycle count.
-    fn time_program(src: &str, hw: &HardwareConfig) -> (u64, PerfCounters) {
+    /// returning the cycles charged for each retired instruction.
+    fn retire_costs(src: &str, hw: &HardwareConfig) -> (Vec<u64>, Pipeline) {
         let exe = assemble(src, abi::USER_BASE).unwrap();
         let mut mem = FlatMemory::new(1 << 21);
         exe.load_into(&mut mem).unwrap();
         let mut cpu = Cpu::new(exe.entry());
         cpu.write_reg(Reg::SP, 0x10_0000);
         let mut pipe = Pipeline::new(hw);
+        let mut costs = Vec::new();
         loop {
             match cpu.step(&mut mem).unwrap() {
-                StepOutcome::Retired(r) => {
-                    pipe.retire(&r, false);
-                }
+                StepOutcome::Retired(r) => costs.push(pipe.retire(&r, false)),
                 StepOutcome::Ecall => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
+        (costs, pipe)
+    }
+
+    /// [`retire_costs`], returning the cycle count and counters.
+    fn time_program(src: &str, hw: &HardwareConfig) -> (u64, PerfCounters) {
+        let (_, pipe) = retire_costs(src, hw);
         (pipe.counters().cycles, *pipe.counters())
     }
 
@@ -352,7 +355,8 @@ loop:   addi    t0, t0, -1
 
     #[test]
     fn dcache_miss_costs_dram_latency() {
-        // Two loads to the same line: one miss, one hit.
+        // Two loads to the same line: one miss, one hit. All instructions
+        // share one I-cache line, so only the first pays an I-cache miss.
         let src = r#"
 _start:
         li      t0, 0x4000
@@ -361,10 +365,23 @@ _start:
         ecall
 "#;
         let hw = HardwareConfig::rocket();
-        let (_, c) = time_program(src, &hw);
+        let (costs, pipe) = retire_costs(src, &hw);
+        let c = pipe.counters();
         assert_eq!(c.loads, 2);
-        let pipe_stats = c;
-        let _ = pipe_stats;
+        // Rocket has no L2: an L1 miss goes straight to DRAM.
+        assert_eq!(
+            costs,
+            [
+                1 + hw.dram_latency,
+                1 + hw.dram_latency,
+                hw.dcache.hit_latency
+            ],
+            "li (I-cache miss), ld (D-cache miss), ld (D-cache hit)"
+        );
+        assert_eq!(c.cycles, costs.iter().sum::<u64>());
+        assert_eq!(pipe.dcache_stats().accesses, 2);
+        assert_eq!(pipe.dcache_stats().misses, 1);
+        assert_eq!(pipe.icache_stats().misses, 1);
     }
 
     #[test]
