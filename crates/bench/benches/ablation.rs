@@ -6,20 +6,23 @@
 use marshal_bench::{criterion_group, criterion_main, Criterion};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
+use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::{BpredConfig, CacheConfig, FireSim, HardwareConfig};
 use marshal_workloads::intspeed;
 
-fn bin_for(name: &str) -> Vec<u8> {
+fn bin_for(name: &str) -> LoadedJob {
     let source = intspeed::benchmarks()
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap()
         .1;
-    assemble(&source, abi::USER_BASE).unwrap().to_bytes()
+    LoadedJob::Bare {
+        bin: assemble(&source, abi::USER_BASE).unwrap().to_bytes(),
+    }
 }
 
-fn run(hw: HardwareConfig, bin: &[u8]) -> marshal_sim_rtl::PerfReport {
-    FireSim::new(hw).launch_bare(bin).unwrap().1
+fn run(hw: HardwareConfig, job: &LoadedJob) -> marshal_sim_rtl::PerfReport {
+    FireSim::new(hw).run(job, LaunchMode::Run, None).unwrap().1
 }
 
 fn bench_ablation(c: &mut Criterion) {

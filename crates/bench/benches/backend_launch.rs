@@ -36,11 +36,17 @@ fn bench_backend_launch(c: &mut Criterion) {
             .expect("registry backend");
         const SAMPLES: u32 = 10;
         // Warm-up, then timed samples.
-        let warm = backend.run(&loaded, LaunchMode::Run).expect("launch");
+        let warm = backend
+            .run(&loaded, LaunchMode::Run, None)
+            .expect("launch")
+            .0;
         assert_eq!(warm.result.exit_code, 0, "{backend_name} runs clean");
         let t0 = std::time::Instant::now();
         for _ in 0..SAMPLES {
-            let run = backend.run(&loaded, LaunchMode::Run).expect("launch");
+            let run = backend
+                .run(&loaded, LaunchMode::Run, None)
+                .expect("launch")
+                .0;
             std::hint::black_box(run.result.instructions);
         }
         let mean = t0.elapsed() / SAMPLES;
@@ -66,7 +72,10 @@ fn bench_backend_launch(c: &mut Criterion) {
             .expect("registry backend");
         group.bench_function(backend_name, |b| {
             b.iter(|| {
-                let run = backend.run(&loaded, LaunchMode::Run).expect("launch");
+                let run = backend
+                    .run(&loaded, LaunchMode::Run, None)
+                    .expect("launch")
+                    .0;
                 run.result.instructions
             })
         });

@@ -5,6 +5,7 @@
 use marshal_bench::{criterion_group, criterion_main, Criterion};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
+use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::{BpredConfig, FireSim, HardwareConfig};
 use marshal_workloads::intspeed;
 
@@ -32,11 +33,13 @@ fn bench_bpred(c: &mut Criterion) {
     let sources = intspeed::benchmarks();
     for bench in subset {
         let source = &sources.iter().find(|(n, _)| *n == bench).unwrap().1;
-        let exe = assemble(source, abi::USER_BASE).unwrap();
+        let job = LoadedJob::Bare {
+            bin: assemble(source, abi::USER_BASE).unwrap().to_bytes(),
+        };
         let mut cycles = Vec::new();
         for (_, bp) in &predictors {
             let hw = HardwareConfig::boom_gshare().with_bpred(bp.clone());
-            let (_, report) = FireSim::new(hw).launch_bare(&exe.to_bytes()).unwrap();
+            let (_, report, _) = FireSim::new(hw).run(&job, LaunchMode::Run, None).unwrap();
             cycles.push(report.counters.cycles);
         }
         print!("{bench:>18}");
@@ -48,15 +51,18 @@ fn bench_bpred(c: &mut Criterion) {
 
     // Criterion: simulation throughput per predictor on one benchmark.
     let source = &sources.iter().find(|(n, _)| *n == "641.leela_s").unwrap().1;
-    let exe = assemble(source, abi::USER_BASE).unwrap();
-    let bin = exe.to_bytes();
+    let job = LoadedJob::Bare {
+        bin: assemble(source, abi::USER_BASE).unwrap().to_bytes(),
+    };
     let mut group = c.benchmark_group("bpred_sweep");
     group.sample_size(10);
     for (name, bp) in predictors {
         let hw = HardwareConfig::boom_gshare().with_bpred(bp);
         group.bench_function(format!("leela_{name}"), |b| {
             b.iter(|| {
-                let (_, report) = FireSim::new(hw.clone()).launch_bare(&bin).unwrap();
+                let (_, report, _) = FireSim::new(hw.clone())
+                    .run(&job, LaunchMode::Run, None)
+                    .unwrap();
                 report.counters.cycles
             })
         });

@@ -3,10 +3,9 @@
 //! functional-first methodology relies on the speed gap).
 
 use marshal_bench::{criterion_group, criterion_main, Criterion};
-use marshal_core::{BuildOptions, JobKind};
-use marshal_firmware::BootBinary;
-use marshal_image::FsImage;
-use marshal_sim_functional::{LaunchMode, Qemu, Spike};
+use marshal_core::launch::load_artifacts;
+use marshal_core::BuildOptions;
+use marshal_sim_functional::{FunctionalSim, LaunchMode, SimKind};
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
 fn bench_determinism(c: &mut Criterion) {
@@ -15,21 +14,13 @@ fn bench_determinism(c: &mut Criterion) {
     let products = builder
         .build("coremark.json", &BuildOptions::default())
         .unwrap();
-    let JobKind::Linux {
-        boot_path,
-        disk_path,
-    } = &products.jobs[0].kind
-    else {
-        panic!()
-    };
-    let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
-    let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
+    let job = load_artifacts(&products.jobs[0]).unwrap();
 
     // Print the §IV-C data: repeated cycle counts.
     let sim = FireSim::new(HardwareConfig::boom_tage());
     let counts: Vec<u64> = (0..3)
         .map(|_| {
-            sim.launch(&boot, Some(&disk), LaunchMode::Run)
+            sim.run(&job, LaunchMode::Run, None)
                 .unwrap()
                 .1
                 .counters
@@ -45,23 +36,25 @@ fn bench_determinism(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("qemu_functional", |b| {
         b.iter(|| {
-            Qemu::new()
-                .launch(&boot, Some(&disk), LaunchMode::Run)
+            FunctionalSim::new(SimKind::Qemu)
+                .run(&job, LaunchMode::Run, None)
                 .unwrap()
+                .0
                 .instructions
         })
     });
     group.bench_function("spike_functional", |b| {
         b.iter(|| {
-            Spike::new()
-                .launch(&boot, Some(&disk), LaunchMode::Run)
+            FunctionalSim::new(SimKind::Spike)
+                .run(&job, LaunchMode::Run, None)
                 .unwrap()
+                .0
                 .instructions
         })
     });
     group.bench_function("firesim_cycle_exact", |b| {
         b.iter(|| {
-            sim.launch(&boot, Some(&disk), LaunchMode::Run)
+            sim.run(&job, LaunchMode::Run, None)
                 .unwrap()
                 .1
                 .counters

@@ -40,7 +40,10 @@ fn bench_launch_hot(c: &mut Criterion) {
 
     // Warm both sides; the first checkpointed launch boots cold and writes
     // the snapshot, so the timed loop below is pure restore.
-    let cold = backend.run(&loaded, LaunchMode::Run).expect("cold launch");
+    let cold = backend
+        .run(&loaded, LaunchMode::Run, None)
+        .expect("cold launch")
+        .0;
     assert_eq!(cold.result.exit_code, 0, "payload runs clean");
     let (restored, _) = run_checkpointed(
         backend.as_ref(),
@@ -64,7 +67,10 @@ fn bench_launch_hot(c: &mut Criterion) {
     for _ in 0..rounds {
         let t0 = std::time::Instant::now();
         for _ in 0..samples {
-            let run = backend.run(&loaded, LaunchMode::Run).expect("cold launch");
+            let run = backend
+                .run(&loaded, LaunchMode::Run, None)
+                .expect("cold launch")
+                .0;
             std::hint::black_box(run.result.instructions);
         }
         off_ns = off_ns.min((t0.elapsed() / samples).as_nanos());
@@ -101,7 +107,10 @@ fn bench_launch_hot(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("checkpoint_off", |b| {
         b.iter(|| {
-            let run = backend.run(&loaded, LaunchMode::Run).expect("launch");
+            let run = backend
+                .run(&loaded, LaunchMode::Run, None)
+                .expect("launch")
+                .0;
             run.result.instructions
         })
     });

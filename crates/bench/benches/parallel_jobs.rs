@@ -8,9 +8,10 @@ use marshal_bench::{criterion_group, criterion_main, Criterion};
 use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
-use marshal_sim_rtl::{FireSim, HardwareConfig, NodePayload};
+use marshal_sim_functional::LoadedJob;
+use marshal_sim_rtl::{FireSim, HardwareConfig};
 
-fn cluster(n: usize) -> Vec<(String, NodePayload)> {
+fn cluster(n: usize) -> Vec<(String, LoadedJob)> {
     // One moderately long bare-metal job per node (identical work, like
     // the intspeed jobs being independent benchmarks).
     let exe = assemble(
@@ -36,7 +37,7 @@ skip:
         .map(|i| {
             (
                 format!("job{i}"),
-                NodePayload::Bare {
+                LoadedJob::Bare {
                     bin: exe.to_bytes(),
                 },
             )

@@ -168,26 +168,3 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
     marshal_core::Builder::new(setup.board, setup.search, root.join("work"))
         .expect("create builder")
 }
-
-/// Loads one built job's artifacts as a cycle-exact cluster payload.
-pub fn node_payload(job: &marshal_core::JobArtifacts) -> marshal_sim_rtl::NodePayload {
-    match &job.kind {
-        marshal_core::JobKind::Linux {
-            boot_path,
-            disk_path,
-        } => {
-            let boot = marshal_firmware::BootBinary::from_bytes(
-                &std::fs::read(boot_path).expect("boot.bin"),
-            )
-            .expect("parse boot binary");
-            let disk = disk_path.as_ref().map(|p| {
-                marshal_image::FsImage::from_bytes(&std::fs::read(p).expect("rootfs.img"))
-                    .expect("parse disk image")
-            });
-            marshal_sim_rtl::NodePayload::Linux { boot, disk }
-        }
-        marshal_core::JobKind::Bare { bin_path } => marshal_sim_rtl::NodePayload::Bare {
-            bin: std::fs::read(bin_path).expect("bin.mexe"),
-        },
-    }
-}

@@ -1005,8 +1005,8 @@ fn run_guest_init(
         boot,
         disk: Some(image.clone()),
     };
-    let run = backend
-        .run(&job, LaunchMode::GuestInit)
+    let (run, _) = backend
+        .run(&job, LaunchMode::GuestInit, None)
         .map_err(|e| format!("guest-init boot: {e}"))?;
     *image = run
         .result

@@ -562,10 +562,10 @@ fn render_warnings(
 /// The caller provides the board and the base search path (normally from
 /// `marshal-workloads`).
 ///
-/// Traced commands (see [`trace_target`]) record a journal under
-/// `workdir/runs/<run-id>/` and report the run id on success; a journal
-/// that cannot be created degrades to an untraced run rather than failing
-/// the command.
+/// Traced commands (all but `trace`, `clean`, `serve` and `help`) record
+/// a journal under `workdir/runs/<run-id>/` and report the run id on
+/// success; a journal that cannot be created degrades to an untraced run
+/// rather than failing the command.
 pub fn run_command(args: &CliArgs, board: Board, mut search: SearchPath) -> (i32, Vec<String>) {
     for d in &args.search_dirs {
         search.add_dir(d);

@@ -9,12 +9,12 @@
 use std::path::{Path, PathBuf};
 
 use marshal_config::Value;
-use marshal_sim_rtl::{HardwareConfig, NodePayload, NodeResult};
+use marshal_sim_functional::{LaunchMode, LoadedJob};
+use marshal_sim_rtl::{FireSim, HardwareConfig, NodeResult};
 
 use crate::build::{BuildProducts, Builder, JobKind};
 use crate::error::MarshalError;
 use crate::launch::load_artifacts;
-use crate::simulator::RtlSim;
 
 /// The manifest `install` writes for the RTL simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,7 +161,7 @@ pub fn install_workload(
 
 /// Runs an installed workload on the cycle-exact backend — "users
 /// interact with the simulator normally", which for this reproduction means
-/// handing the manifest to the registry's [`RtlSim`]. Jobs become cluster
+/// handing the manifest to the cycle-exact [`FireSim`]. Jobs become cluster
 /// nodes and run in parallel when `parallel` is set (the paper's
 /// two-weeks-to-two-days optimisation).
 ///
@@ -178,7 +178,7 @@ pub fn run_installed(
         let payload = if job.kind == "bare" {
             let bin = std::fs::read(&job.primary)
                 .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
-            NodePayload::Bare { bin }
+            LoadedJob::Bare { bin }
         } else {
             let boot_bytes = std::fs::read(&job.primary)
                 .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
@@ -195,12 +195,11 @@ pub fn run_installed(
                 }
                 None => None,
             };
-            NodePayload::Linux { boot, disk }
+            LoadedJob::Linux { boot, disk }
         };
         nodes.push((job.name.clone(), payload));
     }
-    let sim = RtlSim::new(hw, None);
-    Ok(sim.fire_sim().launch_cluster(&nodes, parallel)?)
+    Ok(FireSim::new(hw).launch_cluster(&nodes, parallel)?)
 }
 
 /// Convenience: runs a job's artifacts directly on the cycle-exact
@@ -213,16 +212,11 @@ pub fn run_job_cycle_exact(
     job: &crate::build::JobArtifacts,
     hw: HardwareConfig,
 ) -> Result<NodeResult, MarshalError> {
-    use crate::simulator::Simulator;
     let loaded = load_artifacts(job)?;
-    let sim = RtlSim::new(hw, None);
-    let run = sim.run(&loaded, marshal_sim_functional::LaunchMode::Run)?;
-    let report = run
-        .report
-        .expect("the cycle-exact backend always produces a report");
+    let (result, report, _) = FireSim::new(hw).run(&loaded, LaunchMode::Run, None)?;
     Ok(NodeResult {
         name: job.name.clone(),
-        result: run.result,
+        result,
         report,
     })
 }

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 use marshal_sim_functional::LaunchMode;
+pub use marshal_sim_functional::LoadedJob;
 use marshal_sim_rtl::HardwareConfig;
 use marshal_trace::Recorder;
 
@@ -108,32 +109,11 @@ pub fn load_artifacts(job: &JobArtifacts) -> Result<LoadedJob, MarshalError> {
     }
 }
 
-/// In-memory artifacts of a built job.
-///
-/// The `Linux` variant dominates in size and in frequency — boxing it would
-/// add an allocation per job for no saving in the common case.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum LoadedJob {
-    /// Linux: boot binary + optional disk.
-    Linux {
-        /// The boot binary.
-        boot: BootBinary,
-        /// The disk image (None for diskless builds).
-        disk: Option<FsImage>,
-    },
-    /// Bare-metal binary.
-    Bare {
-        /// MEXE bytes.
-        bin: Vec<u8>,
-    },
-}
-
 /// Runs loaded artifacts through a backend with boot checkpointing: a
 /// verified checkpoint for the (backend config, boot, disk) key skips the
 /// boot phase; an eligible cold boot writes a fresh checkpoint for later
-/// launches. With `store` = `None` (or for bare jobs) this is exactly
-/// [`Simulator::run`].
+/// launches. With `store` = `None` (or for bare jobs) this is exactly a
+/// cold [`Simulator::run`].
 ///
 /// Checkpoint damage is never fatal — a corrupt file is quarantined, the
 /// boot runs cold, and the returned warnings say so. At worst a checkpoint
@@ -153,7 +133,7 @@ pub fn run_checkpointed(
 ) -> Result<(SimRun, Vec<Warning>), MarshalError> {
     let (Some(store), LoadedJob::Linux { boot, disk }, LaunchMode::Run) = (store, loaded, mode)
     else {
-        return Ok((backend.run(loaded, mode)?, Vec::new()));
+        return Ok((backend.run(loaded, mode, None)?.0, Vec::new()));
     };
     let boot_fp = boot.fingerprint();
     let disk_fp = disk.as_ref().map(FsImage::fingerprint);
@@ -191,7 +171,7 @@ pub fn run_checkpointed(
         &format!("checkpoint-{outcome}"),
         &[("key", &key_text), ("job", context)],
     );
-    let (run, captured) = backend.run_resumed(loaded, mode, resume.as_ref())?;
+    let (run, captured) = backend.run(loaded, mode, resume.as_ref())?;
     if let Some(snap) = &captured {
         match store.save(key, boot_fp, disk_fp, snap) {
             Ok(()) => rec.instant("checkpoint-saved", &[("key", &key_text), ("job", context)]),
@@ -207,22 +187,14 @@ pub fn run_checkpointed(
 
 /// Runs one job on the backend `opts.sim` names (the workload's default
 /// backend when unset), with `opts.timeout_insts` overriding the guest
-/// watchdog's instruction budget.
+/// watchdog's instruction budget. With a checkpoint `store` the boot is
+/// restored from (and saved to) it as [`run_checkpointed`] describes; the
+/// recorder gets its checkpoint hit/miss instants.
 ///
 /// # Errors
 ///
 /// Unknown backend names, simulation errors, and artifact errors.
-pub fn simulate_job(job: &JobArtifacts, opts: &LaunchOptions) -> Result<SimRun, MarshalError> {
-    simulate_job_with(job, opts, None, &Recorder::disabled()).map(|(run, _)| run)
-}
-
-/// [`simulate_job`] with an optional checkpoint store and a recorder for
-/// checkpoint hit/miss instants.
-///
-/// # Errors
-///
-/// See [`simulate_job`].
-pub fn simulate_job_with(
+pub fn simulate_job(
     job: &JobArtifacts,
     opts: &LaunchOptions,
     store: Option<&CheckpointStore>,
@@ -272,7 +244,7 @@ pub fn launch_job(
     // so a concurrent `marshal clean` defers pruning (blob-pool semantics).
     let _pin = store.as_ref().and_then(|s| PoolPin::acquire(s.dir()).ok());
     let span = rec.sim_span(&backend_name, &job.name);
-    let run = simulate_job_with(job, opts, store.as_ref(), rec);
+    let run = simulate_job(job, opts, store.as_ref(), rec);
     match &run {
         Ok((r, _)) => span.end_with(&[
             ("outcome", if r.result.timed_out { "timeout" } else { "ok" }),

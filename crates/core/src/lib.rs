@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `build` | [`build`] | §III-B: recursive parent builds, kernel/firmware, disk image, `--no-disk` |
 //! | `launch` | [`launch`] | §III-C: functional simulation, output collection, post-run hooks |
-//! | `test` | [`test`] | §III-D: reference-output matching with output cleaning |
+//! | `test` | [`test`](mod@test) | §III-D: reference-output matching with output cleaning |
 //! | `install` | [`install`] | §III-E: cycle-exact simulator configuration generation |
 //! | `clean` | [`clean`] | artifact/state removal |
 //! | `serve` / `scrub` | [`scrub`], marshal-netstore | resilient artifact distribution |

@@ -7,7 +7,12 @@
 //! its banner lines carry (so output canonicalization never falls out of
 //! sync with the backend list), its feature tags (e.g. `pfa` from a
 //! custom `pfa-spike` binary), and one `run` entry point taking the same
-//! loaded artifacts regardless of backend.
+//! loaded artifacts and optional boot snapshot regardless of backend.
+//!
+//! The trait is implemented directly on the simulators themselves: the
+//! functional [`FunctionalSim`] (registered as `qemu` and `spike`) and the
+//! cycle-exact [`FireSim`] (registered as `rtl`). There is no wrapper
+//! layer; [`simulator_for`] builds either from a job spec.
 //!
 //! The registry mirrors [`crate::connector`]: [`simulator_for`] resolves
 //! a name (with aliases) to a boxed backend, [`simulator_names`] lists
@@ -17,11 +22,12 @@
 
 use marshal_config::WorkloadSpec;
 use marshal_depgraph::{Fingerprint, Hasher128};
-use marshal_sim_functional::{BootSnapshot, LaunchMode, Qemu, SimConfig, SimResult, Spike};
-use marshal_sim_rtl::{FireSim, HardwareConfig, PerfReport};
+use marshal_sim_functional::{
+    BootSnapshot, FunctionalSim, LaunchMode, LoadedJob, SimConfig, SimKind, SimResult,
+};
+use marshal_sim_rtl::{FireSim, HardwareConfig, PerfReport, RemoteMemConfig};
 
 use crate::error::MarshalError;
-use crate::launch::LoadedJob;
 
 /// The outcome of one backend run: the simulation result plus, for timed
 /// backends, the performance report.
@@ -51,40 +57,29 @@ pub trait Simulator: Send + Sync {
     /// of an RTL configuration).
     fn features(&self) -> Vec<String>;
 
-    /// Runs loaded artifacts. Linux jobs boot the full system; bare jobs
-    /// execute the binary directly.
+    /// Runs loaded artifacts. Linux jobs boot the full system: with
+    /// `resume` given (and [`LaunchMode::Run`]) the boot phase is skipped
+    /// by restoring the snapshot, and an eligible cold boot returns a
+    /// snapshot of the post-init state for later reuse. Bare jobs execute
+    /// the binary directly, ignore `resume` and return `None`.
     ///
     /// # Errors
     ///
     /// Simulation errors ([`MarshalError::Sim`]).
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError>;
+    fn run(
+        &self,
+        job: &LoadedJob,
+        mode: LaunchMode,
+        resume: Option<&BootSnapshot>,
+    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError>;
 
     /// A stable fingerprint of every configuration knob that can change
-    /// what a boot produces on this backend (binary features, extra
+    /// what a boot produces on this backend (binary, features, extra
     /// arguments, instruction budget, hardware configuration). Part of the
     /// boot-checkpoint key: the same artifacts booted under a different
     /// configuration must never share a snapshot. Over-keying is safe (at
     /// worst a redundant cold boot); under-keying is not.
     fn config_fingerprint(&self) -> Fingerprint;
-
-    /// [`Simulator::run`] with boot checkpointing: when `resume` is given
-    /// (and the job is an eligible Linux `Run`), the boot phase is skipped
-    /// by restoring the snapshot; on an eligible cold boot the returned
-    /// snapshot captures the post-init state for later reuse. Bare jobs
-    /// and ineligible modes run cold and return `None`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        let _ = resume;
-        Ok((self.run(job, mode)?, None))
-    }
 }
 
 /// Folds the common [`SimConfig`] knobs into a backend fingerprint.
@@ -107,210 +102,57 @@ pub struct BackendOptions {
     /// Guest watchdog budget override (`--timeout-insts`).
     pub timeout_insts: Option<u64>,
     /// Hardware configuration for timed backends (`--hw`). `None` picks a
-    /// default suited to the workload's features (see [`RtlSim::for_spec`]).
+    /// default suited to the workload's features (see [`simulator_for`]).
     pub hw: Option<HardwareConfig>,
 }
 
-/// The QEMU-like functional backend (the historical `launch` default).
-pub struct QemuSim {
-    qemu: Qemu,
-}
-
-impl QemuSim {
-    /// Configures QEMU from a job spec: custom binary (`qemu`), extra
-    /// arguments (`qemu-args`), watchdog budget.
-    pub fn for_spec(spec: &WorkloadSpec, opts: &BackendOptions) -> QemuSim {
-        let mut qemu = match &spec.qemu {
-            Some(binary) => Qemu::with_binary(binary),
-            None => Qemu::new(),
-        };
-        qemu = qemu.with_args(&spec.qemu_args);
-        if let Some(n) = opts.timeout_insts {
-            qemu = qemu.with_budget(n);
-        }
-        QemuSim { qemu }
-    }
-}
-
-impl Simulator for QemuSim {
+/// The functional backends: `qemu` (the historical `launch` default) and
+/// `spike`, including custom golden-model binaries (`pfa-spike`).
+impl Simulator for FunctionalSim {
     fn name(&self) -> &'static str {
-        "qemu"
+        match self.config().kind {
+            SimKind::Qemu => "qemu",
+            _ => "spike",
+        }
     }
 
     fn log_prefixes(&self) -> &'static [&'static str] {
-        // Banner lines read "qemu-system-riscv64: ...".
-        &["qemu"]
+        // Banner lines read "qemu-system-riscv64: ..." or "spike: ...".
+        match self.config().kind {
+            SimKind::Qemu => &["qemu"],
+            _ => &["spike"],
+        }
     }
 
     fn features(&self) -> Vec<String> {
-        self.qemu.config().features.clone()
+        self.config().features.clone()
     }
 
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let result = match job {
-            LoadedJob::Linux { boot, disk } => self.qemu.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.qemu.launch_bare(bin)?,
-        };
-        Ok(SimRun {
-            result,
-            report: None,
-        })
-    }
-
-    fn config_fingerprint(&self) -> Fingerprint {
-        let mut h = Hasher128::new();
-        h.update_field(b"qemu");
-        hash_sim_config(&mut h, self.qemu.config());
-        h.finish()
-    }
-
-    fn run_resumed(
+    fn run(
         &self,
         job: &LoadedJob,
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, captured) =
-                    self.qemu
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: None,
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
-    }
-}
-
-/// The Spike-like functional backend, including custom golden-model
-/// binaries (`pfa-spike`).
-pub struct SpikeSim {
-    spike: Spike,
-}
-
-impl SpikeSim {
-    /// Configures Spike from a job spec: custom binary (`spike`), extra
-    /// arguments (`spike-args`), watchdog budget.
-    pub fn for_spec(spec: &WorkloadSpec, opts: &BackendOptions) -> SpikeSim {
-        let mut spike = match &spec.spike {
-            Some(binary) => Spike::with_binary(binary),
-            None => Spike::new(),
-        };
-        spike = spike.with_args(&spec.spike_args);
-        if let Some(n) = opts.timeout_insts {
-            spike = spike.with_budget(n);
-        }
-        SpikeSim { spike }
-    }
-}
-
-impl Simulator for SpikeSim {
-    fn name(&self) -> &'static str {
-        "spike"
-    }
-
-    fn log_prefixes(&self) -> &'static [&'static str] {
-        &["spike"]
-    }
-
-    fn features(&self) -> Vec<String> {
-        self.spike.config().features.clone()
-    }
-
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let result = match job {
-            LoadedJob::Linux { boot, disk } => self.spike.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.spike.launch_bare(bin)?,
-        };
-        Ok(SimRun {
+        let (result, captured) = FunctionalSim::run(self, job, mode, resume)?;
+        let run = SimRun {
             result,
             report: None,
-        })
+        };
+        Ok((run, captured))
     }
 
     fn config_fingerprint(&self) -> Fingerprint {
         let mut h = Hasher128::new();
-        h.update_field(b"spike");
-        h.update_field(self.spike.binary().as_bytes());
-        hash_sim_config(&mut h, self.spike.config());
+        h.update_field(Simulator::name(self).as_bytes());
+        h.update_field(self.binary().as_bytes());
+        hash_sim_config(&mut h, self.config());
         h.finish()
-    }
-
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, captured) =
-                    self.spike
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: None,
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
     }
 }
 
 /// The cycle-exact RTL backend (FireSim-like).
-pub struct RtlSim {
-    sim: FireSim,
-}
-
-impl RtlSim {
-    /// A backend for an explicit hardware configuration.
-    pub fn new(hw: HardwareConfig, timeout_insts: Option<u64>) -> RtlSim {
-        let mut sim = FireSim::new(hw);
-        if let Some(n) = timeout_insts {
-            sim = sim.with_budget(n);
-        }
-        RtlSim { sim }
-    }
-
-    /// Configures the RTL backend for a job spec. Without an explicit
-    /// `--hw` choice, picks Rocket — with the PFA remote-memory model
-    /// attached when the workload's functional backend would carry the
-    /// `pfa` feature tag, so the same workload exercises the same
-    /// subsystem on every backend.
-    pub fn for_spec(spec: &WorkloadSpec, opts: &BackendOptions) -> RtlSim {
-        let hw = match &opts.hw {
-            Some(hw) => hw.clone(),
-            None => {
-                let functional_features = SpikeSim::for_spec(spec, opts).features();
-                if functional_features.iter().any(|f| f == "pfa") {
-                    HardwareConfig::rocket().with_remote(marshal_sim_rtl::RemoteMemConfig::Pfa(
-                        marshal_sim_rtl::pfa::RemoteTimings::default(),
-                    ))
-                } else {
-                    HardwareConfig::rocket()
-                }
-            }
-        };
-        RtlSim::new(hw, opts.timeout_insts)
-    }
-
-    /// The underlying cycle-exact simulator (cluster launches in
-    /// [`crate::install`] need its multi-node entry point).
-    pub fn fire_sim(&self) -> &FireSim {
-        &self.sim
-    }
-}
-
-impl Simulator for RtlSim {
+impl Simulator for FireSim {
     fn name(&self) -> &'static str {
         "rtl"
     }
@@ -320,21 +162,24 @@ impl Simulator for RtlSim {
     }
 
     fn features(&self) -> Vec<String> {
-        match &self.sim.hardware().remote {
-            marshal_sim_rtl::RemoteMemConfig::None => Vec::new(),
+        match &self.hardware().remote {
+            RemoteMemConfig::None => Vec::new(),
             remote => vec![remote.name().to_owned()],
         }
     }
 
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let (result, report) = match job {
-            LoadedJob::Linux { boot, disk } => self.sim.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.sim.launch_bare(bin)?,
-        };
-        Ok(SimRun {
+    fn run(
+        &self,
+        job: &LoadedJob,
+        mode: LaunchMode,
+        resume: Option<&BootSnapshot>,
+    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
+        let (result, report, captured) = FireSim::run(self, job, mode, resume)?;
+        let run = SimRun {
             result,
             report: Some(report),
-        })
+        };
+        Ok((run, captured))
     }
 
     fn config_fingerprint(&self) -> Fingerprint {
@@ -342,32 +187,9 @@ impl Simulator for RtlSim {
         h.update_field(b"rtl");
         // The hardware name covers core/bpred/cache/remote choices; the
         // derived SimConfig covers the budget and `+config=` argument.
-        h.update_field(self.sim.hardware().name.as_bytes());
-        hash_sim_config(&mut h, &self.sim.sim_config());
+        h.update_field(self.hardware().name.as_bytes());
+        hash_sim_config(&mut h, &self.sim_config());
         h.finish()
-    }
-
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, report, captured) =
-                    self.sim
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: Some(report),
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
     }
 }
 
@@ -399,7 +221,13 @@ pub fn default_backend(spec: &WorkloadSpec) -> &'static str {
     }
 }
 
-/// Builds the named backend configured for a job spec.
+/// Builds the named backend configured for a job spec: the functional
+/// backends take the spec's custom binary (`qemu` / `spike`), extra
+/// arguments (`qemu-args` / `spike-args`) and watchdog budget. The RTL
+/// backend runs `opts.hw`, or without an explicit `--hw` choice Rocket —
+/// with the PFA remote-memory model attached when the workload's Spike
+/// backend would carry the `pfa` feature tag, so the same workload
+/// exercises the same subsystem on every backend.
 ///
 /// # Errors
 ///
@@ -410,10 +238,41 @@ pub fn simulator_for(
     spec: &WorkloadSpec,
     opts: &BackendOptions,
 ) -> Result<Box<dyn Simulator>, MarshalError> {
+    let functional = |kind: SimKind| {
+        let (binary, args) = match kind {
+            SimKind::Qemu => (&spec.qemu, &spec.qemu_args),
+            _ => (&spec.spike, &spec.spike_args),
+        };
+        let sim = match binary {
+            Some(binary) => FunctionalSim::with_binary(kind, binary),
+            None => FunctionalSim::new(kind),
+        }
+        .with_args(args);
+        match opts.timeout_insts {
+            Some(n) => sim.with_budget(n),
+            None => sim,
+        }
+    };
     match resolve_backend(name) {
-        Some("qemu") => Ok(Box::new(QemuSim::for_spec(spec, opts))),
-        Some("spike") => Ok(Box::new(SpikeSim::for_spec(spec, opts))),
-        Some("rtl") => Ok(Box::new(RtlSim::for_spec(spec, opts))),
+        Some("qemu") => Ok(Box::new(functional(SimKind::Qemu))),
+        Some("spike") => Ok(Box::new(functional(SimKind::Spike))),
+        Some("rtl") => {
+            let hw = opts.hw.clone().unwrap_or_else(|| {
+                let rocket = HardwareConfig::rocket();
+                if functional(SimKind::Spike).config().has_feature("pfa") {
+                    rocket.with_remote(RemoteMemConfig::Pfa(
+                        marshal_sim_rtl::pfa::RemoteTimings::default(),
+                    ))
+                } else {
+                    rocket
+                }
+            });
+            let sim = FireSim::new(hw);
+            Ok(Box::new(match opts.timeout_insts {
+                Some(n) => sim.with_budget(n),
+                None => sim,
+            }))
+        }
         _ => Err(MarshalError::Other(format!(
             "unknown simulator backend `{name}` (try {})",
             simulator_names().join(", ")
@@ -428,13 +287,9 @@ pub fn simulator_for(
 pub fn all_log_prefixes() -> Vec<&'static str> {
     let spec = WorkloadSpec::default();
     let opts = BackendOptions::default();
-    let backends: [Box<dyn Simulator>; 3] = [
-        Box::new(QemuSim::for_spec(&spec, &opts)),
-        Box::new(SpikeSim::for_spec(&spec, &opts)),
-        Box::new(RtlSim::for_spec(&spec, &opts)),
-    ];
     let mut prefixes = Vec::new();
-    for backend in &backends {
+    for name in simulator_names() {
+        let backend = simulator_for(name, &spec, &opts).expect("registered backend");
         for p in backend.log_prefixes() {
             if !prefixes.contains(p) {
                 prefixes.push(*p);
@@ -493,19 +348,23 @@ mod tests {
     fn rtl_backend_inherits_pfa_from_functional_features() {
         let mut s = spec();
         s.spike = Some("pfa-spike".to_owned());
-        let rtl = RtlSim::for_spec(&s, &BackendOptions::default());
+        let rtl = simulator_for("rtl", &s, &BackendOptions::default()).unwrap();
         assert_eq!(rtl.features(), vec!["pfa".to_owned()]);
-        assert!(rtl.fire_sim().hardware().name.contains("pfa"));
+        let pfa = FireSim::new(HardwareConfig::rocket().with_remote(RemoteMemConfig::Pfa(
+            marshal_sim_rtl::pfa::RemoteTimings::default(),
+        )));
+        assert_eq!(rtl.config_fingerprint(), pfa.config_fingerprint());
         // An explicit --hw wins over the feature-derived default.
-        let rtl = RtlSim::for_spec(
-            &s,
-            &BackendOptions {
-                hw: Some(HardwareConfig::boom_tage()),
-                ..Default::default()
-            },
-        );
+        let opts = BackendOptions {
+            hw: Some(HardwareConfig::boom_tage()),
+            ..Default::default()
+        };
+        let rtl = simulator_for("rtl", &s, &opts).unwrap();
         assert!(rtl.features().is_empty());
-        assert_eq!(rtl.fire_sim().hardware().name, "boom-tage");
+        assert_eq!(
+            rtl.config_fingerprint(),
+            FireSim::new(HardwareConfig::boom_tage()).config_fingerprint()
+        );
     }
 
     #[test]
@@ -555,17 +414,6 @@ mod tests {
             fps[2],
             simulator_for("rtl", &s, &hw).unwrap().config_fingerprint()
         );
-    }
-
-    #[test]
-    fn run_resumed_default_matches_run_for_bare_jobs() {
-        let s = spec();
-        let backend = simulator_for("qemu", &s, &BackendOptions::default()).unwrap();
-        let job = LoadedJob::Bare { bin: Vec::new() };
-        // Bare jobs never produce or consume snapshots; both paths agree
-        // on the error for a non-MEXE binary.
-        assert!(backend.run(&job, LaunchMode::Run).is_err());
-        assert!(backend.run_resumed(&job, LaunchMode::Run, None).is_err());
     }
 
     #[test]

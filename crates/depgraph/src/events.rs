@@ -1,8 +1,8 @@
 //! The executor's event channel: runners report task lifecycle events back
 //! to the scheduler over an mpsc channel.
 //!
-//! The scheduler ([`crate::sched`]) owns the graph, the up-to-date checks,
-//! the claim audit, and the poisoning policy; runners
+//! The scheduler (the private `sched` module) owns the graph, the
+//! up-to-date checks, the claim audit, and the poisoning policy; runners
 //! ([`crate::runner::TaskRunner`]) own nothing but execution. The only
 //! thing that flows from a runner back to the scheduler is an
 //! [`ExecEvent`], sent through the [`EventSender`] handed to

@@ -1,9 +1,9 @@
 //! Build execution: up-to-date checking and running over pluggable task
 //! runners, with fail-fast and keep-going failure policies.
 //!
-//! Execution is split in two: a single-threaded scheduler
-//! ([`crate::sched`]) owns the graph walk, the up-to-date checks, the
-//! claim audit, and the poisoning policy; [`crate::runner::TaskRunner`]s
+//! Execution is split in two: a single-threaded scheduler (the private
+//! `sched` module) owns the graph walk, the up-to-date checks, the claim
+//! audit, and the poisoning policy; [`crate::runner::TaskRunner`]s
 //! own nothing but execution and report back over the
 //! [`crate::ExecEvent`] channel. [`Graph::execute_with`] drives a
 //! [`crate::runner::LocalRunner`] thread pool; callers that want remote

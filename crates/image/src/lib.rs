@@ -7,7 +7,7 @@
 //!   permission bits) with path operations; copy-on-write with memoized
 //!   Merkle fingerprints, so cloning an image is O(1) and re-hashing after
 //!   a mutation costs only the changed subtree.
-//! - [`format`]: a byte-stable binary image format (`MIMG`).
+//! - [`format`](mod@format): a byte-stable binary image format (`MIMG`).
 //! - [`store`]: a content-addressed blob store plus `MMAN` manifests, so
 //!   persisted levels share payload bytes instead of repeating them.
 //! - [`cpio`]: a newc-inspired archive used for initramfs payloads.

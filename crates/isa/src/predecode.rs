@@ -1,6 +1,6 @@
 //! Predecoded instruction cache for the interpreter hot loop.
 //!
-//! [`Cpu::step`] pays a fetch and a full [`decode`] for every retired
+//! [`Cpu::step`] pays a fetch and a full [`decode`](crate::decode::decode) for every retired
 //! instruction even though the vast majority of fetches hit the same few
 //! code pages over and over. [`DecodeCache`] decodes each physical page
 //! once into a dense table of decoded instructions and dispatches straight
@@ -13,11 +13,11 @@
 //! - Decoded slots execute through the same [`Cpu::exec_decoded`] body as
 //!   the uncached path, so the [`crate::interp::Retired`] stream — which the
 //!   cycle-exact timing model and cosim consume — is bit-for-bit unchanged.
-//! - Words that fail to decode are cached as [`Slot::Illegal`] and raise
+//! - Words that fail to decode are cached as `Slot::Illegal` and raise
 //!   [`Trap::IllegalInstruction`] only when the PC actually reaches them,
 //!   with the same `{word, pc}` payload as an uncached step.
 //! - Page bytes that cannot be fetched during fill are cached as
-//!   [`Slot::Unmapped`]; execution there falls back to the uncached step so
+//!   `Slot::Unmapped`; execution there falls back to the uncached step so
 //!   the authentic [`Trap::FetchFault`] (or a post-fill mapping change) is
 //!   observed.
 //! - A misaligned PC bypasses the cache entirely (slots are word-indexed).

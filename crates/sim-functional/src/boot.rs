@@ -28,27 +28,10 @@ fn watchdog_fired(err: &SimError, os: &GuestOs) -> bool {
         || matches!(err, SimError::Script(m) if m.contains("instruction budget exhausted"))
 }
 
-/// Boots a Linux workload and runs its payload.
+/// Boots a Linux workload and runs its payload, with boot checkpointing.
 ///
 /// `disk` is required when the kernel's initramfs hands off to `/dev/vda`
 /// (normal builds) and unused for diskless (`--no-disk`) builds.
-///
-/// # Errors
-///
-/// [`SimError::BadArtifact`] for inconsistent artifacts (e.g. missing disk),
-/// plus any trap/budget/script error from the payload.
-pub fn simulate_linux<E: Executor>(
-    cfg: &SimConfig,
-    boot: &BootBinary,
-    disk: Option<&FsImage>,
-    mode: LaunchMode,
-    exec: &mut E,
-) -> Result<SimResult, SimError> {
-    let (os, systemd) = boot_linux(cfg, boot, disk, exec)?;
-    run_payload(cfg, os, systemd, mode, exec)
-}
-
-/// [`simulate_linux`] with boot checkpointing.
 ///
 /// With `resume = Some(snapshot)` (and [`LaunchMode::Run`]) the entire boot
 /// phase is skipped: the OS is rebuilt from the snapshot and only the
@@ -65,8 +48,9 @@ pub fn simulate_linux<E: Executor>(
 ///
 /// # Errors
 ///
-/// Exactly those of [`simulate_linux`].
-pub fn simulate_linux_checkpointed<E: Executor>(
+/// [`SimError::BadArtifact`] for inconsistent artifacts (e.g. missing disk),
+/// plus any trap/budget/script error from the payload.
+pub fn simulate_linux<E: Executor>(
     cfg: &SimConfig,
     boot: &BootBinary,
     disk: Option<&FsImage>,
@@ -292,29 +276,32 @@ fn run_payload<E: Executor>(
     })
 }
 
-/// Runs a bare-metal workload: the hard-coded `bin` executes directly on
-/// the hart with the console as its only device.
+/// The only device of a bare-metal machine: a console whose output is
+/// captured. File access fails.
+pub struct BareConsole {
+    /// The serial log so far.
+    pub serial: String,
+}
+
+impl OsServices for BareConsole {
+    fn serial_write(&mut self, bytes: &[u8]) {
+        self.serial.push_str(&String::from_utf8_lossy(bytes));
+    }
+    fn file_read(&mut self, _path: &str) -> Option<Vec<u8>> {
+        None
+    }
+    fn file_write(&mut self, _path: &str, _data: &[u8]) -> bool {
+        false
+    }
+}
+
+/// Loads a bare-metal workload binary onto a fresh hart with the UART
+/// mapped.
 ///
 /// # Errors
 ///
-/// [`SimError::BadArtifact`] for non-MEXE binaries; traps and budget errors
-/// from execution.
-pub fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, SimError> {
-    struct BareOs {
-        serial: String,
-    }
-    impl OsServices for BareOs {
-        fn serial_write(&mut self, bytes: &[u8]) {
-            self.serial.push_str(&String::from_utf8_lossy(bytes));
-        }
-        fn file_read(&mut self, _path: &str) -> Option<Vec<u8>> {
-            None
-        }
-        fn file_write(&mut self, _path: &str, _data: &[u8]) -> bool {
-            false
-        }
-    }
-
+/// [`SimError::BadArtifact`] for non-MEXE binaries.
+pub fn load_bare(bin: &[u8]) -> Result<UserRunner, SimError> {
     if !MexeFile::sniff(bin) {
         return Err(SimError::BadArtifact(
             "bare-metal workload binary is not a MEXE image".to_owned(),
@@ -322,11 +309,23 @@ pub fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, SimError>
     }
     let exe = MexeFile::from_bytes(bin)
         .map_err(|e| SimError::BadArtifact(format!("bare-metal binary: {e}")))?;
-    let mut os = BareOs {
-        serial: format!("{}: starting bare-metal simulation\n", cfg.kind.name()),
-    };
     let mut runner = UserRunner::new(&exe, &[])?;
     runner.bus.enable_uart();
+    Ok(runner)
+}
+
+/// Runs a bare-metal workload: the hard-coded `bin` executes directly on
+/// the hart with the console as its only device.
+///
+/// # Errors
+///
+/// [`SimError::BadArtifact`] for non-MEXE binaries; traps and budget errors
+/// from execution.
+pub(crate) fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, SimError> {
+    let mut runner = load_bare(bin)?;
+    let mut os = BareConsole {
+        serial: format!("{}: starting bare-metal simulation\n", cfg.kind.name()),
+    };
     let (exit_code, instructions, timed_out) = match runner.run(&mut os, cfg.max_instructions) {
         Ok((code, insts)) => (code, insts, false),
         Err(SimError::Budget { limit }) => {
@@ -380,6 +379,16 @@ mod tests {
         link_boot_binary(&fw, &kernel).unwrap()
     }
 
+    /// A cold boot with no snapshot to resume from.
+    fn cold(
+        cfg: &SimConfig,
+        boot: &BootBinary,
+        disk: Option<&FsImage>,
+        mode: LaunchMode,
+    ) -> Result<SimResult, SimError> {
+        simulate_linux(cfg, boot, disk, mode, &mut FunctionalExecutor, None).map(|(r, _)| r)
+    }
+
     fn disk_with_payload(cmd: &str) -> FsImage {
         let mut img = FsImage::new();
         img.write_file("/etc/hostname", b"buildroot").unwrap();
@@ -414,8 +423,7 @@ _start:
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         let serial = &result.serial;
         assert!(serial.contains("OpenSBI"), "firmware banner: {serial}");
         assert!(serial.contains("Linux version"), "kernel banner");
@@ -426,13 +434,110 @@ _start:
         assert!(result.instructions > 0);
     }
 
+    /// The snapshot a cold `Run` of `disk` captures.
+    fn capture(cfg: &SimConfig, boot: &BootBinary, disk: &FsImage) -> (SimResult, BootSnapshot) {
+        let (result, snap) = simulate_linux(
+            cfg,
+            boot,
+            Some(disk),
+            LaunchMode::Run,
+            &mut FunctionalExecutor,
+            None,
+        )
+        .unwrap();
+        (
+            result,
+            snap.expect("a cold eligible Run captures a snapshot"),
+        )
+    }
+
+    #[test]
+    fn restored_run_equals_cold_run() {
+        let cfg = SimConfig::new(SimKind::Qemu);
+        let boot = boot_binary(None);
+        let disk = disk_with_payload("/bin/payload");
+        let (cold_run, snap) = capture(&cfg, &boot, &disk);
+        assert_eq!(snap.instructions, 0);
+        // No disk: a cold boot would fail, so the restore provably skipped
+        // the boot phase.
+        let (restored, again) = simulate_linux(
+            &cfg,
+            &boot,
+            None,
+            LaunchMode::Run,
+            &mut FunctionalExecutor,
+            Some(&snap),
+        )
+        .unwrap();
+        assert_eq!(restored, cold_run);
+        assert!(again.is_none(), "a restored run captures nothing");
+    }
+
+    #[test]
+    fn guest_init_neither_resumes_nor_captures() {
+        let cfg = SimConfig::new(SimKind::Qemu);
+        let boot = boot_binary(None);
+        let mut disk = disk_with_payload("/bin/payload");
+        let (_, snap) = capture(&cfg, &boot, &disk);
+        initsys::install_guest_init(&mut disk, "#!mscript\nprint(\"guest-init!\")\n").unwrap();
+        let (result, captured) = simulate_linux(
+            &cfg,
+            &boot,
+            Some(&disk),
+            LaunchMode::GuestInit,
+            &mut FunctionalExecutor,
+            Some(&snap),
+        )
+        .unwrap();
+        assert!(captured.is_none());
+        assert!(result.serial.contains("guest-init!"), "booted, not resumed");
+        assert_eq!(
+            result,
+            cold(&cfg, &boot, Some(&disk), LaunchMode::GuestInit).unwrap()
+        );
+    }
+
+    #[test]
+    fn boot_that_retired_user_instructions_is_not_captured() {
+        let cfg = SimConfig::new(SimKind::Qemu);
+        let boot = boot_binary(None);
+        let mut disk = disk_with_payload("/bin/payload");
+        // A pending guest-init runs during a `Run` boot and execs a program.
+        initsys::install_guest_init(&mut disk, "#!mscript\nexec(\"/bin/payload\")\n").unwrap();
+        let (result, captured) = simulate_linux(
+            &cfg,
+            &boot,
+            Some(&disk),
+            LaunchMode::Run,
+            &mut FunctionalExecutor,
+            None,
+        )
+        .unwrap();
+        assert!(result.serial.contains("guest-init complete"));
+        assert!(captured.is_none());
+    }
+
+    #[test]
+    fn bare_jobs_ignore_resume_and_capture_nothing() {
+        let cfg = SimConfig::new(SimKind::Spike);
+        let (_, snap) = capture(&cfg, &boot_binary(None), &disk_with_payload("/bin/payload"));
+        let exe = assemble("_start:\n li a0, 7\n li a7, 93\n ecall\n", abi::USER_BASE).unwrap();
+        let job = crate::LoadedJob::Bare {
+            bin: exe.to_bytes(),
+        };
+        let sim = crate::FunctionalSim::new(SimKind::Spike);
+        let (resumed, captured) = sim.run(&job, LaunchMode::Run, Some(&snap)).unwrap();
+        assert!(captured.is_none());
+        assert_eq!(resumed.exit_code, 7);
+        assert_eq!(resumed, sim.run(&job, LaunchMode::Run, None).unwrap().0);
+    }
+
     #[test]
     fn boot_order_is_correct() {
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         let s = &result.serial;
         let fw = s.find("OpenSBI").unwrap();
         let kernel = s.find("Linux version").unwrap();
@@ -447,9 +552,8 @@ _start:
     fn missing_disk_is_error() {
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
-        let mut fexec = FunctionalExecutor;
         assert!(matches!(
-            simulate_linux(&cfg, &boot, None, LaunchMode::Run, &mut fexec),
+            cold(&cfg, &boot, None, LaunchMode::Run),
             Err(SimError::BadArtifact(_))
         ));
     }
@@ -459,8 +563,7 @@ _start:
         let rootfs = disk_with_payload("/bin/payload");
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(Some(rootfs));
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, None, LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, None, LaunchMode::Run).unwrap();
         assert!(result.serial.contains("switching root to initramfs"));
         assert!(result.serial.contains("payload ran"));
     }
@@ -475,9 +578,7 @@ _start:
             "#!mscript\nprint(\"guest-init!\")\nwrite_file(\"/etc/setup-done\", \"yes\")\n",
         )
         .unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result =
-            simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::GuestInit, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::GuestInit).unwrap();
         assert!(result.serial.contains("guest-init!"));
         // Payload NOT run in guest-init mode.
         assert!(!result.serial.contains("payload ran"));
@@ -486,8 +587,7 @@ _start:
         assert!(!initsys::guest_init_pending(&image));
 
         // Booting the post-init image again: guest-init must not re-run.
-        let result2 =
-            simulate_linux(&cfg, &boot, Some(&image), LaunchMode::Run, &mut fexec).unwrap();
+        let result2 = cold(&cfg, &boot, Some(&image), LaunchMode::Run).unwrap();
         assert!(!result2.serial.contains("guest-init!"));
         assert!(result2.serial.contains("payload ran"));
     }
@@ -498,8 +598,7 @@ _start:
         let boot = boot_binary(None);
         let mut disk = FsImage::new();
         disk.mkdir_p("/etc/init.d").unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.serial.contains("interactive console"));
     }
 
@@ -513,8 +612,7 @@ _start:
             .unwrap();
         let exe = assemble("_start:\n li a0, 0\n li a7, 93\n ecall\n", abi::USER_BASE).unwrap();
         disk.write_exec("/bin/payload", &exe.to_bytes()).unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.serial.contains("Multi-User System"));
         assert!(result
             .serial
@@ -561,8 +659,7 @@ _start:
         InitSystem::Initd
             .install_payload(&mut disk, &BootPayload::Command("/bin/spin".to_owned()))
             .unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.timed_out);
         assert!(!result.success());
         assert_eq!(result.exit_code, WATCHDOG_EXIT_CODE);
@@ -589,10 +686,7 @@ _start:
         let spin = assemble("_start:\n j _start\n", abi::USER_BASE).unwrap();
         disk.write_exec("/bin/spin", &spin.to_bytes()).unwrap();
         initsys::install_guest_init(&mut disk, "#!mscript\nexec(\"/bin/spin\")\n").unwrap();
-        let mut fexec = FunctionalExecutor;
-        assert!(
-            simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::GuestInit, &mut fexec).is_err()
-        );
+        assert!(cold(&cfg, &boot, Some(&disk), LaunchMode::GuestInit).is_err());
     }
 
     #[test]
@@ -612,9 +706,8 @@ _start:
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let a = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
-        let b = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let a = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
+        let b = cold(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert_eq!(a.serial, b.serial);
         assert_eq!(a.instructions, b.instructions);
     }
@@ -623,21 +716,18 @@ _start:
     fn different_simulators_differ_only_in_volatile_lines() {
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let q = simulate_linux(
+        let q = cold(
             &SimConfig::new(SimKind::Qemu),
             &boot,
             Some(&disk),
             LaunchMode::Run,
-            &mut fexec,
         )
         .unwrap();
-        let s = simulate_linux(
+        let s = cold(
             &SimConfig::new(SimKind::Spike),
             &boot,
             Some(&disk),
             LaunchMode::Run,
-            &mut fexec,
         )
         .unwrap();
         // Raw logs differ (timestamps, banner)...

@@ -8,7 +8,7 @@
 //! instruction/cycle counters, and init state are all part of the snapshot.
 //!
 //! Snapshots are only captured when the boot phase retired **zero** user
-//! instructions ([`crate::boot::simulate_linux_checkpointed`] enforces
+//! instructions ([`crate::boot::simulate_linux`] enforces
 //! this). That invariant is what makes a restore bit-exact even for the
 //! cycle-exact simulator: its timing pipeline is only ever touched by
 //! retired user instructions, so a zero-instruction boot leaves it in the

@@ -13,26 +13,28 @@
 //! with a timing model attached — which is how the reproduction realises
 //! the paper's launch/install portability guarantee.
 //!
-//! - [`machine`]: simulator configuration and results.
+//! - [`machine`]: simulator configuration, the loaded job every backend
+//!   runs, and results.
 //! - [`syscall`]: the user-program runner (syscall ABI over the ISA core).
 //! - [`guest`]: the modelled guest OS — filesystem, serial console, and the
 //!   mscript guest environment.
 //! - [`boot`]: the boot flow (firmware → kernel → initramfs → init system
 //!   → payload).
 //! - [`checkpoint`]: boot-state snapshots for launch checkpointing.
-//! - [`qemu`] / [`spike`]: the two functional simulator front-ends.
+//! - [`frontend`]: the functional simulator front-end, QEMU-like or
+//!   Spike-like by [`SimKind`], with one `run` entry point.
 
 #![warn(missing_docs)]
 
 pub mod boot;
 pub mod checkpoint;
+pub mod frontend;
 pub mod guest;
 pub mod machine;
-pub mod qemu;
-pub mod spike;
 pub mod syscall;
 
 pub use checkpoint::BootSnapshot;
-pub use machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult, WATCHDOG_EXIT_CODE};
-pub use qemu::Qemu;
-pub use spike::Spike;
+pub use frontend::FunctionalSim;
+pub use machine::{
+    LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult, WATCHDOG_EXIT_CODE,
+};

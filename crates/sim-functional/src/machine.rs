@@ -1,5 +1,6 @@
 //! Simulator configuration, inputs, and results.
 
+use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 
 /// Which functional simulator front-end is running.
@@ -76,6 +77,27 @@ impl SimConfig {
     pub fn has_feature(&self, name: &str) -> bool {
         self.features.iter().any(|f| f == name)
     }
+}
+
+/// A built job's artifacts, loaded into memory: what every backend runs.
+///
+/// The `Linux` variant dominates in size and in frequency — boxing it would
+/// add an allocation per job for no saving in the common case.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum LoadedJob {
+    /// Linux: boot binary + optional disk.
+    Linux {
+        /// The boot binary.
+        boot: BootBinary,
+        /// The disk image (None for diskless builds).
+        disk: Option<FsImage>,
+    },
+    /// Bare-metal binary.
+    Bare {
+        /// MEXE bytes.
+        bin: Vec<u8>,
+    },
 }
 
 /// Exit code reported when the guest watchdog terminates a hung payload

@@ -6,14 +6,14 @@
 //! cluster simulations for `jobs` workloads (the intspeed suite's ten
 //! parallel nodes, the PFA client/server pair).
 
-use marshal_firmware::BootBinary;
-use marshal_image::FsImage;
 use marshal_isa::interp::RetireKind;
 use marshal_isa::MexeFile;
-use marshal_sim_functional::boot::{simulate_linux, simulate_linux_checkpointed};
+use marshal_sim_functional::boot::{load_bare, simulate_linux, BareConsole};
 use marshal_sim_functional::checkpoint::BootSnapshot;
 use marshal_sim_functional::guest::{Executor, GuestOs};
-use marshal_sim_functional::machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult};
+use marshal_sim_functional::machine::{
+    LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult,
+};
 use marshal_sim_functional::syscall::{OsServices, UserRunner, UserStep};
 
 use crate::cache::CacheStats;
@@ -165,27 +165,6 @@ impl Executor for TimedExecutor {
     }
 }
 
-/// What a cluster node runs.
-///
-/// The `Linux` variant dominates in size and in frequency — boxing it would
-/// add an allocation per node for no saving in the common case.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum NodePayload {
-    /// A Linux workload: boot binary plus optional disk image.
-    Linux {
-        /// The boot binary.
-        boot: BootBinary,
-        /// The disk image (None for diskless builds).
-        disk: Option<FsImage>,
-    },
-    /// A bare-metal binary.
-    Bare {
-        /// The MEXE program bytes.
-        bin: Vec<u8>,
-    },
-}
-
 /// One node's simulation outcome.
 #[derive(Debug, Clone)]
 pub struct NodeResult {
@@ -253,81 +232,50 @@ impl FireSim {
         }
     }
 
-    /// Boots a Linux workload cycle-exactly.
+    /// Runs loaded artifacts cycle-exactly. Linux jobs boot the full
+    /// system with boot checkpointing; bare jobs execute the binary
+    /// directly, ignore `resume` and capture nothing.
+    ///
+    /// Restoring is cycle-exact because snapshots are only captured when
+    /// the boot retired zero user instructions — the pipeline is cold at
+    /// the seam either way (see [`simulate_linux`]).
     ///
     /// # Errors
     ///
     /// Same conditions as the functional simulators.
-    pub fn launch(
+    pub fn run(
         &self,
-        boot: &BootBinary,
-        disk: Option<&FsImage>,
-        mode: LaunchMode,
-    ) -> Result<(SimResult, PerfReport), SimError> {
-        let cfg = self.sim_config();
-        let mut exec = TimedExecutor::new(&self.hw);
-        let result = simulate_linux(&cfg, boot, disk, mode, &mut exec)?;
-        Ok((result, self.report(&exec)))
-    }
-
-    /// [`FireSim::launch`] with boot checkpointing.
-    ///
-    /// Restoring is cycle-exact because snapshots are only captured when
-    /// the boot retired zero user instructions — the pipeline is cold at
-    /// the seam either way (see
-    /// [`simulate_linux_checkpointed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FireSim::launch`].
-    pub fn launch_checkpointed(
-        &self,
-        boot: &BootBinary,
-        disk: Option<&FsImage>,
+        job: &LoadedJob,
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, PerfReport, Option<BootSnapshot>), SimError> {
-        let cfg = self.sim_config();
-        let mut exec = TimedExecutor::new(&self.hw);
-        let (result, captured) =
-            simulate_linux_checkpointed(&cfg, boot, disk, mode, &mut exec, resume)?;
-        Ok((result, self.report(&exec), captured))
+        match job {
+            LoadedJob::Linux { boot, disk } => {
+                let mut exec = TimedExecutor::new(&self.hw);
+                let (result, captured) = simulate_linux(
+                    &self.sim_config(),
+                    boot,
+                    disk.as_ref(),
+                    mode,
+                    &mut exec,
+                    resume,
+                )?;
+                Ok((result, self.report(&exec), captured))
+            }
+            LoadedJob::Bare { bin } => {
+                let (result, report) = self.run_bare(bin)?;
+                Ok((result, report, None))
+            }
+        }
     }
 
     /// Runs a bare-metal binary cycle-exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadArtifact`] for non-MEXE binaries, plus traps and
-    /// budget exhaustion.
-    pub fn launch_bare(&self, bin: &[u8]) -> Result<(SimResult, PerfReport), SimError> {
-        struct BareOs {
-            serial: String,
-        }
-        impl OsServices for BareOs {
-            fn serial_write(&mut self, bytes: &[u8]) {
-                self.serial.push_str(&String::from_utf8_lossy(bytes));
-            }
-            fn file_read(&mut self, _path: &str) -> Option<Vec<u8>> {
-                None
-            }
-            fn file_write(&mut self, _path: &str, _data: &[u8]) -> bool {
-                false
-            }
-        }
-        if !MexeFile::sniff(bin) {
-            return Err(SimError::BadArtifact(
-                "bare-metal workload binary is not a MEXE image".to_owned(),
-            ));
-        }
-        let exe = MexeFile::from_bytes(bin)
-            .map_err(|e| SimError::BadArtifact(format!("bare-metal binary: {e}")))?;
-        let mut os = BareOs {
+    fn run_bare(&self, bin: &[u8]) -> Result<(SimResult, PerfReport), SimError> {
+        let mut runner = load_bare(bin)?;
+        let mut os = BareConsole {
             serial: format!("firesim: bare-metal node ({})\n", self.hw.name),
         };
         let mut exec = TimedExecutor::new(&self.hw);
-        let mut runner = UserRunner::new(&exe, &[])?;
-        runner.bus.enable_uart();
         // Watchdog: a hung guest is terminated, but the serial log and
         // performance report gathered so far are salvaged.
         let (exit, instructions) = exec.run(&mut runner, &mut os, self.max_instructions)?;
@@ -370,16 +318,11 @@ impl FireSim {
     /// Returns the first failing node's error (by node order).
     pub fn launch_cluster(
         &self,
-        nodes: &[(String, NodePayload)],
+        nodes: &[(String, LoadedJob)],
         parallel: bool,
     ) -> Result<Vec<NodeResult>, SimError> {
-        let run_node = |name: &String, payload: &NodePayload| -> Result<NodeResult, SimError> {
-            let (result, report) = match payload {
-                NodePayload::Linux { boot, disk } => {
-                    self.launch(boot, disk.as_ref(), LaunchMode::Run)?
-                }
-                NodePayload::Bare { bin } => self.launch_bare(bin)?,
-            };
+        let run_node = |name: &String, job: &LoadedJob| -> Result<NodeResult, SimError> {
+            let (result, report, _) = self.run(job, LaunchMode::Run, None)?;
             Ok(NodeResult {
                 name: name.clone(),
                 result,
@@ -389,13 +332,13 @@ impl FireSim {
         if !parallel {
             return nodes
                 .iter()
-                .map(|(name, payload)| run_node(name, payload))
+                .map(|(name, job)| run_node(name, job))
                 .collect();
         }
         std::thread::scope(|scope| {
             let handles: Vec<_> = nodes
                 .iter()
-                .map(|(name, payload)| scope.spawn(move || run_node(name, payload)))
+                .map(|(name, job)| scope.spawn(move || run_node(name, job)))
                 .collect();
             handles
                 .into_iter()
@@ -408,14 +351,16 @@ impl FireSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marshal_firmware::BootBinary;
     use marshal_firmware::{build_firmware, link_boot_binary, FirmwareBuild};
+    use marshal_image::FsImage;
     use marshal_image::{BootPayload, InitSystem};
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
     use marshal_linux::kconfig::KernelConfig;
     use marshal_linux::kernel::{build_kernel, KernelSource};
     use marshal_linux::InitramfsSpec;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::{FunctionalSim, SimKind};
 
     fn boot_binary() -> BootBinary {
         let config = KernelConfig::riscv_defconfig();
@@ -463,6 +408,25 @@ nofb:
         .to_owned()
     }
 
+    /// A cold `Run` of `job`, without its boot snapshot.
+    fn run(sim: &FireSim, job: &LoadedJob) -> (SimResult, PerfReport) {
+        let (result, report, _) = sim.run(job, LaunchMode::Run, None).unwrap();
+        (result, report)
+    }
+
+    fn linux_job(prog_src: &str) -> LoadedJob {
+        LoadedJob::Linux {
+            boot: boot_binary(),
+            disk: Some(disk_with(prog_src)),
+        }
+    }
+
+    fn bare_job(src: &str) -> LoadedJob {
+        LoadedJob::Bare {
+            bin: assemble(src, abi::USER_BASE).unwrap().to_bytes(),
+        }
+    }
+
     fn disk_with(prog_src: &str) -> FsImage {
         let mut img = FsImage::new();
         img.mkdir_p("/etc/init.d").unwrap();
@@ -478,10 +442,9 @@ nofb:
     fn cycle_exact_repeatability() {
         // §IV-C: "repeatable results down to an exact cycle-count".
         let sim = FireSim::new(HardwareConfig::boom_tage());
-        let boot = boot_binary();
-        let disk = disk_with(&branchy_program());
-        let (r1, p1) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
-        let (r2, p2) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let job = linux_job(&branchy_program());
+        let (r1, p1) = run(&sim, &job);
+        let (r2, p2) = run(&sim, &job);
         assert_eq!(p1.counters.cycles, p2.counters.cycles);
         assert_eq!(r1.serial, r2.serial);
     }
@@ -490,12 +453,12 @@ nofb:
     fn same_binary_same_instruction_count_as_functional() {
         // The portability guarantee: identical artifacts retire identical
         // instruction streams on functional and cycle-exact simulation.
-        let boot = boot_binary();
-        let disk = disk_with(&branchy_program());
-        let qemu = Qemu::new();
-        let functional = qemu.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let job = linux_job(&branchy_program());
+        let (functional, _) = FunctionalSim::new(SimKind::Qemu)
+            .run(&job, LaunchMode::Run, None)
+            .unwrap();
         let sim = FireSim::new(HardwareConfig::rocket());
-        let (timed, _) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (timed, _) = run(&sim, &job);
         assert_eq!(functional.instructions, timed.instructions);
         assert_eq!(functional.exit_code, timed.exit_code);
         assert!(timed.serial.contains("done"));
@@ -503,14 +466,9 @@ nofb:
 
     #[test]
     fn tage_beats_gshare_on_branchy_code() {
-        let boot = boot_binary();
-        let disk = disk_with(&branchy_program());
-        let (_, gshare) = FireSim::new(HardwareConfig::boom_gshare())
-            .launch(&boot, Some(&disk), LaunchMode::Run)
-            .unwrap();
-        let (_, tage) = FireSim::new(HardwareConfig::boom_tage())
-            .launch(&boot, Some(&disk), LaunchMode::Run)
-            .unwrap();
+        let job = linux_job(&branchy_program());
+        let (_, gshare) = run(&FireSim::new(HardwareConfig::boom_gshare()), &job);
+        let (_, tage) = run(&FireSim::new(HardwareConfig::boom_tage()), &job);
         assert_eq!(
             gshare.counters.instructions, tage.counters.instructions,
             "identical instruction streams"
@@ -526,13 +484,10 @@ nofb:
 
     #[test]
     fn bare_metal_timed() {
-        let exe = assemble(
+        let job = bare_job(
             "_start:\n li t0, 100\nl: addi t0, t0, -1\n bnez t0, l\n li a0, 0\n li a7, 93\n ecall\n",
-            abi::USER_BASE,
-        )
-        .unwrap();
-        let sim = FireSim::new(HardwareConfig::rocket());
-        let (result, report) = sim.launch_bare(&exe.to_bytes()).unwrap();
+        );
+        let (result, report) = run(&FireSim::new(HardwareConfig::rocket()), &job);
         assert_eq!(result.exit_code, 0);
         assert!(report.counters.cycles >= report.counters.instructions);
         assert!(result.serial.contains("cycles"));
@@ -555,32 +510,21 @@ _start:
         li      a7, 93
         ecall
 "#;
-        let exe = assemble(src, abi::USER_BASE).unwrap();
         let hw = HardwareConfig::rocket().with_remote(crate::RemoteMemConfig::Pfa(
             crate::pfa::RemoteTimings::default(),
         ));
-        let (result, report) = FireSim::new(hw).launch_bare(&exe.to_bytes()).unwrap();
+        let (result, report) = run(&FireSim::new(hw), &bare_job(src));
         assert_eq!(result.exit_code, 0);
         assert_eq!(report.pfa.unwrap().faults, 2);
     }
 
     #[test]
     fn cluster_parallel_matches_serial() {
-        let exe = assemble(
+        let job = bare_job(
             "_start:\n li t0, 5000\nl: addi t0, t0, -1\n bnez t0, l\n li a0, 0\n li a7, 93\n ecall\n",
-            abi::USER_BASE,
-        )
-        .unwrap();
-        let nodes: Vec<(String, NodePayload)> = (0..4)
-            .map(|i| {
-                (
-                    format!("job{i}"),
-                    NodePayload::Bare {
-                        bin: exe.to_bytes(),
-                    },
-                )
-            })
-            .collect();
+        );
+        let nodes: Vec<(String, LoadedJob)> =
+            (0..4).map(|i| (format!("job{i}"), job.clone())).collect();
         let sim = FireSim::new(HardwareConfig::rocket());
         let serial = sim.launch_cluster(&nodes, false).unwrap();
         let parallel = sim.launch_cluster(&nodes, true).unwrap();
@@ -608,9 +552,8 @@ l:      addi    t1, t1, -1
         li      a7, 93
         ecall
 "#;
-        let exe = assemble(src, abi::USER_BASE).unwrap();
         let hw = HardwareConfig::rocket().with_bpred(crate::config::BpredConfig::NeverTaken);
-        let (result, _) = FireSim::new(hw).launch_bare(&exe.to_bytes()).unwrap();
+        let (result, _) = run(&FireSim::new(hw), &bare_job(src));
         // 2000 loop instructions + ~999 mispredicts * 3 = ~5000 cycles; /64 ≈ 78.
         assert!(
             result.exit_code > 2000 / 64,
@@ -621,10 +564,9 @@ l:      addi    t1, t1, -1
 
     #[test]
     fn report_time_split() {
-        let boot = boot_binary();
-        let disk = disk_with(&branchy_program());
+        let job = linux_job(&branchy_program());
         let sim = FireSim::new(HardwareConfig::rocket());
-        let (_, report) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (_, report) = run(&sim, &job);
         assert!(
             report.counters.kernel_cycles > 0,
             "syscalls cost kernel time"

@@ -36,7 +36,7 @@ pub mod pfa;
 pub mod pipeline;
 
 pub use config::{BpredConfig, CacheConfig, CoreConfig, HardwareConfig, RemoteMemConfig};
-pub use firesim::{FireSim, NodePayload, NodeResult, PerfReport};
+pub use firesim::{FireSim, NodeResult, PerfReport};
 pub use nic::NicModel;
 pub use pfa::PfaStats;
 pub use pipeline::PerfCounters;

@@ -160,9 +160,8 @@ pub fn known_checksum() -> u64 {
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
     let exe = assemble(&coremark_source(), abi::USER_BASE).expect("coremark assembles");
-    let result = marshal_sim_functional::Qemu::new()
-        .launch_bare(&exe.to_bytes())
-        .expect("coremark runs");
+    let qemu = marshal_sim_functional::FunctionalSim::new(marshal_sim_functional::SimKind::Qemu);
+    let result = crate::runtime::run_bare(&qemu, &exe).expect("coremark runs");
     let line = result
         .serial
         .lines()

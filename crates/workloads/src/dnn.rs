@@ -150,9 +150,8 @@ pub fn known_checksum() -> u64 {
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
     let exe = assemble(&dnn_source(), abi::USER_BASE).expect("dnn assembles");
-    let result = marshal_sim_functional::Qemu::new()
-        .launch_bare(&exe.to_bytes())
-        .expect("dnn runs");
+    let qemu = marshal_sim_functional::FunctionalSim::new(marshal_sim_functional::SimKind::Qemu);
+    let result = crate::runtime::run_bare(&qemu, &exe).expect("dnn runs");
     let line = result
         .serial
         .lines()

@@ -816,16 +816,16 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::run_bare;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::{FunctionalSim, LaunchMode, LoadedJob, SimKind};
 
     #[test]
     fn all_benchmarks_assemble_and_run() {
         for (name, source) in benchmarks() {
             let exe = assemble(&source, abi::USER_BASE).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let result = Qemu::new()
-                .launch_bare(&exe.to_bytes())
+            let result = run_bare(&FunctionalSim::new(SimKind::Qemu), &exe)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(result.exit_code, 0, "{name} serial: {}", result.serial);
             assert!(
@@ -850,8 +850,9 @@ mod tests {
     fn checksums_deterministic() {
         for (name, source) in benchmarks().into_iter().take(3) {
             let exe = assemble(&source, abi::USER_BASE).unwrap();
-            let a = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
-            let b = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+            let qemu = FunctionalSim::new(SimKind::Qemu);
+            let a = run_bare(&qemu, &exe).unwrap();
+            let b = run_bare(&qemu, &exe).unwrap();
             assert_eq!(a.serial, b.serial, "{name} must be deterministic");
         }
     }
@@ -882,9 +883,11 @@ mod tests {
                 .find(|(n, _)| *n == name)
                 .unwrap()
                 .1;
-            let exe = assemble(&source, abi::USER_BASE).unwrap();
-            let (_, report) = FireSim::new(HardwareConfig::boom_gshare())
-                .launch_bare(&exe.to_bytes())
+            let job = LoadedJob::Bare {
+                bin: assemble(&source, abi::USER_BASE).unwrap().to_bytes(),
+            };
+            let (_, report, _) = FireSim::new(HardwareConfig::boom_gshare())
+                .run(&job, LaunchMode::Run, None)
                 .unwrap();
             report
         };

@@ -202,9 +202,10 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::run_bare;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Spike;
+    use marshal_sim_functional::{FunctionalSim, SimKind};
 
     #[test]
     fn specs_parse_like_listing1() {
@@ -227,9 +228,8 @@ mod tests {
     #[test]
     fn latency_bench_runs_on_spike_golden_model() {
         let exe = assemble(&latency_source(), abi::USER_BASE).unwrap();
-        let result = Spike::with_binary("pfa-spike")
-            .launch_bare(&exe.to_bytes())
-            .unwrap();
+        let pfa_spike = FunctionalSim::with_binary(SimKind::Spike, "pfa-spike");
+        let result = run_bare(&pfa_spike, &exe).unwrap();
         assert!(result.serial.contains("latency-ubench faults=64"));
         assert!(result.serial.contains("latency-ubench checksum: 64"));
         assert_eq!(result.exit_code, 0);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn server_runs_bare() {
         let exe = assemble(&serve_source(), abi::USER_BASE).unwrap();
-        let result = Spike::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = run_bare(&FunctionalSim::new(SimKind::Spike), &exe).unwrap();
         assert!(result.serial.contains("pfa-server checksum: 1"));
     }
 }

@@ -7,6 +7,9 @@
 //! line; the `cycles=`/`instret=` lines are volatile across simulators and
 //! stripped by `test`'s output cleaning.
 
+use marshal_isa::MexeFile;
+use marshal_sim_functional::{FunctionalSim, LaunchMode, LoadedJob, SimError, SimResult};
+
 /// The `_start` skeleton. Prepend a `NAME_STR` definition via
 /// [`compose_benchmark`].
 pub const RUNTIME: &str = r#"
@@ -93,12 +96,26 @@ __inst_str: .asciiz "instret="
     )
 }
 
+/// Runs an assembled bare-metal program on a functional simulator (the
+/// benchmarks' checksum discovery and self-tests).
+///
+/// # Errors
+///
+/// Simulation errors from the program.
+pub(crate) fn run_bare(sim: &FunctionalSim, exe: &MexeFile) -> Result<SimResult, SimError> {
+    let job = LoadedJob::Bare {
+        bin: exe.to_bytes(),
+    };
+    sim.run(&job, LaunchMode::Run, None)
+        .map(|(result, _)| result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::SimKind;
 
     #[test]
     fn runtime_prints_checksum_and_counters() {
@@ -112,7 +129,7 @@ bench_main:
 "#,
         );
         let exe = assemble(&src, abi::USER_BASE).expect("assemble runtime");
-        let result = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = run_bare(&FunctionalSim::new(SimKind::Qemu), &exe).unwrap();
         assert!(
             result.serial.contains("smoke checksum: 424242"),
             "serial: {}",
@@ -135,7 +152,7 @@ bench_main:
 "#,
         );
         let exe = assemble(&src, abi::USER_BASE).unwrap();
-        let result = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = run_bare(&FunctionalSim::new(SimKind::Qemu), &exe).unwrap();
         assert!(result.serial.contains("zero checksum: 0\n"));
     }
 }

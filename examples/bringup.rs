@@ -95,12 +95,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         }
                     }
                 }
-                match marshal_sim_rtl::FireSim::new(HardwareConfig::rocket()).launch(
-                    &boot,
-                    Some(&disk),
+                let job = marshal_sim_functional::LoadedJob::Linux {
+                    boot,
+                    disk: Some(disk),
+                };
+                match marshal_sim_rtl::FireSim::new(HardwareConfig::rocket()).run(
+                    &job,
                     marshal_sim_functional::LaunchMode::Run,
+                    None,
                 ) {
-                    Ok((r, _)) => r.serial,
+                    Ok((r, _, _)) => r.serial,
                     Err(e) => format!("boot failure: {e}\n"),
                 }
             } else {

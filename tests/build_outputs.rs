@@ -4,7 +4,7 @@
 
 mod common;
 
-use marshal_core::{launch, BuildOptions, JobKind};
+use marshal_core::{BuildOptions, JobKind};
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 
@@ -68,9 +68,7 @@ fn no_disk_build_embeds_rootfs_in_initramfs() {
     assert!(embedded.exists("/bin/hello"));
 
     // And the workload boots + runs without any disk.
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     assert!(result.serial.contains("switching root to initramfs"));
     assert!(result.serial.contains("Hello from FireMarshal!"));
     std::fs::remove_dir_all(root).unwrap();
@@ -83,9 +81,7 @@ fn disk_and_diskless_run_identically_after_cleaning() {
     let with_disk = builder
         .build("hello.json", &BuildOptions::default())
         .unwrap();
-    let disk_run = launch::simulate_job(&with_disk.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let disk_run = common::simulate(&with_disk.jobs[0]);
     let diskless = builder
         .build(
             "hello.json",
@@ -95,9 +91,7 @@ fn disk_and_diskless_run_identically_after_cleaning() {
             },
         )
         .unwrap();
-    let diskless_run = launch::simulate_job(&diskless.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let diskless_run = common::simulate(&diskless.jobs[0]);
     // The payload behaves identically; only root-mount lines differ.
     let clean = marshal_core::clean_output;
     let stable = |log: &str| -> Vec<String> {

@@ -19,6 +19,16 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
         .expect("create builder")
 }
 
+/// Runs a built job on its default backend: a cold boot, no checkpoint
+/// store.
+#[allow(dead_code)]
+pub fn simulate(job: &marshal_core::JobArtifacts) -> marshal_sim_functional::SimResult {
+    let rec = marshal_trace::Recorder::disabled();
+    let (run, _) = marshal_core::launch::simulate_job(job, &Default::default(), None, &rec)
+        .expect("simulate job");
+    run.result
+}
+
 /// Spawns a `marshal serve --exec` daemon rooted at `root`: its own
 /// workload sources, its own workdir, real TCP on an ephemeral port.
 /// Returns the daemon address plus a handle/join pair for shutdown.

@@ -59,9 +59,7 @@ fn overlay_and_files_options() {
         ],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     let image = result.image.unwrap();
     assert_eq!(
         image.read_file("/etc/from-overlay").unwrap(),
@@ -92,9 +90,7 @@ fn host_init_generates_build_inputs() {
     );
     std::fs::create_dir_all(root.join("user-workloads/gen-overlay")).unwrap();
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let out = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let out = common::simulate(&products.jobs[0]);
     assert_eq!(out.exit_code, 0);
     assert_eq!(
         out.image.unwrap().read_file("/etc/generated").unwrap(),
@@ -120,9 +116,7 @@ fn guest_init_runs_exactly_once() {
         ],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     // guest-init ran once, during build — not again at launch.
     assert_eq!(
         result.image.unwrap().read_file("/etc/gi-count").unwrap(),
@@ -131,9 +125,7 @@ fn guest_init_runs_exactly_once() {
     // A rebuild does not re-run it either (tasks are up to date).
     let products2 = b.build("w.json", &BuildOptions::default()).unwrap();
     assert!(products2.report.executed.is_empty());
-    let result2 = launch::simulate_job(&products2.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result2 = common::simulate(&products2.jobs[0]);
     assert_eq!(
         result2.image.unwrap().read_file("/etc/gi-count").unwrap(),
         b"1"
@@ -162,15 +154,11 @@ fn run_and_command_options() {
         ],
     );
     let cmd = b.build("cmd.json", &BuildOptions::default()).unwrap();
-    let out = launch::simulate_job(&cmd.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let out = common::simulate(&cmd.jobs[0]);
     assert!(out.serial.contains("BusyBox"));
 
     let run = b.build("run.json", &BuildOptions::default()).unwrap();
-    let out = launch::simulate_job(&run.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let out = common::simulate(&run.jobs[0]);
     assert!(
         out.serial.contains("run script executed on boot"),
         "{}",
@@ -230,9 +218,7 @@ fn linux_options_change_kernel() {
         ],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     // Custom kernel source version in the banner; fragment-enabled PFA
     // driver line; user module loaded by the initramfs.
     assert!(result.serial.contains("5.7.0-pfa"), "{}", result.serial);
@@ -254,9 +240,7 @@ fn firmware_option_switches_sbi() {
         )],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     assert!(result.serial.contains("bbl loader"), "{}", result.serial);
     assert!(!result.serial.contains("OpenSBI"));
     std::fs::remove_dir_all(root).unwrap();
@@ -273,9 +257,7 @@ fn spike_option_selects_simulator_with_args() {
         )],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     assert!(
         result.serial.contains("spike: starting"),
         "{}",
@@ -348,9 +330,7 @@ fn bin_option_makes_bare_metal_job() {
         products.jobs[0].kind,
         marshal_core::JobKind::Bare { .. }
     ));
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     assert_eq!(result.exit_code, 7);
     assert!(result.image.is_none());
     std::fs::remove_dir_all(root).unwrap();
@@ -369,9 +349,7 @@ fn yaml_workloads_build_and_run() {
     );
     let products = b.build("yamlwork.yaml", &BuildOptions::default()).unwrap();
     assert_eq!(products.top_spec.outputs, vec!["/output"]);
-    let out = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let out = common::simulate(&products.jobs[0]);
     assert!(out.serial.contains("BusyBox"));
     std::fs::remove_dir_all(root).unwrap();
 }
@@ -397,9 +375,7 @@ fn img_option_uses_hardcoded_image() {
         )],
     );
     let products = b.build("w.json", &BuildOptions::default()).unwrap();
-    let result = launch::simulate_job(&products.jobs[0], &Default::default())
-        .unwrap()
-        .result;
+    let result = common::simulate(&products.jobs[0]);
     let image = result.image.unwrap();
     assert_eq!(
         image.read_file("/etc/custom-marker").unwrap(),

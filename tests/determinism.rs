@@ -4,9 +4,8 @@
 
 mod common;
 
+use marshal_core::launch::load_artifacts;
 use marshal_core::{BuildOptions, JobKind};
-use marshal_firmware::BootBinary;
-use marshal_image::FsImage;
 use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
@@ -17,15 +16,7 @@ fn cycle_counts_repeat_exactly() {
     let products = builder
         .build("coremark.json", &BuildOptions::default())
         .unwrap();
-    let JobKind::Linux {
-        boot_path,
-        disk_path,
-    } = &products.jobs[0].kind
-    else {
-        panic!();
-    };
-    let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
-    let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
+    let job = load_artifacts(&products.jobs[0]).unwrap();
 
     for hw in [
         HardwareConfig::rocket(),
@@ -34,8 +25,8 @@ fn cycle_counts_repeat_exactly() {
     ] {
         let name = hw.name.clone();
         let sim = FireSim::new(hw);
-        let (r1, p1) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
-        let (r2, p2) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (r1, p1, _) = sim.run(&job, LaunchMode::Run, None).unwrap();
+        let (r2, p2, _) = sim.run(&job, LaunchMode::Run, None).unwrap();
         assert_eq!(
             p1.counters.cycles, p2.counters.cycles,
             "{name}: cycle counts must repeat exactly"

@@ -1,7 +1,8 @@
 //! Golden pins on the cycle-exact paper numbers (§IV-A Fig. 5, §IV-B
 //! Fig. 6): the exact per-node counts of the ten intspeed nodes on
-//! boom-gshare and boom-tage, and the latency microbenchmark's cycles and
-//! faults under software paging and the PFA.
+//! boom-gshare and boom-tage, the latency microbenchmark's cycles and
+//! faults under software paging and the PFA, and (§IV-C, E10) coremark's
+//! cycles on boom-tage, cold and restored from a boot snapshot.
 //!
 //! The pinned values live in `tests/golden/fig6_counts.txt`. A change that
 //! moves modelled time must update that file and EXPERIMENTS.md together
@@ -10,19 +11,23 @@
 mod common;
 
 use marshal_core::install::{manifest_for, run_installed, run_job_cycle_exact};
+use marshal_core::launch::load_artifacts;
+use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::BuildOptions;
+use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::pfa::RemoteTimings;
 use marshal_sim_rtl::{HardwareConfig, RemoteMemConfig};
 
 const GOLDEN: &str = include_str!("golden/fig6_counts.txt");
 
-/// Runs Fig. 6 and Fig. 5 and renders one golden line per node.
+/// Runs Fig. 6, Fig. 5 and E10 and renders one golden line per node.
 fn measure() -> Vec<String> {
     let root = common::tmpdir("golden-counts");
     let mut builder = common::builder_in(&root);
     let opts = BuildOptions::default();
     let intspeed = builder.build("intspeed.json", &opts).unwrap();
     let latency = builder.build("latency-microbenchmark.json", &opts).unwrap();
+    let coremark = builder.build("coremark.json", &opts).unwrap();
 
     let mut lines = Vec::new();
     let manifest = manifest_for(&intspeed);
@@ -58,6 +63,26 @@ fn measure() -> Vec<String> {
             n.report.pfa.unwrap_or_default().faults,
         ));
     }
+
+    let job = &coremark.jobs[0];
+    let opts = BackendOptions {
+        hw: Some(HardwareConfig::boom_tage()),
+        ..Default::default()
+    };
+    let rtl = simulator_for("rtl", &job.spec, &opts).unwrap();
+    let loaded = load_artifacts(job).unwrap();
+    let (cold, snapshot) = rtl.run(&loaded, LaunchMode::Run, None).unwrap();
+    let snapshot = snapshot.expect("coremark's boot is checkpointable");
+    let (restored, _) = rtl.run(&loaded, LaunchMode::Run, Some(&snapshot)).unwrap();
+    let [cold, restored] = [cold, restored].map(|run| {
+        let r = run.report.expect("rtl reports");
+        format!(
+            "e10 boom-tage {} cycles={} instructions={}",
+            job.name, r.counters.cycles, r.counters.instructions
+        )
+    });
+    assert_eq!(cold, restored, "restored run matches the cold run");
+    lines.push(cold);
     std::fs::remove_dir_all(root).unwrap();
     lines
 }

@@ -5,10 +5,9 @@
 
 mod common;
 
+use marshal_core::launch::load_artifacts;
 use marshal_core::{clean_output, launch, BuildOptions, LaunchOptions};
-use marshal_firmware::BootBinary;
-use marshal_image::FsImage;
-use marshal_sim_functional::{LaunchMode, Qemu, Spike};
+use marshal_sim_functional::{FunctionalSim, LaunchMode, SimKind};
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
 #[test]
@@ -18,24 +17,16 @@ fn same_artifacts_same_cleaned_output_on_all_simulators() {
     let products = builder
         .build("coremark.json", &BuildOptions::default())
         .unwrap();
-    let marshal_core::JobKind::Linux {
-        boot_path,
-        disk_path,
-    } = &products.jobs[0].kind
-    else {
-        panic!("expected linux job");
-    };
-    let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
-    let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
+    let job = load_artifacts(&products.jobs[0]).unwrap();
 
-    let qemu = Qemu::new()
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (qemu, _) = FunctionalSim::new(SimKind::Qemu)
+        .run(&job, LaunchMode::Run, None)
         .unwrap();
-    let spike = Spike::new()
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (spike, _) = FunctionalSim::new(SimKind::Spike)
+        .run(&job, LaunchMode::Run, None)
         .unwrap();
-    let (firesim, report) = FireSim::new(HardwareConfig::rocket())
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (firesim, report, _) = FireSim::new(HardwareConfig::rocket())
+        .run(&job, LaunchMode::Run, None)
         .unwrap();
 
     // Identical instruction streams on all three simulators.
@@ -113,20 +104,12 @@ fn final_images_identical_across_simulators() {
     let products = builder
         .build("hello.json", &BuildOptions::default())
         .unwrap();
-    let marshal_core::JobKind::Linux {
-        boot_path,
-        disk_path,
-    } = &products.jobs[0].kind
-    else {
-        panic!();
-    };
-    let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
-    let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
-    let qemu = Qemu::new()
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let job = load_artifacts(&products.jobs[0]).unwrap();
+    let (qemu, _) = FunctionalSim::new(SimKind::Qemu)
+        .run(&job, LaunchMode::Run, None)
         .unwrap();
-    let (firesim, _) = FireSim::new(HardwareConfig::boom_tage())
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (firesim, _, _) = FireSim::new(HardwareConfig::boom_tage())
+        .run(&job, LaunchMode::Run, None)
         .unwrap();
     let qi = qemu.image.unwrap();
     let fi = firesim.image.unwrap();
