@@ -4,7 +4,9 @@
 //! `BENCH_backends.json` at the workspace root so the numbers accumulate a
 //! trajectory across commits.
 
-use marshal_bench::{builder_in, criterion_group, criterion_main, scratch, Criterion};
+use marshal_bench::{
+    append_bench_rows, builder_in, criterion_group, criterion_main, scratch, Criterion,
+};
 use marshal_core::launch::load_artifacts;
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::BuildOptions;
@@ -63,7 +65,17 @@ fn bench_backend_launch(c: &mut Criterion) {
             instructions: warm.result.instructions,
         });
     }
-    append_bench_json(&measured);
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            format!(
+                "\"bench\": \"backend_launch\", \"backend\": \"{}\", \"mean_ns\": {}, \
+                 \"launches_per_sec\": {:.1}, \"instructions\": {}",
+                m.backend, m.mean_ns, m.launches_per_sec, m.instructions
+            )
+        })
+        .collect();
+    append_bench_rows("BENCH_backends.json", &rows);
 
     let mut group = c.benchmark_group("backend_launch");
     group.sample_size(10);
@@ -82,45 +94,6 @@ fn bench_backend_launch(c: &mut Criterion) {
     }
     group.finish();
     let _ = std::fs::remove_dir_all(root);
-}
-
-/// Appends this run's records to `BENCH_backends.json` (a JSON array) at
-/// the workspace root, creating it on first run. Hand-rolled JSON: the
-/// build environment is offline, so no serde.
-fn append_bench_json(measured: &[Measured]) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_backends.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        // The file is an array of flat objects, one per line; keep them.
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    for m in measured {
-        entries.push(format!(
-            "{{\"unix_time\": {stamp}, \"bench\": \"backend_launch\", \
-             \"backend\": \"{}\", \"mean_ns\": {}, \"launches_per_sec\": {:.1}, \
-             \"instructions\": {}}}",
-            m.backend, m.mean_ns, m.launches_per_sec, m.instructions
-        ));
-    }
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_backend_launch);

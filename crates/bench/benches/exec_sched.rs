@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use marshal_bench::{criterion_group, criterion_main, Criterion};
-use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
+use marshal_bench::{append_bench_rows, criterion_group, criterion_main, Criterion};
+use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 
 /// 8 layers of 8 tasks: each task depends on two tasks of the previous
 /// layer, the dependency shape of an inheritance chain fan-out.
@@ -78,13 +78,7 @@ fn run_scheduler(g: &Graph) -> Duration {
     let mut db = StateDb::in_memory();
     let t0 = Instant::now();
     let report = g
-        .execute_with(
-            &mut db,
-            &ExecOptions {
-                threads: THREADS,
-                ..ExecOptions::default()
-            },
-        )
+        .execute(&mut db, Plan::local(THREADS), &ExecOptions::default())
         .unwrap();
     let elapsed = t0.elapsed();
     assert_eq!(report.executed.len(), TASKS);
@@ -198,52 +192,23 @@ fn bench_exec_sched(c: &mut Criterion) {
         "the scheduler must stay within 5% of the raw pool \
          (scheduler {sched:?} vs pool {pool:?}, {ratio:.3}x)"
     );
-    append_bench_json(pool, sched, ratio);
+    let rows: Vec<String> = [("condvar_pool", pool), ("scheduler", sched)]
+        .iter()
+        .map(|(variant, wall)| {
+            format!(
+                "\"bench\": \"exec_sched\", \"variant\": \"{variant}\", \"tasks\": {TASKS}, \
+                 \"threads\": {THREADS}, \"wall_ns\": {}, \"sched_pool_ratio\": {ratio:.3}",
+                wall.as_nanos()
+            )
+        })
+        .collect();
+    append_bench_rows("BENCH_exec.json", &rows);
 
     let mut group = c.benchmark_group("exec_sched");
     group.sample_size(10);
     group.bench_function("condvar_pool_64", |b| b.iter(run_condvar_pool));
     group.bench_function("scheduler_64", |b| b.iter(|| run_scheduler(&g)));
     group.finish();
-}
-
-/// Appends this run's records to `BENCH_exec.json` (a JSON array) at the
-/// workspace root, creating it on first run. Hand-rolled JSON: the build
-/// environment is offline, so no serde.
-fn append_bench_json(pool: Duration, sched: Duration, ratio: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_exec.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    for (variant, wall) in [("condvar_pool", pool), ("scheduler", sched)] {
-        entries.push(format!(
-            "{{\"unix_time\": {stamp}, \"bench\": \"exec_sched\", \
-             \"variant\": \"{variant}\", \"tasks\": {TASKS}, \
-             \"threads\": {THREADS}, \"wall_ns\": {}, \
-             \"sched_pool_ratio\": {ratio:.3}}}",
-            wall.as_nanos()
-        ));
-    }
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_exec_sched);

@@ -6,7 +6,7 @@
 //! after a leaf-only incremental change. Appends one record per phase per
 //! strategy to `BENCH_image.json` at the workspace root.
 
-use marshal_bench::{criterion_group, criterion_main, scratch, Criterion};
+use marshal_bench::{append_bench_rows, criterion_group, criterion_main, scratch, Criterion};
 use marshal_depgraph::Fingerprint;
 use marshal_image::{BlobStore, FsImage};
 use marshal_qcheck::Rng;
@@ -147,7 +147,18 @@ fn bench_image_chain(c: &mut Criterion) {
         "CAS must move >=5x fewer bytes than flat on a leaf change \
          (flat {flat_inc} B, cas {cas_inc} B, ratio {ratio:.1}x)"
     );
-    append_bench_json(&measured, ratio);
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            format!(
+                "\"bench\": \"image_chain\", \"phase\": \"{}\", \"strategy\": \"{}\", \
+                 \"depth\": {DEPTH}, \"bytes_hashed_written\": {}, \"wall_ns\": {}, \
+                 \"incremental_ratio\": {ratio:.1}",
+                m.phase, m.strategy, m.bytes, m.nanos
+            )
+        })
+        .collect();
+    append_bench_rows("BENCH_image.json", &rows);
 
     // Sampled timings: the hard_img input-hash site (memoized Merkle
     // fingerprint vs full serialize+hash) and the leaf-level persist.
@@ -168,45 +179,6 @@ fn bench_image_chain(c: &mut Criterion) {
     });
     group.finish();
     let _ = std::fs::remove_dir_all(root);
-}
-
-/// Appends this run's records to `BENCH_image.json` (a JSON array) at the
-/// workspace root, creating it on first run. Hand-rolled JSON: the build
-/// environment is offline, so no serde.
-fn append_bench_json(measured: &[Measured], incremental_ratio: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_image.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    for m in measured {
-        entries.push(format!(
-            "{{\"unix_time\": {stamp}, \"bench\": \"image_chain\", \
-             \"phase\": \"{}\", \"strategy\": \"{}\", \"depth\": {DEPTH}, \
-             \"bytes_hashed_written\": {}, \"wall_ns\": {}, \
-             \"incremental_ratio\": {incremental_ratio:.1}}}",
-            m.phase, m.strategy, m.bytes, m.nanos
-        ));
-    }
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_image_chain);

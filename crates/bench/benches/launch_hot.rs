@@ -13,7 +13,9 @@
 //! floor (10x full, 5x in `MARSHAL_BENCH_SMOKE=1` smoke mode) and appends
 //! a checkpoint-off and a checkpoint-on row to `BENCH_backends.json`.
 
-use marshal_bench::{builder_in, criterion_group, criterion_main, scratch, Criterion};
+use marshal_bench::{
+    append_bench_rows, builder_in, criterion_group, criterion_main, scratch, Criterion,
+};
 use marshal_core::launch::{load_artifacts, run_checkpointed};
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::{BuildOptions, CheckpointStore};
@@ -101,7 +103,17 @@ fn bench_launch_hot(c: &mut Criterion) {
         speedup >= floor,
         "checkpoint speedup {speedup:.1}x is below the {floor}x floor"
     );
-    append_bench_json(off_ns, on_ns, speedup);
+    let rows: Vec<String> = [("checkpoint-off", off_ns), ("checkpoint-on", on_ns)]
+        .iter()
+        .map(|(variant, mean_ns)| {
+            let per_sec = 1e9 / *mean_ns as f64;
+            format!(
+                "\"bench\": \"launch_hot\", \"variant\": \"{variant}\", \"mean_ns\": {mean_ns}, \
+                 \"launches_per_sec\": {per_sec:.1}, \"speedup\": {speedup:.2}"
+            )
+        })
+        .collect();
+    append_bench_rows("BENCH_backends.json", &rows);
 
     let mut group = c.benchmark_group("launch_hot");
     group.sample_size(10);
@@ -130,45 +142,6 @@ fn bench_launch_hot(c: &mut Criterion) {
     });
     group.finish();
     let _ = std::fs::remove_dir_all(root);
-}
-
-/// Appends this run's checkpoint-off and checkpoint-on rows to
-/// `BENCH_backends.json` (same accumulating array as the other launch
-/// benches). Hand-rolled JSON: the build environment is offline, so no
-/// serde.
-fn append_bench_json(off_ns: u128, on_ns: u128, speedup: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_backends.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    for (variant, mean_ns) in [("checkpoint-off", off_ns), ("checkpoint-on", on_ns)] {
-        let per_sec = 1e9 / mean_ns as f64;
-        entries.push(format!(
-            "{{\"unix_time\": {stamp}, \"bench\": \"launch_hot\", \
-             \"variant\": \"{variant}\", \"mean_ns\": {mean_ns}, \
-             \"launches_per_sec\": {per_sec:.1}, \"speedup\": {speedup:.2}}}"
-        ));
-    }
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_launch_hot);

@@ -5,7 +5,7 @@
 //! Measures a multi-node cycle-exact cluster run serially vs. in parallel.
 
 use marshal_bench::{criterion_group, criterion_main, Criterion};
-use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
+use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
 use marshal_sim_functional::LoadedJob;
@@ -139,14 +139,7 @@ fn bench_parallel_build(c: &mut Criterion) {
         let mut db = StateDb::in_memory();
         let t0 = std::time::Instant::now();
         let report = g
-            .execute_with(
-                &mut db,
-                &ExecOptions {
-                    keep_going: false,
-                    threads,
-                    ..ExecOptions::default()
-                },
-            )
+            .execute(&mut db, Plan::local(threads), &ExecOptions::default())
             .unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(report.executed.len(), 18, "-j {threads} runs every task");
@@ -165,14 +158,7 @@ fn bench_parallel_build(c: &mut Criterion) {
             b.iter(|| {
                 let mut db = StateDb::in_memory();
                 let report = g
-                    .execute_with(
-                        &mut db,
-                        &ExecOptions {
-                            keep_going: false,
-                            threads,
-                            ..ExecOptions::default()
-                        },
-                    )
+                    .execute(&mut db, Plan::local(threads), &ExecOptions::default())
                     .unwrap();
                 report.executed.len()
             })

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use marshal_bench::{criterion_group, criterion_main, Criterion};
+use marshal_bench::{append_bench_rows, criterion_group, criterion_main, Criterion};
 use marshal_core::ImageStore;
 use marshal_depgraph::Fingerprint;
 use marshal_image::FsImage;
@@ -154,7 +154,18 @@ fn bench_serve_fetch(c: &mut Criterion) {
         );
     }
     println!("  cold/warm byte ratio: {delta_ratio:.1}x");
-    append_bench_json(&[cold, warm], delta_ratio);
+    let rows: Vec<String> = [cold, warm]
+        .iter()
+        .map(|m| {
+            format!(
+                "\"bench\": \"serve_fetch\", \"phase\": \"{}\", \"depth\": {DEPTH}, \
+                 \"levels_fetched\": {}, \"blobs_fetched\": {}, \"bytes_fetched\": {}, \
+                 \"wall_ns\": {}, \"cold_warm_ratio\": {delta_ratio:.1}",
+                m.phase, m.levels, m.blobs, m.bytes, m.nanos
+            )
+        })
+        .collect();
+    append_bench_rows("BENCH_serve.json", &rows);
 
     let mut group = c.benchmark_group("serve_fetch");
     group.sample_size(10);
@@ -176,45 +187,6 @@ fn bench_serve_fetch(c: &mut Criterion) {
     });
     group.finish();
     let _ = std::fs::remove_dir_all(root_dir);
-}
-
-/// Appends this run's records to `BENCH_serve.json` (a JSON array) at the
-/// workspace root, creating it on first run. Hand-rolled JSON: the build
-/// environment is offline, so no serde.
-fn append_bench_json(measured: &[Measured], delta_ratio: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_serve.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    for m in measured {
-        entries.push(format!(
-            "{{\"unix_time\": {stamp}, \"bench\": \"serve_fetch\", \
-             \"phase\": \"{}\", \"depth\": {DEPTH}, \"levels_fetched\": {}, \
-             \"blobs_fetched\": {}, \"bytes_fetched\": {}, \"wall_ns\": {}, \
-             \"cold_warm_ratio\": {delta_ratio:.1}}}",
-            m.phase, m.levels, m.blobs, m.bytes, m.nanos
-        ));
-    }
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_serve_fetch);

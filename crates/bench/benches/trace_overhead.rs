@@ -5,7 +5,9 @@
 //! asserts that budget and appends a `trace_overhead` record to
 //! `BENCH_backends.json` alongside the `backend_launch` rows.
 
-use marshal_bench::{builder_in, criterion_group, criterion_main, scratch, Criterion};
+use marshal_bench::{
+    append_bench_rows, builder_in, criterion_group, criterion_main, scratch, Criterion,
+};
 use marshal_core::launch::launch_job;
 use marshal_core::{BuildOptions, LaunchOptions};
 use marshal_trace::Recorder;
@@ -72,7 +74,13 @@ fn bench_trace_overhead(c: &mut Criterion) {
         "recorder overhead {delta_pct:+.2}% is outside the ±5% budget \
          (negative deltas beyond noise mean the measurement is unstable)"
     );
-    append_bench_json(off_ns, on_ns, delta_pct);
+    append_bench_rows(
+        "BENCH_backends.json",
+        &[format!(
+            "\"bench\": \"trace_overhead\", \"recorder_off_ns\": {off_ns}, \
+             \"recorder_on_ns\": {on_ns}, \"delta_pct\": {delta_pct:.2}"
+        )],
+    );
 
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
@@ -93,41 +101,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
     }
     group.finish();
     let _ = std::fs::remove_dir_all(root);
-}
-
-/// Appends this run's record to `BENCH_backends.json` (same accumulating
-/// array as the `backend_launch` bench). Hand-rolled JSON: the build
-/// environment is offline, so no serde.
-fn append_bench_json(off_ns: u128, on_ns: u128, delta_pct: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_backends.json");
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        entries.extend(
-            existing
-                .lines()
-                .map(str::trim)
-                .filter(|l| l.starts_with('{'))
-                .map(|l| l.trim_end_matches(',').to_owned()),
-        );
-    }
-    entries.push(format!(
-        "{{\"unix_time\": {stamp}, \"bench\": \"trace_overhead\", \
-         \"recorder_off_ns\": {off_ns}, \"recorder_on_ns\": {on_ns}, \
-         \"delta_pct\": {delta_pct:.2}}}"
-    ));
-    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("note: could not record {}: {e}", path.display());
-    } else {
-        println!("  recorded {} entries in {}", entries.len(), path.display());
-    }
 }
 
 criterion_group!(benches, bench_trace_overhead);

@@ -168,3 +168,41 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
     marshal_core::Builder::new(setup.board, setup.search, root.join("work"))
         .expect("create builder")
 }
+
+/// Appends this run's rows to the ledger `file` (a JSON array of flat
+/// objects, one per line) at the workspace root, creating it on first
+/// run. Each row is the bench's own comma-separated `"key": value` list;
+/// the writer opens every row with a shared `"unix_time"` stamp, so a
+/// ledger line reads `{"unix_time": T, <row>}`. Hand-rolled JSON: the
+/// build environment is offline, so no serde. A failed write is reported,
+/// not fatal.
+pub fn append_bench_rows(file: &str, rows: &[String]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join(file);
+    let stamp = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let mut entries: Vec<String> = Vec::new();
+    if let Ok(existing) = std::fs::read_to_string(&path) {
+        entries.extend(
+            existing
+                .lines()
+                .map(str::trim)
+                .filter(|l| l.starts_with('{'))
+                .map(|l| l.trim_end_matches(',').to_owned()),
+        );
+    }
+    entries.extend(
+        rows.iter()
+            .map(|row| format!("{{\"unix_time\": {stamp}, {row}}}")),
+    );
+    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
+    if let Err(e) = std::fs::write(&path, body) {
+        eprintln!("note: could not record {}: {e}", path.display());
+    } else {
+        println!("  recorded {} entries in {}", entries.len(), path.display());
+    }
+}

@@ -43,7 +43,7 @@ pub struct BuildOptions {
     /// first failure aborts the build.
     pub keep_going: bool,
     /// Worker threads for task execution (`-j N`). `None` uses the host's
-    /// available parallelism ([`marshal_depgraph::ExecOptions::host_threads`]);
+    /// available parallelism ([`marshal_depgraph::LocalRunner::host_threads`]);
     /// `Some(1)` builds serially.
     pub jobs: Option<usize>,
     /// A `marshal serve` daemon (`HOST:PORT`) to fetch pre-built levels
@@ -285,6 +285,10 @@ impl Builder {
         name: &str,
         options: &BuildOptions,
     ) -> Result<BuildProducts, MarshalError> {
+        // Everything before graph execution (config resolve, job
+        // expansion, host-init, task planning, the pool preflight) is the
+        // `plan` span; it closes before the `build` span opens.
+        let plan_span = self.recorder.span("plan", &[("workload", name)]);
         let resolved = resolve_workload(&self.search, name)?;
         let jobs = expand_jobs(&self.search, &resolved)?;
         let source_dir = self.source_dir(name);
@@ -374,13 +378,14 @@ impl Builder {
         // its consumers with a load failure.
         preflight_pool(&store, &job_plans, &mut warnings);
 
+        plan_span.end_with(&[("jobs", &job_plans.len().to_string())]);
+
         let roots: Vec<&str> = job_plans.iter().map(|p| p.final_task.as_str()).collect();
         let threads = options
             .jobs
-            .unwrap_or_else(marshal_depgraph::ExecOptions::host_threads);
+            .unwrap_or_else(marshal_depgraph::LocalRunner::host_threads);
         let opts = marshal_depgraph::ExecOptions {
             keep_going: options.keep_going,
-            threads,
             recorder: self.recorder.clone(),
             progress: options.progress.clone(),
         };
@@ -393,20 +398,24 @@ impl Builder {
         // pin exists, so a blob this build just decided not to rewrite
         // cannot vanish under it.
         let pin = PoolPin::acquire(store.objects_dir()).map_err(MarshalError::Io)?;
-        let mut dry_plan = None;
-        let mut exec_clients: Vec<Arc<RemoteStore>> = Vec::new();
-        let report = if options.dry_run {
+        // One runner set per build: a dry-run planner, or the `--runners`
+        // pool (a single local pool of `threads` workers by default).
+        let (runners, exec_clients, dry_plan) = if options.dry_run {
             let (runner, plan) = marshal_depgraph::DryRunRunner::new();
-            dry_plan = Some(plan);
-            graph.execute_roots_with_runners(&mut self.db, &roots, &opts, vec![Box::new(runner)])
-        } else if let Some(specs) = &runner_specs {
-            let (runners, clients) =
-                crate::runners::make_runners(specs, &store, threads, &self.recorder);
-            exec_clients = clients;
-            graph.execute_roots_with_runners(&mut self.db, &roots, &opts, runners)
+            let runners: Vec<Box<dyn marshal_depgraph::TaskRunner>> = vec![Box::new(runner)];
+            (runners, Vec::new(), Some(plan))
         } else {
-            graph.execute_roots_with(&mut self.db, &roots, &opts)
+            let specs = runner_specs
+                .unwrap_or_else(|| vec![crate::runners::RunnerSpec::Local { threads: None }]);
+            let (runners, clients) =
+                crate::runners::make_runners(&specs, &store, threads, &self.recorder);
+            (runners, clients, None)
         };
+        let plan = marshal_depgraph::Plan {
+            roots: Some(&roots),
+            runners,
+        };
+        let report = graph.execute(&mut self.db, plan, &opts);
         drop(pin);
         match &report {
             Ok(r) => exec_span.end_with(&[

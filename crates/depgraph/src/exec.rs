@@ -5,10 +5,11 @@
 //! `sched` module) owns the graph walk, the up-to-date checks, the claim
 //! audit, and the poisoning policy; [`crate::runner::TaskRunner`]s
 //! own nothing but execution and report back over the
-//! [`crate::ExecEvent`] channel. [`Graph::execute_with`] drives a
-//! [`crate::runner::LocalRunner`] thread pool; callers that want remote
-//! or dry-run execution pass their own runner set to
-//! [`Graph::execute_with_runners`].
+//! [`crate::ExecEvent`] channel. [`Graph::execute`] is the one entry
+//! point: a [`Plan`] names what to build (the whole graph or a root
+//! subset) and which runners build it — [`Plan::local`] for a
+//! [`crate::runner::LocalRunner`] thread pool, or any caller-assembled
+//! set of remote, local, or dry-run runners.
 //!
 //! # Parallel safety
 //!
@@ -32,8 +33,8 @@ use crate::hash::{Fingerprint, Hasher128};
 use crate::runner::{LocalRunner, TaskRunner};
 use crate::state::StateDb;
 
-/// Options controlling how a graph is executed.
-#[derive(Clone)]
+/// Options controlling how a graph is executed, whatever runs it.
+#[derive(Clone, Default)]
 pub struct ExecOptions {
     /// After a task fails, keep building every task that is not a
     /// transitive dependent of a failure, then return an aggregated
@@ -41,14 +42,6 @@ pub struct ExecOptions {
     /// equivalent of `make -k`). When `false` (the default) the first
     /// failure aborts the build with [`BuildError::TaskFailed`].
     pub keep_going: bool,
-    /// Number of local worker threads for the default runner.
-    ///
-    /// This is the one place worker-count defaults are decided:
-    /// [`ExecOptions::default`] uses `1` (serial — deterministic and safe
-    /// for library callers), and front-ends that want parallelism opt in
-    /// via [`ExecOptions::host_threads`]. `0` is clamped to `1`. Ignored
-    /// when the caller supplies its own runners.
-    pub threads: usize,
     /// Event recorder for the run journal. The default (disabled) recorder
     /// costs one branch per would-be event — no channel sends, no clock
     /// reads on the scheduling hot path.
@@ -63,33 +56,35 @@ impl fmt::Debug for ExecOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExecOptions")
             .field("keep_going", &self.keep_going)
-            .field("threads", &self.threads)
             .field("recorder", &self.recorder)
             .field("progress", &self.progress.is_some())
             .finish()
     }
 }
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            keep_going: false,
-            threads: 1,
-            recorder: Recorder::disabled(),
-            progress: None,
-        }
-    }
+/// What [`Graph::execute`] builds and where: the tasks in scope and the
+/// runner set that executes them.
+pub struct Plan<'a> {
+    /// Build only these tasks and their transitive dependencies; `None`
+    /// builds the whole graph.
+    pub roots: Option<&'a [&'a str]>,
+    /// The runners, in the order ready tasks are offered to them: put
+    /// remote runners first to shard eligible work onto them, with a local
+    /// runner after for everything else. Dry-run and live runners cannot
+    /// be mixed.
+    pub runners: Vec<Box<dyn TaskRunner>>,
 }
 
-impl ExecOptions {
-    /// The host's available parallelism (minimum 1): the worker-count
-    /// default CLI front-ends use when the user passes no `-j`. Library
-    /// callers get [`ExecOptions::default`]'s serial behaviour unless they
-    /// opt in.
-    pub fn host_threads() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+impl Plan<'_> {
+    /// The whole graph on one [`LocalRunner`] pool of `threads` workers
+    /// (`0` is clamped to `1`; `1` builds serially). Narrow it to a root
+    /// subset with struct update syntax:
+    /// `Plan { roots: Some(&roots), ..Plan::local(n) }`.
+    pub fn local(threads: usize) -> Self {
+        Plan {
+            roots: None,
+            runners: vec![Box::new(LocalRunner::new(threads))],
+        }
     }
 }
 
@@ -265,137 +260,44 @@ pub(crate) fn cumulative_fingerprints(
 }
 
 impl Graph {
-    /// Serially builds every task, skipping up-to-date ones.
+    /// Builds the tasks `plan` selects over its runners, skipping
+    /// up-to-date ones.
     ///
     /// A task is up to date when its cumulative fingerprint matches the
     /// state database, all of its declared outputs exist, and none of its
-    /// dependencies executed during this build.
-    ///
-    /// On success the state database records the new fingerprints (the
-    /// caller decides when to [`StateDb::flush`]).
-    ///
-    /// # Errors
-    ///
-    /// Graph validation errors, or [`BuildError::TaskFailed`] from the first
-    /// failing action.
-    pub fn execute(&self, db: &mut StateDb) -> Result<BuildReport, BuildError> {
-        self.execute_with(db, &ExecOptions::default())
-    }
-
-    /// Serially builds only `roots` and their transitive dependencies.
+    /// dependencies executed during this build. On success the state
+    /// database records the new fingerprints (the caller decides when to
+    /// [`StateDb::flush`]); dry-run runners leave it untouched.
     ///
     /// # Errors
     ///
-    /// Same as [`Graph::execute`].
-    pub fn execute_roots(
-        &self,
-        db: &mut StateDb,
-        roots: &[&str],
-    ) -> Result<BuildReport, BuildError> {
-        self.execute_roots_with(db, roots, &ExecOptions::default())
-    }
-
-    /// Builds every task under the given [`ExecOptions`], on a
-    /// [`LocalRunner`] pool of [`ExecOptions::threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// Graph validation errors. With `keep_going` unset, also the first
-    /// task failure (when several tasks fail concurrently, the error with
-    /// the lexicographically smallest task id is reported); with it set,
-    /// task failures land in [`BuildReport::failed`] /
+    /// Graph validation errors and [`BuildError::Conflict`] from the claim
+    /// audit, both before anything runs. [`BuildError::Runner`] when the
+    /// runner set is empty, mixes dry-run and live runners, or breaks the
+    /// event contract. With [`ExecOptions::keep_going`] unset, also the
+    /// first task failure (when several tasks fail concurrently, the error
+    /// with the lexicographically smallest task id is reported); with it
+    /// set, task failures land in [`BuildReport::failed`] /
     /// [`BuildReport::poisoned`] and the call returns `Ok`.
-    pub fn execute_with(
+    pub fn execute(
         &self,
         db: &mut StateDb,
+        plan: Plan<'_>,
         opts: &ExecOptions,
     ) -> Result<BuildReport, BuildError> {
-        let order = self.topo_order()?;
-        self.dispatch(db, &order, opts)
-    }
-
-    /// Builds only `roots` and their transitive dependencies under the
-    /// given [`ExecOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::execute_with`].
-    pub fn execute_roots_with(
-        &self,
-        db: &mut StateDb,
-        roots: &[&str],
-        opts: &ExecOptions,
-    ) -> Result<BuildReport, BuildError> {
-        let order = self.subgraph_order(roots)?;
-        self.dispatch(db, &order, opts)
-    }
-
-    /// Builds every task over a caller-supplied runner set instead of the
-    /// default local pool ([`ExecOptions::threads`] is ignored). Ready
-    /// tasks are offered to runners in declaration order — put remote
-    /// runners first to shard eligible work onto them, with a local runner
-    /// after for everything else.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::execute_with`], plus [`BuildError::Runner`] when
-    /// the runner set is empty, mixes dry-run and live runners, or breaks
-    /// the event contract.
-    pub fn execute_with_runners(
-        &self,
-        db: &mut StateDb,
-        opts: &ExecOptions,
-        runners: Vec<Box<dyn TaskRunner>>,
-    ) -> Result<BuildReport, BuildError> {
-        let order = self.topo_order()?;
-        audit_claims(self, &order)?;
-        self.run_with_runners(db, &order, opts, runners)
-    }
-
-    /// Builds only `roots` and their transitive dependencies over a
-    /// caller-supplied runner set.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::execute_with_runners`].
-    pub fn execute_roots_with_runners(
-        &self,
-        db: &mut StateDb,
-        roots: &[&str],
-        opts: &ExecOptions,
-        runners: Vec<Box<dyn TaskRunner>>,
-    ) -> Result<BuildReport, BuildError> {
-        let order = self.subgraph_order(roots)?;
-        audit_claims(self, &order)?;
-        self.run_with_runners(db, &order, opts, runners)
-    }
-
-    fn dispatch(
-        &self,
-        db: &mut StateDb,
-        order: &[String],
-        opts: &ExecOptions,
-    ) -> Result<BuildReport, BuildError> {
+        let order = match plan.roots {
+            Some(roots) => self.subgraph_order(roots)?,
+            None => self.topo_order()?,
+        };
         // Audit write claims for every plan, serial included: two unordered
         // writers of one path is a latent bug at any thread count.
-        audit_claims(self, order)?;
-        let runners: Vec<Box<dyn TaskRunner>> =
-            vec![Box::new(LocalRunner::new(opts.threads.max(1)))];
-        self.run_with_runners(db, order, opts, runners)
-    }
-
-    fn run_with_runners(
-        &self,
-        db: &mut StateDb,
-        order: &[String],
-        opts: &ExecOptions,
-        mut runners: Vec<Box<dyn TaskRunner>>,
-    ) -> Result<BuildReport, BuildError> {
+        audit_claims(self, &order)?;
+        let mut runners = plan.runners;
         for r in runners.iter_mut() {
             r.set_recorder(opts.recorder.clone());
         }
-        let mut report = crate::sched::run_scheduler(self, order, db, opts, &mut runners)?;
-        canonicalize_report(&mut report, order);
+        let mut report = crate::sched::run_scheduler(self, &order, db, opts, &mut runners)?;
+        canonicalize_report(&mut report, &order);
         Ok(report)
     }
 }
@@ -407,19 +309,15 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
-    /// `execute_with` options for an N-worker local build.
-    fn threaded(threads: usize) -> ExecOptions {
-        ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        }
+    /// A build on `threads` local workers with default options.
+    fn run(g: &Graph, db: &mut StateDb, threads: usize) -> Result<BuildReport, BuildError> {
+        g.execute(db, Plan::local(threads), &ExecOptions::default())
     }
 
-    /// `execute_with` options for a keep-going build at the given width.
-    fn keep_going(threads: usize) -> ExecOptions {
+    /// Options for a keep-going build.
+    fn keep_going() -> ExecOptions {
         ExecOptions {
             keep_going: true,
-            threads,
             ..ExecOptions::default()
         }
     }
@@ -488,7 +386,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let g = counting_graph(&counter, b"v1");
         let mut db = StateDb::in_memory();
-        let report = g.execute(&mut db).unwrap();
+        let report = run(&g, &mut db, 1).unwrap();
         assert_eq!(report.executed, vec!["a", "b", "c"]);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
@@ -498,8 +396,8 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let g = counting_graph(&counter, b"v1");
         let mut db = StateDb::in_memory();
-        g.execute(&mut db).unwrap();
-        let report = g.execute(&mut db).unwrap();
+        run(&g, &mut db, 1).unwrap();
+        let report = run(&g, &mut db, 1).unwrap();
         assert!(report.executed.is_empty());
         assert_eq!(report.skipped.len(), 3);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
@@ -509,9 +407,9 @@ mod tests {
     fn input_change_cascades() {
         let counter = Arc::new(AtomicUsize::new(0));
         let mut db = StateDb::in_memory();
-        counting_graph(&counter, b"v1").execute(&mut db).unwrap();
+        run(&counting_graph(&counter, b"v1"), &mut db, 1).unwrap();
         // Rebuild with a changed leaf input: all three run again.
-        let report = counting_graph(&counter, b"v2").execute(&mut db).unwrap();
+        let report = run(&counting_graph(&counter, b"v2"), &mut db, 1).unwrap();
         assert_eq!(report.executed, vec!["a", "b", "c"]);
         assert_eq!(counter.load(Ordering::SeqCst), 6);
     }
@@ -522,7 +420,7 @@ mod tests {
         g.add(Task::new("bad", || Err("kaboom".into()))).unwrap();
         g.add(Task::new("after", || Ok(())).dep("bad")).unwrap();
         let mut db = StateDb::in_memory();
-        let err = g.execute(&mut db).unwrap_err();
+        let err = run(&g, &mut db, 1).unwrap_err();
         assert_eq!(
             err,
             BuildError::TaskFailed {
@@ -539,8 +437,8 @@ mod tests {
         let ran = Arc::new(Mutex::new(Vec::new()));
         let g = failure_cone_graph(&ran);
         let mut db = StateDb::in_memory();
-        let opts = keep_going(1);
-        let report = g.execute_with(&mut db, &opts).unwrap();
+        let opts = keep_going();
+        let report = g.execute(&mut db, Plan::local(1), &opts).unwrap();
         assert!(!report.success());
         assert_eq!(report.failed, vec![("bad".to_owned(), "kaboom".to_owned())]);
         let mut poisoned = report.poisoned.clone();
@@ -555,7 +453,7 @@ mod tests {
         assert_eq!(db.last("mid"), None);
         // The independent subtree was recorded: a second keep-going build
         // skips it and only re-reports the failure cone.
-        let report = g.execute_with(&mut db, &opts).unwrap();
+        let report = g.execute(&mut db, Plan::local(1), &opts).unwrap();
         let mut skipped = report.skipped.clone();
         skipped.sort();
         assert_eq!(skipped, vec!["good", "side"]);
@@ -568,7 +466,9 @@ mod tests {
             let ran = Arc::new(Mutex::new(Vec::new()));
             let g = failure_cone_graph(&ran);
             let mut db = StateDb::in_memory();
-            let report = g.execute_with(&mut db, &keep_going(threads)).unwrap();
+            let report = g
+                .execute(&mut db, Plan::local(threads), &keep_going())
+                .unwrap();
             assert_eq!(report.failed.len(), 1, "threads={threads}");
             let mut poisoned = report.poisoned.clone();
             poisoned.sort();
@@ -585,7 +485,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let g = counting_graph(&counter, b"v1");
         let mut db = StateDb::in_memory();
-        let report = g.execute_with(&mut db, &keep_going(1)).unwrap();
+        let report = g.execute(&mut db, Plan::local(1), &keep_going()).unwrap();
         assert!(report.success());
         assert_eq!(report.executed, vec!["a", "b", "c"]);
     }
@@ -608,7 +508,7 @@ mod tests {
         )
         .unwrap();
         let mut db = StateDb::in_memory();
-        let report = g.execute(&mut db).unwrap();
+        let report = run(&g, &mut db, 1).unwrap();
         assert_eq!(report.executed, vec!["flaky"]);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
     }
@@ -627,7 +527,7 @@ mod tests {
         )
         .unwrap();
         let mut db = StateDb::in_memory();
-        let err = g.execute(&mut db).unwrap_err();
+        let err = run(&g, &mut db, 1).unwrap_err();
         // 1 initial + 3 retries, then the error reports the attempt count.
         assert_eq!(attempts.load(Ordering::SeqCst), 4);
         assert!(matches!(
@@ -655,11 +555,11 @@ mod tests {
         )
         .unwrap();
         let mut db = StateDb::in_memory();
-        g.execute(&mut db).unwrap();
-        g.execute(&mut db).unwrap();
+        run(&g, &mut db, 1).unwrap();
+        run(&g, &mut db, 1).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
         std::fs::remove_file(&out).unwrap();
-        g.execute(&mut db).unwrap();
+        run(&g, &mut db, 1).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 2);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -675,7 +575,16 @@ mod tests {
         }))
         .unwrap();
         let mut db = StateDb::in_memory();
-        let report = g.execute_roots(&mut db, &["b"]).unwrap();
+        let report = g
+            .execute(
+                &mut db,
+                Plan {
+                    roots: Some(&["b"]),
+                    ..Plan::local(1)
+                },
+                &ExecOptions::default(),
+            )
+            .unwrap();
         assert_eq!(report.executed, vec!["a", "b"]);
         assert_eq!(counter.load(Ordering::SeqCst), 2);
     }
@@ -686,10 +595,10 @@ mod tests {
             let counter = Arc::new(AtomicUsize::new(0));
             let g = counting_graph(&counter, b"v1");
             let mut db = StateDb::in_memory();
-            let report = g.execute_with(&mut db, &threaded(threads)).unwrap();
+            let report = run(&g, &mut db, threads).unwrap();
             assert_eq!(report.executed.len(), 3, "threads={threads}");
             assert_eq!(counter.load(Ordering::SeqCst), 3);
-            let report = g.execute_with(&mut db, &threaded(threads)).unwrap();
+            let report = run(&g, &mut db, threads).unwrap();
             assert!(report.executed.is_empty());
         }
     }
@@ -711,7 +620,7 @@ mod tests {
             .unwrap();
         }
         let mut db = StateDb::in_memory();
-        let report = g.execute_with(&mut db, &threaded(8)).unwrap();
+        let report = run(&g, &mut db, 8).unwrap();
         assert_eq!(report.executed.len(), 33);
         assert_eq!(counter.load(Ordering::SeqCst), 32);
     }
@@ -722,7 +631,7 @@ mod tests {
         g.add(Task::new("ok", || Ok(()))).unwrap();
         g.add(Task::new("bad", || Err("pow".into()))).unwrap();
         let mut db = StateDb::in_memory();
-        let err = g.execute_with(&mut db, &threaded(4)).unwrap_err();
+        let err = run(&g, &mut db, 4).unwrap_err();
         assert!(matches!(err, BuildError::TaskFailed { ref task, .. } if task == "bad"));
     }
 
@@ -733,9 +642,11 @@ mod tests {
         let ran = Arc::new(Mutex::new(Vec::new()));
         let g = failure_cone_graph(&ran);
         let mut db = StateDb::in_memory();
-        let report = g
-            .execute_roots_with(&mut db, &["top", "side"], &keep_going(2))
-            .unwrap();
+        let plan = Plan {
+            roots: Some(&["top", "side"]),
+            ..Plan::local(2)
+        };
+        let report = g.execute(&mut db, plan, &keep_going()).unwrap();
         assert_eq!(report.failed.len(), 1);
         let mut poisoned = report.poisoned.clone();
         poisoned.sort();
@@ -767,7 +678,7 @@ mod tests {
             )
             .unwrap();
             let mut db = StateDb::in_memory();
-            let err = g.execute_with(&mut db, &threaded(threads)).unwrap_err();
+            let err = run(&g, &mut db, threads).unwrap_err();
             match err {
                 BuildError::Conflict {
                     path,
@@ -802,7 +713,7 @@ mod tests {
             .unwrap();
         }
         let mut db = StateDb::in_memory();
-        let report = g.execute_with(&mut db, &threaded(4)).unwrap();
+        let report = run(&g, &mut db, 4).unwrap();
         assert_eq!(report.executed.len(), 2);
         assert_eq!(counter.load(Ordering::SeqCst), 2);
     }
@@ -816,7 +727,7 @@ mod tests {
             g.add(Task::new("rogue", || Ok(())).output("/work/objects/ab/x.blob"))
                 .unwrap();
             let mut db = StateDb::in_memory();
-            let err = g.execute_with(&mut db, &threaded(threads)).unwrap_err();
+            let err = run(&g, &mut db, threads).unwrap_err();
             match err {
                 BuildError::Conflict {
                     path,
@@ -846,7 +757,7 @@ mod tests {
         )
         .unwrap();
         let mut db = StateDb::in_memory();
-        let report = g.execute_with(&mut db, &threaded(4)).unwrap();
+        let report = run(&g, &mut db, 4).unwrap();
         assert_eq!(report.executed, vec!["store", "verify"]);
     }
 
@@ -866,7 +777,7 @@ mod tests {
         )
         .unwrap();
         let mut db = StateDb::in_memory();
-        let report = g.execute_with(&mut db, &threaded(4)).unwrap();
+        let report = run(&g, &mut db, 4).unwrap();
         assert_eq!(report.executed, vec!["base", "mid", "finalize"]);
     }
 
@@ -883,7 +794,7 @@ mod tests {
                     .unwrap();
             }
             let mut db = StateDb::in_memory();
-            let report = g.execute_with(&mut db, &threaded(threads)).unwrap();
+            let report = run(&g, &mut db, threads).unwrap();
             if expected.len() == 1 {
                 expected.extend((0..24).map(|i| format!("job{i:02}")));
             }
@@ -903,7 +814,9 @@ mod tests {
             g.add(Task::new("y", || Ok(())).dep("bad")).unwrap();
             g.add(Task::new("z", || Ok(())).dep("x").dep("y")).unwrap();
             let mut db = StateDb::in_memory();
-            let report = g.execute_with(&mut db, &keep_going(threads)).unwrap();
+            let report = g
+                .execute(&mut db, Plan::local(threads), &keep_going())
+                .unwrap();
             assert_eq!(report.poisoned, vec!["x", "y", "z"], "threads={threads}");
             assert_eq!(report.failed.len(), 1, "threads={threads}");
         }
@@ -918,7 +831,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         {
             let mut db = StateDb::open(&file).unwrap();
-            counting_graph(&counter, b"v1").execute(&mut db).unwrap();
+            run(&counting_graph(&counter, b"v1"), &mut db, 1).unwrap();
             db.flush().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 3);
@@ -931,7 +844,7 @@ mod tests {
         }
         let mut db = StateDb::open(&file).unwrap();
         assert_eq!(db.interrupted(), ["b"]);
-        let report = counting_graph(&counter, b"v1").execute(&mut db).unwrap();
+        let report = run(&counting_graph(&counter, b"v1"), &mut db, 1).unwrap();
         // `b` reruns (its fingerprint was discarded) and `c` follows as its
         // dependent; `a` is still clean.
         assert_eq!(report.executed, vec!["b", "c"]);
@@ -952,7 +865,7 @@ mod tests {
         }))
         .unwrap();
         let mut db = StateDb::in_memory();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.execute(&mut db)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&g, &mut db, 1)));
         assert!(result.is_err(), "undeclared write must panic in debug");
     }
 

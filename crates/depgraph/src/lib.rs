@@ -6,10 +6,17 @@
 //! inputs, and a persisted state database lets later builds skip any task
 //! whose fingerprint is unchanged and whose outputs still exist.
 //!
+//! [`Graph::execute`] is the one way to run a graph. Its [`Plan`] says
+//! what to build (every task, or a root subset and its dependencies) and
+//! which [`TaskRunner`]s build it; [`Plan::local`] is a [`LocalRunner`]
+//! pool of a given width. [`ExecOptions`] carries the settings that hold
+//! whatever runs the tasks: keep-going, the run-journal recorder, and the
+//! progress callback.
+//!
 //! ## Example
 //!
 //! ```rust
-//! use marshal_depgraph::{Graph, StateDb, Task};
+//! use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
@@ -24,10 +31,11 @@
 //!     .dep("compile"))?;
 //!
 //! let mut db = StateDb::in_memory();
-//! let report = g.execute(&mut db)?;
+//! let opts = ExecOptions::default();
+//! let report = g.execute(&mut db, Plan::local(1), &opts)?;
 //! assert_eq!(report.executed.len(), 2);
 //! // Second build: nothing changed, everything is skipped.
-//! let report = g.execute(&mut db)?;
+//! let report = g.execute(&mut db, Plan::local(1), &opts)?;
 //! assert!(report.executed.is_empty());
 //! # Ok(())
 //! # }
@@ -49,7 +57,7 @@ pub mod task;
 pub use claims::{assert_claimed, with_claims};
 pub use error::{BuildError, ExecError};
 pub use events::{EventSender, ExecEvent, ExecProgress, ProgressFn, RunnerId};
-pub use exec::{BuildReport, ExecOptions};
+pub use exec::{BuildReport, ExecOptions, Plan};
 pub use graph::Graph;
 pub use hash::{Fingerprint, Hasher128};
 pub use runner::{

@@ -118,7 +118,7 @@ struct LocalJob {
 }
 
 /// The default runner: a pool of `threads` worker threads executing task
-/// actions in-process. Behind [`crate::Graph::execute_with`] this replaces
+/// actions in-process. Behind [`crate::Plan::local`] this replaces
 /// the pre-event-channel Condvar pool; serial builds are simply a
 /// one-thread pool, which is what gives serial and parallel runs identical
 /// journal shapes (`task` spans with `claim_wait_us`, `busy_workers`
@@ -155,6 +155,16 @@ impl LocalRunner {
             shared_rx: None,
             handles: Vec::new(),
         }
+    }
+
+    /// The host's available parallelism (minimum 1): the pool width CLI
+    /// front-ends use when the user passes no `-j`. This is the one place
+    /// a worker-count default is decided; library callers pick their own
+    /// width and get no parallelism they did not ask for.
+    pub fn host_threads() -> usize {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 
     fn ensure_workers(&mut self) {

@@ -406,6 +406,7 @@ pub(crate) fn run_scheduler(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Plan;
     use crate::runner::LocalRunner;
     use crate::task::Task;
 
@@ -480,7 +481,14 @@ mod tests {
         opts: &ExecOptions,
         runners: Vec<Box<dyn TaskRunner>>,
     ) -> Result<BuildReport, BuildError> {
-        g.execute_with_runners(db, opts, runners)
+        g.execute(
+            db,
+            Plan {
+                roots: None,
+                runners,
+            },
+            opts,
+        )
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
+use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 use marshal_qcheck::{cases, Rng};
 
 /// A random DAG as edges (child, parent) with parent < child — acyclic by
@@ -78,7 +78,9 @@ fn execute_runs_each_task_exactly_once() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let g = build_graph(n, &edges, &log);
         let mut db = StateDb::in_memory();
-        let report = g.execute(&mut db).unwrap();
+        let report = g
+            .execute(&mut db, Plan::local(1), &ExecOptions::default())
+            .unwrap();
         assert_eq!(report.executed.len(), n);
         let mut ran = log.lock().unwrap().clone();
         ran.sort_unstable();
@@ -92,7 +94,9 @@ fn execute_runs_each_task_exactly_once() {
         }
 
         // Second run: all skipped.
-        let report = g.execute(&mut db).unwrap();
+        let report = g
+            .execute(&mut db, Plan::local(1), &ExecOptions::default())
+            .unwrap();
         assert!(report.executed.is_empty());
         assert_eq!(report.skipped.len(), n);
     });
@@ -116,16 +120,16 @@ fn parallel_equals_serial() {
             g.add(t).unwrap();
         }
         let mut db = StateDb::in_memory();
-        let opts = ExecOptions {
-            threads: 4,
-            ..ExecOptions::default()
-        };
-        let report = g.execute_with(&mut db, &opts).unwrap();
+        let report = g
+            .execute(&mut db, Plan::local(4), &ExecOptions::default())
+            .unwrap();
         assert_eq!(report.executed.len(), n);
         assert_eq!(count.load(Ordering::SeqCst), n);
         // Parallel run records the same state a serial run would: a serial
         // re-execute skips everything.
-        let report = g.execute(&mut db).unwrap();
+        let report = g
+            .execute(&mut db, Plan::local(1), &ExecOptions::default())
+            .unwrap();
         assert!(report.executed.is_empty());
     });
 }

@@ -176,7 +176,7 @@ mod tests {
     use crate::client::RetryPolicy;
     use crate::server::{ExecHandler, ServeRoot};
     use crate::transport::LoopbackTransport;
-    use marshal_depgraph::{ExecEvent, ExecOptions, Graph, StateDb};
+    use marshal_depgraph::{ExecEvent, ExecOptions, Graph, Plan, StateDb};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Mutex};
 
@@ -338,9 +338,11 @@ mod tests {
             Box::new(RemoteRunner::new(Arc::clone(&store), no_fetch())),
             Box::new(marshal_depgraph::LocalRunner::new(2)),
         ];
-        let report = g
-            .execute_with_runners(&mut db, &ExecOptions::default(), runners)
-            .unwrap();
+        let plan = Plan {
+            roots: None,
+            runners,
+        };
+        let report = g.execute(&mut db, plan, &ExecOptions::default()).unwrap();
         assert_eq!(report.executed, vec!["a", "b", "c"]);
         assert_eq!(count.load(Ordering::SeqCst), 3);
         assert!(!store.take_notes().is_empty());

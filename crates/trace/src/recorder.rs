@@ -95,17 +95,20 @@ impl Drop for Inner {
     fn drop(&mut self) {
         // Last handle gone without finish(): tell the writer to drain and
         // exit rather than poll forever.
-        self.queue.push(Wire::Shutdown);
+        self.queue.push(|| Wire::Shutdown);
         self.queue.cv.notify_one();
     }
 }
 
 impl Queue {
-    fn push(&self, msg: Wire) {
+    /// Queues the message `make` builds while the queue lock is held, so
+    /// anything it reads (the event clock) is read in queue order.
+    fn push(&self, make: impl FnOnce() -> Wire) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        self.buf.lock().expect("journal queue poisoned").push(msg);
+        let mut buf = self.buf.lock().expect("journal queue poisoned");
+        buf.push(make());
     }
 }
 
@@ -274,13 +277,16 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return;
         };
-        let t_us = inner.epoch.elapsed().as_micros() as u64;
         inner.events_sent.fetch_add(1, Ordering::Relaxed);
+        let tid = local_tid();
         // Queue without signalling: the writer's poll picks it up. Waking
         // the writer per event would cost this thread a context switch.
-        inner.queue.push(Wire::Event {
-            t_us,
-            tid: local_tid(),
+        // The timestamp is read under the queue lock: the writer numbers
+        // events in queue order, and stamping them in that same order keeps
+        // timestamps monotonic across threads.
+        inner.queue.push(|| Wire::Event {
+            t_us: inner.epoch.elapsed().as_micros() as u64,
+            tid,
             kind,
         });
     }
@@ -341,7 +347,7 @@ impl Recorder {
     pub fn finish(&self) -> Option<FinishedRun> {
         let inner = self.inner.as_ref()?;
         let handle = inner.writer.lock().expect("writer lock poisoned").take()?;
-        inner.queue.push(Wire::Shutdown);
+        inner.queue.push(|| Wire::Shutdown);
         inner.queue.cv.notify_one();
         let events = handle.join().unwrap_or(0);
         let _ = std::fs::remove_file(&inner.pin_path);

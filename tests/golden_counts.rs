@@ -1,8 +1,9 @@
 //! Golden pins on the cycle-exact paper numbers (§IV-A Fig. 5, §IV-B
 //! Fig. 6): the exact per-node counts of the ten intspeed nodes on
-//! boom-gshare and boom-tage, the latency microbenchmark's cycles and
-//! faults under software paging and the PFA, and (§IV-C, E10) coremark's
-//! cycles on boom-tage, cold and restored from a boot snapshot.
+//! boom-gshare and boom-tage, the latency microbenchmark's cycles, faults
+//! and per-fault step table under software paging and the PFA, and
+//! (§IV-C, E10) coremark's cycles on boom-tage, cold and restored from a
+//! boot snapshot.
 //!
 //! The pinned values live in `tests/golden/fig6_counts.txt`. A change that
 //! moves modelled time must update that file and EXPERIMENTS.md together
@@ -57,10 +58,18 @@ fn measure() -> Vec<String> {
         let hw = HardwareConfig::rocket().with_remote(remote);
         let config = hw.name.clone();
         let n = run_job_cycle_exact(&latency.jobs[0], hw).unwrap();
+        let pfa = n.report.pfa.unwrap_or_default();
+        let steps: String = pfa
+            .step_breakdown()
+            .iter()
+            .map(|(step, cycles)| format!(" {step}={cycles}"))
+            .collect();
         lines.push(format!(
-            "fig5 {config} cycles={} faults={}",
+            "fig5 {config} cycles={} faults={}{steps} mean_latency={} deferred_per_fault={}",
             n.report.counters.cycles,
-            n.report.pfa.unwrap_or_default().faults,
+            pfa.faults,
+            pfa.mean_latency(),
+            pfa.deferred_bookkeeping_cycles / pfa.faults.max(1),
         ));
     }
 

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use marshal_core::cli::{self, CliArgs, Command};
 use marshal_core::faultinject::{FaultKind, Injector};
 use marshal_core::{launch, BuildOptions, LaunchOptions, MarshalError};
-use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
+use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 
 /// A ten-task graph with one injected failure. Shape:
 ///
@@ -48,16 +48,11 @@ fn keep_going_with_injected_failure_in_ten_task_graph() {
     for threads in [1, 4] {
         ran.lock().unwrap().clear();
         let mut db = StateDb::in_memory();
-        let report = g
-            .execute_with(
-                &mut db,
-                &ExecOptions {
-                    keep_going: true,
-                    threads,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
+        let opts = ExecOptions {
+            keep_going: true,
+            ..ExecOptions::default()
+        };
+        let report = g.execute(&mut db, Plan::local(threads), &opts).unwrap();
 
         // Everything outside the failure's dependent cone executed...
         let mut executed = report.executed.clone();
