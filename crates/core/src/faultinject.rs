@@ -111,7 +111,7 @@ impl Injector {
                 let cut = if lo >= data.len() {
                     data.len() - 1
                 } else {
-                    self.rng.range_usize(lo, data.len())
+                    torn_cut(data, lo, self.rng.range_usize(lo, data.len()))
                 };
                 data.truncate(cut);
                 return InjectedFault {
@@ -178,6 +178,27 @@ impl Injector {
     pub fn tear_image_write(&mut self, path: &Path) -> Result<InjectedFault, String> {
         self.corrupt_file(path, FaultKind::TornWrite)
     }
+}
+
+/// Moves a torn-write cut in `lo..data.len()` off line boundaries.
+///
+/// A line-oriented reader (journals, the state database) sees a write
+/// torn next to a `\n` as a clean, shorter file of whole records: cut
+/// just after a newline, nothing partial remains; cut just before one,
+/// the last record is whole and merely unterminated. So when the data
+/// has lines, the cut moves to the nearest position — forward first,
+/// then back, never below `lo` — that falls strictly inside a record.
+/// Data without such a position (no newline, or records too short past
+/// `lo`) keeps `cut`.
+fn torn_cut(data: &[u8], lo: usize, cut: usize) -> usize {
+    let inside = |c: &usize| data[*c - 1] != b'\n' && data[*c] != b'\n';
+    if !data.contains(&b'\n') || inside(&cut) {
+        return cut;
+    }
+    (cut..data.len())
+        .find(inside)
+        .or_else(|| (lo..cut).rev().find(inside))
+        .unwrap_or(cut)
 }
 
 #[cfg(test)]
@@ -253,6 +274,26 @@ mod tests {
             );
             assert_eq!(data[..], original[..data.len()], "prefix is intact");
             assert_eq!(fault.offset, data.len());
+        }
+    }
+
+    #[test]
+    fn torn_write_never_cuts_on_a_line_boundary() {
+        // Journal-shaped data: a torn write must leave a torn final
+        // record, never a clean shorter file of whole lines.
+        let data: Vec<u8> = (0..40)
+            .flat_map(|i| format!("{{\"seq\":{i},\"kind\":\"span\"}}\n").into_bytes())
+            .collect();
+        for seed in 0..10_000 {
+            let mut torn = data.clone();
+            let fault = Injector::new(seed).corrupt_bytes(&mut torn, FaultKind::TornWrite);
+            assert!(torn.len() < data.len() && torn.len() >= data.len() / 2);
+            assert_eq!(fault.offset, torn.len());
+            assert!(
+                torn.last() != Some(&b'\n') && data[torn.len()] != b'\n',
+                "seed {seed} cut on a line boundary at {}",
+                torn.len()
+            );
         }
     }
 

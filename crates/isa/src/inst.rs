@@ -102,6 +102,7 @@ impl Reg {
     }
 
     /// The register index (0–31).
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -187,6 +188,7 @@ impl BranchCond {
     }
 
     /// Evaluates the condition on two operand values.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,
@@ -220,6 +222,7 @@ pub enum MemWidth {
 
 impl MemWidth {
     /// Number of bytes accessed.
+    #[inline]
     pub fn bytes(self) -> usize {
         match self {
             MemWidth::B | MemWidth::Bu => 1,
@@ -281,6 +284,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Whether the operation is from the M extension (multiply/divide).
+    #[inline]
     pub fn is_muldiv(self) -> bool {
         matches!(
             self,
@@ -301,6 +305,7 @@ impl AluOp {
     }
 
     /// Whether the operation is a divide or remainder (long latency).
+    #[inline]
     pub fn is_div(self) -> bool {
         matches!(
             self,

@@ -89,11 +89,18 @@ pub enum RetireKind {
     Jump {
         /// Jump target.
         target: u64,
+        /// A call: the link register is `ra`.
+        call: bool,
     },
     /// Indirect jump (`jalr`); target is data-dependent.
     JumpReg {
         /// Jump target.
         target: u64,
+        /// A call: the link register is `ra`.
+        call: bool,
+        /// A return: `jalr x0, 0(ra)` style, jumping through `ra` without
+        /// linking.
+        ret: bool,
     },
     /// CSR access.
     Csr,
@@ -102,14 +109,16 @@ pub enum RetireKind {
 }
 
 /// A fully-retired instruction, with everything a timing model needs.
+///
+/// The record is deliberately small (no copy of the decoded [`Inst`]): the
+/// [`RetireKind`] carries every fact the timing model dispatches on,
+/// including the call/return flags of jumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
     /// PC of the instruction.
     pub pc: u64,
     /// PC of the next instruction (accounts for taken control flow).
     pub next_pc: u64,
-    /// The decoded instruction.
-    pub inst: Inst,
     /// Timing classification.
     pub kind: RetireKind,
 }
@@ -165,17 +174,20 @@ impl Cpu {
     }
 
     /// Reads a register (`x0` always reads zero).
+    #[inline]
     pub fn read_reg(&self, r: Reg) -> u64 {
         self.regs[r.index()]
     }
 
     /// Writes a register (writes to `x0` are discarded).
+    #[inline]
     pub fn write_reg(&mut self, r: Reg, v: u64) {
         if r != Reg::ZERO {
             self.regs[r.index()] = v;
         }
     }
 
+    #[inline]
     fn read_csr(&self, num: u16) -> u64 {
         match num {
             csr::CYCLE | csr::TIME => self.cycle,
@@ -186,6 +198,7 @@ impl Cpu {
         }
     }
 
+    #[inline]
     fn write_csr(&mut self, num: u16, v: u64) {
         if num == csr::MSCRATCH {
             self.scratch = v;
@@ -224,6 +237,7 @@ impl Cpu {
     ///
     /// Returns a [`Trap`] exactly as [`Cpu::step`] would for the same
     /// instruction (PC left unchanged on trap).
+    #[inline]
     pub fn exec_decoded<B: Bus>(&mut self, bus: &mut B, inst: Inst) -> Result<StepOutcome, Trap> {
         let pc = self.pc;
         let mut next_pc = pc.wrapping_add(4);
@@ -239,13 +253,20 @@ impl Cpu {
             Inst::Jal { rd, offset } => {
                 self.write_reg(rd, next_pc);
                 next_pc = pc.wrapping_add(offset as u64);
-                RetireKind::Jump { target: next_pc }
+                RetireKind::Jump {
+                    target: next_pc,
+                    call: rd == Reg::RA,
+                }
             }
             Inst::Jalr { rd, rs1, offset } => {
                 let target = self.read_reg(rs1).wrapping_add(offset as u64) & !1;
                 self.write_reg(rd, next_pc);
                 next_pc = target;
-                RetireKind::JumpReg { target }
+                RetireKind::JumpReg {
+                    target,
+                    call: rd == Reg::RA,
+                    ret: rd == Reg::ZERO && rs1 == Reg::RA,
+                }
             }
             Inst::Branch {
                 cond,
@@ -356,14 +377,10 @@ impl Cpu {
         self.pc = next_pc;
         self.instret += 1;
         self.cycle += 1;
-        Ok(StepOutcome::Retired(Retired {
-            pc,
-            next_pc,
-            inst,
-            kind,
-        }))
+        Ok(StepOutcome::Retired(Retired { pc, next_pc, kind }))
     }
 
+    #[inline]
     fn apply_csr(&mut self, op: CsrOp, num: u16, old: u64, src: u64, src_nonzero: bool) {
         match op {
             CsrOp::Rw => self.write_csr(num, src),
@@ -403,6 +420,7 @@ impl Cpu {
     }
 }
 
+#[inline]
 fn alu_imm(op: AluImmOp, a: u64, imm: i64) -> u64 {
     match op {
         AluImmOp::Addi => a.wrapping_add(imm as u64),
@@ -421,6 +439,7 @@ fn alu_imm(op: AluImmOp, a: u64, imm: i64) -> u64 {
     }
 }
 
+#[inline]
 fn alu(op: AluOp, a: u64, b: u64) -> u64 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -723,6 +742,86 @@ mod tests {
         let mut cpu = Cpu::new(0);
         run_until_ecall(&mut cpu, &mut mem);
         assert_eq!(cpu.read_reg(Reg::RA), 4);
+    }
+
+    #[test]
+    fn retired_record_stays_slim() {
+        // Every retired instruction crosses into the timing model; the
+        // record carries addresses and flags, never the decoded `Inst`.
+        assert_eq!(std::mem::size_of::<Retired>(), 32);
+    }
+
+    #[test]
+    fn jumps_flag_calls_and_returns() {
+        use crate::inst::*;
+        let jalr = |rd, rs1| Inst::Jalr { rd, rs1, offset: 0 };
+        // (instruction, expected kind); ra = 0x40 and t0 = 0x80.
+        let table = [
+            (
+                Inst::Jal {
+                    rd: Reg::RA,
+                    offset: 8,
+                },
+                RetireKind::Jump {
+                    target: 8,
+                    call: true,
+                },
+            ),
+            (
+                Inst::Jal {
+                    rd: Reg::ZERO,
+                    offset: 8,
+                },
+                RetireKind::Jump {
+                    target: 8,
+                    call: false,
+                },
+            ),
+            (
+                Inst::Jal {
+                    rd: Reg::T0,
+                    offset: 8,
+                },
+                RetireKind::Jump {
+                    target: 8,
+                    call: false,
+                },
+            ),
+            (
+                jalr(Reg::ZERO, Reg::RA),
+                RetireKind::JumpReg {
+                    target: 0x40,
+                    call: false,
+                    ret: true,
+                },
+            ),
+            (
+                jalr(Reg::RA, Reg::T0),
+                RetireKind::JumpReg {
+                    target: 0x80,
+                    call: true,
+                    ret: false,
+                },
+            ),
+            (
+                jalr(Reg::ZERO, Reg::T0),
+                RetireKind::JumpReg {
+                    target: 0x80,
+                    call: false,
+                    ret: false,
+                },
+            ),
+        ];
+        for (inst, kind) in table {
+            let mut mem = program(&[inst]);
+            let mut cpu = Cpu::new(0);
+            cpu.write_reg(Reg::RA, 0x40);
+            cpu.write_reg(Reg::T0, 0x80);
+            match cpu.step(&mut mem) {
+                Ok(StepOutcome::Retired(r)) => assert_eq!(r.kind, kind, "{inst:?}"),
+                other => panic!("{inst:?}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

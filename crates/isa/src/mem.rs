@@ -230,6 +230,7 @@ impl PagedMemory {
     }
 
     /// Whether `[addr, addr+len)` lies entirely within this memory.
+    #[inline]
     pub fn contains(&self, addr: u64, len: usize) -> bool {
         addr >= self.base && addr.saturating_add(len as u64) <= self.base + self.size as u64
     }
@@ -259,6 +260,7 @@ impl PagedMemory {
         Ok(out)
     }
 
+    #[inline]
     fn page_mut(&mut self, index: usize) -> &mut [u8; PAGE_BYTES] {
         self.pages[index].get_or_insert_with(|| Box::new([0u8; PAGE_BYTES]))
     }
@@ -285,28 +287,29 @@ impl MemWrite for PagedMemory {
 }
 
 impl Bus for PagedMemory {
+    #[inline]
     fn load(&mut self, addr: u64, size: usize) -> Result<u64, Trap> {
         if !self.contains(addr, size) {
             return Err(Trap::LoadFault { addr });
         }
         let off = (addr - self.base) as usize;
         let in_page = off & (PAGE_BYTES - 1);
-        let mut v = 0u64;
         if in_page + size <= PAGE_BYTES {
             // Fast path: a naturally-aligned access never crosses a page.
-            if let Some(p) = &self.pages[off >> PAGE_SHIFT] {
-                for (i, b) in p[in_page..in_page + size].iter().enumerate() {
-                    v |= (*b as u64) << (8 * i);
-                }
-            }
+            Ok(match &self.pages[off >> PAGE_SHIFT] {
+                Some(p) => load_le(&p[in_page..in_page + size]),
+                None => 0,
+            })
         } else {
+            let mut v = 0u64;
             for (i, b) in self.read_bytes(addr, size)?.iter().enumerate() {
                 v |= (*b as u64) << (8 * i);
             }
+            Ok(v)
         }
-        Ok(v)
     }
 
+    #[inline]
     fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), Trap> {
         if !self.contains(addr, size) {
             return Err(Trap::StoreFault { addr });
@@ -314,14 +317,28 @@ impl Bus for PagedMemory {
         let off = (addr - self.base) as usize;
         let in_page = off & (PAGE_BYTES - 1);
         if in_page + size <= PAGE_BYTES {
-            let p = self.page_mut(off >> PAGE_SHIFT);
-            for i in 0..size {
-                p[in_page + i] = (value >> (8 * i)) as u8;
-            }
+            self.page_mut(off >> PAGE_SHIFT)[in_page..in_page + size]
+                .copy_from_slice(&value.to_le_bytes()[..size]);
             Ok(())
         } else {
             let bytes: Vec<u8> = (0..size).map(|i| (value >> (8 * i)) as u8).collect();
             self.write_bytes(addr, &bytes)
+        }
+    }
+}
+
+/// Assembles a little-endian value from `bytes` (1, 2, 4 or 8 of them)
+/// with one whole-word read.
+#[inline]
+fn load_le(bytes: &[u8]) -> u64 {
+    match *bytes {
+        [b] => b as u64,
+        [b0, b1] => u16::from_le_bytes([b0, b1]) as u64,
+        [b0, b1, b2, b3] => u32::from_le_bytes([b0, b1, b2, b3]) as u64,
+        _ => {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(word)
         }
     }
 }

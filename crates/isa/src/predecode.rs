@@ -27,6 +27,14 @@
 //! the touched addresses so self-modifying code refetches through a fresh
 //! decode. Filling a page performs only [`Bus`] loads, which are side-effect
 //! free on every bus the simulators use (RAM and read-as-zero MMIO).
+//!
+//! Invalidation is range-bounded: the cache keeps the lowest and highest
+//! page base it has filled since it was last empty, and every cached page
+//! lies inside that range. [`DecodeCache::invalidate`] returns at once for
+//! an address outside it, so the stack and data stores that dominate real
+//! programs cost two compares instead of a scan of the page list. Dropping
+//! pages never shrinks the range (it stays a superset of the cached pages,
+//! which is all correctness needs); [`DecodeCache::clear`] empties it.
 
 use crate::inst::Inst;
 use crate::interp::{Cpu, StepOutcome, Trap};
@@ -65,14 +73,31 @@ struct Page {
 ///
 /// Lives outside [`Cpu`] (which stays pure architectural state, `Clone` +
 /// `PartialEq`); the embedder threads it through its step loop.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DecodeCache {
     pages: Vec<Page>,
     /// Index of the most recently used page: straight-line code stays on
     /// this fast path and never searches.
     last: usize,
+    /// Lowest and highest page base filled since the cache was last empty
+    /// (`lo > hi` when empty): every cached page lies in `lo..=hi`.
+    lo: u64,
+    hi: u64,
     hits: u64,
     fills: u64,
+}
+
+impl Default for DecodeCache {
+    fn default() -> DecodeCache {
+        DecodeCache {
+            pages: Vec::new(),
+            last: 0,
+            lo: u64::MAX,
+            hi: 0,
+            hits: 0,
+            fills: 0,
+        }
+    }
 }
 
 impl DecodeCache {
@@ -89,6 +114,7 @@ impl DecodeCache {
     /// # Errors
     ///
     /// Returns exactly the [`Trap`] an uncached [`Cpu::step`] would.
+    #[inline]
     pub fn step<B: Bus>(&mut self, cpu: &mut Cpu, bus: &mut B) -> Result<StepOutcome, Trap> {
         let pc = cpu.pc;
         if pc & 3 != 0 {
@@ -107,9 +133,14 @@ impl DecodeCache {
     ///
     /// Must be called for every guest-memory write; naturally-aligned
     /// accesses of at most 8 bytes cannot cross a page, so a single page
-    /// drop covers any store the interpreter can issue.
+    /// drop covers any store the interpreter can issue. O(1) for an
+    /// address outside the cached page range (see the module docs).
+    #[inline]
     pub fn invalidate(&mut self, addr: u64) {
         let base = addr & !(PAGE_SIZE - 1);
+        if base < self.lo || base > self.hi {
+            return;
+        }
         if let Some(i) = self.pages.iter().position(|p| p.base == base) {
             self.pages.swap_remove(i);
             self.last = 0;
@@ -131,6 +162,8 @@ impl DecodeCache {
     pub fn clear(&mut self) {
         self.pages.clear();
         self.last = 0;
+        self.lo = u64::MAX;
+        self.hi = 0;
     }
 
     /// `(cache hits, page fills)` since creation, for diagnostics.
@@ -138,6 +171,7 @@ impl DecodeCache {
         (self.hits, self.fills)
     }
 
+    #[inline]
     fn lookup<B: Bus>(&mut self, pc: u64, bus: &mut B) -> Slot {
         let base = pc & !(PAGE_SIZE - 1);
         let slot_index = ((pc - base) / 4) as usize;
@@ -156,6 +190,8 @@ impl DecodeCache {
             self.clear();
         }
         self.fills += 1;
+        self.lo = self.lo.min(base);
+        self.hi = self.hi.max(base);
         let page = fill_page(base, bus);
         let slot = page.slots[slot_index];
         self.last = self.pages.len();
@@ -316,6 +352,80 @@ mod tests {
         cache.invalidate_range(0, PAGE_SIZE as usize * 2);
         cache.step(&mut cpu, &mut mem).unwrap();
         assert_eq!(cache.stats().1, 2, "range invalidation must refill");
+    }
+
+    #[test]
+    fn invalidation_is_bounded_by_the_cached_code_range() {
+        let ecall_word = encode(&Inst::Ecall).unwrap() as i64;
+        let sw = |rs2, rs1, offset| Inst::Store {
+            width: MemWidth::W,
+            rs2,
+            rs1,
+            offset,
+        };
+        let mut mem = program(&[
+            Inst::AluImm {
+                op: AluImmOp::Addi,
+                rd: Reg::T0,
+                rs1: Reg::ZERO,
+                imm: ecall_word,
+            },
+            Inst::Lui {
+                rd: Reg::T1,
+                imm: 0x1000,
+            },
+            Inst::Lui {
+                rd: Reg::T2,
+                imm: 0x2000,
+            },
+            sw(Reg::T0, Reg::T2, 0),        // data store into page 2
+            sw(Reg::T0, Reg::T1, 0),        // patch page 1 before it is cached
+            sw(Reg::ZERO, Reg::ZERO, 0x40), // store into the cached code page
+            Inst::Jalr {
+                rd: Reg::ZERO,
+                rs1: Reg::T1,
+                offset: 0,
+            },
+        ]);
+        let mut cpu = Cpu::new(0);
+        let mut cache = DecodeCache::new();
+        let mut step = |cache: &mut DecodeCache| {
+            let outcome = cache.step(&mut cpu, &mut mem);
+            if let Ok(StepOutcome::Retired(r)) = outcome {
+                if let crate::interp::RetireKind::Store { addr } = r.kind {
+                    cache.invalidate(addr);
+                }
+            }
+            outcome
+        };
+        for _ in 0..5 {
+            step(&mut cache).unwrap();
+        }
+        assert_eq!(
+            cache.stats().1,
+            1,
+            "stores outside the cached code range keep page 0"
+        );
+        step(&mut cache).unwrap(); // the store into page 0
+        step(&mut cache).unwrap(); // the jalr
+        assert_eq!(cache.stats().1, 2, "a store into a code page refills it");
+        assert_eq!(
+            step(&mut cache),
+            Ok(StepOutcome::Ecall),
+            "the patched word runs"
+        );
+        assert_eq!(cache.stats().1, 3);
+        // The range grew to cover page 1: a store there drops it too.
+        cache.invalidate(0x1000);
+        assert!(
+            step(&mut cache).is_err(),
+            "page 1 holds no code past 0x1000"
+        );
+        assert_eq!(
+            cache.stats().1,
+            4,
+            "a store into the highest code page refills it"
+        );
     }
 
     #[test]

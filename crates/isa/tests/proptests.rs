@@ -1,5 +1,6 @@
 //! Property-based tests for the ISA substrate: encode/decode roundtrips,
-//! `li` materialisation, ALU semantics, and MEXE serialisation.
+//! `li` materialisation, ALU semantics, MEXE serialisation, and the
+//! demand-paged memory against the flat reference.
 //!
 //! Uses the in-repo `marshal-qcheck` harness (offline build environment);
 //! every case derives from a fixed seed and replays deterministically.
@@ -11,7 +12,7 @@ use marshal_isa::decode::decode;
 use marshal_isa::encode::encode;
 use marshal_isa::inst::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg};
 use marshal_isa::interp::{Cpu, StepOutcome};
-use marshal_isa::mem::{Bus, FlatMemory};
+use marshal_isa::mem::{Bus, FlatMemory, PagedMemory};
 use marshal_isa::MexeFile;
 use marshal_qcheck::{cases, Rng};
 
@@ -225,6 +226,51 @@ fn flat_memory_store_load() {
             (1u64 << (8 * size)) - 1
         };
         assert_eq!(m.load(addr, size).unwrap(), val & mask);
+    });
+}
+
+/// `PagedMemory`'s word-wide in-page accesses and its byte-wise
+/// page-straddling path agree with `FlatMemory` on every value and fault,
+/// for random mixed-width loads and stores.
+#[test]
+fn paged_memory_matches_flat_memory() {
+    const BASE: u64 = 0x8000;
+    const PAGE: u64 = 4096;
+    const SIZE: u64 = 3 * PAGE;
+    cases(256, |rng| {
+        let mut flat = FlatMemory::with_base(BASE, SIZE as usize);
+        let mut paged = PagedMemory::with_base(BASE, SIZE as usize);
+        for _ in 0..64 {
+            let size = *rng.pick(&[1usize, 2, 4, 8]);
+            let addr = match rng.range_u64(0, 4) {
+                // Anywhere in range, naturally aligned.
+                0 => BASE + rng.range_u64(0, SIZE / size as u64) * size as u64,
+                // Straddling a page boundary (or ending exactly on one).
+                1 => BASE + rng.range_u64(1, 3) * PAGE - rng.range_u64(1, size as u64 + 1),
+                // Unaligned anywhere, including off either end.
+                2 => BASE - 8 + rng.range_u64(0, SIZE + 16),
+                // Near the first touched pages, so loads hit written bytes.
+                _ => BASE + PAGE - 16 + rng.range_u64(0, 32),
+            };
+            if rng.bool() {
+                let value = rng.any_u64();
+                assert_eq!(
+                    flat.store(addr, size, value),
+                    paged.store(addr, size, value),
+                    "store {size} bytes at {addr:#x}"
+                );
+            } else {
+                assert_eq!(
+                    flat.load(addr, size),
+                    paged.load(addr, size),
+                    "load {size} bytes at {addr:#x}"
+                );
+            }
+        }
+        assert_eq!(
+            flat.read_bytes(BASE, SIZE as usize).unwrap(),
+            &paged.read_bytes(BASE, SIZE as usize).unwrap()[..]
+        );
     });
 }
 

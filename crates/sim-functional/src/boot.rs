@@ -326,9 +326,10 @@ pub(crate) fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, Si
     let mut os = BareConsole {
         serial: format!("{}: starting bare-metal simulation\n", cfg.kind.name()),
     };
-    let (exit_code, instructions, timed_out) = match runner.run(&mut os, cfg.max_instructions) {
-        Ok((code, insts)) => (code, insts, false),
-        Err(SimError::Budget { limit }) => {
+    let limit = cfg.max_instructions;
+    let (exit_code, instructions, timed_out) = match runner.run(&mut os, limit, &mut ())? {
+        (Some(code), insts) => (code, insts, false),
+        (None, _) => {
             os.serial.push_str(&format!(
                 "{}: watchdog: instruction budget exhausted ({limit} instructions); \
                  terminating hung guest\n",
@@ -336,7 +337,6 @@ pub(crate) fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, Si
             ));
             (WATCHDOG_EXIT_CODE, limit, true)
         }
-        Err(e) => return Err(e),
     };
     if !timed_out {
         os.serial.push_str(&format!(

@@ -5,7 +5,8 @@
 //! environment in which init scripts, `guest-init`, and the workload's
 //! boot payload run. Program execution goes through the [`Executor`] trait
 //! so the cycle-exact simulator can attach its timing model while sharing
-//! every other piece of the OS model.
+//! every other piece of the OS model; every executor runs programs with
+//! [`exec_timed`].
 
 use marshal_image::FsImage;
 use marshal_isa::MexeFile;
@@ -13,7 +14,7 @@ use marshal_script::{Extern, ExternResult, Interp, Value};
 
 use crate::checkpoint::BootSnapshot;
 use crate::machine::{SimConfig, SimError, SimKind};
-use crate::syscall::{OsServices, UserRunner};
+use crate::syscall::{OsServices, Timing, UserRunner};
 
 /// Maximum nesting of guest scripts/binaries (scripts invoking scripts).
 const MAX_EXEC_DEPTH: u32 = 8;
@@ -46,23 +47,47 @@ impl Executor for FunctionalExecutor {
         args: &[String],
         os: &mut GuestOs,
     ) -> Result<(i64, u64), SimError> {
-        let budget = os.remaining_budget()?;
-        let mut runner = UserRunner::new(exe, args)?;
-        let (code, insts) = match runner.run(os, budget) {
-            Ok(r) => r,
-            Err(SimError::Budget { limit }) => {
-                // The program consumed the whole remaining budget before it
-                // was stopped. Account it so `remaining_budget()` reports
-                // exhaustion — the watchdog relies on this to tell a hung
-                // guest apart from an ordinary script failure even after
-                // the error has been stringified through mscript.
-                os.account(budget, budget);
-                return Err(SimError::Budget { limit });
-            }
-            Err(e) => return Err(e),
-        };
-        os.account(insts, insts);
-        Ok((code, insts))
+        exec_timed(&mut (), exe, args, os)
+    }
+}
+
+/// Runs `exe` with `args` under the timing model `timing` and charges the
+/// guest clock: the model's cycles when it keeps them, else one cycle per
+/// instruction. The body of every [`Executor`]; returns
+/// `(exit_code, instructions)`.
+///
+/// # Errors
+///
+/// [`SimError::Budget`] when the program exhausts the remaining
+/// instruction budget, plus any error from [`UserRunner::run`].
+pub fn exec_timed<T: Timing + ?Sized>(
+    timing: &mut T,
+    exe: &MexeFile,
+    args: &[String],
+    os: &mut GuestOs,
+) -> Result<(i64, u64), SimError> {
+    let budget = os.remaining_budget()?;
+    let mut runner = UserRunner::new(exe, args)?;
+    let start = timing.cycles();
+    let (exit, insts) = runner.run(os, budget, timing)?;
+    let cycles = |insts: u64| match (start, timing.cycles()) {
+        (Some(start), Some(end)) => end - start,
+        _ => insts,
+    };
+    match exit {
+        Some(code) => {
+            os.account(insts, cycles(insts));
+            Ok((code, insts))
+        }
+        None => {
+            // The program consumed the whole remaining budget before it
+            // was stopped. Account it so `remaining_budget()` reports
+            // exhaustion — the watchdog relies on this to tell a hung
+            // guest apart from an ordinary script failure even after
+            // the error has been stringified through mscript.
+            os.account(budget, cycles(budget));
+            Err(SimError::Budget { limit: budget })
+        }
     }
 }
 

@@ -3,8 +3,10 @@
 //! Programs run in a flat user address space with a downward-growing stack.
 //! `ecall`s are serviced against an [`OsServices`] implementation — the
 //! functional guest OS here, or the cycle-exact simulator's timed variant.
-//! The step-wise API ([`UserRunner::step`]) exposes every retired
-//! instruction so a timing model can observe the exact same execution.
+//! [`UserRunner::run`] is the one step loop both simulator tiers share: it
+//! reports every retired instruction and serviced syscall to a [`Timing`]
+//! model — `()` for the functional tier, the rtl pipeline for the
+//! cycle-exact one — so both observe the exact same execution.
 
 use std::collections::BTreeMap;
 
@@ -44,6 +46,40 @@ pub trait OsServices {
     fn file_write(&mut self, path: &str, data: &[u8]) -> bool;
 }
 
+/// A timing model attached to [`UserRunner::run`].
+///
+/// The functional simulators use `()`: no model, and the CPU's own clock
+/// ticks once per instruction. The cycle-exact simulator's pipeline
+/// charges every retired instruction and syscall and feeds its modelled
+/// time back to `rdcycle`.
+pub trait Timing {
+    /// Modelled cycles so far, written to the CPU clock before each step so
+    /// `rdcycle` observes them; `None` keeps the functional clock (one
+    /// cycle per instruction).
+    fn cycles(&self) -> Option<u64>;
+
+    /// Charges one retired instruction; `is_remote` marks a load or store
+    /// that falls in the program's mapped remote-memory window.
+    fn retire(&mut self, r: &Retired, is_remote: bool);
+
+    /// Charges one serviced syscall (`sys` is the syscall number).
+    fn syscall(&mut self, sys: u64);
+}
+
+/// The functional timing: no model.
+impl Timing for () {
+    #[inline]
+    fn cycles(&self) -> Option<u64> {
+        None
+    }
+
+    #[inline]
+    fn retire(&mut self, _r: &Retired, _is_remote: bool) {}
+
+    #[inline]
+    fn syscall(&mut self, _sys: u64) {}
+}
+
 struct OpenFile {
     path: String,
     data: Vec<u8>,
@@ -81,6 +117,7 @@ impl UserBus {
         std::mem::take(&mut self.uart_tx)
     }
 
+    #[inline]
     fn is_uart(&self, addr: u64) -> bool {
         self.uart_enabled && (UART_TX..UART_TX + UART_SPAN).contains(&addr)
     }
@@ -98,6 +135,7 @@ impl UserBus {
     }
 
     /// Whether an address falls inside the mapped remote window.
+    #[inline]
     pub fn is_remote(&self, addr: u64) -> bool {
         self.remote.as_ref().is_some_and(|r| r.contains(addr, 1))
     }
@@ -109,6 +147,7 @@ impl UserBus {
 }
 
 impl Bus for UserBus {
+    #[inline]
     fn load(&mut self, addr: u64, size: usize) -> Result<u64, Trap> {
         if self.is_uart(addr) {
             return Ok(0); // status: always ready
@@ -121,6 +160,7 @@ impl Bus for UserBus {
         self.local.load(addr, size)
     }
 
+    #[inline]
     fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), Trap> {
         if self.is_uart(addr) {
             let _ = size;
@@ -134,20 +174,6 @@ impl Bus for UserBus {
         }
         self.local.store(addr, size, value)
     }
-}
-
-/// One step of user execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UserStep {
-    /// An instruction retired (details for the timing model).
-    Retired(Retired),
-    /// A syscall was serviced; `sys` is the syscall number.
-    Syscall {
-        /// The syscall number serviced.
-        sys: u64,
-    },
-    /// The program exited with this code.
-    Exited(i64),
 }
 
 /// Executes one MEXE program against an [`OsServices`].
@@ -194,72 +220,97 @@ impl UserRunner {
         self.exited
     }
 
-    /// Executes one instruction (servicing a syscall if it is an `ecall`).
+    /// Runs to completion within an instruction budget, charging every
+    /// retired instruction and serviced syscall to `timing`.
+    ///
+    /// This is the one step loop of both simulator tiers. Before each step
+    /// the CPU clock is set from [`Timing::cycles`] (when the model keeps
+    /// one), so `rdcycle` observes modelled time. Returns the exit code —
+    /// `None` when the program retired more than `budget` instructions —
+    /// and the instructions retired.
     ///
     /// # Errors
     ///
-    /// [`SimError::Trap`] on architectural traps, [`SimError::BadArtifact`]
-    /// after exit.
-    pub fn step<S: OsServices + ?Sized>(&mut self, os: &mut S) -> Result<UserStep, SimError> {
-        if let Some(code) = self.exited {
-            return Ok(UserStep::Exited(code));
+    /// [`SimError::Trap`] on architectural traps, plus any error servicing
+    /// a syscall.
+    pub fn run<S: OsServices + ?Sized, T: Timing + ?Sized>(
+        &mut self,
+        os: &mut S,
+        budget: u64,
+        timing: &mut T,
+    ) -> Result<(Option<i64>, u64), SimError> {
+        let start = self.cpu.instret;
+        if self.exited.is_some() {
+            return Ok((self.exited, 0));
         }
-        let step = self.dcache.step(&mut self.cpu, &mut self.bus);
-        // Forward MMIO UART traffic to the console as it happens.
-        if !self.bus.uart_tx.is_empty() {
-            let bytes = self.bus.drain_uart();
-            os.serial_write(&bytes);
-        }
-        match step {
-            Ok(StepOutcome::Retired(r)) => {
-                if let RetireKind::Store { addr } = r.kind {
-                    // A naturally-aligned store touches one page at most.
-                    self.dcache.invalidate(addr);
-                }
-                Ok(UserStep::Retired(r))
+        loop {
+            let executed = self.cpu.instret - start;
+            if executed > budget {
+                return Ok((None, executed));
             }
+            if let Some(cycles) = timing.cycles() {
+                self.cpu.cycle = cycles;
+            }
+            let step = self.dcache.step(&mut self.cpu, &mut self.bus);
+            // Forward MMIO UART traffic to the console as it happens.
+            if !self.bus.uart_tx.is_empty() {
+                let bytes = self.bus.drain_uart();
+                os.serial_write(&bytes);
+            }
+            // The retired record is consumed where the interpreter wrote
+            // it: re-wrapping it in another enum per step costs more than
+            // the timing model itself.
+            match step {
+                Ok(StepOutcome::Retired(r)) => {
+                    let is_remote = match r.kind {
+                        RetireKind::Load { addr } => self.bus.is_remote(addr),
+                        RetireKind::Store { addr } => {
+                            // A naturally-aligned store touches one page at
+                            // most.
+                            self.dcache.invalidate(addr);
+                            self.bus.is_remote(addr)
+                        }
+                        _ => false,
+                    };
+                    timing.retire(&r, is_remote);
+                }
+                other => match self.service(other, os)? {
+                    Some(sys) => timing.syscall(sys),
+                    None => return Ok((self.exited, self.cpu.instret - start)),
+                },
+            }
+        }
+    }
+
+    /// The rare outcomes of a step — an `ecall`, an `ebreak` or a trap —
+    /// kept out of line so the retire path of [`UserRunner::run`] stays
+    /// small. Returns the syscall number serviced, or `None` once the
+    /// program has exited.
+    #[cold]
+    #[inline(never)]
+    fn service<S: OsServices + ?Sized>(
+        &mut self,
+        step: Result<StepOutcome, Trap>,
+        os: &mut S,
+    ) -> Result<Option<u64>, SimError> {
+        match step {
             Ok(StepOutcome::Ecall) => {
                 let sys = self.cpu.read_reg(Reg::A7);
                 self.handle_syscall(sys, os)?;
-                if let Some(code) = self.exited {
+                if self.exited.is_some() {
                     self.flush_files(os);
-                    return Ok(UserStep::Exited(code));
+                    return Ok(None);
                 }
-                Ok(UserStep::Syscall { sys })
+                Ok(Some(sys))
             }
             Ok(StepOutcome::Ebreak) => {
                 // Treat like abort(): exit code 134 (SIGABRT convention).
                 self.exited = Some(134);
                 self.flush_files(os);
-                Ok(UserStep::Exited(134))
+                Ok(None)
             }
+            Ok(StepOutcome::Retired(_)) => unreachable!("retired steps never need servicing"),
             Err(trap) => Err(SimError::Trap(format!("{trap} (pc {:#x})", self.cpu.pc))),
-        }
-    }
-
-    /// Runs to completion within an instruction budget.
-    ///
-    /// Returns `(exit_code, instructions_retired)`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Budget`] when the budget is exhausted, plus any error
-    /// from [`UserRunner::step`].
-    pub fn run<S: OsServices + ?Sized>(
-        &mut self,
-        os: &mut S,
-        max_instructions: u64,
-    ) -> Result<(i64, u64), SimError> {
-        let start = self.cpu.instret;
-        loop {
-            if self.cpu.instret - start > max_instructions {
-                return Err(SimError::Budget {
-                    limit: max_instructions,
-                });
-            }
-            if let UserStep::Exited(code) = self.step(os)? {
-                return Ok((code, self.cpu.instret - start));
-            }
         }
     }
 
@@ -483,7 +534,10 @@ mod tests {
         let exe = assemble(src, abi::USER_BASE).expect("assemble");
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
         let mut runner = UserRunner::new(&exe, &args).unwrap();
-        runner.run(os, 10_000_000).unwrap()
+        match runner.run(os, 10_000_000, &mut ()).unwrap() {
+            (Some(code), insts) => (code, insts),
+            (None, _) => panic!("budget exhausted"),
+        }
     }
 
     #[test]
@@ -656,8 +710,8 @@ fail:
         let mut runner = UserRunner::new(&exe, &[]).unwrap();
         let mut os = TestOs::default();
         assert!(matches!(
-            runner.run(&mut os, 1000),
-            Err(SimError::Budget { limit: 1000 })
+            runner.run(&mut os, 1000, &mut ()),
+            Ok((None, 1001))
         ));
     }
 
@@ -666,8 +720,8 @@ fail:
         let exe = assemble("_start:\n ebreak\n", abi::USER_BASE).unwrap();
         let mut runner = UserRunner::new(&exe, &[]).unwrap();
         let mut os = TestOs::default();
-        let (code, _) = runner.run(&mut os, 1000).unwrap();
-        assert_eq!(code, 134);
+        let (code, _) = runner.run(&mut os, 1000, &mut ()).unwrap();
+        assert_eq!(code, Some(134));
     }
 
     #[test]
@@ -679,7 +733,7 @@ fail:
         .unwrap();
         let mut runner = UserRunner::new(&exe, &[]).unwrap();
         let mut os = TestOs::default();
-        match runner.run(&mut os, 1000) {
+        match runner.run(&mut os, 1000, &mut ()) {
             Err(SimError::Trap(m)) => assert!(m.contains("load fault")),
             other => panic!("unexpected {other:?}"),
         }

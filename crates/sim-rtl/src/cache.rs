@@ -94,6 +94,7 @@ impl Cache {
     }
 
     /// Accesses `addr`, updating LRU state and statistics.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;

@@ -6,15 +6,13 @@
 //! cluster simulations for `jobs` workloads (the intspeed suite's ten
 //! parallel nodes, the PFA client/server pair).
 
-use marshal_isa::interp::RetireKind;
 use marshal_isa::MexeFile;
 use marshal_sim_functional::boot::{load_bare, simulate_linux, BareConsole};
 use marshal_sim_functional::checkpoint::BootSnapshot;
-use marshal_sim_functional::guest::{Executor, GuestOs};
+use marshal_sim_functional::guest::{exec_timed, Executor, GuestOs};
 use marshal_sim_functional::machine::{
     LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult,
 };
-use marshal_sim_functional::syscall::{OsServices, UserRunner, UserStep};
 
 use crate::cache::CacheStats;
 use crate::config::HardwareConfig;
@@ -74,94 +72,15 @@ impl PerfReport {
     }
 }
 
-/// The timing executor: steps user programs and charges the pipeline.
-pub struct TimedExecutor {
-    pipeline: Pipeline,
-}
-
-impl TimedExecutor {
-    /// Builds the executor for a hardware configuration.
-    pub fn new(hw: &HardwareConfig) -> TimedExecutor {
-        TimedExecutor {
-            pipeline: Pipeline::new(hw),
-        }
-    }
-
-    /// The pipeline (for reports).
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// The timed step loop: steps `runner` and charges every retired
-    /// instruction and serviced syscall to the pipeline until the program
-    /// exits or retires more than `budget` instructions.
-    ///
-    /// Returns the exit code (`None` when the budget ran out) and the
-    /// instructions retired.
-    ///
-    /// # Errors
-    ///
-    /// Any error from [`UserRunner::step`].
-    fn run<S: OsServices + ?Sized>(
-        &mut self,
-        runner: &mut UserRunner,
-        os: &mut S,
-        budget: u64,
-    ) -> Result<(Option<i64>, u64), SimError> {
-        let start_insts = runner.cpu.instret;
-        loop {
-            let executed = runner.cpu.instret - start_insts;
-            if executed > budget {
-                return Ok((None, executed));
-            }
-            // Make rdcycle observe modelled time.
-            runner.cpu.cycle = self.pipeline.counters().cycles;
-            match runner.step(os)? {
-                UserStep::Retired(r) => {
-                    let is_remote = match r.kind {
-                        RetireKind::Load { addr } | RetireKind::Store { addr } => {
-                            runner.bus.is_remote(addr)
-                        }
-                        _ => false,
-                    };
-                    self.pipeline.retire(&r, is_remote);
-                }
-                UserStep::Syscall { sys } => {
-                    self.pipeline.syscall(sys);
-                }
-                UserStep::Exited(code) => {
-                    return Ok((Some(code), runner.cpu.instret - start_insts));
-                }
-            }
-        }
-    }
-}
-
-impl Executor for TimedExecutor {
+/// The cycle-exact executor: programs run under the pipeline's timing.
+impl Executor for Pipeline {
     fn exec(
         &mut self,
         exe: &MexeFile,
         args: &[String],
         os: &mut GuestOs,
     ) -> Result<(i64, u64), SimError> {
-        let budget = os.remaining_budget()?;
-        let mut runner = UserRunner::new(exe, args)?;
-        let start_cycles = self.pipeline.counters().cycles;
-        let (exit, insts) = self.run(&mut runner, os, budget)?;
-        let cycles = self.pipeline.counters().cycles - start_cycles;
-        match exit {
-            Some(code) => {
-                os.account(insts, cycles);
-                Ok((code, insts))
-            }
-            None => {
-                // Account the consumed budget so `remaining_budget()`
-                // reports exhaustion — the boot-flow watchdog relies on
-                // this to recognise a hung guest (see FunctionalExecutor).
-                os.account(budget, cycles);
-                Err(SimError::Budget { limit: budget })
-            }
-        }
+        exec_timed(self, exe, args, os)
     }
 }
 
@@ -218,8 +137,7 @@ impl FireSim {
         cfg
     }
 
-    fn report(&self, exec: &TimedExecutor) -> PerfReport {
-        let p = exec.pipeline();
+    fn report(&self, p: &Pipeline) -> PerfReport {
         PerfReport {
             config_name: self.hw.name.clone(),
             bpred: p.bpred_name(),
@@ -251,16 +169,16 @@ impl FireSim {
     ) -> Result<(SimResult, PerfReport, Option<BootSnapshot>), SimError> {
         match job {
             LoadedJob::Linux { boot, disk } => {
-                let mut exec = TimedExecutor::new(&self.hw);
+                let mut pipeline = Pipeline::new(&self.hw);
                 let (result, captured) = simulate_linux(
                     &self.sim_config(),
                     boot,
                     disk.as_ref(),
                     mode,
-                    &mut exec,
+                    &mut pipeline,
                     resume,
                 )?;
-                Ok((result, self.report(&exec), captured))
+                Ok((result, self.report(&pipeline), captured))
             }
             LoadedJob::Bare { bin } => {
                 let (result, report) = self.run_bare(bin)?;
@@ -275,15 +193,15 @@ impl FireSim {
         let mut os = BareConsole {
             serial: format!("firesim: bare-metal node ({})\n", self.hw.name),
         };
-        let mut exec = TimedExecutor::new(&self.hw);
+        let mut pipeline = Pipeline::new(&self.hw);
         // Watchdog: a hung guest is terminated, but the serial log and
         // performance report gathered so far are salvaged.
-        let (exit, instructions) = exec.run(&mut runner, &mut os, self.max_instructions)?;
+        let (exit, instructions) = runner.run(&mut os, self.max_instructions, &mut pipeline)?;
         let (exit_code, timed_out) = match exit {
             Some(code) => (code, false),
             None => (marshal_sim_functional::machine::WATCHDOG_EXIT_CODE, true),
         };
-        let report = self.report(&exec);
+        let report = self.report(&pipeline);
         if timed_out {
             os.serial.push_str(&format!(
                 "firesim: watchdog: instruction budget exhausted ({} instructions); \

@@ -7,8 +7,8 @@
 //! simulators execute is what gets timed — timing never changes
 //! architectural behaviour.
 
-use marshal_isa::inst::{Inst, Reg};
 use marshal_isa::interp::{RetireKind, Retired};
+use marshal_sim_functional::syscall::Timing;
 
 use crate::bpred::{build_predictor, DirectionPredictor, ReturnAddressStack};
 use crate::cache::{Access, Cache, CacheStats};
@@ -145,10 +145,36 @@ impl Pipeline {
         self.remote.is_some()
     }
 
+    /// Cost of an L1 miss: the L2 (when present) absorbs it at its hit
+    /// latency, otherwise DRAM.
+    fn miss_beyond_l1(&mut self, addr: u64) -> u64 {
+        match &mut self.l2 {
+            Some(l2) => match l2.access(addr) {
+                Access::Hit => l2.config().hit_latency,
+                Access::Miss => l2.config().hit_latency + self.dram_latency,
+            },
+            None => self.dram_latency,
+        }
+    }
+
+    /// L2 statistics (when configured).
+    pub fn l2_stats(&self) -> Option<crate::cache::CacheStats> {
+        self.l2.as_ref().map(Cache::stats)
+    }
+}
+
+/// The cycle-exact timing model of [`marshal_sim_functional::syscall::UserRunner::run`].
+impl Timing for Pipeline {
+    /// Modelled cycles so far, for `rdcycle`.
+    #[inline]
+    fn cycles(&self) -> Option<u64> {
+        Some(self.counters.cycles)
+    }
+
     /// Charges one retired instruction; `is_remote` marks memory accesses
-    /// that fall in the guest's `mmap_remote` window. Returns the cycles
-    /// consumed.
-    pub fn retire(&mut self, r: &Retired, is_remote: bool) -> u64 {
+    /// that fall in the guest's `mmap_remote` window.
+    #[inline]
+    fn retire(&mut self, r: &Retired, is_remote: bool) {
         let mut cycles = 1u64;
         let mut kernel_extra = 0u64;
         self.counters.instructions += 1;
@@ -201,29 +227,25 @@ impl Pipeline {
                     cycles += self.core.mispredict_penalty;
                 }
             }
-            RetireKind::Jump { .. } => {
+            RetireKind::Jump { call, .. } => {
                 // Direct jumps resolve in the front end (BTB assumed);
                 // calls push the RAS.
-                if let Inst::Jal { rd, .. } = r.inst {
-                    if rd == Reg::RA {
-                        self.ras.push(r.pc + 4);
-                    }
+                if call {
+                    self.ras.push(r.pc + 4);
                 }
             }
-            RetireKind::JumpReg { target } => {
+            RetireKind::JumpReg { target, call, ret } => {
                 self.counters.indirect_jumps += 1;
                 let mut predicted = false;
-                if let Inst::Jalr { rd, rs1, .. } = r.inst {
-                    if rd == Reg::ZERO && rs1 == Reg::RA {
-                        // `ret`: consult the RAS.
-                        if self.ras.pop() == Some(target) {
-                            predicted = true;
-                            self.counters.ras_hits += 1;
-                        }
-                    } else if rd == Reg::RA {
-                        // Indirect call: push the return address.
-                        self.ras.push(r.pc + 4);
+                if ret {
+                    // `ret`: consult the RAS.
+                    if self.ras.pop() == Some(target) {
+                        predicted = true;
+                        self.counters.ras_hits += 1;
                     }
+                } else if call {
+                    // Indirect call: push the return address.
+                    self.ras.push(r.pc + 4);
                 }
                 if !predicted {
                     cycles += self.core.jalr_penalty;
@@ -234,28 +256,10 @@ impl Pipeline {
         self.counters.user_cycles += cycles;
         self.counters.kernel_cycles += kernel_extra;
         self.counters.cycles += cycles + kernel_extra;
-        cycles + kernel_extra
-    }
-
-    /// Cost of an L1 miss: the L2 (when present) absorbs it at its hit
-    /// latency, otherwise DRAM.
-    fn miss_beyond_l1(&mut self, addr: u64) -> u64 {
-        match &mut self.l2 {
-            Some(l2) => match l2.access(addr) {
-                Access::Hit => l2.config().hit_latency,
-                Access::Miss => l2.config().hit_latency + self.dram_latency,
-            },
-            None => self.dram_latency,
-        }
-    }
-
-    /// L2 statistics (when configured).
-    pub fn l2_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.l2.as_ref().map(Cache::stats)
     }
 
     /// Charges the modelled kernel cost of a syscall.
-    pub fn syscall(&mut self, sys: u64) -> u64 {
+    fn syscall(&mut self, sys: u64) {
         use marshal_isa::abi::sys as s;
         self.counters.syscalls += 1;
         let extra = match sys {
@@ -272,7 +276,6 @@ impl Pipeline {
         let cost = self.core.syscall_base_cost + extra;
         self.counters.kernel_cycles += cost;
         self.counters.cycles += cost;
-        cost
     }
 }
 
@@ -282,6 +285,7 @@ mod tests {
     use crate::config::BpredConfig;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
+    use marshal_isa::inst::Reg;
     use marshal_isa::interp::{Cpu, StepOutcome};
     use marshal_isa::mem::FlatMemory;
 
@@ -297,7 +301,11 @@ mod tests {
         let mut costs = Vec::new();
         loop {
             match cpu.step(&mut mem).unwrap() {
-                StepOutcome::Retired(r) => costs.push(pipe.retire(&r, false)),
+                StepOutcome::Retired(r) => {
+                    let before = pipe.counters().cycles;
+                    pipe.retire(&r, false);
+                    costs.push(pipe.counters().cycles - before);
+                }
                 StepOutcome::Ecall => break,
                 other => panic!("unexpected {other:?}"),
             }
@@ -421,7 +429,8 @@ leaf:
     #[test]
     fn syscall_cost_is_kernel_time() {
         let mut pipe = Pipeline::new(&HardwareConfig::rocket());
-        let cost = pipe.syscall(marshal_isa::abi::sys::WRITE);
+        pipe.syscall(marshal_isa::abi::sys::WRITE);
+        let cost = pipe.counters().cycles;
         assert!(cost > 0);
         assert_eq!(pipe.counters().kernel_cycles, cost);
         assert_eq!(pipe.counters().user_cycles, 0);
@@ -435,12 +444,6 @@ leaf:
         let retired = Retired {
             pc: 0x1000,
             next_pc: 0x1004,
-            inst: Inst::Load {
-                width: marshal_isa::inst::MemWidth::D,
-                rd: Reg::A0,
-                rs1: Reg::T0,
-                offset: 0,
-            },
             kind: RetireKind::Load { addr: 0x1000_0000 },
         };
         let mut sw = Pipeline::new(
