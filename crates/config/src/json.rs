@@ -1,10 +1,12 @@
-//! A from-scratch JSON parser.
+//! JSON workload specs: the workspace's one JSON codec,
+//! [`marshal_trace::Json`], plus the conversions between its documents and
+//! [`Value`].
 //!
-//! Full RFC 8259 syntax plus two ergonomic extensions FireMarshal users
-//! expect from hand-written configuration files: `//` and `#` comments, and
-//! trailing commas in arrays/objects.
+//! The codec accepts full RFC 8259 syntax plus two ergonomic extensions
+//! FireMarshal users expect from hand-written configuration files: `//`
+//! and `#` comments, and trailing commas in arrays/objects.
 
-use std::collections::BTreeMap;
+use marshal_trace::Json;
 
 use crate::error::ConfigError;
 use crate::value::Value;
@@ -14,7 +16,8 @@ use crate::value::Value;
 /// # Errors
 ///
 /// Returns [`ConfigError::Parse`] with line/column information for any
-/// syntax error, including trailing garbage after the document.
+/// syntax error, including duplicate keys and trailing garbage after the
+/// document.
 ///
 /// ```rust
 /// use marshal_config::json::parse;
@@ -23,271 +26,44 @@ use crate::value::Value;
 /// # Ok::<(), marshal_config::ConfigError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Value, ConfigError> {
-    let mut p = Parser::new(text);
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.error("trailing characters after document"));
-    }
-    Ok(v)
+    Json::parse(text)
+        .map(Value::from)
+        .map_err(|e| ConfigError::parse(e.line, e.column, e.message))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
+impl From<Json> for Value {
+    fn from(doc: Json) -> Value {
+        match doc {
+            Json::Null => Value::Null,
+            Json::Bool(b) => Value::Bool(b),
+            Json::Int(n) => Value::Int(n),
+            Json::Float(n) => Value::Float(n),
+            Json::Str(s) => Value::Str(s),
+            Json::Arr(items) => Value::Array(items.into_iter().map(Value::from).collect()),
+            Json::Obj(fields) => Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k, Value::from(v)))
+                    .collect(),
+            ),
+        }
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> ConfigError {
-        ConfigError::parse(self.line, self.col, msg)
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => {
-                    self.bump();
-                }
-                Some(b'#') => self.skip_line(),
-                Some(b'/') if self.bytes.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
-                _ => break,
-            }
-        }
-    }
-
-    fn skip_line(&mut self) {
-        while let Some(b) = self.peek() {
-            self.bump();
-            if b == b'\n' {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ConfigError> {
-        match self.peek() {
-            Some(found) if found == b => {
-                self.bump();
-                Ok(())
-            }
-            Some(found) => Err(self.error(format!(
-                "expected `{}`, found `{}`",
-                b as char, found as char
-            ))),
-            None => Err(self.error(format!("expected `{}`, found end of input", b as char))),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ConfigError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.error(format!("unexpected character `{}`", c as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, ConfigError> {
-        for expected in word.bytes() {
-            match self.bump() {
-                Some(b) if b == expected => {}
-                _ => return Err(self.error(format!("expected keyword `{word}`"))),
-            }
-        }
-        Ok(value)
-    }
-
-    fn parse_object(&mut self) -> Result<Value, ConfigError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        loop {
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.bump();
-                break;
-            }
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            if map.insert(key.clone(), value).is_some() {
-                return Err(self.error(format!("duplicate key `{key}`")));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.bump();
-                }
-                Some(b'}') => {
-                    self.bump();
-                    break;
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-        Ok(Value::Object(map))
-    }
-
-    fn parse_array(&mut self) -> Result<Value, ConfigError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.bump();
-                break;
-            }
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.bump();
-                }
-                Some(b']') => {
-                    self.bump();
-                    break;
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-        Ok(Value::Array(items))
-    }
-
-    fn parse_string(&mut self) -> Result<String, ConfigError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| self.error("bad \\u code point"))?,
-                        );
-                    }
-                    other => {
-                        return Err(
-                            self.error(format!("bad escape `\\{:?}`", other.map(|b| b as char)))
-                        )
-                    }
-                },
-                Some(b) if b < 0x20 => return Err(self.error("control character in string")),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let extra = match b {
-                            0xC0..=0xDF => 1,
-                            0xE0..=0xEF => 2,
-                            0xF0..=0xF7 => 3,
-                            _ => return Err(self.error("invalid utf-8 in string")),
-                        };
-                        let mut buf = vec![b];
-                        for _ in 0..extra {
-                            buf.push(self.bump().ok_or_else(|| self.error("truncated utf-8"))?);
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&buf)
-                                .map_err(|_| self.error("invalid utf-8 in string"))?,
-                        );
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn parse_number(&mut self) -> Result<Value, ConfigError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.bump();
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.bump();
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.bump();
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.bump();
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.bump();
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.error(format!("bad number `{text}`")))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| self.error(format!("bad number `{text}`")))
+impl From<&Value> for Json {
+    fn from(value: &Value) -> Json {
+        match value {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Int(n) => Json::Int(*n),
+            Value::Float(n) => Json::Float(*n),
+            Value::Str(s) => Json::Str(s.clone()),
+            Value::Array(items) => Json::Arr(items.iter().map(Json::from).collect()),
+            Value::Object(map) => Json::Obj(
+                map.iter()
+                    .map(|(k, v)| (k.clone(), Json::from(v)))
+                    .collect(),
+            ),
         }
     }
 }
@@ -297,80 +73,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalars() {
+    fn numbers_keep_their_kind() {
         assert_eq!(parse("42").unwrap(), Value::Int(42));
         assert_eq!(parse("-7").unwrap(), Value::Int(-7));
         assert_eq!(parse("2.5").unwrap(), Value::Float(2.5));
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
-        assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse("false").unwrap(), Value::Bool(false));
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse(r#""hi""#).unwrap(), Value::Str("hi".into()));
-    }
-
-    #[test]
-    fn nested_document() {
-        let v = parse(
-            r#"{
-            "name": "latency-microbenchmark",
-            "base": "pfa-base",
-            "jobs": [
-                { "name": "client", "linux": { "config": "pfa.kfrag" } },
-                { "name": "server", "base": "bare-metal", "bin": "serve" }
-            ]
-        }"#,
-        )
-        .unwrap();
-        let jobs = v.get("jobs").unwrap().as_array().unwrap();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[1].get("bin").and_then(Value::as_str), Some("serve"));
-    }
-
-    #[test]
-    fn escapes_and_unicode() {
-        assert_eq!(
-            parse(r#""a\nb\t\"c\" A""#).unwrap(),
-            Value::Str("a\nb\t\"c\" A".into())
-        );
-        assert_eq!(parse(r#""héllo""#).unwrap(), Value::Str("héllo".into()));
-    }
-
-    #[test]
-    fn comments_and_trailing_commas() {
-        let v = parse("{\n  // a comment\n  \"a\": 1, # another\n  \"b\": [1, 2,],\n}\n").unwrap();
-        assert_eq!(v.get("a").and_then(Value::as_int), Some(1));
-        assert_eq!(v.get("b").unwrap().as_array().unwrap().len(), 2);
+        assert_eq!(Value::Float(1.0).to_json(), "1.0");
+        assert_eq!(parse("1.0").unwrap(), Value::Float(1.0));
     }
 
     #[test]
     fn errors_carry_position() {
         match parse("{\n  \"a\": }\n") {
-            Err(ConfigError::Parse { line, .. }) => assert_eq!(line, 2),
+            Err(ConfigError::Parse { line, column, .. }) => assert_eq!((line, column), (2, 8)),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse("[1, 2").is_err());
-        assert!(parse("\"unterminated").is_err());
-        assert!(parse("{} extra").is_err());
-        assert!(parse(r#"{"a":1,"a":2}"#).is_err()); // duplicate key
+        assert!(matches!(
+            parse(r#"{"a":1,"a":2}"#),
+            Err(ConfigError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]
-    fn roundtrip_through_to_json() {
-        let src = r#"{"a":[1,2,{"b":"x"}],"c":null,"d":true}"#;
-        let v = parse(src).unwrap();
-        assert_eq!(parse(&v.to_json()).unwrap(), v);
-    }
-
-    #[test]
-    fn deeply_nested() {
-        let mut src = String::new();
-        for _ in 0..100 {
-            src.push('[');
-        }
-        src.push('1');
-        for _ in 0..100 {
-            src.push(']');
-        }
-        assert!(parse(&src).is_ok());
+    fn deep_nesting_is_an_error_not_an_overflow() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(100)).is_ok());
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(100_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result);
     }
 }

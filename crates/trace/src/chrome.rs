@@ -38,8 +38,8 @@ pub fn chrome_trace(journal: &Journal) -> String {
     events.push(obj(vec![
         ("name", Json::Str("process_name".into())),
         ("ph", Json::Str("M".into())),
-        ("pid", Json::Num(1.0)),
-        ("tid", Json::Num(0.0)),
+        ("pid", Json::Int(1)),
+        ("tid", Json::Int(0)),
         ("args", obj(vec![("name", Json::Str(process_name))])),
     ]));
 
@@ -72,10 +72,10 @@ pub fn chrome_trace(journal: &Journal) -> String {
                     ("name", Json::Str(name.clone())),
                     ("cat", Json::Str("marshal".into())),
                     ("ph", Json::Str("X".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("dur", Json::Num(end_t.saturating_sub(rec.t_us) as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
+                    ("ts", Json::Int(rec.t_us as i64)),
+                    ("dur", Json::Int(end_t.saturating_sub(rec.t_us) as i64)),
+                    ("pid", Json::Int(1)),
+                    ("tid", Json::Int(rec.tid as i64)),
                     ("args", args_json(&merged)),
                 ]));
             }
@@ -85,9 +85,9 @@ pub fn chrome_trace(journal: &Journal) -> String {
                     ("cat", Json::Str("marshal".into())),
                     ("ph", Json::Str("i".into())),
                     ("s", Json::Str("t".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
+                    ("ts", Json::Int(rec.t_us as i64)),
+                    ("pid", Json::Int(1)),
+                    ("tid", Json::Int(rec.tid as i64)),
                     ("args", args_json(args)),
                 ]));
             }
@@ -95,10 +95,10 @@ pub fn chrome_trace(journal: &Journal) -> String {
                 events.push(obj(vec![
                     ("name", Json::Str(name.clone())),
                     ("ph", Json::Str("C".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
-                    ("args", obj(vec![("value", Json::Num(*value as f64))])),
+                    ("ts", Json::Int(rec.t_us as i64)),
+                    ("pid", Json::Int(1)),
+                    ("tid", Json::Int(rec.tid as i64)),
+                    ("args", obj(vec![("value", Json::Int(*value))])),
                 ]));
             }
         }

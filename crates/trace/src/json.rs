@@ -1,13 +1,29 @@
-//! A minimal JSON value, parser, and writer — just enough for journal
-//! lines and Chrome trace files, with no external dependencies.
+//! The workspace's one JSON codec: a value type, a parser and a writer,
+//! with no dependencies.
 //!
-//! Objects preserve insertion order so serialization is deterministic
-//! (golden-file tests depend on it). Numbers are stored as `f64` but
-//! written back as integers when they are whole, which covers every
-//! numeric field the journal uses (sequence numbers, microsecond
-//! timestamps, span ids, counter values).
+//! Every JSON document FireMarshal reads goes through this parser: workload
+//! specs and the install manifest (through `marshal_config`'s conversion
+//! into its `Value`), journal lines and the Chrome trace export. All but
+//! journal lines are written through [`Json::encode`]; the recorder writes
+//! those by hand on its hot path, with the same string escaper.
+//!
+//! The parser accepts RFC 8259 plus two extensions users expect from
+//! hand-written configuration files: `//` and `#` line comments, and
+//! trailing commas in arrays and objects. It rejects duplicate object keys,
+//! raw control characters and lone surrogates in strings, and nesting
+//! deeper than [`MAX_DEPTH`]. Errors carry the line and column of the byte
+//! where parsing stopped.
+//!
+//! Objects keep insertion order, so encoding is deterministic (golden-file
+//! tests depend on it). Integer literals that fit an `i64` parse to
+//! [`Json::Int`]; every other number is a [`Json::Float`], and a whole
+//! float is written with a `.0` so it reads back as a float.
 
-use std::fmt::Write as _;
+use std::fmt;
+
+/// The deepest nesting of arrays and objects the parser accepts. Deeper
+/// input is a parse error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +32,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
-    Num(f64),
+    /// A number written without fraction or exponent that fits an `i64`.
+    Int(i64),
+    /// Any other number.
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -25,6 +43,25 @@ pub enum Json {
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
 }
+
+/// A JSON syntax error and where it was found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line number.
+    pub line: usize,
+    /// 1-based column, in bytes.
+    pub column: usize,
+    /// Description of the problem.
+    pub message: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at {}:{}", self.message, self.line, self.column)
+    }
+}
+
+impl std::error::Error for ParseError {}
 
 impl Json {
     /// Looks up a key in an object.
@@ -43,18 +80,18 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is a whole non-negative number.
+    /// The value as a `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
 
-    /// The value as an `i64`, if it is a whole number.
+    /// The value as an `i64`, if it is an integer.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -70,7 +107,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(*n, out),
+            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Float(n) if n.fract() == 0.0 => out.push_str(&format!("{n:.1}")),
+            Json::Float(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -97,34 +136,34 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// Parses a complete JSON document; anything but whitespace and
+    /// comments after it is an error.
     ///
     /// # Errors
     ///
-    /// A short description of the first syntax problem.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    /// The first syntax problem, with its line and column. Arrays and
+    /// objects nested more than 128 deep are an error too.
+    ///
+    /// ```rust
+    /// use marshal_trace::Json;
+    /// let v = Json::parse("{ \"name\": \"bench\", // a comment\n \"jobs\": [1, 2,] }")?;
+    /// assert_eq!(v.get("name").and_then(Json::as_str), Some("bench"));
+    /// assert!(Json::parse(r#"{"a": 1, "a": 2}"#).is_err());
+    /// # Ok::<(), marshal_trace::ParseError>(())
+    /// ```
+    pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
+        if p.pos < text.len() {
+            return Err(p.error("trailing characters after document"));
         }
         Ok(v)
-    }
-}
-
-/// Writes a number, preferring integer form for whole values (the journal
-/// only ever writes whole numbers, and golden files must be stable).
-fn write_num(n: f64, out: &mut String) {
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
     }
 }
 
@@ -138,9 +177,7 @@ pub(crate) fn write_str(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -148,179 +185,247 @@ pub(crate) fn write_str(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
+impl Parser<'_> {
+    /// An error at the current position. Line and column are counted only
+    /// here, so the happy path never tracks them.
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        let before = &self.text.as_bytes()[..self.pos];
+        ParseError {
+            line: before.iter().filter(|&&b| b == b'\n').count() + 1,
+            column: before.iter().rev().take_while(|&&b| b != b'\n').count() + 1,
+            message: message.into(),
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let found = self.peek() == Some(b);
+        self.pos += usize::from(found);
+        found
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.eat(b) {
             Ok(())
         } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
+            Err(self.error(format!("expected `{}`", b as char)))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
+    /// Skips whitespace and `//` or `#` line comments.
+    fn skip_ws(&mut self) {
+        loop {
+            match self.peek() {
+                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                Some(b'#') => self.skip_line(),
+                Some(b'/') if self.text[self.pos..].starts_with("//") => self.skip_line(),
+                _ => return,
+            }
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn skip_line(&mut self) {
+        self.pos = self.text[self.pos..]
+            .find('\n')
+            .map_or(self.text.len(), |i| self.pos + i + 1);
+    }
+
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(format!(
-                "unexpected byte {:#04x} at offset {}",
-                other, self.pos
-            )),
-            None => Err("unexpected end of input".to_owned()),
+            Some(_) => {
+                let c = self.text[self.pos..].chars().next().unwrap_or_default();
+                Err(self.error(format!("unexpected character `{c}`")))
+            }
+            None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.error(format!("expected `{word}`")))
+        }
+    }
+
+    /// Parses the comma-separated items of an array or object, from its
+    /// opening bracket through `close`. A trailing comma is allowed.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        loop {
+            self.skip_ws();
+            if self.eat(close) {
+                break;
+            }
+            item(self)?;
+            self.skip_ws();
+            if !self.eat(b',') {
+                if self.eat(close) {
+                    break;
+                }
+                return Err(self.error(format!("expected `,` or `{}`", close as char)));
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        let mut items = Vec::new();
+        self.items(b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        self.items(b'}', |p| {
+            let key = p.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(p.error(format!("duplicate key `{key}`")));
+            }
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Consumes a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at offset {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number `{text}` at offset {start}"))
+        self.pos - start
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        self.eat(b'-');
+        let mut ok = self.eat(b'0') || self.digits() > 0;
+        if ok && self.eat(b'.') {
+            ok = self.digits() > 0;
+        }
+        if ok && (self.eat(b'e') || self.eat(b'E')) {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            ok = self.digits() > 0;
+        }
+        if !ok {
+            return Err(self.error("expected a digit"));
+        }
+        let text = &self.text[start..self.pos];
+        // Only a plain integer parses as an `i64`.
+        if let Ok(n) = text.parse() {
+            return Ok(Json::Int(n));
+        }
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Float(n)),
+            _ => Err(self.error(format!("number `{text}` out of range"))),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // escape or control byte in one go; those are all ASCII, so
+            // the run ends on a character boundary.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
-                None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(_) => {
-                    // Copy a run of plain bytes up to the next quote or
-                    // escape in one go (the input came from a &str, so the
-                    // run is valid UTF-8).
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid UTF-8 at offset {start}"))?;
-                    out.push_str(run);
-                }
+                Some(_) => return Err(self.error("control character in string")),
+                None => return Err(self.error("unterminated string")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b @ (b'"' | b'\\' | b'/')) => char::from(b),
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => return self.unicode_escape(),
+            _ => return Err(self.error("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
+    /// Decodes a `\u` escape, joining a surrogate pair written as two
+    /// escapes; a lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        self.pos += 1;
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.text[self.pos..].starts_with("\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
         }
+        char::from_u32(code).ok_or_else(|| self.error("lone surrogate in \\u escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| char::from(b).to_digit(16))
+                .ok_or_else(|| self.error("bad \\u escape"))?;
+            self.pos += 1;
+            code = code * 16 + digit;
+        }
+        Ok(code)
     }
 }
 
@@ -328,39 +433,107 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// Every input with its compact encoding when it parses, or the
+    /// `line:column` of its error. A whole `Float` encodes with `.0`, an
+    /// `Int` without.
     #[test]
-    fn roundtrip_object() {
-        let text =
-            r#"{"seq":3,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1,-2,3.5]}"#;
-        let v = Json::parse(text).unwrap();
-        assert_eq!(v.get("seq").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("name").unwrap().as_str(), Some("a \"b\""));
-        assert_eq!(v.get("args").unwrap().get("k").unwrap().as_str(), Some("v"));
-        assert_eq!(v.encode(), text);
+    fn codec_cases() {
+        let cases = [
+            // Numbers.
+            ("42", Ok("42")),
+            ("[-7,2.25]", Ok("[-7,2.25]")),
+            ("1e3", Ok("1000.0")),
+            ("-0.5E-1", Ok("-0.05")),
+            ("9223372036854775808", Ok("9223372036854775808.0")),
+            ("01", Err((1, 2))),
+            ("-", Err((1, 2))),
+            ("1.", Err((1, 3))),
+            ("1e", Err((1, 3))),
+            (".5", Err((1, 1))),
+            ("-.5", Err((1, 2))),
+            ("-e5", Err((1, 2))),
+            ("1e999", Err((1, 6))),
+            // Literals and documents.
+            (" true ", Ok("true")),
+            ("false", Ok("false")),
+            ("null", Ok("null")),
+            ("nul", Err((1, 1))),
+            ("", Err((1, 1))),
+            ("{} trailing", Err((1, 4))),
+            // Strings and escapes.
+            (r#""héllo""#, Ok(r#""héllo""#)),
+            (r#""a\nb\t\"c\"\r\\\/""#, Ok(r#""a\nb\t\"c\"\r\\/""#)),
+            (r#""\b\f\u0001""#, Ok(r#""\u0008\u000c\u0001""#)),
+            (r#""\u0041\u00e9""#, Ok(r#""Aé""#)),
+            (r#""\ud83d\ude00""#, Ok("\"\u{1f600}\"")),
+            (r#""\uD83D\uDE00""#, Ok("\"\u{1f600}\"")),
+            ("\"unterminated", Err((1, 14))),
+            (r#""\x""#, Err((1, 3))),
+            (r#""\u+041""#, Err((1, 4))),
+            (r#""\u12""#, Err((1, 6))),
+            ("\"tab\there\"", Err((1, 5))),
+            ("\"nl\nx\"", Err((1, 4))),
+            (r#""\ud83d""#, Err((1, 8))),
+            (r#""\ud83d\u0041""#, Err((1, 14))),
+            (r#""\ude00""#, Err((1, 8))),
+            // Arrays and objects, with comments and trailing commas.
+            ("[1, 2,]", Ok("[1,2]")),
+            (
+                r#"{"seq":3,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1,-2,3.5]}"#,
+                Ok(
+                    r#"{"seq":3,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1,-2,3.5]}"#,
+                ),
+            ),
+            (
+                r#"{"z": null, "a": {}, "xs": [[]]}"#,
+                Ok(r#"{"z":null,"a":{},"xs":[[]]}"#),
+            ),
+            (
+                "{\n  // a comment\n  \"a\": 1, # another\n  \"b\": [true],\n}\n",
+                Ok(r#"{"a":1,"b":[true]}"#),
+            ),
+            ("{\"a\":}", Err((1, 6))),
+            ("{\n  \"a\": }\n", Err((2, 8))),
+            ("[1,2", Err((1, 5))),
+            ("[1 2]", Err((1, 4))),
+            ("[,]", Err((1, 2))),
+            ("{a:1}", Err((1, 2))),
+            (r#"{"a":1,"a":2}"#, Err((1, 11))),
+        ];
+        for (text, want) in cases {
+            let got = Json::parse(text);
+            match (&got, want) {
+                (Ok(v), Ok(encoded)) => {
+                    assert_eq!(v.encode(), encoded, "{text}");
+                    assert_eq!(Json::parse(encoded).as_ref(), Ok(v), "{encoded}");
+                }
+                (Err(e), Err(at)) => assert_eq!((e.line, e.column), at, "{text}: {e}"),
+                _ => panic!("{text}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]
-    fn escapes_control_characters() {
-        let v = Json::Str("tab\there\nnl\u{1}".to_owned());
-        let enc = v.encode();
-        assert_eq!(enc, "\"tab\\there\\nnl\\u0001\"");
-        assert_eq!(Json::parse(&enc).unwrap(), v);
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.column, MAX_DEPTH + 1, "{err}");
+        // Far deeper input is an error, not a stack overflow, even on a
+        // small stack.
+        let deep = std::thread::Builder::new().stack_size(2 << 20);
+        let deep = deep.spawn(|| Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(deep.unwrap().join().unwrap());
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,2").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("").is_err());
-    }
-
-    #[test]
-    fn negative_and_float_numbers() {
-        let v = Json::parse("[-7,2.25]").unwrap();
-        let Json::Arr(items) = &v else { panic!() };
-        assert_eq!(items[0].as_i64(), Some(-7));
-        assert_eq!(items[1].as_u64(), None);
-        assert_eq!(v.encode(), "[-7,2.25]");
+    fn accessors() {
+        let v = Json::parse(r#"{"n":3,"neg":-7,"f":2.0,"s":"x"}"#).unwrap();
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
+        assert_eq!(v.get("neg").and_then(Json::as_u64), None);
+        assert_eq!(v.get("neg").and_then(Json::as_i64), Some(-7));
+        assert_eq!(v.get("f").and_then(Json::as_i64), None);
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
+        assert_eq!(v.get("missing"), None);
     }
 }

@@ -16,6 +16,12 @@
 //! single `Option` check on the hot path (no channel send, no allocation),
 //! enabled ones push events over an mpsc channel to a dedicated writer
 //! thread so recording never blocks builders on I/O.
+//!
+//! It also hosts the workspace's one JSON codec, [`Json`]: the parser
+//! behind journal lines, the Chrome export, workload specs and install
+//! manifests, and the writer of all but journal lines (`marshal-config`
+//! converts its documents into its own `Value`). The crate has no
+//! dependencies, so any crate can use it.
 
 #![warn(missing_docs)]
 
@@ -28,7 +34,7 @@ mod summary;
 
 pub use chrome::chrome_trace;
 pub use journal::{list_runs, read_journal, Journal, RunInfo};
-pub use json::Json;
+pub use json::{Json, ParseError};
 pub use record::{checksum_line, seal_line, Args, Record, RecordKind};
 pub use recorder::{FinishedRun, Recorder, Span};
 pub use summary::{summarize, RunSummary, SpanStat};
