@@ -1,12 +1,11 @@
 //! JSON workload specs: the workspace's one JSON codec,
-//! [`marshal_trace::Json`], plus the conversions between its documents and
-//! [`Value`].
+//! [`marshal_trace::Json`], building [`Value`] trees and writing them.
 //!
 //! The codec accepts full RFC 8259 syntax plus two ergonomic extensions
 //! FireMarshal users expect from hand-written configuration files: `//`
 //! and `#` comments, and trailing commas in arrays/objects.
 
-use marshal_trace::Json;
+use marshal_trace::{parse_json, Json, JsonTree};
 
 use crate::error::ConfigError;
 use crate::value::Value;
@@ -26,27 +25,31 @@ use crate::value::Value;
 /// # Ok::<(), marshal_config::ConfigError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Value, ConfigError> {
-    Json::parse(text)
-        .map(Value::from)
-        .map_err(|e| ConfigError::parse(e.line, e.column, e.message))
+    parse_json(text).map_err(|e| ConfigError::parse(e.line, e.column, e.message))
 }
 
-impl From<Json> for Value {
-    fn from(doc: Json) -> Value {
-        match doc {
-            Json::Null => Value::Null,
-            Json::Bool(b) => Value::Bool(b),
-            Json::Int(n) => Value::Int(n),
-            Json::Float(n) => Value::Float(n),
-            Json::Str(s) => Value::Str(s),
-            Json::Arr(items) => Value::Array(items.into_iter().map(Value::from).collect()),
-            Json::Obj(fields) => Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::from(v)))
-                    .collect(),
-            ),
-        }
+/// Integer literals stay [`Value::Int`], exactly; objects are sorted.
+impl JsonTree for Value {
+    fn null() -> Self {
+        Value::Null
+    }
+    fn bool(b: bool) -> Self {
+        Value::Bool(b)
+    }
+    fn int(n: i64) -> Self {
+        Value::Int(n)
+    }
+    fn float(n: f64) -> Self {
+        Value::Float(n)
+    }
+    fn str(s: String) -> Self {
+        Value::Str(s)
+    }
+    fn arr(items: Vec<Self>) -> Self {
+        Value::Array(items)
+    }
+    fn obj(fields: Vec<(String, Self)>) -> Self {
+        Value::Object(fields.into_iter().collect())
     }
 }
 
@@ -56,7 +59,7 @@ impl From<&Value> for Json {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(*b),
             Value::Int(n) => Json::Int(*n),
-            Value::Float(n) => Json::Float(*n),
+            Value::Float(n) => Json::Num(*n),
             Value::Str(s) => Json::Str(s.clone()),
             Value::Array(items) => Json::Arr(items.iter().map(Json::from).collect()),
             Value::Object(map) => Json::Obj(
@@ -80,6 +83,8 @@ mod tests {
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
         assert_eq!(Value::Float(1.0).to_json(), "1.0");
         assert_eq!(parse("1.0").unwrap(), Value::Float(1.0));
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
+        assert_eq!(Value::Int(i64::MAX).to_json(), "9223372036854775807");
     }
 
     #[test]

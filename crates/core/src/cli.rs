@@ -25,6 +25,7 @@ use marshal_trace::Recorder;
 use crate::board::Board;
 use crate::build::{BuildOptions, Builder};
 use crate::clean::{clean_workload_with, DEFAULT_KEEP_RUNS};
+use crate::connector::{FireSimConnector, SimulatorConnector};
 use crate::cosim::{cosim_workload, CosimOptions};
 use crate::error::MarshalError;
 use crate::install::install_workload;
@@ -1000,11 +1001,16 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             if let Some(summary) = &products.remote {
                 log.push(summary.describe());
             }
-            // The firesim connector keeps the classic manifest path; all
-            // connectors write into the workload's install dir.
-            let _ = install_workload(builder, &products);
-            let dir = builder.install_dir(&products.workload);
-            match conn.install(&products, &dir) {
+            // Every install writes the FireSim manifest; another connector
+            // adds its own files to the same install dir.
+            let installed = install_workload(builder, &products).and_then(|(_, manifest)| {
+                if conn.name() == FireSimConnector.name() {
+                    Ok(manifest)
+                } else {
+                    conn.install(&products, &builder.install_dir(&products.workload))
+                }
+            });
+            match installed {
                 Ok(path) => {
                     log.push(format!(
                         "installed `{}` ({} node(s), {} connector) -> {}",

@@ -41,13 +41,7 @@ impl SimulatorConnector for FireSimConnector {
     }
 
     fn install(&self, products: &BuildProducts, dir: &Path) -> Result<PathBuf, MarshalError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", dir.display())))?;
-        let manifest = crate::install::manifest_for(products);
-        let path = dir.join("firesim_config.json");
-        std::fs::write(&path, manifest.to_json())
-            .map_err(|e| MarshalError::Io(format!("write {}: {e}", path.display())))?;
-        Ok(path)
+        crate::install::write_manifest(products, dir).map(|(_, path)| path)
     }
 }
 

@@ -11,9 +11,9 @@ use std::path::{Path, PathBuf};
 use marshal_config::Value;
 use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::{FireSim, HardwareConfig, NodeResult};
+use marshal_trace::Json;
 
 use crate::build::{BuildProducts, Builder, JobKind};
-use crate::connector::{FireSimConnector, SimulatorConnector};
 use crate::error::MarshalError;
 use crate::launch::load_artifacts;
 
@@ -40,33 +40,28 @@ pub struct InstalledJob {
 }
 
 impl InstallManifest {
-    /// Serialises to the JSON the RTL simulator consumes.
+    /// Serialises to the JSON the RTL simulator consumes, keys sorted.
     pub fn to_json(&self) -> String {
-        let jobs: Value = self
-            .jobs
-            .iter()
-            .map(|j| {
-                let mut m = std::collections::BTreeMap::new();
-                m.insert("name".to_owned(), Value::Str(j.name.clone()));
-                m.insert("kind".to_owned(), Value::Str(j.kind.clone()));
-                m.insert(
-                    "primary".to_owned(),
-                    Value::Str(j.primary.to_string_lossy().into_owned()),
-                );
-                m.insert(
+        let path = |p: &Path| Json::Str(p.to_string_lossy().into_owned());
+        let job = |j: &InstalledJob| {
+            Json::Obj(vec![
+                (
                     "disk".to_owned(),
-                    match &j.disk {
-                        Some(d) => Value::Str(d.to_string_lossy().into_owned()),
-                        None => Value::Null,
-                    },
-                );
-                Value::Object(m)
-            })
-            .collect();
-        let mut root = std::collections::BTreeMap::new();
-        root.insert("workload".to_owned(), Value::Str(self.workload.clone()));
-        root.insert("jobs".to_owned(), jobs);
-        Value::Object(root).to_json()
+                    j.disk.as_deref().map_or(Json::Null, path),
+                ),
+                ("kind".to_owned(), Json::Str(j.kind.clone())),
+                ("name".to_owned(), Json::Str(j.name.clone())),
+                ("primary".to_owned(), path(&j.primary)),
+            ])
+        };
+        Json::Obj(vec![
+            (
+                "jobs".to_owned(),
+                Json::Arr(self.jobs.iter().map(job).collect()),
+            ),
+            ("workload".to_owned(), Json::Str(self.workload.clone())),
+        ])
+        .encode()
     }
 
     /// Parses a manifest back from JSON.
@@ -142,7 +137,7 @@ pub fn manifest_for(products: &BuildProducts) -> InstallManifest {
 }
 
 /// Installs a built workload: writes the RTL simulator manifest into the
-/// workload's install directory through [`FireSimConnector`].
+/// workload's install directory.
 ///
 /// # Errors
 ///
@@ -151,8 +146,23 @@ pub fn install_workload(
     builder: &Builder,
     products: &BuildProducts,
 ) -> Result<(InstallManifest, PathBuf), MarshalError> {
-    let path = FireSimConnector.install(products, &builder.install_dir(&products.workload))?;
-    Ok((manifest_for(products), path))
+    write_manifest(products, &builder.install_dir(&products.workload))
+}
+
+/// Writes `firesim_config.json` for `products` into `dir`: the one writer
+/// of that file, behind both [`install_workload`] and the FireSim
+/// connector.
+pub(crate) fn write_manifest(
+    products: &BuildProducts,
+    dir: &Path,
+) -> Result<(InstallManifest, PathBuf), MarshalError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", dir.display())))?;
+    let manifest = manifest_for(products);
+    let path = dir.join("firesim_config.json");
+    std::fs::write(&path, manifest.to_json())
+        .map_err(|e| MarshalError::Io(format!("write {}: {e}", path.display())))?;
+    Ok((manifest, path))
 }
 
 /// Runs an installed workload on the cycle-exact backend — "users

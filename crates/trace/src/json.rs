@@ -14,10 +14,13 @@
 //! deeper than [`MAX_DEPTH`]. Errors carry the line and column of the byte
 //! where parsing stopped.
 //!
-//! Objects keep insertion order, so encoding is deterministic (golden-file
-//! tests depend on it). Integer literals that fit an `i64` parse to
-//! [`Json::Int`]; every other number is a [`Json::Float`], and a whole
-//! float is written with a `.0` so it reads back as a float.
+//! The parser builds any [`JsonTree`]. [`Json`] is one: objects keep
+//! insertion order, so encoding is deterministic (golden-file tests depend
+//! on it), and every number is a [`Json::Num`]. A reader that needs exact
+//! integers builds its own tree; `marshal_config` parses specs straight
+//! into its `Value` this way. A writer emits an exact integer with
+//! [`Json::Int`]; a whole [`Json::Num`] is written with a `.0`, so it reads
+//! back as a float.
 
 use std::fmt;
 
@@ -32,10 +35,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number written without fraction or exponent that fits an `i64`.
+    /// An integer, written exactly. The parser never yields it.
     Int(i64),
-    /// Any other number.
-    Float(f64),
+    /// A number. The parser yields this for every number.
+    Num(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -80,18 +83,16 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integer.
+    /// The value as a `u64`, if it is a whole non-negative number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
     }
 
-    /// The value as an `i64`, if it is an integer.
+    /// The value as an `i64`, if it is a whole number.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(n) => Some(*n),
+            Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
             _ => None,
         }
     }
@@ -108,8 +109,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(n) if n.fract() == 0.0 => out.push_str(&format!("{n:.1}")),
-            Json::Float(n) => out.push_str(&n.to_string()),
+            Json::Num(n) if n.fract() == 0.0 => out.push_str(&format!("{n:.1}")),
+            Json::Num(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -136,35 +137,87 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document; anything but whitespace and
-    /// comments after it is an error.
+    /// Parses a complete JSON document with [`parse_json`].
     ///
     /// # Errors
     ///
-    /// The first syntax problem, with its line and column. Arrays and
-    /// objects nested more than 128 deep are an error too.
+    /// The first syntax problem, with its line and column.
     ///
     /// ```rust
     /// use marshal_trace::Json;
     /// let v = Json::parse("{ \"name\": \"bench\", // a comment\n \"jobs\": [1, 2,] }")?;
     /// assert_eq!(v.get("name").and_then(Json::as_str), Some("bench"));
+    /// assert_eq!(v.get("jobs"), Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])));
     /// assert!(Json::parse(r#"{"a": 1, "a": 2}"#).is_err());
     /// # Ok::<(), marshal_trace::ParseError>(())
     /// ```
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos < text.len() {
-            return Err(p.error("trailing characters after document"));
-        }
-        Ok(v)
+        parse_json(text)
     }
+}
+
+/// A document tree the parser builds, one node at a time, children first.
+pub trait JsonTree: Sized {
+    /// `null`.
+    fn null() -> Self;
+    /// `true` / `false`.
+    fn bool(b: bool) -> Self;
+    /// A number written without fraction or exponent that fits an `i64`.
+    fn int(n: i64) -> Self;
+    /// Any other number.
+    fn float(n: f64) -> Self;
+    /// A string.
+    fn str(s: String) -> Self;
+    /// An array.
+    fn arr(items: Vec<Self>) -> Self;
+    /// An object's fields in document order; no key repeats.
+    fn obj(fields: Vec<(String, Self)>) -> Self;
+}
+
+impl JsonTree for Json {
+    fn null() -> Self {
+        Json::Null
+    }
+    fn bool(b: bool) -> Self {
+        Json::Bool(b)
+    }
+    fn int(n: i64) -> Self {
+        Json::Num(n as f64)
+    }
+    fn float(n: f64) -> Self {
+        Json::Num(n)
+    }
+    fn str(s: String) -> Self {
+        Json::Str(s)
+    }
+    fn arr(items: Vec<Self>) -> Self {
+        Json::Arr(items)
+    }
+    fn obj(fields: Vec<(String, Self)>) -> Self {
+        Json::Obj(fields)
+    }
+}
+
+/// Parses a complete JSON document into `T`; anything but whitespace and
+/// comments after it is an error.
+///
+/// # Errors
+///
+/// The first syntax problem, with its line and column. Arrays and objects
+/// nested more than 128 deep are an error too.
+pub fn parse_json<T: JsonTree>(text: &str) -> Result<T, ParseError> {
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos < text.len() {
+        return Err(p.error("trailing characters after document"));
+    }
+    Ok(v)
 }
 
 /// Writes a JSON string literal with escaping.
@@ -239,15 +292,15 @@ impl Parser<'_> {
             .map_or(self.text.len(), |i| self.pos + i + 1);
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value<T: JsonTree>(&mut self) -> Result<T, ParseError> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(T::str),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| T::null()),
+            Some(b't') => self.literal("true").map(|()| T::bool(true)),
+            Some(b'f') => self.literal("false").map(|()| T::bool(false)),
             Some(_) => {
                 let c = self.text[self.pos..].chars().next().unwrap_or_default();
                 Err(self.error(format!("unexpected character `{c}`")))
@@ -256,10 +309,10 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(format!("expected `{word}`")))
         }
@@ -295,17 +348,17 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array<T: JsonTree>(&mut self) -> Result<T, ParseError> {
         let mut items = Vec::new();
         self.items(b']', |p| {
             items.push(p.value()?);
             Ok(())
         })?;
-        Ok(Json::Arr(items))
+        Ok(T::arr(items))
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        let mut fields: Vec<(String, Json)> = Vec::new();
+    fn object<T: JsonTree>(&mut self) -> Result<T, ParseError> {
+        let mut fields: Vec<(String, T)> = Vec::new();
         self.items(b'}', |p| {
             let key = p.string()?;
             if fields.iter().any(|(k, _)| *k == key) {
@@ -317,7 +370,7 @@ impl Parser<'_> {
             fields.push((key, p.value()?));
             Ok(())
         })?;
-        Ok(Json::Obj(fields))
+        Ok(T::obj(fields))
     }
 
     /// Consumes a run of ASCII digits; returns how many there were.
@@ -329,7 +382,7 @@ impl Parser<'_> {
         self.pos - start
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number<T: JsonTree>(&mut self) -> Result<T, ParseError> {
         let start = self.pos;
         self.eat(b'-');
         let mut ok = self.eat(b'0') || self.digits() > 0;
@@ -346,10 +399,10 @@ impl Parser<'_> {
         let text = &self.text[start..self.pos];
         // Only a plain integer parses as an `i64`.
         if let Ok(n) = text.parse() {
-            return Ok(Json::Int(n));
+            return Ok(T::int(n));
         }
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Float(n)),
+            Ok(n) if n.is_finite() => Ok(T::float(n)),
             _ => Err(self.error(format!("number `{text}` out of range"))),
         }
     }
@@ -434,14 +487,14 @@ mod tests {
     use super::*;
 
     /// Every input with its compact encoding when it parses, or the
-    /// `line:column` of its error. A whole `Float` encodes with `.0`, an
-    /// `Int` without.
+    /// `line:column` of its error. Every parsed number is a `Num`, so a
+    /// whole one encodes with `.0`.
     #[test]
     fn codec_cases() {
         let cases = [
             // Numbers.
-            ("42", Ok("42")),
-            ("[-7,2.25]", Ok("[-7,2.25]")),
+            ("42", Ok("42.0")),
+            ("[-7,2.25]", Ok("[-7.0,2.25]")),
             ("1e3", Ok("1000.0")),
             ("-0.5E-1", Ok("-0.05")),
             ("9223372036854775808", Ok("9223372036854775808.0")),
@@ -477,11 +530,11 @@ mod tests {
             (r#""\ud83d\u0041""#, Err((1, 14))),
             (r#""\ude00""#, Err((1, 8))),
             // Arrays and objects, with comments and trailing commas.
-            ("[1, 2,]", Ok("[1,2]")),
+            ("[1, 2,]", Ok("[1.0,2.0]")),
             (
                 r#"{"seq":3,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1,-2,3.5]}"#,
                 Ok(
-                    r#"{"seq":3,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1,-2,3.5]}"#,
+                    r#"{"seq":3.0,"name":"a \"b\"","args":{"k":"v"},"ok":true,"none":null,"xs":[1.0,-2.0,3.5]}"#,
                 ),
             ),
             (
@@ -490,7 +543,7 @@ mod tests {
             ),
             (
                 "{\n  // a comment\n  \"a\": 1, # another\n  \"b\": [true],\n}\n",
-                Ok(r#"{"a":1,"b":[true]}"#),
+                Ok(r#"{"a":1.0,"b":[true]}"#),
             ),
             ("{\"a\":}", Err((1, 6))),
             ("{\n  \"a\": }\n", Err((2, 8))),
@@ -528,12 +581,19 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let v = Json::parse(r#"{"n":3,"neg":-7,"f":2.0,"s":"x"}"#).unwrap();
+        let v = Json::parse(r#"{"n":3,"neg":-7,"f":2.5,"s":"x"}"#).unwrap();
         assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("neg").and_then(Json::as_u64), None);
         assert_eq!(v.get("neg").and_then(Json::as_i64), Some(-7));
         assert_eq!(v.get("f").and_then(Json::as_i64), None);
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("missing"), None);
+        assert_eq!(Json::Int(-7).as_i64(), Some(-7));
+    }
+
+    #[test]
+    fn ints_are_written_exactly() {
+        let v = Json::Arr(vec![Json::Int(i64::MAX), Json::Int(-1), Json::Num(1.0)]);
+        assert_eq!(v.encode(), "[9223372036854775807,-1,1.0]");
     }
 }

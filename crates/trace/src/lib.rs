@@ -34,7 +34,7 @@ mod summary;
 
 pub use chrome::chrome_trace;
 pub use journal::{list_runs, read_journal, Journal, RunInfo};
-pub use json::{Json, ParseError};
+pub use json::{parse_json, Json, JsonTree, ParseError};
 pub use record::{checksum_line, seal_line, Args, Record, RecordKind};
 pub use recorder::{FinishedRun, Recorder, Span};
 pub use summary::{summarize, RunSummary, SpanStat};
