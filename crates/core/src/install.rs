@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 use marshal_config::Value;
 use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::{FireSim, HardwareConfig, NodeResult};
-use marshal_trace::Json;
 
 use crate::build::{BuildProducts, Builder, JobKind};
 use crate::error::MarshalError;
@@ -40,28 +39,33 @@ pub struct InstalledJob {
 }
 
 impl InstallManifest {
-    /// Serialises to the JSON the RTL simulator consumes, keys sorted.
+    /// Serialises to the JSON the RTL simulator consumes.
     pub fn to_json(&self) -> String {
-        let path = |p: &Path| Json::Str(p.to_string_lossy().into_owned());
-        let job = |j: &InstalledJob| {
-            Json::Obj(vec![
-                (
+        let jobs: Value = self
+            .jobs
+            .iter()
+            .map(|j| {
+                let mut m = std::collections::BTreeMap::new();
+                m.insert("name".to_owned(), Value::Str(j.name.clone()));
+                m.insert("kind".to_owned(), Value::Str(j.kind.clone()));
+                m.insert(
+                    "primary".to_owned(),
+                    Value::Str(j.primary.to_string_lossy().into_owned()),
+                );
+                m.insert(
                     "disk".to_owned(),
-                    j.disk.as_deref().map_or(Json::Null, path),
-                ),
-                ("kind".to_owned(), Json::Str(j.kind.clone())),
-                ("name".to_owned(), Json::Str(j.name.clone())),
-                ("primary".to_owned(), path(&j.primary)),
-            ])
-        };
-        Json::Obj(vec![
-            (
-                "jobs".to_owned(),
-                Json::Arr(self.jobs.iter().map(job).collect()),
-            ),
-            ("workload".to_owned(), Json::Str(self.workload.clone())),
-        ])
-        .encode()
+                    match &j.disk {
+                        Some(d) => Value::Str(d.to_string_lossy().into_owned()),
+                        None => Value::Null,
+                    },
+                );
+                Value::Object(m)
+            })
+            .collect();
+        let mut root = std::collections::BTreeMap::new();
+        root.insert("workload".to_owned(), Value::Str(self.workload.clone()));
+        root.insert("jobs".to_owned(), jobs);
+        Value::Object(root).to_json()
     }
 
     /// Parses a manifest back from JSON.

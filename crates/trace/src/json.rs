@@ -35,7 +35,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer, written exactly. The parser never yields it.
+    /// An integer, written exactly. It parses back as a [`Json::Num`].
     Int(i64),
     /// A number. The parser yields this for every number.
     Num(f64),

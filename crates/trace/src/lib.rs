@@ -19,9 +19,9 @@
 //!
 //! It also hosts the workspace's one JSON codec, [`Json`]: the parser
 //! behind journal lines, the Chrome export, workload specs and install
-//! manifests, and the writer of all but journal lines (`marshal-config`
-//! converts its documents into its own `Value`). The crate has no
-//! dependencies, so any crate can use it.
+//! manifests, and the writer of all but journal lines. The parser builds
+//! any [`JsonTree`]; `marshal-config` parses straight into its own `Value`
+//! that way. The crate has no dependencies, so any crate can use it.
 
 #![warn(missing_docs)]
 
