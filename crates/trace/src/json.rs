@@ -2,8 +2,8 @@
 //! with no dependencies.
 //!
 //! Every JSON document FireMarshal reads goes through this parser: workload
-//! specs and the install manifest (through `marshal_config`'s conversion
-//! into its `Value`), journal lines and the Chrome trace export. All but
+//! specs and the install manifest (built straight into `marshal_config`'s
+//! `Value`), journal lines and the Chrome trace export. All but
 //! journal lines are written through [`Json::encode`]; the recorder writes
 //! those by hand on its hot path, with the same string escaper.
 //!
