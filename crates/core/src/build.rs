@@ -481,8 +481,6 @@ impl Builder {
         let spec = &job.workload.spec;
         let qualified = job.qualified_name.clone();
         let image_dir = self.image_dir(&qualified);
-        std::fs::create_dir_all(&image_dir)
-            .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", image_dir.display())))?;
 
         // Bare-metal jobs: a hard-coded binary, usually built by host-init.
         if spec.distro.as_deref() == Some("bare-metal") || spec.bin.is_some() {

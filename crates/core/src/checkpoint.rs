@@ -21,17 +21,15 @@
 //! falls back to a cold boot and rewrites a fresh checkpoint. A damaged
 //! checkpoint can cost a boot; it can never change an answer.
 //!
-//! Writes are tmp + rename (atomic on POSIX), *not*
-//! [`crate::integrity::write_artifact`] — that helper asserts build-graph
-//! path claims, and checkpoints are written from the launch path where no
-//! task claims exist.
+//! Saves go through [`marshal_depgraph::persist::write_atomic`] and damaged
+//! files leave through [`marshal_depgraph::persist::quarantine`]. There is
+//! no `.fp` sidecar: the checksum is embedded in the file itself.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use marshal_depgraph::{Fingerprint, Hasher128};
+use marshal_depgraph::{persist, Fingerprint, Hasher128};
 use marshal_sim_functional::BootSnapshot;
 
 const MAGIC: &[u8; 4] = b"MCKP";
@@ -92,8 +90,6 @@ pub struct CheckpointEntry {
     /// On-disk size in bytes (for bytes-reclaimed reporting).
     pub bytes: u64,
 }
-
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The on-disk checkpoint store for one marshal workdir. Cloning shares
 /// the in-memory cache, so a `test` fleet restoring the same boot eight
@@ -156,9 +152,9 @@ impl CheckpointStore {
         }
     }
 
-    /// Persists a snapshot under a key (tmp + rename; concurrent writers
-    /// of the same key are benign — last rename wins and both wrote
-    /// identical content).
+    /// Persists a snapshot under a key (atomically; concurrent writers of
+    /// the same key are benign — last rename wins and both wrote identical
+    /// content).
     ///
     /// # Errors
     ///
@@ -171,20 +167,8 @@ impl CheckpointStore {
         disk_fp: Option<Fingerprint>,
         snap: &BootSnapshot,
     ) -> Result<(), String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("mkdir {}: {e}", self.dir.display()))?;
-        let bytes = encode(boot_fp, disk_fp, snap);
-        let tmp = self.dir.join(format!(
-            ".tmp-{key}-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &bytes).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        let path = self.path_for(key);
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("rename {}: {e}", path.display())
-        })?;
+        persist::write_atomic(&self.path_for(key), &encode(boot_fp, disk_fp, snap))
+            .map_err(|e| e.to_string())?;
         self.cache
             .lock()
             .expect("cache poisoned")
@@ -243,10 +227,10 @@ impl CheckpointStore {
     /// Moves a damaged file into `.quarantine/` (falling back to plain
     /// removal if the rename fails) and reports the corruption.
     fn quarantine(&self, path: &Path, detail: String) -> CheckpointLoad {
-        let qdir = self.quarantine_dir();
-        let _ = std::fs::create_dir_all(&qdir);
-        let dest = qdir.join(path.file_name().unwrap_or_default());
-        if std::fs::rename(path, &dest).is_err() {
+        let dest = self
+            .quarantine_dir()
+            .join(path.file_name().unwrap_or_default());
+        if persist::quarantine(path, &dest).is_err() {
             let _ = std::fs::remove_file(path);
         }
         CheckpointLoad::Corrupt {

@@ -4,12 +4,12 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use marshal_config::{expand_jobs, resolve_workload};
-use marshal_depgraph::Fingerprint;
+use marshal_depgraph::{persist, Fingerprint};
 
 use crate::build::Builder;
 use crate::checkpoint::CheckpointStore;
 use crate::error::MarshalError;
-use crate::imagestore::ImageStore;
+use crate::imagestore::{pid_alive, ImageStore};
 
 /// What `clean` removed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -102,6 +102,7 @@ pub fn clean_workload_with(
     let mut names: Vec<String> = jobs.iter().map(|j| j.qualified_name.clone()).collect();
     names.push(resolved.spec.name.clone());
     report.state_entries = builder.forget_matching(&names);
+    sweep_dead_temps(builder.workdir(), &store);
     let (pruned, bytes, skipped) = prune_objects(&store);
     report.blobs_pruned = pruned;
     report.bytes_reclaimed = bytes;
@@ -114,6 +115,25 @@ pub fn clean_workload_with(
     report.checkpoint_bytes_reclaimed = ckpt_bytes;
     report.checkpoint_prune_skipped = ckpt_skipped;
     Ok(report)
+}
+
+/// Removes the temp files of writers that died inside
+/// [`persist::write_atomic`] from the pool shards, `levels/`, the by-input
+/// index and the checkpoint store.
+fn sweep_dead_temps(workdir: &Path, store: &ImageStore) {
+    let shards = std::fs::read_dir(store.objects_dir()).into_iter().flatten();
+    let dirs = shards.filter_map(|e| Some(e.ok()?.path())).chain([
+        store.levels_dir().to_path_buf(),
+        store.by_input_dir(),
+        CheckpointStore::new(workdir).dir().to_path_buf(),
+    ]);
+    let entries = dirs.filter_map(|d| std::fs::read_dir(d).ok()).flatten();
+    for entry in entries.filter_map(Result::ok) {
+        let owner = entry.file_name().to_str().and_then(persist::temp_owner);
+        if owner.is_some_and(|pid| !pid_alive(pid)) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Every boot-binary and disk-image fingerprint still reachable from a
@@ -527,6 +547,43 @@ mod tests {
         let report = clean_workload(&mut builder, "w.json").unwrap();
         assert!(report.prune_skipped.is_none());
         assert!(report.blobs_pruned > 0, "now unreferenced blobs go");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn clean_reclaims_temp_files_of_dead_writers_only() {
+        let dir = tmpdir("temps");
+        let mut search = SearchPath::new();
+        search.add_builtin(
+            "w.json",
+            r#"{"name":"w","distro":"buildroot","command":"echo"}"#,
+        );
+        let mut builder = Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap();
+        builder.build("w.json", &BuildOptions::default()).unwrap();
+        let work = dir.join("work");
+        let fp = Fingerprint::of(b"interrupted write");
+        let dead = [
+            work.join("objects/ab")
+                .join(format!(".{fp}.blob.4000000000.0.tmp")),
+            work.join("levels/by-input")
+                .join(format!(".{fp}.man.4000000000.1.tmp")),
+            work.join("checkpoints")
+                .join(format!(".{fp}.ckpt.4000000000.2.tmp")),
+        ];
+        let live = work
+            .join("objects/ab")
+            .join(format!(".{fp}.blob.{}.3.tmp", std::process::id()));
+        for path in dead.iter().chain([&live]) {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, b"partial").unwrap();
+        }
+        clean_workload(&mut builder, "w.json").unwrap();
+        if cfg!(target_os = "linux") {
+            for path in &dead {
+                assert!(!path.exists(), "{} survived clean", path.display());
+            }
+        }
+        assert!(live.exists(), "a running writer's temp file is kept");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

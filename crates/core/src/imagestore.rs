@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use marshal_depgraph::Fingerprint;
+use marshal_depgraph::{persist, Fingerprint};
 use marshal_image::{BlobStore, FsImage, StoreError, StoreStats};
 use marshal_netstore::RemoteStore;
 use marshal_trace::Recorder;
@@ -127,15 +127,11 @@ impl ImageStore {
         input: Option<Fingerprint>,
         image: FsImage,
     ) -> Result<(), String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("mkdir {}: {e}", self.dir.display()))?;
-        let path = self.path_for(key);
-        marshal_depgraph::assert_claimed(&path);
         let (manifest, stats) = self
             .blobs
             .write_manifest(&image)
             .map_err(|e| e.to_string())?;
-        std::fs::write(&path, &manifest).map_err(|e| format!("write {}: {e}", path.display()))?;
+        persist::write_atomic(&self.path_for(key), &manifest).map_err(|e| e.to_string())?;
         if let Some(fp) = input {
             self.write_by_input(fp, &manifest)?;
         }
@@ -162,38 +158,21 @@ impl ImageStore {
         input: Fingerprint,
         manifest: &[u8],
     ) -> Result<(), String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("mkdir {}: {e}", self.dir.display()))?;
-        let path = self.path_for(key);
-        marshal_depgraph::assert_claimed(&path);
-        std::fs::write(&path, manifest).map_err(|e| format!("write {}: {e}", path.display()))?;
+        persist::write_atomic(&self.path_for(key), manifest).map_err(|e| e.to_string())?;
         self.write_by_input(input, manifest)?;
         // A fetched level invalidates any stale cached copy under this key.
         self.cache.lock().expect("store poisoned").remove(key);
         Ok(())
     }
 
-    /// Write-once by-input index entry (tmp + rename, like blob puts, so
-    /// concurrent writers of the same level are benign).
+    /// Write-once by-input index entry: as with blob puts, concurrent
+    /// writers of the same level are benign.
     fn write_by_input(&self, input: Fingerprint, manifest: &[u8]) -> Result<(), String> {
         let path = self.by_input_path(input);
         if path.exists() {
             return Ok(());
         }
-        marshal_depgraph::assert_claimed(&path);
-        let dir = self.by_input_dir();
-        std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        let tmp = dir.join(format!(
-            ".{input}.{}.{}.tmp",
-            std::process::id(),
-            PIN_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, manifest).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("rename {}: {e}", path.display())
-        })?;
-        Ok(())
+        persist::write_atomic(&path, manifest).map_err(|e| e.to_string())
     }
 
     /// Loads the image for a level key. Cache hits are O(1) — images are
@@ -305,15 +284,13 @@ impl PoolPin {
     ///
     /// I/O failures as strings.
     pub fn acquire(objects_dir: &Path) -> Result<PoolPin, String> {
-        let dir = objects_dir.join(".pins");
-        std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        let path = dir.join(format!(
+        let path = objects_dir.join(".pins").join(format!(
             "{}-{}.pin",
             std::process::id(),
             PIN_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&path, std::process::id().to_string())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        persist::write_atomic(&path, std::process::id().to_string().as_bytes())
+            .map_err(|e| e.to_string())?;
         Ok(PoolPin { path })
     }
 
@@ -347,6 +324,11 @@ pub fn scan_pool_pins(objects_dir: &Path) -> PinScan {
         return scan;
     };
     for entry in entries.filter_map(Result::ok) {
+        // A pin still being written is not a pin yet.
+        let name = entry.file_name();
+        if name.to_str().and_then(persist::temp_owner).is_some() {
+            continue;
+        }
         let path = entry.path();
         let pid = std::fs::read_to_string(&path)
             .ok()
@@ -369,7 +351,7 @@ pub fn scan_pool_pins(objects_dir: &Path) -> PinScan {
 /// Whether a process id is still running. On Linux this is a `/proc`
 /// lookup; elsewhere pins are conservatively treated as live (a stale pin
 /// then blocks pruning until removed by hand, never the other way around).
-fn pid_alive(pid: u32) -> bool {
+pub(crate) fn pid_alive(pid: u32) -> bool {
     if cfg!(target_os = "linux") {
         Path::new("/proc").join(pid.to_string()).exists()
     } else {

@@ -160,12 +160,10 @@ pub(crate) fn write_manifest(
     products: &BuildProducts,
     dir: &Path,
 ) -> Result<(InstallManifest, PathBuf), MarshalError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", dir.display())))?;
     let manifest = manifest_for(products);
     let path = dir.join("firesim_config.json");
-    std::fs::write(&path, manifest.to_json())
-        .map_err(|e| MarshalError::Io(format!("write {}: {e}", path.display())))?;
+    marshal_depgraph::persist::write_atomic(&path, manifest.to_json().as_bytes())
+        .map_err(|e| MarshalError::Io(e.to_string()))?;
     Ok((manifest, path))
 }
 

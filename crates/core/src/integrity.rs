@@ -12,7 +12,7 @@
 
 use std::path::{Path, PathBuf};
 
-use marshal_depgraph::Fingerprint;
+use marshal_depgraph::{persist, Fingerprint};
 
 use crate::error::MarshalError;
 
@@ -23,19 +23,17 @@ pub fn sidecar_path(artifact: &Path) -> PathBuf {
     artifact.with_file_name(name)
 }
 
-/// Writes an artifact and its checksum sidecar. Task-action flavour:
-/// errors are plain strings, matching the depgraph `Action` signature.
+/// Atomically writes an artifact and its checksum sidecar. Task-action
+/// flavour: errors are strings, matching the depgraph `Action` signature.
 ///
 /// # Errors
 ///
 /// Describes the failing path on I/O errors.
 pub fn write_artifact(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    marshal_depgraph::assert_claimed(path);
-    std::fs::write(path, bytes).map_err(|e| format!("write {}: {e}", path.display()))?;
-    let sidecar = sidecar_path(path);
-    marshal_depgraph::assert_claimed(&sidecar);
-    std::fs::write(&sidecar, format!("{}\n", Fingerprint::of(bytes)))
-        .map_err(|e| format!("write {}: {e}", sidecar.display()))
+    let fp = format!("{}\n", Fingerprint::of(bytes));
+    persist::write_atomic(path, bytes)
+        .and_then(|()| persist::write_atomic(&sidecar_path(path), fp.as_bytes()))
+        .map_err(|e| e.to_string())
 }
 
 /// Reads an artifact, verifying it against its checksum sidecar when one

@@ -49,6 +49,7 @@ pub mod events;
 pub mod exec;
 pub mod graph;
 pub mod hash;
+pub mod persist;
 pub mod runner;
 mod sched;
 pub mod state;

@@ -6,8 +6,8 @@
 //!
 //! # Crash safety
 //!
-//! [`StateDb::flush`] writes atomically (temp file + rename), so a crash
-//! mid-flush leaves either the old file or the new file, never a torn one.
+//! [`StateDb::flush`] writes through [`crate::persist::write_atomic`]: a
+//! crash mid-flush leaves the old file or the new, never a torn one.
 //! The file carries a `#fm-state` header recording the entry count and a
 //! content checksum; [`StateDb::open`] verifies both, so truncation or
 //! bit-rot is detected even when each surviving line parses cleanly. A
@@ -100,13 +100,8 @@ impl StateDb {
             }
             Err(BuildError::State(why)) => {
                 let quarantine = path.with_extension("db.corrupt");
-                std::fs::rename(&path, &quarantine).map_err(|e| {
-                    BuildError::State(format!(
-                        "quarantine {} -> {}: {e}",
-                        path.display(),
-                        quarantine.display()
-                    ))
-                })?;
+                crate::persist::quarantine(&path, &quarantine)
+                    .map_err(|e| BuildError::State(e.to_string()))?;
                 db.recovery = Some(format!(
                     "state database corrupt ({why}); quarantined to {} and starting \
                      with a cold cache — everything will rebuild",
@@ -210,8 +205,8 @@ impl StateDb {
 
     /// Writes the database to its backing file (no-op for in-memory).
     ///
-    /// The write is atomic: content goes to `<path>.tmp` first and is
-    /// renamed into place, so a crash never leaves a torn file.
+    /// The write goes through [`crate::persist::write_atomic`], so a crash
+    /// or a concurrent flush never leaves a torn file.
     ///
     /// # Errors
     ///
@@ -220,41 +215,18 @@ impl StateDb {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| BuildError::State(format!("mkdir {}: {e}", dir.display())))?;
-        }
         let mut body = String::new();
         for (id, fp) in &self.entries {
-            body.push_str(id);
-            body.push('\t');
-            body.push_str(&fp.to_string());
-            body.push('\n');
+            let _ = writeln!(body, "{id}\t{fp}");
         }
         for id in &self.in_progress {
-            body.push_str(id);
-            body.push('\t');
-            body.push_str(IN_PROGRESS_TOKEN);
-            body.push('\n');
+            let _ = writeln!(body, "{id}\t{IN_PROGRESS_TOKEN}");
         }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{HEADER_PREFIX}n={} sum={}",
-            self.entries.len() + self.in_progress.len(),
-            Fingerprint::of(body.as_bytes())
-        );
-        out.push_str(&body);
-        let tmp = path.with_extension("db.tmp");
-        std::fs::write(&tmp, out)
-            .map_err(|e| BuildError::State(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            BuildError::State(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })
+        let count = self.entries.len() + self.in_progress.len();
+        let sum = Fingerprint::of(body.as_bytes());
+        let out = format!("{HEADER_PREFIX}n={count} sum={sum}\n{body}");
+        crate::persist::write_atomic(path, out.as_bytes())
+            .map_err(|e| BuildError::State(e.to_string()))
     }
 
     /// The backing file, if any.
@@ -538,8 +510,59 @@ mod tests {
         let mut db = StateDb::open(&file).unwrap();
         db.record("a", Fingerprint::of(b"1"));
         db.flush().unwrap();
-        assert!(file.exists());
-        assert!(!dir.join("state.db.tmp").exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.db"]);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_flushes_never_install_a_torn_file() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        // Two databases flush to one path while a third thread reopens it:
+        // every flush must succeed and every open must see a whole file.
+        let dir = tmpdir("race");
+        let file = dir.join("state.db");
+        let start = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let (flush_errors, recoveries) = std::thread::scope(|s| {
+            let flushers: Vec<_> = (0..2u8)
+                .map(|writer| {
+                    let (file, start) = (&file, &start);
+                    s.spawn(move || {
+                        let mut db = StateDb::open(file).unwrap();
+                        for i in 0..200u32 {
+                            db.record(format!("w{writer}-task{i}"), Fingerprint::of(&[writer]));
+                        }
+                        start.wait();
+                        (0..2_000)
+                            .filter_map(|_| db.flush().err())
+                            .map(|e| e.to_string())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let opener = s.spawn(|| {
+                let mut recoveries = Vec::new();
+                while !done.load(Ordering::Relaxed) {
+                    let db = StateDb::open(&file).unwrap();
+                    recoveries.extend(db.recovery().map(str::to_owned));
+                }
+                recoveries
+            });
+            let errors: Vec<String> = flushers
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            (errors, opener.join().unwrap())
+        });
+        assert!(flush_errors.is_empty(), "{flush_errors:?}");
+        assert!(recoveries.is_empty(), "{recoveries:?}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

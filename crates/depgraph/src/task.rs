@@ -107,7 +107,7 @@ impl Task {
     /// This is the claim shape for content-addressed stores, where the
     /// exact paths are derived from content at run time and concurrent
     /// writes of the same path are idempotent (write-once blobs landed via
-    /// temp file + atomic rename). The scheduler therefore allows any
+    /// [`crate::persist::write_atomic`]). The scheduler therefore allows any
     /// number of unordered tree claimants of the same root, but still
     /// rejects an unordered *exact* claim under another task's tree — an
     /// exclusive writer racing the shared pool is a real conflict. Like

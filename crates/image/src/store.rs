@@ -9,20 +9,19 @@
 //! O(image size). This is the same shape as Nix/ccache-style derivation
 //! caching applied to FireMarshal's level store.
 //!
-//! Blob writes are idempotent: the path is derived from the content hash, a
-//! unique temp file is renamed into place, and a pre-existing blob is left
-//! untouched — so concurrent `-j N` builders writing the same payload do not
-//! conflict (and declare the store root as a shared tree claim for the write
-//! audit).
+//! Blob writes are idempotent: the path is derived from the content hash,
+//! the bytes land through [`marshal_depgraph::persist::write_atomic`], and a
+//! pre-existing blob is left untouched — so concurrent `-j N` builders
+//! writing the same payload do not conflict (and declare the store root as
+//! a shared tree claim for the write audit).
 //!
 //! [`MIMG`]: crate::format
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use marshal_depgraph::Fingerprint;
+use marshal_depgraph::{persist, Fingerprint};
 
 use crate::format::ImageFormatError;
 use crate::fs::{Blob, FsImage, Node};
@@ -114,15 +113,13 @@ impl StoreStats {
     }
 }
 
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 /// A content-addressed blob store rooted at a directory
 /// (`workdir/objects/` in a marshal workdir).
 ///
 /// Blobs live at `<root>/<first two hex digits>/<fingerprint>.blob` and are
-/// write-once: a blob that exists is never rewritten, and writes land via a
-/// unique temp file plus atomic rename, so concurrent writers of the same
-/// content are benign.
+/// write-once: a blob that exists is never rewritten, and writes land via
+/// [`persist::write_atomic`], so concurrent writers of the same content are
+/// benign.
 #[derive(Debug, Clone)]
 pub struct BlobStore {
     root: PathBuf,
@@ -158,21 +155,7 @@ impl BlobStore {
         if path.exists() {
             return Ok(false);
         }
-        marshal_depgraph::assert_claimed(&path);
-        let parent = path.parent().expect("blob path has a parent");
-        std::fs::create_dir_all(parent)
-            .map_err(|e| StoreError::Io(format!("{}: {e}", parent.display())))?;
-        let tmp = parent.join(format!(
-            ".{fp}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, blob.as_ref())
-            .map_err(|e| StoreError::Io(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            StoreError::Io(format!("{}: {e}", path.display()))
-        })?;
+        persist::write_atomic(&path, blob.as_ref()).map_err(|e| StoreError::Io(e.to_string()))?;
         Ok(true)
     }
 
@@ -209,10 +192,7 @@ impl BlobStore {
         };
         let dst = self.quarantine_dir().join(format!("{fp}.blob"));
         marshal_depgraph::assert_claimed(&dst);
-        std::fs::create_dir_all(self.quarantine_dir())
-            .map_err(|e| StoreError::Io(format!("{}: {e}", self.quarantine_dir().display())))?;
-        std::fs::rename(&src, &dst)
-            .map_err(|e| StoreError::Io(format!("{}: {e}", dst.display())))?;
+        persist::quarantine(&src, &dst).map_err(|e| StoreError::Io(e.to_string()))?;
         Ok((dst, size))
     }
 
@@ -229,11 +209,7 @@ impl BlobStore {
         bytes: &[u8],
     ) -> Result<PathBuf, StoreError> {
         let dst = self.quarantine_dir().join(format!("{fp}.recv.blob"));
-        marshal_depgraph::assert_claimed(&dst);
-        std::fs::create_dir_all(self.quarantine_dir())
-            .map_err(|e| StoreError::Io(format!("{}: {e}", self.quarantine_dir().display())))?;
-        std::fs::write(&dst, bytes)
-            .map_err(|e| StoreError::Io(format!("{}: {e}", dst.display())))?;
+        persist::write_atomic(&dst, bytes).map_err(|e| StoreError::Io(e.to_string()))?;
         Ok(dst)
     }
 
