@@ -237,7 +237,7 @@ impl Cpu {
     ///
     /// Returns a [`Trap`] exactly as [`Cpu::step`] would for the same
     /// instruction (PC left unchanged on trap).
-    #[inline]
+    #[inline(always)]
     pub fn exec_decoded<B: Bus>(&mut self, bus: &mut B, inst: Inst) -> Result<StepOutcome, Trap> {
         let pc = self.pc;
         let mut next_pc = pc.wrapping_add(4);

@@ -63,4 +63,4 @@ pub use asm::{assemble, AsmError};
 pub use inst::{Inst, Reg};
 pub use interp::{Cpu, StepOutcome, Trap};
 pub use mexe::MexeFile;
-pub use predecode::DecodeCache;
+pub use predecode::{BlockEnd, BlockSink, DecodeCache};

@@ -70,7 +70,8 @@ pub fn exec_timed<T: Timing + ?Sized>(
     let mut runner = UserRunner::new(exe, args)?;
     let start = timing.cycles();
     let (exit, insts) = runner.run(os, budget, timing)?;
-    let cycles = |insts: u64| match (start, timing.cycles()) {
+    let end = timing.cycles();
+    let cycles = |insts: u64| match (start, end) {
         (Some(start), Some(end)) => end - start,
         _ => insts,
     };

@@ -4,16 +4,17 @@
 //! `ecall`s are serviced against an [`OsServices`] implementation — the
 //! functional guest OS here, or the cycle-exact simulator's timed variant.
 //! [`UserRunner::run`] is the one step loop both simulator tiers share: it
-//! reports every retired instruction and serviced syscall to a [`Timing`]
-//! model — `()` for the functional tier, the rtl pipeline for the
-//! cycle-exact one — so both observe the exact same execution.
+//! executes a predecoded block at a time and reports every retired
+//! instruction and serviced syscall to a [`Timing`] model — `()` for the
+//! functional tier, the rtl pipeline for the cycle-exact one — so both
+//! observe the exact same execution.
 
 use std::collections::BTreeMap;
 
 use marshal_isa::abi::{self, fd, flags, sys};
-use marshal_isa::interp::{Cpu, RetireKind, Retired, StepOutcome};
+use marshal_isa::interp::{Cpu, RetireKind, Retired};
 use marshal_isa::mem::{Bus, PagedMemory};
-use marshal_isa::predecode::DecodeCache;
+use marshal_isa::predecode::{BlockEnd, BlockSink, DecodeCache};
 use marshal_isa::{MexeFile, Reg, Trap};
 
 use crate::machine::SimError;
@@ -53,10 +54,14 @@ pub trait OsServices {
 /// charges every retired instruction and syscall and feeds its modelled
 /// time back to `rdcycle`.
 pub trait Timing {
-    /// Modelled cycles so far, written to the CPU clock before each step so
-    /// `rdcycle` observes them; `None` keeps the functional clock (one
-    /// cycle per instruction).
-    fn cycles(&self) -> Option<u64>;
+    /// Modelled cycles so far; `None` keeps the functional clock (one
+    /// cycle per instruction). Asked only where the value is observed:
+    /// right before a `cycle`/`time` CSR read, which sees it, and by
+    /// [`crate::guest::exec_timed`] around a program, which charges it to
+    /// the guest clock. A model may therefore lag behind the interpreter
+    /// between calls, as long as each call first takes in every event
+    /// reported so far.
+    fn cycles(&mut self) -> Option<u64>;
 
     /// Charges one retired instruction; `is_remote` marks a load or store
     /// that falls in the program's mapped remote-memory window.
@@ -69,7 +74,7 @@ pub trait Timing {
 /// The functional timing: no model.
 impl Timing for () {
     #[inline]
-    fn cycles(&self) -> Option<u64> {
+    fn cycles(&mut self) -> Option<u64> {
         None
     }
 
@@ -78,6 +83,26 @@ impl Timing for () {
 
     #[inline]
     fn syscall(&mut self, _sys: u64) {}
+}
+
+/// The [`BlockSink`] of [`UserRunner::run`]: charges each retired
+/// instruction to the timing model, marking accesses to the remote window.
+struct Charge<'a, T: ?Sized>(&'a mut T);
+
+impl<T: Timing + ?Sized> BlockSink<UserBus> for Charge<'_, T> {
+    #[inline]
+    fn clock(&mut self) -> Option<u64> {
+        self.0.cycles()
+    }
+
+    #[inline]
+    fn retire(&mut self, r: &Retired, bus: &UserBus) {
+        let is_remote = match r.kind {
+            RetireKind::Load { addr } | RetireKind::Store { addr } => bus.is_remote(addr),
+            _ => false,
+        };
+        self.0.retire(r, is_remote);
+    }
 }
 
 struct OpenFile {
@@ -183,8 +208,9 @@ pub struct UserRunner {
     pub cpu: Cpu,
     /// The user address space.
     pub bus: UserBus,
-    /// Predecoded instruction cache: every guest-memory write below goes
-    /// through an invalidation so self-modifying code stays correct.
+    /// Predecoded instruction cache. Guest stores invalidate it as they
+    /// retire; the syscall writes below invalidate it explicitly, so
+    /// self-modifying code stays correct.
     dcache: DecodeCache,
     args: Vec<String>,
     files: BTreeMap<u64, OpenFile>,
@@ -223,11 +249,14 @@ impl UserRunner {
     /// Runs to completion within an instruction budget, charging every
     /// retired instruction and serviced syscall to `timing`.
     ///
-    /// This is the one step loop of both simulator tiers. Before each step
-    /// the CPU clock is set from [`Timing::cycles`] (when the model keeps
-    /// one), so `rdcycle` observes modelled time. Returns the exit code —
-    /// `None` when the program retired more than `budget` instructions —
-    /// and the instructions retired.
+    /// This is the one step loop of both simulator tiers. It executes a
+    /// predecoded block at a time ([`DecodeCache::run_block`]); each block
+    /// may run only as far as the budget allows, so a hung guest stops at
+    /// the same instruction as a per-step loop would. A `cycle`/`time` CSR
+    /// read first sets the CPU clock from [`Timing::cycles`] (when the
+    /// model keeps one), so `rdcycle` observes modelled time. Returns the
+    /// exit code — `None` when the program retired more than `budget`
+    /// instructions — and the instructions retired.
     ///
     /// # Errors
     ///
@@ -243,58 +272,46 @@ impl UserRunner {
         if self.exited.is_some() {
             return Ok((self.exited, 0));
         }
+        let mut sink = Charge(timing);
         loop {
             let executed = self.cpu.instret - start;
             if executed > budget {
                 return Ok((None, executed));
             }
-            if let Some(cycles) = timing.cycles() {
-                self.cpu.cycle = cycles;
-            }
-            let step = self.dcache.step(&mut self.cpu, &mut self.bus);
-            // Forward MMIO UART traffic to the console as it happens.
+            let end = self.dcache.run_block(
+                &mut self.cpu,
+                &mut self.bus,
+                budget + 1 - executed,
+                &mut sink,
+            );
+            // Forward MMIO UART traffic to the console before anything the
+            // block's last instruction asks for (a syscall, or a trap).
             if !self.bus.uart_tx.is_empty() {
                 let bytes = self.bus.drain_uart();
                 os.serial_write(&bytes);
             }
-            // The retired record is consumed where the interpreter wrote
-            // it: re-wrapping it in another enum per step costs more than
-            // the timing model itself.
-            match step {
-                Ok(StepOutcome::Retired(r)) => {
-                    let is_remote = match r.kind {
-                        RetireKind::Load { addr } => self.bus.is_remote(addr),
-                        RetireKind::Store { addr } => {
-                            // A naturally-aligned store touches one page at
-                            // most.
-                            self.dcache.invalidate(addr);
-                            self.bus.is_remote(addr)
-                        }
-                        _ => false,
-                    };
-                    timing.retire(&r, is_remote);
-                }
-                other => match self.service(other, os)? {
-                    Some(sys) => timing.syscall(sys),
+            if end != Ok(BlockEnd::Next) {
+                match self.service(end, os)? {
+                    Some(sys) => sink.0.syscall(sys),
                     None => return Ok((self.exited, self.cpu.instret - start)),
-                },
+                }
             }
         }
     }
 
-    /// The rare outcomes of a step — an `ecall`, an `ebreak` or a trap —
-    /// kept out of line so the retire path of [`UserRunner::run`] stays
-    /// small. Returns the syscall number serviced, or `None` once the
-    /// program has exited.
+    /// The end of a block that needs servicing — an `ecall`, an `ebreak`
+    /// or a trap — kept out of line so [`UserRunner::run`] stays small.
+    /// Returns the syscall number serviced, or `None` once the program has
+    /// exited.
     #[cold]
     #[inline(never)]
     fn service<S: OsServices + ?Sized>(
         &mut self,
-        step: Result<StepOutcome, Trap>,
+        end: Result<BlockEnd, Trap>,
         os: &mut S,
     ) -> Result<Option<u64>, SimError> {
-        match step {
-            Ok(StepOutcome::Ecall) => {
+        match end {
+            Ok(BlockEnd::Ecall) => {
                 let sys = self.cpu.read_reg(Reg::A7);
                 self.handle_syscall(sys, os)?;
                 if self.exited.is_some() {
@@ -303,13 +320,13 @@ impl UserRunner {
                 }
                 Ok(Some(sys))
             }
-            Ok(StepOutcome::Ebreak) => {
+            Ok(BlockEnd::Ebreak) => {
                 // Treat like abort(): exit code 134 (SIGABRT convention).
                 self.exited = Some(134);
                 self.flush_files(os);
                 Ok(None)
             }
-            Ok(StepOutcome::Retired(_)) => unreachable!("retired steps never need servicing"),
+            Ok(BlockEnd::Next) => unreachable!("a block that ran through needs no servicing"),
             Err(trap) => Err(SimError::Trap(format!("{trap} (pc {:#x})", self.cpu.pc))),
         }
     }
@@ -504,6 +521,9 @@ impl UserRunner {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

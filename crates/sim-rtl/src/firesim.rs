@@ -5,7 +5,19 @@
 //! [`Pipeline`] timing every retired instruction. Supports multi-node
 //! cluster simulations for `jobs` workloads (the intspeed suite's ten
 //! parallel nodes, the PFA client/server pair).
+//!
+//! Each node's pipeline runs on a thread of its own, fed batches of
+//! retired records by the interpreter (the functional/timing split of
+//! Chiou et al., "FPGA-Accelerated Simulation Technologies", MICRO 2007).
+//! The interpreter depends on timing only through the clock that
+//! `cycle`/`time` CSR reads observe, and it waits for the pipeline to
+//! catch up before each such read, so the split changes host time only.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
+
+use marshal_isa::interp::Retired;
 use marshal_isa::MexeFile;
 use marshal_sim_functional::boot::{load_bare, simulate_linux, BareConsole};
 use marshal_sim_functional::checkpoint::BootSnapshot;
@@ -13,6 +25,7 @@ use marshal_sim_functional::guest::{exec_timed, Executor, GuestOs};
 use marshal_sim_functional::machine::{
     LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult,
 };
+use marshal_sim_functional::syscall::Timing;
 
 use crate::cache::CacheStats;
 use crate::config::HardwareConfig;
@@ -72,8 +85,132 @@ impl PerfReport {
     }
 }
 
+/// One event of the stream the interpreter reports, in program order.
+enum Event {
+    /// A retired instruction; the flag marks a remote-window access.
+    Retire(Retired, bool),
+    /// A serviced syscall (its number).
+    Syscall(u64),
+}
+
+/// Events per batch handed to the timing thread.
+const BATCH: usize = 4096;
+
+/// Full batches queued before the interpreter waits for the timing thread.
+const QUEUE: usize = 4;
+
+/// The interpreter's end of a [`Pipeline`] running on its own thread.
+///
+/// Events go into a batch; full batches go to the timing thread over a
+/// bounded queue, which replays them into the pipeline in order and hands
+/// each one back emptied, with the cycle count after it, for reuse.
+/// [`Timing::cycles`] sends the partial batch and waits until every batch
+/// is back, so it answers exactly what a pipeline fed on this thread
+/// would.
+struct Feed {
+    batch: Vec<Event>,
+    spare: Vec<Vec<Event>>,
+    to_model: SyncSender<Vec<Event>>,
+    from_model: Receiver<(Vec<Event>, u64)>,
+    in_flight: usize,
+    cycles: u64,
+}
+
+impl Feed {
+    /// Starts `pipeline` on a thread of `scope`. The thread returns the
+    /// pipeline once the feed is closed and every event is replayed.
+    fn spawn<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        mut pipeline: Pipeline,
+    ) -> (Feed, ScopedJoinHandle<'scope, Pipeline>) {
+        let (to_model, batches) = mpsc::sync_channel::<Vec<Event>>(QUEUE);
+        let (spent, from_model) = mpsc::channel();
+        let cycles = pipeline.counters().cycles;
+        let model = scope.spawn(move || {
+            for mut batch in batches {
+                for event in batch.drain(..) {
+                    match event {
+                        Event::Retire(r, is_remote) => pipeline.retire(&r, is_remote),
+                        Event::Syscall(sys) => pipeline.syscall(sys),
+                    }
+                }
+                // A closed feed takes no batches back; they are dropped.
+                let _ = spent.send((batch, pipeline.counters().cycles));
+            }
+            pipeline
+        });
+        let feed = Feed {
+            batch: Vec::with_capacity(BATCH),
+            spare: Vec::new(),
+            to_model,
+            from_model,
+            in_flight: 0,
+            cycles,
+        };
+        (feed, model)
+    }
+
+    /// Hands the current batch to the timing thread.
+    fn send(&mut self) {
+        let next = match self.spare.pop() {
+            Some(batch) => batch,
+            None => match self.from_model.try_recv() {
+                Ok((batch, _)) => {
+                    self.in_flight -= 1;
+                    batch
+                }
+                Err(_) => Vec::with_capacity(BATCH),
+            },
+        };
+        let full = std::mem::replace(&mut self.batch, next);
+        self.to_model.send(full).expect("timing thread stopped");
+        self.in_flight += 1;
+    }
+
+    #[inline]
+    fn push(&mut self, event: Event) {
+        if self.batch.len() == BATCH {
+            self.send();
+        }
+        self.batch.push(event);
+    }
+
+    /// Sends the last events; the timing thread ends once it has replayed
+    /// them.
+    fn close(mut self) {
+        if !self.batch.is_empty() {
+            self.send();
+        }
+    }
+}
+
+impl Timing for Feed {
+    fn cycles(&mut self) -> Option<u64> {
+        if !self.batch.is_empty() {
+            self.send();
+        }
+        while self.in_flight > 0 {
+            let (batch, cycles) = self.from_model.recv().expect("timing thread stopped");
+            self.in_flight -= 1;
+            self.cycles = cycles;
+            self.spare.push(batch);
+        }
+        Some(self.cycles)
+    }
+
+    #[inline]
+    fn retire(&mut self, r: &Retired, is_remote: bool) {
+        self.push(Event::Retire(*r, is_remote));
+    }
+
+    #[inline]
+    fn syscall(&mut self, sys: u64) {
+        self.push(Event::Syscall(sys));
+    }
+}
+
 /// The cycle-exact executor: programs run under the pipeline's timing.
-impl Executor for Pipeline {
+impl Executor for Feed {
     fn exec(
         &mut self,
         exe: &MexeFile,
@@ -154,6 +291,10 @@ impl FireSim {
     /// system with boot checkpointing; bare jobs execute the binary
     /// directly, ignore `resume` and capture nothing.
     ///
+    /// The node's [`Pipeline`] runs on a thread of its own (see the module
+    /// docs); the report is read from it once every event is replayed,
+    /// after an error or a watchdog exit too.
+    ///
     /// Restoring is cycle-exact because snapshots are only captured when
     /// the boot retired zero user instructions — the pipeline is cold at
     /// the seam either way (see [`simulate_linux`]).
@@ -167,41 +308,53 @@ impl FireSim {
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, PerfReport, Option<BootSnapshot>), SimError> {
+        let (outcome, pipeline) = std::thread::scope(|scope| {
+            let (mut feed, model) = Feed::spawn(scope, Pipeline::new(&self.hw));
+            let outcome = self.simulate(job, mode, resume, &mut feed);
+            feed.close();
+            let pipeline = model
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (outcome, pipeline)
+        });
+        let (result, captured) = outcome?;
+        Ok((result, self.report(&pipeline), captured))
+    }
+
+    /// The run itself, with `timing` as the node's timing model.
+    fn simulate<T: Timing + Executor>(
+        &self,
+        job: &LoadedJob,
+        mode: LaunchMode,
+        resume: Option<&BootSnapshot>,
+        timing: &mut T,
+    ) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
         match job {
-            LoadedJob::Linux { boot, disk } => {
-                let mut pipeline = Pipeline::new(&self.hw);
-                let (result, captured) = simulate_linux(
-                    &self.sim_config(),
-                    boot,
-                    disk.as_ref(),
-                    mode,
-                    &mut pipeline,
-                    resume,
-                )?;
-                Ok((result, self.report(&pipeline), captured))
-            }
-            LoadedJob::Bare { bin } => {
-                let (result, report) = self.run_bare(bin)?;
-                Ok((result, report, None))
-            }
+            LoadedJob::Linux { boot, disk } => simulate_linux(
+                &self.sim_config(),
+                boot,
+                disk.as_ref(),
+                mode,
+                timing,
+                resume,
+            ),
+            LoadedJob::Bare { bin } => Ok((self.run_bare(bin, timing)?, None)),
         }
     }
 
     /// Runs a bare-metal binary cycle-exactly.
-    fn run_bare(&self, bin: &[u8]) -> Result<(SimResult, PerfReport), SimError> {
+    fn run_bare<T: Timing>(&self, bin: &[u8], timing: &mut T) -> Result<SimResult, SimError> {
         let mut runner = load_bare(bin)?;
         let mut os = BareConsole {
             serial: format!("firesim: bare-metal node ({})\n", self.hw.name),
         };
-        let mut pipeline = Pipeline::new(&self.hw);
         // Watchdog: a hung guest is terminated, but the serial log and
         // performance report gathered so far are salvaged.
-        let (exit, instructions) = runner.run(&mut os, self.max_instructions, &mut pipeline)?;
+        let (exit, instructions) = runner.run(&mut os, self.max_instructions, timing)?;
         let (exit_code, timed_out) = match exit {
             Some(code) => (code, false),
             None => (marshal_sim_functional::machine::WATCHDOG_EXIT_CODE, true),
         };
-        let report = self.report(&pipeline);
         if timed_out {
             os.serial.push_str(&format!(
                 "firesim: watchdog: instruction budget exhausted ({} instructions); \
@@ -211,25 +364,24 @@ impl FireSim {
         } else {
             os.serial.push_str(&format!(
                 "firesim: exited with code {exit_code} after {} cycles\n",
-                report.counters.cycles
+                timing.cycles().unwrap_or_default()
             ));
         }
-        Ok((
-            SimResult {
-                serial: os.serial,
-                image: None,
-                exit_code,
-                instructions,
-                timed_out,
-            },
-            report,
-        ))
+        Ok(SimResult {
+            serial: os.serial,
+            image: None,
+            exit_code,
+            instructions,
+            timed_out,
+        })
     }
 
     /// Runs a multi-node cluster: one simulated node per job. With
     /// `parallel`, nodes run on OS threads — the optimisation that cut the
     /// paper's SPEC2017 experiment "from about two weeks to roughly two
-    /// days".
+    /// days". At most one node per host core runs at a time (each also
+    /// keeps its timing thread busy); workers take the next node from a
+    /// shared counter, and results come back in node order.
     ///
     /// # Errors
     ///
@@ -239,7 +391,7 @@ impl FireSim {
         nodes: &[(String, LoadedJob)],
         parallel: bool,
     ) -> Result<Vec<NodeResult>, SimError> {
-        let run_node = |name: &String, job: &LoadedJob| -> Result<NodeResult, SimError> {
+        let run_node = |(name, job): &(String, LoadedJob)| -> Result<NodeResult, SimError> {
             let (result, report, _) = self.run(job, LaunchMode::Run, None)?;
             Ok(NodeResult {
                 name: name.clone(),
@@ -248,21 +400,35 @@ impl FireSim {
             })
         };
         if !parallel {
-            return nodes
-                .iter()
-                .map(|(name, job)| run_node(name, job))
-                .collect();
+            return nodes.iter().map(run_node).collect();
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .map(|(name, job)| scope.spawn(move || run_node(name, job)))
+        let workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(nodes.len());
+        // Hands out node indices only: `nodes` is shared read-only.
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, Result<NodeResult, SimError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(node) = nodes.get(i) else {
+                                return done;
+                            };
+                            done.push((i, run_node(node)));
+                        }
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
+                .flat_map(|h| h.join().expect("node thread panicked"))
                 .collect()
-        })
+        });
+        done.sort_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -324,6 +490,152 @@ nofb:
         ecall
 "#
         .to_owned()
+    }
+
+    /// Same-thread feeding, for the decoupled ≡ same-thread tests.
+    impl Executor for Pipeline {
+        fn exec(
+            &mut self,
+            exe: &MexeFile,
+            args: &[String],
+            os: &mut GuestOs,
+        ) -> Result<(i64, u64), SimError> {
+            exec_timed(self, exe, args, os)
+        }
+    }
+
+    /// `sim.run(job)` must return exactly what the same run returns with
+    /// its pipeline fed on the interpreter's thread, straight from the
+    /// step loop (which the block-stepping oracle in sim-functional checks
+    /// against a per-instruction loop).
+    fn assert_decoupled_matches(sim: &FireSim, job: &LoadedJob) {
+        let decoupled = sim.run(job, LaunchMode::Run, None).map(|(r, p, _)| (r, p));
+        let mut pipeline = Pipeline::new(&sim.hw);
+        let same_thread = sim
+            .simulate(job, LaunchMode::Run, None, &mut pipeline)
+            .map(|(r, _)| (r, sim.report(&pipeline)));
+        assert_eq!(decoupled, same_thread);
+    }
+
+    #[test]
+    fn decoupled_rdcycle_in_a_hot_loop_matches_same_thread() {
+        // 40 rounds of a 1,500-iteration branchy loop, ~13,000 events
+        // each: rdcycle is read three times a round, so runs of several
+        // full batches pass between reads. The exit code folds every
+        // read in.
+        let src = r#"
+        .data
+msg:    .ascii "rounds done\n"
+        .text
+_start:
+        li      s0, 40         # rounds
+        li      s1, 0          # checksum of cycle deltas
+        li      t3, 0xACE      # lfsr state
+round:
+        rdcycle s2
+        li      t0, 1500
+inner:
+        andi    t4, t3, 1
+        srli    t3, t3, 1
+        beqz    t4, nofb
+        li      t6, 0xB400
+        xor     t3, t3, t6
+nofb:
+        andi    t5, t0, 1023
+        bnez    t5, next
+        rdcycle t5
+        add     s1, s1, t5
+next:
+        addi    t0, t0, -1
+        bnez    t0, inner
+        rdcycle t1
+        sub     t1, t1, s2
+        xor     s1, s1, t1
+        addi    s0, s0, -1
+        bnez    s0, round
+        li      a0, 1
+        la      a1, msg
+        li      a2, 12
+        li      a7, 64
+        ecall
+        andi    a0, s1, 255
+        li      a7, 93
+        ecall
+"#;
+        for hw in [HardwareConfig::boom_gshare(), HardwareConfig::boom_tage()] {
+            assert_decoupled_matches(&FireSim::new(hw), &bare_job(src));
+        }
+    }
+
+    #[test]
+    fn decoupled_remote_loads_match_same_thread() {
+        // rdcycle around each remote load: the PFA measurement pattern.
+        let src = r#"
+_start:
+        li      a0, 8
+        li      a7, 2002       # MMAP_REMOTE
+        ecall
+        mv      s0, a0
+        li      s1, 8
+        li      s2, 0
+loop:
+        rdcycle t1
+        ld      t0, 0(s0)
+        rdcycle t2
+        sub     t2, t2, t1
+        add     s2, s2, t2
+        li      t3, 4096
+        add     s0, s0, t3
+        addi    s1, s1, -1
+        bnez    s1, loop
+        srli    a0, s2, 8
+        li      a7, 93
+        ecall
+"#;
+        let t = crate::pfa::RemoteTimings::default();
+        for remote in [
+            crate::RemoteMemConfig::SoftwarePaging(t),
+            crate::RemoteMemConfig::Pfa(t),
+        ] {
+            let sim = FireSim::new(HardwareConfig::rocket().with_remote(remote));
+            assert_decoupled_matches(&sim, &bare_job(src));
+        }
+    }
+
+    #[test]
+    fn decoupled_watchdog_exit_matches_same_thread() {
+        let job = bare_job("_start:\n rdcycle t0\n addi t1, t1, 1\n j _start\n");
+        let sim = FireSim::new(HardwareConfig::rocket()).with_budget(20_001);
+        let (result, report, _) = sim.run(&job, LaunchMode::Run, None).unwrap();
+        assert!(result.timed_out);
+        assert_eq!(report.counters.instructions, 20_002);
+        assert_decoupled_matches(&sim, &job);
+    }
+
+    #[test]
+    fn decoupled_trap_after_uart_output_matches_same_thread() {
+        let src = r#"
+_start:
+        li      t0, 0x60000000 # UART_TX
+        li      t1, 33
+        sb      t1, 0(t0)
+        sb      t1, 0(t0)
+        rdcycle t2
+        li      t0, 0x7f000000
+        ld      a0, 0(t0)      # load fault
+"#;
+        let sim = FireSim::new(HardwareConfig::rocket());
+        assert!(matches!(
+            sim.run(&bare_job(src), LaunchMode::Run, None),
+            Err(SimError::Trap(_))
+        ));
+        assert_decoupled_matches(&sim, &bare_job(src));
+    }
+
+    #[test]
+    fn decoupled_linux_node_matches_same_thread() {
+        let sim = FireSim::new(HardwareConfig::boom_tage());
+        assert_decoupled_matches(&sim, &linux_job(&branchy_program()));
     }
 
     /// A cold `Run` of `job`, without its boot snapshot.

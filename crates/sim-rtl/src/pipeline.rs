@@ -167,7 +167,7 @@ impl Pipeline {
 impl Timing for Pipeline {
     /// Modelled cycles so far, for `rdcycle`.
     #[inline]
-    fn cycles(&self) -> Option<u64> {
+    fn cycles(&mut self) -> Option<u64> {
         Some(self.counters.cycles)
     }
 
