@@ -3,7 +3,6 @@
 //! capacity, and mispredict penalty. These demonstrate that the Fig. 5 /
 //! Fig. 6 shapes come from the modelled mechanisms, not from tuning.
 
-use marshal_bench::{criterion_group, criterion_main, Criterion};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
 use marshal_sim_functional::{LaunchMode, LoadedJob};
@@ -25,7 +24,7 @@ fn run(hw: HardwareConfig, job: &LoadedJob) -> marshal_sim_rtl::PerfReport {
     FireSim::new(hw).run(job, LaunchMode::Run, None).unwrap().1
 }
 
-fn bench_ablation(c: &mut Criterion) {
+fn main() {
     // --- Ablation 1: TAGE depth on a long-history benchmark --------------
     let exchange = bin_for("648.exchange2_s");
     println!("== ablation: TAGE tagged-table count (648.exchange2_s) ==");
@@ -132,16 +131,4 @@ fn bench_ablation(c: &mut Criterion) {
     for page in [1024u64, 4096, 16384, 65536] {
         println!("{page:>10} {:>12}", NicModel::default().rdma_read(page));
     }
-
-    // Criterion: one representative point so the sweep is timed too.
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("exchange2_tage4", |b| {
-        let hw = HardwareConfig::boom_tage();
-        b.iter(|| run(hw.clone(), &exchange).counters.cycles)
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use marshal_bench::{append_bench_rows, criterion_group, criterion_main, Criterion};
+use marshal_bench::{append_bench_rows, median, Row};
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 
 /// 8 layers of 8 tasks: each task depends on two tasks of the previous
@@ -163,12 +163,7 @@ fn run_condvar_pool() -> Duration {
     elapsed
 }
 
-fn median(mut runs: Vec<Duration>) -> Duration {
-    runs.sort();
-    runs[runs.len() / 2]
-}
-
-fn bench_exec_sched(c: &mut Criterion) {
+fn main() {
     let g = sched_graph();
     // Warm-up, then interleave the variants so drift hits both equally.
     run_condvar_pool();
@@ -192,24 +187,21 @@ fn bench_exec_sched(c: &mut Criterion) {
         "the scheduler must stay within 5% of the raw pool \
          (scheduler {sched:?} vs pool {pool:?}, {ratio:.3}x)"
     );
-    let rows: Vec<String> = [("condvar_pool", pool), ("scheduler", sched)]
+    let rows: Vec<Row> = [("condvar_pool", pool), ("scheduler", sched)]
         .iter()
-        .map(|(variant, wall)| {
-            format!(
-                "\"bench\": \"exec_sched\", \"variant\": \"{variant}\", \"tasks\": {TASKS}, \
-                 \"threads\": {THREADS}, \"wall_ns\": {}, \"sched_pool_ratio\": {ratio:.3}",
-                wall.as_nanos()
-            )
+        .flat_map(|(variant, wall)| {
+            let variant = format!("{variant}/tasks={TASKS}/threads={THREADS}");
+            [
+                Row::new(
+                    "exec_sched",
+                    &*variant,
+                    "wall_ns",
+                    wall.as_nanos() as f64,
+                    "ns",
+                ),
+                Row::new("exec_sched", variant, "sched_pool_ratio", ratio, "ratio"),
+            ]
         })
         .collect();
     append_bench_rows("BENCH_exec.json", &rows);
-
-    let mut group = c.benchmark_group("exec_sched");
-    group.sample_size(10);
-    group.bench_function("condvar_pool_64", |b| b.iter(run_condvar_pool));
-    group.bench_function("scheduler_64", |b| b.iter(|| run_scheduler(&g)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_exec_sched);
-criterion_main!(benches);

@@ -3,10 +3,11 @@
 //! `marshal build` does. Compares the flat baseline (serialize + hash +
 //! rewrite the whole image per level) against the content-addressed store
 //! (memoized Merkle fingerprints, blob dedup, manifest per level), cold and
-//! after a leaf-only incremental change. Appends one record per phase per
-//! strategy to `BENCH_image.json` at the workspace root.
+//! after a leaf-only incremental change. Appends the bytes, wall time and
+//! incremental byte ratio of each phase and strategy to `BENCH_image.json`
+//! at the workspace root.
 
-use marshal_bench::{append_bench_rows, criterion_group, criterion_main, scratch, Criterion};
+use marshal_bench::{append_bench_rows, scratch, Row};
 use marshal_depgraph::Fingerprint;
 use marshal_image::{BlobStore, FsImage};
 use marshal_qcheck::Rng;
@@ -18,15 +19,6 @@ const BASE_FILES: usize = 24;
 const BASE_FILE_SIZE: usize = 256 * 1024;
 /// Each level adds ~1 KiB, the shape of a config-tweak child workload.
 const LEVEL_FILE_SIZE: usize = 1024;
-
-/// One measured (phase, strategy) cell: bytes hashed + bytes written, and
-/// wall-clock for the persist pass.
-struct Measured {
-    phase: &'static str,
-    strategy: &'static str,
-    bytes: u64,
-    nanos: u128,
-}
 
 fn base_image(rng: &mut Rng) -> FsImage {
     let mut img = FsImage::new();
@@ -90,7 +82,7 @@ fn persist_cas(levels: &[FsImage], store: &BlobStore, dir: &std::path::Path) -> 
     bytes
 }
 
-fn bench_image_chain(c: &mut Criterion) {
+fn main() {
     let root = scratch("image-chain");
     let mut rng = Rng::new(0x0131_a9e5);
     let base = base_image(&mut rng);
@@ -101,28 +93,28 @@ fn bench_image_chain(c: &mut Criterion) {
         (BASE_FILES * BASE_FILE_SIZE) >> 20
     );
     let store = BlobStore::new(root.join("objects"));
+    // Each persist pass: (variant, bytes hashed + bytes written, wall ns).
     let mut measured = Vec::new();
-    let mut run = |phase: &'static str, strategy: &'static str, bytes: u64, nanos: u128| {
+    let mut run = |phase: &str, strategy: &str, persist: &dyn Fn() -> u64| {
+        let t0 = std::time::Instant::now();
+        let bytes = persist();
+        let nanos = t0.elapsed().as_nanos();
         println!(
             "  {phase:<12} {strategy:<5} {:>10.2} MiB hashed+written  {:>10.2} ms",
             bytes as f64 / (1024.0 * 1024.0),
             nanos as f64 / 1e6
         );
-        measured.push(Measured {
-            phase,
-            strategy,
-            bytes,
-            nanos,
-        });
+        measured.push((format!("{phase}/{strategy}/depth={DEPTH}"), bytes, nanos));
+        bytes
     };
 
     // Cold: the whole chain persisted into empty directories.
-    let t0 = std::time::Instant::now();
-    let flat_cold = persist_flat(&levels, &root.join("flat"));
-    run("cold", "flat", flat_cold, t0.elapsed().as_nanos());
-    let t0 = std::time::Instant::now();
-    let cas_cold = persist_cas(&levels, &store, &root.join("levels"));
-    run("cold", "cas", cas_cold, t0.elapsed().as_nanos());
+    run("cold", "flat", &|| {
+        persist_flat(&levels, &root.join("flat"))
+    });
+    run("cold", "cas", &|| {
+        persist_cas(&levels, &store, &root.join("levels"))
+    });
 
     // Incremental: one leaf-level file changes; only the leaf level's task
     // reruns, so only the leaf level is re-persisted.
@@ -133,12 +125,12 @@ fn bench_image_chain(c: &mut Criterion) {
     )
     .expect("mutate leaf");
     let leaf_only = std::slice::from_ref(&leaf);
-    let t0 = std::time::Instant::now();
-    let flat_inc = persist_flat(leaf_only, &root.join("flat"));
-    run("incremental", "flat", flat_inc, t0.elapsed().as_nanos());
-    let t0 = std::time::Instant::now();
-    let cas_inc = persist_cas(leaf_only, &store, &root.join("levels"));
-    run("incremental", "cas", cas_inc, t0.elapsed().as_nanos());
+    let flat_inc = run("incremental", "flat", &|| {
+        persist_flat(leaf_only, &root.join("flat"))
+    });
+    let cas_inc = run("incremental", "cas", &|| {
+        persist_cas(leaf_only, &store, &root.join("levels"))
+    });
 
     let ratio = flat_inc as f64 / cas_inc as f64;
     println!("  incremental flat/cas byte ratio at depth {DEPTH}: {ratio:.1}x");
@@ -147,39 +139,17 @@ fn bench_image_chain(c: &mut Criterion) {
         "CAS must move >=5x fewer bytes than flat on a leaf change \
          (flat {flat_inc} B, cas {cas_inc} B, ratio {ratio:.1}x)"
     );
-    let rows: Vec<String> = measured
+    let rows: Vec<Row> = measured
         .iter()
-        .map(|m| {
-            format!(
-                "\"bench\": \"image_chain\", \"phase\": \"{}\", \"strategy\": \"{}\", \
-                 \"depth\": {DEPTH}, \"bytes_hashed_written\": {}, \"wall_ns\": {}, \
-                 \"incremental_ratio\": {ratio:.1}",
-                m.phase, m.strategy, m.bytes, m.nanos
-            )
+        .flat_map(|(variant, bytes, nanos)| {
+            let row = |metric, value, unit| Row::new("image_chain", variant, metric, value, unit);
+            [
+                row("bytes_hashed_written", *bytes as f64, "bytes"),
+                row("wall_ns", *nanos as f64, "ns"),
+                row("incremental_ratio", ratio, "ratio"),
+            ]
         })
         .collect();
     append_bench_rows("BENCH_image.json", &rows);
-
-    // Sampled timings: the hard_img input-hash site (memoized Merkle
-    // fingerprint vs full serialize+hash) and the leaf-level persist.
-    let mut group = c.benchmark_group("image_chain");
-    group.sample_size(10);
-    let leaf_img = &levels[DEPTH];
-    group.bench_function("fingerprint_memoized", |b| {
-        b.iter(|| leaf_img.fingerprint())
-    });
-    group.bench_function("fingerprint_serialize_hash", |b| {
-        b.iter(|| Fingerprint::of(&leaf_img.to_bytes()))
-    });
-    group.bench_function("persist_leaf_flat", |b| {
-        b.iter(|| persist_flat(leaf_only, &root.join("flat")))
-    });
-    group.bench_function("persist_leaf_cas", |b| {
-        b.iter(|| persist_cas(leaf_only, &store, &root.join("levels")))
-    });
-    group.finish();
     let _ = std::fs::remove_dir_all(root);
 }
-
-criterion_group!(benches, bench_image_chain);
-criterion_main!(benches);

@@ -11,11 +11,10 @@
 //! path — the predecoded-instruction cache and demand-paged user memory —
 //! and are covered by `backend_launch`. The bench asserts the speedup
 //! floor (10x full, 5x in `MARSHAL_BENCH_SMOKE=1` smoke mode) and appends
-//! a checkpoint-off and a checkpoint-on row to `BENCH_backends.json`.
+//! each side's mean launch time, launches per second and the speedup to
+//! `BENCH_backends.json`.
 
-use marshal_bench::{
-    append_bench_rows, builder_in, criterion_group, criterion_main, scratch, Criterion,
-};
+use marshal_bench::{append_bench_rows, builder_in, scratch, Row};
 use marshal_core::launch::{load_artifacts, run_checkpointed};
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::{BuildOptions, CheckpointStore};
@@ -26,7 +25,7 @@ fn smoke() -> bool {
     std::env::var("MARSHAL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn bench_launch_hot(c: &mut Criterion) {
+fn main() {
     let (samples, rounds, floor) = if smoke() { (10, 2, 5.0) } else { (40, 3, 10.0) };
     let root = scratch("launch-hot");
     let mut builder = builder_in(&root);
@@ -103,46 +102,17 @@ fn bench_launch_hot(c: &mut Criterion) {
         speedup >= floor,
         "checkpoint speedup {speedup:.1}x is below the {floor}x floor"
     );
-    let rows: Vec<String> = [("checkpoint-off", off_ns), ("checkpoint-on", on_ns)]
+    let rows: Vec<Row> = [("checkpoint-off", off_ns), ("checkpoint-on", on_ns)]
         .iter()
-        .map(|(variant, mean_ns)| {
-            let per_sec = 1e9 / *mean_ns as f64;
-            format!(
-                "\"bench\": \"launch_hot\", \"variant\": \"{variant}\", \"mean_ns\": {mean_ns}, \
-                 \"launches_per_sec\": {per_sec:.1}, \"speedup\": {speedup:.2}"
-            )
+        .flat_map(|&(variant, mean_ns)| {
+            let row = |metric, value, unit| Row::new("launch_hot", variant, metric, value, unit);
+            [
+                row("mean_ns", mean_ns as f64, "ns"),
+                row("launches_per_sec", 1e9 / mean_ns as f64, "launches/s"),
+                row("speedup", speedup, "x"),
+            ]
         })
         .collect();
     append_bench_rows("BENCH_backends.json", &rows);
-
-    let mut group = c.benchmark_group("launch_hot");
-    group.sample_size(10);
-    group.bench_function("checkpoint_off", |b| {
-        b.iter(|| {
-            let run = backend
-                .run(&loaded, LaunchMode::Run, None)
-                .expect("launch")
-                .0;
-            run.result.instructions
-        })
-    });
-    group.bench_function("checkpoint_on", |b| {
-        b.iter(|| {
-            let (run, _) = run_checkpointed(
-                backend.as_ref(),
-                &loaded,
-                LaunchMode::Run,
-                Some(&store),
-                "bench",
-                &rec,
-            )
-            .expect("launch");
-            run.result.instructions
-        })
-    });
-    group.finish();
     let _ = std::fs::remove_dir_all(root);
 }
-
-criterion_group!(benches, bench_launch_hot);
-criterion_main!(benches);

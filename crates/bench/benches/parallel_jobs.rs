@@ -2,9 +2,14 @@
 //! cluster and run in parallel. This optimization reduced the runtime for
 //! our experiment from about two weeks to roughly two days."
 //!
-//! Measures a multi-node cycle-exact cluster run serially vs. in parallel.
+//! Measures a multi-node cycle-exact cluster run serially vs. in parallel,
+//! and the `-j N` build sweep, each as the median of alternated runs, and
+//! appends the medians to `BENCH_exec.json` (the host's core count is
+//! stamped on every row: parallelism is bounded by it).
 
-use marshal_bench::{criterion_group, criterion_main, Criterion};
+use std::time::{Duration, Instant};
+
+use marshal_bench::{append_bench_rows, median, Row};
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
@@ -45,25 +50,44 @@ skip:
         .collect()
 }
 
-fn bench_parallel_jobs(c: &mut Criterion) {
+/// Timed runs per side; the sides alternate so drift hits both equally.
+const RUNS: usize = 7;
+
+/// Times `f` once.
+fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed(), out)
+}
+
+/// The §IV-B data: wall-clock time of a 10-node cluster, serial vs
+/// parallel.
+fn parallel_jobs(rows: &mut Vec<Row>) {
     let sim = FireSim::new(HardwareConfig::rocket());
     let nodes = cluster(10);
 
-    // Print the §IV-B data: wall-clock speedup at 10 nodes.
-    let t0 = std::time::Instant::now();
+    // Warm-up pair, which also checks that parallelism changes no count.
     let serial = sim.launch_cluster(&nodes, false).unwrap();
-    let serial_time = t0.elapsed();
-    let t0 = std::time::Instant::now();
     let parallel = sim.launch_cluster(&nodes, true).unwrap();
-    let parallel_time = t0.elapsed();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.report.counters.cycles, p.report.counters.cycles);
     }
+    let mut serial_runs = Vec::with_capacity(RUNS);
+    let mut parallel_runs = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        for (par, runs) in [(false, &mut serial_runs), (true, &mut parallel_runs)] {
+            let (elapsed, results) = timed(|| sim.launch_cluster(&nodes, par).unwrap());
+            assert_eq!(results.len(), 10);
+            runs.push(elapsed);
+        }
+    }
+    let serial_time = median(serial_runs);
+    let parallel_time = median(parallel_runs);
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    println!("== §IV-B parallel jobs (10-node intspeed-style cluster) ==");
+    println!("== §IV-B parallel jobs (10-node intspeed-style cluster, median of {RUNS}) ==");
     println!("  host cores: {cores}");
     println!("  serial:   {serial_time:?}");
     println!("  parallel: {parallel_time:?}");
@@ -73,19 +97,13 @@ fn bench_parallel_jobs(c: &mut Criterion) {
         serial_time.as_secs_f64() / parallel_time.as_secs_f64(),
         cores.min(10)
     );
-
-    let mut group = c.benchmark_group("parallel_jobs");
-    group.sample_size(10);
-    for (label, par) in [("serial_10_jobs", false), ("parallel_10_jobs", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let results = sim.launch_cluster(&nodes, par).unwrap();
-                assert_eq!(results.len(), 10);
-                results.len()
-            })
-        });
+    for (variant, time) in [
+        ("serial_10_jobs", serial_time),
+        ("parallel_10_jobs", parallel_time),
+    ] {
+        let ns = time.as_nanos() as f64;
+        rows.push(Row::new("parallel_jobs", variant, "median_ns", ns, "ns"));
     }
-    group.finish();
 }
 
 /// A wide build graph with CPU-bound tasks: one root fanning out to 16
@@ -127,45 +145,51 @@ fn build_graph(work: u64) -> Graph {
     g
 }
 
-fn bench_parallel_build(c: &mut Criterion) {
+/// The `-j N` sweep: wall-clock time of the task scheduler at the thread
+/// counts the CLI exposes, every task executed at each.
+fn parallel_build(rows: &mut Vec<Row>) {
     const WORK: u64 = 2_000_000;
-
-    // Print the `-j N` sweep: wall-clock speedup of the task scheduler at
-    // the thread counts the CLI exposes, with identical reports throughout.
-    println!("== `-j N` parallel build (18-task graph, 16-wide fan-out) ==");
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
     let g = build_graph(WORK);
-    let mut baseline = None;
-    for threads in [1usize, 2, 4, 8] {
+    let run = |threads: usize| {
         let mut db = StateDb::in_memory();
-        let t0 = std::time::Instant::now();
-        let report = g
-            .execute(&mut db, Plan::local(threads), &ExecOptions::default())
-            .unwrap();
-        let elapsed = t0.elapsed();
+        let (elapsed, report) = timed(|| {
+            g.execute(&mut db, Plan::local(threads), &ExecOptions::default())
+                .unwrap()
+        });
         assert_eq!(report.executed.len(), 18, "-j {threads} runs every task");
-        let serial = *baseline.get_or_insert(elapsed);
+        elapsed
+    };
+    for threads in THREADS {
+        run(threads);
+    }
+    let mut runs = vec![Vec::with_capacity(RUNS); THREADS.len()];
+    for _ in 0..RUNS {
+        for (i, threads) in THREADS.into_iter().enumerate() {
+            runs[i].push(run(threads));
+        }
+    }
+    println!("== `-j N` parallel build (18-task graph, 16-wide fan-out, median of {RUNS}) ==");
+    let medians: Vec<Duration> = runs.into_iter().map(median).collect();
+    for (threads, elapsed) in THREADS.into_iter().zip(&medians) {
         println!(
             "  -j {threads}: {elapsed:?} ({:.2}x vs -j 1)",
-            serial.as_secs_f64() / elapsed.as_secs_f64()
+            medians[0].as_secs_f64() / elapsed.as_secs_f64()
         );
+        let ns = elapsed.as_nanos() as f64;
+        rows.push(Row::new(
+            "parallel_jobs",
+            format!("build_j{threads}"),
+            "median_ns",
+            ns,
+            "ns",
+        ));
     }
-
-    let mut group = c.benchmark_group("parallel_build");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        let g = build_graph(WORK);
-        group.bench_function(format!("build_j{threads}"), |b| {
-            b.iter(|| {
-                let mut db = StateDb::in_memory();
-                let report = g
-                    .execute(&mut db, Plan::local(threads), &ExecOptions::default())
-                    .unwrap();
-                report.executed.len()
-            })
-        });
-    }
-    group.finish();
 }
 
-criterion_group!(benches, bench_parallel_jobs, bench_parallel_build);
-criterion_main!(benches);
+fn main() {
+    let mut rows = Vec::new();
+    parallel_jobs(&mut rows);
+    parallel_build(&mut rows);
+    append_bench_rows("BENCH_exec.json", &rows);
+}

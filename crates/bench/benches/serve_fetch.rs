@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use marshal_bench::{append_bench_rows, criterion_group, criterion_main, Criterion};
+use marshal_bench::{append_bench_rows, Row};
 use marshal_core::ImageStore;
 use marshal_depgraph::Fingerprint;
 use marshal_image::FsImage;
@@ -99,7 +99,7 @@ fn fetch_chain(
     }
 }
 
-fn bench_serve_fetch(c: &mut Criterion) {
+fn main() {
     let root_dir = marshal_bench::scratch("serve-fetch");
     let server_work = root_dir.join("server");
     let leaf = populate_chain(&server_work);
@@ -154,40 +154,20 @@ fn bench_serve_fetch(c: &mut Criterion) {
         );
     }
     println!("  cold/warm byte ratio: {delta_ratio:.1}x");
-    let rows: Vec<String> = [cold, warm]
+    let rows: Vec<Row> = [cold, warm]
         .iter()
-        .map(|m| {
-            format!(
-                "\"bench\": \"serve_fetch\", \"phase\": \"{}\", \"depth\": {DEPTH}, \
-                 \"levels_fetched\": {}, \"blobs_fetched\": {}, \"bytes_fetched\": {}, \
-                 \"wall_ns\": {}, \"cold_warm_ratio\": {delta_ratio:.1}",
-                m.phase, m.levels, m.blobs, m.bytes, m.nanos
-            )
+        .flat_map(|m| {
+            let variant = format!("{}/depth={DEPTH}", m.phase);
+            let row = |metric, value, unit| Row::new("serve_fetch", &*variant, metric, value, unit);
+            [
+                row("levels_fetched", m.levels as f64, "levels"),
+                row("blobs_fetched", m.blobs as f64, "blobs"),
+                row("bytes_fetched", m.bytes as f64, "bytes"),
+                row("wall_ns", m.nanos as f64, "ns"),
+                row("cold_warm_ratio", delta_ratio, "ratio"),
+            ]
         })
         .collect();
     append_bench_rows("BENCH_serve.json", &rows);
-
-    let mut group = c.benchmark_group("serve_fetch");
-    group.sample_size(10);
-    let mut fresh = 0u32;
-    group.bench_function("cold_fetch_depth8", |b| {
-        b.iter(|| {
-            fresh += 1;
-            let work = root_dir.join(format!("client-iter-{fresh}"));
-            let m = fetch_chain(&serve_root, &work, &all_tags, "cold");
-            let _ = std::fs::remove_dir_all(&work);
-            m.bytes
-        })
-    });
-    group.bench_function("warm_noop_fetch", |b| {
-        b.iter(|| {
-            // Pool already complete: manifests move, zero blobs.
-            fetch_chain(&serve_root, &client_work, &all_tags, "warm").bytes
-        })
-    });
-    group.finish();
     let _ = std::fs::remove_dir_all(root_dir);
 }
-
-criterion_group!(benches, bench_serve_fetch);
-criterion_main!(benches);

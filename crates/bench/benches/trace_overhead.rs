@@ -2,19 +2,17 @@
 //! launched with the run journal off and on, head to head. The journal's
 //! cost budget is <5% of launch throughput (an mpsc send plus timestamp
 //! per event, with the file I/O on a separate writer thread); the bench
-//! asserts that budget and appends a `trace_overhead` record to
+//! asserts that budget and appends both medians and their delta to
 //! `BENCH_backends.json` alongside the `backend_launch` rows.
 
-use marshal_bench::{
-    append_bench_rows, builder_in, criterion_group, criterion_main, scratch, Criterion,
-};
+use marshal_bench::{append_bench_rows, builder_in, median, scratch, Row};
 use marshal_core::launch::launch_job;
 use marshal_core::{BuildOptions, LaunchOptions};
 use marshal_trace::Recorder;
 
 const SAMPLES: usize = 150;
 
-fn bench_trace_overhead(c: &mut Criterion) {
+fn main() {
     let root = scratch("trace-overhead");
     let mut builder = builder_in(&root);
     let products = builder
@@ -55,12 +53,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
         finished.events > SAMPLES as u64,
         "recorder-on launches must actually journal sim spans"
     );
-    let median = |v: &mut Vec<u128>| -> u128 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let off_ns = median(&mut off);
-    let on_ns = median(&mut on);
+    let off_ns = median(off);
+    let on_ns = median(on);
 
     let delta_pct = (on_ns as f64 - off_ns as f64) * 100.0 / off_ns as f64;
     println!("== run-journal overhead on launch (hello.json, qemu) ==");
@@ -74,34 +68,14 @@ fn bench_trace_overhead(c: &mut Criterion) {
         "recorder overhead {delta_pct:+.2}% is outside the ±5% budget \
          (negative deltas beyond noise mean the measurement is unstable)"
     );
+    let row = |metric, value, unit| Row::new("trace_overhead", "", metric, value, unit);
     append_bench_rows(
         "BENCH_backends.json",
-        &[format!(
-            "\"bench\": \"trace_overhead\", \"recorder_off_ns\": {off_ns}, \
-             \"recorder_on_ns\": {on_ns}, \"delta_pct\": {delta_pct:.2}"
-        )],
+        &[
+            row("recorder_off_ns", off_ns as f64, "ns"),
+            row("recorder_on_ns", on_ns as f64, "ns"),
+            row("delta_pct", delta_pct, "%"),
+        ],
     );
-
-    let mut group = c.benchmark_group("trace_overhead");
-    group.sample_size(10);
-    for (label, rec) in [
-        ("recorder_off", Recorder::disabled()),
-        (
-            "recorder_on",
-            Recorder::create(&root.join("work"), "bench", &[]).expect("create journal"),
-        ),
-    ] {
-        builder.set_recorder(rec);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let out = launch_job(&builder, &products, 0, &opts).expect("launch");
-                out.instructions
-            })
-        });
-    }
-    group.finish();
     let _ = std::fs::remove_dir_all(root);
 }
-
-criterion_group!(benches, bench_trace_overhead);
-criterion_main!(benches);

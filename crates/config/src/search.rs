@@ -65,11 +65,6 @@ impl SearchPath {
         &self.dirs
     }
 
-    /// Names of all registered built-ins.
-    pub fn builtin_names(&self) -> impl Iterator<Item = &str> {
-        self.builtins.keys().map(String::as_str)
-    }
-
     /// Finds `name` on the search path.
     ///
     /// Absolute paths and paths that exist relative to the current directory

@@ -50,24 +50,15 @@ pub const DEFAULT_KEEP_RUNS: usize = 20;
 /// Only the workload's *own* level manifests (each job's full inheritance
 /// chain plus its final job image) are removed; parent levels may be shared
 /// with sibling workloads and stay until their owners are cleaned. The blob
-/// prune then reclaims whatever payloads became unreferenced.
+/// prune then reclaims whatever payloads became unreferenced. Last, the
+/// oldest run journals beyond the newest `keep_runs` (`--keep-runs N`,
+/// [`DEFAULT_KEEP_RUNS`] by default) are pruned too.
 ///
 /// # Errors
 ///
 /// Configuration errors resolving the workload; I/O errors are ignored
 /// (missing artifacts are fine).
-pub fn clean_workload(builder: &mut Builder, name: &str) -> Result<CleanReport, MarshalError> {
-    clean_workload_with(builder, name, DEFAULT_KEEP_RUNS)
-}
-
-/// [`clean_workload`] with an explicit run-journal retention count
-/// (`--keep-runs N`): after artifact removal, the oldest journal runs
-/// beyond the newest `keep_runs` are pruned too.
-///
-/// # Errors
-///
-/// Same as [`clean_workload`].
-pub fn clean_workload_with(
+pub fn clean_workload(
     builder: &mut Builder,
     name: &str,
     keep_runs: usize,
@@ -460,7 +451,7 @@ mod tests {
         assert!(!products.report.executed.is_empty());
         assert!(builder.image_dir("w").join("boot.bin").exists());
 
-        let report = clean_workload(&mut builder, "w.json").unwrap();
+        let report = clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(
             report.state_entries > 0,
             "state entries should be forgotten"
@@ -502,7 +493,7 @@ mod tests {
         let objects = dir.join("work").join("objects");
         assert!(objects.exists(), "blob pool should exist after builds");
 
-        let report = clean_workload(&mut builder, "childa.json").unwrap();
+        let report = clean_workload(&mut builder, "childa.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(report.levels_removed > 0);
         // childb still builds incrementally from its surviving manifests.
         let products = builder
@@ -511,8 +502,8 @@ mod tests {
         assert!(products.report.failed.is_empty());
 
         // Cleaning both children and the base empties the pool entirely.
-        clean_workload(&mut builder, "childb.json").unwrap();
-        let report = clean_workload(&mut builder, "base.json").unwrap();
+        clean_workload(&mut builder, "childb.json", DEFAULT_KEEP_RUNS).unwrap();
+        let report = clean_workload(&mut builder, "base.json", DEFAULT_KEEP_RUNS).unwrap();
         let remaining: Vec<_> = std::fs::read_dir(&objects)
             .map(|it| it.filter_map(Result::ok).collect())
             .unwrap_or_default();
@@ -538,13 +529,13 @@ mod tests {
 
         // Another "build" holds a pin: clean must defer the prune.
         let pin = crate::imagestore::PoolPin::acquire(&objects).unwrap();
-        let report = clean_workload(&mut builder, "w.json").unwrap();
+        let report = clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(report.prune_skipped.is_some(), "prune should defer");
         assert_eq!(report.blobs_pruned, 0);
 
         // Pin released: the next clean prunes normally.
         drop(pin);
-        let report = clean_workload(&mut builder, "w.json").unwrap();
+        let report = clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(report.prune_skipped.is_none());
         assert!(report.blobs_pruned > 0, "now unreferenced blobs go");
         std::fs::remove_dir_all(dir).unwrap();
@@ -577,7 +568,7 @@ mod tests {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(path, b"partial").unwrap();
         }
-        clean_workload(&mut builder, "w.json").unwrap();
+        clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         if cfg!(target_os = "linux") {
             for path in &dead {
                 assert!(!path.exists(), "{} survived clean", path.display());
@@ -631,14 +622,14 @@ mod tests {
         store.save(stale_key, stale_fp, None, &snapshot()).unwrap();
 
         // Cleaning `b` leaves `a`'s artifacts — and so its checkpoint.
-        let report = clean_workload(&mut builder, "b.json").unwrap();
+        let report = clean_workload(&mut builder, "b.json", DEFAULT_KEEP_RUNS).unwrap();
         assert_eq!(report.checkpoints_pruned, 1, "only the orphan goes");
         assert!(report.checkpoint_bytes_reclaimed > 0);
         assert!(store.path_for(live_key).exists());
         assert!(!store.path_for(stale_key).exists());
 
         // Cleaning `a` removes its artifacts, orphaning its checkpoint.
-        let report = clean_workload(&mut builder, "a.json").unwrap();
+        let report = clean_workload(&mut builder, "a.json", DEFAULT_KEEP_RUNS).unwrap();
         assert_eq!(report.checkpoints_pruned, 1);
         assert!(!store.path_for(live_key).exists());
         std::fs::remove_dir_all(dir).unwrap();
@@ -661,14 +652,14 @@ mod tests {
 
         // A live launch pins the checkpoint store: pruning defers.
         let pin = crate::imagestore::PoolPin::acquire(store.dir()).unwrap();
-        let report = clean_workload(&mut builder, "w.json").unwrap();
+        let report = clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(report.checkpoint_prune_skipped.is_some());
         assert_eq!(report.checkpoints_pruned, 0);
         assert!(store.path_for(key).exists());
 
         // Pin released: the orphan goes.
         drop(pin);
-        let report = clean_workload(&mut builder, "w.json").unwrap();
+        let report = clean_workload(&mut builder, "w.json", DEFAULT_KEEP_RUNS).unwrap();
         assert!(report.checkpoint_prune_skipped.is_none());
         assert_eq!(report.checkpoints_pruned, 1);
         std::fs::remove_dir_all(dir).unwrap();

@@ -24,7 +24,7 @@ use marshal_trace::Recorder;
 
 use crate::board::Board;
 use crate::build::{BuildOptions, Builder};
-use crate::clean::{clean_workload_with, DEFAULT_KEEP_RUNS};
+use crate::clean::{clean_workload, DEFAULT_KEEP_RUNS};
 use crate::connector::{FireSimConnector, SimulatorConnector};
 use crate::cosim::{cosim_workload, CosimOptions};
 use crate::error::MarshalError;
@@ -1027,7 +1027,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
         Command::Clean {
             workload,
             keep_runs,
-        } => match clean_workload_with(builder, workload, keep_runs.unwrap_or(DEFAULT_KEEP_RUNS)) {
+        } => match clean_workload(builder, workload, keep_runs.unwrap_or(DEFAULT_KEEP_RUNS)) {
             Ok(report) => {
                 log.push(format!(
                     "cleaned `{workload}` ({} state entries forgotten, \
@@ -1107,7 +1107,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             if let Some(client) = &client {
                 client.set_recorder(rec.clone());
             }
-            match crate::scrub::scrub_pool_with(Path::new(&args.workdir), client.as_ref(), rec) {
+            match crate::scrub::scrub_pool(Path::new(&args.workdir), client.as_ref(), rec) {
                 Ok(report) => {
                     render_warnings(&mut log, rec, &mut seen, &report.warnings);
                     log.push(format!(

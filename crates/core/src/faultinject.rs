@@ -157,17 +157,6 @@ impl Injector {
         Ok(fault)
     }
 
-    /// Picks a fault kind at random (seeded, deterministic).
-    pub fn any_kind(&mut self) -> FaultKind {
-        *self.rng.pick(&[
-            FaultKind::BitFlip,
-            FaultKind::Truncate,
-            FaultKind::Garbage,
-            FaultKind::DuplicateLine,
-            FaultKind::TornWrite,
-        ])
-    }
-
     /// Tears a serialized image (or any artifact) mid-write: the crash-
     /// during-`guest-init` scenario the init-system idempotency path must
     /// recover from.

@@ -69,7 +69,7 @@ pub use launch::{LaunchOptions, LaunchOutput};
 pub use runners::{
     level_spec, make_runners, parse_level_spec, parse_runner_specs, serve_exec_handler, RunnerSpec,
 };
-pub use scrub::{scrub_pool, scrub_pool_with, ScrubReport};
+pub use scrub::{scrub_pool, ScrubReport};
 pub use simulator::{simulator_for, simulator_names, BackendOptions, SimRun, Simulator};
-pub use test::{clean_output, clean_output_with, TestOutcome, TestReport};
+pub use test::{clean_output, TestOutcome, TestReport};
 pub use warnings::{Severity, Warning};

@@ -48,26 +48,14 @@ pub struct ScrubReport {
 /// Scrubs the pool under `workdir`: every blob is re-hashed, every level
 /// manifest re-parsed. Corrupt blobs are quarantined and — when `remote`
 /// is given — re-fetched; manifests that end up unsatisfiable are removed
-/// so their levels rebuild.
+/// so their levels rebuild. The scrub runs under a `scrub` span of
+/// `recorder` whose closing args carry the damage counts.
 ///
 /// # Errors
 ///
 /// [`MarshalError::Io`] when the workdir itself is unreadable. Individual
 /// damaged files are never errors — finding them is the job.
 pub fn scrub_pool(
-    workdir: &Path,
-    remote: Option<&RemoteStore>,
-) -> Result<ScrubReport, MarshalError> {
-    scrub_pool_with(workdir, remote, &Recorder::disabled())
-}
-
-/// [`scrub_pool`] with a run-journal recorder: the scrub runs under a
-/// `scrub` span whose closing args carry the damage counts.
-///
-/// # Errors
-///
-/// Same as [`scrub_pool`].
-pub fn scrub_pool_with(
     workdir: &Path,
     remote: Option<&RemoteStore>,
     recorder: &Recorder,
@@ -237,7 +225,7 @@ mod tests {
         img.write_file("/a", b"alpha").unwrap();
         img.write_file("/b", b"beta").unwrap();
         store.store("lvl", img).unwrap();
-        let report = scrub_pool(&dir, None).unwrap();
+        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
         assert!(report.blobs_checked > 0);
         assert_eq!(report.corrupt, 0);
         assert_eq!(report.manifests_removed, 0);
@@ -256,7 +244,7 @@ mod tests {
             marshal_image::manifest_refs(&std::fs::read(store.path_for("lvl")).unwrap()).unwrap();
         std::fs::write(store.blobs().blob_path(refs[0]), b"bitrot").unwrap();
 
-        let report = scrub_pool(&dir, None).unwrap();
+        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
         assert_eq!(report.corrupt, 1);
         assert!(report.quarantined_bytes > 0, "quarantined bytes reported");
         assert_eq!(report.unrecoverable, 1, "no remote to heal from");
@@ -279,7 +267,7 @@ mod tests {
         let path = store.path_for("lvl");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let report = scrub_pool(&dir, None).unwrap();
+        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
         assert!(report.manifests_removed >= 1);
         assert!(!path.exists());
         std::fs::remove_dir_all(dir).unwrap();

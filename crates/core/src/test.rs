@@ -57,13 +57,7 @@ impl TestOutcome {
 /// backend declares the prefixes its banner lines carry, so adding a
 /// backend can't silently break reference-output matching.
 pub fn clean_output(log: &str) -> Vec<String> {
-    clean_output_with(log, &crate::simulator::all_log_prefixes())
-}
-
-/// [`clean_output`] against an explicit banner-prefix set (the registry's
-/// set in normal use; callers comparing against a single known backend can
-/// pass just that backend's [`crate::simulator::Simulator::log_prefixes`]).
-pub fn clean_output_with(log: &str, prefixes: &[&str]) -> Vec<String> {
+    let prefixes = crate::simulator::all_log_prefixes();
     log.lines()
         .map(|line| {
             // Strip a dmesg timestamp prefix.

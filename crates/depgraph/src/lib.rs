@@ -62,7 +62,8 @@ pub use exec::{BuildReport, ExecOptions, Plan};
 pub use graph::Graph;
 pub use hash::{Fingerprint, Hasher128};
 pub use runner::{
-    run_task, Assignment, DryRunPlan, DryRunRunner, LocalRunner, PlannedTask, TaskRunner,
+    run_and_report, run_task, Assignment, DryRunPlan, DryRunRunner, LocalRunner, PlannedTask,
+    TaskRunner,
 };
 pub use state::StateDb;
 pub use task::Task;

@@ -13,7 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use marshal_trace::Recorder;
+use marshal_trace::{Recorder, Span};
 
 use crate::claims::ClaimScope;
 use crate::events::EventSender;
@@ -27,6 +27,19 @@ pub struct Assignment {
     /// How long the task sat ready before a runner slot claimed it, for
     /// queue-wait attribution in the run journal.
     pub claim_wait_us: u64,
+}
+
+impl Assignment {
+    /// Reports the task started and opens its `task` span on `recorder`,
+    /// attributed to runner `label`. Call it on the thread that will end
+    /// the span, so per-thread span nesting stays exact.
+    pub fn start(&self, events: &EventSender, recorder: &Recorder, label: &str) -> Span {
+        let id = self.task.id();
+        events.started(id);
+        let wait = self.claim_wait_us.to_string();
+        let args = [("task", id), ("claim_wait_us", &wait), ("runner", label)];
+        recorder.span("task", &args)
+    }
 }
 
 /// An execution backend for build tasks.
@@ -97,6 +110,30 @@ pub fn run_task(task: &Task) -> Result<(), String> {
                 return Err(format!("{message} (after {} attempts)", attempt + 1))
             }
             Err(message) => return Err(message),
+        }
+    }
+}
+
+/// Runs `task` with [`run_task`] on the calling thread, catching a panic,
+/// then ends `span` with the outcome and sends the terminal event;
+/// `executed` are the span's closing args when the task succeeds. The
+/// worker body of [`LocalRunner`]; remote runners call it when they fall
+/// back to executing locally.
+pub fn run_and_report(task: &Task, span: Span, events: &EventSender, executed: &[(&str, &str)]) {
+    let id = task.id();
+    match catch_unwind(AssertUnwindSafe(|| run_task(task))) {
+        Ok(Ok(())) => {
+            span.end_with(executed);
+            events.finished(id);
+        }
+        Ok(Err(message)) => {
+            span.end_with(&[("outcome", "failed"), ("error", &message)]);
+            events.failed(id, message);
+        }
+        Err(payload) => {
+            let message = panic_message(payload);
+            span.end_with(&[("outcome", "panicked"), ("error", &message)]);
+            events.panicked(id, message);
         }
     }
 }
@@ -184,34 +221,10 @@ impl LocalRunner {
                 let Ok(LocalJob { assignment, events }) = job else {
                     return;
                 };
-                let task = assignment.task;
-                let id = task.id().to_owned();
-                events.started(&id);
-                // The task span lives on the worker thread that ran the
-                // action, keeping per-thread span nesting exact.
-                let span = rec.span(
-                    "task",
-                    &[
-                        ("task", &id),
-                        ("claim_wait_us", &assignment.claim_wait_us.to_string()),
-                        ("runner", &label),
-                    ],
-                );
-                match catch_unwind(AssertUnwindSafe(|| run_task(&task))) {
-                    Ok(Ok(())) => {
-                        span.end_with(&[("outcome", "executed")]);
-                        events.finished(&id);
-                    }
-                    Ok(Err(message)) => {
-                        span.end_with(&[("outcome", "failed"), ("error", &message)]);
-                        events.failed(&id, message);
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        span.end_with(&[("outcome", "panicked"), ("error", &message)]);
-                        events.panicked(&id, message);
-                    }
-                }
+                // The task span lives on the worker thread that runs the
+                // action.
+                let span = assignment.start(&events, &rec, &label);
+                run_and_report(&assignment.task, span, &events, &[("outcome", "executed")]);
             }));
         }
         self.shared_rx = Some(rx);

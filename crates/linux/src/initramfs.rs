@@ -46,11 +46,6 @@ impl InitramfsSpec {
         self
     }
 
-    /// Whether a rootfs is embedded (diskless workload).
-    pub fn has_embedded_rootfs(&self) -> bool {
-        self.embedded_rootfs.is_some()
-    }
-
     /// Builds the initramfs archive.
     ///
     /// The result contains `/init` (a script that loads each module in

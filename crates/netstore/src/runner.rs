@@ -11,11 +11,10 @@
 //! the scheduler routes the rest of the build elsewhere. A task is never
 //! orphaned: the terminal event always precedes the retirement.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use marshal_depgraph::{run_task, Assignment, EventSender, Task, TaskRunner};
+use marshal_depgraph::{run_and_report, Assignment, EventSender, Task, TaskRunner};
 use marshal_trace::Recorder;
 
 use crate::client::RemoteStore;
@@ -64,16 +63,6 @@ impl RemoteRunner {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_owned()
-    }
-}
-
 impl TaskRunner for RemoteRunner {
     fn label(&self) -> String {
         self.label.clone()
@@ -98,17 +87,9 @@ impl TaskRunner for RemoteRunner {
         let label = self.label.clone();
         let events = events.clone();
         self.handles.push(std::thread::spawn(move || {
+            let span = assignment.start(&events, &rec, &label);
             let task = assignment.task;
             let id = task.id().to_owned();
-            events.started(&id);
-            let span = rec.span(
-                "task",
-                &[
-                    ("task", &id),
-                    ("claim_wait_us", &assignment.claim_wait_us.to_string()),
-                    ("runner", &label),
-                ],
-            );
             let remote_result = if store.degraded() {
                 Err(format!("remote {}: circuit breaker open", store.label()))
             } else {
@@ -133,21 +114,8 @@ impl TaskRunner for RemoteRunner {
                         "remote {}: `{id}` fell back to local execution ({reason})",
                         store.label()
                     ));
-                    match catch_unwind(AssertUnwindSafe(|| run_task(&task))) {
-                        Ok(Ok(())) => {
-                            span.end_with(&[("outcome", "executed"), ("remote", "fallback")]);
-                            events.finished(&id);
-                        }
-                        Ok(Err(message)) => {
-                            span.end_with(&[("outcome", "failed"), ("error", &message)]);
-                            events.failed(&id, message);
-                        }
-                        Err(payload) => {
-                            let message = panic_message(payload);
-                            span.end_with(&[("outcome", "panicked"), ("error", &message)]);
-                            events.panicked(&id, message);
-                        }
-                    }
+                    let executed = [("outcome", "executed"), ("remote", "fallback")];
+                    run_and_report(&task, span, &events, &executed);
                     // Terminal event first, then retirement: the scheduler
                     // settles the task before it stops offering work here,
                     // so nothing is orphaned and nothing hangs.

@@ -2,7 +2,7 @@
 //! → workload payload.
 //!
 //! Both functional simulators and the cycle-exact simulator drive this same
-//! flow with the same artifacts; only the [`Executor`] differs. This is the
+//! flow with the same artifacts; only the [`Timing`] model differs. This is the
 //! mechanism behind the paper's §III-E guarantee: "the workload outputs are
 //! not modified in any way between the launch and install commands; the
 //! exact same artifacts are run on both simulators."
@@ -12,9 +12,9 @@ use marshal_image::{initsys, FsImage};
 use marshal_isa::MexeFile;
 
 use crate::checkpoint::BootSnapshot;
-use crate::guest::{Executor, GuestEnv, GuestOs};
-use crate::machine::{LaunchMode, SimConfig, SimError, SimResult, WATCHDOG_EXIT_CODE};
-use crate::syscall::{OsServices, UserRunner};
+use crate::guest::{GuestEnv, GuestOs};
+use crate::machine::{LaunchMode, LoadedJob, SimConfig, SimError, SimResult, WATCHDOG_EXIT_CODE};
+use crate::syscall::{OsServices, Timing, UserRunner};
 
 /// Whether a payload error means the guest hung and the watchdog fired.
 ///
@@ -26,6 +26,35 @@ fn watchdog_fired(err: &SimError, os: &GuestOs) -> bool {
     os.remaining_budget().is_err()
         || matches!(err, SimError::Budget { .. })
         || matches!(err, SimError::Script(m) if m.contains("instruction budget exhausted"))
+}
+
+/// Runs loaded artifacts under `timing`, the one way every backend runs a
+/// job. Linux jobs boot the full system with boot checkpointing, as
+/// [`simulate_linux`] describes. Bare jobs execute the binary directly on
+/// the hart with the console as the only device, ignore `resume` and
+/// capture nothing: the log opens with the `bare_banner` line, and the
+/// exit line reports the modelled cycles when `timing` keeps them. A
+/// watchdog stop reports the budget as the instruction count, as
+/// [`exec_timed`](crate::guest::exec_timed) accounts it.
+///
+/// # Errors
+///
+/// See [`simulate_linux`]; bare jobs fail with [`SimError::BadArtifact`]
+/// for non-MEXE binaries, plus traps.
+pub fn run_job<T: Timing + ?Sized>(
+    cfg: &SimConfig,
+    job: &LoadedJob,
+    mode: LaunchMode,
+    resume: Option<&BootSnapshot>,
+    bare_banner: &str,
+    timing: &mut T,
+) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
+    match job {
+        LoadedJob::Linux { boot, disk } => {
+            simulate_linux(cfg, boot, disk.as_ref(), mode, timing, resume)
+        }
+        LoadedJob::Bare { bin } => Ok((run_bare(cfg, bin, bare_banner, timing)?, None)),
+    }
 }
 
 /// Boots a Linux workload and runs its payload, with boot checkpointing.
@@ -50,36 +79,36 @@ fn watchdog_fired(err: &SimError, os: &GuestOs) -> bool {
 ///
 /// [`SimError::BadArtifact`] for inconsistent artifacts (e.g. missing disk),
 /// plus any trap/budget/script error from the payload.
-pub fn simulate_linux<E: Executor>(
+pub fn simulate_linux<T: Timing + ?Sized>(
     cfg: &SimConfig,
     boot: &BootBinary,
     disk: Option<&FsImage>,
     mode: LaunchMode,
-    exec: &mut E,
+    timing: &mut T,
     resume: Option<&BootSnapshot>,
 ) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
     let resume = resume.filter(|_| matches!(mode, LaunchMode::Run));
     let (os, systemd) = match resume {
         Some(snap) => (GuestOs::from_snapshot(snap, cfg), snap.systemd),
-        None => boot_linux(cfg, boot, disk, exec)?,
+        None => boot_linux(cfg, boot, disk, timing)?,
     };
     let captured = if resume.is_none() && matches!(mode, LaunchMode::Run) && os.instructions == 0 {
         Some(os.snapshot(systemd))
     } else {
         None
     };
-    let result = run_payload(cfg, os, systemd, mode, exec)?;
+    let result = run_payload(cfg, os, systemd, mode, timing)?;
     Ok((result, captured))
 }
 
 /// The boot phase: firmware → kernel → initramfs → root mount → init
 /// system → (pending) guest-init. Returns the OS at the payload seam and
 /// the detected-systemd flag.
-fn boot_linux<E: Executor>(
+fn boot_linux<T: Timing + ?Sized>(
     cfg: &SimConfig,
     boot: &BootBinary,
     disk: Option<&FsImage>,
-    exec: &mut E,
+    timing: &mut T,
 ) -> Result<(GuestOs, bool), SimError> {
     // --- Simulator banner -------------------------------------------------
     let mut preboot = Vec::new();
@@ -149,7 +178,7 @@ fn boot_linux<E: Executor>(
                 .expect("checked exists"),
         )
         .into_owned();
-        let mut env = GuestEnv::new(&mut os, exec);
+        let mut env = GuestEnv::new(&mut os, timing);
         env.run_script_source(&init_src, &[])?;
     }
 
@@ -204,7 +233,7 @@ fn boot_linux<E: Executor>(
         // interrupted image is detectable instead of silently half-built.
         initsys::mark_guest_init_started(&mut os.image)?;
         {
-            let mut env = GuestEnv::new(&mut os, exec);
+            let mut env = GuestEnv::new(&mut os, timing);
             env.run_script_source(&src, &[])?;
         }
         initsys::mark_guest_init_done(&mut os.image)?;
@@ -215,12 +244,12 @@ fn boot_linux<E: Executor>(
 }
 
 /// The payload phase: everything after the post-init seam.
-fn run_payload<E: Executor>(
+fn run_payload<T: Timing + ?Sized>(
     cfg: &SimConfig,
     mut os: GuestOs,
     systemd: bool,
     mode: LaunchMode,
-    exec: &mut E,
+    timing: &mut T,
 ) -> Result<SimResult, SimError> {
     // --- Workload payload ----------------------------------------------------
     // Boot problems (init scripts, guest-init) stay hard errors: a broken
@@ -240,7 +269,7 @@ fn run_payload<E: Executor>(
                 os.serial_line("Starting firemarshal payload:");
             }
             let payload_err = {
-                let mut env = GuestEnv::new(&mut os, exec);
+                let mut env = GuestEnv::new(&mut os, timing);
                 env.run_script_source(&src, &[]).err()
             };
             if let Some(e) = payload_err {
@@ -278,9 +307,8 @@ fn run_payload<E: Executor>(
 
 /// The only device of a bare-metal machine: a console whose output is
 /// captured. File access fails.
-pub struct BareConsole {
-    /// The serial log so far.
-    pub serial: String,
+struct BareConsole {
+    serial: String,
 }
 
 impl OsServices for BareConsole {
@@ -295,13 +323,13 @@ impl OsServices for BareConsole {
     }
 }
 
-/// Loads a bare-metal workload binary onto a fresh hart with the UART
-/// mapped.
-///
-/// # Errors
-///
-/// [`SimError::BadArtifact`] for non-MEXE binaries.
-pub fn load_bare(bin: &[u8]) -> Result<UserRunner, SimError> {
+/// The bare-metal half of [`run_job`].
+fn run_bare<T: Timing + ?Sized>(
+    cfg: &SimConfig,
+    bin: &[u8],
+    banner: &str,
+    timing: &mut T,
+) -> Result<SimResult, SimError> {
     if !MexeFile::sniff(bin) {
         return Err(SimError::BadArtifact(
             "bare-metal workload binary is not a MEXE image".to_owned(),
@@ -311,38 +339,29 @@ pub fn load_bare(bin: &[u8]) -> Result<UserRunner, SimError> {
         .map_err(|e| SimError::BadArtifact(format!("bare-metal binary: {e}")))?;
     let mut runner = UserRunner::new(&exe, &[])?;
     runner.bus.enable_uart();
-    Ok(runner)
-}
-
-/// Runs a bare-metal workload: the hard-coded `bin` executes directly on
-/// the hart with the console as its only device.
-///
-/// # Errors
-///
-/// [`SimError::BadArtifact`] for non-MEXE binaries; traps and budget errors
-/// from execution.
-pub(crate) fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, SimError> {
-    let mut runner = load_bare(bin)?;
     let mut os = BareConsole {
-        serial: format!("{}: starting bare-metal simulation\n", cfg.kind.name()),
+        serial: format!("{banner}\n"),
     };
+    let name = cfg.kind.name();
     let limit = cfg.max_instructions;
-    let (exit_code, instructions, timed_out) = match runner.run(&mut os, limit, &mut ())? {
+    let (exit_code, instructions, timed_out) = match runner.run(&mut os, limit, timing)? {
         (Some(code), insts) => (code, insts, false),
         (None, _) => {
+            // A hung guest is terminated; the serial log so far is salvaged.
             os.serial.push_str(&format!(
-                "{}: watchdog: instruction budget exhausted ({limit} instructions); \
-                 terminating hung guest\n",
-                cfg.kind.name()
+                "{name}: watchdog: instruction budget exhausted ({limit} instructions); \
+                 terminating hung guest\n"
             ));
             (WATCHDOG_EXIT_CODE, limit, true)
         }
     };
     if !timed_out {
-        os.serial.push_str(&format!(
-            "{}: exited with code {exit_code}\n",
-            cfg.kind.name()
-        ));
+        let after = timing
+            .cycles()
+            .map(|cycles| format!(" after {cycles} cycles"))
+            .unwrap_or_default();
+        os.serial
+            .push_str(&format!("{name}: exited with code {exit_code}{after}\n"));
     }
     Ok(SimResult {
         serial: os.serial,
@@ -356,7 +375,6 @@ pub(crate) fn simulate_bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guest::FunctionalExecutor;
     use crate::machine::SimKind;
     use marshal_firmware::{build_firmware, link_boot_binary, FirmwareBuild};
     use marshal_image::{BootPayload, InitSystem};
@@ -379,6 +397,11 @@ mod tests {
         link_boot_binary(&fw, &kernel).unwrap()
     }
 
+    /// A functional bare-metal run.
+    fn bare(cfg: &SimConfig, bin: &[u8]) -> Result<SimResult, SimError> {
+        run_bare(cfg, bin, "bare-metal test", &mut ())
+    }
+
     /// A cold boot with no snapshot to resume from.
     fn cold(
         cfg: &SimConfig,
@@ -386,7 +409,7 @@ mod tests {
         disk: Option<&FsImage>,
         mode: LaunchMode,
     ) -> Result<SimResult, SimError> {
-        simulate_linux(cfg, boot, disk, mode, &mut FunctionalExecutor, None).map(|(r, _)| r)
+        simulate_linux(cfg, boot, disk, mode, &mut (), None).map(|(r, _)| r)
     }
 
     fn disk_with_payload(cmd: &str) -> FsImage {
@@ -436,15 +459,8 @@ _start:
 
     /// The snapshot a cold `Run` of `disk` captures.
     fn capture(cfg: &SimConfig, boot: &BootBinary, disk: &FsImage) -> (SimResult, BootSnapshot) {
-        let (result, snap) = simulate_linux(
-            cfg,
-            boot,
-            Some(disk),
-            LaunchMode::Run,
-            &mut FunctionalExecutor,
-            None,
-        )
-        .unwrap();
+        let (result, snap) =
+            simulate_linux(cfg, boot, Some(disk), LaunchMode::Run, &mut (), None).unwrap();
         (
             result,
             snap.expect("a cold eligible Run captures a snapshot"),
@@ -460,15 +476,8 @@ _start:
         assert_eq!(snap.instructions, 0);
         // No disk: a cold boot would fail, so the restore provably skipped
         // the boot phase.
-        let (restored, again) = simulate_linux(
-            &cfg,
-            &boot,
-            None,
-            LaunchMode::Run,
-            &mut FunctionalExecutor,
-            Some(&snap),
-        )
-        .unwrap();
+        let (restored, again) =
+            simulate_linux(&cfg, &boot, None, LaunchMode::Run, &mut (), Some(&snap)).unwrap();
         assert_eq!(restored, cold_run);
         assert!(again.is_none(), "a restored run captures nothing");
     }
@@ -485,7 +494,7 @@ _start:
             &boot,
             Some(&disk),
             LaunchMode::GuestInit,
-            &mut FunctionalExecutor,
+            &mut (),
             Some(&snap),
         )
         .unwrap();
@@ -504,15 +513,8 @@ _start:
         let mut disk = disk_with_payload("/bin/payload");
         // A pending guest-init runs during a `Run` boot and execs a program.
         initsys::install_guest_init(&mut disk, "#!mscript\nexec(\"/bin/payload\")\n").unwrap();
-        let (result, captured) = simulate_linux(
-            &cfg,
-            &boot,
-            Some(&disk),
-            LaunchMode::Run,
-            &mut FunctionalExecutor,
-            None,
-        )
-        .unwrap();
+        let (result, captured) =
+            simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut (), None).unwrap();
         assert!(result.serial.contains("guest-init complete"));
         assert!(captured.is_none());
     }
@@ -640,11 +642,11 @@ _start:
             abi::USER_BASE,
         )
         .unwrap();
-        let result = simulate_bare(&cfg, &exe.to_bytes()).unwrap();
+        let result = bare(&cfg, &exe.to_bytes()).unwrap();
         assert!(result.serial.contains("bare metal ok"));
         assert_eq!(result.exit_code, 0);
         assert!(result.image.is_none());
-        assert!(simulate_bare(&cfg, b"garbage").is_err());
+        assert!(bare(&cfg, b"garbage").is_err());
     }
 
     #[test]
@@ -694,8 +696,12 @@ _start:
         let mut cfg = SimConfig::new(SimKind::Spike);
         cfg.max_instructions = 10_000;
         let spin = assemble("_start:\n j _start\n", abi::USER_BASE).unwrap();
-        let result = simulate_bare(&cfg, &spin.to_bytes()).unwrap();
+        let result = bare(&cfg, &spin.to_bytes()).unwrap();
         assert!(result.timed_out);
+        assert_eq!(
+            result.instructions, 10_000,
+            "the budget, as exec_timed counts it"
+        );
         assert!(!result.success());
         assert_eq!(result.exit_code, WATCHDOG_EXIT_CODE);
         assert!(result.serial.contains("watchdog"), "{}", result.serial);
@@ -784,7 +790,7 @@ done:
 "#;
         let exe = assemble(src, abi::USER_BASE).unwrap();
         let cfg = SimConfig::new(SimKind::Spike);
-        let result = simulate_bare(&cfg, &exe.to_bytes()).unwrap();
+        let result = run_bare(&cfg, &exe.to_bytes(), "bare-metal test", &mut ()).unwrap();
         assert!(
             result.serial.contains("mmio uart ok\n"),
             "{}",

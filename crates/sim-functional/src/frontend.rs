@@ -8,9 +8,8 @@
 //! binaries are identified by name and contribute feature tags (e.g.
 //! `pfa-spike` → feature `pfa`).
 
-use crate::boot::{simulate_bare, simulate_linux};
+use crate::boot::run_job;
 use crate::checkpoint::BootSnapshot;
-use crate::guest::FunctionalExecutor;
 use crate::machine::{LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult};
 
 /// A full-system functional simulator (QEMU or Spike).
@@ -76,32 +75,22 @@ impl FunctionalSim {
         &self.binary
     }
 
-    /// Runs loaded artifacts. Linux jobs boot the full system, resuming
-    /// from `resume` and capturing a snapshot as [`simulate_linux`]
-    /// describes; bare jobs execute the binary directly, ignore `resume`
-    /// and capture nothing.
+    /// Runs loaded artifacts with [`run_job`] and no timing model.
     ///
     /// # Errors
     ///
-    /// See [`simulate_linux`]; bare jobs fail with
-    /// [`SimError::BadArtifact`] for non-MEXE binaries, plus traps.
+    /// See [`run_job`].
     pub fn run(
         &self,
         job: &LoadedJob,
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => simulate_linux(
-                &self.config,
-                boot,
-                disk.as_ref(),
-                mode,
-                &mut FunctionalExecutor,
-                resume,
-            ),
-            LoadedJob::Bare { bin } => Ok((simulate_bare(&self.config, bin)?, None)),
-        }
+        let banner = format!(
+            "{}: starting bare-metal simulation",
+            self.config.kind.name()
+        );
+        run_job(&self.config, job, mode, resume, &banner, &mut ())
     }
 }
 

@@ -3,10 +3,9 @@
 //! [`GuestOs`] owns the mounted root filesystem, the serial console, and
 //! the guest clock. [`GuestEnv`] exposes the guest to mscript — it is the
 //! environment in which init scripts, `guest-init`, and the workload's
-//! boot payload run. Program execution goes through the [`Executor`] trait
-//! so the cycle-exact simulator can attach its timing model while sharing
-//! every other piece of the OS model; every executor runs programs with
-//! [`exec_timed`].
+//! boot payload run. Programs run with [`exec_timed`] under a
+//! [`Timing`] model — `()` in the functional simulators, the pipeline in
+//! the cycle-exact one — which shares every other piece of the OS model.
 
 use marshal_image::FsImage;
 use marshal_isa::MexeFile;
@@ -19,42 +18,9 @@ use crate::syscall::{OsServices, Timing, UserRunner};
 /// Maximum nesting of guest scripts/binaries (scripts invoking scripts).
 const MAX_EXEC_DEPTH: u32 = 8;
 
-/// Executes user programs — functionally here, with a timing model in the
-/// cycle-exact simulator.
-pub trait Executor {
-    /// Runs `exe` with `args` against the guest OS; returns
-    /// `(exit_code, instructions)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates traps, budget exhaustion, and artifact errors.
-    fn exec(
-        &mut self,
-        exe: &MexeFile,
-        args: &[String],
-        os: &mut GuestOs,
-    ) -> Result<(i64, u64), SimError>;
-}
-
-/// The functional executor: no timing model, one cycle per instruction.
-#[derive(Debug, Clone, Copy)]
-pub struct FunctionalExecutor;
-
-impl Executor for FunctionalExecutor {
-    fn exec(
-        &mut self,
-        exe: &MexeFile,
-        args: &[String],
-        os: &mut GuestOs,
-    ) -> Result<(i64, u64), SimError> {
-        exec_timed(&mut (), exe, args, os)
-    }
-}
-
 /// Runs `exe` with `args` under the timing model `timing` and charges the
 /// guest clock: the model's cycles when it keeps them, else one cycle per
-/// instruction. The body of every [`Executor`]; returns
-/// `(exit_code, instructions)`.
+/// instruction. Returns `(exit_code, instructions)`.
 ///
 /// # Errors
 ///
@@ -258,18 +224,22 @@ impl OsServices for GuestOs {
 }
 
 /// The mscript environment for guest scripts.
-pub struct GuestEnv<'a, E: Executor> {
+pub struct GuestEnv<'a, T: Timing + ?Sized> {
     /// The guest OS.
     pub os: &'a mut GuestOs,
-    /// Program executor (functional or timed).
-    pub exec: &'a mut E,
+    /// The timing model programs run under.
+    pub timing: &'a mut T,
     depth: u32,
 }
 
-impl<'a, E: Executor> GuestEnv<'a, E> {
+impl<'a, T: Timing + ?Sized> GuestEnv<'a, T> {
     /// Creates the environment.
-    pub fn new(os: &'a mut GuestOs, exec: &'a mut E) -> GuestEnv<'a, E> {
-        GuestEnv { os, exec, depth: 0 }
+    pub fn new(os: &'a mut GuestOs, timing: &'a mut T) -> GuestEnv<'a, T> {
+        GuestEnv {
+            os,
+            timing,
+            depth: 0,
+        }
     }
 
     /// Runs a guest script from source with arguments.
@@ -296,7 +266,7 @@ impl<'a, E: Executor> GuestEnv<'a, E> {
             GuestProgram::Binary(exe) => {
                 let mut argv = vec![path.to_owned()];
                 argv.extend(args.iter().cloned());
-                let (code, _) = self.exec.exec(&exe, &argv, self.os)?;
+                let (code, _) = exec_timed(self.timing, &exe, &argv, self.os)?;
                 code
             }
             GuestProgram::Script(source) => {
@@ -322,7 +292,7 @@ impl<'a, E: Executor> GuestEnv<'a, E> {
     }
 }
 
-impl<E: Executor> Extern for GuestEnv<'_, E> {
+impl<T: Timing + ?Sized> Extern for GuestEnv<'_, T> {
     fn call(&mut self, name: &str, args: &[Value]) -> ExternResult {
         let str_arg = |i: usize| -> Result<&str, String> {
             match args.get(i) {
@@ -503,8 +473,8 @@ _start:
     #[test]
     fn exec_binary_writes_serial() {
         let mut os = os_with(&[("/bin/bench", &hello_exe())]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         let code = env.exec_line("/bin/bench --fast").unwrap();
         assert_eq!(code, 0);
         assert!(os.serial().contains("bench output: 7"));
@@ -515,8 +485,8 @@ _start:
     fn script_execs_binary() {
         let script = b"#!mscript\nprint(\"starting\")\nlet rc = exec(\"/bin/bench\")\nprint(\"rc=\" + str(rc))\n";
         let mut os = os_with(&[("/bin/bench", &hello_exe()), ("/run.ms", script)]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         env.exec_line("/run.ms").unwrap();
         let serial = os.serial();
         let starting = serial.find("starting").unwrap();
@@ -529,8 +499,8 @@ _start:
     fn guest_file_builtins() {
         let script = b"#!mscript\nwrite_file(\"/output/r.csv\", \"a,b\\n\")\nappend_file(\"/output/r.csv\", \"1,2\\n\")\nprint(read_file(\"/output/r.csv\"))\nprint(exists(\"/output/r.csv\"), exists(\"/nope\"))\n";
         let mut os = os_with(&[("/go.ms", script)]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         env.exec_line("/go.ms").unwrap();
         assert_eq!(os.image.read_file("/output/r.csv").unwrap(), b"a,b\n1,2\n");
         assert!(os.serial().contains("true false"));
@@ -540,8 +510,8 @@ _start:
     fn exec_depth_bounded() {
         let script = b"#!mscript\nexec(\"/loop.ms\")\n";
         let mut os = os_with(&[("/loop.ms", script)]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         assert!(env.exec_line("/loop.ms").is_err());
     }
 
@@ -560,16 +530,16 @@ _start:
     #[test]
     fn missing_program_errors() {
         let mut os = os_with(&[]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         assert!(env.exec_line("/not/there").is_err());
     }
 
     #[test]
     fn non_executable_rejected() {
         let mut os = os_with(&[("/etc/plain.txt", b"not a program")]);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         assert!(matches!(
             env.exec_line("/etc/plain.txt"),
             Err(SimError::BadArtifact(_))
@@ -598,8 +568,8 @@ print("cycles nonneg=" + str(c >= 0))
         img.write_exec("/id.ms", script).unwrap();
         let mut os = GuestOs::new(img, &SimConfig::new(SimKind::Qemu));
         os.account(0, 123);
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         env.exec_line("/id.ms").unwrap();
         let serial = os.serial();
         assert!(serial.contains("host=buildroot"), "{serial}");
@@ -610,8 +580,8 @@ print("cycles nonneg=" + str(c >= 0))
     #[test]
     fn hostname_defaults_when_missing() {
         let mut os = GuestOs::new(FsImage::new(), &SimConfig::new(SimKind::Qemu));
-        let mut fexec = FunctionalExecutor;
-        let mut env = GuestEnv::new(&mut os, &mut fexec);
+        let mut functional = ();
+        let mut env = GuestEnv::new(&mut os, &mut functional);
         let v = env.run_script_source("hostname()", &[]).unwrap();
         assert_eq!(v, marshal_script::Value::Str("(none)".into()));
     }

@@ -18,10 +18,8 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use marshal_isa::interp::Retired;
-use marshal_isa::MexeFile;
-use marshal_sim_functional::boot::{load_bare, simulate_linux, BareConsole};
+use marshal_sim_functional::boot::run_job;
 use marshal_sim_functional::checkpoint::BootSnapshot;
-use marshal_sim_functional::guest::{exec_timed, Executor, GuestOs};
 use marshal_sim_functional::machine::{
     LaunchMode, LoadedJob, SimConfig, SimError, SimKind, SimResult,
 };
@@ -209,18 +207,6 @@ impl Timing for Feed {
     }
 }
 
-/// The cycle-exact executor: programs run under the pipeline's timing.
-impl Executor for Feed {
-    fn exec(
-        &mut self,
-        exe: &MexeFile,
-        args: &[String],
-        os: &mut GuestOs,
-    ) -> Result<(i64, u64), SimError> {
-        exec_timed(self, exe, args, os)
-    }
-}
-
 /// One node's simulation outcome.
 #[derive(Debug, Clone)]
 pub struct NodeResult {
@@ -297,7 +283,7 @@ impl FireSim {
     ///
     /// Restoring is cycle-exact because snapshots are only captured when
     /// the boot retired zero user instructions — the pipeline is cold at
-    /// the seam either way (see [`simulate_linux`]).
+    /// the seam either way (see [`marshal_sim_functional::boot::simulate_linux`]).
     ///
     /// # Errors
     ///
@@ -322,58 +308,15 @@ impl FireSim {
     }
 
     /// The run itself, with `timing` as the node's timing model.
-    fn simulate<T: Timing + Executor>(
+    fn simulate<T: Timing>(
         &self,
         job: &LoadedJob,
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
         timing: &mut T,
     ) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => simulate_linux(
-                &self.sim_config(),
-                boot,
-                disk.as_ref(),
-                mode,
-                timing,
-                resume,
-            ),
-            LoadedJob::Bare { bin } => Ok((self.run_bare(bin, timing)?, None)),
-        }
-    }
-
-    /// Runs a bare-metal binary cycle-exactly.
-    fn run_bare<T: Timing>(&self, bin: &[u8], timing: &mut T) -> Result<SimResult, SimError> {
-        let mut runner = load_bare(bin)?;
-        let mut os = BareConsole {
-            serial: format!("firesim: bare-metal node ({})\n", self.hw.name),
-        };
-        // Watchdog: a hung guest is terminated, but the serial log and
-        // performance report gathered so far are salvaged.
-        let (exit, instructions) = runner.run(&mut os, self.max_instructions, timing)?;
-        let (exit_code, timed_out) = match exit {
-            Some(code) => (code, false),
-            None => (marshal_sim_functional::machine::WATCHDOG_EXIT_CODE, true),
-        };
-        if timed_out {
-            os.serial.push_str(&format!(
-                "firesim: watchdog: instruction budget exhausted ({} instructions); \
-                 terminating hung guest\n",
-                self.max_instructions
-            ));
-        } else {
-            os.serial.push_str(&format!(
-                "firesim: exited with code {exit_code} after {} cycles\n",
-                timing.cycles().unwrap_or_default()
-            ));
-        }
-        Ok(SimResult {
-            serial: os.serial,
-            image: None,
-            exit_code,
-            instructions,
-            timed_out,
-        })
+        let banner = format!("firesim: bare-metal node ({})", self.hw.name);
+        run_job(&self.sim_config(), job, mode, resume, &banner, timing)
     }
 
     /// Runs a multi-node cluster: one simulated node per job. With
@@ -444,7 +387,7 @@ mod tests {
     use marshal_linux::kconfig::KernelConfig;
     use marshal_linux::kernel::{build_kernel, KernelSource};
     use marshal_linux::InitramfsSpec;
-    use marshal_sim_functional::{FunctionalSim, SimKind};
+    use marshal_sim_functional::{FunctionalSim, SimKind, WATCHDOG_EXIT_CODE};
 
     fn boot_binary() -> BootBinary {
         let config = KernelConfig::riscv_defconfig();
@@ -490,18 +433,6 @@ nofb:
         ecall
 "#
         .to_owned()
-    }
-
-    /// Same-thread feeding, for the decoupled ≡ same-thread tests.
-    impl Executor for Pipeline {
-        fn exec(
-            &mut self,
-            exe: &MexeFile,
-            args: &[String],
-            os: &mut GuestOs,
-        ) -> Result<(i64, u64), SimError> {
-            exec_timed(self, exe, args, os)
-        }
     }
 
     /// `sim.run(job)` must return exactly what the same run returns with
@@ -610,6 +541,21 @@ loop:
         assert!(result.timed_out);
         assert_eq!(report.counters.instructions, 20_002);
         assert_decoupled_matches(&sim, &job);
+    }
+
+    #[test]
+    fn hung_bare_guest_reports_alike_on_qemu_and_rtl() {
+        let job = bare_job("_start:\n addi t1, t1, 1\n j _start\n");
+        let budget = 20_001;
+        let (qemu, _) = FunctionalSim::new(SimKind::Qemu)
+            .with_budget(budget)
+            .run(&job, LaunchMode::Run, None)
+            .unwrap();
+        let sim = FireSim::new(HardwareConfig::rocket()).with_budget(budget);
+        let (rtl, _, _) = sim.run(&job, LaunchMode::Run, None).unwrap();
+        let outcome = |r: &SimResult| (r.instructions, r.exit_code, r.timed_out);
+        assert_eq!(outcome(&rtl), outcome(&qemu));
+        assert_eq!(outcome(&rtl), (budget, WATCHDOG_EXIT_CODE, true));
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl Pipeline {
         self.remote.as_ref().map(RemoteMemory::stats)
     }
 
-    /// Whether an address belongs to the remote window *and* remote memory
-    /// is modelled.
-    pub fn models_remote(&self) -> bool {
-        self.remote.is_some()
-    }
-
     /// Cost of an L1 miss: the L2 (when present) absorbs it at its hit
     /// latency, otherwise DRAM.
     fn miss_beyond_l1(&mut self, addr: u64) -> u64 {

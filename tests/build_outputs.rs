@@ -1,6 +1,8 @@
 //! E4 (Fig. 3): the outputs of the build command — a complete bootable
 //! binary and a disk image by default; with `--no-disk`, the disk image is
-//! embedded in the Linux initramfs.
+//! embedded in the Linux initramfs. The exact artifact sizes of the hello
+//! workload and the task counts of §III-B's incremental builds (E9) are
+//! pinned.
 
 mod common;
 
@@ -34,8 +36,12 @@ fn default_build_produces_boot_binary_and_disk() {
         .module_names()
         .contains(&"iceblk".to_owned()));
     // Disk image (Fig. 3 right).
-    let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
+    let disk_bytes = std::fs::read(disk_path.as_ref().unwrap()).unwrap();
+    let disk = FsImage::from_bytes(&disk_bytes).unwrap();
     assert!(disk.exists("/bin/hello"));
+    // The sizes EXPERIMENTS.md quotes (E4).
+    assert_eq!(std::fs::metadata(boot_path).unwrap().len(), 3_000);
+    assert_eq!(disk_bytes.len(), 1_754);
     assert!(disk.exists("/etc/firemarshal/run.ms"));
     std::fs::remove_dir_all(root).unwrap();
 }
@@ -61,7 +67,13 @@ fn no_disk_build_embeds_rootfs_in_initramfs() {
         panic!("expected a Linux job");
     };
     assert!(disk_path.is_none(), "--no-disk produces no disk image");
-    let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
+    let boot_bytes = std::fs::read(boot_path).unwrap();
+    assert_eq!(
+        boot_bytes.len(),
+        5_015,
+        "the size EXPERIMENTS.md quotes (E4)"
+    );
+    let boot = BootBinary::from_bytes(&boot_bytes).unwrap();
     assert!(boot.kernel().initramfs().is_diskless());
     // The rootfs content is inside the initramfs.
     let embedded = boot.kernel().initramfs().unpack().unwrap();
@@ -107,14 +119,16 @@ fn disk_and_diskless_run_identically_after_cleaning() {
 #[test]
 fn incremental_rebuild_reuses_artifacts() {
     // §III-B: "FireMarshal uses a dependency tracking system (similar to
-    // GNU make) to avoid unnecessary rebuilding."
+    // GNU make) to avoid unnecessary rebuilding." The task counts are the
+    // ones EXPERIMENTS.md quotes (E9).
     let root = common::tmpdir("fig3-incremental");
     let mut builder = common::builder_in(&root);
 
     let first = builder
         .build("coremark.json", &BuildOptions::default())
         .unwrap();
-    assert!(first.report.executed.len() >= 3);
+    assert_eq!(first.report.total(), 4);
+    assert_eq!(first.report.executed.len(), 4, "full build runs every task");
 
     // No-op rebuild: everything skipped.
     let second = builder
@@ -125,7 +139,7 @@ fn incremental_rebuild_reuses_artifacts() {
         "{:?}",
         second.report.executed
     );
-    assert_eq!(second.report.skipped.len(), first.report.total());
+    assert_eq!(second.report.skipped.len(), 4);
 
     // A comment-only source change leaves the assembled binary identical,
     // so the content-addressed build stays clean (host-init re-runs as a
@@ -154,6 +168,13 @@ fn incremental_rebuild_reuses_artifacts() {
         fourth.report.executed
     );
     assert!(!fourth.report.ran("img:br-base"), "base image untouched");
+    assert_eq!(
+        fourth.report.executed.len(),
+        3,
+        "{:?}",
+        fourth.report.executed
+    );
+    assert_eq!(fourth.report.total(), 4);
     std::fs::remove_dir_all(root).unwrap();
 }
 

@@ -3,7 +3,8 @@
 //! boom-gshare and boom-tage, the latency microbenchmark's cycles, faults
 //! and per-fault step table under software paging and the PFA, and
 //! (§IV-C, E10) coremark's cycles on boom-tage, cold and restored from a
-//! boot snapshot.
+//! boot snapshot, and (E6) the static never-taken and bimodal baselines of
+//! the Fig. 6 predictor sweep on four predictor-sensitive benchmarks.
 //!
 //! The pinned values live in `tests/golden/fig6_counts.txt`. A change that
 //! moves modelled time must update that file and EXPERIMENTS.md together
@@ -15,13 +16,25 @@ use marshal_core::install::{manifest_for, run_installed, run_job_cycle_exact};
 use marshal_core::launch::load_artifacts;
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::BuildOptions;
-use marshal_sim_functional::LaunchMode;
+use marshal_isa::abi;
+use marshal_isa::asm::assemble;
+use marshal_sim_functional::{LaunchMode, LoadedJob};
 use marshal_sim_rtl::pfa::RemoteTimings;
-use marshal_sim_rtl::{HardwareConfig, RemoteMemConfig};
+use marshal_sim_rtl::{BpredConfig, FireSim, HardwareConfig, RemoteMemConfig};
+use marshal_workloads::intspeed;
 
 const GOLDEN: &str = include_str!("golden/fig6_counts.txt");
 
-/// Runs Fig. 6, Fig. 5 and E10 and renders one golden line per node.
+/// The E6 baselines: benchmarks whose cycles depend on the predictor.
+const E6_BENCHMARKS: [&str; 4] = [
+    "600.perlbench_s",
+    "620.omnetpp_s",
+    "641.leela_s",
+    "648.exchange2_s",
+];
+
+/// Runs Fig. 6, Fig. 5, E10 and the E6 baselines and renders one golden
+/// line per node.
 fn measure() -> Vec<String> {
     let root = common::tmpdir("golden-counts");
     let mut builder = common::builder_in(&root);
@@ -92,6 +105,29 @@ fn measure() -> Vec<String> {
     });
     assert_eq!(cold, restored, "restored run matches the cold run");
     lines.push(cold);
+
+    // The same bare binaries on boom-gshare with a static predictor in
+    // place of Gshare.
+    let sources = intspeed::benchmarks();
+    for bpred in [
+        BpredConfig::NeverTaken,
+        BpredConfig::Bimodal { table_bits: 12 },
+    ] {
+        let hw = HardwareConfig::boom_gshare().with_bpred(bpred);
+        for bench in E6_BENCHMARKS {
+            let source = &sources.iter().find(|(n, _)| *n == bench).unwrap().1;
+            let job = LoadedJob::Bare {
+                bin: assemble(source, abi::USER_BASE).unwrap().to_bytes(),
+            };
+            let (_, report, _) = FireSim::new(hw.clone())
+                .run(&job, LaunchMode::Run, None)
+                .unwrap();
+            lines.push(format!(
+                "e6 {} {bench} cycles={}",
+                hw.name, report.counters.cycles
+            ));
+        }
+    }
     std::fs::remove_dir_all(root).unwrap();
     lines
 }

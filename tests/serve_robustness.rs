@@ -21,6 +21,7 @@ use marshal_netstore::{
     decode_frame, encode_frame, FaultPlan, FaultTransport, LoopbackTransport, Message, NetError,
     NetFaultKind, RemoteStore, RetryPolicy, Server, Transport,
 };
+use marshal_trace::Recorder;
 
 /// Starts a daemon exporting `workdir` on an ephemeral local port, and
 /// returns the address plus a handle/join pair for shutdown.
@@ -234,7 +235,7 @@ fn every_net_fault_kind_retries_or_degrades() {
         );
         assert!(summary.retries >= 1, "{kind:?}: retries happened");
         assert!(!summary.degraded, "{kind:?}: breaker stays closed");
-        let scrub = scrub_pool(&root_b.join("work"), None).unwrap();
+        let scrub = scrub_pool(&root_b.join("work"), None, &Recorder::disabled()).unwrap();
         assert_eq!(scrub.corrupt, 0, "{kind:?}: pool is clean after chaos");
         let _ = std::fs::remove_dir_all(root_b);
 
@@ -252,7 +253,7 @@ fn every_net_fault_kind_retries_or_degrades() {
         assert!(summary.degraded, "{kind:?}: breaker tripped: {summary:?}");
         assert_eq!(summary.levels_fetched, 0, "{kind:?}");
         assert!(summary.levels_built_locally >= 1, "{kind:?}");
-        let scrub = scrub_pool(&root_c.join("work"), None).unwrap();
+        let scrub = scrub_pool(&root_c.join("work"), None, &Recorder::disabled()).unwrap();
         assert_eq!(scrub.corrupt, 0, "{kind:?}: nothing corrupt installed");
         let _ = std::fs::remove_dir_all(root_c);
     }
@@ -329,7 +330,7 @@ fn lying_server_blobs_quarantined_never_installed() {
     );
 
     // Nothing corrupt ever entered objects/ itself.
-    let scrub = scrub_pool(&work_b, None).unwrap();
+    let scrub = scrub_pool(&work_b, None, &Recorder::disabled()).unwrap();
     assert_eq!(scrub.corrupt, 0);
     assert_eq!(scrub.unrecoverable, 0);
 
@@ -363,7 +364,7 @@ fn scrub_detects_and_heals_from_remote() {
 
     let (addr, handle, join) = spawn_server(&root_a.join("work"));
     let client = RemoteStore::tcp(&addr, RetryPolicy::fast());
-    let report = scrub_pool(&work_b, Some(&client)).unwrap();
+    let report = scrub_pool(&work_b, Some(&client), &Recorder::disabled()).unwrap();
     assert_eq!(report.corrupt, 1, "the injected rot was found: {report:?}");
     assert!(report.quarantined_bytes > 0, "quarantined bytes reported");
     assert_eq!(report.healed, 1, "healed over TCP: {report:?}");
@@ -437,7 +438,7 @@ fn torn_manifest_triggers_level_rebuild_not_panic() {
         products.report.executed
     );
     // And the workdir is whole again.
-    let scrub = scrub_pool(&work, None).unwrap();
+    let scrub = scrub_pool(&work, None, &Recorder::disabled()).unwrap();
     assert_eq!(scrub.corrupt, 0);
     assert_eq!(scrub.manifests_removed, 0);
     let _ = std::fs::remove_dir_all(root);
@@ -527,7 +528,7 @@ fn corrupt_pool_poisons_only_affected_cone_under_keep_going() {
         products.warnings
     );
     assert!(client_rootfs.exists(), "the client artifact is back");
-    let scrub = scrub_pool(&work, None).unwrap();
+    let scrub = scrub_pool(&work, None, &Recorder::disabled()).unwrap();
     assert_eq!(scrub.corrupt, 0, "the pool is whole again");
     let _ = std::fs::remove_dir_all(root);
 }
