@@ -134,13 +134,7 @@ fn candidate_names(name: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-search-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn builtin_lookup_and_extension_probing() {
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn files_shadow_builtins() {
-        let dir = tmpdir("shadow");
+        let dir = scratch_dir("shadow");
         std::fs::write(dir.join("w.json"), r#"{"name":"from-file"}"#).unwrap();
         let mut sp = SearchPath::new();
         sp.add_builtin("w.json", r#"{"name":"from-builtin"}"#);
@@ -172,8 +166,8 @@ mod tests {
 
     #[test]
     fn dir_order_matters() {
-        let d1 = tmpdir("order1");
-        let d2 = tmpdir("order2");
+        let d1 = scratch_dir("order1");
+        let d2 = scratch_dir("order2");
         std::fs::write(d1.join("w.json"), r#"{"name":"one"}"#).unwrap();
         std::fs::write(d2.join("w.json"), r#"{"name":"two"}"#).unwrap();
         let mut sp = SearchPath::new();

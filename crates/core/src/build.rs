@@ -487,14 +487,13 @@ impl Builder {
             let bin_name = spec.bin.clone().ok_or_else(|| {
                 MarshalError::Other(format!("bare-metal job `{qualified}` needs a `bin` option"))
             })?;
-            let src = source_dir
-                .map(|d| d.join(&bin_name))
-                .filter(|p| true_or_missing(p))
-                .ok_or_else(|| {
-                    MarshalError::Other(format!(
-                        "job `{qualified}`: binary `{bin_name}` not found (did host-init build it?)"
-                    ))
-                })?;
+            // Host-init may not have run yet at planning time, so the path
+            // need not exist yet; the task validates at execution.
+            let src = source_dir.map(|d| d.join(&bin_name)).ok_or_else(|| {
+                MarshalError::Other(format!(
+                    "job `{qualified}`: binary `{bin_name}` not found (did host-init build it?)"
+                ))
+            })?;
             let bin_path = image_dir.join("bin.mexe");
             let task_id = format!("bin:{qualified}");
             let bin_out = bin_path.clone();
@@ -508,7 +507,7 @@ impl Builder {
             .input(bin_name.as_bytes())
             .input(&bin_input_hash(source_dir, &bin_name))
             .output(&bin_path)
-            .claim(crate::integrity::sidecar_path(&bin_path));
+            .output(crate::integrity::sidecar_path(&bin_path));
             graph.add(task)?;
             return Ok(JobPlan {
                 name: qualified,
@@ -585,7 +584,7 @@ impl Builder {
             let chain_key = chain_key.clone();
             let disk_out = disk_path.clone();
             let task = Task::new(jobimg_id.clone(), move || {
-                let mut image = load_store_image(&store, &chain_key)?;
+                let mut image = store.load(&chain_key)?;
                 init_system.remove_payload(&mut image);
                 if let Some(payload) = boot_payload(&spec_for_task) {
                     init_system
@@ -595,12 +594,12 @@ impl Builder {
                 image.set_size_limit(spec_for_task.rootfs_size);
                 image.check_size().map_err(|e| e.to_string())?;
                 crate::integrity::write_artifact(&disk_out, &image.to_bytes())?;
-                store_image(&store, &format!("job:{}", spec_for_task.name), image)
+                store.store(&format!("job:{}", spec_for_task.name), image)
             })
             .dep(chain_task.clone())
             .input(format!("{:?}{:?}{:?}", spec.run, spec.command, spec.rootfs_size).as_bytes())
             .output(&disk_path)
-            .claim(crate::integrity::sidecar_path(&disk_path))
+            .output(crate::integrity::sidecar_path(&disk_path))
             .claim(job_image_path)
             .claim_tree(objects_dir)
             .input(qualified.as_bytes());
@@ -625,7 +624,7 @@ impl Builder {
                     &spec_for_task,
                     &fragments,
                     if no_disk {
-                        Some(load_store_image(&store, &format!("job:{spec_name}"))?)
+                        Some(store.load(&format!("job:{spec_name}"))?)
                     } else {
                         None
                     },
@@ -637,7 +636,7 @@ impl Builder {
             .input(format!("{:?}", spec.firmware).as_bytes())
             .input(&[options.no_disk as u8])
             .output(&boot_path)
-            .claim(crate::integrity::sidecar_path(&boot_path))
+            .output(crate::integrity::sidecar_path(&boot_path))
             // Diskless boots load the job image, and a load may quarantine
             // or heal pool blobs — writes under the shared pool tree.
             .claim_tree(objects_dir);
@@ -785,7 +784,7 @@ impl Builder {
             let mut image = match (&hard_img, &base) {
                 (Some(img), _) => img.clone(),
                 (None, Some(base)) => base.clone(),
-                (None, None) => load_store_image(&store, &parent_key)?,
+                (None, None) => store.load(&parent_key)?,
             };
             if let Some(dir) = &overlay_dir {
                 image
@@ -899,14 +898,10 @@ fn preflight_level(
     warnings: &mut Vec<Warning>,
 ) {
     let path = store.path_for(key);
-    let Ok(bytes) = std::fs::read(&path) else {
-        return;
-    };
-    if !marshal_image::sniff_manifest(&bytes) {
-        // Legacy flat image file: self-contained, nothing to cross-check.
-        return;
-    }
-    let problem = match marshal_image::manifest_refs(&bytes) {
+    let refs = marshal_image::read_level(&path).and_then(|b| marshal_image::manifest_refs(&b));
+    let problem = match refs {
+        // Absent (never built) or unreadable: nothing to cross-check.
+        Err(marshal_image::StoreError::Io(_)) => return,
         Err(e) => Some(format!("torn or malformed manifest ({e})")),
         Ok(refs) => refs
             .iter()
@@ -926,21 +921,6 @@ fn preflight_level(
         format!("{problem}; removed so the level rebuilds this run"),
         "pool-damage",
     ));
-}
-
-fn store_image(store: &ImageStore, key: &str, image: FsImage) -> Result<(), String> {
-    store.store(key, image)
-}
-
-fn load_store_image(store: &ImageStore, key: &str) -> Result<FsImage, String> {
-    store.load(key)
-}
-
-fn true_or_missing(p: &Path) -> bool {
-    // Host-init may not have run yet at planning time, so accept the path
-    // whether or not it exists; the task validates at execution.
-    let _ = p;
-    true
 }
 
 fn boot_payload(spec: &WorkloadSpec) -> Option<BootPayload> {

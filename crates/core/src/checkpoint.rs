@@ -15,15 +15,16 @@
 //! stale checkpoint is simply never looked up — it lingers until `marshal
 //! clean` prunes it.
 //!
-//! Robustness over speed: every checkpoint file embeds a checksum of its
-//! payload, loads verify it, and anything torn, truncated, or rotted is
-//! moved to `checkpoints/.quarantine/` and reported as a miss — the caller
-//! falls back to a cold boot and rewrites a fresh checkpoint. A damaged
-//! checkpoint can cost a boot; it can never change an answer.
+//! Robustness over speed: every checkpoint file is sealed with
+//! [`marshal_depgraph::persist::write_sealed`], loads check the seal, and
+//! anything torn, truncated, rotted or unsealed is moved to
+//! `checkpoints/.quarantine/` (through
+//! [`marshal_depgraph::persist::quarantine`]) and reported as a miss — the
+//! caller falls back to a cold boot and rewrites a fresh checkpoint. A
+//! damaged checkpoint can cost a boot; it can never change an answer.
 //!
-//! Saves go through [`marshal_depgraph::persist::write_atomic`] and damaged
-//! files leave through [`marshal_depgraph::persist::quarantine`]. There is
-//! no `.fp` sidecar: the checksum is embedded in the file itself.
+//! The sealed payload is the `MCKP` header (magic, version, boot and disk
+//! fingerprints) followed by the [`BootSnapshot`] bytes.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,10 +34,10 @@ use marshal_depgraph::{persist, Fingerprint, Hasher128};
 use marshal_sim_functional::BootSnapshot;
 
 const MAGIC: &[u8; 4] = b"MCKP";
-const VERSION: u32 = 1;
-/// Bytes before the payload: magic, version, boot fp, disk flag + fp,
-/// payload length. [`CheckpointStore::list`] reads only this much.
-const HEADER_LEN: usize = 4 + 4 + 16 + 1 + 16 + 8;
+/// 2 since the seal replaced the payload length and trailing checksum.
+const VERSION: u32 = 2;
+/// Bytes before the snapshot: magic, version, boot fp, disk flag + fp.
+const HEADER_LEN: usize = 4 + 4 + 16 + 1 + 16;
 
 /// The checkpoint key for one (backend configuration, boot binary, disk)
 /// triple. The disk's *absence* is part of the key — a diskless launch
@@ -125,7 +126,7 @@ impl CheckpointStore {
         self.dir.join(format!("{key}.ckpt"))
     }
 
-    /// Looks a checkpoint up, verifying its embedded checksum. Damage is
+    /// Looks a checkpoint up, checking its seal. Damage is
     /// never fatal: a bad file is quarantined and reported as
     /// [`CheckpointLoad::Corrupt`] so the caller boots cold.
     pub fn load(&self, key: Fingerprint) -> CheckpointLoad {
@@ -133,15 +134,13 @@ impl CheckpointStore {
             return CheckpointLoad::Hit(snap.clone());
         }
         let path = self.path_for(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
+        let decoded = match persist::read_sealed(&path) {
+            Ok(bytes) => decode(&bytes),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CheckpointLoad::Miss,
-            Err(e) => {
-                return self.quarantine(&path, format!("unreadable: {e}"));
-            }
+            Err(e) => Err(e.to_string()),
         };
-        match decode(&bytes) {
-            Ok((_, snap)) => {
+        match decoded {
+            Ok(snap) => {
                 self.cache
                     .lock()
                     .expect("cache poisoned")
@@ -167,7 +166,7 @@ impl CheckpointStore {
         disk_fp: Option<Fingerprint>,
         snap: &BootSnapshot,
     ) -> Result<(), String> {
-        persist::write_atomic(&self.path_for(key), &encode(boot_fp, disk_fp, snap))
+        persist::write_sealed(&self.path_for(key), &encode(boot_fp, disk_fp, snap))
             .map_err(|e| e.to_string())?;
         self.cache
             .lock()
@@ -177,8 +176,8 @@ impl CheckpointStore {
     }
 
     /// Every stored checkpoint's header, for `marshal clean`'s liveness
-    /// scan. Files that fail even header validation are skipped (a later
-    /// `load` would quarantine them); stray tmp files are ignored.
+    /// scan. Damaged files are skipped (a later `load` would quarantine
+    /// them); stray tmp files are ignored.
     pub fn list(&self) -> Vec<CheckpointEntry> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
@@ -195,15 +194,16 @@ impl CheckpointStore {
             let Ok(key) = stem.parse::<Fingerprint>() else {
                 continue;
             };
-            let Ok(bytes) = std::fs::read(&path) else {
+            let Ok(payload) = persist::read_sealed(&path) else {
                 continue;
             };
-            if let Ok(header) = decode_header(&bytes) {
+            if let (Ok((boot_fp, disk_fp)), Ok(meta)) = (decode_header(&payload), entry.metadata())
+            {
                 out.push(CheckpointEntry {
                     key,
-                    boot_fp: header.0,
-                    disk_fp: header.1,
-                    bytes: bytes.len() as u64,
+                    boot_fp,
+                    disk_fp,
+                    bytes: meta.len(),
                 });
             }
         }
@@ -241,30 +241,20 @@ impl CheckpointStore {
 }
 
 fn encode(boot_fp: Fingerprint, disk_fp: Option<Fingerprint>, snap: &BootSnapshot) -> Vec<u8> {
-    let payload = snap.to_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 16);
+    let snapshot = snap.to_bytes();
+    let mut out = Vec::with_capacity(HEADER_LEN + snapshot.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&boot_fp.0.to_le_bytes());
-    match disk_fp {
-        Some(fp) => {
-            out.push(1);
-            out.extend_from_slice(&fp.0.to_le_bytes());
-        }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&0u128.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&Fingerprint::of(&payload).0.to_le_bytes());
+    out.push(u8::from(disk_fp.is_some()));
+    out.extend_from_slice(&disk_fp.map_or(0, |fp| fp.0).to_le_bytes());
+    out.extend_from_slice(&snapshot);
     out
 }
 
-/// Parses and validates the fixed-size header, returning the boot and
-/// disk fingerprints plus the payload length.
-fn decode_header(bytes: &[u8]) -> Result<(Fingerprint, Option<Fingerprint>, usize), String> {
+/// Parses and validates the fixed-size header of a sealed payload,
+/// returning the boot and disk fingerprints.
+fn decode_header(bytes: &[u8]) -> Result<(Fingerprint, Option<Fingerprint>), String> {
     if bytes.len() < HEADER_LEN {
         return Err(format!(
             "truncated header ({} of {HEADER_LEN} bytes)",
@@ -278,53 +268,29 @@ fn decode_header(bytes: &[u8]) -> Result<(Fingerprint, Option<Fingerprint>, usiz
     if version != VERSION {
         return Err(format!("unsupported checkpoint version {version}"));
     }
-    let boot_fp = Fingerprint(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("sliced"),
-    ));
+    let fp_at = |at: usize| {
+        Fingerprint(u128::from_le_bytes(
+            bytes[at..at + 16].try_into().expect("sliced"),
+        ))
+    };
     let disk_fp = match bytes[24] {
         0 => None,
-        1 => Some(Fingerprint(u128::from_le_bytes(
-            bytes[25..41].try_into().expect("sliced"),
-        ))),
+        1 => Some(fp_at(25)),
         tag => return Err(format!("bad disk-fingerprint tag {tag}")),
     };
-    let payload_len =
-        u64::from_le_bytes(bytes[41..HEADER_LEN].try_into().expect("sliced")) as usize;
-    Ok((boot_fp, disk_fp, payload_len))
+    Ok((fp_at(8), disk_fp))
 }
 
-fn decode(bytes: &[u8]) -> Result<((Fingerprint, Option<Fingerprint>), BootSnapshot), String> {
-    let (boot_fp, disk_fp, payload_len) = decode_header(bytes)?;
-    let body = &bytes[HEADER_LEN..];
-    if body.len() != payload_len + 16 {
-        return Err(format!(
-            "payload length mismatch (header says {payload_len}, file carries {})",
-            body.len().saturating_sub(16)
-        ));
-    }
-    let (payload, sum) = body.split_at(payload_len);
-    let expected = Fingerprint(u128::from_le_bytes(sum.try_into().expect("split at 16")));
-    let actual = Fingerprint::of(payload);
-    if expected != actual {
-        return Err(format!(
-            "checksum mismatch (recorded {expected}, computed {actual})"
-        ));
-    }
-    let snap = BootSnapshot::from_bytes(payload).map_err(|e| format!("payload: {e}"))?;
-    Ok(((boot_fp, disk_fp), snap))
+fn decode(bytes: &[u8]) -> Result<BootSnapshot, String> {
+    decode_header(bytes)?;
+    BootSnapshot::from_bytes(&bytes[HEADER_LEN..]).map_err(|e| format!("payload: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use marshal_image::FsImage;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-ckpt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     fn sample_snapshot() -> BootSnapshot {
         let mut image = FsImage::new();
@@ -342,7 +308,7 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let dir = scratch("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let store = CheckpointStore::new(&dir);
         let key = checkpoint_key(
             Fingerprint::of(b"cfg"),
@@ -374,7 +340,7 @@ mod tests {
 
     #[test]
     fn missing_is_a_miss() {
-        let dir = scratch("miss");
+        let dir = scratch_dir("miss");
         let store = CheckpointStore::new(&dir);
         assert!(matches!(
             store.load(Fingerprint::of(b"nothing")),
@@ -385,17 +351,17 @@ mod tests {
 
     #[test]
     fn corruption_quarantines_and_recovers() {
-        let dir = scratch("corrupt");
+        let dir = scratch_dir("corrupt");
         let store = CheckpointStore::new(&dir);
         let key = checkpoint_key(Fingerprint::of(b"cfg"), Fingerprint::of(b"boot"), None);
         let snap = sample_snapshot();
         store
             .save(key, Fingerprint::of(b"boot"), None, &snap)
             .unwrap();
-        // Flip a payload byte: checksum catches it.
+        // Flip a snapshot byte: checksum catches it.
         let path = store.path_for(key);
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = HEADER_LEN + 4;
+        let mid = bytes.len() - 4;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let store = CheckpointStore::new(&dir);
@@ -421,7 +387,7 @@ mod tests {
 
     #[test]
     fn torn_write_is_detected() {
-        let dir = scratch("torn");
+        let dir = scratch_dir("torn");
         let store = CheckpointStore::new(&dir);
         let key = checkpoint_key(Fingerprint::of(b"cfg"), Fingerprint::of(b"boot"), None);
         store
@@ -444,8 +410,25 @@ mod tests {
     }
 
     #[test]
+    fn unsealed_checkpoint_is_damage() {
+        let dir = scratch_dir("unsealed");
+        let store = CheckpointStore::new(&dir);
+        let boot = Fingerprint::of(b"boot");
+        let key = checkpoint_key(Fingerprint::of(b"cfg"), boot, None);
+        let path = store.path_for(key);
+        persist::write_atomic(&path, &encode(boot, None, &sample_snapshot())).unwrap();
+        assert!(store.list().is_empty(), "clean does not count it as live");
+        let load = store.load(key);
+        assert!(
+            matches!(load, CheckpointLoad::Corrupt { ref detail, .. } if detail.contains("not sealed"))
+        );
+        assert!(!path.exists());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn list_reads_headers_and_remove_reports_bytes() {
-        let dir = scratch("list");
+        let dir = scratch_dir("list");
         let store = CheckpointStore::new(&dir);
         let boot_a = Fingerprint::of(b"boot-a");
         let boot_b = Fingerprint::of(b"boot-b");

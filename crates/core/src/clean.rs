@@ -1,15 +1,17 @@
 //! The `clean` command: remove a workload's artifacts and build state.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use marshal_config::{expand_jobs, resolve_workload};
 use marshal_depgraph::{persist, Fingerprint};
+use marshal_image::{manifest_refs, read_level, StoreError};
 
 use crate::build::Builder;
 use crate::checkpoint::CheckpointStore;
 use crate::error::MarshalError;
 use crate::imagestore::{pid_alive, ImageStore};
+use crate::integrity::read_verified;
 
 /// What `clean` removed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -127,50 +129,30 @@ fn sweep_dead_temps(workdir: &Path, store: &ImageStore) {
     }
 }
 
-/// Every boot-binary and disk-image fingerprint still reachable from a
-/// built artifact under `workdir/images/` — the live set for checkpoint
-/// pruning. Artifacts that no longer parse contribute nothing (their
-/// checkpoints are stale by definition: a launch would fail before ever
-/// looking one up).
-fn live_artifact_fingerprints(workdir: &Path) -> (BTreeSet<Fingerprint>, BTreeSet<Fingerprint>) {
-    let mut boots = BTreeSet::new();
-    let mut disks = BTreeSet::new();
-    collect_artifact_fingerprints(&workdir.join("images"), &mut boots, &mut disks);
-    (boots, disks)
-}
-
-fn collect_artifact_fingerprints(
-    dir: &Path,
-    boots: &mut BTreeSet<Fingerprint>,
-    disks: &mut BTreeSet<Fingerprint>,
-) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
+/// Adds every boot-binary and disk-image fingerprint still reachable from
+/// a built artifact under `dir` (`workdir/images/`) to `live` — the live
+/// set for checkpoint pruning. Artifacts that no longer verify or parse
+/// contribute nothing (their checkpoints are stale by definition: a launch
+/// would fail before ever looking one up).
+fn live_artifact_fingerprints(dir: &Path, live: &mut BTreeSet<Fingerprint>) {
+    let entries = std::fs::read_dir(dir).into_iter().flatten();
+    for path in entries.filter_map(|e| Some(e.ok()?.path())) {
         if path.is_dir() {
             // Qualified job names nest (`workload/job`), so recurse.
-            collect_artifact_fingerprints(&path, boots, disks);
+            live_artifact_fingerprints(&path, live);
             continue;
         }
-        match path.file_name().and_then(|n| n.to_str()) {
-            Some("boot.bin") => {
-                if let Ok(bytes) = std::fs::read(&path) {
-                    if let Ok(boot) = marshal_firmware::BootBinary::from_bytes(&bytes) {
-                        boots.insert(boot.fingerprint());
-                    }
-                }
-            }
-            Some("rootfs.img") => {
-                if let Ok(bytes) = std::fs::read(&path) {
-                    if let Ok(img) = marshal_image::FsImage::from_bytes(&bytes) {
-                        disks.insert(img.fingerprint());
-                    }
-                }
-            }
-            _ => {}
-        }
+        let bytes = || read_verified(&path).ok();
+        let fp = match path.file_name().and_then(|n| n.to_str()) {
+            Some("boot.bin") => bytes()
+                .and_then(|b| marshal_firmware::BootBinary::from_bytes(&b).ok())
+                .map(|boot| boot.fingerprint()),
+            Some("rootfs.img") => bytes()
+                .and_then(|b| marshal_image::FsImage::from_bytes(&b).ok())
+                .map(|img| img.fingerprint()),
+            _ => None,
+        };
+        live.extend(fp);
     }
 }
 
@@ -201,12 +183,12 @@ fn prune_checkpoints(workdir: &Path) -> (usize, u64, Option<String>) {
             )),
         );
     }
-    let (boots, disks) = live_artifact_fingerprints(workdir);
+    let mut fps = BTreeSet::new();
+    live_artifact_fingerprints(&workdir.join("images"), &mut fps);
     let mut pruned = 0usize;
     let mut bytes = 0u64;
     for entry in entries {
-        let live =
-            boots.contains(&entry.boot_fp) && entry.disk_fp.is_none_or(|fp| disks.contains(&fp));
+        let live = fps.contains(&entry.boot_fp) && entry.disk_fp.is_none_or(|fp| fps.contains(&fp));
         if live {
             continue;
         }
@@ -283,21 +265,26 @@ fn dir_size(dir: &std::path::Path) -> u64 {
 
 /// Every blob fingerprint referenced by a surviving manifest in
 /// `workdir/levels/` — the live set for pruning and scrubbing. Unreadable
-/// or torn manifests contribute no references — their levels are already
-/// due a rebuild, which re-writes any blob it needs.
+/// or damaged manifests contribute no references — their levels are
+/// already due a rebuild, which re-writes any blob it needs.
 pub(crate) fn live_refs(store: &ImageStore) -> BTreeSet<Fingerprint> {
-    let mut live: BTreeSet<Fingerprint> = BTreeSet::new();
-    if let Ok(entries) = std::fs::read_dir(store.levels_dir()) {
-        for entry in entries.filter_map(Result::ok) {
-            let Ok(bytes) = std::fs::read(entry.path()) else {
-                continue;
-            };
-            if let Ok(refs) = marshal_image::manifest_refs(&bytes) {
-                live.extend(refs);
-            }
-        }
-    }
-    live
+    let levels = level_files(store.levels_dir()).into_iter();
+    levels.filter_map(|(_, refs)| refs.ok()).flatten().collect()
+}
+
+/// Every level file directly under `dir`, with the blob references of the
+/// manifest [`read_level`] reads from it (or why it could not).
+pub(crate) fn level_files(dir: &Path) -> Vec<(PathBuf, Result<Vec<Fingerprint>, StoreError>)> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten();
+    let files = entries
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.is_file());
+    files
+        .map(|path| {
+            let refs = read_level(&path).and_then(|bytes| manifest_refs(&bytes));
+            (path, refs)
+        })
+        .collect()
 }
 
 /// Every blob file in the pool, as `(path, fingerprint)` pairs, skipping
@@ -330,28 +317,22 @@ pub(crate) fn pool_blobs(store: &ImageStore) -> Vec<(std::path::PathBuf, Fingerp
     out
 }
 
-/// Removes by-input index entries whose manifests are torn or reference a
-/// blob no longer in the pool, so `marshal serve` never advertises a level
+/// Removes by-input index entries whose manifests are damaged or reference
+/// a blob no longer in the pool, so `marshal serve` never advertises a level
 /// it cannot actually supply. Returns how many entries were removed.
 pub(crate) fn sweep_by_input(store: &ImageStore) -> usize {
     let dir = store.by_input_dir();
-    let mut removed = 0;
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let stale = match marshal_image::manifest_refs(&bytes) {
-                Err(_) => true,
-                Ok(refs) => refs.iter().any(|fp| !store.blobs().has(*fp)),
-            };
-            if stale && std::fs::remove_file(&path).is_ok() {
-                removed += 1;
-            }
-        }
-        let _ = std::fs::remove_dir(&dir);
-    }
+    let stale = level_files(&dir)
+        .into_iter()
+        .filter(|(_, refs)| match refs {
+            Err(StoreError::Io(_)) => false,
+            Err(_) => true,
+            Ok(refs) => refs.iter().any(|fp| !store.blobs().has(*fp)),
+        });
+    let removed = stale
+        .filter(|(path, _)| std::fs::remove_file(path).is_ok())
+        .count();
+    let _ = std::fs::remove_dir(&dir);
     removed
 }
 
@@ -427,24 +408,20 @@ mod tests {
     use crate::board::Board;
     use crate::build::BuildOptions;
     use marshal_config::SearchPath;
-    use std::path::PathBuf;
+    use marshal_qcheck::scratch_dir;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-clean-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    /// A builder over `dir/work` with one workload, `w.json`.
+    fn w_builder(dir: &Path) -> Builder {
+        let mut search = SearchPath::new();
+        let spec = r#"{"name":"w","distro":"buildroot","command":"echo"}"#;
+        search.add_builtin("w.json", spec);
+        Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap()
     }
 
     #[test]
     fn clean_removes_artifacts_and_state() {
-        let dir = tmpdir("basic");
-        let mut search = SearchPath::new();
-        search.add_builtin(
-            "w.json",
-            r#"{"name":"w","distro":"buildroot","command":"echo"}"#,
-        );
-        let mut builder = Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap();
+        let dir = scratch_dir("basic");
+        let mut builder = w_builder(&dir);
         // The command points at a nonexistent program, but build does not
         // launch it — build must succeed.
         let products = builder.build("w.json", &BuildOptions::default()).unwrap();
@@ -467,7 +444,7 @@ mod tests {
 
     #[test]
     fn clean_prunes_unreferenced_blobs_but_keeps_shared_ones() {
-        let dir = tmpdir("prune");
+        let dir = scratch_dir("prune");
         let mut search = SearchPath::new();
         // Two workloads inheriting one base: the base level's blobs must
         // survive cleaning one child.
@@ -517,13 +494,8 @@ mod tests {
 
     #[test]
     fn prune_deferred_while_pool_pinned() {
-        let dir = tmpdir("pin");
-        let mut search = SearchPath::new();
-        search.add_builtin(
-            "w.json",
-            r#"{"name":"w","distro":"buildroot","command":"echo"}"#,
-        );
-        let mut builder = Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap();
+        let dir = scratch_dir("pin");
+        let mut builder = w_builder(&dir);
         builder.build("w.json", &BuildOptions::default()).unwrap();
         let objects = dir.join("work").join("objects");
 
@@ -543,13 +515,8 @@ mod tests {
 
     #[test]
     fn clean_reclaims_temp_files_of_dead_writers_only() {
-        let dir = tmpdir("temps");
-        let mut search = SearchPath::new();
-        search.add_builtin(
-            "w.json",
-            r#"{"name":"w","distro":"buildroot","command":"echo"}"#,
-        );
-        let mut builder = Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap();
+        let dir = scratch_dir("temps");
+        let mut builder = w_builder(&dir);
         builder.build("w.json", &BuildOptions::default()).unwrap();
         let work = dir.join("work");
         let fp = Fingerprint::of(b"interrupted write");
@@ -599,7 +566,7 @@ mod tests {
 
     #[test]
     fn clean_prunes_stale_checkpoints_but_keeps_reachable_ones() {
-        let dir = tmpdir("ckpt");
+        let dir = scratch_dir("ckpt");
         let mut search = SearchPath::new();
         search.add_builtin(
             "a.json",
@@ -637,13 +604,8 @@ mod tests {
 
     #[test]
     fn checkpoint_prune_deferred_while_launch_pinned() {
-        let dir = tmpdir("ckptpin");
-        let mut search = SearchPath::new();
-        search.add_builtin(
-            "w.json",
-            r#"{"name":"w","distro":"buildroot","command":"echo"}"#,
-        );
-        let mut builder = Builder::new(Board::minimal("t"), search, dir.join("work")).unwrap();
+        let dir = scratch_dir("ckptpin");
+        let mut builder = w_builder(&dir);
         builder.build("w.json", &BuildOptions::default()).unwrap();
         let store = CheckpointStore::new(builder.workdir());
         let stale_fp = Fingerprint::of(b"orphan");
@@ -667,7 +629,7 @@ mod tests {
 
     #[test]
     fn keep_runs_prunes_oldest_journals_but_protects_live_runs() {
-        let dir = tmpdir("runs");
+        let dir = scratch_dir("runs");
         let work = dir.join("work");
         std::fs::create_dir_all(&work).unwrap();
         for _ in 0..5 {

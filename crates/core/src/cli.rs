@@ -16,7 +16,9 @@
 //! ```
 
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::path::Path;
+use std::str::FromStr;
 
 use marshal_config::SearchPath;
 use marshal_sim_rtl::HardwareConfig;
@@ -250,6 +252,37 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   chrome://tracing- and Perfetto-loadable JSON
                                   (--export json prints the verified journal lines)";
 
+/// The options `command`'s entry in [`USAGE`] lists, or `None` for a
+/// command `USAGE` does not list.
+fn usage_options(command: &str) -> Option<Vec<&'static str>> {
+    let start = USAGE.find(&format!("\n  {command} "))? + 1;
+    let entry = USAGE[start..]
+        .lines()
+        .enumerate()
+        .take_while(|(i, line)| *i == 0 || line.starts_with("          ["));
+    let options = entry
+        .flat_map(|(_, line)| line.split('[').skip(1))
+        .filter_map(|opt| opt.split([' ', ']']).next())
+        .filter(|opt| opt.starts_with('-'));
+    Some(options.collect())
+}
+
+/// A malformed command line: the reason, then the usage text.
+fn usage_error(why: &str) -> MarshalError {
+    MarshalError::Other(format!("{why}\n{USAGE}"))
+}
+
+/// The value after `flag`, parsed as a `T` described by `what`.
+fn flag_value<T: FromStr>(
+    flag: &str,
+    value: Option<&String>,
+    what: &str,
+) -> Result<T, MarshalError> {
+    let v = value.ok_or_else(|| usage_error(&format!("{flag} needs {what}")))?;
+    v.parse()
+        .map_err(|_| usage_error(&format!("{flag}: `{v}` is not {what}")))
+}
+
 /// Parses command-line arguments (excluding `argv[0]`).
 ///
 /// # Errors
@@ -259,26 +292,17 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
     let mut search_dirs = Vec::new();
     let mut workdir = "./marshal-workdir".to_owned();
     let mut verbose = false;
-    let mut it = args.iter().peekable();
-    let err = |m: &str| MarshalError::Other(format!("{m}\n{USAGE}"));
+    let mut it = args.iter();
+    let err = usage_error;
 
     // Global options.
     let command_word = loop {
         match it.next() {
             None => return Err(err("missing command")),
             Some(a) if a == "-d" || a == "--dir" => {
-                search_dirs.push(
-                    it.next()
-                        .ok_or_else(|| err("-d needs a directory"))?
-                        .clone(),
-                );
+                search_dirs.push(flag_value("-d", it.next(), "a directory")?);
             }
-            Some(a) if a == "--workdir" => {
-                workdir = it
-                    .next()
-                    .ok_or_else(|| err("--workdir needs a path"))?
-                    .clone();
-            }
+            Some(a) if a == "--workdir" => workdir = flag_value(a, it.next(), "a path")?,
             Some(a) if a == "-v" || a == "--verbose" => verbose = true,
             Some(a) if a == "help" || a == "--help" || a == "-h" => {
                 return Ok(CliArgs {
@@ -293,7 +317,9 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
         }
     };
 
-    // Per-command options and the workload argument.
+    // Per-command options and the workload argument. A command takes
+    // exactly the options its `USAGE` entry lists.
+    let takes = usage_options(&command_word);
     let mut no_disk = false;
     let mut force = false;
     let mut keep_going = false;
@@ -317,7 +343,17 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
     let mut no_checkpoint = false;
     let mut workload = None;
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let flag = if a == "--jobs" { "-j" } else { a.as_str() };
+        // Known to some command's entry (not the global `usage:` line).
+        let entries = USAGE.split_once('\n').map_or("", |(_, e)| e);
+        let listed = [format!("[{flag} "), format!("[{flag}]")];
+        let known = listed.iter().any(|l| entries.contains(l.as_str()));
+        if known && takes.as_ref().is_some_and(|t| !t.contains(&flag)) {
+            return Err(err(&format!(
+                "option `{a}` does not apply to `{command_word}`"
+            )));
+        }
+        match flag {
             "--no-disk" => no_disk = true,
             "--no-checkpoint" => no_checkpoint = true,
             "--force" => force = true,
@@ -328,85 +364,29 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             "--inject-divergence" => inject_divergence = true,
             "--summary" => summary = true,
             "--last" => last = true,
-            "--export" => {
-                export = Some(
-                    it.next()
-                        .ok_or_else(|| err("--export needs a format (chrome, json)"))?
-                        .clone(),
-                )
-            }
-            "--keep-runs" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| err("--keep-runs needs a run count"))?;
-                keep_runs = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| err(&format!("--keep-runs: `{n}` is not a run count")))?,
-                );
-            }
+            "--export" => export = Some(flag_value(flag, it.next(), "a format (chrome, json)")?),
+            "--keep-runs" => keep_runs = Some(flag_value(flag, it.next(), "a run count")?),
             "--timeout-insts" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| err("--timeout-insts needs an instruction count"))?;
-                timeout_insts = Some(n.parse::<u64>().map_err(|_| {
-                    err(&format!(
-                        "--timeout-insts: `{n}` is not an instruction count"
-                    ))
-                })?);
+                timeout_insts = Some(flag_value(flag, it.next(), "an instruction count")?)
             }
-            "-j" | "--jobs" => {
-                let n = it.next().ok_or_else(|| err("-j needs a thread count"))?;
-                let parsed = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err(&format!("-j: `{n}` is not a positive thread count")))?;
-                jobs = Some(parsed);
-            }
-            "--job" => job = Some(it.next().ok_or_else(|| err("--job needs a name"))?.clone()),
-            "--manual" => {
-                manual = Some(
-                    it.next()
-                        .ok_or_else(|| err("--manual needs a directory"))?
-                        .clone(),
+            "-j" => {
+                jobs = Some(
+                    flag_value::<NonZeroUsize>(flag, it.next(), "a positive thread count")?.get(),
                 )
             }
-            "--hw" => {
-                hw = Some(
-                    it.next()
-                        .ok_or_else(|| err("--hw needs a config name"))?
-                        .clone(),
-                )
-            }
-            "--sim" => {
-                sim = Some(
-                    it.next()
-                        .ok_or_else(|| err("--sim needs a backend/connector name"))?
-                        .clone(),
-                )
-            }
-            "--remote" => {
-                remote = Some(
-                    it.next()
-                        .ok_or_else(|| err("--remote needs a HOST:PORT address"))?
-                        .clone(),
-                )
-            }
+            "--port" => port = Some(flag_value(flag, it.next(), "a port number")?),
+            "--job" => job = Some(flag_value(flag, it.next(), "a name")?),
+            "--manual" => manual = Some(flag_value(flag, it.next(), "a directory")?),
+            "--hw" => hw = Some(flag_value(flag, it.next(), "a config name")?),
+            "--sim" => sim = Some(flag_value(flag, it.next(), "a backend/connector name")?),
+            "--remote" => remote = Some(flag_value(flag, it.next(), "a HOST:PORT address")?),
             "--runners" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| err("--runners needs a list (local[:N],remote:HOST:PORT)"))?;
+                let list: String =
+                    flag_value(flag, it.next(), "a list (local[:N],remote:HOST:PORT)")?;
                 // Validate eagerly so a typo fails with usage, not mid-build.
-                crate::runners::parse_runner_specs(list)
+                crate::runners::parse_runner_specs(&list)
                     .map_err(|e| err(&format!("--runners: {e}")))?;
-                runners = Some(list.clone());
-            }
-            "--port" => {
-                let n = it.next().ok_or_else(|| err("--port needs a port number"))?;
-                port = Some(
-                    n.parse::<u16>()
-                        .map_err(|_| err(&format!("--port: `{n}` is not a port number")))?,
-                );
+                runners = Some(list);
             }
             other if other.starts_with('-') => {
                 return Err(err(&format!("unknown option `{other}`")))
@@ -515,6 +495,14 @@ pub fn hardware_by_name(name: &str) -> Option<HardwareConfig> {
         "boom-tage" | "tage" => Some(HardwareConfig::boom_tage()),
         _ => None,
     }
+}
+
+/// [`hardware_by_name`] for a command-line argument: an unknown name is
+/// an error naming the known ones.
+fn hardware_arg(name: &str) -> Result<HardwareConfig, String> {
+    hardware_by_name(name).ok_or_else(|| {
+        format!("unknown hardware config `{name}` (try rocket, boom-gshare, boom-tage)")
+    })
 }
 
 /// The journal header a command records, when it records one: the command
@@ -706,14 +694,9 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     ));
                 }
             }
-            let hw_config = match hw {
-                Some(name) => match hardware_by_name(name) {
-                    Some(c) => Some(c),
-                    None => fail!(format!(
-                        "unknown hardware config `{name}` (try rocket, boom-gshare, boom-tage)"
-                    )),
-                },
-                None => None,
+            let hw_config = match hw.as_deref().map(hardware_arg).transpose() {
+                Ok(c) => c,
+                Err(e) => fail!(e),
             };
             let products = match builder.build(workload, &BuildOptions::default()) {
                 Ok(p) => p,
@@ -826,13 +809,9 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     ));
                 }
             }
-            if let Some(name) = hw {
-                match hardware_by_name(name) {
-                    Some(c) => opts.hw = Some(c),
-                    None => fail!(format!(
-                        "unknown hardware config `{name}` (try rocket, boom-gshare, boom-tage)"
-                    )),
-                }
+            match hw.as_deref().map(hardware_arg).transpose() {
+                Ok(c) => opts.hw = c,
+                Err(e) => fail!(e),
             }
             let products = match builder.build(workload, &BuildOptions::default()) {
                 Ok(p) => p,
@@ -977,10 +956,8 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             remote,
             runners,
         } => {
-            if hardware_by_name(hw).is_none() {
-                fail!(format!(
-                    "unknown hardware config `{hw}` (try rocket, boom-gshare, boom-tage)"
-                ));
+            if let Err(e) = hardware_arg(hw) {
+                fail!(e);
             }
             let Some(conn) = crate::connector::connector_by_name(connector) else {
                 fail!(format!(
@@ -1525,6 +1502,18 @@ mod tests {
         assert!(parse(&["build", "a.json", "b.json"]).is_err());
         assert!(parse(&["build", "--bogus", "w.json"]).is_err());
         assert!(parse(&["-d"]).is_err());
+        for line in [
+            "launch --no-disk hello.json",
+            "build --sim rtl hello.json",
+            "clean --port 1 hello.json",
+            "test --hw rocket w.json",
+            "serve --jobs 2",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = parse(&args).unwrap_err().to_string();
+            let want = format!("option `{}` does not apply to `{}`", args[1], args[0]);
+            assert!(err.contains(&want) && err.contains(USAGE), "{line}: {err}");
+        }
     }
 
     #[test]

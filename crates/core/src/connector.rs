@@ -166,6 +166,7 @@ mod tests {
     use crate::board::Board;
     use crate::build::{BuildOptions, Builder};
     use marshal_config::SearchPath;
+    use marshal_qcheck::scratch_dir;
 
     fn products(root: &std::path::Path) -> (Builder, BuildProducts) {
         let mut search = SearchPath::new();
@@ -179,13 +180,6 @@ mod tests {
         (b, p)
     }
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-conn-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
     #[test]
     fn registry_lookup() {
         for name in connector_names() {
@@ -196,7 +190,7 @@ mod tests {
 
     #[test]
     fn firesim_connector_matches_install() {
-        let root = tmp("fs");
+        let root = scratch_dir("fs");
         let (_b, p) = products(&root);
         let path = FireSimConnector.install(&p, &root.join("out")).unwrap();
         let manifest = crate::install::load_manifest(&path).unwrap();
@@ -206,7 +200,7 @@ mod tests {
 
     #[test]
     fn vcs_connector_emits_per_job_scripts() {
-        let root = tmp("vcs");
+        let root = scratch_dir("vcs");
         let (_b, p) = products(&root);
         let path = VcsConnector.install(&p, &root.join("out")).unwrap();
         let runner = std::fs::read_to_string(&path).unwrap();
@@ -220,7 +214,7 @@ mod tests {
 
     #[test]
     fn verilator_connector_lists_artifacts() {
-        let root = tmp("vl");
+        let root = scratch_dir("vl");
         let (_b, p) = products(&root);
         let path = VerilatorConnector.install(&p, &root.join("out")).unwrap();
         let cfg = std::fs::read_to_string(&path).unwrap();

@@ -2,10 +2,10 @@
 //! in the content-addressed blob pool at `workdir/objects/`.
 //!
 //! Each level of a workload's inheritance chain persists as a small
-//! manifest; the actual file bytes live once in the blob pool, shared
-//! across levels, jobs, and sibling workloads. Legacy flat `MIMG` level
-//! files (pre-existing workdirs) are still readable — the loader sniffs
-//! the magic. Tasks that persist images through the store must declare a
+//! manifest, sealed with [`persist::write_sealed`] and read back only
+//! through [`marshal_image::read_level`]; the actual file bytes live once
+//! in the blob pool, shared across levels, jobs, and sibling workloads.
+//! Tasks that persist images through the store must declare a
 //! [`marshal_depgraph::Task::claim_tree`] over [`ImageStore::objects_dir`],
 //! since blob paths are content-derived and unknown at planning time.
 //!
@@ -15,8 +15,9 @@
 //! a remote hit is exactly a build-cache hit.
 //!
 //! Loads self-defend: a corrupt blob is quarantined (and re-fetched from a
-//! configured remote when possible), and an unhealable or torn manifest is
-//! removed so the owning level rebuilds instead of wedging every consumer.
+//! configured remote when possible), and an unhealable, torn or unsealed
+//! manifest is removed so the owning level rebuilds instead of wedging
+//! every consumer.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -131,7 +132,7 @@ impl ImageStore {
             .blobs
             .write_manifest(&image)
             .map_err(|e| e.to_string())?;
-        persist::write_atomic(&self.path_for(key), &manifest).map_err(|e| e.to_string())?;
+        persist::write_sealed(&self.path_for(key), &manifest).map_err(|e| e.to_string())?;
         if let Some(fp) = input {
             self.write_by_input(fp, &manifest)?;
         }
@@ -145,7 +146,8 @@ impl ImageStore {
     }
 
     /// Installs a manifest fetched from a remote as the level file for
-    /// `key` (and its by-input index entry). The image itself is *not*
+    /// `key` (and its by-input index entry), sealing it on the way to disk.
+    /// The image itself is *not*
     /// materialised — consumers load it lazily from the (already fetched)
     /// blobs.
     ///
@@ -158,7 +160,7 @@ impl ImageStore {
         input: Fingerprint,
         manifest: &[u8],
     ) -> Result<(), String> {
-        persist::write_atomic(&self.path_for(key), manifest).map_err(|e| e.to_string())?;
+        persist::write_sealed(&self.path_for(key), manifest).map_err(|e| e.to_string())?;
         self.write_by_input(input, manifest)?;
         // A fetched level invalidates any stale cached copy under this key.
         self.cache.lock().expect("store poisoned").remove(key);
@@ -166,19 +168,19 @@ impl ImageStore {
     }
 
     /// Write-once by-input index entry: as with blob puts, concurrent
-    /// writers of the same level are benign.
+    /// writers of the same level are benign. An entry that fails its seal
+    /// (an older workdir's, or a damaged one) is rewritten.
     fn write_by_input(&self, input: Fingerprint, manifest: &[u8]) -> Result<(), String> {
         let path = self.by_input_path(input);
-        if path.exists() {
+        if marshal_image::read_level(&path).is_ok() {
             return Ok(());
         }
-        persist::write_atomic(&path, manifest).map_err(|e| e.to_string())
+        persist::write_sealed(&path, manifest).map_err(|e| e.to_string())
     }
 
     /// Loads the image for a level key. Cache hits are O(1) — images are
     /// copy-on-write, so the returned clone shares every allocation with
-    /// the cached copy. Misses read the manifest (or a legacy flat `MIMG`
-    /// file) from disk.
+    /// the cached copy. Misses read the sealed manifest from disk.
     ///
     /// A load that trips on pool damage self-defends: a corrupt blob is
     /// quarantined and (with a remote configured) re-fetched, and when the
@@ -220,7 +222,7 @@ impl ImageStore {
                 (*expected, self.blobs.quarantine(*expected).is_ok())
             }
             StoreError::MissingBlob { fp, .. } => (*fp, false),
-            StoreError::Manifest(_) => {
+            StoreError::Manifest(_) | StoreError::Damaged(_) => {
                 self.invalidate_manifest(path);
                 return Err(format!(
                     "image `{key}`: torn or malformed manifest removed ({err}); \
@@ -362,17 +364,11 @@ pub(crate) fn pid_alive(pid: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-istore-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn by_input_index_written_and_idempotent() {
-        let dir = scratch("byinput");
+        let dir = scratch_dir("byinput");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/f", b"payload").unwrap();
@@ -391,15 +387,15 @@ mod tests {
 
     #[test]
     fn corrupt_blob_load_quarantines_and_invalidates() {
-        let dir = scratch("heal");
+        let dir = scratch_dir("heal");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/f", b"rot me").unwrap();
         store.store("lvl", img).unwrap();
         // Fresh store (no cache) with a rotted blob.
         let store = ImageStore::new(&dir);
-        let refs =
-            marshal_image::manifest_refs(&std::fs::read(store.path_for("lvl")).unwrap()).unwrap();
+        let manifest = marshal_image::read_level(&store.path_for("lvl")).unwrap();
+        let refs = marshal_image::manifest_refs(&manifest).unwrap();
         std::fs::write(store.blobs().blob_path(refs[0]), b"rotted!").unwrap();
         let err = store.load("lvl").unwrap_err();
         assert!(err.contains("quarantined"), "{err}");
@@ -413,7 +409,7 @@ mod tests {
 
     #[test]
     fn torn_manifest_load_invalidates_without_panic() {
-        let dir = scratch("torn");
+        let dir = scratch_dir("torn");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/f", b"data").unwrap();
@@ -428,9 +424,34 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A flipped byte in a stored path or exec tag must never load as an
+    /// image with a renamed or re-moded file: the load reports damage and
+    /// drops the manifest so the level rebuilds.
+    #[test]
+    fn flipped_manifest_byte_invalidates_the_level() {
+        let dir = scratch_dir("flip");
+        let mut img = FsImage::new();
+        img.write_exec("/bin/run", b"\x13\x05\x10\x00").unwrap();
+        ImageStore::new(&dir).store("lvl", img.clone()).unwrap();
+        let path = ImageStore::new(&dir).path_for("lvl");
+        let sealed = std::fs::read(&path).unwrap();
+        let name = sealed.windows(8).position(|w| w == b"/bin/run").unwrap();
+        // `/bin/run` → `/bin/rum`, and the exec tag (1) before its
+        // four-byte length → plain (0).
+        for (at, flip) in [(name + 7, 0x03), (name - 5, 0x01)] {
+            let mut bytes = sealed.clone();
+            bytes[at] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ImageStore::new(&dir).load("lvl").unwrap_err();
+            assert!(err.contains("checksum"), "{err}");
+            assert!(!path.exists(), "manifest removed so the level rebuilds");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn pins_block_then_release() {
-        let dir = scratch("pins");
+        let dir = scratch_dir("pins");
         let objects = dir.join("objects");
         std::fs::create_dir_all(&objects).unwrap();
         let pin = PoolPin::acquire(&objects).unwrap();

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use marshal_config::Value;
-use marshal_sim_functional::{LaunchMode, LoadedJob};
+use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::{FireSim, HardwareConfig, NodeResult};
 
 use crate::build::{BuildProducts, Builder, JobKind};
@@ -21,7 +21,7 @@ use crate::launch::load_artifacts;
 pub struct InstallManifest {
     /// Workload name.
     pub workload: String,
-    /// Per-job entries: `(qualified name, artifact kind, artifact paths)`.
+    /// Per-job entries: qualified name and artifact paths.
     pub jobs: Vec<InstalledJob>,
 }
 
@@ -30,12 +30,9 @@ pub struct InstallManifest {
 pub struct InstalledJob {
     /// Qualified job name (one simulated node).
     pub name: String,
-    /// `linux` or `bare`.
-    pub kind: String,
-    /// Path to the boot binary or bare binary.
-    pub primary: PathBuf,
-    /// Path to the disk image, if any.
-    pub disk: Option<PathBuf>,
+    /// The job's artifacts: JSON `kind` (`linux`/`bare`), `primary` (boot
+    /// or bare binary) and `disk` (disk image or `null`).
+    pub kind: JobKind,
 }
 
 impl InstallManifest {
@@ -45,20 +42,19 @@ impl InstallManifest {
             .jobs
             .iter()
             .map(|j| {
+                let path = |p: &Path| Value::Str(p.to_string_lossy().into_owned());
+                let (kind, primary, disk) = match &j.kind {
+                    JobKind::Linux {
+                        boot_path,
+                        disk_path,
+                    } => ("linux", boot_path, disk_path.as_deref()),
+                    JobKind::Bare { bin_path } => ("bare", bin_path, None),
+                };
                 let mut m = std::collections::BTreeMap::new();
                 m.insert("name".to_owned(), Value::Str(j.name.clone()));
-                m.insert("kind".to_owned(), Value::Str(j.kind.clone()));
-                m.insert(
-                    "primary".to_owned(),
-                    Value::Str(j.primary.to_string_lossy().into_owned()),
-                );
-                m.insert(
-                    "disk".to_owned(),
-                    match &j.disk {
-                        Some(d) => Value::Str(d.to_string_lossy().into_owned()),
-                        None => Value::Null,
-                    },
-                );
+                m.insert("kind".to_owned(), Value::Str(kind.to_owned()));
+                m.insert("primary".to_owned(), path(primary));
+                m.insert("disk".to_owned(), disk.map_or(Value::Null, path));
                 Value::Object(m)
             })
             .collect();
@@ -87,23 +83,27 @@ impl InstallManifest {
             .ok_or_else(|| MarshalError::Other("manifest missing `jobs`".to_owned()))?
             .iter()
             .map(|j| {
+                let field = |key: &str| {
+                    j.get(key)
+                        .and_then(Value::as_str)
+                        .ok_or_else(|| MarshalError::Other(format!("job missing `{key}`")))
+                };
+                let primary = PathBuf::from(field("primary")?);
+                let kind = match field("kind")? {
+                    "linux" => JobKind::Linux {
+                        boot_path: primary,
+                        disk_path: j.get("disk").and_then(Value::as_str).map(PathBuf::from),
+                    },
+                    "bare" => JobKind::Bare { bin_path: primary },
+                    other => {
+                        return Err(MarshalError::Other(format!(
+                            "job kind `{other}` is neither `linux` nor `bare`"
+                        )))
+                    }
+                };
                 Ok(InstalledJob {
-                    name: j
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| MarshalError::Other("job missing `name`".to_owned()))?
-                        .to_owned(),
-                    kind: j
-                        .get("kind")
-                        .and_then(Value::as_str)
-                        .unwrap_or("linux")
-                        .to_owned(),
-                    primary: PathBuf::from(
-                        j.get("primary").and_then(Value::as_str).ok_or_else(|| {
-                            MarshalError::Other("job missing `primary`".to_owned())
-                        })?,
-                    ),
-                    disk: j.get("disk").and_then(Value::as_str).map(PathBuf::from),
+                    name: field("name")?.to_owned(),
+                    kind,
                 })
             })
             .collect::<Result<Vec<_>, MarshalError>>()?;
@@ -116,22 +116,9 @@ pub fn manifest_for(products: &BuildProducts) -> InstallManifest {
     let jobs = products
         .jobs
         .iter()
-        .map(|j| match &j.kind {
-            JobKind::Linux {
-                boot_path,
-                disk_path,
-            } => InstalledJob {
-                name: j.name.clone(),
-                kind: "linux".to_owned(),
-                primary: boot_path.clone(),
-                disk: disk_path.clone(),
-            },
-            JobKind::Bare { bin_path } => InstalledJob {
-                name: j.name.clone(),
-                kind: "bare".to_owned(),
-                primary: bin_path.clone(),
-                disk: None,
-            },
+        .map(|j| InstalledJob {
+            name: j.name.clone(),
+            kind: j.kind.clone(),
         })
         .collect();
     InstallManifest {
@@ -171,42 +158,23 @@ pub(crate) fn write_manifest(
 /// interact with the simulator normally", which for this reproduction means
 /// handing the manifest to the cycle-exact [`FireSim`]. Jobs become cluster
 /// nodes and run in parallel when `parallel` is set (the paper's
-/// two-weeks-to-two-days optimisation).
+/// two-weeks-to-two-days optimisation). Artifacts load exactly as
+/// [`load_artifacts`] loads them, verified against their sidecars.
 ///
 /// # Errors
 ///
-/// Artifact and simulation errors.
+/// Artifact errors ([`MarshalError::Corrupt`] for a damaged artifact) and
+/// simulation errors.
 pub fn run_installed(
     manifest: &InstallManifest,
     hw: HardwareConfig,
     parallel: bool,
 ) -> Result<Vec<NodeResult>, MarshalError> {
-    let mut nodes = Vec::with_capacity(manifest.jobs.len());
-    for job in &manifest.jobs {
-        let payload = if job.kind == "bare" {
-            let bin = std::fs::read(&job.primary)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
-            LoadedJob::Bare { bin }
-        } else {
-            let boot_bytes = std::fs::read(&job.primary)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
-            let boot = marshal_firmware::BootBinary::from_bytes(&boot_bytes)
-                .map_err(|e| MarshalError::Other(format!("boot binary: {e}")))?;
-            let disk = match &job.disk {
-                Some(p) => {
-                    let bytes = std::fs::read(p)
-                        .map_err(|e| MarshalError::Io(format!("read {}: {e}", p.display())))?;
-                    Some(
-                        marshal_image::FsImage::from_bytes(&bytes)
-                            .map_err(|e| MarshalError::Other(format!("disk image: {e}")))?,
-                    )
-                }
-                None => None,
-            };
-            LoadedJob::Linux { boot, disk }
-        };
-        nodes.push((job.name.clone(), payload));
-    }
+    let nodes = manifest
+        .jobs
+        .iter()
+        .map(|job| Ok((job.name.clone(), job.kind.load()?)))
+        .collect::<Result<Vec<_>, MarshalError>>()?;
     Ok(FireSim::new(hw).launch_cluster(&nodes, parallel)?)
 }
 
@@ -251,15 +219,16 @@ mod tests {
             jobs: vec![
                 InstalledJob {
                     name: "intspeed.600.perlbench_s".to_owned(),
-                    kind: "linux".to_owned(),
-                    primary: PathBuf::from("/w/images/a/boot.bin"),
-                    disk: Some(PathBuf::from("/w/images/a/rootfs.img")),
+                    kind: JobKind::Linux {
+                        boot_path: PathBuf::from("/w/images/a/boot.bin"),
+                        disk_path: Some(PathBuf::from("/w/images/a/rootfs.img")),
+                    },
                 },
                 InstalledJob {
                     name: "server".to_owned(),
-                    kind: "bare".to_owned(),
-                    primary: PathBuf::from("/w/images/s/bin.mexe"),
-                    disk: None,
+                    kind: JobKind::Bare {
+                        bin_path: PathBuf::from("/w/images/s/bin.mexe"),
+                    },
                 },
             ],
         };
@@ -284,5 +253,13 @@ mod tests {
         assert!(
             InstallManifest::from_json(r#"{"workload":"x","jobs":[{"kind":"linux"}]}"#).is_err()
         );
+        let job = |kind: &str| {
+            format!(r#"{{"workload":"x","jobs":[{{"name":"n","primary":"/b"{kind}}}]}}"#)
+        };
+        assert!(InstallManifest::from_json(&job(r#","kind":"linux""#)).is_ok());
+        for bad in ["", r#","kind":"linx""#, r#","kind":null"#] {
+            let err = InstallManifest::from_json(&job(bad)).unwrap_err();
+            assert!(err.to_string().contains("kind"), "{bad}: {err}");
+        }
     }
 }

@@ -1,14 +1,18 @@
 //! Artifact integrity: content checksums for build products.
 //!
 //! Every artifact the build writes (`boot.bin`, `rootfs.img`, `bin.mexe`)
-//! gets a `<name>.fp` sidecar holding the fingerprint of its bytes.
-//! [`read_verified`] checks the sidecar on load, so corruption between
-//! build and launch (bit-rot, torn writes, stray edits) is reported as an
-//! actionable [`MarshalError::Corrupt`] instead of surfacing later as a
-//! mysterious boot failure or — worse — a silently wrong simulation.
+//! gets a `<name>.fp` sidecar holding the fingerprint of its bytes, and
+//! every read of an artifact goes through [`read_verified`]. The artifact
+//! itself stays bare, because external simulators and the VCS/Verilator
+//! connectors read it unmodified; the workdir's own formats are sealed
+//! instead (see [`marshal_depgraph::persist`]).
 //!
-//! Sidecars are advisory for backwards compatibility: an artifact without
-//! one loads unverified (pre-existing work directories keep working).
+//! Sidecars are not optional: an artifact whose sidecar is missing or
+//! disagrees with its bytes (bit-rot, torn writes, stray edits) is an
+//! actionable [`MarshalError::Corrupt`], never a mysterious boot failure or
+//! a silently wrong simulation. Each sidecar is a declared output of the
+//! task that builds its artifact, so a missing one rebuilds on the next
+//! `build`.
 
 use std::path::{Path, PathBuf};
 
@@ -36,22 +40,26 @@ pub fn write_artifact(path: &Path, bytes: &[u8]) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Reads an artifact, verifying it against its checksum sidecar when one
-/// exists.
+/// Reads an artifact, verifying it against its checksum sidecar.
 ///
 /// # Errors
 ///
 /// [`MarshalError::Io`] when the artifact is unreadable,
-/// [`MarshalError::Corrupt`] when its bytes no longer match the recorded
-/// checksum (the message points at `marshal build --force` to rebuild).
+/// [`MarshalError::Corrupt`] when its sidecar is missing or its bytes no
+/// longer match the recorded checksum (the message points at
+/// `marshal build --force` to rebuild).
 pub fn read_verified(path: &Path) -> Result<Vec<u8>, MarshalError> {
     let bytes = std::fs::read(path)
         .map_err(|e| MarshalError::Io(format!("read {}: {e}", path.display())))?;
     let sidecar = sidecar_path(path);
-    let Ok(expected) = std::fs::read_to_string(&sidecar) else {
-        // No (readable) sidecar: legacy artifact, load as-is.
-        return Ok(bytes);
-    };
+    let expected = std::fs::read_to_string(&sidecar).map_err(|e| {
+        MarshalError::Corrupt(format!(
+            "{} has no readable checksum sidecar ({}: {e}); rerun `marshal build` \
+             to rebuild it",
+            path.display(),
+            sidecar.display()
+        ))
+    })?;
     let expected = expected.trim();
     let actual = Fingerprint::of(&bytes).to_string();
     if expected != actual {
@@ -68,18 +76,11 @@ pub fn read_verified(path: &Path) -> Result<Vec<u8>, MarshalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d =
-            std::env::temp_dir().join(format!("marshal-integrity-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn roundtrip_verifies() {
-        let dir = tmpdir("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let p = dir.join("boot.bin");
         write_artifact(&p, b"payload").unwrap();
         assert!(sidecar_path(&p).exists());
@@ -89,7 +90,7 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let dir = tmpdir("corrupt");
+        let dir = scratch_dir("corrupt");
         let p = dir.join("rootfs.img");
         write_artifact(&p, b"good bytes").unwrap();
         std::fs::write(&p, b"bad bytes!").unwrap();
@@ -103,11 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn missing_sidecar_is_tolerated() {
-        let dir = tmpdir("legacy");
+    fn missing_sidecar_is_damage() {
+        let dir = scratch_dir("legacy");
         let p = dir.join("bin.mexe");
         std::fs::write(&p, b"old artifact").unwrap();
-        assert_eq!(read_verified(&p).unwrap(), b"old artifact");
+        let err = read_verified(&p).unwrap_err();
+        let MarshalError::Corrupt(msg) = err else {
+            panic!("expected Corrupt, got {err:?}");
+        };
+        assert!(msg.contains("bin.mexe.fp"), "{msg}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

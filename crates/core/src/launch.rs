@@ -73,38 +73,50 @@ pub struct LaunchOutput {
     pub warnings: Vec<Warning>,
 }
 
-/// Reads a job's built artifacts back from disk, verifying each against
-/// its checksum sidecar (see [`crate::integrity`]).
+/// Reads a job's built artifacts back from disk: [`JobKind::load`].
 ///
 /// # Errors
 ///
-/// [`MarshalError::Other`] when artifacts are missing or malformed (run
-/// `build` first); [`MarshalError::Corrupt`] when an artifact no longer
-/// matches its recorded checksum (run `build --force` to rebuild).
+/// As [`JobKind::load`].
 pub fn load_artifacts(job: &JobArtifacts) -> Result<LoadedJob, MarshalError> {
-    match &job.kind {
-        JobKind::Linux {
-            boot_path,
-            disk_path,
-        } => {
-            let boot_bytes = crate::integrity::read_verified(boot_path)?;
-            let boot = BootBinary::from_bytes(&boot_bytes)
-                .map_err(|e| MarshalError::Other(format!("boot binary: {e}")))?;
-            let disk = match disk_path {
-                Some(p) => {
-                    let bytes = crate::integrity::read_verified(p)?;
-                    Some(
-                        FsImage::from_bytes(&bytes)
-                            .map_err(|e| MarshalError::Other(format!("disk image: {e}")))?,
-                    )
-                }
-                None => None,
-            };
-            Ok(LoadedJob::Linux { boot, disk })
-        }
-        JobKind::Bare { bin_path } => {
-            let bin = crate::integrity::read_verified(bin_path)?;
-            Ok(LoadedJob::Bare { bin })
+    job.kind.load()
+}
+
+impl JobKind {
+    /// Reads these artifacts back from disk through
+    /// [`crate::integrity::read_verified`] — the one artifact loader, behind
+    /// both `launch` and [`crate::install::run_installed`].
+    ///
+    /// # Errors
+    ///
+    /// [`MarshalError::Other`] when artifacts are missing or malformed (run
+    /// `build` first); [`MarshalError::Corrupt`] when an artifact's sidecar
+    /// is missing or no longer matches it (run `build --force` to rebuild).
+    pub fn load(&self) -> Result<LoadedJob, MarshalError> {
+        match self {
+            JobKind::Linux {
+                boot_path,
+                disk_path,
+            } => {
+                let boot_bytes = crate::integrity::read_verified(boot_path)?;
+                let boot = BootBinary::from_bytes(&boot_bytes)
+                    .map_err(|e| MarshalError::Other(format!("boot binary: {e}")))?;
+                let disk = match disk_path {
+                    Some(p) => {
+                        let bytes = crate::integrity::read_verified(p)?;
+                        Some(
+                            FsImage::from_bytes(&bytes)
+                                .map_err(|e| MarshalError::Other(format!("disk image: {e}")))?,
+                        )
+                    }
+                    None => None,
+                };
+                Ok(LoadedJob::Linux { boot, disk })
+            }
+            JobKind::Bare { bin_path } => {
+                let bin = crate::integrity::read_verified(bin_path)?;
+                Ok(LoadedJob::Bare { bin })
+            }
         }
     }
 }

@@ -20,33 +20,23 @@ pub const SERIAL_LOG: &str = "uartlog";
 ///
 /// # Errors
 ///
-/// I/O failures; missing `outputs` paths are reported as
-/// [`MarshalError::Other`].
+/// I/O failures; a declared `outputs` path the guest did not produce is
+/// [`MarshalError::Other`] naming the first such path.
 pub fn collect_outputs(
     job_dir: &Path,
     serial: &str,
     image: Option<&FsImage>,
     outputs: &[String],
 ) -> Result<(), MarshalError> {
-    std::fs::create_dir_all(job_dir)
-        .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", job_dir.display())))?;
-    std::fs::write(job_dir.join(SERIAL_LOG), serial)
-        .map_err(|e| MarshalError::Io(format!("write uartlog: {e}")))?;
-    for guest_path in outputs {
-        let Some(image) = image else {
-            return Err(MarshalError::Other(format!(
-                "workload declares output `{guest_path}` but produced no filesystem image"
-            )));
-        };
-        let base = guest_path
-            .rsplit('/')
-            .find(|p| !p.is_empty())
-            .unwrap_or("output");
-        image
-            .copy_out(guest_path, &job_dir.join(base))
-            .map_err(|e| MarshalError::Other(format!("collect `{guest_path}`: {e}")))?;
+    match salvage_outputs(job_dir, serial, image, outputs)?.first() {
+        None => Ok(()),
+        Some(missed) if image.is_none() => Err(MarshalError::Other(format!(
+            "workload declares output `{missed}` but produced no filesystem image"
+        ))),
+        Some(missed) => Err(MarshalError::Other(format!(
+            "collect `{missed}`: not copied out of the final image"
+        ))),
     }
-    Ok(())
 }
 
 /// Best-effort variant of [`collect_outputs`] for watchdog-terminated
@@ -67,21 +57,14 @@ pub fn salvage_outputs(
         .map_err(|e| MarshalError::Io(format!("mkdir {}: {e}", job_dir.display())))?;
     std::fs::write(job_dir.join(SERIAL_LOG), serial)
         .map_err(|e| MarshalError::Io(format!("write uartlog: {e}")))?;
-    let mut missed = Vec::new();
-    for guest_path in outputs {
-        let Some(image) = image else {
-            missed.push(guest_path.clone());
-            continue;
-        };
+    let copied = |guest_path: &String| {
         let base = guest_path
             .rsplit('/')
             .find(|p| !p.is_empty())
             .unwrap_or("output");
-        if image.copy_out(guest_path, &job_dir.join(base)).is_err() {
-            missed.push(guest_path.clone());
-        }
-    }
-    Ok(missed)
+        image.is_some_and(|image| image.copy_out(guest_path, &job_dir.join(base)).is_ok())
+    };
+    Ok(outputs.iter().filter(|p| !copied(p)).cloned().collect())
 }
 
 /// Writes a job's `stats` file: the timing summary post-run hooks parse
@@ -159,17 +142,11 @@ pub fn load_hook_script(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-output-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn collects_serial_and_outputs() {
-        let dir = tmpdir("collect");
+        let dir = scratch_dir("collect");
         let mut img = FsImage::new();
         img.write_file("/output/results.csv", b"name,score\nx,1\n")
             .unwrap();
@@ -193,7 +170,7 @@ mod tests {
 
     #[test]
     fn missing_output_path_errors() {
-        let dir = tmpdir("missing");
+        let dir = scratch_dir("missing");
         let img = FsImage::new();
         let err = collect_outputs(&dir, "", Some(&img), &["/output".to_owned()]).unwrap_err();
         assert!(err.to_string().contains("/output"));
@@ -202,7 +179,7 @@ mod tests {
 
     #[test]
     fn salvage_tolerates_missing_outputs() {
-        let dir = tmpdir("salvage");
+        let dir = scratch_dir("salvage");
         let mut img = FsImage::new();
         img.write_file("/output/partial.csv", b"x\n").unwrap();
         let missed = salvage_outputs(
@@ -220,7 +197,7 @@ mod tests {
 
     #[test]
     fn post_hook_combines_job_outputs() {
-        let dir = tmpdir("hook");
+        let dir = scratch_dir("hook");
         std::fs::create_dir_all(dir.join("a")).unwrap();
         std::fs::create_dir_all(dir.join("b")).unwrap();
         std::fs::write(dir.join("a/score"), "1").unwrap();
@@ -244,7 +221,7 @@ mod tests {
 
     #[test]
     fn hook_script_loading() {
-        let dir = tmpdir("hookload");
+        let dir = scratch_dir("hookload");
         std::fs::write(dir.join("handle.ms"), "print(\"hi\")\n").unwrap();
         let (src, args) = load_hook_script("handle.ms --csv", Some(&dir)).unwrap();
         assert!(src.contains("print"));

@@ -6,15 +6,18 @@
 //! moves such blobs into `objects/.quarantine/` (never deletes — the bytes
 //! are evidence), re-fetches live ones from a configured `marshal serve`
 //! remote, and removes any manifest left pointing at an unrecoverable blob
-//! so the owning level rebuilds instead of wedging its consumers.
+//! so the owning level rebuilds instead of wedging its consumers. Level
+//! manifests are read through [`marshal_image::read_level`], so a torn,
+//! rotted or unsealed one is removed the same way.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use marshal_depgraph::Fingerprint;
+use marshal_image::StoreError;
 use marshal_netstore::RemoteStore;
 
-use crate::clean::{live_refs, pool_blobs, sweep_by_input};
+use crate::clean::{level_files, live_refs, pool_blobs, sweep_by_input};
 use crate::error::MarshalError;
 use crate::imagestore::ImageStore;
 use crate::warnings::{Severity, Warning};
@@ -82,40 +85,27 @@ fn scrub_pool_inner(
     let store = ImageStore::new(workdir);
     let mut report = ScrubReport::default();
 
-    // --- manifests: parse both indexes, removing torn ones ---------------
-    let mut dirs = vec![store.levels_dir().to_path_buf()];
-    dirs.push(store.by_input_dir());
-    for dir in dirs {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            if !marshal_image::sniff_manifest(&bytes) {
-                // Legacy flat image files carry their own payload; blob
-                // verification does not apply to them.
+    // --- manifests: read both indexes, removing damaged ones ------------
+    for dir in [store.levels_dir().to_path_buf(), store.by_input_dir()] {
+        for (path, refs) in level_files(&dir) {
+            if let Err(StoreError::Io(_)) = refs {
                 continue;
             }
             report.manifests_checked += 1;
-            if let Err(e) = marshal_image::manifest_refs(&bytes) {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.manifests_removed += 1;
-                    report.warnings.push(Warning::with_code(
-                        "scrub",
-                        format!(
-                            "torn or malformed manifest {} removed ({e}); \
-                             its level will rebuild",
-                            path.display()
-                        ),
-                        "scrub-torn-manifest",
-                    ));
-                }
+            let Err(e) = refs else {
+                continue;
+            };
+            if std::fs::remove_file(&path).is_ok() {
+                report.manifests_removed += 1;
+                report.warnings.push(Warning::with_code(
+                    "scrub",
+                    format!(
+                        "torn or malformed manifest {} removed ({e}); \
+                         its level will rebuild",
+                        path.display()
+                    ),
+                    "scrub-torn-manifest",
+                ));
             }
         }
     }
@@ -174,29 +164,24 @@ fn scrub_pool_inner(
     }
 
     // --- consequence pass: drop manifests referencing lost blobs ---------
-    if !lost.is_empty() {
-        if let Ok(entries) = std::fs::read_dir(store.levels_dir()) {
-            for entry in entries.filter_map(Result::ok) {
-                let path = entry.path();
-                let Ok(bytes) = std::fs::read(&path) else {
-                    continue;
-                };
-                let Ok(refs) = marshal_image::manifest_refs(&bytes) else {
-                    continue;
-                };
-                if refs.iter().any(|fp| lost.contains(fp)) && std::fs::remove_file(&path).is_ok() {
-                    report.manifests_removed += 1;
-                    report.warnings.push(Warning::with_code(
-                        "scrub",
-                        format!(
-                            "manifest {} references an unrecoverable blob; removed so \
-                             the level rebuilds",
-                            path.display()
-                        ),
-                        "scrub-lost-manifest",
-                    ));
-                }
-            }
+    let levels = if lost.is_empty() {
+        Vec::new()
+    } else {
+        level_files(store.levels_dir())
+    };
+    for (path, refs) in levels {
+        let lost_one = refs.is_ok_and(|refs| refs.iter().any(|fp| lost.contains(fp)));
+        if lost_one && std::fs::remove_file(&path).is_ok() {
+            report.manifests_removed += 1;
+            report.warnings.push(Warning::with_code(
+                "scrub",
+                format!(
+                    "manifest {} references an unrecoverable blob; removed so \
+                     the level rebuilds",
+                    path.display()
+                ),
+                "scrub-lost-manifest",
+            ));
         }
     }
     // Keep the distribution index consistent with whatever survived.
@@ -208,18 +193,11 @@ fn scrub_pool_inner(
 mod tests {
     use super::*;
     use marshal_image::FsImage;
-    use std::path::PathBuf;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-scrub-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn clean_pool_scrubs_clean() {
-        let dir = tmpdir("clean");
+        let dir = scratch_dir("clean");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/a", b"alpha").unwrap();
@@ -235,13 +213,13 @@ mod tests {
 
     #[test]
     fn corrupt_blob_quarantined_and_manifest_invalidated() {
-        let dir = tmpdir("corrupt");
+        let dir = scratch_dir("corrupt");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/a", b"precious payload bytes").unwrap();
         store.store("lvl", img).unwrap();
-        let refs =
-            marshal_image::manifest_refs(&std::fs::read(store.path_for("lvl")).unwrap()).unwrap();
+        let (_, refs) = level_files(store.levels_dir()).pop().unwrap();
+        let refs = refs.unwrap();
         std::fs::write(store.blobs().blob_path(refs[0]), b"bitrot").unwrap();
 
         let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
@@ -259,7 +237,7 @@ mod tests {
 
     #[test]
     fn torn_manifest_removed() {
-        let dir = tmpdir("torn");
+        let dir = scratch_dir("torn");
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/a", b"payload").unwrap();
@@ -270,6 +248,35 @@ mod tests {
         let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
         assert!(report.manifests_removed >= 1);
         assert!(!path.exists());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn unsealed_or_rotted_manifests_removed() {
+        let dir = scratch_dir("unsealed");
+        let store = ImageStore::new(&dir);
+        let mut img = FsImage::new();
+        img.write_file("/a", b"payload").unwrap();
+        let input = Fingerprint::of(b"input");
+        store
+            .store_with_input("lvl", Some(input), img.clone())
+            .unwrap();
+        // A flat image left by an old workdir, and a by-input entry whose
+        // path bytes rotted without changing its length.
+        let flat = store.levels_dir().join("old-level.img");
+        std::fs::write(&flat, img.to_bytes()).unwrap();
+        let index = store.by_input_path(input);
+        let mut rotted = std::fs::read(&index).unwrap();
+        let at = rotted.windows(2).rposition(|w| w == b"/a").unwrap();
+        rotted[at + 1] = b'b';
+        std::fs::write(&index, rotted).unwrap();
+        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
+        assert_eq!(report.manifests_checked, 3);
+        assert_eq!(report.manifests_removed, 2);
+        assert!(!flat.exists() && !index.exists());
+        assert!(store.path_for("lvl").exists(), "the intact level stays");
+        let codes: Vec<&str> = report.warnings.iter().map(|w| w.code).collect();
+        assert_eq!(codes, ["scrub-torn-manifest"; 2]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

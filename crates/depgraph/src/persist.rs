@@ -1,11 +1,29 @@
-//! The one way a file a later run reads back is written ([`write_atomic`])
-//! and a damaged file is moved aside ([`quarantine`]). There is no fsync:
-//! every format written here is verified on read, so a file torn by power
-//! loss costs a rebuild, never a wrong answer.
+//! The one way a file a later run reads back is written ([`write_atomic`]),
+//! sealed against damage ([`write_sealed`], [`read_sealed`]) and moved
+//! aside once damaged ([`quarantine`]).
+//!
+//! A sealed file is one header line and then the payload, for text and
+//! binary payloads alike:
+//!
+//! ```text
+//! #marshal-sealed v1 len=<payload bytes> fp=<Fingerprint::of(payload)>
+//! <payload>
+//! ```
+//!
+//! The state database, boot checkpoints and level manifests are sealed.
+//! Blobs are named by their hash and build artifacts carry `.fp` sidecars
+//! (an external simulator reads them unmodified), so both are checked by
+//! their readers instead. There is no fsync: a file torn by power loss
+//! reads as damaged and costs a rebuild, never a wrong answer.
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::hash::Fingerprint;
+
+/// The start of a sealed file's header line.
+const SEAL: &str = "#marshal-sealed v1 ";
 
 /// Makes each temp name unique within the process.
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -31,6 +49,84 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     result.map_err(context)
+}
+
+/// Seals `payload` and writes it with [`write_atomic`].
+///
+/// # Errors
+///
+/// As [`write_atomic`].
+pub fn write_sealed(path: &Path, payload: &[u8]) -> io::Result<()> {
+    let header = format!(
+        "{SEAL}len={} fp={}\n",
+        payload.len(),
+        Fingerprint::of(payload)
+    );
+    let mut bytes = Vec::with_capacity(header.len() + payload.len());
+    bytes.extend_from_slice(header.as_bytes());
+    bytes.extend_from_slice(payload);
+    write_atomic(path, &bytes)
+}
+
+/// Reads the payload of a file written by [`write_sealed`].
+///
+/// # Errors
+///
+/// [`io::ErrorKind::NotFound`] when the file is absent and
+/// [`io::ErrorKind::InvalidData`] when it is damaged, with a message naming
+/// the path and what failed (not sealed, truncated, checksum mismatch).
+/// Other kinds are I/O failures.
+pub fn read_sealed(path: &Path) -> io::Result<Vec<u8>> {
+    let mut bytes = std::fs::read(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("read {}: {e}", path.display())))?;
+    let start = unseal(&bytes).map_err(|why| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {why}", path.display()),
+        )
+    })?;
+    bytes.drain(..start);
+    Ok(bytes)
+}
+
+/// Checks a sealed file's bytes, returning where its payload starts.
+fn unseal(bytes: &[u8]) -> Result<usize, String> {
+    let not_sealed = || "not sealed (no `#marshal-sealed v1` header)".to_owned();
+    let Some(end) = bytes.iter().position(|&b| b == b'\n') else {
+        let torn = bytes.starts_with(SEAL.as_bytes()) || SEAL.as_bytes().starts_with(bytes);
+        return Err(if torn {
+            "truncated inside the seal header".to_owned()
+        } else {
+            not_sealed()
+        });
+    };
+    let header = std::str::from_utf8(&bytes[..end]).unwrap_or_default();
+    let (len, fp) = header
+        .strip_prefix(SEAL)
+        .ok_or_else(not_sealed)?
+        .strip_prefix("len=")
+        .and_then(|fields| fields.split_once(" fp="))
+        .ok_or_else(|| format!("malformed seal header {header:?}"))?;
+    // Both fields are compared as text with their canonical rendering, so
+    // no damaged spelling of a value can parse back to the same value.
+    let held = bytes.len() - end - 1;
+    if len != held.to_string() {
+        return Err(match len.parse::<usize>() {
+            Ok(n) if n > held => {
+                format!("truncated: the seal records {n} payload bytes, the file holds {held}")
+            }
+            _ => format!(
+                "length mismatch: the seal records {len:?} payload bytes, the file holds {held}"
+            ),
+        });
+    }
+    let actual = Fingerprint::of(&bytes[end + 1..]).to_string();
+    if actual != fp {
+        return Err(format!(
+            "checksum mismatch: the seal records {fp}, the payload hashes to {actual}"
+        ));
+    }
+    Ok(end + 1)
 }
 
 /// Moves `src` to `dest`, creating `dest`'s parent directory.
@@ -62,15 +158,7 @@ pub fn temp_owner(file_name: &str) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d =
-            std::env::temp_dir().join(format!("marshal-persist-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     fn names(dir: &Path) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -83,7 +171,7 @@ mod tests {
 
     #[test]
     fn write_replaces_content_and_leaves_no_temp() {
-        let dir = tmpdir("replace");
+        let dir = scratch_dir("replace");
         let file = dir.join("sub").join("f.bin");
         write_atomic(&file, b"first version").unwrap();
         write_atomic(&file, b"second").unwrap();
@@ -94,7 +182,7 @@ mod tests {
 
     #[test]
     fn failed_rename_errors_and_leaves_no_temp() {
-        let dir = tmpdir("rename-fails");
+        let dir = scratch_dir("rename-fails");
         let target = dir.join("taken");
         std::fs::create_dir_all(target.join("inner")).unwrap();
         assert!(write_atomic(&target, b"bytes").is_err());
@@ -102,9 +190,47 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// Every single-bit flip and every truncation of a sealed file reads as
+    /// damage, and only the intact file reads back: the seal's crash
+    /// points, enumerated.
+    #[test]
+    fn every_bit_flip_and_truncation_is_damage() {
+        let dir = scratch_dir("enumerate");
+        let file = dir.join("f.db");
+        let payload = b"task\t0123456789abcdef\n\x00\xff";
+        write_sealed(&file, payload).unwrap();
+        let sealed = std::fs::read(&file).unwrap();
+        let damaged = |bytes: &[u8]| {
+            std::fs::write(&file, bytes).unwrap();
+            let err = read_sealed(&file).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            err.to_string()
+        };
+        let header_bits = (sealed.len() - payload.len()) * 8;
+        for bit in 0..sealed.len() * 8 {
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let why = damaged(&flipped);
+            assert!(bit < header_bits || why.contains("checksum"), "{why}");
+        }
+        for cut in 0..sealed.len() {
+            assert!(
+                damaged(&sealed[..cut]).contains("truncated"),
+                "cut at {cut}"
+            );
+        }
+        assert!(damaged(&[&sealed[..], b"x"].concat()).contains("length mismatch"));
+        assert!(damaged(payload).contains("not sealed"));
+        std::fs::write(&file, &sealed).unwrap();
+        assert_eq!(read_sealed(&file).unwrap(), payload);
+        let absent = read_sealed(&dir.join("absent")).unwrap_err();
+        assert_eq!(absent.kind(), io::ErrorKind::NotFound);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn quarantine_creates_missing_parent() {
-        let dir = tmpdir("quarantine");
+        let dir = scratch_dir("quarantine");
         let src = dir.join("bad.db");
         std::fs::write(&src, b"rot").unwrap();
         let dest = dir.join(".quarantine").join("nested").join("bad.db");

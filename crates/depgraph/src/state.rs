@@ -6,14 +6,13 @@
 //!
 //! # Crash safety
 //!
-//! [`StateDb::flush`] writes through [`crate::persist::write_atomic`]: a
-//! crash mid-flush leaves the old file or the new, never a torn one.
-//! The file carries a `#fm-state` header recording the entry count and a
-//! content checksum; [`StateDb::open`] verifies both, so truncation or
-//! bit-rot is detected even when each surviving line parses cleanly. A
-//! corrupt file is quarantined to `<path>.corrupt` and the build proceeds
-//! with a cold cache (everything rebuilds) instead of failing — losing
-//! incrementality is recoverable, acting on corrupt state is not.
+//! [`StateDb::flush`] writes through [`crate::persist::write_sealed`]: a
+//! crash mid-flush leaves the old file or the new, never a torn one, and
+//! the seal lets [`StateDb::open`] detect truncation or bit-rot even when
+//! each surviving line parses cleanly. A damaged file is quarantined to
+//! `<path>.corrupt` and the build proceeds with a cold cache (everything
+//! rebuilds) instead of failing — losing incrementality is recoverable,
+//! acting on corrupt state is not.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -21,9 +20,6 @@ use std::path::{Path, PathBuf};
 
 use crate::error::BuildError;
 use crate::hash::Fingerprint;
-
-/// Magic prefix of the integrity header line.
-const HEADER_PREFIX: &str = "#fm-state v1 ";
 
 /// The hash-field token marking a task as in progress rather than built.
 const IN_PROGRESS_TOKEN: &str = "!in-progress";
@@ -57,8 +53,8 @@ impl StateDb {
 
     /// Opens (or creates) a database backed by the file at `path`.
     ///
-    /// A corrupt state file (truncated, bit-flipped, malformed, or holding
-    /// duplicate task ids) is quarantined to `<path>.corrupt` and an empty
+    /// A damaged state file (unsealed, truncated, bit-flipped, malformed,
+    /// or holding duplicate task ids) is quarantined to `<path>.corrupt` and an empty
     /// database is returned; [`StateDb::recovery`] describes what happened
     /// so callers can warn. Corruption therefore costs a full rebuild, not
     /// a failed one.
@@ -73,18 +69,20 @@ impl StateDb {
             path: Some(path.clone()),
             ..StateDb::default()
         };
-        if !path.exists() {
-            return Ok(db);
-        }
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BuildError::State(format!("read {}: {e}", path.display())))?;
-        // Invalid UTF-8 is corruption (bit-rot), not an I/O failure.
-        let parsed = match String::from_utf8(bytes) {
-            Ok(text) => parse_state_file(&text, &path),
-            Err(_) => Err(BuildError::State(format!(
-                "{}: not valid UTF-8",
-                path.display()
-            ))),
+        let parsed = match crate::persist::read_sealed(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(db),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                Err(BuildError::State(e.to_string()))
+            }
+            Err(e) => return Err(BuildError::State(e.to_string())),
+            // Invalid UTF-8 is damage (bit-rot), not an I/O failure.
+            Ok(bytes) => match String::from_utf8(bytes) {
+                Ok(text) => parse_state_file(&text, &path),
+                Err(_) => Err(BuildError::State(format!(
+                    "{}: not valid UTF-8",
+                    path.display()
+                ))),
+            },
         };
         match parsed {
             Ok((entries, in_progress)) => {
@@ -111,20 +109,6 @@ impl StateDb {
             Err(other) => return Err(other),
         }
         Ok(db)
-    }
-
-    /// Parses a state file, failing on any inconsistency. Exposed for
-    /// tests that need to distinguish "corrupt" from "recovered".
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::State`] describing the first malformed line, bad
-    /// hash, duplicate id, or integrity-header mismatch.
-    pub fn parse_strict(
-        text: &str,
-        path: &Path,
-    ) -> Result<BTreeMap<String, Fingerprint>, BuildError> {
-        parse_state_file(text, path).map(|(entries, _)| entries)
     }
 
     /// If [`StateDb::open`] recovered from a corrupt file, the
@@ -205,7 +189,7 @@ impl StateDb {
 
     /// Writes the database to its backing file (no-op for in-memory).
     ///
-    /// The write goes through [`crate::persist::write_atomic`], so a crash
+    /// The write goes through [`crate::persist::write_sealed`], so a crash
     /// or a concurrent flush never leaves a torn file.
     ///
     /// # Errors
@@ -222,10 +206,7 @@ impl StateDb {
         for id in &self.in_progress {
             let _ = writeln!(body, "{id}\t{IN_PROGRESS_TOKEN}");
         }
-        let count = self.entries.len() + self.in_progress.len();
-        let sum = Fingerprint::of(body.as_bytes());
-        let out = format!("{HEADER_PREFIX}n={count} sum={sum}\n{body}");
-        crate::persist::write_atomic(path, out.as_bytes())
+        crate::persist::write_sealed(path, body.as_bytes())
             .map_err(|e| BuildError::State(e.to_string()))
     }
 
@@ -248,58 +229,12 @@ fn excerpt(line: &str) -> String {
 
 type ParsedState = (BTreeMap<String, Fingerprint>, BTreeSet<String>);
 
+/// Parses a state file's sealed payload, failing on any malformed line,
+/// bad hash or duplicate id.
 fn parse_state_file(text: &str, path: &Path) -> Result<ParsedState, BuildError> {
     let mut entries = BTreeMap::new();
     let mut in_progress = BTreeSet::new();
-    let mut header: Option<(usize, String)> = None;
-    let mut body = String::new();
-    // `flush` always writes at least the header line, so an existing empty
-    // file can only be the stub of a torn write.
-    if text.trim().is_empty() {
-        return Err(BuildError::State(format!(
-            "{}: empty state file (likely truncated)",
-            path.display()
-        )));
-    }
     for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(HEADER_PREFIX) {
-            // "n=<count> sum=<hash>"
-            let mut count = None;
-            let mut sum = None;
-            for field in rest.split_whitespace() {
-                if let Some(v) = field.strip_prefix("n=") {
-                    count = v.parse::<usize>().ok();
-                } else if let Some(v) = field.strip_prefix("sum=") {
-                    sum = Some(v.to_owned());
-                }
-            }
-            match (count, sum) {
-                (Some(n), Some(s)) => header = Some((n, s)),
-                _ => {
-                    return Err(BuildError::State(format!(
-                        "{}:{}: malformed integrity header: {}",
-                        path.display(),
-                        no + 1,
-                        excerpt(line)
-                    )))
-                }
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            // A comment line that is not a valid header can only come from
-            // damage (e.g. a header line truncated mid-write): rejecting it
-            // is what makes truncation detectable.
-            return Err(BuildError::State(format!(
-                "{}:{}: unrecognised header line: {}",
-                path.display(),
-                no + 1,
-                excerpt(line)
-            )));
-        }
         let (id, hash) = line.split_once('\t').ok_or_else(|| {
             BuildError::State(format!(
                 "{}:{}: malformed line (expected id\\thash): {}",
@@ -332,24 +267,6 @@ fn parse_state_file(text: &str, path: &Path) -> Result<ParsedState, BuildError> 
                 excerpt(line)
             )));
         }
-        body.push_str(line);
-        body.push('\n');
-    }
-    if let Some((count, sum)) = header {
-        let found = entries.len() + in_progress.len();
-        if count != found {
-            return Err(BuildError::State(format!(
-                "{}: truncated: header records {count} entries, found {found}",
-                path.display()
-            )));
-        }
-        let actual = Fingerprint::of(body.as_bytes()).to_string();
-        if actual != sum {
-            return Err(BuildError::State(format!(
-                "{}: checksum mismatch: header says {sum}, content hashes to {actual}",
-                path.display()
-            )));
-        }
     }
     Ok((entries, in_progress))
 }
@@ -357,20 +274,11 @@ fn parse_state_file(text: &str, path: &Path) -> Result<ParsedState, BuildError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "marshal-depgraph-test-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn persist_roundtrip() {
-        let dir = tmpdir("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         db.record("a", Fingerprint::of(b"1"));
@@ -386,22 +294,25 @@ mod tests {
     }
 
     #[test]
-    fn headerless_legacy_file_still_loads() {
-        let dir = tmpdir("legacy");
+    fn headerless_legacy_file_is_damage() {
+        let dir = scratch_dir("legacy");
         let file = dir.join("state.db");
         let fp = Fingerprint::of(b"1");
         std::fs::write(&file, format!("a\t{fp}\n")).unwrap();
         let db = StateDb::open(&file).unwrap();
-        assert!(db.recovery().is_none());
-        assert_eq!(db.last("a"), Some(fp));
+        assert!(db.is_empty(), "a legacy file rebuilds from a cold cache");
+        let note = db.recovery().expect("recovery note");
+        assert!(note.contains("not sealed"), "{note}");
+        assert!(!file.exists());
+        assert!(dir.join("state.db.corrupt").exists());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn malformed_file_quarantined_and_recovered() {
-        let dir = tmpdir("malformed");
+        let dir = scratch_dir("malformed");
         let file = dir.join("state.db");
-        std::fs::write(&file, "no-tab-here\n").unwrap();
+        crate::persist::write_sealed(&file, b"no-tab-here\n").unwrap();
         let db = StateDb::open(&file).unwrap();
         // Recovery: empty db, note set, original quarantined.
         assert!(db.is_empty());
@@ -421,7 +332,7 @@ mod tests {
 
     #[test]
     fn truncated_file_detected() {
-        let dir = tmpdir("truncated");
+        let dir = scratch_dir("truncated");
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         for i in 0..10 {
@@ -444,7 +355,7 @@ mod tests {
 
     #[test]
     fn bitflip_detected_by_checksum() {
-        let dir = tmpdir("bitflip");
+        let dir = scratch_dir("bitflip");
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         db.record("aa", Fingerprint::of(b"1"));
@@ -468,14 +379,14 @@ mod tests {
 
     #[test]
     fn duplicate_ids_rejected() {
-        let dir = tmpdir("dup");
+        let dir = scratch_dir("dup");
         let file = dir.join("state.db");
         let fp = Fingerprint::of(b"1");
         let text = format!("a\t{fp}\na\t{fp}\n");
-        let err = StateDb::parse_strict(&text, &file).unwrap_err();
+        let err = parse_state_file(&text, &file).unwrap_err();
         assert!(matches!(err, BuildError::State(ref m) if m.contains("duplicate task id")));
         // And open() recovers from it.
-        std::fs::write(&file, text).unwrap();
+        crate::persist::write_sealed(&file, text.as_bytes()).unwrap();
         let db = StateDb::open(&file).unwrap();
         assert!(
             db.recovery().unwrap().contains("duplicate"),
@@ -488,7 +399,7 @@ mod tests {
     #[test]
     fn bad_hash_error_carries_line_excerpt() {
         let file = PathBuf::from("state.db");
-        let err = StateDb::parse_strict("task\tnot-a-hash\n", &file).unwrap_err();
+        let err = parse_state_file("task\tnot-a-hash\n", &file).unwrap_err();
         let BuildError::State(msg) = err else {
             panic!("wrong variant")
         };
@@ -496,7 +407,7 @@ mod tests {
         assert!(msg.contains("not-a-hash"), "{msg}");
         // Long lines are truncated, not dumped wholesale.
         let long = format!("task\t{}\n", "x".repeat(500));
-        let BuildError::State(msg) = StateDb::parse_strict(&long, &file).unwrap_err() else {
+        let BuildError::State(msg) = parse_state_file(&long, &file).unwrap_err() else {
             panic!("wrong variant")
         };
         assert!(msg.len() < 200, "excerpt should be bounded: {}", msg.len());
@@ -505,7 +416,7 @@ mod tests {
 
     #[test]
     fn flush_leaves_no_temp_file() {
-        let dir = tmpdir("atomic");
+        let dir = scratch_dir("atomic");
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         db.record("a", Fingerprint::of(b"1"));
@@ -525,7 +436,7 @@ mod tests {
 
         // Two databases flush to one path while a third thread reopens it:
         // every flush must succeed and every open must see a whole file.
-        let dir = tmpdir("race");
+        let dir = scratch_dir("race");
         let file = dir.join("state.db");
         let start = Barrier::new(2);
         let done = AtomicBool::new(false);
@@ -568,7 +479,7 @@ mod tests {
 
     #[test]
     fn in_progress_roundtrip_and_interruption() {
-        let dir = tmpdir("inprogress");
+        let dir = scratch_dir("inprogress");
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         db.record("done", Fingerprint::of(b"1"));
@@ -603,7 +514,7 @@ mod tests {
     fn duplicate_in_progress_marks_rejected() {
         let file = PathBuf::from("state.db");
         let text = "a\t!in-progress\na\t!in-progress\n";
-        let err = StateDb::parse_strict(text, &file).unwrap_err();
+        let err = parse_state_file(text, &file).unwrap_err();
         assert!(matches!(err, BuildError::State(ref m) if m.contains("duplicate")));
     }
 

@@ -44,4 +44,4 @@ pub mod store;
 
 pub use fs::{Blob, Dir, FsError, FsImage, Node};
 pub use initsys::{BootPayload, InitSystem};
-pub use store::{manifest_refs, sniff_manifest, BlobStore, StoreError, StoreStats};
+pub use store::{manifest_refs, read_level, BlobStore, StoreError, StoreStats};

@@ -157,14 +157,7 @@ fn is_executable(_meta: &std::fs::Metadata) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-overlay-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn image_overlay_replaces_and_merges() {
@@ -194,7 +187,7 @@ mod tests {
 
     #[test]
     fn host_dir_overlay() {
-        let dir = tmpdir("hostdir");
+        let dir = scratch_dir("hostdir");
         std::fs::create_dir_all(dir.join("sub")).unwrap();
         std::fs::write(dir.join("top.txt"), b"top").unwrap();
         std::fs::write(dir.join("sub/inner.txt"), b"inner").unwrap();
@@ -217,7 +210,7 @@ mod tests {
 
     #[test]
     fn copy_out_roundtrip() {
-        let dir = tmpdir("copyout");
+        let dir = scratch_dir("copyout");
         let mut img = FsImage::new();
         img.write_file("/output/results.csv", b"a,b\n1,2\n")
             .unwrap();
@@ -239,7 +232,7 @@ mod tests {
     #[test]
     fn host_exec_bit_preserved() {
         use std::os::unix::fs::PermissionsExt;
-        let dir = tmpdir("execbit");
+        let dir = scratch_dir("execbit");
         let script = dir.join("run.sh");
         std::fs::write(&script, b"#!/bin/sh\n").unwrap();
         std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();

@@ -15,6 +15,11 @@
 //! writing the same payload do not conflict (and declare the store root as
 //! a shared tree claim for the write audit).
 //!
+//! Level files hold a manifest sealed with
+//! [`marshal_depgraph::persist::write_sealed`], and [`read_level`] is their
+//! one reader: a flipped byte in a path, an exec tag or a symlink target
+//! reads as damage, never as a different image.
+//!
 //! [`MIMG`]: crate::format
 
 use std::collections::BTreeMap;
@@ -45,6 +50,8 @@ pub enum StoreError {
         /// The referenced fingerprint.
         fp: Fingerprint,
     },
+    /// A level file failed its seal check (torn, rotted or unsealed).
+    Damaged(String),
     /// A blob's bytes do not hash to its name (disk corruption or a torn
     /// write that survived).
     CorruptBlob {
@@ -62,6 +69,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(m) => write!(f, "blob store I/O error: {m}"),
             StoreError::Manifest(e) => write!(f, "bad manifest: {e}"),
+            StoreError::Damaged(m) => write!(f, "damaged manifest: {m}"),
             StoreError::MissingBlob { path, fp } => {
                 write!(f, "missing blob {fp} (expected at {})", path.display())
             }
@@ -326,28 +334,30 @@ impl BlobStore {
         Ok(img)
     }
 
-    /// Loads an image from a level file on disk, accepting both `MMAN`
-    /// manifests and legacy flat `MIMG` serialisations (pre-existing
-    /// workdirs).
+    /// Loads an image from a level file on disk (see [`read_level`]).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file is unreadable, otherwise the
-    /// [`BlobStore::read_manifest`] / [`FsImage::from_bytes`] errors.
+    /// The [`read_level`] errors, then the [`BlobStore::read_manifest`]
+    /// errors.
     pub fn load_image(&self, path: &Path) -> Result<FsImage, StoreError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
-        if sniff_manifest(&bytes) {
-            self.read_manifest(&bytes)
-        } else {
-            Ok(FsImage::from_bytes(&bytes)?)
-        }
+        self.read_manifest(&read_level(path)?)
     }
 }
 
-/// Whether `bytes` start with the `MMAN` manifest magic.
-pub fn sniff_manifest(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MANIFEST_MAGIC
+/// Reads the manifest bytes of a level file written with
+/// [`persist::write_sealed`], checking the seal. Every reader of a level
+/// file goes through here.
+///
+/// # Errors
+///
+/// [`StoreError::Damaged`] when the seal check fails (an unsealed legacy
+/// file included), [`StoreError::Io`] when the file is absent or unreadable.
+pub fn read_level(path: &Path) -> Result<Vec<u8>, StoreError> {
+    persist::read_sealed(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => StoreError::Damaged(e.to_string()),
+        _ => StoreError::Io(e.to_string()),
+    })
 }
 
 /// The blob fingerprints a manifest references (with duplicates removed) —
@@ -406,7 +416,8 @@ fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, StoreError> {
     }
     let limit = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
     let nentries = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let mut entries = Vec::with_capacity(nentries as usize);
+    // No preallocation: the count is untrusted (a remote's manifest).
+    let mut entries = Vec::new();
     for _ in 0..nentries {
         let tag = take(&mut pos, 1)?[0];
         let path_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
@@ -447,13 +458,7 @@ fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     fn sample() -> FsImage {
         let mut img = FsImage::new();
@@ -468,11 +473,11 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip() {
-        let dir = scratch("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let store = BlobStore::new(dir.join("objects"));
         let img = sample();
         let (manifest, stats) = store.write_manifest(&img).unwrap();
-        assert!(sniff_manifest(&manifest));
+        assert!(manifest.starts_with(MANIFEST_MAGIC));
         assert!(stats.blobs_written >= 2);
         let back = store.read_manifest(&manifest).unwrap();
         assert_eq!(img, back);
@@ -483,7 +488,7 @@ mod tests {
 
     #[test]
     fn second_write_shares_all_blobs() {
-        let dir = scratch("dedupe");
+        let dir = scratch_dir("dedupe");
         let store = BlobStore::new(dir.join("objects"));
         let img = sample();
         let (_, first) = store.write_manifest(&img).unwrap();
@@ -499,7 +504,7 @@ mod tests {
 
     #[test]
     fn identical_payloads_share_one_blob() {
-        let dir = scratch("identical");
+        let dir = scratch_dir("identical");
         let store = BlobStore::new(dir.join("objects"));
         let mut img = FsImage::new();
         img.write_file("/a", b"same-bytes").unwrap();
@@ -522,7 +527,7 @@ mod tests {
 
     #[test]
     fn missing_blob_reported() {
-        let dir = scratch("missing");
+        let dir = scratch_dir("missing");
         let store = BlobStore::new(dir.join("objects"));
         let mut img = FsImage::new();
         img.write_file("/f", b"payload").unwrap();
@@ -538,7 +543,7 @@ mod tests {
 
     #[test]
     fn corrupt_blob_reported() {
-        let dir = scratch("corrupt");
+        let dir = scratch_dir("corrupt");
         let store = BlobStore::new(dir.join("objects"));
         let mut img = FsImage::new();
         img.write_file("/f", b"payload").unwrap();
@@ -553,18 +558,12 @@ mod tests {
     }
 
     #[test]
-    fn load_image_sniffs_legacy_flat_format() {
-        let dir = scratch("legacy");
-        let store = BlobStore::new(dir.join("objects"));
-        let img = sample();
+    fn load_image_rejects_legacy_flat_format() {
+        let dir = scratch_dir("legacy");
         let flat_path = dir.join("level.img");
-        std::fs::write(&flat_path, img.to_bytes()).unwrap();
-        assert_eq!(store.load_image(&flat_path).unwrap(), img);
-
-        let (manifest, _) = store.write_manifest(&img).unwrap();
-        let man_path = dir.join("level2.img");
-        std::fs::write(&man_path, &manifest).unwrap();
-        assert_eq!(store.load_image(&man_path).unwrap(), img);
+        std::fs::write(&flat_path, sample().to_bytes()).unwrap();
+        let err = BlobStore::new(dir.join("objects")).load_image(&flat_path);
+        assert!(matches!(err, Err(StoreError::Damaged(ref m)) if m.contains("not sealed")));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -576,6 +575,10 @@ mod tests {
         ));
         let mut truncated = Vec::new();
         truncated.extend_from_slice(MANIFEST_MAGIC);
+        assert!(parse_manifest(&truncated).is_err());
+        // A huge entry count over no entries is an error, not an abort.
+        truncated.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        truncated.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(parse_manifest(&truncated).is_err());
     }
 }

@@ -607,22 +607,18 @@ impl RemoteStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::server::ServeRoot;
     use crate::transport::{FaultPlan, FaultTransport, LoopbackTransport, NetFaultKind};
     use marshal_image::FsImage;
-    use std::path::{Path, PathBuf};
+    use marshal_qcheck::scratch_dir;
+    use std::path::Path;
     use std::sync::Arc;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-client-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn populate(workdir: &Path) -> (Fingerprint, FsImage) {
+    /// Populates a workdir-shaped directory with one sealed level manifest
+    /// and its blobs; returns the input fingerprint it is indexed under.
+    pub(crate) fn populate(workdir: &Path) -> (Fingerprint, FsImage) {
         let store = BlobStore::new(workdir.join("objects"));
         let mut img = FsImage::new();
         img.write_file("/etc/hostname", b"remote-node").unwrap();
@@ -632,8 +628,7 @@ mod tests {
         let (manifest, _) = store.write_manifest(&img).unwrap();
         let input = Fingerprint::of(b"the-level-input");
         let root = ServeRoot::new(workdir);
-        std::fs::create_dir_all(workdir.join("levels").join("by-input")).unwrap();
-        std::fs::write(root.manifest_path(input), &manifest).unwrap();
+        marshal_depgraph::persist::write_sealed(&root.manifest_path(input), &manifest).unwrap();
         (input, img)
     }
 
@@ -662,8 +657,8 @@ mod tests {
 
     #[test]
     fn fetch_level_installs_only_missing_blobs() {
-        let server = scratch("fetch-server");
-        let local = scratch("fetch-local");
+        let server = scratch_dir("fetch-server");
+        let local = scratch_dir("fetch-local");
         let (input, img) = populate(&server);
         let client = loopback_client(&server, RetryPolicy::fast());
         let store = BlobStore::new(local.join("objects"));
@@ -698,8 +693,8 @@ mod tests {
             NetFaultKind::Truncate,
             NetFaultKind::SlowStart,
         ] {
-            let server = scratch(&format!("retry-server-{kind:?}"));
-            let local = scratch(&format!("retry-local-{kind:?}"));
+            let server = scratch_dir(&format!("retry-server-{kind:?}"));
+            let local = scratch_dir(&format!("retry-local-{kind:?}"));
             let (input, _) = populate(&server);
             // One injected fault, then healthy.
             let plan = FaultPlan::new(kind, 1, 1, 3);
@@ -717,8 +712,8 @@ mod tests {
 
     #[test]
     fn dead_remote_trips_breaker_once_then_fast_fails() {
-        let server = scratch("breaker-server");
-        let local = scratch("breaker-local");
+        let server = scratch_dir("breaker-server");
+        let local = scratch_dir("breaker-local");
         let (input, _) = populate(&server);
         let plan = FaultPlan::always(NetFaultKind::Stall, 5);
         let client = faulty_client(&server, plan.clone(), RetryPolicy::fast());
@@ -788,8 +783,8 @@ mod tests {
 
     #[test]
     fn corrupt_received_blob_is_quarantined_and_refetched_once() {
-        let server = scratch("liar-server");
-        let local = scratch("liar-local");
+        let server = scratch_dir("liar-server");
+        let local = scratch_dir("liar-local");
         let (input, img) = populate(&server);
         let client = lying_client(&server, 1);
         let store = BlobStore::new(local.join("objects"));
@@ -816,8 +811,8 @@ mod tests {
 
     #[test]
     fn twice_corrupt_blob_is_refused_never_installed() {
-        let server = scratch("liar2-server");
-        let local = scratch("liar2-local");
+        let server = scratch_dir("liar2-server");
+        let local = scratch_dir("liar2-local");
         let (input, _) = populate(&server);
         let client = lying_client(&server, u64::MAX);
         let store = BlobStore::new(local.join("objects"));
@@ -847,7 +842,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_stays_bounded() {
-        let client = loopback_client(&scratch("backoff"), RetryPolicy::default());
+        let client = loopback_client(&scratch_dir("backoff"), RetryPolicy::default());
         let mut rng = Rng::new(1);
         let d1 = client.backoff_delay(1, &mut rng);
         let d4 = client.backoff_delay(4, &mut rng);

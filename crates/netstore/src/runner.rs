@@ -145,15 +145,9 @@ mod tests {
     use crate::server::{ExecHandler, ServeRoot};
     use crate::transport::LoopbackTransport;
     use marshal_depgraph::{ExecEvent, ExecOptions, Graph, Plan, StateDb};
+    use marshal_qcheck::scratch_dir;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Mutex};
-
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-rrun-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     fn loopback_store(dir: &std::path::Path, handler: Option<ExecHandler>) -> Arc<RemoteStore> {
         let mut root = ServeRoot::new(dir);
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn remote_runner_executes_via_daemon_not_locally() {
-        let dir = scratch("hit");
+        let dir = scratch_dir("hit");
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         let handler: ExecHandler = Arc::new(move |task, spec| {
@@ -221,7 +215,7 @@ mod tests {
 
     #[test]
     fn remote_failure_falls_back_locally_then_retires() {
-        let dir = scratch("fallback");
+        let dir = scratch_dir("fallback");
         let handler: ExecHandler = Arc::new(|_task, _spec| Err("disk full".to_owned()));
         let store = loopback_store(&dir, Some(handler));
         let ran_locally = Arc::new(AtomicUsize::new(0));
@@ -264,7 +258,7 @@ mod tests {
 
     #[test]
     fn exec_against_daemon_without_handler_is_refused() {
-        let dir = scratch("no-exec");
+        let dir = scratch_dir("no-exec");
         let store = loopback_store(&dir, None);
         let err = store.exec_task("lv", b"s").unwrap_err();
         assert!(err.contains("exec not enabled"), "{err}");
@@ -273,7 +267,7 @@ mod tests {
 
     #[test]
     fn tasks_without_spec_are_declined() {
-        let dir = scratch("decline");
+        let dir = scratch_dir("decline");
         let store = loopback_store(&dir, None);
         let runner = RemoteRunner::new(store, no_fetch());
         assert!(!runner.can_run(&Task::new("plain", || Ok(()))));
@@ -285,7 +279,7 @@ mod tests {
     /// local runner — the build completes, never hangs.
     #[test]
     fn scheduler_survives_remote_runner_retirement() {
-        let dir = scratch("sched");
+        let dir = scratch_dir("sched");
         let handler: ExecHandler = Arc::new(|_task, _spec| Err("remote broken".to_owned()));
         let store = loopback_store(&dir, Some(handler));
         let count = Arc::new(AtomicUsize::new(0));

@@ -8,8 +8,10 @@
 //!   stalled client cannot wedge the daemon;
 //! - a malformed frame earns the sender an [`Message::ErrorMsg`] and a
 //!   closed connection — never a crash;
-//! - blobs are hash-verified on the way out ([`BlobStore::get`]), so a
-//!   corrupt pool entry is withheld (reported absent) rather than shipped;
+//! - blobs are hash-verified on the way out ([`BlobStore::get`]), and
+//!   manifests are unsealed by [`read_level`] before they are sent, so a
+//!   corrupt pool entry or index file is withheld (reported absent) rather
+//!   than shipped; the wire carries the bare manifest bytes;
 //! - SIGINT triggers a graceful drain: stop accepting, finish in-flight
 //!   connections, return a summary.
 
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use marshal_depgraph::Fingerprint;
-use marshal_image::{sniff_manifest, BlobStore};
+use marshal_image::{read_level, BlobStore};
 use marshal_trace::Recorder;
 
 use crate::proto::{
@@ -126,13 +128,11 @@ impl ServeRoot {
             Message::HaveManifest { input } => Message::Have {
                 present: self.manifest_path(*input).is_file(),
             },
-            Message::GetManifest { input } => {
-                match std::fs::read(self.manifest_path(*input)) {
-                    Ok(bytes) if sniff_manifest(&bytes) => Message::ManifestData { bytes },
-                    // Unreadable or torn on our side: honestly absent.
-                    Ok(_) | Err(_) => Message::NotFound,
-                }
-            }
+            Message::GetManifest { input } => match read_level(&self.manifest_path(*input)) {
+                Ok(bytes) => Message::ManifestData { bytes },
+                // Unreadable or damaged on our side: honestly absent.
+                Err(_) => Message::NotFound,
+            },
             Message::GetBlobs { fps } => Message::Blobs {
                 entries: fps
                     .iter()
@@ -418,28 +418,10 @@ fn serve_connection(
 mod tests {
     use super::*;
     use crate::transport::{TcpTransport, Transport};
-    use marshal_image::FsImage;
+    use marshal_qcheck::scratch_dir;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-serve-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    /// Populates a workdir-shaped directory with one level manifest and its
-    /// blobs; returns the input fingerprint it is indexed under.
     fn populate(workdir: &Path) -> Fingerprint {
-        let store = BlobStore::new(workdir.join("objects"));
-        let mut img = FsImage::new();
-        img.write_file("/etc/hostname", b"served-node").unwrap();
-        img.write_exec("/bin/run", b"\x13\x05\x10\x00").unwrap();
-        let (manifest, _) = store.write_manifest(&img).unwrap();
-        let input = Fingerprint::of(b"level-input-key");
-        let root = ServeRoot::new(workdir);
-        std::fs::create_dir_all(workdir.join("levels").join("by-input")).unwrap();
-        std::fs::write(root.manifest_path(input), &manifest).unwrap();
-        input
+        crate::client::tests::populate(workdir).0
     }
 
     fn start(workdir: &Path) -> (ServerHandle, std::thread::JoinHandle<ServeSummary>) {
@@ -459,7 +441,7 @@ mod tests {
 
     #[test]
     fn serves_manifest_and_blobs_over_tcp() {
-        let dir = scratch("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let input = populate(&dir);
         let (handle, join) = start(&dir);
         let mut t = connect(&handle);
@@ -512,7 +494,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused() {
-        let dir = scratch("version");
+        let dir = scratch_dir("version");
         let (handle, join) = start(&dir);
         let mut t = connect(&handle);
         let reply = ask(&mut t, &Message::Hello { version: 999 });
@@ -524,7 +506,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_do_not_kill_the_daemon() {
-        let dir = scratch("malformed");
+        let dir = scratch_dir("malformed");
         let input = populate(&dir);
         let (handle, join) = start(&dir);
         // A client that speaks garbage gets an error frame back...
@@ -555,11 +537,30 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_pool_blob_is_withheld_not_shipped() {
-        let dir = scratch("withheld");
+    fn damaged_manifest_is_withheld_and_the_wire_carries_it_unsealed() {
+        let dir = scratch_dir("sealed-manifest");
         let input = populate(&dir);
         let root = ServeRoot::new(&dir);
-        let manifest = std::fs::read(root.manifest_path(input)).unwrap();
+        let path = root.manifest_path(input);
+        let Message::ManifestData { bytes } = root.respond(&Message::GetManifest { input }) else {
+            panic!("expected the manifest");
+        };
+        assert_eq!(bytes, read_level(&path).unwrap(), "sent without its seal");
+        let mut sealed = std::fs::read(&path).unwrap();
+        let last = sealed.len() - 1;
+        sealed[last] ^= 0x01;
+        std::fs::write(&path, &sealed).unwrap();
+        let reply = root.respond(&Message::GetManifest { input });
+        assert!(matches!(reply, Message::NotFound), "{reply:?}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_pool_blob_is_withheld_not_shipped() {
+        let dir = scratch_dir("withheld");
+        let input = populate(&dir);
+        let root = ServeRoot::new(&dir);
+        let manifest = read_level(&root.manifest_path(input)).unwrap();
         let fps = marshal_image::manifest_refs(&manifest).unwrap();
         // Rot one blob on the server.
         let store = BlobStore::new(dir.join("objects"));

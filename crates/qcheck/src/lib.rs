@@ -14,6 +14,7 @@
 //! - [`cases`]: a property-test runner that derives one [`Rng`] per case
 //!   from a fixed master seed and reports the failing case index + seed on
 //!   panic, so failures replay exactly.
+//! - [`scratch_dir`]: a fresh, empty directory for one test.
 //!
 //! ## Example
 //!
@@ -159,6 +160,19 @@ pub fn cases<F: FnMut(&mut Rng)>(n: usize, mut f: F) {
             panic!("property failed at case {i}/{n} (replay seed {seed:#x}): {msg}");
         }
     }
+}
+
+/// A fresh, empty directory under the system temp dir for one test. The
+/// name carries `tag`, the process id and a per-process sequence number, so
+/// tests running concurrently never share a directory.
+pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let name = format!("marshal-{tag}-{}-{seq}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 #[cfg(test)]

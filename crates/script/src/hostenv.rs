@@ -197,17 +197,11 @@ impl Extern for HostEnv {
 mod tests {
     use super::*;
     use crate::interp::Interp;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-hostenv-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn file_roundtrip_and_log() {
-        let dir = tmpdir("roundtrip");
+        let dir = scratch_dir("roundtrip");
         let mut env = HostEnv::new(&dir);
         let mut i = Interp::new();
         i.run(
@@ -227,7 +221,7 @@ mod tests {
 
     #[test]
     fn sandbox_escapes_rejected() {
-        let dir = tmpdir("sandbox");
+        let dir = scratch_dir("sandbox");
         let mut env = HostEnv::new(&dir);
         let mut i = Interp::new();
         assert!(i.run(r#"read_file("/etc/passwd")"#, &mut env, &[]).is_err());
@@ -239,7 +233,7 @@ mod tests {
 
     #[test]
     fn assemble_produces_mexe() {
-        let dir = tmpdir("assemble");
+        let dir = scratch_dir("assemble");
         std::fs::write(
             dir.join("prog.s"),
             "_start:\n li a0, 9\n li a7, 93\n ecall\n",
@@ -258,7 +252,7 @@ mod tests {
 
     #[test]
     fn assemble_errors_propagate() {
-        let dir = tmpdir("asm-err");
+        let dir = scratch_dir("asm-err");
         std::fs::write(dir.join("bad.s"), "bogus instruction\n").unwrap();
         let mut env = HostEnv::new(&dir);
         let mut i = Interp::new();
@@ -271,7 +265,7 @@ mod tests {
 
     #[test]
     fn list_and_copy() {
-        let dir = tmpdir("listcopy");
+        let dir = scratch_dir("listcopy");
         let mut env = HostEnv::new(&dir);
         let mut i = Interp::new();
         let v = i

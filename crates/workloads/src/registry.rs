@@ -129,17 +129,11 @@ pub fn setup(root: &Path) -> std::io::Result<Setup> {
 mod tests {
     use super::*;
     use marshal_core::{launch, BuildOptions, Builder};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("marshal-registry-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use marshal_qcheck::scratch_dir;
 
     #[test]
     fn setup_materialises_everything() {
-        let root = tmpdir("setup");
+        let root = scratch_dir("setup");
         let s = setup(&root).unwrap();
         assert!(s.dir.join("intspeed/intspeed.json").exists());
         assert!(s.dir.join("intspeed/src/600.perlbench_s.s").exists());
@@ -155,7 +149,7 @@ mod tests {
 
     #[test]
     fn hello_builds_launches_and_produces_outputs() {
-        let root = tmpdir("hello");
+        let root = scratch_dir("hello");
         let s = setup(&root).unwrap();
         let mut builder = Builder::new(s.board, s.search, root.join("work")).unwrap();
         let products = builder
@@ -178,7 +172,7 @@ mod tests {
 
     #[test]
     fn hello_test_command_passes() {
-        let root = tmpdir("hellotest");
+        let root = scratch_dir("hellotest");
         let s = setup(&root).unwrap();
         let mut builder = Builder::new(s.board, s.search, root.join("work")).unwrap();
         let outcomes = marshal_core::test::test_workload(

@@ -14,6 +14,7 @@
 //! ```
 
 use marshal_core::faultinject::{FaultKind, Injector};
+use marshal_core::launch::LoadedJob;
 use marshal_core::{install, launch, BuildOptions, Builder, MarshalError, TestOutcome};
 use marshal_sim_rtl::HardwareConfig;
 
@@ -68,11 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         //     the first Linux job's payload binary on the disk image.
         let mut faulty_outcomes = Vec::new();
         for (i, job) in manifest.jobs.iter().enumerate() {
-            let serial = if let (0, "linux", Some(disk_path)) = (i, job.kind.as_str(), &job.disk) {
-                let boot = marshal_firmware::BootBinary::from_bytes(&std::fs::read(&job.primary)?)
-                    .expect("healthy boot binary");
-                let mut disk = marshal_image::FsImage::from_bytes(&std::fs::read(disk_path)?)
-                    .expect("healthy disk image");
+            let loaded = if i == 0 { Some(job.kind.load()?) } else { None };
+            let serial = if let Some(LoadedJob::Linux {
+                boot,
+                disk: Some(mut disk),
+            }) = loaded
+            {
                 // Corrupt the first program under /bin — a single flipped
                 // bit, as a marginal flash cell would produce. The seeded
                 // injector makes the fault replay bit-for-bit, so a
@@ -95,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         }
                     }
                 }
-                let job = marshal_sim_functional::LoadedJob::Linux {
+                let job = LoadedJob::Linux {
                     boot,
                     disk: Some(disk),
                 };

@@ -187,7 +187,7 @@ fn corrupt_checkpoint_recovers_via_cold_boot() {
     let files = ckpt_files(builder.workdir());
     assert_eq!(files.len(), 1, "expected exactly one checkpoint");
 
-    // Flip one payload byte: the embedded checksum must catch it.
+    // Flip one payload byte: the seal must catch it.
     let mut bytes = std::fs::read(&files[0]).expect("read checkpoint");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;

@@ -4,18 +4,7 @@
 
 mod common;
 
-use marshal_core::cli::{parse_args, run_command};
-
-fn run(root: &std::path::Path, words: &[&str]) -> (i32, Vec<String>) {
-    let mut argv: Vec<String> = vec![
-        "--workdir".to_owned(),
-        root.join("work").to_string_lossy().into_owned(),
-    ];
-    argv.extend(words.iter().map(|s| (*s).to_owned()));
-    let parsed = parse_args(&argv).expect("parse");
-    let setup = marshal_workloads::setup(root).expect("setup");
-    run_command(&parsed, setup.board, setup.search)
-}
+use common::run_cli as run;
 
 #[test]
 fn build_command_reports_jobs_and_tasks() {

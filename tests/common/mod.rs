@@ -1,6 +1,6 @@
 //! Shared helpers for the integration tests.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Creates (and clears) a unique scratch directory for one test.
 #[allow(dead_code)]
@@ -52,4 +52,62 @@ pub fn spawn_exec_server(
     let handle = server.handle().expect("handle");
     let join = std::thread::spawn(move || server.run());
     (addr, handle, join)
+}
+
+/// Runs `marshal <words>` through the CLI layer exactly as the binary
+/// does, with `root/work` as the workdir.
+#[allow(dead_code)]
+pub fn run_cli(root: &Path, words: &[&str]) -> (i32, Vec<String>) {
+    let mut argv: Vec<String> = vec![
+        "--workdir".to_owned(),
+        root.join("work").to_string_lossy().into_owned(),
+    ];
+    argv.extend(words.iter().map(|s| (*s).to_owned()));
+    let parsed = marshal_core::cli::parse_args(&argv).expect("parse");
+    let setup = marshal_workloads::setup(root).expect("setup");
+    marshal_core::cli::run_command(&parsed, setup.board, setup.search)
+}
+
+/// Every file under `root` (recursively) as (relative path, contents),
+/// sorted by path.
+#[allow(dead_code)]
+pub fn sorted_tree(root: &Path) -> Vec<(String, Vec<u8>)> {
+    fn rec(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.filter_map(Result::ok) {
+            let path = entry.path();
+            if path.is_dir() {
+                rec(root, &path, out);
+            } else {
+                let rel = path
+                    .strip_prefix(root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                out.push((rel, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    rec(root, root, &mut out);
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// The disk image of the first Linux job whose name contains
+/// `name_contains`.
+#[allow(dead_code)]
+pub fn rootfs_of(products: &marshal_core::BuildProducts, name_contains: &str) -> PathBuf {
+    products
+        .jobs
+        .iter()
+        .find_map(|j| match &j.kind {
+            marshal_core::JobKind::Linux {
+                disk_path: Some(p), ..
+            } if j.name.contains(name_contains) => Some(p.clone()),
+            _ => None,
+        })
+        .expect("linux job with a disk image")
 }

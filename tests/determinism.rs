@@ -4,6 +4,8 @@
 
 mod common;
 
+use common::sorted_tree;
+
 use marshal_core::launch::load_artifacts;
 use marshal_core::{BuildOptions, JobKind};
 use marshal_sim_functional::LaunchMode;
@@ -152,33 +154,6 @@ fn parallel_build_is_bit_identical_to_serial() {
     );
     let _ = std::fs::remove_dir_all(worker_a);
     let _ = std::fs::remove_dir_all(worker_b);
-}
-
-/// Every file under `root` (recursively) as (relative path, contents),
-/// sorted by path.
-fn sorted_tree(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-    fn rec(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<(String, Vec<u8>)>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() {
-                rec(root, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, std::fs::read(&path).unwrap()));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 #[test]

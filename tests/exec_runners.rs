@@ -6,53 +6,13 @@
 mod common;
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use common::spawn_exec_server;
-use marshal_core::{serve_exec_handler, BuildOptions, ImageStore, JobKind};
+use common::{rootfs_of, sorted_tree, spawn_exec_server};
+use marshal_core::{serve_exec_handler, BuildOptions, ImageStore};
 use marshal_netstore::server::ExecHandler;
 use marshal_netstore::Server;
-
-fn rootfs_of(products: &marshal_core::BuildProducts, name_contains: &str) -> PathBuf {
-    products
-        .jobs
-        .iter()
-        .find_map(|j| match &j.kind {
-            JobKind::Linux {
-                disk_path: Some(p), ..
-            } if j.name.contains(name_contains) => Some(p.clone()),
-            _ => None,
-        })
-        .expect("linux job with a disk image")
-}
-
-/// Every file under `root` (recursively) as (relative path, contents),
-/// sorted by path.
-fn sorted_tree(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn rec(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() {
-                rec(root, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, std::fs::read(&path).unwrap()));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
 
 fn assert_stores_match(a: &Path, b: &Path, context: &str) {
     for sub in ["levels", "objects"] {

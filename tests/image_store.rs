@@ -70,7 +70,7 @@ fn manifest_round_trips_and_dedupes() {
     let img = sample_image();
 
     let (manifest, stats) = store.write_manifest(&img).unwrap();
-    assert!(marshal_image::sniff_manifest(&manifest));
+    assert!(manifest.starts_with(marshal_image::store::MANIFEST_MAGIC));
     assert!(stats.blobs_written > 0);
 
     let back = store.read_manifest(&manifest).unwrap();
@@ -89,23 +89,25 @@ fn manifest_round_trips_and_dedupes() {
 }
 
 #[test]
-fn load_image_reads_both_manifest_and_legacy_flat() {
+fn load_image_reads_sealed_manifests_only() {
     let root = common::tmpdir("imgstore-legacy");
     let store = BlobStore::new(root.join("objects"));
     let img = sample_image();
 
     let (manifest, _) = store.write_manifest(&img).unwrap();
-    let manifest_path = root.join("level.img");
-    std::fs::write(&manifest_path, &manifest).unwrap();
-
-    // A pre-existing workdir holds flat MIMG payloads; both must load.
-    let flat_path = root.join("legacy.img");
-    std::fs::write(&flat_path, img.to_bytes()).unwrap();
-
-    let from_manifest = store.load_image(&manifest_path).unwrap();
-    let from_flat = store.load_image(&flat_path).unwrap();
-    assert_eq!(from_manifest.fingerprint(), img.fingerprint());
-    assert_eq!(from_flat.fingerprint(), img.fingerprint());
+    let sealed = root.join("level.img");
+    marshal_depgraph::persist::write_sealed(&sealed, &manifest).unwrap();
+    assert_eq!(
+        store.load_image(&sealed).unwrap().fingerprint(),
+        img.fingerprint()
+    );
+    // A pre-existing workdir's flat MIMG level, or a manifest without its
+    // seal, reads as damage: the level rebuilds once.
+    for bytes in [img.to_bytes(), manifest] {
+        std::fs::write(&sealed, bytes).unwrap();
+        let err = store.load_image(&sealed).unwrap_err();
+        assert!(matches!(err, StoreError::Damaged(_)), "{err}");
+    }
     std::fs::remove_dir_all(root).unwrap();
 }
 

@@ -12,8 +12,11 @@ use std::sync::{Arc, Mutex};
 
 use marshal_core::cli::{self, CliArgs, Command};
 use marshal_core::faultinject::{FaultKind, Injector};
-use marshal_core::{launch, BuildOptions, LaunchOptions, MarshalError};
+use marshal_core::{
+    install, integrity, launch, BuildOptions, JobKind, LaunchOptions, MarshalError,
+};
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
+use marshal_sim_rtl::HardwareConfig;
 
 /// A ten-task graph with one injected failure. Shape:
 ///
@@ -296,6 +299,104 @@ fn corrupted_boot_binary_detected_and_force_recovers() {
     let run = launch::launch_workload(&builder, &products, &LaunchOptions::default()).unwrap();
     assert!(run.jobs[0].serial.contains("Hello from FireMarshal!"));
     assert!(!run.jobs[0].timed_out);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// One flipped byte in a stored level manifest — in a file's path or in
+/// its exec tag — reads as damage and rebuilds the level; it never loads
+/// as an image with a renamed or re-moded file.
+#[test]
+fn flipped_level_manifest_byte_rebuilds_the_level() {
+    let root = common::tmpdir("rob-manifest-flip");
+    let mut builder = common::builder_in(&root);
+    let opts = BuildOptions::default();
+    builder.build("hello.json", &opts).unwrap();
+    let store = marshal_core::ImageStore::new(&root.join("work"));
+    let exec_in = |img: &marshal_image::FsImage| {
+        let walk = img.walk().into_iter();
+        walk.filter(|(_, n)| matches!(n, marshal_image::Node::File { exec: true, .. }))
+            .map(|(path, _)| path)
+            .next()
+    };
+    // The first chain level (not a job image) holding an executable.
+    let (level, image, exec) = std::fs::read_dir(store.levels_dir())
+        .unwrap()
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.is_file() && !p.to_string_lossy().contains("job:"))
+        .find_map(|p| {
+            let img = store.blobs().load_image(&p).ok()?;
+            let exec = exec_in(&img)?;
+            Some((p, img, exec))
+        })
+        .expect("a level with an executable");
+    let sealed = std::fs::read(&level).unwrap();
+    // A manifest entry is a tag byte (1 = executable), a four-byte length
+    // and the path.
+    let entry = [&(exec.len() as u32).to_le_bytes()[..], exec.as_bytes()].concat();
+    let at = sealed
+        .windows(entry.len())
+        .position(|w| w == entry)
+        .unwrap();
+    assert_eq!(sealed[at - 1], 1, "exec tag");
+    for flip in [at + entry.len() - 1, at - 1] {
+        let mut bytes = sealed.clone();
+        bytes[flip] ^= 1;
+        std::fs::write(&level, &bytes).unwrap();
+        let err = store.blobs().load_image(&level).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        let products = builder.build("hello.json", &opts).unwrap();
+        assert!(products.warnings.iter().any(|w| w.code == "pool-damage"));
+        let report = &products.report;
+        assert!(
+            report.executed.iter().any(|t| t.starts_with("img:")),
+            "{report:?}"
+        );
+        let rebuilt = store.blobs().load_image(&level).unwrap();
+        assert_eq!(rebuilt.fingerprint(), image.fingerprint());
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Every artifact read is verified: a deleted `boot.bin.fp` is damage and
+/// rebuilds on the next `build` (the sidecar is a declared task output),
+/// and `run_installed` refuses a bit-flipped `rootfs.img` whose sidecar is
+/// intact.
+#[test]
+fn artifact_reads_are_verified() {
+    let root = common::tmpdir("rob-artifacts");
+    let mut builder = common::builder_in(&root);
+    let products = builder
+        .build("hello.json", &BuildOptions::default())
+        .unwrap();
+    let JobKind::Linux {
+        boot_path,
+        disk_path: Some(disk),
+    } = &products.jobs[0].kind
+    else {
+        panic!("hello has a boot binary and a disk");
+    };
+    let sidecar = integrity::sidecar_path(boot_path);
+    let recorded = std::fs::read(&sidecar).unwrap();
+    std::fs::remove_file(&sidecar).unwrap();
+    let err = integrity::read_verified(boot_path).unwrap_err();
+    assert!(matches!(err, MarshalError::Corrupt(_)), "{err:?}");
+    let rebuilt = builder
+        .build("hello.json", &BuildOptions::default())
+        .unwrap();
+    let report = &rebuilt.report;
+    assert!(
+        report.ran(&format!("boot:{}", rebuilt.jobs[0].name)),
+        "{report:?}"
+    );
+    assert_eq!(std::fs::read(&sidecar).unwrap(), recorded);
+
+    let mut bytes = std::fs::read(disk).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(disk, &bytes).unwrap();
+    let manifest = install::manifest_for(&products);
+    let err = install::run_installed(&manifest, HardwareConfig::rocket(), false).unwrap_err();
+    assert!(matches!(err, MarshalError::Corrupt(_)), "{err:?}");
     let _ = std::fs::remove_dir_all(root);
 }
 

@@ -6,6 +6,8 @@
 
 mod common;
 
+use common::rootfs_of;
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -13,9 +15,9 @@ use std::time::Duration;
 
 use marshal_core::cli::{self, CliArgs, Command};
 use marshal_core::faultinject::Injector;
-use marshal_core::{scrub_pool, BuildOptions, ImageStore, JobKind};
+use marshal_core::{scrub_pool, BuildOptions, ImageStore};
 use marshal_depgraph::Fingerprint;
-use marshal_image::{manifest_refs, sniff_manifest};
+use marshal_image::{manifest_refs, read_level};
 use marshal_netstore::server::ServeRoot;
 use marshal_netstore::{
     decode_frame, encode_frame, FaultPlan, FaultTransport, LoopbackTransport, Message, NetError,
@@ -48,25 +50,10 @@ fn level_manifests(work: &Path) -> Vec<(PathBuf, Vec<Fingerprint>)> {
         if !path.is_file() {
             continue;
         }
-        let bytes = std::fs::read(&path).expect("read manifest");
-        if sniff_manifest(&bytes) {
-            out.push((path, manifest_refs(&bytes).expect("parse manifest")));
-        }
+        let bytes = read_level(&path).expect("read manifest");
+        out.push((path, manifest_refs(&bytes).expect("parse manifest")));
     }
     out
-}
-
-fn rootfs_of(products: &marshal_core::BuildProducts, name_contains: &str) -> PathBuf {
-    products
-        .jobs
-        .iter()
-        .find_map(|j| match &j.kind {
-            JobKind::Linux {
-                disk_path: Some(p), ..
-            } if j.name.contains(name_contains) => Some(p.clone()),
-            _ => None,
-        })
-        .expect("linux job with a disk image")
 }
 
 /// A second workdir cold-populates every level over real TCP: zero local

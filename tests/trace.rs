@@ -8,24 +8,13 @@ mod common;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use common::run_cli as run;
 use marshal_config::SearchPath;
-use marshal_core::cli::{parse_args, run_command};
 use marshal_core::faultinject::{FaultKind, Injector};
 use marshal_core::{Board, BuildOptions, Builder};
 use marshal_trace::{
     chrome_trace, list_runs, read_journal, Args, Json, Record, RecordKind, Recorder,
 };
-
-fn run(root: &Path, words: &[&str]) -> (i32, Vec<String>) {
-    let mut argv: Vec<String> = vec![
-        "--workdir".to_owned(),
-        root.join("work").to_string_lossy().into_owned(),
-    ];
-    argv.extend(words.iter().map(|s| (*s).to_owned()));
-    let parsed = parse_args(&argv).expect("parse");
-    let setup = marshal_workloads::setup(root).expect("setup");
-    run_command(&parsed, setup.board, setup.search)
-}
 
 /// A depth-8 inheritance chain fanning out to 8 parallel jobs: enough
 /// depth for meaningful span attribution and enough width to keep a
