@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use marshal_depgraph::{persist, Fingerprint, Hasher128};
 use marshal_sim_functional::BootSnapshot;
+use marshal_trace::bytes::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"MCKP";
 /// 2 since the seal replaced the payload length and trailing checksum.
@@ -197,7 +198,8 @@ impl CheckpointStore {
             let Ok(payload) = persist::read_sealed(&path) else {
                 continue;
             };
-            if let (Ok((boot_fp, disk_fp)), Ok(meta)) = (decode_header(&payload), entry.metadata())
+            if let (Ok((boot_fp, disk_fp)), Ok(meta)) =
+                (decode_header(&mut Reader::new(&payload)), entry.metadata())
             {
                 out.push(CheckpointEntry {
                     key,
@@ -242,48 +244,37 @@ impl CheckpointStore {
 
 fn encode(boot_fp: Fingerprint, disk_fp: Option<Fingerprint>, snap: &BootSnapshot) -> Vec<u8> {
     let snapshot = snap.to_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + snapshot.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&boot_fp.0.to_le_bytes());
-    out.push(u8::from(disk_fp.is_some()));
-    out.extend_from_slice(&disk_fp.map_or(0, |fp| fp.0).to_le_bytes());
-    out.extend_from_slice(&snapshot);
-    out
+    let mut w = Writer::with_capacity(HEADER_LEN + snapshot.len());
+    w.bytes(MAGIC)
+        .u32(VERSION)
+        .u128(boot_fp.0)
+        .u8(u8::from(disk_fp.is_some()))
+        .u128(disk_fp.map_or(0, |fp| fp.0))
+        .bytes(&snapshot);
+    w.into_bytes()
 }
 
-/// Parses and validates the fixed-size header of a sealed payload,
-/// returning the boot and disk fingerprints.
-fn decode_header(bytes: &[u8]) -> Result<(Fingerprint, Option<Fingerprint>), String> {
-    if bytes.len() < HEADER_LEN {
-        return Err(format!(
-            "truncated header ({} of {HEADER_LEN} bytes)",
-            bytes.len()
-        ));
-    }
-    if &bytes[0..4] != MAGIC {
-        return Err("bad magic (not a checkpoint file)".to_owned());
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sliced"));
+/// Reads and validates the fixed-size header of a sealed payload, leaving
+/// `r` at the snapshot, and returns the boot and disk fingerprints.
+fn decode_header(r: &mut Reader) -> Result<(Fingerprint, Option<Fingerprint>), String> {
+    r.magic(MAGIC)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(format!("unsupported checkpoint version {version}"));
     }
-    let fp_at = |at: usize| {
-        Fingerprint(u128::from_le_bytes(
-            bytes[at..at + 16].try_into().expect("sliced"),
-        ))
+    let boot_fp = Fingerprint(r.u128()?);
+    let disk_fp = match (r.u8()?, Fingerprint(r.u128()?)) {
+        (0, _) => None,
+        (1, fp) => Some(fp),
+        (tag, _) => return Err(format!("bad disk-fingerprint tag {tag}")),
     };
-    let disk_fp = match bytes[24] {
-        0 => None,
-        1 => Some(fp_at(25)),
-        tag => return Err(format!("bad disk-fingerprint tag {tag}")),
-    };
-    Ok((fp_at(8), disk_fp))
+    Ok((boot_fp, disk_fp))
 }
 
 fn decode(bytes: &[u8]) -> Result<BootSnapshot, String> {
-    decode_header(bytes)?;
-    BootSnapshot::from_bytes(&bytes[HEADER_LEN..]).map_err(|e| format!("payload: {e}"))
+    let mut r = Reader::new(bytes);
+    decode_header(&mut r)?;
+    BootSnapshot::from_bytes(r.rest()).map_err(|e| format!("payload: {e}"))
 }
 
 #[cfg(test)]

@@ -197,35 +197,21 @@ pub fn run_checkpointed(
     Ok((run, warnings))
 }
 
-/// Runs one job on the backend `opts.sim` names (the workload's default
-/// backend when unset), with `opts.timeout_insts` overriding the guest
-/// watchdog's instruction budget. With a checkpoint `store` the boot is
+/// Runs one job on `backend`. With a checkpoint `store` the boot is
 /// restored from (and saved to) it as [`run_checkpointed`] describes; the
 /// recorder gets its checkpoint hit/miss instants.
 ///
 /// # Errors
 ///
-/// Unknown backend names, simulation errors, and artifact errors.
+/// Simulation errors and artifact errors.
 pub fn simulate_job(
     job: &JobArtifacts,
-    opts: &LaunchOptions,
+    backend: &dyn Simulator,
     store: Option<&CheckpointStore>,
     rec: &Recorder,
 ) -> Result<(SimRun, Vec<Warning>), MarshalError> {
     let loaded = load_artifacts(job)?;
-    let backend_name = opts
-        .sim
-        .as_deref()
-        .unwrap_or_else(|| default_backend(&job.spec));
-    let backend = simulator_for(backend_name, &job.spec, &opts.backend_options())?;
-    run_checkpointed(
-        backend.as_ref(),
-        &loaded,
-        LaunchMode::Run,
-        store,
-        &job.name,
-        rec,
-    )
+    run_checkpointed(backend, &loaded, LaunchMode::Run, store, &job.name, rec)
 }
 
 /// Launches one job of a built workload and collects its outputs.
@@ -246,17 +232,19 @@ pub fn launch_job(
         ))
     })?;
     let rec = builder.recorder();
+    // Resolve the backend once: `--sim` may name an alias (`functional`),
+    // and the span records the canonical name the registry resolved.
     let backend_name = opts
         .sim
         .as_deref()
-        .unwrap_or_else(|| default_backend(&job.spec))
-        .to_owned();
+        .unwrap_or_else(|| default_backend(&job.spec));
+    let backend = simulator_for(backend_name, &job.spec, &opts.backend_options())?;
     let store = (!opts.no_checkpoint).then(|| CheckpointStore::new(builder.workdir()));
     // Pin the checkpoint directory while this launch may read or write it,
     // so a concurrent `marshal clean` defers pruning (blob-pool semantics).
     let _pin = store.as_ref().and_then(|s| PoolPin::acquire(s.dir()).ok());
-    let span = rec.sim_span(&backend_name, &job.name);
-    let run = simulate_job(job, opts, store.as_ref(), rec);
+    let span = rec.sim_span(backend.name(), &job.name);
+    let run = simulate_job(job, backend.as_ref(), store.as_ref(), rec);
     match &run {
         Ok((r, _)) => span.end_with(&[
             ("outcome", if r.result.timed_out { "timeout" } else { "ok" }),

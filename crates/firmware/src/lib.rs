@@ -32,6 +32,7 @@
 
 use marshal_depgraph::{Fingerprint, Hasher128};
 use marshal_linux::kernel::KernelArtifact;
+use marshal_trace::bytes::{DecodeError, Reader, Writer};
 
 pub use marshal_config::FirmwareKind;
 
@@ -54,6 +55,12 @@ impl std::fmt::Display for FirmwareError {
 }
 
 impl std::error::Error for FirmwareError {}
+
+impl From<DecodeError> for FirmwareError {
+    fn from(e: DecodeError) -> FirmwareError {
+        FirmwareError::BadBootBinary(e.to_string())
+    }
+}
 
 /// Inputs to a firmware build.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,20 +203,20 @@ impl BootBinary {
 
     /// Serialises to a deterministic blob (`MBBN`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(BOOT_MAGIC);
         let fw_kind = match self.firmware.kind {
             FirmwareKind::OpenSbi => 0u8,
             FirmwareKind::Bbl => 1u8,
         };
-        out.push(fw_kind);
-        write_field(&mut out, self.firmware.source.as_bytes());
-        out.extend_from_slice(&(self.firmware.build_args.len() as u32).to_le_bytes());
+        let mut w = Writer::default();
+        w.bytes(BOOT_MAGIC)
+            .u8(fw_kind)
+            .field64(self.firmware.source.as_bytes())
+            .u32(self.firmware.build_args.len() as u32);
         for a in &self.firmware.build_args {
-            write_field(&mut out, a.as_bytes());
+            w.field64(a.as_bytes());
         }
-        write_field(&mut out, &self.kernel.to_bytes());
-        out
+        w.field64(&self.kernel.to_bytes());
+        w.into_bytes()
     }
 
     /// Parses a serialised boot binary.
@@ -218,19 +225,9 @@ impl BootBinary {
     ///
     /// [`FirmwareError::BadBootBinary`] for malformed blobs.
     pub fn from_bytes(bytes: &[u8]) -> Result<BootBinary, FirmwareError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], FirmwareError> {
-            if *pos + n > bytes.len() {
-                return Err(FirmwareError::BadBootBinary("truncated".to_owned()));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != BOOT_MAGIC {
-            return Err(FirmwareError::BadBootBinary("bad magic".to_owned()));
-        }
-        let kind = match take(&mut pos, 1)?[0] {
+        let mut r = Reader::new(bytes);
+        r.magic(BOOT_MAGIC)?;
+        let kind = match r.u8()? {
             0 => FirmwareKind::OpenSbi,
             1 => FirmwareKind::Bbl,
             k => {
@@ -239,25 +236,19 @@ impl BootBinary {
                 )))
             }
         };
-        let read_field = |pos: &mut usize| -> Result<Vec<u8>, FirmwareError> {
-            let len = u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()) as usize;
-            Ok(take(pos, len)?.to_vec())
+        let text = |field: &[u8], what: &str| {
+            String::from_utf8(field.to_vec())
+                .map_err(|_| FirmwareError::BadBootBinary(format!("bad {what}")))
         };
-        let source = String::from_utf8(read_field(&mut pos)?)
-            .map_err(|_| FirmwareError::BadBootBinary("bad source".to_owned()))?;
-        let nargs = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let source = text(r.field64()?, "source")?;
+        let nargs = r.u32()?;
         let mut build_args = Vec::new();
         for _ in 0..nargs {
-            build_args.push(
-                String::from_utf8(read_field(&mut pos)?)
-                    .map_err(|_| FirmwareError::BadBootBinary("bad arg".to_owned()))?,
-            );
+            build_args.push(text(r.field64()?, "arg")?);
         }
-        let kernel_bytes = read_field(&mut pos)?;
-        if pos != bytes.len() {
-            return Err(FirmwareError::BadBootBinary("trailing bytes".to_owned()));
-        }
-        let kernel = KernelArtifact::from_bytes(&kernel_bytes)
+        let kernel_bytes = r.field64()?;
+        r.finish()?;
+        let kernel = KernelArtifact::from_bytes(kernel_bytes)
             .map_err(|e| FirmwareError::BadBootBinary(e.to_string()))?;
         let firmware = build_firmware(&FirmwareBuild {
             kind,
@@ -269,7 +260,7 @@ impl BootBinary {
 
     /// Whether `bytes` look like a boot binary.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && &bytes[..4] == BOOT_MAGIC
+        bytes.starts_with(BOOT_MAGIC)
     }
 }
 
@@ -291,11 +282,6 @@ pub fn link_boot_binary(
         kernel: kernel.clone(),
         fingerprint: h.finish(),
     })
-}
-
-fn write_field(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(bytes);
 }
 
 #[cfg(test)]
@@ -368,6 +354,10 @@ mod tests {
         let mut extra = boot.to_bytes();
         extra.push(7);
         assert!(BootBinary::from_bytes(&extra).is_err());
+        let mut huge = extra[..5].to_vec();
+        huge.extend_from_slice(&(u64::MAX - 4).to_le_bytes());
+        huge.extend_from_slice(b"src");
+        assert!(BootBinary::from_bytes(&huge).is_err());
     }
 
     #[test]

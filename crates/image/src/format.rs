@@ -17,6 +17,8 @@
 //!   data_len u64, data bytes (file contents / symlink target / empty)
 //! ```
 
+use marshal_trace::bytes::{DecodeError, Reader, Writer};
+
 use crate::fs::{FsError, FsImage, Node};
 
 /// Format magic bytes.
@@ -62,15 +64,25 @@ impl From<FsError> for ImageFormatError {
     }
 }
 
+impl From<DecodeError> for ImageFormatError {
+    fn from(e: DecodeError) -> ImageFormatError {
+        match e {
+            DecodeError::Truncated { .. } => ImageFormatError::Truncated,
+            DecodeError::BadMagic { .. } => ImageFormatError::BadMagic,
+            DecodeError::TrailingBytes { .. } => ImageFormatError::Structure(e.to_string()),
+        }
+    }
+}
+
 impl FsImage {
     /// Serialises the image to its canonical byte representation.
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.walk();
-        let mut out = Vec::with_capacity(64 + self.total_size() as usize);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.size_limit().unwrap_or(0).to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(64 + self.total_size() as usize);
+        w.bytes(MAGIC)
+            .u32(VERSION)
+            .u64(self.size_limit().unwrap_or(0))
+            .u32(entries.len() as u32);
         for (path, node) in entries {
             let (tag, data): (u8, &[u8]) = match node {
                 Node::File { data, exec: false } => (0, data.as_ref()),
@@ -78,13 +90,9 @@ impl FsImage {
                 Node::Dir(_) => (2, &[]),
                 Node::Symlink(target) => (3, target.as_bytes()),
             };
-            out.push(tag);
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            out.extend_from_slice(data);
+            w.u8(tag).field32(path.as_bytes()).field64(data);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the canonical byte representation.
@@ -93,59 +101,49 @@ impl FsImage {
     ///
     /// Returns [`ImageFormatError`] for malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<FsImage, ImageFormatError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], ImageFormatError> {
-            if *pos + n > bytes.len() {
-                return Err(ImageFormatError::Truncated);
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
-            return Err(ImageFormatError::BadMagic);
-        }
-        let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
+        let version = r.u32()?;
         if version != VERSION {
             return Err(ImageFormatError::BadVersion(version));
         }
-        let limit = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let nentries = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let limit = r.u64()?;
+        let nentries = r.u32()?;
         let mut img = FsImage::new();
         img.set_size_limit(if limit == 0 { None } else { Some(limit) });
         for _ in 0..nentries {
-            let tag = take(&mut pos, 1)?[0];
-            let path_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let path = std::str::from_utf8(take(&mut pos, path_len)?)
-                .map_err(|_| ImageFormatError::BadPath)?
-                .to_owned();
-            if !path.starts_with('/') {
-                return Err(ImageFormatError::BadPath);
-            }
-            let data_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let data = take(&mut pos, data_len)?;
+            let tag = r.u8()?;
+            let path = read_path(&mut r)?;
+            let data = r.field64()?;
             match tag {
-                0 => img.write_file(&path, data)?,
-                1 => img.write_exec(&path, data)?,
-                2 => img.mkdir_p(&path)?,
+                0 => img.write_file(path, data)?,
+                1 => img.write_exec(path, data)?,
+                2 => img.mkdir_p(path)?,
                 3 => {
                     let target =
                         std::str::from_utf8(data).map_err(|_| ImageFormatError::BadPath)?;
-                    img.symlink(&path, target)?;
+                    img.symlink(path, target)?;
                 }
                 t => return Err(ImageFormatError::BadTag(t)),
             }
         }
-        if pos != bytes.len() {
-            return Err(ImageFormatError::Structure("trailing bytes".to_owned()));
-        }
+        r.finish()?;
         Ok(img)
     }
 
     /// Whether `bytes` start with the `MIMG` magic.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && &bytes[..4] == MAGIC
+        bytes.starts_with(MAGIC)
     }
+}
+
+/// Reads an entry path (a `u32`-length field), which must be UTF-8 and
+/// absolute. `MIMG` and `MMAN` entries share it.
+pub(crate) fn read_path<'a>(r: &mut Reader<'a>) -> Result<&'a str, ImageFormatError> {
+    std::str::from_utf8(r.field32()?)
+        .ok()
+        .filter(|p| p.starts_with('/'))
+        .ok_or(ImageFormatError::BadPath)
 }
 
 #[cfg(test)]
@@ -213,6 +211,11 @@ mod tests {
             FsImage::from_bytes(&bytes),
             Err(ImageFormatError::Truncated)
         );
+        let mut huge = FsImage::new().to_bytes();
+        huge[16] = 1; // one entry whose data length is near u64::MAX
+        huge.extend_from_slice(b"\0\x02\0\0\0/x");
+        huge.extend_from_slice(&(u64::MAX - 1).to_le_bytes());
+        assert_eq!(FsImage::from_bytes(&huge), Err(ImageFormatError::Truncated));
         let mut extra = sample().to_bytes();
         extra.push(0);
         assert!(matches!(

@@ -27,8 +27,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use marshal_depgraph::{persist, Fingerprint};
+use marshal_trace::bytes::{Reader, Writer};
 
-use crate::format::ImageFormatError;
+use crate::format::{read_path, ImageFormatError};
 use crate::fs::{Blob, FsImage, Node};
 
 /// Manifest magic bytes.
@@ -258,11 +259,11 @@ impl BlobStore {
     pub fn write_manifest(&self, image: &FsImage) -> Result<(Vec<u8>, StoreStats), StoreError> {
         let entries = image.walk();
         let mut stats = StoreStats::default();
-        let mut out = Vec::with_capacity(64 + entries.len() * 48);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&image.size_limit().unwrap_or(0).to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(64 + entries.len() * 48);
+        w.bytes(MANIFEST_MAGIC)
+            .u32(MANIFEST_VERSION)
+            .u64(image.size_limit().unwrap_or(0))
+            .u32(entries.len() as u32);
         for (path, node) in entries {
             let tag: u8 = match node {
                 Node::File { exec: false, .. } => 0,
@@ -270,9 +271,7 @@ impl BlobStore {
                 Node::Dir(_) => 2,
                 Node::Symlink(_) => 3,
             };
-            out.push(tag);
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
+            w.u8(tag).field32(path.as_bytes());
             match node {
                 Node::File { data, .. } => {
                     if self.put(data)? {
@@ -282,16 +281,15 @@ impl BlobStore {
                         stats.blobs_shared += 1;
                         stats.bytes_shared += data.len() as u64;
                     }
-                    out.extend_from_slice(&data.fingerprint().0.to_le_bytes());
-                    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+                    w.u128(data.fingerprint().0).u64(data.len() as u64);
                 }
                 Node::Dir(_) => {}
                 Node::Symlink(target) => {
-                    out.extend_from_slice(&(target.len() as u32).to_le_bytes());
-                    out.extend_from_slice(target.as_bytes());
+                    w.field32(target.as_bytes());
                 }
             }
         }
+        let out = w.into_bytes();
         stats.manifest_bytes = out.len() as u64;
         Ok((out, stats))
     }
@@ -397,58 +395,37 @@ struct ParsedManifest {
     entries: Vec<ManifestEntry>,
 }
 
-fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, StoreError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], ImageFormatError> {
-        if *pos + n > bytes.len() {
-            return Err(ImageFormatError::Truncated);
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    if take(&mut pos, 4)? != MANIFEST_MAGIC {
-        return Err(ImageFormatError::BadMagic.into());
-    }
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, ImageFormatError> {
+    let mut r = Reader::new(bytes);
+    r.magic(MANIFEST_MAGIC)?;
+    let version = r.u32()?;
     if version != MANIFEST_VERSION {
-        return Err(ImageFormatError::BadVersion(version).into());
+        return Err(ImageFormatError::BadVersion(version));
     }
-    let limit = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-    let nentries = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+    let limit = r.u64()?;
+    let nentries = r.u32()?;
     // No preallocation: the count is untrusted (a remote's manifest).
     let mut entries = Vec::new();
     for _ in 0..nentries {
-        let tag = take(&mut pos, 1)?[0];
-        let path_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let path = std::str::from_utf8(take(&mut pos, path_len)?)
-            .map_err(|_| ImageFormatError::BadPath)?
-            .to_owned();
-        if !path.starts_with('/') {
-            return Err(ImageFormatError::BadPath.into());
-        }
+        let tag = r.u8()?;
+        let path = read_path(&mut r)?.to_owned();
         let kind = match tag {
             0 | 1 => {
-                let fp = Fingerprint(u128::from_le_bytes(take(&mut pos, 16)?.try_into().unwrap()));
-                let _size = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+                let fp = Fingerprint(r.u128()?);
+                let _size = r.u64()?;
                 EntryKind::File { fp, exec: tag == 1 }
             }
             2 => EntryKind::Dir,
-            3 => {
-                let target_len =
-                    u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-                let target = std::str::from_utf8(take(&mut pos, target_len)?)
+            3 => EntryKind::Symlink(
+                std::str::from_utf8(r.field32()?)
                     .map_err(|_| ImageFormatError::BadPath)?
-                    .to_owned();
-                EntryKind::Symlink(target)
-            }
-            t => return Err(ImageFormatError::BadTag(t).into()),
+                    .to_owned(),
+            ),
+            t => return Err(ImageFormatError::BadTag(t)),
         };
         entries.push(ManifestEntry { path, kind });
     }
-    if pos != bytes.len() {
-        return Err(ImageFormatError::Structure("trailing bytes".to_owned()).into());
-    }
+    r.finish()?;
     Ok(ParsedManifest {
         limit: if limit == 0 { None } else { Some(limit) },
         entries,
@@ -571,7 +548,7 @@ mod tests {
     fn garbage_manifest_rejected() {
         assert!(matches!(
             parse_manifest(b"nope").err(),
-            Some(StoreError::Manifest(_))
+            Some(ImageFormatError::BadMagic)
         ));
         let mut truncated = Vec::new();
         truncated.extend_from_slice(MANIFEST_MAGIC);

@@ -19,6 +19,8 @@
 
 use std::collections::BTreeMap;
 
+use marshal_trace::bytes::{DecodeError, Reader, Writer};
+
 use crate::Trap;
 
 /// Format magic bytes.
@@ -37,6 +39,8 @@ pub enum MexeError {
     BadVersion(u32),
     /// Symbol name is not valid UTF-8.
     BadSymbolName,
+    /// Bytes follow the symbol table.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for MexeError {
@@ -46,11 +50,22 @@ impl std::fmt::Display for MexeError {
             MexeError::BadMagic => write!(f, "bad mexe magic"),
             MexeError::BadVersion(v) => write!(f, "unsupported mexe version {v}"),
             MexeError::BadSymbolName => write!(f, "symbol name is not valid utf-8"),
+            MexeError::TrailingBytes => write!(f, "trailing bytes after mexe image"),
         }
     }
 }
 
 impl std::error::Error for MexeError {}
+
+impl From<DecodeError> for MexeError {
+    fn from(e: DecodeError) -> MexeError {
+        match e {
+            DecodeError::Truncated { .. } => MexeError::Truncated,
+            DecodeError::BadMagic { .. } => MexeError::BadMagic,
+            DecodeError::TrailingBytes { .. } => MexeError::TrailingBytes,
+        }
+    }
+}
 
 /// A loadable segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,23 +145,19 @@ impl MexeFile {
     ///
     /// The output is deterministic: identical images yield identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.load_size());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(64 + self.load_size());
+        w.bytes(MAGIC)
+            .u32(VERSION)
+            .u64(self.entry)
+            .u32(self.segments.len() as u32)
+            .u32(self.symbols.len() as u32);
         for seg in &self.segments {
-            out.extend_from_slice(&seg.vaddr.to_le_bytes());
-            out.extend_from_slice(&(seg.data.len() as u64).to_le_bytes());
-            out.extend_from_slice(&seg.data);
+            w.u64(seg.vaddr).field64(&seg.data);
         }
         for (name, value) in &self.symbols {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&value.to_le_bytes());
+            w.field32(name.as_bytes()).u64(*value);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the canonical byte representation.
@@ -155,66 +166,30 @@ impl MexeFile {
     ///
     /// Returns [`MexeError`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<MexeFile, MexeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        if cur.take(4)? != MAGIC {
-            return Err(MexeError::BadMagic);
-        }
-        let version = cur.u32()?;
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
+        let version = r.u32()?;
         if version != VERSION {
             return Err(MexeError::BadVersion(version));
         }
-        let entry = cur.u64()?;
-        let nseg = cur.u32()? as usize;
-        let nsym = cur.u32()? as usize;
-        let mut file = MexeFile::new(entry);
+        let mut file = MexeFile::new(r.u64()?);
+        let nseg = r.u32()?;
+        let nsym = r.u32()?;
         for _ in 0..nseg {
-            let vaddr = cur.u64()?;
-            let len = cur.u64()? as usize;
-            let data = cur.take(len)?.to_vec();
-            file.push_segment(vaddr, data);
+            let vaddr = r.u64()?;
+            file.push_segment(vaddr, r.field64()?.to_vec());
         }
         for _ in 0..nsym {
-            let name_len = cur.u32()? as usize;
-            let name = std::str::from_utf8(cur.take(name_len)?)
-                .map_err(|_| MexeError::BadSymbolName)?
-                .to_owned();
-            let value = cur.u64()?;
-            file.symbols.insert(name, value);
+            let name = std::str::from_utf8(r.field32()?).map_err(|_| MexeError::BadSymbolName)?;
+            file.define_symbol(name, r.u64()?);
         }
+        r.finish()?;
         Ok(file)
     }
 
     /// Whether `bytes` start with the `MEXE` magic.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && &bytes[..4] == MAGIC
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MexeError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(MexeError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, MexeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, MexeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        bytes.starts_with(MAGIC)
     }
 }
 
@@ -263,6 +238,13 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes.truncate(bytes.len() - 1);
         assert_eq!(MexeFile::from_bytes(&bytes), Err(MexeError::Truncated));
+        bytes.extend_from_slice(&[0, 0]);
+        assert_eq!(MexeFile::from_bytes(&bytes), Err(MexeError::TrailingBytes));
+        let mut huge = MexeFile::new(0).to_bytes();
+        huge[16] = 1; // one segment whose length is near u64::MAX
+        huge.extend_from_slice(&[0; 8]);
+        huge.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+        assert_eq!(MexeFile::from_bytes(&huge), Err(MexeError::Truncated));
         let mut bad_ver = sample().to_bytes();
         bad_ver[4] = 99;
         assert_eq!(

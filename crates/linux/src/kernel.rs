@@ -7,6 +7,7 @@
 //! initramfs.
 
 use marshal_depgraph::{Fingerprint, Hasher128};
+use marshal_trace::bytes::{Reader, Writer};
 
 use crate::initramfs::InitramfsArtifact;
 use crate::kconfig::KernelConfig;
@@ -197,64 +198,45 @@ impl KernelArtifact {
 
     /// Serialises the kernel to a deterministic binary blob (`MKRN`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(KERNEL_MAGIC);
-        write_field(&mut out, self.version.as_bytes());
-        write_field(&mut out, self.source_id.as_bytes());
-        out.extend_from_slice(&(self.features.len() as u32).to_le_bytes());
+        let mut w = Writer::default();
+        w.bytes(KERNEL_MAGIC)
+            .field64(self.version.as_bytes())
+            .field64(self.source_id.as_bytes())
+            .u32(self.features.len() as u32);
         for f in &self.features {
-            write_field(&mut out, f.as_bytes());
+            w.field64(f.as_bytes());
         }
-        write_field(&mut out, self.config.to_config_text().as_bytes());
-        write_field(&mut out, self.initramfs.archive());
-        out.extend_from_slice(&if self.initramfs.is_diskless() {
-            [1u8]
-        } else {
-            [0u8]
-        });
-        out
+        w.field64(self.config.to_config_text().as_bytes())
+            .field64(self.initramfs.archive())
+            .u8(u8::from(self.initramfs.is_diskless()));
+        w.into_bytes()
     }
 
     /// Parses a serialised kernel blob.
     ///
     /// # Errors
     ///
-    /// [`LinuxError::Build`] for malformed blobs.
+    /// [`LinuxError::Build`] for malformed blobs, trailing bytes included.
     pub fn from_bytes(bytes: &[u8]) -> Result<KernelArtifact, LinuxError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], LinuxError> {
-            if *pos + n > bytes.len() {
-                return Err(LinuxError::Build("truncated kernel blob".to_owned()));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
+        let mut r = Reader::new(bytes);
+        r.magic(KERNEL_MAGIC)?;
+        let text = |field: &[u8], what: &str| {
+            String::from_utf8(field.to_vec())
+                .map_err(|_| LinuxError::Build(format!("bad {what} in kernel blob")))
         };
-        if take(&mut pos, 4)? != KERNEL_MAGIC {
-            return Err(LinuxError::Build("bad kernel magic".to_owned()));
-        }
-        let read_field = |pos: &mut usize| -> Result<Vec<u8>, LinuxError> {
-            let len = u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()) as usize;
-            Ok(take(pos, len)?.to_vec())
-        };
-        let version = String::from_utf8(read_field(&mut pos)?)
-            .map_err(|_| LinuxError::Build("bad version".to_owned()))?;
-        let source_id = String::from_utf8(read_field(&mut pos)?)
-            .map_err(|_| LinuxError::Build("bad source id".to_owned()))?;
-        let nfeat = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let version = text(r.field64()?, "version")?;
+        let source_id = text(r.field64()?, "source id")?;
+        let nfeat = r.u32()?;
         let mut features = Vec::new();
         for _ in 0..nfeat {
-            features.push(
-                String::from_utf8(read_field(&mut pos)?)
-                    .map_err(|_| LinuxError::Build("bad feature".to_owned()))?,
-            );
+            features.push(text(r.field64()?, "feature")?);
         }
-        let config_text = String::from_utf8(read_field(&mut pos)?)
-            .map_err(|_| LinuxError::Build("bad config".to_owned()))?;
+        let config_text = text(r.field64()?, "config")?;
         let mut config = KernelConfig::new();
         config.merge_fragment(&config_text)?;
-        let archive = read_field(&mut pos)?;
-        let diskless = take(&mut pos, 1)?[0] == 1;
+        let archive = r.field64()?.to_vec();
+        let diskless = r.u8()? == 1;
+        r.finish()?;
         // Rebuild via the same path so every derived field is consistent.
         let initramfs = ReassembledInitramfs { archive, diskless }.into_artifact()?;
         let source = KernelSource::custom(source_id, version, features);
@@ -289,11 +271,6 @@ impl ReassembledInitramfs {
             self.diskless,
         ))
     }
-}
-
-fn write_field(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(bytes);
 }
 
 #[cfg(test)]
@@ -359,6 +336,19 @@ mod tests {
             back.initramfs().module_names(),
             k.initramfs().module_names()
         );
+    }
+
+    #[test]
+    fn malformed_blobs_rejected() {
+        let bytes = kernel().to_bytes();
+        let mut extra = bytes.clone();
+        extra.push(0);
+        assert!(KernelArtifact::from_bytes(&extra).is_err());
+        let mut huge = bytes[..4].to_vec();
+        huge.extend_from_slice(&(u64::MAX - 2).to_le_bytes());
+        huge.extend_from_slice(b"5.7");
+        assert!(KernelArtifact::from_bytes(&huge).is_err());
+        assert!(KernelArtifact::from_bytes(b"MKRX").is_err());
     }
 
     #[test]

@@ -73,6 +73,12 @@ impl std::fmt::Display for LinuxError {
 
 impl std::error::Error for LinuxError {}
 
+impl From<marshal_trace::bytes::DecodeError> for LinuxError {
+    fn from(e: marshal_trace::bytes::DecodeError) -> LinuxError {
+        LinuxError::Build(format!("malformed kernel blob: {e}"))
+    }
+}
+
 impl From<marshal_image::FsError> for LinuxError {
     fn from(e: marshal_image::FsError) -> LinuxError {
         LinuxError::Image(e.to_string())

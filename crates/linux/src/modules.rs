@@ -5,6 +5,7 @@
 //! drivers, as well as user-provided kernel modules."
 
 use marshal_depgraph::{Fingerprint, Hasher128};
+use marshal_trace::bytes::Writer;
 
 use crate::kconfig::KernelConfig;
 use crate::LinuxError;
@@ -74,11 +75,10 @@ pub fn build_module(
     h.update_field(config.fingerprint().to_string().as_bytes());
     let fingerprint = h.finish();
 
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(MODULE_MAGIC);
-    bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(name.as_bytes());
-    bytes.extend_from_slice(&fingerprint.0.to_le_bytes());
+    let mut w = Writer::default();
+    w.bytes(MODULE_MAGIC)
+        .field32(name.as_bytes())
+        .u128(fingerprint.0);
     // Modelled code payload: deterministic pseudo-text derived from the
     // fingerprint, sized like a small driver.
     let body = format!(
@@ -86,13 +86,13 @@ pub fn build_module(
         fingerprint.short()
     );
     for _ in 0..16 {
-        bytes.extend_from_slice(body.as_bytes());
+        w.bytes(body.as_bytes());
     }
     Ok(ModuleArtifact {
         name: name.to_owned(),
         source_id: source_id.to_owned(),
         fingerprint,
-        bytes,
+        bytes: w.into_bytes(),
     })
 }
 

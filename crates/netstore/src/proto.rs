@@ -21,6 +21,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use marshal_depgraph::Fingerprint;
+use marshal_trace::bytes::{DecodeError, Reader, Writer};
 
 /// Protocol version spoken by this build; the handshake rejects mismatches.
 pub const NET_VERSION: u32 = 1;
@@ -81,6 +82,12 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+impl From<DecodeError> for NetError {
+    fn from(e: DecodeError) -> NetError {
+        NetError::BadFrame(e.to_string())
+    }
+}
 
 /// A protocol message. See the module docs for the conversation shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,223 +169,141 @@ pub enum Message {
     },
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
 fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = Writer::default();
     match msg {
-        Message::Hello { version } => {
-            out.push(0);
-            out.extend_from_slice(&version.to_le_bytes());
-        }
-        Message::HelloAck { version } => {
-            out.push(1);
-            out.extend_from_slice(&version.to_le_bytes());
-        }
-        Message::HaveManifest { input } => {
-            out.push(2);
-            out.extend_from_slice(&input.0.to_le_bytes());
-        }
-        Message::Have { present } => {
-            out.push(3);
-            out.push(u8::from(*present));
-        }
-        Message::GetManifest { input } => {
-            out.push(4);
-            out.extend_from_slice(&input.0.to_le_bytes());
-        }
-        Message::ManifestData { bytes } => {
-            out.push(5);
-            put_bytes(&mut out, bytes);
-        }
-        Message::NotFound => out.push(6),
+        Message::Hello { version } => w.u8(0).u32(*version),
+        Message::HelloAck { version } => w.u8(1).u32(*version),
+        Message::HaveManifest { input } => w.u8(2).u128(input.0),
+        Message::Have { present } => w.u8(3).u8(u8::from(*present)),
+        Message::GetManifest { input } => w.u8(4).u128(input.0),
+        Message::ManifestData { bytes } => w.u8(5).field32(bytes),
+        Message::NotFound => w.u8(6),
         Message::GetBlobs { fps } => {
-            out.push(7);
-            out.extend_from_slice(&(fps.len() as u32).to_le_bytes());
+            w.u8(7).u32(fps.len() as u32);
             for fp in fps {
-                out.extend_from_slice(&fp.0.to_le_bytes());
+                w.u128(fp.0);
             }
+            &mut w
         }
         Message::Blobs { entries } => {
-            out.push(8);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            w.u8(8).u32(entries.len() as u32);
             for (fp, payload) in entries {
-                out.extend_from_slice(&fp.0.to_le_bytes());
+                w.u128(fp.0);
                 match payload {
-                    Some(bytes) => {
-                        out.push(1);
-                        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                        out.extend_from_slice(bytes);
-                    }
-                    None => out.push(0),
-                }
+                    Some(bytes) => w.u8(1).field64(bytes),
+                    None => w.u8(0),
+                };
             }
+            &mut w
         }
-        Message::ErrorMsg { message } => {
-            out.push(9);
-            put_bytes(&mut out, message.as_bytes());
-        }
-        Message::ExecTask { task, spec } => {
-            out.push(10);
-            put_bytes(&mut out, task.as_bytes());
-            put_bytes(&mut out, spec);
-        }
-        Message::ExecDone { task } => {
-            out.push(11);
-            put_bytes(&mut out, task.as_bytes());
-        }
-        Message::ExecFailed { task, message } => {
-            out.push(12);
-            put_bytes(&mut out, task.as_bytes());
-            put_bytes(&mut out, message.as_bytes());
-        }
-    }
-    out
+        Message::ErrorMsg { message } => w.u8(9).field32(message.as_bytes()),
+        Message::ExecTask { task, spec } => w.u8(10).field32(task.as_bytes()).field32(spec),
+        Message::ExecDone { task } => w.u8(11).field32(task.as_bytes()),
+        Message::ExecFailed { task, message } => w
+            .u8(12)
+            .field32(task.as_bytes())
+            .field32(message.as_bytes()),
+    };
+    w.into_bytes()
 }
 
 /// Encodes a message into a complete wire frame (magic, length, payload,
 /// checksum).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let payload = encode_payload(msg);
-    let mut frame = Vec::with_capacity(8 + payload.len() + 16);
-    frame.extend_from_slice(FRAME_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&Fingerprint::of(&payload).0.to_le_bytes());
-    frame
+    let mut w = Writer::with_capacity(8 + payload.len() + 16);
+    w.bytes(FRAME_MAGIC)
+        .field32(&payload)
+        .u128(Fingerprint::of(&payload).0);
+    w.into_bytes()
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(NetError::BadFrame(format!(
-                "payload truncated at byte {} (wanted {n} more)",
-                self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn fp(&mut self) -> Result<Fingerprint, NetError> {
-        Ok(Fingerprint(u128::from_le_bytes(
-            self.take(16)?.try_into().unwrap(),
-        )))
-    }
-
-    fn bytes_u32(&mut self) -> Result<Vec<u8>, NetError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(NetError::BadFrame(format!("field length {len} too large")));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
+fn utf8(field: &[u8], what: &str) -> Result<String, NetError> {
+    String::from_utf8(field.to_vec()).map_err(|_| NetError::BadFrame(format!("non-UTF-8 {what}")))
 }
 
 fn parse_payload(payload: &[u8]) -> Result<Message, NetError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let tag = c.u8()?;
-    let msg = match tag {
-        0 => Message::Hello { version: c.u32()? },
-        1 => Message::HelloAck { version: c.u32()? },
-        2 => Message::HaveManifest { input: c.fp()? },
-        3 => Message::Have {
-            present: c.u8()? != 0,
+    let mut r = Reader::new(payload);
+    let msg = match r.u8()? {
+        0 => Message::Hello { version: r.u32()? },
+        1 => Message::HelloAck { version: r.u32()? },
+        2 => Message::HaveManifest {
+            input: Fingerprint(r.u128()?),
         },
-        4 => Message::GetManifest { input: c.fp()? },
+        3 => Message::Have {
+            present: r.u8()? != 0,
+        },
+        4 => Message::GetManifest {
+            input: Fingerprint(r.u128()?),
+        },
         5 => Message::ManifestData {
-            bytes: c.bytes_u32()?,
+            bytes: r.field32()?.to_vec(),
         },
         6 => Message::NotFound,
         7 => {
-            let count = c.u32()? as usize;
-            if count > MAX_BLOB_BATCH {
-                return Err(NetError::Protocol(format!(
-                    "GetBlobs batch of {count} exceeds cap {MAX_BLOB_BATCH}"
-                )));
-            }
+            let count = batch_len(&mut r, "GetBlobs")?;
             let mut fps = Vec::with_capacity(count);
             for _ in 0..count {
-                fps.push(c.fp()?);
+                fps.push(Fingerprint(r.u128()?));
             }
             Message::GetBlobs { fps }
         }
         8 => {
-            let count = c.u32()? as usize;
-            if count > MAX_BLOB_BATCH {
-                return Err(NetError::Protocol(format!(
-                    "Blobs batch of {count} exceeds cap {MAX_BLOB_BATCH}"
-                )));
-            }
+            let count = batch_len(&mut r, "Blobs")?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                let fp = c.fp()?;
-                let present = c.u8()? != 0;
-                let payload = if present {
-                    let len = c.u64()? as usize;
-                    if len > MAX_FRAME {
-                        return Err(NetError::BadFrame(format!("blob length {len} too large")));
-                    }
-                    Some(c.take(len)?.to_vec())
-                } else {
-                    None
+                let fp = Fingerprint(r.u128()?);
+                let payload = match r.u8()? {
+                    0 => None,
+                    _ => Some(r.field64()?.to_vec()),
                 };
                 entries.push((fp, payload));
             }
             Message::Blobs { entries }
         }
         9 => Message::ErrorMsg {
-            message: String::from_utf8(c.bytes_u32()?)
-                .map_err(|_| NetError::BadFrame("non-UTF-8 error message".to_owned()))?,
+            message: utf8(r.field32()?, "error message")?,
         },
         10 => Message::ExecTask {
-            task: String::from_utf8(c.bytes_u32()?)
-                .map_err(|_| NetError::BadFrame("non-UTF-8 task id".to_owned()))?,
-            spec: c.bytes_u32()?,
+            task: utf8(r.field32()?, "task id")?,
+            spec: r.field32()?.to_vec(),
         },
         11 => Message::ExecDone {
-            task: String::from_utf8(c.bytes_u32()?)
-                .map_err(|_| NetError::BadFrame("non-UTF-8 task id".to_owned()))?,
+            task: utf8(r.field32()?, "task id")?,
         },
         12 => Message::ExecFailed {
-            task: String::from_utf8(c.bytes_u32()?)
-                .map_err(|_| NetError::BadFrame("non-UTF-8 task id".to_owned()))?,
-            message: String::from_utf8(c.bytes_u32()?)
-                .map_err(|_| NetError::BadFrame("non-UTF-8 error message".to_owned()))?,
+            task: utf8(r.field32()?, "task id")?,
+            message: utf8(r.field32()?, "error message")?,
         },
         t => return Err(NetError::BadFrame(format!("unknown message tag {t}"))),
     };
-    if c.pos != payload.len() {
-        return Err(NetError::BadFrame(format!(
-            "{} trailing bytes after message",
-            payload.len() - c.pos
+    r.finish()?;
+    Ok(msg)
+}
+
+/// A batch's entry count, checked against [`MAX_BLOB_BATCH`].
+fn batch_len(r: &mut Reader, what: &str) -> Result<usize, NetError> {
+    let count = r.u32()? as usize;
+    if count > MAX_BLOB_BATCH {
+        return Err(NetError::Protocol(format!(
+            "{what} batch of {count} exceeds cap {MAX_BLOB_BATCH}"
         )));
     }
-    Ok(msg)
+    Ok(count)
+}
+
+/// Reads a frame header (magic and declared payload length), checking the
+/// length against [`MAX_FRAME`].
+fn frame_len(r: &mut Reader) -> Result<usize, NetError> {
+    r.magic(FRAME_MAGIC)?;
+    let len = r.u32()? as usize;
+    if len > MAX_FRAME {
+        return Err(NetError::BadFrame(format!(
+            "declared payload of {len} bytes exceeds cap"
+        )));
+    }
+    Ok(len)
 }
 
 /// Validates and decodes a complete wire frame into a message.
@@ -389,31 +314,12 @@ fn parse_payload(payload: &[u8]) -> Result<Message, NetError> {
 /// validate (the payload is never parsed in that case), or when the payload
 /// itself is malformed; [`NetError::Protocol`] when a batch exceeds its cap.
 pub fn decode_frame(frame: &[u8]) -> Result<Message, NetError> {
-    if frame.len() < 8 {
-        return Err(NetError::BadFrame(format!(
-            "frame of {} bytes is shorter than the header",
-            frame.len()
-        )));
-    }
-    if &frame[..4] != FRAME_MAGIC {
-        return Err(NetError::BadFrame("bad frame magic".to_owned()));
-    }
-    let len = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(NetError::BadFrame(format!(
-            "declared payload of {len} bytes exceeds cap"
-        )));
-    }
-    if frame.len() != 8 + len + 16 {
-        return Err(NetError::BadFrame(format!(
-            "frame is {} bytes but declares a {len}-byte payload",
-            frame.len()
-        )));
-    }
-    let payload = &frame[8..8 + len];
-    let sum = u128::from_le_bytes(frame[8 + len..].try_into().unwrap());
-    let actual = Fingerprint::of(payload).0;
-    if sum != actual {
+    let mut r = Reader::new(frame);
+    let len = frame_len(&mut r)?;
+    let payload = r.take(len as u64)?;
+    let sum = r.u128()?;
+    r.finish()?;
+    if sum != Fingerprint::of(payload).0 {
         return Err(NetError::BadFrame(
             "payload checksum mismatch (corrupted in flight)".to_owned(),
         ));
@@ -442,15 +348,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, NetError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)
         .map_err(|e| io_err("reading frame header", &e))?;
-    if &header[..4] != FRAME_MAGIC {
-        return Err(NetError::BadFrame("bad frame magic".to_owned()));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(NetError::BadFrame(format!(
-            "declared payload of {len} bytes exceeds cap"
-        )));
-    }
+    let len = frame_len(&mut Reader::new(&header))?;
     let mut frame = Vec::with_capacity(8 + len + 16);
     frame.extend_from_slice(&header);
     frame.resize(8 + len + 16, 0);
@@ -555,16 +453,6 @@ mod tests {
                 decode_frame(&bad).is_err(),
                 "flip at byte {i} went undetected"
             );
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_not_panicked() {
-        let frame = encode_frame(&Message::ManifestData {
-            bytes: vec![0xAB; 100],
-        });
-        for cut in 0..frame.len() {
-            assert!(decode_frame(&frame[..cut]).is_err(), "cut at {cut}");
         }
     }
 

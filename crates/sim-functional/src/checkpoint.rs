@@ -19,6 +19,7 @@
 //! itself and its portable byte encoding.
 
 use marshal_image::FsImage;
+use marshal_trace::bytes::{Reader, Writer};
 
 /// Snapshot magic: "MSNP".
 const MAGIC: &[u8; 4] = b"MSNP";
@@ -49,27 +50,20 @@ pub struct BootSnapshot {
 impl BootSnapshot {
     /// Encodes the snapshot as a self-describing byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.cycles.to_le_bytes());
-        out.extend_from_slice(&self.instructions.to_le_bytes());
-        out.extend_from_slice(&self.last_exit.to_le_bytes());
-        out.push(u8::from(self.systemd));
+        let mut w = Writer::default();
+        w.bytes(MAGIC)
+            .u32(VERSION)
+            .u64(self.cycles)
+            .u64(self.instructions)
+            .u64(self.last_exit as u64)
+            .u8(u8::from(self.systemd));
         match &self.switch_root_target {
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-                out.extend_from_slice(t.as_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(self.serial.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.serial.as_bytes());
-        let image = self.image.to_bytes();
-        out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        out.extend_from_slice(&image);
-        out
+            Some(t) => w.u8(1).field32(t.as_bytes()),
+            None => w.u8(0),
+        };
+        w.field64(self.serial.as_bytes())
+            .field64(&self.image.to_bytes());
+        w.into_bytes()
     }
 
     /// Decodes a snapshot previously produced by [`BootSnapshot::to_bytes`].
@@ -77,14 +71,12 @@ impl BootSnapshot {
     /// # Errors
     ///
     /// A description of the first structural problem found. Any truncation,
-    /// bad magic, or unknown version is an error — callers treat a failed
-    /// decode as a corrupt checkpoint and fall back to a cold boot.
+    /// bad magic, unknown version or trailing byte is an error — callers
+    /// treat a failed decode as a corrupt checkpoint and fall back to a
+    /// cold boot.
     pub fn from_bytes(bytes: &[u8]) -> Result<BootSnapshot, String> {
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err("bad snapshot magic".to_owned());
-        }
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
         let version = r.u32()?;
         if version != VERSION {
             return Err(format!("unsupported snapshot version {version}"));
@@ -95,25 +87,17 @@ impl BootSnapshot {
         let systemd = r.u8()? != 0;
         let switch_root_target = match r.u8()? {
             0 => None,
-            1 => {
-                let len = r.u32()? as usize;
-                let raw = r.take(len)?;
-                Some(
-                    String::from_utf8(raw.to_vec())
-                        .map_err(|_| "switch-root target is not UTF-8".to_owned())?,
-                )
-            }
+            1 => Some(
+                String::from_utf8(r.field32()?.to_vec())
+                    .map_err(|_| "switch-root target is not UTF-8".to_owned())?,
+            ),
             other => return Err(format!("bad switch-root tag {other}")),
         };
-        let serial_len = r.u64()? as usize;
-        let serial = String::from_utf8(r.take(serial_len)?.to_vec())
+        let serial = String::from_utf8(r.field64()?.to_vec())
             .map_err(|_| "serial log is not UTF-8".to_owned())?;
-        let image_len = r.u64()? as usize;
         let image =
-            FsImage::from_bytes(r.take(image_len)?).map_err(|e| format!("embedded image: {e}"))?;
-        if r.pos != bytes.len() {
-            return Err("trailing bytes after snapshot".to_owned());
-        }
+            FsImage::from_bytes(r.field64()?).map_err(|e| format!("embedded image: {e}"))?;
+        r.finish()?;
         Ok(BootSnapshot {
             serial,
             image,
@@ -123,36 +107,6 @@ impl BootSnapshot {
             switch_root_target,
             systemd,
         })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| "truncated snapshot".to_owned())?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
@@ -192,30 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_anywhere_is_detected() {
-        let bytes = sample().to_bytes();
-        for cut in [0, 3, 4, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                BootSnapshot::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
     fn bad_magic_and_version_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
         assert!(BootSnapshot::from_bytes(&bytes).is_err());
         let mut bytes = sample().to_bytes();
         bytes[4] = 0xEE;
-        assert!(BootSnapshot::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes.push(0);
         assert!(BootSnapshot::from_bytes(&bytes).is_err());
     }
 }

@@ -21,10 +21,14 @@
 //! behind journal lines, the Chrome export, workload specs and install
 //! manifests, and the writer of all but journal lines. The parser builds
 //! any [`JsonTree`]; `marshal-config` parses straight into its own `Value`
-//! that way. The crate has no dependencies, so any crate can use it.
+//! that way. Beside it sits the one binary codec, [`bytes`]: the
+//! bounds-checked [`bytes::Reader`] every little-endian artifact and wire
+//! format decodes through, and the matching [`bytes::Writer`]. The crate
+//! has no dependencies, so any crate can use it — `marshal-isa` included.
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 mod chrome;
 mod journal;
 mod json;

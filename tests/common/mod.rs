@@ -23,8 +23,11 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
 /// store.
 #[allow(dead_code)]
 pub fn simulate(job: &marshal_core::JobArtifacts) -> marshal_sim_functional::SimResult {
+    use marshal_core::simulator::{default_backend, simulator_for};
     let rec = marshal_trace::Recorder::disabled();
-    let (run, _) = marshal_core::launch::simulate_job(job, &Default::default(), None, &rec)
+    let backend = simulator_for(default_backend(&job.spec), &job.spec, &Default::default())
+        .expect("default backend");
+    let (run, _) = marshal_core::launch::simulate_job(job, backend.as_ref(), None, &rec)
         .expect("simulate job");
     run.result
 }

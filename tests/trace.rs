@@ -79,6 +79,30 @@ fn cli_build_records_journal_and_trace_inspects_it() {
     std::fs::remove_dir_all(root).unwrap();
 }
 
+/// `launch --sim <alias>` journals the canonical backend name the registry
+/// resolved, as `cosim` does, so journals of the same backend agree.
+#[test]
+fn sim_span_names_the_canonical_backend() {
+    let root = common::tmpdir("trace-sim-alias");
+    for alias in ["functional", "cycle-exact"] {
+        let (code, log) = run(&root, &["launch", "--sim", alias, "hello.json"]);
+        assert_eq!(code, 0, "{log:?}");
+    }
+    let mut backends = Vec::new();
+    for info in list_runs(&root.join("work")) {
+        for record in read_journal(&info.journal).unwrap().records {
+            if let RecordKind::SpanStart { name, args, .. } = record.kind {
+                if name == "sim" {
+                    backends.push(args["backend"].clone());
+                }
+            }
+        }
+    }
+    backends.sort();
+    assert_eq!(backends, ["qemu", "rtl"]);
+    std::fs::remove_dir_all(root).unwrap();
+}
+
 #[test]
 fn parallel_j8_journal_is_ordered_and_nested() {
     let root = common::tmpdir("trace-j8");
