@@ -106,7 +106,8 @@ impl Row {
 ///
 /// A ledger is a JSON array with one object per line, each with exactly
 /// the [`ROW_KEYS`]. Every appended row is stamped with `rev` (the short
-/// commit hash of the workspace's `HEAD`, `null` when git cannot tell),
+/// commit hash of the workspace's `HEAD`, marked `-dirty` when the source
+/// has uncommitted changes, `null` when git cannot tell),
 /// `host_cores` and `unix_time`; its value is rounded to three decimals.
 /// The existing ledger is read with [`Json::parse`], and the whole file is
 /// rewritten with [`write_atomic`], so a crash mid-write leaves the old
@@ -198,15 +199,34 @@ fn integral(row: Json) -> Json {
     }
 }
 
-/// The short commit hash of the workspace's `HEAD`.
+/// The short commit hash of the workspace's `HEAD`, suffixed `-dirty` when
+/// a tracked file other than a ledger differs from it: a row measured on
+/// uncommitted code is not a measurement of the commit.
 fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(workspace_root())
-        .output()
-        .ok()?;
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(workspace_root())
+            .output()
+            .ok()
+    };
+    let out = git(&["rev-parse", "--short", "HEAD"]).filter(|out| out.status.success())?;
     let rev = String::from_utf8(out.stdout).ok()?.trim().to_owned();
-    (out.status.success() && !rev.is_empty()).then_some(rev)
+    // `--quiet` exits 1 when the source differs from `HEAD`.
+    let diff = git(&[
+        "diff",
+        "--quiet",
+        "HEAD",
+        "--",
+        ".",
+        ":(exclude)BENCH_*.json",
+    ])?;
+    let dirty = if diff.status.code() == Some(1) {
+        "-dirty"
+    } else {
+        ""
+    };
+    (!rev.is_empty()).then(|| rev + dirty)
 }
 
 #[cfg(test)]

@@ -596,6 +596,21 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             return (1, log);
         }};
     }
+    macro_rules! or_fail {
+        ($e:expr) => {
+            match $e {
+                Ok(v) => v,
+                Err(e) => fail!(e),
+            }
+        };
+    }
+    let known_backend = |name: &str| match resolve_backend(name) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "unknown simulator backend `{name}` (try {})",
+            simulator_names().join(", ")
+        )),
+    };
     match &args.command {
         Command::Help => {
             log.push(USAGE.to_owned());
@@ -629,54 +644,50 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 eprint!("\r\x1b[2K");
                 let _ = std::io::Write::flush(&mut std::io::stderr());
             }
-            match result {
-                Ok(products) => {
-                    render_warnings(&mut log, rec, &mut seen, &products.warnings);
-                    if let Some(plan) = &products.dry_run {
-                        log.push(format!(
-                            "dry run: {} task(s) would execute, {} up to date",
-                            plan.len(),
-                            products.report.skipped.len()
-                        ));
-                        for t in plan {
-                            log.push(format!("  would run {}", t.id));
-                        }
-                        return (0, log);
-                    }
-                    if let Some(summary) = &products.remote {
-                        log.push(summary.describe());
-                    }
-                    log.push(format!(
-                        "built `{}`: {} job(s), {} task(s) run, {} up to date",
-                        products.workload,
-                        products.jobs.len(),
-                        products.report.executed.len(),
-                        products.report.skipped.len()
-                    ));
-                    for j in &products.jobs {
-                        log.push(format!("  {}", j.name));
-                    }
-                    // Under --keep-going a failed build still returns its
-                    // report: summarise exactly what failed and what was
-                    // skipped as a dependent, and exit nonzero.
-                    if !products.report.success() {
-                        for (id, why) in &products.report.failed {
-                            log.push(format!("FAILED {id}: {why}"));
-                        }
-                        for id in &products.report.poisoned {
-                            log.push(format!("skipped {id}: depends on a failed task"));
-                        }
-                        log.push(format!(
-                            "build finished with {} failure(s); {} dependent task(s) skipped",
-                            products.report.failed.len(),
-                            products.report.poisoned.len()
-                        ));
-                        return (1, log);
-                    }
-                    (0, log)
+            let products = or_fail!(result);
+            render_warnings(&mut log, rec, &mut seen, &products.warnings);
+            if let Some(plan) = &products.dry_run {
+                log.push(format!(
+                    "dry run: {} task(s) would execute, {} up to date",
+                    plan.len(),
+                    products.report.skipped.len()
+                ));
+                for t in plan {
+                    log.push(format!("  would run {}", t.id));
                 }
-                Err(e) => fail!(e),
+                return (0, log);
             }
+            if let Some(summary) = &products.remote {
+                log.push(summary.describe());
+            }
+            log.push(format!(
+                "built `{}`: {} job(s), {} task(s) run, {} up to date",
+                products.workload,
+                products.jobs.len(),
+                products.report.executed.len(),
+                products.report.skipped.len()
+            ));
+            for j in &products.jobs {
+                log.push(format!("  {}", j.name));
+            }
+            // Under --keep-going a failed build still returns its
+            // report: summarise exactly what failed and what was
+            // skipped as a dependent, and exit nonzero.
+            if !products.report.success() {
+                for (id, why) in &products.report.failed {
+                    log.push(format!("FAILED {id}: {why}"));
+                }
+                for id in &products.report.poisoned {
+                    log.push(format!("skipped {id}: depends on a failed task"));
+                }
+                log.push(format!(
+                    "build finished with {} failure(s); {} dependent task(s) skipped",
+                    products.report.failed.len(),
+                    products.report.poisoned.len()
+                ));
+                return (1, log);
+            }
+            (0, log)
         }
         Command::Launch {
             workload,
@@ -687,21 +698,10 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             no_checkpoint,
         } => {
             if let Some(name) = sim {
-                if resolve_backend(name).is_none() {
-                    fail!(format!(
-                        "unknown simulator backend `{name}` (try {})",
-                        simulator_names().join(", ")
-                    ));
-                }
+                or_fail!(known_backend(name));
             }
-            let hw_config = match hw.as_deref().map(hardware_arg).transpose() {
-                Ok(c) => c,
-                Err(e) => fail!(e),
-            };
-            let products = match builder.build(workload, &BuildOptions::default()) {
-                Ok(p) => p,
-                Err(e) => fail!(e),
-            };
+            let hw_config = or_fail!(hw.as_deref().map(hardware_arg).transpose());
+            let products = or_fail!(builder.build(workload, &BuildOptions::default()));
             render_warnings(&mut log, rec, &mut seen, &products.warnings);
             let launch_opts = LaunchOptions {
                 timeout_insts: *timeout_insts,
@@ -718,61 +718,60 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     else {
                         fail!(format!("no job named `{job_name}`"));
                     };
-                    match crate::launch::launch_job(builder, &products, index, &launch_opts) {
-                        Ok(out) => {
-                            if args.verbose {
-                                log.extend(out.serial.lines().map(str::to_owned));
-                            }
-                            render_warnings(&mut log, rec, &mut seen, &out.warnings);
-                            if out.timed_out {
-                                log.push(format!(
-                                    "job `{}` TIMED OUT after {} instructions; partial \
-                                     uartlog and outputs salvaged in {}",
-                                    out.job,
-                                    out.instructions,
-                                    out.job_dir.display()
-                                ));
-                                return (EXIT_TIMED_OUT, log);
-                            }
-                            log.push(format!(
-                                "job `{}` exited {} ({} instructions), outputs in {}",
-                                out.job,
-                                out.exit_code,
-                                out.instructions,
-                                out.job_dir.display()
-                            ));
-                            (if out.exit_code == 0 { 0 } else { 1 }, log)
-                        }
-                        Err(e) => fail!(e),
+                    let out = or_fail!(crate::launch::launch_job(
+                        builder,
+                        &products,
+                        index,
+                        &launch_opts
+                    ));
+                    if args.verbose {
+                        log.extend(out.serial.lines().map(str::to_owned));
                     }
+                    render_warnings(&mut log, rec, &mut seen, &out.warnings);
+                    if out.timed_out {
+                        log.push(format!(
+                            "job `{}` TIMED OUT after {} instructions; partial \
+                                 uartlog and outputs salvaged in {}",
+                            out.job,
+                            out.instructions,
+                            out.job_dir.display()
+                        ));
+                        return (EXIT_TIMED_OUT, log);
+                    }
+                    log.push(format!(
+                        "job `{}` exited {} ({} instructions), outputs in {}",
+                        out.job,
+                        out.exit_code,
+                        out.instructions,
+                        out.job_dir.display()
+                    ));
+                    (if out.exit_code == 0 { 0 } else { 1 }, log)
                 }
-                None => match launch_workload(builder, &products, &launch_opts) {
-                    Ok(run) => {
-                        for j in &run.jobs {
-                            if args.verbose {
-                                log.extend(j.serial.lines().map(str::to_owned));
-                            }
-                            render_warnings(&mut log, rec, &mut seen, &j.warnings);
-                            if j.timed_out {
-                                log.push(format!(
-                                    "job `{}` TIMED OUT after {} instructions (partial \
+                None => {
+                    let run = or_fail!(launch_workload(builder, &products, &launch_opts));
+                    for j in &run.jobs {
+                        if args.verbose {
+                            log.extend(j.serial.lines().map(str::to_owned));
+                        }
+                        render_warnings(&mut log, rec, &mut seen, &j.warnings);
+                        if j.timed_out {
+                            log.push(format!(
+                                "job `{}` TIMED OUT after {} instructions (partial \
                                      outputs salvaged)",
-                                    j.job, j.instructions
-                                ));
-                            } else {
-                                log.push(format!("job `{}` exited {}", j.job, j.exit_code));
-                            }
+                                j.job, j.instructions
+                            ));
+                        } else {
+                            log.push(format!("job `{}` exited {}", j.job, j.exit_code));
                         }
-                        log.extend(run.hook_log.iter().cloned());
-                        log.push(format!("outputs in {}", run.run_root.display()));
-                        if run.jobs.iter().any(|j| j.timed_out) {
-                            return (EXIT_TIMED_OUT, log);
-                        }
-                        let ok = run.jobs.iter().all(|j| j.exit_code == 0);
-                        (if ok { 0 } else { 1 }, log)
                     }
-                    Err(e) => fail!(e),
-                },
+                    log.extend(run.hook_log.iter().cloned());
+                    log.push(format!("outputs in {}", run.run_root.display()));
+                    if run.jobs.iter().any(|j| j.timed_out) {
+                        return (EXIT_TIMED_OUT, log);
+                    }
+                    let ok = run.jobs.iter().all(|j| j.exit_code == 0);
+                    (if ok { 0 } else { 1 }, log)
+                }
             }
         }
         Command::Cosim {
@@ -802,62 +801,47 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 opts.backends = ((*a).to_owned(), (*b).to_owned());
             }
             for name in [&opts.backends.0, &opts.backends.1] {
-                if resolve_backend(name).is_none() {
-                    fail!(format!(
-                        "unknown simulator backend `{name}` (try {})",
-                        simulator_names().join(", ")
-                    ));
-                }
+                or_fail!(known_backend(name));
             }
-            match hw.as_deref().map(hardware_arg).transpose() {
-                Ok(c) => opts.hw = c,
-                Err(e) => fail!(e),
-            }
-            let products = match builder.build(workload, &BuildOptions::default()) {
-                Ok(p) => p,
-                Err(e) => fail!(e),
-            };
+            opts.hw = or_fail!(hw.as_deref().map(hardware_arg).transpose());
+            let products = or_fail!(builder.build(workload, &BuildOptions::default()));
             render_warnings(&mut log, rec, &mut seen, &products.warnings);
-            match cosim_workload(&products, &opts) {
-                Ok(report) => {
-                    for job in &report.jobs {
-                        render_warnings(&mut log, rec, &mut seen, &job.warnings);
-                        match &job.divergence {
-                            None => log.push(format!(
-                                "job `{}`: {} and {} agree ({} vs {} instructions)",
-                                job.job,
-                                job.backends.0,
-                                job.backends.1,
-                                job.instructions.0,
-                                job.instructions.1
-                            )),
-                            Some(d) => {
-                                log.push(format!(
-                                    "job `{}`: DIVERGENCE between {} and {}",
-                                    job.job, job.backends.0, job.backends.1
-                                ));
-                                log.extend(d.to_string().lines().map(|l| format!("  {l}")));
-                            }
-                        }
-                    }
-                    if report.agreed() {
+            let report = or_fail!(cosim_workload(&products, &opts));
+            for job in &report.jobs {
+                render_warnings(&mut log, rec, &mut seen, &job.warnings);
+                match &job.divergence {
+                    None => log.push(format!(
+                        "job `{}`: {} and {} agree ({} vs {} instructions)",
+                        job.job,
+                        job.backends.0,
+                        job.backends.1,
+                        job.instructions.0,
+                        job.instructions.1
+                    )),
+                    Some(d) => {
                         log.push(format!(
-                            "cosim `{}`: {} job(s) agree on {} vs {}",
-                            report.workload,
-                            report.jobs.len(),
-                            report.backends.0,
-                            report.backends.1
+                            "job `{}`: DIVERGENCE between {} and {}",
+                            job.job, job.backends.0, job.backends.1
                         ));
-                        (0, log)
-                    } else {
-                        log.push(format!(
-                            "cosim `{}`: behaviour diverges between {} and {}",
-                            report.workload, report.backends.0, report.backends.1
-                        ));
-                        (1, log)
+                        log.extend(d.to_string().lines().map(|l| format!("  {l}")));
                     }
                 }
-                Err(e) => fail!(e),
+            }
+            if report.agreed() {
+                log.push(format!(
+                    "cosim `{}`: {} job(s) agree on {} vs {}",
+                    report.workload,
+                    report.jobs.len(),
+                    report.backends.0,
+                    report.backends.1
+                ));
+                (0, log)
+            } else {
+                log.push(format!(
+                    "cosim `{}`: behaviour diverges between {} and {}",
+                    report.workload, report.backends.0, report.backends.1
+                ));
+                (1, log)
             }
         }
         Command::Test {
@@ -922,32 +906,26 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     report.outcomes
                 }),
             };
-            match outcomes_result {
-                Ok(outcomes) => {
-                    let mut code = 0;
-                    for outcome in &outcomes {
-                        match outcome {
-                            TestOutcome::Pass => log.push("PASS".to_owned()),
-                            TestOutcome::NoReference => {
-                                log.push("PASS (no reference output)".to_owned())
-                            }
-                            TestOutcome::Fail { job, missing } => {
-                                log.push(format!("FAIL {job}: missing `{missing}`"));
-                                code = 1;
-                            }
-                            TestOutcome::TimedOut { job, instructions } => {
-                                log.push(format!(
-                                    "FAIL {job}: watchdog timeout after {instructions} \
-                                     instructions (hung payload; partial uartlog salvaged)"
-                                ));
-                                code = 1;
-                            }
-                        }
+            let outcomes = or_fail!(outcomes_result);
+            let mut code = 0;
+            for outcome in &outcomes {
+                match outcome {
+                    TestOutcome::Pass => log.push("PASS".to_owned()),
+                    TestOutcome::NoReference => log.push("PASS (no reference output)".to_owned()),
+                    TestOutcome::Fail { job, missing } => {
+                        log.push(format!("FAIL {job}: missing `{missing}`"));
+                        code = 1;
                     }
-                    (code, log)
+                    TestOutcome::TimedOut { job, instructions } => {
+                        log.push(format!(
+                            "FAIL {job}: watchdog timeout after {instructions} \
+                                 instructions (hung payload; partial uartlog salvaged)"
+                        ));
+                        code = 1;
+                    }
                 }
-                Err(e) => fail!(e),
             }
+            (code, log)
         }
         Command::Install {
             workload,
@@ -956,9 +934,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             remote,
             runners,
         } => {
-            if let Err(e) = hardware_arg(hw) {
-                fail!(e);
-            }
+            or_fail!(hardware_arg(hw));
             let Some(conn) = crate::connector::connector_by_name(connector) else {
                 fail!(format!(
                     "unknown simulator connector `{connector}` (try {})",
@@ -970,10 +946,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 runners: runners.clone(),
                 ..BuildOptions::default()
             };
-            let products = match builder.build(workload, &build_opts) {
-                Ok(p) => p,
-                Err(e) => fail!(e),
-            };
+            let products = or_fail!(builder.build(workload, &build_opts));
             render_warnings(&mut log, rec, &mut seen, &products.warnings);
             if let Some(summary) = &products.remote {
                 log.push(summary.describe());
@@ -987,76 +960,68 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     conn.install(&products, &builder.install_dir(&products.workload))
                 }
             });
-            match installed {
-                Ok(path) => {
-                    log.push(format!(
-                        "installed `{}` ({} node(s), {} connector) -> {}",
-                        products.workload,
-                        products.jobs.len(),
-                        conn.name(),
-                        path.display()
-                    ));
-                    (0, log)
-                }
-                Err(e) => fail!(e),
-            }
+            let path = or_fail!(installed);
+            log.push(format!(
+                "installed `{}` ({} node(s), {} connector) -> {}",
+                products.workload,
+                products.jobs.len(),
+                conn.name(),
+                path.display()
+            ));
+            (0, log)
         }
         Command::Clean {
             workload,
             keep_runs,
-        } => match clean_workload(builder, workload, keep_runs.unwrap_or(DEFAULT_KEEP_RUNS)) {
-            Ok(report) => {
-                log.push(format!(
-                    "cleaned `{workload}` ({} state entries forgotten, \
-                         {} level manifests removed, {} unreferenced blobs pruned, \
-                         {} bytes reclaimed)",
-                    report.state_entries,
-                    report.levels_removed,
-                    report.blobs_pruned,
-                    report.bytes_reclaimed
-                ));
-                if let Some(reason) = &report.prune_skipped {
-                    log.push(format!("note: blob pruning deferred: {reason}"));
-                }
-                if report.runs_pruned > 0 {
-                    log.push(format!(
-                        "pruned {} old run journal(s) ({} bytes reclaimed)",
-                        report.runs_pruned, report.run_bytes_reclaimed
-                    ));
-                }
-                if report.checkpoints_pruned > 0 {
-                    log.push(format!(
-                        "pruned {} stale boot checkpoint(s) ({} bytes reclaimed)",
-                        report.checkpoints_pruned, report.checkpoint_bytes_reclaimed
-                    ));
-                }
-                if let Some(reason) = &report.checkpoint_prune_skipped {
-                    log.push(format!("note: checkpoint pruning deferred: {reason}"));
-                }
-                (0, log)
+        } => {
+            let report = or_fail!(clean_workload(
+                builder,
+                workload,
+                keep_runs.unwrap_or(DEFAULT_KEEP_RUNS)
+            ));
+            log.push(format!(
+                "cleaned `{workload}` ({} state entries forgotten, \
+                     {} level manifests removed, {} unreferenced blobs pruned, \
+                     {} bytes reclaimed)",
+                report.state_entries,
+                report.levels_removed,
+                report.blobs_pruned,
+                report.bytes_reclaimed
+            ));
+            if let Some(reason) = &report.prune_skipped {
+                log.push(format!("note: blob pruning deferred: {reason}"));
             }
-            Err(e) => fail!(e),
-        },
+            if report.runs_pruned > 0 {
+                log.push(format!(
+                    "pruned {} old run journal(s) ({} bytes reclaimed)",
+                    report.runs_pruned, report.run_bytes_reclaimed
+                ));
+            }
+            if report.checkpoints_pruned > 0 {
+                log.push(format!(
+                    "pruned {} stale boot checkpoint(s) ({} bytes reclaimed)",
+                    report.checkpoints_pruned, report.checkpoint_bytes_reclaimed
+                ));
+            }
+            if let Some(reason) = &report.checkpoint_prune_skipped {
+                log.push(format!("note: checkpoint pruning deferred: {reason}"));
+            }
+            (0, log)
+        }
         Command::Serve { port, exec } => {
             marshal_netstore::server::install_sigint_handler();
             let addr = format!("0.0.0.0:{port}");
-            let mut server = match marshal_netstore::Server::bind(
+            let mut server = or_fail!(marshal_netstore::Server::bind(
                 &addr,
                 std::path::Path::new(&args.workdir),
                 std::time::Duration::from_secs(10),
-            ) {
-                Ok(s) => s,
-                Err(e) => fail!(e),
-            };
+            ));
             if *exec {
-                let handler = match crate::runners::serve_exec_handler(
+                let handler = or_fail!(crate::runners::serve_exec_handler(
                     builder.board().clone(),
                     builder.search().clone(),
                     &args.workdir,
-                ) {
-                    Ok(h) => h,
-                    Err(e) => fail!(e),
-                };
+                ));
                 server.set_exec_handler(handler);
             }
             // The daemon blocks until drained, so announce readiness now
@@ -1084,26 +1049,26 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             if let Some(client) = &client {
                 client.set_recorder(rec.clone());
             }
-            match crate::scrub::scrub_pool(Path::new(&args.workdir), client.as_ref(), rec) {
-                Ok(report) => {
-                    render_warnings(&mut log, rec, &mut seen, &report.warnings);
-                    log.push(format!(
-                        "scrubbed pool: {} blob(s) ({} bytes) verified, {} corrupt \
-                         ({} bytes quarantined), {} healed from remote, {} unrecoverable; \
-                         {} manifest(s) checked, {} torn or orphaned removed",
-                        report.blobs_checked,
-                        report.bytes_checked,
-                        report.corrupt,
-                        report.quarantined_bytes,
-                        report.healed,
-                        report.unrecoverable,
-                        report.manifests_checked,
-                        report.manifests_removed
-                    ));
-                    (if report.unrecoverable > 0 { 1 } else { 0 }, log)
-                }
-                Err(e) => fail!(e),
-            }
+            let report = or_fail!(crate::scrub::scrub_pool(
+                Path::new(&args.workdir),
+                client.as_ref(),
+                rec
+            ));
+            render_warnings(&mut log, rec, &mut seen, &report.warnings);
+            log.push(format!(
+                "scrubbed pool: {} blob(s) ({} bytes) verified, {} corrupt \
+                     ({} bytes quarantined), {} healed from remote, {} unrecoverable; \
+                     {} manifest(s) checked, {} torn or orphaned removed",
+                report.blobs_checked,
+                report.bytes_checked,
+                report.corrupt,
+                report.quarantined_bytes,
+                report.healed,
+                report.unrecoverable,
+                report.manifests_checked,
+                report.manifests_removed
+            ));
+            (if report.unrecoverable > 0 { 1 } else { 0 }, log)
         }
         Command::Trace {
             run,
@@ -1147,10 +1112,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 return (0, log);
             };
             let journal_path = workdir.join("runs").join(&run_id).join("journal.jsonl");
-            let journal = match marshal_trace::read_journal(&journal_path) {
-                Ok(j) => j,
-                Err(e) => fail!(e),
-            };
+            let journal = or_fail!(marshal_trace::read_journal(&journal_path));
             match export.as_deref() {
                 Some("chrome") => log.push(marshal_trace::chrome_trace(&journal)),
                 Some("json") => {

@@ -197,23 +197,6 @@ pub fn run_checkpointed(
     Ok((run, warnings))
 }
 
-/// Runs one job on `backend`. With a checkpoint `store` the boot is
-/// restored from (and saved to) it as [`run_checkpointed`] describes; the
-/// recorder gets its checkpoint hit/miss instants.
-///
-/// # Errors
-///
-/// Simulation errors and artifact errors.
-pub fn simulate_job(
-    job: &JobArtifacts,
-    backend: &dyn Simulator,
-    store: Option<&CheckpointStore>,
-    rec: &Recorder,
-) -> Result<(SimRun, Vec<Warning>), MarshalError> {
-    let loaded = load_artifacts(job)?;
-    run_checkpointed(backend, &loaded, LaunchMode::Run, store, &job.name, rec)
-}
-
 /// Launches one job of a built workload and collects its outputs.
 ///
 /// # Errors
@@ -244,7 +227,17 @@ pub fn launch_job(
     // so a concurrent `marshal clean` defers pruning (blob-pool semantics).
     let _pin = store.as_ref().and_then(|s| PoolPin::acquire(s.dir()).ok());
     let span = rec.sim_span(backend.name(), &job.name);
-    let run = simulate_job(job, backend.as_ref(), store.as_ref(), rec);
+    let run = load_artifacts(job).and_then(|loaded| {
+        let store = store.as_ref();
+        run_checkpointed(
+            backend.as_ref(),
+            &loaded,
+            LaunchMode::Run,
+            store,
+            &job.name,
+            rec,
+        )
+    });
     match &run {
         Ok((r, _)) => span.end_with(&[
             ("outcome", if r.result.timed_out { "timeout" } else { "ok" }),

@@ -236,15 +236,11 @@ impl BootBinary {
                 )))
             }
         };
-        let text = |field: &[u8], what: &str| {
-            String::from_utf8(field.to_vec())
-                .map_err(|_| FirmwareError::BadBootBinary(format!("bad {what}")))
-        };
-        let source = text(r.field64()?, "source")?;
+        let source = r.str64()?.to_owned();
         let nargs = r.u32()?;
         let mut build_args = Vec::new();
         for _ in 0..nargs {
-            build_args.push(text(r.field64()?, "arg")?);
+            build_args.push(r.str64()?.to_owned());
         }
         let kernel_bytes = r.field64()?;
         r.finish()?;
@@ -354,10 +350,6 @@ mod tests {
         let mut extra = boot.to_bytes();
         extra.push(7);
         assert!(BootBinary::from_bytes(&extra).is_err());
-        let mut huge = extra[..5].to_vec();
-        huge.extend_from_slice(&(u64::MAX - 4).to_le_bytes());
-        huge.extend_from_slice(b"src");
-        assert!(BootBinary::from_bytes(&huge).is_err());
     }
 
     #[test]

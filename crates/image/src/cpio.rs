@@ -10,11 +10,15 @@
 //! close enough to real cpio to be recognisable, simple enough to be fully
 //! deterministic.
 
+use marshal_trace::bytes::Reader;
+
 use crate::format::ImageFormatError;
 use crate::fs::{FsImage, Node};
 
 const ENTRY_MAGIC: &str = "MCPIO1";
 const TRAILER: &str = "TRAILER!!!";
+/// `MCPIO1 t pathlen_ datalen_ `: every header has this fixed width.
+const HEADER_LEN: usize = ENTRY_MAGIC.len() + 1 + 1 + 1 + 8 + 1 + 8 + 1;
 
 /// Packs an image into an archive blob.
 ///
@@ -24,7 +28,6 @@ pub fn pack(image: &FsImage) -> Vec<u8> {
     let entries = image.walk();
     // Every header is fixed-width, so the archive size is known exactly
     // up front; reserve once instead of growing per entry.
-    let header_len = ENTRY_MAGIC.len() + 1 + 1 + 1 + 8 + 1 + 8 + 1;
     let total: usize = entries
         .iter()
         .map(|(path, node)| {
@@ -33,10 +36,10 @@ pub fn pack(image: &FsImage) -> Vec<u8> {
                 Node::Dir(_) => 0,
                 Node::Symlink(target) => target.len(),
             };
-            header_len + path.len() + data_len
+            HEADER_LEN + path.len() + data_len
         })
         .sum::<usize>()
-        + header_len
+        + HEADER_LEN
         + TRAILER.len();
     let mut out = Vec::with_capacity(total);
     for (path, node) in entries {
@@ -66,50 +69,37 @@ pub fn pack(image: &FsImage) -> Vec<u8> {
 /// lengths, missing trailer).
 pub fn unpack(bytes: &[u8]) -> Result<FsImage, ImageFormatError> {
     let mut img = FsImage::new();
-    let mut pos = 0usize;
-    let header_len = ENTRY_MAGIC.len() + 1 + 1 + 1 + 8 + 1 + 8 + 1;
+    let mut r = Reader::new(bytes);
     loop {
-        if pos + header_len > bytes.len() {
-            return Err(ImageFormatError::Truncated);
-        }
-        let header = std::str::from_utf8(&bytes[pos..pos + header_len])
+        let header = std::str::from_utf8(r.take(HEADER_LEN as u64)?)
             .map_err(|_| ImageFormatError::BadPath)?;
-        pos += header_len;
         let mut parts = header.split(' ');
         let magic = parts.next().unwrap_or("");
         if magic != ENTRY_MAGIC {
             return Err(ImageFormatError::BadMagic);
         }
         let tag = parts.next().unwrap_or("");
-        let path_len = usize::from_str_radix(parts.next().unwrap_or(""), 16)
-            .map_err(|_| ImageFormatError::Truncated)?;
-        let data_len = usize::from_str_radix(parts.next().unwrap_or(""), 16)
-            .map_err(|_| ImageFormatError::Truncated)?;
-        if pos + path_len + data_len > bytes.len() {
-            return Err(ImageFormatError::Truncated);
-        }
-        let path = std::str::from_utf8(&bytes[pos..pos + path_len])
-            .map_err(|_| ImageFormatError::BadPath)?
-            .to_owned();
-        pos += path_len;
-        let data = &bytes[pos..pos + data_len];
-        pos += data_len;
+        let mut len = || {
+            u64::from_str_radix(parts.next().unwrap_or(""), 16)
+                .map_err(|_| ImageFormatError::Truncated)
+        };
+        let (path_len, data_len) = (len()?, len()?);
+        let path = std::str::from_utf8(r.take(path_len)?).map_err(|_| ImageFormatError::BadPath)?;
+        let data = r.take(data_len)?;
         match tag {
             "t" => {
                 if path != TRAILER {
                     return Err(ImageFormatError::Structure("bad trailer".to_owned()));
                 }
-                if pos != bytes.len() {
-                    return Err(ImageFormatError::Structure("trailing bytes".to_owned()));
-                }
+                r.finish()?;
                 return Ok(img);
             }
-            "f" => img.write_file(&path, data)?,
-            "x" => img.write_exec(&path, data)?,
-            "d" => img.mkdir_p(&path)?,
+            "f" => img.write_file(path, data)?,
+            "x" => img.write_exec(path, data)?,
+            "d" => img.mkdir_p(path)?,
             "l" => {
                 let target = std::str::from_utf8(data).map_err(|_| ImageFormatError::BadPath)?;
-                img.symlink(&path, target)?;
+                img.symlink(path, target)?;
             }
             other => return Err(ImageFormatError::BadTag(other.bytes().next().unwrap_or(0))),
         }

@@ -308,26 +308,18 @@ impl BlobStore {
         img.set_size_limit(entries.limit);
         let mut loaded: BTreeMap<Fingerprint, Blob> = BTreeMap::new();
         for entry in entries.entries {
-            match entry.kind {
+            let built = match entry.kind {
                 EntryKind::File { fp, exec } => {
                     let blob = match loaded.get(&fp) {
                         Some(b) => b.clone(),
-                        None => {
-                            let b = self.get(fp)?;
-                            loaded.insert(fp, b.clone());
-                            b
-                        }
+                        None => loaded.entry(fp).or_insert(self.get(fp)?).clone(),
                     };
                     img.write_node(&entry.path, Node::File { data: blob, exec })
-                        .map_err(|e| StoreError::Manifest(e.into()))?;
                 }
-                EntryKind::Dir => img
-                    .mkdir_p(&entry.path)
-                    .map_err(|e| StoreError::Manifest(e.into()))?,
-                EntryKind::Symlink(target) => img
-                    .symlink(&entry.path, &target)
-                    .map_err(|e| StoreError::Manifest(e.into()))?,
-            }
+                EntryKind::Dir => img.mkdir_p(&entry.path),
+                EntryKind::Symlink(target) => img.symlink(&entry.path, &target),
+            };
+            built.map_err(|e| StoreError::Manifest(e.into()))?;
         }
         Ok(img)
     }
@@ -416,11 +408,7 @@ fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, ImageFormatError> {
                 EntryKind::File { fp, exec: tag == 1 }
             }
             2 => EntryKind::Dir,
-            3 => EntryKind::Symlink(
-                std::str::from_utf8(r.field32()?)
-                    .map_err(|_| ImageFormatError::BadPath)?
-                    .to_owned(),
-            ),
+            3 => EntryKind::Symlink(r.str32()?.to_owned()),
             t => return Err(ImageFormatError::BadTag(t)),
         };
         entries.push(ManifestEntry { path, kind });

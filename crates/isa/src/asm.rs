@@ -577,45 +577,46 @@ fn align_up(v: u64, a: u64) -> u64 {
 /// Materialises a 64-bit constant into `rd` as a real instruction sequence.
 pub fn materialize_li(rd: Reg, imm: i64) -> Vec<Inst> {
     if (-2048..2048).contains(&imm) {
-        return vec![Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd,
-            rs1: Reg::ZERO,
-            imm,
-        }];
+        return vec![alu_imm(AluImmOp::Addi, rd, Reg::ZERO, imm)];
     }
     let lo12 = (imm << 52) >> 52;
     let hi = imm.wrapping_sub(lo12);
     if hi == (hi as i32 as i64) && hi & 0xfff == 0 {
         let mut v = vec![Inst::Lui { rd, imm: hi }];
         if lo12 != 0 {
-            v.push(Inst::AluImm {
-                op: AluImmOp::Addiw,
-                rd,
-                rs1: rd,
-                imm: lo12,
-            });
+            v.push(alu_imm(AluImmOp::Addiw, rd, rd, lo12));
         }
         return v;
     }
     // 64-bit: build the upper bits, shift, add low 12, recursively.
     let upper = (imm.wrapping_sub(lo12)) >> 12;
     let mut v = materialize_li(rd, upper);
-    v.push(Inst::AluImm {
-        op: AluImmOp::Slli,
-        rd,
-        rs1: rd,
-        imm: 12,
-    });
+    v.push(alu_imm(AluImmOp::Slli, rd, rd, 12));
     if lo12 != 0 {
-        v.push(Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd,
-            rs1: rd,
-            imm: lo12,
-        });
+        v.push(alu_imm(AluImmOp::Addi, rd, rd, lo12));
     }
     v
+}
+
+fn alu_imm(op: AluImmOp, rd: Reg, rs1: Reg, imm: i64) -> Inst {
+    Inst::AluImm { op, rd, rs1, imm }
+}
+
+fn alu(op: AluOp, rd: Reg, rs1: Reg, rs2: Reg) -> Inst {
+    Inst::Alu { op, rd, rs1, rs2 }
+}
+
+fn jalr(rd: Reg, rs1: Reg, offset: i64) -> Inst {
+    Inst::Jalr { rd, rs1, offset }
+}
+
+fn csr_access(op: CsrOp, rd: Reg, rs1: Reg, csr: u16) -> Inst {
+    Inst::Csr { op, rd, rs1, csr }
+}
+
+/// The member of `all` whose mnemonic is `mnemonic`.
+fn named<T: Copy>(all: &[T], name: fn(T) -> &'static str, mnemonic: &str) -> Option<T> {
+    all.iter().copied().find(|&t| name(t) == mnemonic)
 }
 
 struct Ctx<'a> {
@@ -663,14 +664,11 @@ impl Ctx<'_> {
 fn parse_csr_operand(op: &Operand, line: usize) -> Result<u16, AsmError> {
     match op {
         Operand::Imm(v) if (0..4096).contains(v) => Ok(*v as u16),
-        Operand::Sym(name) => match name.as_str() {
-            "cycle" => Ok(csr::CYCLE),
-            "time" => Ok(csr::TIME),
-            "instret" => Ok(csr::INSTRET),
-            "mhartid" => Ok(csr::MHARTID),
-            "mscratch" => Ok(csr::MSCRATCH),
-            _ => Err(AsmError::new(line, format!("unknown CSR `{name}`"))),
-        },
+        Operand::Sym(name) => csr::NAMES
+            .iter()
+            .find(|(_, n)| n == name)
+            .map(|(num, _)| *num)
+            .ok_or_else(|| AsmError::new(line, format!("unknown CSR `{name}`"))),
         _ => Err(AsmError::new(line, "expected a CSR name or number")),
     }
 }
@@ -684,6 +682,19 @@ fn expand(
 ) -> Result<Vec<Inst>, AsmError> {
     let ctx = Ctx { pc, symbols, line };
     let one = |i: Inst| Ok(vec![i]);
+    let get = |i: usize| ops.get(i);
+    let reg = |i: usize| ctx.reg(ops.get(i));
+    let needs = |i: usize, what: &str| {
+        ops.get(i)
+            .ok_or_else(|| AsmError::new(line, format!("{mnemonic} needs {what}")))
+    };
+    let arity = |n: usize, shape: &str| {
+        if ops.len() == n {
+            Ok(())
+        } else {
+            Err(AsmError::new(line, format!("{mnemonic} needs `{shape}`")))
+        }
+    };
     let branch =
         |cond: BranchCond, rs1: Reg, rs2: Reg, target: &Operand| -> Result<Vec<Inst>, AsmError> {
             Ok(vec![Inst::Branch {
@@ -693,72 +704,79 @@ fn expand(
                 offset: ctx.branch_offset(target)?,
             }])
         };
+    let jump = |rd: Reg, target: &Operand| -> Result<Vec<Inst>, AsmError> {
+        Ok(vec![Inst::Jal {
+            rd,
+            offset: ctx.branch_offset(target)?,
+        }])
+    };
 
-    let get = |i: usize| ops.get(i);
+    if let Some(cond) = named(&BranchCond::ALL, BranchCond::mnemonic, mnemonic) {
+        arity(3, "rs1, rs2, target")?;
+        return branch(cond, reg(0)?, reg(1)?, &ops[2]);
+    }
+    if let Some(width) = named(&MemWidth::ALL, MemWidth::load_mnemonic, mnemonic) {
+        let rd = reg(0)?;
+        let (offset, rs1) = ctx.mem(get(1))?;
+        return one(Inst::Load {
+            width,
+            rd,
+            rs1,
+            offset,
+        });
+    }
+    if let Some(width) = named(&MemWidth::ALL[..4], MemWidth::store_mnemonic, mnemonic) {
+        let rs2 = reg(0)?;
+        let (offset, rs1) = ctx.mem(get(1))?;
+        return one(Inst::Store {
+            width,
+            rs2,
+            rs1,
+            offset,
+        });
+    }
+    if let Some(op) = named(&AluImmOp::ALL, AluImmOp::mnemonic, mnemonic) {
+        arity(3, "rd, rs1, imm")?;
+        return one(alu_imm(op, reg(0)?, reg(1)?, ctx.resolve(&ops[2])?));
+    }
+    if let Some(op) = named(&AluOp::ALL, AluOp::mnemonic, mnemonic) {
+        arity(3, "rd, rs1, rs2")?;
+        return one(alu(op, reg(0)?, reg(1)?, reg(2)?));
+    }
+    if let Some(op) = named(&CsrOp::ALL, CsrOp::mnemonic, mnemonic) {
+        arity(3, "rd, csr, rs1")?;
+        let (rd, csr) = (reg(0)?, parse_csr_operand(&ops[1], line)?);
+        return one(csr_access(op, rd, reg(2)?, csr));
+    }
     match mnemonic {
         // --- U / J types -------------------------------------------------
         "lui" => one(Inst::Lui {
-            rd: ctx.reg(get(0))?,
-            imm: ctx.resolve(get(1).ok_or_else(|| AsmError::new(line, "lui needs imm"))?)? << 12,
+            rd: reg(0)?,
+            imm: ctx.resolve(needs(1, "imm")?)? << 12,
         }),
         "auipc" => one(Inst::Auipc {
-            rd: ctx.reg(get(0))?,
-            imm: ctx.resolve(get(1).ok_or_else(|| AsmError::new(line, "auipc needs imm"))?)? << 12,
+            rd: reg(0)?,
+            imm: ctx.resolve(needs(1, "imm")?)? << 12,
         }),
         "jal" => match ops.len() {
-            1 => one(Inst::Jal {
-                rd: Reg::RA,
-                offset: ctx.branch_offset(&ops[0])?,
-            }),
-            2 => one(Inst::Jal {
-                rd: ctx.reg(get(0))?,
-                offset: ctx.branch_offset(&ops[1])?,
-            }),
+            1 => jump(Reg::RA, &ops[0]),
+            2 => jump(reg(0)?, &ops[1]),
             _ => Err(AsmError::new(line, "jal needs `[rd,] target`")),
         },
         "jalr" => match ops.len() {
             1 => match &ops[0] {
-                Operand::Reg(r) => one(Inst::Jalr {
-                    rd: Reg::RA,
-                    rs1: *r,
-                    offset: 0,
-                }),
+                Operand::Reg(r) => one(jalr(Reg::RA, *r, 0)),
                 _ => Err(AsmError::new(line, "jalr needs a register")),
             },
             2 => {
-                let rd = ctx.reg(get(0))?;
-                let (off, rs1) = ctx.mem(get(1))?;
-                one(Inst::Jalr {
-                    rd,
-                    rs1,
-                    offset: off,
-                })
+                let rd = reg(0)?;
+                let (offset, rs1) = ctx.mem(get(1))?;
+                one(jalr(rd, rs1, offset))
             }
-            3 => one(Inst::Jalr {
-                rd: ctx.reg(get(0))?,
-                rs1: ctx.reg(get(1))?,
-                offset: ctx.resolve(&ops[2])?,
-            }),
+            3 => one(jalr(reg(0)?, reg(1)?, ctx.resolve(&ops[2])?)),
             _ => Err(AsmError::new(line, "jalr needs 1-3 operands")),
         },
         // --- branches ----------------------------------------------------
-        "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-            let cond = match mnemonic {
-                "beq" => BranchCond::Eq,
-                "bne" => BranchCond::Ne,
-                "blt" => BranchCond::Lt,
-                "bge" => BranchCond::Ge,
-                "bltu" => BranchCond::Ltu,
-                _ => BranchCond::Geu,
-            };
-            if ops.len() != 3 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rs1, rs2, target`"),
-                ));
-            }
-            branch(cond, ctx.reg(get(0))?, ctx.reg(get(1))?, &ops[2])
-        }
         "bgt" | "ble" | "bgtu" | "bleu" => {
             let cond = match mnemonic {
                 "bgt" => BranchCond::Lt,
@@ -766,14 +784,9 @@ fn expand(
                 "bgtu" => BranchCond::Ltu,
                 _ => BranchCond::Geu,
             };
-            if ops.len() != 3 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rs1, rs2, target`"),
-                ));
-            }
+            arity(3, "rs1, rs2, target")?;
             // Swap operands: bgt a,b == blt b,a
-            branch(cond, ctx.reg(get(1))?, ctx.reg(get(0))?, &ops[2])
+            branch(cond, reg(1)?, reg(0)?, &ops[2])
         }
         "beqz" | "bnez" | "bltz" | "bgez" => {
             let cond = match mnemonic {
@@ -782,162 +795,25 @@ fn expand(
                 "bltz" => BranchCond::Lt,
                 _ => BranchCond::Ge,
             };
-            if ops.len() != 2 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rs, target`"),
-                ));
-            }
-            branch(cond, ctx.reg(get(0))?, Reg::ZERO, &ops[1])
+            arity(2, "rs, target")?;
+            branch(cond, reg(0)?, Reg::ZERO, &ops[1])
         }
-        "blez" => branch(BranchCond::Ge, Reg::ZERO, ctx.reg(get(0))?, &ops[1]),
-        "bgtz" => branch(BranchCond::Lt, Reg::ZERO, ctx.reg(get(0))?, &ops[1]),
-        // --- loads/stores --------------------------------------------------
-        "lb" | "lh" | "lw" | "ld" | "lbu" | "lhu" | "lwu" => {
-            let width = match mnemonic {
-                "lb" => MemWidth::B,
-                "lh" => MemWidth::H,
-                "lw" => MemWidth::W,
-                "ld" => MemWidth::D,
-                "lbu" => MemWidth::Bu,
-                "lhu" => MemWidth::Hu,
-                _ => MemWidth::Wu,
+        "blez" | "bgtz" => {
+            let cond = match mnemonic {
+                "blez" => BranchCond::Ge,
+                _ => BranchCond::Lt,
             };
-            let rd = ctx.reg(get(0))?;
-            let (off, rs1) = ctx.mem(get(1))?;
-            one(Inst::Load {
-                width,
-                rd,
-                rs1,
-                offset: off,
-            })
-        }
-        "sb" | "sh" | "sw" | "sd" => {
-            let width = match mnemonic {
-                "sb" => MemWidth::B,
-                "sh" => MemWidth::H,
-                "sw" => MemWidth::W,
-                _ => MemWidth::D,
-            };
-            let rs2 = ctx.reg(get(0))?;
-            let (off, rs1) = ctx.mem(get(1))?;
-            one(Inst::Store {
-                width,
-                rs2,
-                rs1,
-                offset: off,
-            })
-        }
-        // --- ALU immediate -------------------------------------------------
-        "addi" | "slti" | "sltiu" | "xori" | "ori" | "andi" | "slli" | "srli" | "srai"
-        | "addiw" | "slliw" | "srliw" | "sraiw" => {
-            let op = match mnemonic {
-                "addi" => AluImmOp::Addi,
-                "slti" => AluImmOp::Slti,
-                "sltiu" => AluImmOp::Sltiu,
-                "xori" => AluImmOp::Xori,
-                "ori" => AluImmOp::Ori,
-                "andi" => AluImmOp::Andi,
-                "slli" => AluImmOp::Slli,
-                "srli" => AluImmOp::Srli,
-                "srai" => AluImmOp::Srai,
-                "addiw" => AluImmOp::Addiw,
-                "slliw" => AluImmOp::Slliw,
-                "srliw" => AluImmOp::Srliw,
-                _ => AluImmOp::Sraiw,
-            };
-            if ops.len() != 3 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rd, rs1, imm`"),
-                ));
-            }
-            one(Inst::AluImm {
-                op,
-                rd: ctx.reg(get(0))?,
-                rs1: ctx.reg(get(1))?,
-                imm: ctx.resolve(&ops[2])?,
-            })
-        }
-        // --- ALU register --------------------------------------------------
-        "add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or" | "and" | "addw"
-        | "subw" | "sllw" | "srlw" | "sraw" | "mul" | "mulh" | "mulhsu" | "mulhu" | "div"
-        | "divu" | "rem" | "remu" | "mulw" | "divw" | "divuw" | "remw" | "remuw" => {
-            let op = match mnemonic {
-                "add" => AluOp::Add,
-                "sub" => AluOp::Sub,
-                "sll" => AluOp::Sll,
-                "slt" => AluOp::Slt,
-                "sltu" => AluOp::Sltu,
-                "xor" => AluOp::Xor,
-                "srl" => AluOp::Srl,
-                "sra" => AluOp::Sra,
-                "or" => AluOp::Or,
-                "and" => AluOp::And,
-                "addw" => AluOp::Addw,
-                "subw" => AluOp::Subw,
-                "sllw" => AluOp::Sllw,
-                "srlw" => AluOp::Srlw,
-                "sraw" => AluOp::Sraw,
-                "mul" => AluOp::Mul,
-                "mulh" => AluOp::Mulh,
-                "mulhsu" => AluOp::Mulhsu,
-                "mulhu" => AluOp::Mulhu,
-                "div" => AluOp::Div,
-                "divu" => AluOp::Divu,
-                "rem" => AluOp::Rem,
-                "remu" => AluOp::Remu,
-                "mulw" => AluOp::Mulw,
-                "divw" => AluOp::Divw,
-                "divuw" => AluOp::Divuw,
-                "remw" => AluOp::Remw,
-                _ => AluOp::Remuw,
-            };
-            if ops.len() != 3 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rd, rs1, rs2`"),
-                ));
-            }
-            one(Inst::Alu {
-                op,
-                rd: ctx.reg(get(0))?,
-                rs1: ctx.reg(get(1))?,
-                rs2: ctx.reg(get(2))?,
-            })
+            arity(2, "rs, target")?;
+            branch(cond, Reg::ZERO, reg(0)?, &ops[1])
         }
         // --- system --------------------------------------------------------
         "ecall" => one(Inst::Ecall),
         "ebreak" => one(Inst::Ebreak),
         "fence" | "fence.i" => one(Inst::Fence),
-        "csrrw" | "csrrs" | "csrrc" => {
-            let op = match mnemonic {
-                "csrrw" => CsrOp::Rw,
-                "csrrs" => CsrOp::Rs,
-                _ => CsrOp::Rc,
-            };
-            if ops.len() != 3 {
-                return Err(AsmError::new(
-                    line,
-                    format!("{mnemonic} needs `rd, csr, rs1`"),
-                ));
-            }
-            one(Inst::Csr {
-                op,
-                rd: ctx.reg(get(0))?,
-                csr: parse_csr_operand(&ops[1], line)?,
-                rs1: ctx.reg(get(2))?,
-            })
-        }
         // --- pseudo-instructions ---------------------------------------------
-        "nop" => one(Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd: Reg::ZERO,
-            rs1: Reg::ZERO,
-            imm: 0,
-        }),
+        "nop" => one(alu_imm(AluImmOp::Addi, Reg::ZERO, Reg::ZERO, 0)),
         "li" => {
-            let rd = ctx.reg(get(0))?;
+            let rd = reg(0)?;
             let imm = match get(1) {
                 Some(Operand::Imm(v)) => *v,
                 // `li rd, label` is rejected (size would depend on layout);
@@ -952,137 +828,43 @@ fn expand(
             Ok(materialize_li(rd, imm))
         }
         "la" => {
-            let rd = ctx.reg(get(0))?;
-            let target =
-                ctx.resolve(get(1).ok_or_else(|| AsmError::new(line, "la needs symbol"))?)?;
+            let rd = reg(0)?;
+            let target = ctx.resolve(needs(1, "symbol")?)?;
             let rel = target - pc as i64;
             let lo12 = (rel << 52) >> 52;
             let hi = rel - lo12;
             Ok(vec![
                 Inst::Auipc { rd, imm: hi },
-                Inst::AluImm {
-                    op: AluImmOp::Addi,
-                    rd,
-                    rs1: rd,
-                    imm: lo12,
-                },
+                alu_imm(AluImmOp::Addi, rd, rd, lo12),
             ])
         }
-        "mv" => one(Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd: ctx.reg(get(0))?,
-            rs1: ctx.reg(get(1))?,
-            imm: 0,
-        }),
-        "not" => one(Inst::AluImm {
-            op: AluImmOp::Xori,
-            rd: ctx.reg(get(0))?,
-            rs1: ctx.reg(get(1))?,
-            imm: -1,
-        }),
-        "neg" => one(Inst::Alu {
-            op: AluOp::Sub,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            rs2: ctx.reg(get(1))?,
-        }),
-        "negw" => one(Inst::Alu {
-            op: AluOp::Subw,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            rs2: ctx.reg(get(1))?,
-        }),
-        "sext.w" => one(Inst::AluImm {
-            op: AluImmOp::Addiw,
-            rd: ctx.reg(get(0))?,
-            rs1: ctx.reg(get(1))?,
-            imm: 0,
-        }),
-        "seqz" => one(Inst::AluImm {
-            op: AluImmOp::Sltiu,
-            rd: ctx.reg(get(0))?,
-            rs1: ctx.reg(get(1))?,
-            imm: 1,
-        }),
-        "snez" => one(Inst::Alu {
-            op: AluOp::Sltu,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            rs2: ctx.reg(get(1))?,
-        }),
-        "sltz" => one(Inst::Alu {
-            op: AluOp::Slt,
-            rd: ctx.reg(get(0))?,
-            rs1: ctx.reg(get(1))?,
-            rs2: Reg::ZERO,
-        }),
-        "sgtz" => one(Inst::Alu {
-            op: AluOp::Slt,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            rs2: ctx.reg(get(1))?,
-        }),
-        "j" => one(Inst::Jal {
-            rd: Reg::ZERO,
-            offset: ctx
-                .branch_offset(get(0).ok_or_else(|| AsmError::new(line, "j needs target"))?)?,
-        }),
-        "jr" => one(Inst::Jalr {
-            rd: Reg::ZERO,
-            rs1: ctx.reg(get(0))?,
-            offset: 0,
-        }),
-        "call" => one(Inst::Jal {
-            rd: Reg::RA,
-            offset: ctx
-                .branch_offset(get(0).ok_or_else(|| AsmError::new(line, "call needs target"))?)?,
-        }),
-        "tail" => one(Inst::Jal {
-            rd: Reg::ZERO,
-            offset: ctx
-                .branch_offset(get(0).ok_or_else(|| AsmError::new(line, "tail needs target"))?)?,
-        }),
-        "ret" => one(Inst::Jalr {
-            rd: Reg::ZERO,
-            rs1: Reg::RA,
-            offset: 0,
-        }),
-        "rdcycle" => one(Inst::Csr {
-            op: CsrOp::Rs,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            csr: csr::CYCLE,
-        }),
-        "rdtime" => one(Inst::Csr {
-            op: CsrOp::Rs,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            csr: csr::TIME,
-        }),
-        "rdinstret" => one(Inst::Csr {
-            op: CsrOp::Rs,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            csr: csr::INSTRET,
-        }),
-        "csrr" => one(Inst::Csr {
-            op: CsrOp::Rs,
-            rd: ctx.reg(get(0))?,
-            rs1: Reg::ZERO,
-            csr: parse_csr_operand(
-                get(1).ok_or_else(|| AsmError::new(line, "csrr needs a CSR"))?,
-                line,
-            )?,
-        }),
-        "csrw" => one(Inst::Csr {
-            op: CsrOp::Rw,
-            rd: Reg::ZERO,
-            rs1: ctx.reg(get(1))?,
-            csr: parse_csr_operand(
-                get(0).ok_or_else(|| AsmError::new(line, "csrw needs a CSR"))?,
-                line,
-            )?,
-        }),
+        "mv" => one(alu_imm(AluImmOp::Addi, reg(0)?, reg(1)?, 0)),
+        "not" => one(alu_imm(AluImmOp::Xori, reg(0)?, reg(1)?, -1)),
+        "neg" => one(alu(AluOp::Sub, reg(0)?, Reg::ZERO, reg(1)?)),
+        "negw" => one(alu(AluOp::Subw, reg(0)?, Reg::ZERO, reg(1)?)),
+        "sext.w" => one(alu_imm(AluImmOp::Addiw, reg(0)?, reg(1)?, 0)),
+        "seqz" => one(alu_imm(AluImmOp::Sltiu, reg(0)?, reg(1)?, 1)),
+        "snez" => one(alu(AluOp::Sltu, reg(0)?, Reg::ZERO, reg(1)?)),
+        "sltz" => one(alu(AluOp::Slt, reg(0)?, reg(1)?, Reg::ZERO)),
+        "sgtz" => one(alu(AluOp::Slt, reg(0)?, Reg::ZERO, reg(1)?)),
+        "j" => jump(Reg::ZERO, needs(0, "target")?),
+        "jr" => one(jalr(Reg::ZERO, reg(0)?, 0)),
+        "call" => jump(Reg::RA, needs(0, "target")?),
+        "tail" => jump(Reg::ZERO, needs(0, "target")?),
+        "ret" => one(jalr(Reg::ZERO, Reg::RA, 0)),
+        "rdcycle" => one(csr_access(CsrOp::Rs, reg(0)?, Reg::ZERO, csr::CYCLE)),
+        "rdtime" => one(csr_access(CsrOp::Rs, reg(0)?, Reg::ZERO, csr::TIME)),
+        "rdinstret" => one(csr_access(CsrOp::Rs, reg(0)?, Reg::ZERO, csr::INSTRET)),
+        "csrr" => {
+            let rd = reg(0)?;
+            let csr = parse_csr_operand(needs(1, "a CSR")?, line)?;
+            one(csr_access(CsrOp::Rs, rd, Reg::ZERO, csr))
+        }
+        "csrw" => {
+            let rs1 = reg(1)?;
+            let csr = parse_csr_operand(needs(0, "a CSR")?, line)?;
+            one(csr_access(CsrOp::Rw, Reg::ZERO, rs1, csr))
+        }
         other => Err(AsmError::new(line, format!("unknown mnemonic `{other}`"))),
     }
 }
@@ -1268,6 +1050,8 @@ table:  .dword  target
         assert!(err.message.contains("undefined symbol"));
         let err = assemble("x:\nx:\n", 0).unwrap_err();
         assert!(err.message.contains("duplicate"));
+        let err = assemble("blez a0\n", 0).unwrap_err();
+        assert_eq!(err.message, "blez needs `rs, target`");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! returns [`DecodeError`] for anything else, which the interpreter surfaces
 //! as an illegal-instruction trap.
 
+use crate::encode::{alu_funct, OPC_OP_32};
 use crate::inst::{AluImmOp, AluOp, BranchCond, CsrOp, Inst, MemWidth, Reg};
 
 /// Error for machine words that are not valid RV64IM encodings.
@@ -192,40 +193,34 @@ fn decode_op_imm32(word: u32) -> Result<Inst, DecodeError> {
     })
 }
 
+/// The `OP`/`OP-32` operations, indexed by `OP-32`-ness, [`funct7_class`]
+/// and `funct3`: the encoder's table, inverted.
+const ALU_OPS: [[[Option<AluOp>; 8]; 3]; 2] = {
+    let mut table = [[[None; 8]; 3]; 2];
+    let mut i = 0;
+    while i < AluOp::ALL.len() {
+        let (opcode, f3, f7) = alu_funct(AluOp::ALL[i]);
+        if let Some(class) = funct7_class(f7) {
+            table[(opcode == OPC_OP_32) as usize][class][f3 as usize] = Some(AluOp::ALL[i]);
+        }
+        i += 1;
+    }
+    table
+};
+
+/// The `funct7` values an `OP`/`OP-32` word may carry.
+const fn funct7_class(f7: u32) -> Option<usize> {
+    match f7 {
+        0b0000000 => Some(0),
+        0b0100000 => Some(1),
+        0b0000001 => Some(2),
+        _ => None,
+    }
+}
+
 fn decode_op(word: u32, is_32: bool) -> Result<Inst, DecodeError> {
-    let f3 = funct3(word);
-    let f7 = funct7(word);
-    let op = match (is_32, f7, f3) {
-        (false, 0b0000000, 0b000) => AluOp::Add,
-        (false, 0b0100000, 0b000) => AluOp::Sub,
-        (false, 0b0000000, 0b001) => AluOp::Sll,
-        (false, 0b0000000, 0b010) => AluOp::Slt,
-        (false, 0b0000000, 0b011) => AluOp::Sltu,
-        (false, 0b0000000, 0b100) => AluOp::Xor,
-        (false, 0b0000000, 0b101) => AluOp::Srl,
-        (false, 0b0100000, 0b101) => AluOp::Sra,
-        (false, 0b0000000, 0b110) => AluOp::Or,
-        (false, 0b0000000, 0b111) => AluOp::And,
-        (false, 0b0000001, 0b000) => AluOp::Mul,
-        (false, 0b0000001, 0b001) => AluOp::Mulh,
-        (false, 0b0000001, 0b010) => AluOp::Mulhsu,
-        (false, 0b0000001, 0b011) => AluOp::Mulhu,
-        (false, 0b0000001, 0b100) => AluOp::Div,
-        (false, 0b0000001, 0b101) => AluOp::Divu,
-        (false, 0b0000001, 0b110) => AluOp::Rem,
-        (false, 0b0000001, 0b111) => AluOp::Remu,
-        (true, 0b0000000, 0b000) => AluOp::Addw,
-        (true, 0b0100000, 0b000) => AluOp::Subw,
-        (true, 0b0000000, 0b001) => AluOp::Sllw,
-        (true, 0b0000000, 0b101) => AluOp::Srlw,
-        (true, 0b0100000, 0b101) => AluOp::Sraw,
-        (true, 0b0000001, 0b000) => AluOp::Mulw,
-        (true, 0b0000001, 0b100) => AluOp::Divw,
-        (true, 0b0000001, 0b101) => AluOp::Divuw,
-        (true, 0b0000001, 0b110) => AluOp::Remw,
-        (true, 0b0000001, 0b111) => AluOp::Remuw,
-        _ => return Err(DecodeError { word }),
-    };
+    let class = funct7_class(funct7(word)).ok_or(DecodeError { word })?;
+    let op = ALU_OPS[is_32 as usize][class][funct3(word) as usize].ok_or(DecodeError { word })?;
     Ok(Inst::Alu {
         op,
         rd: rd(word),
@@ -349,14 +344,7 @@ mod tests {
             rs1: Reg::RA,
             offset: 0,
         });
-        for cond in [
-            BranchCond::Eq,
-            BranchCond::Ne,
-            BranchCond::Lt,
-            BranchCond::Ge,
-            BranchCond::Ltu,
-            BranchCond::Geu,
-        ] {
+        for cond in BranchCond::ALL {
             roundtrip(Inst::Branch {
                 cond,
                 rs1: r(3),
@@ -364,15 +352,7 @@ mod tests {
                 offset: -64,
             });
         }
-        for width in [
-            MemWidth::B,
-            MemWidth::H,
-            MemWidth::W,
-            MemWidth::D,
-            MemWidth::Bu,
-            MemWidth::Hu,
-            MemWidth::Wu,
-        ] {
+        for width in MemWidth::ALL {
             roundtrip(Inst::Load {
                 width,
                 rd: r(9),
@@ -380,7 +360,7 @@ mod tests {
                 offset: -8,
             });
         }
-        for width in [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D] {
+        for width in MemWidth::ALL.into_iter().take(4) {
             roundtrip(Inst::Store {
                 width,
                 rs2: r(9),
@@ -419,36 +399,7 @@ mod tests {
                 imm: sh,
             });
         }
-        for op in [
-            AluOp::Add,
-            AluOp::Sub,
-            AluOp::Sll,
-            AluOp::Slt,
-            AluOp::Sltu,
-            AluOp::Xor,
-            AluOp::Srl,
-            AluOp::Sra,
-            AluOp::Or,
-            AluOp::And,
-            AluOp::Addw,
-            AluOp::Subw,
-            AluOp::Sllw,
-            AluOp::Srlw,
-            AluOp::Sraw,
-            AluOp::Mul,
-            AluOp::Mulh,
-            AluOp::Mulhsu,
-            AluOp::Mulhu,
-            AluOp::Div,
-            AluOp::Divu,
-            AluOp::Rem,
-            AluOp::Remu,
-            AluOp::Mulw,
-            AluOp::Divw,
-            AluOp::Divuw,
-            AluOp::Remw,
-            AluOp::Remuw,
-        ] {
+        for op in AluOp::ALL {
             roundtrip(Inst::Alu {
                 op,
                 rd: r(1),
@@ -458,7 +409,7 @@ mod tests {
         }
         roundtrip(Inst::Ecall);
         roundtrip(Inst::Ebreak);
-        for op in [CsrOp::Rw, CsrOp::Rs, CsrOp::Rc] {
+        for op in CsrOp::ALL {
             roundtrip(Inst::Csr {
                 op,
                 rd: r(10),

@@ -1,36 +1,13 @@
 //! Instruction disassembly, for diagnostics and simulator trace logs.
 
-use crate::inst::{CsrOp, Inst, MemWidth};
+use marshal_trace::bytes::Reader;
+
+use crate::inst::{csr, Inst};
 
 fn csr_name(num: u16) -> String {
-    match num {
-        crate::inst::csr::CYCLE => "cycle".to_owned(),
-        crate::inst::csr::TIME => "time".to_owned(),
-        crate::inst::csr::INSTRET => "instret".to_owned(),
-        crate::inst::csr::MHARTID => "mhartid".to_owned(),
-        crate::inst::csr::MSCRATCH => "mscratch".to_owned(),
-        other => format!("{other:#x}"),
-    }
-}
-
-fn load_mnemonic(width: MemWidth) -> &'static str {
-    match width {
-        MemWidth::B => "lb",
-        MemWidth::H => "lh",
-        MemWidth::W => "lw",
-        MemWidth::D => "ld",
-        MemWidth::Bu => "lbu",
-        MemWidth::Hu => "lhu",
-        MemWidth::Wu => "lwu",
-    }
-}
-
-fn store_mnemonic(width: MemWidth) -> &'static str {
-    match width {
-        MemWidth::B => "sb",
-        MemWidth::H => "sh",
-        MemWidth::W => "sw",
-        _ => "sd",
+    match csr::NAMES.iter().find(|(n, _)| *n == num) {
+        Some((_, name)) => (*name).to_owned(),
+        None => format!("{num:#x}"),
     }
 }
 
@@ -66,13 +43,13 @@ pub fn disassemble(inst: &Inst, pc: u64) -> String {
             rd,
             rs1,
             offset,
-        } => format!("{} {rd}, {offset}({rs1})", load_mnemonic(width)),
+        } => format!("{} {rd}, {offset}({rs1})", width.load_mnemonic()),
         Inst::Store {
             width,
             rs2,
             rs1,
             offset,
-        } => format!("{} {rs2}, {offset}({rs1})", store_mnemonic(width)),
+        } => format!("{} {rs2}, {offset}({rs1})", width.store_mnemonic()),
         Inst::AluImm { op, rd, rs1, imm } => {
             format!("{} {rd}, {rs1}, {imm}", op.mnemonic())
         }
@@ -83,35 +60,23 @@ pub fn disassemble(inst: &Inst, pc: u64) -> String {
         Inst::Ecall => "ecall".to_owned(),
         Inst::Ebreak => "ebreak".to_owned(),
         Inst::Csr { op, rd, rs1, csr } => {
-            let m = match op {
-                CsrOp::Rw => "csrrw",
-                CsrOp::Rs => "csrrs",
-                CsrOp::Rc => "csrrc",
-            };
-            format!("{m} {rd}, {}, {rs1}", csr_name(csr))
+            format!("{} {rd}, {}, {rs1}", op.mnemonic(), csr_name(csr))
         }
         Inst::CsrImm { op, rd, zimm, csr } => {
-            let m = match op {
-                CsrOp::Rw => "csrrwi",
-                CsrOp::Rs => "csrrsi",
-                CsrOp::Rc => "csrrci",
-            };
-            format!("{m} {rd}, {}, {zimm}", csr_name(csr))
+            format!("{}i {rd}, {}, {zimm}", op.mnemonic(), csr_name(csr))
         }
     }
 }
 
 /// Disassembles raw code bytes starting at `base`, one line per word.
 pub fn disassemble_bytes(code: &[u8], base: u64) -> Vec<String> {
-    code.chunks_exact(4)
-        .enumerate()
-        .map(|(i, w)| {
-            let pc = base + 4 * i as u64;
-            let word = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            match crate::decode::decode(word) {
-                Ok(inst) => format!("{pc:#10x}: {}", disassemble(&inst, pc)),
-                Err(_) => format!("{pc:#10x}: .word {word:#010x}"),
-            }
+    let mut r = Reader::new(code);
+    (base..)
+        .step_by(4)
+        .map_while(|pc| Some((pc, r.u32().ok()?)))
+        .map(|(pc, word)| match crate::decode::decode(word) {
+            Ok(inst) => format!("{pc:#10x}: {}", disassemble(&inst, pc)),
+            Err(_) => format!("{pc:#10x}: .word {word:#010x}"),
         })
         .collect()
 }

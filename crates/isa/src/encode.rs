@@ -39,7 +39,7 @@ const OPC_STORE: u32 = 0b0100011;
 const OPC_OP_IMM: u32 = 0b0010011;
 const OPC_OP_IMM_32: u32 = 0b0011011;
 const OPC_OP: u32 = 0b0110011;
-const OPC_OP_32: u32 = 0b0111011;
+pub(crate) const OPC_OP_32: u32 = 0b0111011;
 const OPC_MISC_MEM: u32 = 0b0001111;
 const OPC_SYSTEM: u32 = 0b1110011;
 
@@ -134,8 +134,8 @@ fn j_type(opcode: u32, rd: Reg, offset: i64) -> Result<u32, EncodeError> {
     Ok(opcode | rd_f(rd) | (b19_12 << 12) | (b11 << 20) | (b10_1 << 21) | (b20 << 31))
 }
 
-fn alu_funct(op: AluOp) -> (u32, u32, u32) {
-    // (opcode, funct3, funct7)
+/// `(opcode, funct3, funct7)` of a register-register operation.
+pub(crate) const fn alu_funct(op: AluOp) -> (u32, u32, u32) {
     match op {
         AluOp::Add => (OPC_OP, 0b000, 0b0000000),
         AluOp::Sub => (OPC_OP, 0b000, 0b0100000),
@@ -211,18 +211,12 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs1,
             offset,
         } => {
-            let f3 = match width {
-                MemWidth::B => 0b000,
-                MemWidth::H => 0b001,
-                MemWidth::W => 0b010,
-                MemWidth::D => 0b011,
-                _ => {
-                    return Err(EncodeError::new(format!(
-                        "store width {width:?} is not encodable"
-                    )))
-                }
-            };
-            s_type(OPC_STORE, f3, rs1, rs2, offset)
+            if !MemWidth::ALL[..4].contains(&width) {
+                return Err(EncodeError::new(format!(
+                    "store width {width:?} is not encodable"
+                )));
+            }
+            s_type(OPC_STORE, width.load_funct3(), rs1, rs2, offset)
         }
         Inst::AluImm { op, rd, rs1, imm } => {
             let (opcode, f3) = match op {

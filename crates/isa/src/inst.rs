@@ -163,6 +163,12 @@ pub enum BranchCond {
 }
 
 impl BranchCond {
+    /// Every condition.
+    pub const ALL: [BranchCond; 6] = {
+        use BranchCond::*;
+        [Eq, Ne, Lt, Ge, Ltu, Geu]
+    };
+
     /// The `funct3` field encoding for this condition.
     pub fn funct3(self) -> u32 {
         match self {
@@ -221,6 +227,35 @@ pub enum MemWidth {
 }
 
 impl MemWidth {
+    /// Every width; the first four are the store widths.
+    pub const ALL: [MemWidth; 7] = {
+        use MemWidth::*;
+        [B, H, W, D, Bu, Hu, Wu]
+    };
+
+    /// The load mnemonic, e.g. `lbu`.
+    pub fn load_mnemonic(self) -> &'static str {
+        match self {
+            MemWidth::B => "lb",
+            MemWidth::H => "lh",
+            MemWidth::W => "lw",
+            MemWidth::D => "ld",
+            MemWidth::Bu => "lbu",
+            MemWidth::Hu => "lhu",
+            MemWidth::Wu => "lwu",
+        }
+    }
+
+    /// The store mnemonic, e.g. `sb` (unsigned widths store as `sd`).
+    pub fn store_mnemonic(self) -> &'static str {
+        match self {
+            MemWidth::B => "sb",
+            MemWidth::H => "sh",
+            MemWidth::W => "sw",
+            _ => "sd",
+        }
+    }
+
     /// Number of bytes accessed.
     #[inline]
     pub fn bytes(self) -> usize {
@@ -283,6 +318,15 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation.
+    pub const ALL: [AluOp; 28] = {
+        use AluOp::*;
+        [
+            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Addw, Subw, Sllw, Srlw, Sraw, Mul,
+            Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu, Mulw, Divw, Divuw, Remw, Remuw,
+        ]
+    };
+
     /// Whether the operation is from the M extension (multiply/divide).
     #[inline]
     pub fn is_muldiv(self) -> bool {
@@ -375,6 +419,14 @@ pub enum AluImmOp {
 }
 
 impl AluImmOp {
+    /// Every operation.
+    pub const ALL: [AluImmOp; 13] = {
+        use AluImmOp::*;
+        [
+            Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Addiw, Slliw, Srliw, Sraiw,
+        ]
+    };
+
     /// The assembler mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -418,6 +470,19 @@ pub enum CsrOp {
 }
 
 impl CsrOp {
+    /// Every operation.
+    pub const ALL: [CsrOp; 3] = [CsrOp::Rw, CsrOp::Rs, CsrOp::Rc];
+
+    /// The register-source mnemonic, e.g. `csrrw` (the immediate form adds
+    /// an `i`).
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            CsrOp::Rw => "csrrw",
+            CsrOp::Rs => "csrrs",
+            CsrOp::Rc => "csrrc",
+        }
+    }
+
     /// The `funct3` encoding (register-source form).
     pub fn funct3(self) -> u32 {
         match self {
@@ -576,6 +641,14 @@ pub mod csr {
     pub const MHARTID: u16 = 0xF14;
     /// Machine scratch register.
     pub const MSCRATCH: u16 = 0x340;
+    /// The names the assembler accepts and the disassembler prints.
+    pub const NAMES: [(u16, &str); 5] = [
+        (CYCLE, "cycle"),
+        (TIME, "time"),
+        (INSTRET, "instret"),
+        (MHARTID, "mhartid"),
+        (MSCRATCH, "mscratch"),
+    ];
 }
 
 #[cfg(test)]

@@ -41,34 +41,19 @@ fn arb_inst(rng: &mut Rng) -> Inst {
             offset: imm12(rng),
         },
         4 => Inst::Branch {
-            cond: *rng.pick(&[
-                BranchCond::Eq,
-                BranchCond::Ne,
-                BranchCond::Lt,
-                BranchCond::Ge,
-                BranchCond::Ltu,
-                BranchCond::Geu,
-            ]),
+            cond: *rng.pick(&BranchCond::ALL),
             rs1: arb_reg(rng),
             rs2: arb_reg(rng),
             offset: rng.range_i64(-2048, 2048) * 2,
         },
         5 => Inst::Load {
-            width: *rng.pick(&[
-                MemWidth::B,
-                MemWidth::H,
-                MemWidth::W,
-                MemWidth::D,
-                MemWidth::Bu,
-                MemWidth::Hu,
-                MemWidth::Wu,
-            ]),
+            width: *rng.pick(&MemWidth::ALL),
             rd: arb_reg(rng),
             rs1: arb_reg(rng),
             offset: imm12(rng),
         },
         6 => Inst::Store {
-            width: *rng.pick(&[MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D]),
+            width: *rng.pick(&MemWidth::ALL[..4]),
             rs2: arb_reg(rng),
             rs1: arb_reg(rng),
             offset: imm12(rng),

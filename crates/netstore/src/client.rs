@@ -504,26 +504,13 @@ impl RemoteStore {
                         "asked for blob {want}, reply describes {got}"
                     )));
                 }
-                let Some(bytes) = payload else {
+                if !self.install(store, *want, payload)? {
                     self.note(format!(
                         "remote {} is missing blob {want} for level {input}; building locally",
                         self.label
                     ));
                     return Ok(None);
-                };
-                let Some(verified) = self.verify_or_refetch(store, *want, bytes)? else {
-                    self.note(format!(
-                        "remote {} is missing blob {want} for level {input}; building locally",
-                        self.label
-                    ));
-                    return Ok(None);
-                };
-                let len = verified.len() as u64;
-                store
-                    .put(&Blob::with_fingerprint(verified, *want))
-                    .map_err(|e| NetError::Io(format!("installing fetched blob: {e}")))?;
-                self.stats.blobs_fetched.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_fetched.fetch_add(len, Ordering::Relaxed);
+                }
             }
         }
         self.stats.levels_fetched.fetch_add(1, Ordering::Relaxed);
@@ -539,7 +526,19 @@ impl RemoteStore {
     ///
     /// Same policy as [`RemoteStore::fetch_level`].
     pub fn fetch_blob(&self, store: &BlobStore, fp: Fingerprint) -> Result<bool, NetError> {
-        let Some(bytes) = self.fetch_one_blob(fp)? else {
+        let payload = self.fetch_one_blob(fp)?;
+        self.install(store, fp, payload)
+    }
+
+    /// Verifies a received payload (re-fetching once on a mismatch) and
+    /// installs it into `store`. `Ok(false)`: the remote does not have it.
+    fn install(
+        &self,
+        store: &BlobStore,
+        fp: Fingerprint,
+        payload: Option<Vec<u8>>,
+    ) -> Result<bool, NetError> {
+        let Some(bytes) = payload else {
             return Ok(false);
         };
         let Some(verified) = self.verify_or_refetch(store, fp, bytes)? else {

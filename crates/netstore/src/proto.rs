@@ -219,10 +219,6 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn utf8(field: &[u8], what: &str) -> Result<String, NetError> {
-    String::from_utf8(field.to_vec()).map_err(|_| NetError::BadFrame(format!("non-UTF-8 {what}")))
-}
-
 fn parse_payload(payload: &[u8]) -> Result<Message, NetError> {
     let mut r = Reader::new(payload);
     let msg = match r.u8()? {
@@ -263,18 +259,18 @@ fn parse_payload(payload: &[u8]) -> Result<Message, NetError> {
             Message::Blobs { entries }
         }
         9 => Message::ErrorMsg {
-            message: utf8(r.field32()?, "error message")?,
+            message: r.str32()?.to_owned(),
         },
         10 => Message::ExecTask {
-            task: utf8(r.field32()?, "task id")?,
+            task: r.str32()?.to_owned(),
             spec: r.field32()?.to_vec(),
         },
         11 => Message::ExecDone {
-            task: utf8(r.field32()?, "task id")?,
+            task: r.str32()?.to_owned(),
         },
         12 => Message::ExecFailed {
-            task: utf8(r.field32()?, "task id")?,
-            message: utf8(r.field32()?, "error message")?,
+            task: r.str32()?.to_owned(),
+            message: r.str32()?.to_owned(),
         },
         t => return Err(NetError::BadFrame(format!("unknown message tag {t}"))),
     };
@@ -457,6 +453,16 @@ mod tests {
     }
 
     #[test]
+    fn truncation_is_rejected_not_panicked() {
+        let frame = encode_frame(&Message::ManifestData {
+            bytes: vec![0xAB; 100],
+        });
+        for cut in 0..frame.len() {
+            assert!(decode_frame(&frame[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
     fn random_garbage_never_panics() {
         let mut rng = marshal_qcheck::Rng::new(0x9e37);
         for _ in 0..500 {
@@ -464,19 +470,17 @@ mod tests {
             let _ = decode_frame(&garbage);
         }
         // Garbage wearing a valid header must still fail the checksum.
-        let mut framed = Vec::new();
-        framed.extend_from_slice(FRAME_MAGIC);
-        framed.extend_from_slice(&8u32.to_le_bytes());
-        framed.extend_from_slice(&[0xEE; 8 + 16]);
+        let mut framed = Writer::default();
+        framed.bytes(FRAME_MAGIC).u32(8).bytes(&[0xEE; 8 + 16]);
+        let framed = framed.into_bytes();
         assert!(matches!(decode_frame(&framed), Err(NetError::BadFrame(_))));
     }
 
     #[test]
     fn oversized_declared_length_is_capped() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(FRAME_MAGIC);
-        frame.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let err = read_frame(&mut &frame[..]).unwrap_err();
+        let mut frame = Writer::default();
+        frame.bytes(FRAME_MAGIC).u32(u32::MAX);
+        let err = read_frame(&mut &frame.into_bytes()[..]).unwrap_err();
         assert!(matches!(err, NetError::BadFrame(_)), "{err}");
     }
 

@@ -87,14 +87,10 @@ impl BootSnapshot {
         let systemd = r.u8()? != 0;
         let switch_root_target = match r.u8()? {
             0 => None,
-            1 => Some(
-                String::from_utf8(r.field32()?.to_vec())
-                    .map_err(|_| "switch-root target is not UTF-8".to_owned())?,
-            ),
+            1 => Some(r.str32()?.to_owned()),
             other => return Err(format!("bad switch-root tag {other}")),
         };
-        let serial = String::from_utf8(r.field64()?.to_vec())
-            .map_err(|_| "serial log is not UTF-8".to_owned())?;
+        let serial = r.str64()?.to_owned();
         let image =
             FsImage::from_bytes(r.field64()?).map_err(|e| format!("embedded image: {e}"))?;
         r.finish()?;
@@ -146,12 +142,30 @@ mod tests {
     }
 
     #[test]
+    fn truncation_anywhere_is_detected() {
+        let bytes = sample().to_bytes();
+        for cut in [0, 3, 4, 10, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                BootSnapshot::from_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut} must not decode"
+            );
+        }
+    }
+
+    #[test]
     fn bad_magic_and_version_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
         assert!(BootSnapshot::from_bytes(&bytes).is_err());
         let mut bytes = sample().to_bytes();
         bytes[4] = 0xEE;
+        assert!(BootSnapshot::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn trailing_garbage_rejected() {
+        let mut bytes = sample().to_bytes();
+        bytes.push(0);
         assert!(BootSnapshot::from_bytes(&bytes).is_err());
     }
 }

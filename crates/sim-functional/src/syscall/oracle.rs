@@ -57,39 +57,6 @@ const ALU_OPS: [AluOp; 23] = [
     AluOp::Remu,
     AluOp::Divw,
 ];
-const IMM_OPS: [AluImmOp; 13] = [
-    AluImmOp::Addi,
-    AluImmOp::Slti,
-    AluImmOp::Sltiu,
-    AluImmOp::Xori,
-    AluImmOp::Ori,
-    AluImmOp::Andi,
-    AluImmOp::Slli,
-    AluImmOp::Srli,
-    AluImmOp::Srai,
-    AluImmOp::Addiw,
-    AluImmOp::Slliw,
-    AluImmOp::Srliw,
-    AluImmOp::Sraiw,
-];
-const CONDS: [BranchCond; 6] = [
-    BranchCond::Eq,
-    BranchCond::Ne,
-    BranchCond::Lt,
-    BranchCond::Ge,
-    BranchCond::Ltu,
-    BranchCond::Geu,
-];
-const LOAD_WIDTHS: [MemWidth; 7] = [
-    MemWidth::B,
-    MemWidth::H,
-    MemWidth::W,
-    MemWidth::D,
-    MemWidth::Bu,
-    MemWidth::Hu,
-    MemWidth::Wu,
-];
-const STORE_WIDTHS: [MemWidth; 4] = [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D];
 const CSRS: [u16; 4] = [csr::CYCLE, csr::TIME, csr::INSTRET, csr::MSCRATCH];
 
 /// Registers random instructions may overwrite.
@@ -153,7 +120,7 @@ fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
             rs2: *rng.pick(&POOL),
         },
         30..=54 => {
-            let op = *rng.pick(&IMM_OPS);
+            let op = *rng.pick(&AluImmOp::ALL);
             let imm = match op {
                 AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai => rng.range_i64(0, 64),
                 AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw => rng.range_i64(0, 32),
@@ -171,7 +138,7 @@ fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
             imm: rng.range_i64(-0x8_0000, 0x8_0000) << 12,
         },
         60..=74 => {
-            let width = *rng.pick(&LOAD_WIDTHS);
+            let width = *rng.pick(&MemWidth::ALL);
             let base = *rng.pick(&[Reg::S1, Reg::S1, Reg::S0, Reg::S3, Reg::S7]);
             Inst::Load {
                 width,
@@ -193,7 +160,7 @@ fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
             }
         }
         80..=89 => {
-            let width = *rng.pick(&STORE_WIDTHS);
+            let width = *rng.pick(&MemWidth::ALL[..4]);
             let (base, rs2) = match rng.below(20) {
                 0 => (*rng.pick(&CODE_BASES), VALID_WORD),
                 1 => (*rng.pick(&CODE_BASES), rs),
@@ -278,7 +245,7 @@ fn control(rng: &mut Rng, code: &mut Vec<u32>) {
             push(
                 code,
                 Inst::Branch {
-                    cond: *rng.pick(&CONDS),
+                    cond: *rng.pick(&BranchCond::ALL),
                     rs1: rs,
                     rs2,
                     offset: 4 * words + skew,

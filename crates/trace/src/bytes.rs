@@ -12,6 +12,8 @@
 //! - a length-prefixed field ([`Reader::field32`], [`Reader::field64`]) is
 //!   checked against the bytes remaining and returned as a borrowed slice,
 //!   so nothing is allocated for a length the input cannot back;
+//! - a text field ([`Reader::str32`], [`Reader::str64`]) is checked for
+//!   UTF-8 in the same place for every format;
 //! - [`Reader::finish`] rejects trailing bytes.
 //!
 //! Every [`DecodeError`] carries the byte offset where decoding stopped.
@@ -38,6 +40,11 @@ pub enum DecodeError {
         /// Offset of the magic.
         offset: usize,
     },
+    /// The text field at `offset` is not UTF-8.
+    BadUtf8 {
+        /// Offset of the field.
+        offset: usize,
+    },
     /// `count` bytes are left after the last field, from `offset` on.
     TrailingBytes {
         /// Offset of the first trailing byte.
@@ -59,6 +66,7 @@ impl fmt::Display for DecodeError {
                 "truncated at byte {offset}: field needs {wanted} bytes, {left} left"
             ),
             DecodeError::BadMagic { offset } => write!(f, "bad magic at byte {offset}"),
+            DecodeError::BadUtf8 { offset } => write!(f, "non-UTF-8 text at byte {offset}"),
             DecodeError::TrailingBytes { offset, count } => {
                 write!(f, "{count} trailing bytes at byte {offset}")
             }
@@ -161,6 +169,28 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Reads a [`Reader::field32`] that holds text.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadUtf8`] when the field is not UTF-8.
+    pub fn str32(&mut self) -> Result<&'a str, DecodeError> {
+        let offset = self.pos;
+        let field = self.field32()?;
+        std::str::from_utf8(field).map_err(|_| DecodeError::BadUtf8 { offset })
+    }
+
+    /// Reads a [`Reader::field64`] that holds text.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadUtf8`] when the field is not UTF-8.
+    pub fn str64(&mut self) -> Result<&'a str, DecodeError> {
+        let offset = self.pos;
+        let field = self.field64()?;
+        std::str::from_utf8(field).map_err(|_| DecodeError::BadUtf8 { offset })
+    }
+
     /// Everything after the cursor, which moves to the end.
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.bytes[self.pos..];
@@ -249,18 +279,23 @@ mod tests {
     fn roundtrip_and_every_truncation() {
         let mut w = Writer::default();
         w.bytes(b"TEST").u8(7).u32(0xdead_beef).u64(u64::MAX - 1);
-        w.u128(1 << 100).field32(b"abc").field64(b"");
+        w.u128(1 << 100)
+            .field32(b"abc")
+            .field64(b"")
+            .field32(b"hi")
+            .field64(b"");
         let bytes = w.into_bytes();
         fn decode(input: &[u8]) -> Result<String, DecodeError> {
             let mut r = Reader::new(input);
             r.magic(b"TEST")?;
             let (a, b, c, d) = (r.u8()?, r.u32()?, r.u64()?, r.u128()?);
             let fields = format!("{:?} {:?}", r.field32()?, r.field64()?);
+            let text = format!("{} {:?}", r.str32()?, r.str64()?);
             r.finish()?;
-            Ok(format!("{a} {b:x} {c} {d} {fields}"))
+            Ok(format!("{a} {b:x} {c} {d} {fields} {text}"))
         }
         let expect = format!(
-            "7 deadbeef {} {} [97, 98, 99] []",
+            "7 deadbeef {} {} [97, 98, 99] [] hi \"\"",
             u64::MAX - 1,
             1u128 << 100
         );
@@ -291,5 +326,10 @@ mod tests {
         let mut r = Reader::new(b"NOPE");
         assert_eq!(r.magic(b"TEST"), Err(DecodeError::BadMagic { offset: 0 }));
         assert!(Reader::new(b"TE").magic(b"TEST").is_err());
+        let mut w = Writer::default();
+        w.u8(0).field64(b"\xff");
+        let mut r = Reader::new(&w.buf);
+        r.u8().unwrap();
+        assert_eq!(r.str64(), Err(DecodeError::BadUtf8 { offset: 1 }));
     }
 }

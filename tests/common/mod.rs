@@ -24,11 +24,11 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
 #[allow(dead_code)]
 pub fn simulate(job: &marshal_core::JobArtifacts) -> marshal_sim_functional::SimResult {
     use marshal_core::simulator::{default_backend, simulator_for};
-    let rec = marshal_trace::Recorder::disabled();
     let backend = simulator_for(default_backend(&job.spec), &job.spec, &Default::default())
         .expect("default backend");
-    let (run, _) = marshal_core::launch::simulate_job(job, backend.as_ref(), None, &rec)
-        .expect("simulate job");
+    let loaded = marshal_core::launch::load_artifacts(job).expect("load artifacts");
+    let mode = marshal_sim_functional::LaunchMode::Run;
+    let (run, _) = backend.run(&loaded, mode, None).expect("simulate job");
     run.result
 }
 
