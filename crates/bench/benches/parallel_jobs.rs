@@ -3,13 +3,17 @@
 //! our experiment from about two weeks to roughly two days."
 //!
 //! Measures a multi-node cycle-exact cluster run serially vs. in parallel,
-//! and the `-j N` build sweep, each as the median of alternated runs, and
-//! appends the medians to `BENCH_exec.json` (the host's core count is
-//! stamped on every row: parallelism is bounded by it).
+//! the functional `launch` of intspeed's ten jobs at `-j 1` vs. the
+//! default width (the same job pool), and the `-j N` build sweep, each as
+//! the median of alternated runs, and appends the medians to
+//! `BENCH_exec.json` (the host's core count is stamped on every row:
+//! parallelism is bounded by it).
 
 use std::time::{Duration, Instant};
 
-use marshal_bench::{append_bench_rows, median, Row};
+use marshal_bench::{append_bench_rows, builder_in, median, scratch, Row};
+use marshal_core::launch::{launch_workload, LaunchOptions};
+use marshal_core::BuildOptions;
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 use marshal_isa::abi;
 use marshal_isa::asm::assemble;
@@ -106,6 +110,55 @@ fn parallel_jobs(rows: &mut Vec<Row>) {
     }
 }
 
+/// The functional side of the same claim: `launch_workload(intspeed)` on
+/// qemu at `-j 1` and at the default width, alternated, with warm boot
+/// checkpoints (the `launch` a user repeats while iterating).
+fn parallel_launch(rows: &mut Vec<Row>) {
+    let root = scratch("parallel-launch");
+    let mut builder = builder_in(&root);
+    let products = builder
+        .build("intspeed.json", &BuildOptions::default())
+        .expect("build intspeed");
+    let launch = |jobs: Option<usize>| {
+        let opts = LaunchOptions {
+            sim: Some("qemu".to_owned()),
+            jobs,
+            ..LaunchOptions::default()
+        };
+        timed(|| launch_workload(&builder, &products, &opts).expect("launch intspeed"))
+    };
+    // Warm-up pair: writes the boot checkpoints, and checks that the
+    // pool's width changes no result.
+    let (_, serial) = launch(Some(1));
+    let (_, parallel) = launch(None);
+    assert_eq!(serial, parallel, "-j 1 and the default width differ");
+    let mut serial_runs = Vec::with_capacity(RUNS);
+    let mut parallel_runs = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        for (jobs, runs) in [(Some(1), &mut serial_runs), (None, &mut parallel_runs)] {
+            runs.push(launch(jobs).0);
+        }
+    }
+    let serial_time = median(serial_runs);
+    let parallel_time = median(parallel_runs);
+    println!(
+        "== functional launch of intspeed (10 qemu jobs, warm checkpoints, median of {RUNS}) =="
+    );
+    println!("  -j 1:    {serial_time:?}");
+    println!(
+        "  default: {parallel_time:?} ({:.2}x)",
+        serial_time.as_secs_f64() / parallel_time.as_secs_f64()
+    );
+    for (variant, time) in [
+        ("launch_intspeed_j1", serial_time),
+        ("launch_intspeed_jN", parallel_time),
+    ] {
+        let ns = time.as_nanos() as f64;
+        rows.push(Row::new("parallel_jobs", variant, "median_ns", ns, "ns"));
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// A wide build graph with CPU-bound tasks: one root fanning out to 16
 /// independent "image" tasks, each joined by a "finalize" task — the shape
 /// `marshal build -j N` schedules for a multi-job workload.
@@ -190,6 +243,7 @@ fn parallel_build(rows: &mut Vec<Row>) {
 fn main() {
     let mut rows = Vec::new();
     parallel_jobs(&mut rows);
+    parallel_launch(&mut rows);
     parallel_build(&mut rows);
     append_bench_rows("BENCH_exec.json", &rows);
 }

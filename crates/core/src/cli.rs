@@ -81,12 +81,14 @@ pub enum Command {
         /// Live single-line progress on stderr (`--progress`).
         progress: bool,
     },
-    /// `launch [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N] <workload>`.
+    /// `launch [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N] [-j N] <workload>`.
     Launch {
         /// Target workload file.
         workload: String,
         /// Launch only the named job.
         job: Option<String>,
+        /// Jobs launched at once (`-j N`); `None` = available parallelism.
+        jobs: Option<usize>,
         /// Guest watchdog budget in instructions.
         timeout_insts: Option<u64>,
         /// Simulator backend name (`qemu`, `spike`, `rtl`); `None` uses the
@@ -97,10 +99,13 @@ pub enum Command {
         /// Disable boot checkpointing (`--no-checkpoint`).
         no_checkpoint: bool,
     },
-    /// `cosim [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence] <workload>`.
+    /// `cosim [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence] [-j N] <workload>`.
     Cosim {
         /// Target workload file.
         workload: String,
+        /// Backend observations run at once (`-j N`); `None` = available
+        /// parallelism.
+        jobs: Option<usize>,
         /// Backend pair `a,b`; `None` compares `qemu,rtl`.
         sim: Option<String>,
         /// Guest watchdog budget in instructions, applied to both backends.
@@ -122,7 +127,8 @@ pub enum Command {
         manual: Option<String>,
         /// Guest watchdog budget in instructions.
         timeout_insts: Option<u64>,
-        /// Worker threads for the build phase (`-j N`).
+        /// Worker threads for the build phase and jobs launched at once
+        /// (`-j N`); `None` = available parallelism.
         jobs: Option<usize>,
         /// Runner pool for the build phase (`--runners`).
         runners: Option<String>,
@@ -212,7 +218,7 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   --progress renders a live one-line status on
                                   stderr while the build runs
   launch  [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N]
-          [--no-checkpoint]
+          [--no-checkpoint] [-j N]
                                   launch the workload on a simulator backend
                                   (qemu/spike/rtl; default: the workload's own choice);
                                   --hw picks the rtl hardware config;
@@ -220,17 +226,21 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   watchdog kills a hung payload (exit code 124);
                                   repeated launches restore a verified boot checkpoint
                                   instead of re-running the boot; --no-checkpoint
-                                  always boots cold and writes no snapshot
+                                  always boots cold and writes no snapshot;
+                                  -j runs up to N jobs at once (default: available
+                                  CPUs); results and outputs stay in job order
   cosim   [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence]
-          [--no-checkpoint]
+          [--no-checkpoint] [-j N]
                                   run two backends on the identical artifacts in
                                   lockstep and diff canonical uartlogs, exit codes,
                                   and outputs (default pair: qemu,rtl);
                                   --inject-divergence corrupts one output byte as a
-                                  checker self-test (must exit nonzero)
+                                  checker self-test (must exit nonzero);
+                                  -j runs up to N backend runs at once
   test    [--manual DIR] [--timeout-insts N] [-j N] [--runners LIST]
           [--no-checkpoint]
-                                  compare outputs against a reference (build+launch, or a prior run dir)
+                                  compare outputs against a reference (build+launch, or a prior run dir);
+                                  -j bounds both the build and the launch
   install [--hw CONFIG] [--sim C] [--remote HOST:PORT] [--runners LIST]
                                   generate RTL simulator configuration (firesim/vcs/verilator)
   clean   [--keep-runs N]         remove built artifacts and state; also prunes
@@ -419,6 +429,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
         "launch" => Command::Launch {
             workload: need_workload()?,
             job,
+            jobs,
             timeout_insts,
             sim,
             hw,
@@ -426,6 +437,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
         },
         "cosim" => Command::Cosim {
             workload: need_workload()?,
+            jobs,
             sim,
             timeout_insts,
             hw,
@@ -692,6 +704,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
         Command::Launch {
             workload,
             job,
+            jobs,
             timeout_insts,
             sim,
             hw,
@@ -708,6 +721,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 sim: sim.clone(),
                 hw: hw_config,
                 no_checkpoint: *no_checkpoint,
+                jobs: *jobs,
             };
             match job {
                 Some(job_name) => {
@@ -776,6 +790,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
         }
         Command::Cosim {
             workload,
+            jobs,
             sim,
             timeout_insts,
             hw,
@@ -788,6 +803,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 recorder: rec.clone(),
                 checkpoints: (!*no_checkpoint)
                     .then(|| crate::checkpoint::CheckpointStore::new(builder.workdir())),
+                jobs: *jobs,
                 ..CosimOptions::default()
             };
             if let Some(pair) = sim {
@@ -894,6 +910,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     &LaunchOptions {
                         timeout_insts: *timeout_insts,
                         no_checkpoint: *no_checkpoint,
+                        jobs: *jobs,
                         ..LaunchOptions::default()
                     },
                 )
@@ -1284,6 +1301,13 @@ mod tests {
         assert!(matches!(args.command, Command::Build { jobs: Some(8), .. }));
         let args = parse(&["test", "-j", "2", "w.json"]).unwrap();
         assert!(matches!(args.command, Command::Test { jobs: Some(2), .. }));
+        let args = parse(&["launch", "-j", "1", "w.json"]).unwrap();
+        assert!(matches!(
+            args.command,
+            Command::Launch { jobs: Some(1), .. }
+        ));
+        let args = parse(&["cosim", "--jobs", "3", "w.json"]).unwrap();
+        assert!(matches!(args.command, Command::Cosim { jobs: Some(3), .. }));
         // Not a count, zero, or missing: usage errors.
         assert!(parse(&["build", "-j", "many", "w.json"]).is_err());
         assert!(parse(&["build", "-j", "0", "w.json"]).is_err());
@@ -1309,6 +1333,7 @@ mod tests {
             args.command,
             Command::Launch {
                 workload: "w.json".into(),
+                jobs: None,
                 job: None,
                 timeout_insts: Some(5000),
                 sim: None,
@@ -1349,6 +1374,7 @@ mod tests {
             args.command,
             Command::Launch {
                 workload: "w.json".into(),
+                jobs: None,
                 job: Some("client".into()),
                 timeout_insts: None,
                 sim: None,
@@ -1408,6 +1434,7 @@ mod tests {
             args.command,
             Command::Cosim {
                 workload: "w.json".into(),
+                jobs: None,
                 sim: None,
                 timeout_insts: None,
                 hw: None,
@@ -1427,6 +1454,7 @@ mod tests {
             args.command,
             Command::Cosim {
                 workload: "w.json".into(),
+                jobs: None,
                 sim: Some("qemu,spike".into()),
                 timeout_insts: None,
                 hw: None,

@@ -49,6 +49,10 @@ pub struct CosimOptions {
     /// its own boot checkpoint — keyed per backend configuration, so the
     /// two sides never share a snapshot. `None` always boots cold.
     pub checkpoints: Option<CheckpointStore>,
+    /// How many backend observations run at once (`-j N`), as
+    /// [`crate::launch::LaunchOptions::jobs`]: `None` uses the host's
+    /// available parallelism. Reports are the same at every width.
+    pub jobs: Option<usize>,
 }
 
 impl Default for CosimOptions {
@@ -62,6 +66,7 @@ impl Default for CosimOptions {
             inject_divergence: false,
             recorder: Recorder::disabled(),
             checkpoints: None,
+            jobs: None,
         }
     }
 }
@@ -153,7 +158,7 @@ impl fmt::Display for Divergence {
 }
 
 /// One job's lockstep comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobCosim {
     /// The job's qualified name.
     pub job: String,
@@ -175,7 +180,7 @@ impl JobCosim {
 }
 
 /// A whole workload's lockstep comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CosimReport {
     /// Workload name.
     pub workload: String,
@@ -347,40 +352,43 @@ pub fn inject_single_byte_divergence(behaviour: &mut BackendBehaviour) {
     }
 }
 
-/// Runs one job on both backends and compares.
+/// Runs every job of a built workload on both backends in lockstep. The
+/// (job, backend) observations are independent, so they run up to
+/// [`CosimOptions::jobs`] at a time through
+/// [`marshal_depgraph::run_ordered`], in the order job 0 side a, job 0
+/// side b, job 1 side a, and so on, and are paired back up in job order;
+/// `--inject-divergence` flips a byte on side b.
 ///
 /// # Errors
 ///
-/// Backend resolution, artifact, and simulation errors from either side.
-pub fn cosim_job(job: &JobArtifacts, opts: &CosimOptions) -> Result<JobCosim, MarshalError> {
-    let a = observe_backend(&opts.backends.0, job, opts)?;
-    let mut b = observe_backend(&opts.backends.1, job, opts)?;
-    if opts.inject_divergence {
-        inject_single_byte_divergence(&mut b);
-    }
-    let mut warnings = a.warnings.clone();
-    warnings.extend(b.warnings.iter().cloned());
-    Ok(JobCosim {
-        job: job.name.clone(),
-        backends: (a.backend.clone(), b.backend.clone()),
-        instructions: (a.instructions, b.instructions),
-        divergence: compare_behaviour(&a, &b),
-        warnings,
-    })
-}
-
-/// Runs every job of a built workload on both backends in lockstep.
-///
-/// # Errors
-///
-/// First failing job's error.
+/// First failing observation's error, in that order.
 pub fn cosim_workload(
     products: &BuildProducts,
     opts: &CosimOptions,
 ) -> Result<CosimReport, MarshalError> {
+    let sides = [&opts.backends.0, &opts.backends.1];
+    let mut observed = marshal_depgraph::run_ordered(2 * products.jobs.len(), opts.jobs, |i| {
+        observe_backend(sides[i % 2], &products.jobs[i / 2], opts)
+    })?
+    .into_iter();
     let mut jobs = Vec::with_capacity(products.jobs.len());
     for job in &products.jobs {
-        jobs.push(cosim_job(job, opts)?);
+        let (Some(a), Some(mut b)) = (observed.next(), observed.next()) else {
+            unreachable!("two observations per job");
+        };
+        if opts.inject_divergence {
+            inject_single_byte_divergence(&mut b);
+        }
+        let divergence = compare_behaviour(&a, &b);
+        let mut warnings = a.warnings;
+        warnings.extend(b.warnings);
+        jobs.push(JobCosim {
+            job: job.name.clone(),
+            backends: (a.backend, b.backend),
+            instructions: (a.instructions, b.instructions),
+            divergence,
+            warnings,
+        });
     }
     Ok(CosimReport {
         workload: products.workload.clone(),

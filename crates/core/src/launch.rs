@@ -39,6 +39,10 @@ pub struct LaunchOptions {
     /// and never write a snapshot. The escape hatch when a checkpoint is
     /// suspected of masking a boot-path change.
     pub no_checkpoint: bool,
+    /// How many jobs run at once (`-j N`), as [`crate::build::BuildOptions::jobs`]:
+    /// `None` uses the host's available parallelism, capped at the job
+    /// count. Results are the same at every width.
+    pub jobs: Option<usize>,
 }
 
 impl LaunchOptions {
@@ -52,7 +56,7 @@ impl LaunchOptions {
 }
 
 /// The result of launching one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchOutput {
     /// The job's qualified name.
     pub job: String,
@@ -313,7 +317,7 @@ pub fn launch_job(
 
 /// The result of launching a whole workload (every job) plus the post-run
 /// hook.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadRun {
     /// Per-job outputs, in job order.
     pub jobs: Vec<LaunchOutput>,
@@ -323,21 +327,22 @@ pub struct WorkloadRun {
     pub hook_log: Vec<String>,
 }
 
-/// Launches every job of a built workload, then runs the `post-run-hook`.
+/// Launches every job of a built workload, up to [`LaunchOptions::jobs`]
+/// at a time through [`marshal_depgraph::run_ordered`], then runs the
+/// `post-run-hook` over the outputs in job order.
 ///
 /// # Errors
 ///
-/// First failing job's error, or hook errors.
+/// First failing job's error (by job order), or hook errors.
 pub fn launch_workload(
     builder: &Builder,
     products: &BuildProducts,
     opts: &LaunchOptions,
 ) -> Result<WorkloadRun, MarshalError> {
     let run_root = builder.run_dir(&products.workload);
-    let mut jobs = Vec::with_capacity(products.jobs.len());
-    for i in 0..products.jobs.len() {
-        jobs.push(launch_job(builder, products, i, opts)?);
-    }
+    let jobs = marshal_depgraph::run_ordered(products.jobs.len(), opts.jobs, |i| {
+        launch_job(builder, products, i, opts)
+    })?;
     let hook_log = match &products.top_spec.post_run_hook {
         Some(hook) => {
             let (source, mut extra_args) = load_hook_script(hook, products.source_dir.as_deref())?;

@@ -13,6 +13,10 @@
 //! whatever runs the tasks: keep-going, the run-journal recorder, and the
 //! progress callback.
 //!
+//! Work that is not a graph — N independent jobs whose results are wanted
+//! in order, such as the simulations of one workload's jobs — goes
+//! through [`run_ordered`], the one ordered worker pool.
+//!
 //! ## Example
 //!
 //! ```rust
@@ -62,8 +66,8 @@ pub use exec::{BuildReport, ExecOptions, Plan};
 pub use graph::Graph;
 pub use hash::{Fingerprint, Hasher128};
 pub use runner::{
-    run_and_report, run_task, Assignment, DryRunPlan, DryRunRunner, LocalRunner, PlannedTask,
-    TaskRunner,
+    run_and_report, run_ordered, run_task, Assignment, DryRunPlan, DryRunRunner, LocalRunner,
+    PlannedTask, TaskRunner,
 };
 pub use state::StateDb;
 pub use task::Task;

@@ -9,6 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -194,10 +195,11 @@ impl LocalRunner {
         }
     }
 
-    /// The host's available parallelism (minimum 1): the pool width CLI
-    /// front-ends use when the user passes no `-j`. This is the one place
-    /// a worker-count default is decided; library callers pick their own
-    /// width and get no parallelism they did not ask for.
+    /// The host's available parallelism (minimum 1): the width every pool
+    /// gets when its `jobs` option is `None` — builds, [`run_ordered`]
+    /// (launch, test, cosim, the cycle-exact cluster), and the CLI when the
+    /// user passes no `-j`. This is the one place a worker-count default is
+    /// decided; a caller that wants serial execution asks for width 1.
     pub fn host_threads() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -230,6 +232,70 @@ impl LocalRunner {
         self.shared_rx = Some(rx);
         self.tx = Some(tx);
     }
+}
+
+/// Runs `run(0) .. run(count - 1)` on up to `width` threads and returns
+/// their results in index order: the one pool behind every "run N
+/// independent jobs" loop (launch, test, cosim, the cycle-exact cluster).
+///
+/// `width` `None` means [`LocalRunner::host_threads`]; either way it is
+/// capped at `count`. At width 1 the calls run inline on the calling
+/// thread, in order, and no thread is spawned. Wider, workers claim the
+/// next index from a shared counter; once a call has failed, no worker
+/// claims another. Claimed indices always form a prefix and every claimed
+/// call finishes, so the error returned is the lowest-indexed failure —
+/// the one a serial loop would have stopped at.
+///
+/// # Errors
+///
+/// The lowest-indexed call's error.
+///
+/// # Panics
+///
+/// Re-raises a panic from any call once the workers have stopped.
+pub fn run_ordered<R: Send, E: Send>(
+    count: usize,
+    width: Option<usize>,
+    run: impl Fn(usize) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E> {
+    let width = width.unwrap_or_else(LocalRunner::host_threads).min(count);
+    if width <= 1 {
+        return (0..count).map(run).collect();
+    }
+    // Neither atomic publishes data (results come back through the
+    // joins), so both are `Relaxed`.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let mut done: Vec<(usize, Result<R, E>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while !failed.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break;
+                        }
+                        let result = run(i);
+                        if result.is_err() {
+                            failed.store(true, Ordering::Relaxed);
+                        }
+                        done.push((i, result));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 impl TaskRunner for LocalRunner {
@@ -348,8 +414,8 @@ impl TaskRunner for DryRunRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn harness() -> (EventSender, mpsc::Receiver<crate::ExecEvent>) {
         let (tx, rx) = mpsc::channel();
@@ -464,5 +530,57 @@ mod tests {
             planned[0].outputs,
             vec![PathBuf::from("/tmp/nonexistent-artifact")]
         );
+    }
+
+    #[test]
+    fn run_ordered_returns_results_in_index_order_at_every_width() {
+        for width in [None, Some(1), Some(2), Some(3), Some(64)] {
+            let squares = run_ordered(17, width, |i| {
+                // Early indices finish last when run concurrently.
+                std::thread::sleep(Duration::from_micros(200 * (17 - i as u64)));
+                Ok::<_, String>(i * i)
+            })
+            .unwrap();
+            assert_eq!(squares, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert_eq!(run_ordered(0, None, |_| Ok::<u8, ()>(0)), Ok(vec![]));
+    }
+
+    #[test]
+    fn run_ordered_at_width_one_runs_inline() {
+        let caller = std::thread::current().id();
+        let threads = run_ordered(4, Some(1), |_| Ok::<_, ()>(std::thread::current().id()));
+        assert_eq!(threads.unwrap(), vec![caller; 4]);
+        // A single job needs no worker either, whatever the width.
+        let threads = run_ordered(1, None, |_| Ok::<_, ()>(std::thread::current().id()));
+        assert_eq!(threads.unwrap(), vec![caller]);
+    }
+
+    #[test]
+    fn run_ordered_reports_the_lowest_failure_and_claims_nothing_after_it() {
+        const FAIL: usize = 5;
+        for width in [1, 2, 4] {
+            let claimed = Mutex::new(Vec::new());
+            let result = run_ordered(40, Some(width), |i| {
+                claimed.lock().unwrap().push(i);
+                if i == FAIL || i == FAIL + 2 {
+                    return Err(format!("job {i} failed"));
+                }
+                // Slow successes: the failure is seen long before any
+                // in-flight job finishes and could claim another.
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(i)
+            });
+            assert_eq!(result, Err(format!("job {FAIL} failed")), "width {width}");
+            let mut claimed = claimed.into_inner().unwrap();
+            claimed.sort_unstable();
+            // A prefix: everything up to the failure, plus at most the
+            // jobs other workers had already claimed when it happened.
+            assert_eq!(claimed, (0..claimed.len()).collect::<Vec<_>>());
+            assert!(
+                claimed.len() <= FAIL + width,
+                "width {width} claimed {claimed:?} after job {FAIL} failed"
+            );
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! Uses the in-repo `marshal-qcheck` harness (offline build environment);
 //! every case derives from a fixed seed and replays deterministically.
 
+use marshal_image::format::ImageFormatError;
 use marshal_image::{cpio, FsImage};
 use marshal_qcheck::{cases, Rng};
 
@@ -63,13 +64,63 @@ fn serialisation_is_deterministic() {
     });
 }
 
+/// One random damage to a valid encoding: a flipped byte, an 8-byte
+/// window saturated to `0xFF` or to hex `f`s (the largest length a binary
+/// or a `cpio` header can spell), a truncation or an extension. Returns
+/// the damaged bytes and whether they must fail to decode.
+fn damage(rng: &mut Rng, valid: &[u8]) -> (Vec<u8>, bool) {
+    let mut bytes = valid.to_vec();
+    let at = rng.range_usize(0, bytes.len());
+    match rng.below(4) {
+        0 => bytes[at] ^= rng.range_u64(1, 256) as u8,
+        1 => {
+            let end = (at + 8).min(bytes.len());
+            bytes[at..end].fill(*rng.pick(&[0xFF, b'f']));
+        }
+        2 => {
+            bytes.truncate(at);
+            return (bytes, true);
+        }
+        _ => {
+            bytes.extend(rng.bytes_in(1, 16));
+            return (bytes, true);
+        }
+    }
+    (bytes, false)
+}
+
+/// A decoder under test.
+type Decode = fn(&[u8]) -> Result<FsImage, ImageFormatError>;
+
+/// Damaged `MIMG` and `cpio` encodings of random trees never panic their
+/// parsers; truncated or extended ones are always rejected. Most cases
+/// must get past the magic, so the length fields behind it are what gets
+/// damaged.
 #[test]
 fn parser_never_panics() {
+    let mut past_magic = 0;
     cases(256, |rng| {
-        let bytes = rng.bytes_in(0, 256);
-        let _ = FsImage::from_bytes(&bytes);
-        let _ = cpio::unpack(&bytes);
+        let img = build_image(&arb_tree(rng));
+        let encodings: [(&str, Vec<u8>, Decode); 2] = [
+            ("MIMG", img.to_bytes(), FsImage::from_bytes),
+            ("cpio", cpio::pack(&img), cpio::unpack),
+        ];
+        for (format, valid, decode) in encodings {
+            let (damaged, must_fail) = damage(rng, &valid);
+            let decoded = decode(&damaged);
+            assert!(
+                !(must_fail && decoded.is_ok()),
+                "{format}: a truncated or extended encoding decoded"
+            );
+            if decoded != Err(ImageFormatError::BadMagic) {
+                past_magic += 1;
+            }
+        }
     });
+    assert!(
+        past_magic > 400,
+        "only {past_magic} of 512 cases got past the magic"
+    );
 }
 
 /// Overlay is idempotent: applying the same upper twice changes nothing.

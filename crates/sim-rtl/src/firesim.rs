@@ -13,7 +13,6 @@
 //! `cycle`/`time` CSR reads observe, and it waits for the pipeline to
 //! catch up before each such read, so the split changes host time only.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -322,9 +321,10 @@ impl FireSim {
     /// Runs a multi-node cluster: one simulated node per job. With
     /// `parallel`, nodes run on OS threads — the optimisation that cut the
     /// paper's SPEC2017 experiment "from about two weeks to roughly two
-    /// days". At most one node per host core runs at a time (each also
-    /// keeps its timing thread busy); workers take the next node from a
-    /// shared counter, and results come back in node order.
+    /// days". Nodes go through [`marshal_depgraph::run_ordered`]: at most
+    /// one node per host core runs at a time (each also keeps its timing
+    /// thread busy), and results come back in node order. Without
+    /// `parallel` the nodes run one after another on the calling thread.
     ///
     /// # Errors
     ///
@@ -334,44 +334,16 @@ impl FireSim {
         nodes: &[(String, LoadedJob)],
         parallel: bool,
     ) -> Result<Vec<NodeResult>, SimError> {
-        let run_node = |(name, job): &(String, LoadedJob)| -> Result<NodeResult, SimError> {
+        let width = if parallel { None } else { Some(1) };
+        marshal_depgraph::run_ordered(nodes.len(), width, |i| {
+            let (name, job) = &nodes[i];
             let (result, report, _) = self.run(job, LaunchMode::Run, None)?;
             Ok(NodeResult {
                 name: name.clone(),
                 result,
                 report,
             })
-        };
-        if !parallel {
-            return nodes.iter().map(run_node).collect();
-        }
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(nodes.len());
-        // Hands out node indices only: `nodes` is shared read-only.
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, Result<NodeResult, SimError>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(node) = nodes.get(i) else {
-                                return done;
-                            };
-                            done.push((i, run_node(node)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("node thread panicked"))
-                .collect()
-        });
-        done.sort_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, result)| result).collect()
+        })
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! Every binary decoder reads through `marshal_trace::bytes::Reader`. For
 //! one valid sample of each of the eight formats (`MEXE`, `MIMG`, `MMAN`,
-//! `MKRN`, `MBBN`, the boot snapshot, `MCKP` and `MNET`), every truncation
-//! and a trailing byte must fail to decode, and every 4- or 8-byte window
-//! overwritten with `0xFF` — a length near `u64::MAX` wherever it lands on
-//! one — must return. Two end-to-end cases follow the same damage in
-//! through the user-facing paths: a spec's `img` file and a file a guest
-//! execs.
+//! `MKRN`, `MBBN`, the boot snapshot, `MCKP` and `MNET`) and of the `cpio`
+//! initramfs archive, every truncation and a trailing byte must fail to
+//! decode, and every 4- or 8-byte window overwritten with `0xFF` — a
+//! length near `u64::MAX` wherever it lands on one — must return. Two
+//! end-to-end cases follow the same damage in through the user-facing
+//! paths: a spec's `img` file and a file a guest execs.
 
 mod common;
 
@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use marshal_core::{CheckpointLoad, CheckpointStore};
 use marshal_depgraph::{persist, Fingerprint};
 use marshal_firmware::{build_firmware, link_boot_binary, BootBinary, FirmwareBuild};
-use marshal_image::{BlobStore, FsImage};
+use marshal_image::{cpio, BlobStore, FsImage};
 use marshal_isa::{abi, assemble, MexeFile};
 use marshal_linux::{build_kernel, InitramfsSpec, KernelArtifact, KernelConfig, KernelSource};
 use marshal_netstore::proto::FRAME_MAGIC;
@@ -34,14 +34,23 @@ fn assert_damage_is_contained<T, E>(bytes: &[u8], decode: impl Fn(&[u8]) -> Resu
     for cut in 0..bytes.len() {
         assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
     }
+    assert_windows_return(bytes, 0xFF, decode);
+}
+
+/// Decodes `bytes` with every 4- and 8-byte window overwritten with
+/// `fill`; each must return, error or not.
+fn assert_windows_return<T, E>(bytes: &[u8], fill: u8, decode: impl Fn(&[u8]) -> Result<T, E>) {
     for width in [4, 8] {
         for at in 0..=bytes.len() - width {
             let mut damaged = bytes.to_vec();
-            damaged[at..at + width].fill(0xFF);
+            damaged[at..at + width].fill(fill);
             let returned = catch_unwind(AssertUnwindSafe(|| {
                 let _ = decode(&damaged);
             }));
-            assert!(returned.is_ok(), "{width}-byte window at {at} panicked");
+            assert!(
+                returned.is_ok(),
+                "{width}-byte {fill:#04x} window at {at} panicked"
+            );
         }
     }
 }
@@ -86,6 +95,16 @@ fn mexe_damage_is_contained() {
 #[test]
 fn mimg_damage_is_contained() {
     assert_damage_is_contained(&image().to_bytes(), FsImage::from_bytes);
+}
+
+/// `cpio` spells its lengths as eight hex digits, so besides the `0xFF`
+/// windows every window of `f`s — the largest length a header can spell
+/// wherever it lands on one — must return too.
+#[test]
+fn cpio_damage_is_contained() {
+    let archive = cpio::pack(&image());
+    assert_damage_is_contained(&archive, cpio::unpack);
+    assert_windows_return(&archive, b'f', cpio::unpack);
 }
 
 #[test]

@@ -102,6 +102,7 @@ fn cli_cosim_exit_codes_follow_agreement() {
         verbose: false,
         command: Command::Cosim {
             workload: "hello.json".to_owned(),
+            jobs: None,
             sim: None,
             timeout_insts: None,
             hw: None,
@@ -119,6 +120,7 @@ fn cli_cosim_exit_codes_follow_agreement() {
     let args = CliArgs {
         command: Command::Cosim {
             workload: "hello.json".to_owned(),
+            jobs: None,
             sim: Some("qemu,spike".to_owned()),
             timeout_insts: None,
             hw: None,

@@ -6,8 +6,10 @@ mod common;
 
 use common::sorted_tree;
 
-use marshal_core::launch::load_artifacts;
-use marshal_core::{BuildOptions, JobKind};
+use marshal_core::cosim::{cosim_workload, CosimOptions};
+use marshal_core::launch::{launch_workload, load_artifacts, LaunchOptions};
+use marshal_core::{BuildOptions, CheckpointStore, JobKind};
+use marshal_depgraph::LocalRunner;
 use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
@@ -206,5 +208,143 @@ fn different_hardware_different_cycles_same_behaviour() {
         marshal_core::clean_output(&rocket.result.serial),
         marshal_core::clean_output(&boom.result.serial)
     );
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+/// Widths every job-pool comparison runs at: serial, the host default,
+/// and a fixed width above one so a single-core host still overlaps jobs.
+const WIDTHS: [Option<usize>; 3] = [Some(1), None, Some(3)];
+
+#[test]
+fn parallel_launch_is_identical_to_serial() {
+    // The job pool must be invisible in the results: intspeed's ten qemu
+    // jobs launched one at a time and concurrently give the same
+    // `WorkloadRun` and byte-identical run directories (uartlogs,
+    // collected outputs, stats and the post-run hook's results.csv).
+    let root = common::tmpdir("det-launch");
+    let mut builder = common::builder_in(&root);
+    let products = builder
+        .build("intspeed.json", &BuildOptions::default())
+        .unwrap();
+    assert_eq!(products.jobs.len(), 10);
+    let launch = |jobs: Option<usize>| {
+        let opts = LaunchOptions {
+            sim: Some("qemu".to_owned()),
+            jobs,
+            ..LaunchOptions::default()
+        };
+        let _ = std::fs::remove_dir_all(builder.run_dir(&products.workload));
+        let run = launch_workload(&builder, &products, &opts).unwrap();
+        let tree = sorted_tree(&run.run_root);
+        (run, tree)
+    };
+    // Warm-up at full width: writes every boot checkpoint concurrently,
+    // so each compared launch below restores the same snapshots.
+    launch(Some(3));
+    let (serial, serial_tree) = launch(Some(1));
+    assert!(serial_tree.iter().any(|(name, _)| name == "results.csv"));
+    assert!(serial.jobs.iter().all(|j| j.exit_code == 0));
+    for width in &WIDTHS[1..] {
+        let (run, tree) = launch(*width);
+        assert_eq!(run, serial, "WorkloadRun at width {width:?}");
+        assert_eq!(
+            tree.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            serial_tree.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            "run-directory file set at width {width:?}"
+        );
+        for ((name, a), (_, b)) in serial_tree.iter().zip(&tree) {
+            assert!(a == b, "`{name}` differs between width 1 and {width:?}");
+        }
+    }
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
+fn parallel_cosim_is_identical_to_serial() {
+    // The (job, backend) observations of a cosim run concurrently and
+    // are paired back up in job order: the report, warnings included,
+    // matches a one-at-a-time run, with and without the injected
+    // divergence on side b.
+    let root = common::tmpdir("det-cosim");
+    let mut builder = common::builder_in(&root);
+    let store = CheckpointStore::new(builder.workdir());
+    for workload in [
+        "hello.json",
+        "coremark.json",
+        "onnx-infer.json",
+        "latency-microbenchmark.json",
+    ] {
+        let products = builder.build(workload, &BuildOptions::default()).unwrap();
+        for inject_divergence in [false, true] {
+            let cosim = |jobs: Option<usize>| {
+                let opts = CosimOptions {
+                    backends: ("qemu".to_owned(), "spike".to_owned()),
+                    checkpoints: Some(store.clone()),
+                    inject_divergence,
+                    jobs,
+                    ..CosimOptions::default()
+                };
+                cosim_workload(&products, &opts).unwrap()
+            };
+            let serial = cosim(Some(1));
+            assert_eq!(serial.jobs.len(), products.jobs.len());
+            assert_eq!(serial.agreed(), !inject_divergence, "{workload}");
+            for width in &WIDTHS[1..] {
+                assert_eq!(
+                    cosim(*width),
+                    serial,
+                    "{workload}: CosimReport at width {width:?} \
+                     (inject_divergence {inject_divergence})"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
+fn failing_job_is_reported_at_every_width() {
+    // Job K of intspeed cannot load: at every width the launch fails with
+    // job K's error (the serial loop's first failure), and once that
+    // failure is seen no later job starts — only jobs other workers had
+    // already claimed may still run.
+    const K: usize = 3;
+    let root = common::tmpdir("det-fail");
+    let mut builder = common::builder_in(&root);
+    let products = builder
+        .build("intspeed.json", &BuildOptions::default())
+        .unwrap();
+    let JobKind::Linux { boot_path, .. } = &products.jobs[K].kind else {
+        panic!("intspeed jobs boot Linux");
+    };
+    std::fs::remove_file(boot_path).unwrap();
+    let run_root = builder.run_dir(&products.workload);
+    for width in WIDTHS {
+        let _ = std::fs::remove_dir_all(&run_root);
+        let opts = LaunchOptions {
+            sim: Some("qemu".to_owned()),
+            jobs: width,
+            ..LaunchOptions::default()
+        };
+        let err = launch_workload(&builder, &products, &opts).unwrap_err();
+        assert!(
+            err.to_string().contains(&products.jobs[K].name),
+            "width {width:?}: error names job {K}: {err}"
+        );
+        let ran: Vec<usize> = (0..products.jobs.len())
+            .filter(|&i| run_root.join(&products.jobs[i].name).exists())
+            .collect();
+        let pool = width
+            .unwrap_or_else(LocalRunner::host_threads)
+            .min(products.jobs.len());
+        assert!(
+            ran.starts_with(&(0..K).collect::<Vec<_>>()),
+            "width {width:?}: every job before {K} ran: {ran:?}"
+        );
+        assert!(
+            !ran.contains(&K) && ran.len() < K + pool,
+            "width {width:?} (pool of {pool}): jobs that ran: {ran:?}"
+        );
+    }
     std::fs::remove_dir_all(root).unwrap();
 }

@@ -438,6 +438,7 @@ fn cli_launch_surfaces_timeout_exit_code() {
         command: Command::Launch {
             workload: "hello.json".to_owned(),
             job: None,
+            jobs: None,
             timeout_insts: Some(1),
             sim: None,
             hw: None,
