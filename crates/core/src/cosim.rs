@@ -4,10 +4,10 @@
 //! The paper's portability claim (§III-C/E) is that the *exact same
 //! artifacts* produce the same workload behaviour on functional and
 //! cycle-exact simulation. This module turns that claim into an
-//! executable check: both backends get the same loaded artifacts, and
-//! their canonical uartlogs, exit codes, and extracted `outputs` files
-//! are compared line by line, reporting the first divergence with
-//! surrounding context.
+//! executable check: both backends run the same built artifacts through
+//! the run path `launch` takes, and their canonical uartlogs, exit codes,
+//! and the `outputs` files `launch` would collect are compared, reporting
+//! the first divergence with surrounding context.
 //!
 //! Instruction counts are deliberately *not* compared — they legitimately
 //! differ across backends (e.g. digit loops printing cycle counters run
@@ -17,16 +17,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use marshal_image::{FsImage, Node};
-use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::HardwareConfig;
 use marshal_trace::Recorder;
 
 use crate::build::{BuildProducts, JobArtifacts};
 use crate::checkpoint::CheckpointStore;
 use crate::error::MarshalError;
-use crate::launch::{load_artifacts, run_checkpointed};
-use crate::simulator::{simulator_for, BackendOptions};
+use crate::launch::run_job;
+use crate::simulator::BackendOptions;
 use crate::test::clean_output;
 use crate::warnings::Warning;
 
@@ -87,8 +85,10 @@ pub struct BackendBehaviour {
     pub instructions: u64,
     /// Whether the watchdog terminated the run.
     pub timed_out: bool,
-    /// Declared `outputs` files extracted from the final image,
-    /// path → contents.
+    /// What the declared `outputs` paths cover in the final image, the
+    /// files `launch` collects ([`marshal_image::FsImage::output_nodes`]):
+    /// guest path → contents. A directory is keyed with a trailing `/` and
+    /// has empty contents.
     pub outputs: BTreeMap<String, Vec<u8>>,
     /// Non-fatal diagnostics from this observation (e.g. a corrupt boot
     /// checkpoint that forced a cold boot).
@@ -197,8 +197,8 @@ impl CosimReport {
     }
 }
 
-/// Runs one backend over a job's artifacts and captures the behaviour the
-/// comparison looks at.
+/// Runs one backend over a job's artifacts through the run path `launch`
+/// takes, and captures the behaviour the comparison looks at.
 ///
 /// # Errors
 ///
@@ -212,60 +212,36 @@ pub fn observe_backend(
         timeout_insts: opts.timeout_insts,
         hw: opts.hw.clone(),
     };
-    let backend = simulator_for(backend_name, &job.spec, &backend_opts)?;
-    let loaded = load_artifacts(job)?;
-    let span = opts.recorder.sim_span(backend.name(), &job.name);
-    let run = run_checkpointed(
-        backend.as_ref(),
-        &loaded,
-        LaunchMode::Run,
+    let (backend, run, warnings) = run_job(
+        job,
+        backend_name,
+        &backend_opts,
         opts.checkpoints.as_ref(),
-        &job.name,
         &opts.recorder,
-    );
-    match &run {
-        Ok((r, _)) => span.end_with(&[
-            ("outcome", if r.result.timed_out { "timeout" } else { "ok" }),
-            ("instructions", &r.result.instructions.to_string()),
-        ]),
-        Err(_) => span.end_with(&[("outcome", "error")]),
-    }
-    let (run, warnings) = run?;
-    let outputs = gather_outputs(run.result.image.as_ref(), &job.spec.outputs);
-    Ok(BackendBehaviour {
-        backend: backend.name().to_owned(),
-        canonical: clean_output(&run.result.serial),
-        serial: run.result.serial,
-        exit_code: run.result.exit_code,
-        instructions: run.result.instructions,
-        timed_out: run.result.timed_out,
-        outputs,
-        warnings,
-    })
-}
-
-/// Extracts a job's declared `outputs` paths from its final image as
-/// path → contents. A declared directory contributes every file under it;
-/// paths the guest never wrote are simply absent (the comparison flags
-/// them when the other backend wrote them).
-fn gather_outputs(image: Option<&FsImage>, outputs: &[String]) -> BTreeMap<String, Vec<u8>> {
-    let mut found = BTreeMap::new();
-    let Some(image) = image else {
-        return found;
-    };
-    for declared in outputs {
-        let declared = declared.trim_end_matches('/');
-        for (path, node) in image.walk() {
-            let under = path == declared || path.starts_with(&format!("{declared}/"));
-            if !under {
-                continue;
-            }
-            if let Node::File { data, .. } = node {
-                found.insert(path, data.to_vec());
+    )?;
+    let result = run.result;
+    let mut outputs = BTreeMap::new();
+    if let Some(image) = &result.image {
+        for declared in &job.spec.outputs {
+            let root = declared.trim_end_matches('/');
+            for (rel, data) in image.output_nodes(declared).unwrap_or_default() {
+                match data {
+                    Some(data) => outputs.insert(format!("{root}{rel}"), data.to_vec()),
+                    None => outputs.insert(format!("{root}{rel}/"), Vec::new()),
+                };
             }
         }
     }
-    found
+    Ok(BackendBehaviour {
+        backend: backend.to_owned(),
+        canonical: clean_output(&result.serial),
+        serial: result.serial,
+        exit_code: result.exit_code,
+        instructions: result.instructions,
+        timed_out: result.timed_out,
+        outputs,
+        warnings,
+    })
 }
 
 /// How many shared lines to show before a serial divergence.
@@ -497,19 +473,6 @@ mod tests {
         inject_single_byte_divergence(&mut injected);
         assert_ne!(clean.canonical, injected.canonical);
         assert!(compare_behaviour(&clean, &injected).is_some());
-    }
-
-    #[test]
-    fn gathers_declared_outputs() {
-        let mut img = FsImage::new();
-        img.write_file("/output/a.csv", b"a\n").unwrap();
-        img.write_file("/output/sub/b.csv", b"b\n").unwrap();
-        img.write_file("/etc/hostname", b"host\n").unwrap();
-        let got = gather_outputs(Some(&img), &["/output".to_owned()]);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got["/output/a.csv"], b"a\n");
-        assert_eq!(got["/output/sub/b.csv"], b"b\n");
-        assert!(gather_outputs(None, &["/output".to_owned()]).is_empty());
     }
 
     #[test]

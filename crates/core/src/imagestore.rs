@@ -271,9 +271,10 @@ static PIN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// concurrent prune deletes a blob a `-j N` build just decided not to
 /// rewrite.
 ///
-/// Pins are files under `objects/.pins/` named `<pid>-<seq>.pin` and
-/// containing the owning pid; a pin whose process has exited is stale and
-/// is removed by the next [`scan_pool_pins`].
+/// Pins are files under `objects/.pins/` named `<pid>-<seq>.pin`; a pin
+/// whose process has exited is stale and is removed by the next
+/// [`scan_pool_pins`]. The owner is read from the name, never the
+/// contents, so a pin caught before its contents are written is live.
 #[derive(Debug)]
 pub struct PoolPin {
     path: PathBuf,
@@ -331,19 +332,14 @@ pub fn scan_pool_pins(objects_dir: &Path) -> PinScan {
         if name.to_str().and_then(persist::temp_owner).is_some() {
             continue;
         }
-        let path = entry.path();
-        let pid = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok());
-        let alive = pid.is_some_and(pid_alive);
-        if alive {
-            scan.live.push(
-                path.file_name()
-                    .unwrap_or_default()
-                    .to_string_lossy()
-                    .into_owned(),
-            );
-        } else if std::fs::remove_file(&path).is_ok() {
+        let name = name.to_string_lossy().into_owned();
+        let pid = name
+            .strip_suffix(".pin")
+            .and_then(|stem| stem.split_once('-'))
+            .and_then(|(pid, _)| pid.parse::<u32>().ok());
+        if pid.is_some_and(pid_alive) {
+            scan.live.push(name);
+        } else if std::fs::remove_file(entry.path()).is_ok() {
             scan.stale_removed += 1;
         }
     }
@@ -469,6 +465,22 @@ mod tests {
             assert_eq!(scan.stale_removed, 1);
             assert!(!stale.exists());
         }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn pin_caught_before_its_contents_is_live() {
+        // The run recorder writes its pin in place, so a scan can find the
+        // file before the pid is written into it: the name alone decides.
+        let dir = scratch_dir("emptypin");
+        let pins = dir.join(".pins");
+        std::fs::create_dir_all(&pins).unwrap();
+        let name = format!("{}-0.pin", std::process::id());
+        std::fs::write(pins.join(&name), "").unwrap();
+        let scan = scan_pool_pins(&dir);
+        assert_eq!(scan.live, vec![name.clone()]);
+        assert_eq!(scan.stale_removed, 0);
+        assert!(pins.join(&name).exists());
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -201,38 +201,27 @@ pub fn run_checkpointed(
     Ok((run, warnings))
 }
 
-/// Launches one job of a built workload and collects its outputs.
-///
-/// # Errors
-///
-/// Simulation, collection, and I/O errors; bad `index`.
-pub fn launch_job(
-    builder: &Builder,
-    products: &BuildProducts,
-    index: usize,
-    opts: &LaunchOptions,
-) -> Result<LaunchOutput, MarshalError> {
-    let job = products.jobs.get(index).ok_or_else(|| {
-        MarshalError::Other(format!(
-            "workload `{}` has no job index {index}",
-            products.workload
-        ))
-    })?;
-    let rec = builder.recorder();
-    // Resolve the backend once: `--sim` may name an alias (`functional`),
-    // and the span records the canonical name the registry resolved.
-    let backend_name = opts
-        .sim
-        .as_deref()
-        .unwrap_or_else(|| default_backend(&job.spec));
-    let backend = simulator_for(backend_name, &job.spec, &opts.backend_options())?;
-    let store = (!opts.no_checkpoint).then(|| CheckpointStore::new(builder.workdir()));
-    // Pin the checkpoint directory while this launch may read or write it,
-    // so a concurrent `marshal clean` defers pruning (blob-pool semantics).
-    let _pin = store.as_ref().and_then(|s| PoolPin::acquire(s.dir()).ok());
+/// Runs one built job: the one run path behind `launch`, `test` and
+/// `cosim`. It resolves `backend_name` through the registry, pins `store`
+/// (when given) so a concurrent `marshal clean` defers pruning it, and
+/// opens a `sim` span. Inside the span it loads the artifacts and calls
+/// [`run_checkpointed`]. The span ends with `outcome`, `exit_code`,
+/// `instructions` and `uartlog_bytes` (`outcome` = `error` alone when the
+/// load or the run fails), and a `watchdog` instant follows when the guest
+/// watchdog fired. Returns the backend's canonical name, the run and its
+/// checkpoint warnings.
+pub(crate) fn run_job(
+    job: &JobArtifacts,
+    backend_name: &str,
+    backend_opts: &BackendOptions,
+    store: Option<&CheckpointStore>,
+    rec: &Recorder,
+) -> Result<(&'static str, SimRun, Vec<Warning>), MarshalError> {
+    let backend = simulator_for(backend_name, &job.spec, backend_opts)?;
+    let _pin = store.and_then(|s| PoolPin::acquire(s.dir()).ok());
+    // The span records the canonical name: `--sim functional` is `qemu`.
     let span = rec.sim_span(backend.name(), &job.name);
     let run = load_artifacts(job).and_then(|loaded| {
-        let store = store.as_ref();
         run_checkpointed(
             backend.as_ref(),
             &loaded,
@@ -251,11 +240,43 @@ pub fn launch_job(
         ]),
         Err(_) => span.end_with(&[("outcome", "error")]),
     }
-    let (run, mut warnings) = run?;
-    let result = run.result;
-    if result.timed_out {
-        rec.watchdog_fired(&job.name, result.instructions);
+    let (run, warnings) = run?;
+    if run.result.timed_out {
+        rec.watchdog_fired(&job.name, run.result.instructions);
     }
+    Ok((backend.name(), run, warnings))
+}
+
+/// Launches one job of a built workload and collects its outputs.
+///
+/// # Errors
+///
+/// Simulation, collection, and I/O errors; bad `index`.
+pub fn launch_job(
+    builder: &Builder,
+    products: &BuildProducts,
+    index: usize,
+    opts: &LaunchOptions,
+) -> Result<LaunchOutput, MarshalError> {
+    let job = products.jobs.get(index).ok_or_else(|| {
+        MarshalError::Other(format!(
+            "workload `{}` has no job index {index}",
+            products.workload
+        ))
+    })?;
+    let backend = opts
+        .sim
+        .as_deref()
+        .unwrap_or_else(|| default_backend(&job.spec));
+    let store = (!opts.no_checkpoint).then(|| CheckpointStore::new(builder.workdir()));
+    let (_, run, mut warnings) = run_job(
+        job,
+        backend,
+        &opts.backend_options(),
+        store.as_ref(),
+        builder.recorder(),
+    )?;
+    let result = run.result;
     let job_dir = builder.run_dir(&products.workload).join(&job.name);
     if result.timed_out {
         // The watchdog killed the guest mid-run: salvage what it produced

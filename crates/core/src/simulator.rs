@@ -3,11 +3,9 @@
 //! §III-C/E's portability claim — "the exact same artifacts are run on
 //! both simulators" — deserves one abstraction, not dispatch scattered
 //! across `launch`, `build` (guest-init), `install`, and `test`. Every
-//! backend implements [`Simulator`]: a registry name, the log prefixes
-//! its banner lines carry (so output canonicalization never falls out of
-//! sync with the backend list), its feature tags (e.g. `pfa` from a
-//! custom `pfa-spike` binary), and one `run` entry point taking the same
-//! loaded artifacts and optional boot snapshot regardless of backend.
+//! backend implements [`Simulator`]: a registry name and one `run` entry
+//! point taking the same loaded artifacts and optional boot snapshot
+//! regardless of backend.
 //!
 //! The trait is implemented directly on the simulators themselves: the
 //! functional [`FunctionalSim`] (registered as `qemu` and `spike`) and the
@@ -16,7 +14,9 @@
 //!
 //! The registry mirrors [`crate::connector`]: [`simulator_for`] resolves
 //! a name (with aliases) to a boxed backend, [`simulator_names`] lists
-//! the canonical names for CLI diagnostics. `launch --sim <backend>`
+//! the canonical names for CLI diagnostics. Names, aliases and banner
+//! prefixes come from one table, so output canonicalization never falls
+//! out of sync with the backend list. `launch --sim <backend>`
 //! routes through here, and [`crate::cosim`] runs two backends in
 //! lockstep over identical artifacts to diff their behaviour.
 
@@ -45,17 +45,6 @@ pub struct SimRun {
 pub trait Simulator: Send + Sync {
     /// The backend's registry name (`qemu`, `spike`, `rtl`).
     fn name(&self) -> &'static str;
-
-    /// Line prefixes this backend emits in serial logs (banners, exit
-    /// lines). [`crate::test::clean_output`] strips lines starting with
-    /// any registered backend's prefixes, so references written against
-    /// one backend match every other.
-    fn log_prefixes(&self) -> &'static [&'static str];
-
-    /// Feature tags the configured backend instance carries (e.g. `pfa`
-    /// for a `pfa-spike` golden-model binary, or the remote-memory model
-    /// of an RTL configuration).
-    fn features(&self) -> Vec<String>;
 
     /// Runs loaded artifacts. Linux jobs boot the full system: with
     /// `resume` given (and [`LaunchMode::Run`]) the boot phase is skipped
@@ -116,18 +105,6 @@ impl Simulator for FunctionalSim {
         }
     }
 
-    fn log_prefixes(&self) -> &'static [&'static str] {
-        // Banner lines read "qemu-system-riscv64: ..." or "spike: ...".
-        match self.config().kind {
-            SimKind::Qemu => &["qemu"],
-            _ => &["spike"],
-        }
-    }
-
-    fn features(&self) -> Vec<String> {
-        self.config().features.clone()
-    }
-
     fn run(
         &self,
         job: &LoadedJob,
@@ -157,17 +134,6 @@ impl Simulator for FireSim {
         "rtl"
     }
 
-    fn log_prefixes(&self) -> &'static [&'static str] {
-        &["firesim"]
-    }
-
-    fn features(&self) -> Vec<String> {
-        match &self.hardware().remote {
-            RemoteMemConfig::None => Vec::new(),
-            remote => vec![remote.name().to_owned()],
-        }
-    }
-
     fn run(
         &self,
         job: &LoadedJob,
@@ -193,20 +159,28 @@ impl Simulator for FireSim {
     }
 }
 
+/// The backend registry, in registry order: each backend's canonical
+/// name, the aliases `--sim` also accepts, and the prefix of the banner
+/// lines it writes to the serial log ("qemu-system-riscv64: ...",
+/// "spike: ...", "firesim: ...").
+const BACKENDS: [(&str, &[&str], &str); 3] = [
+    ("qemu", &["functional"], "qemu"),
+    ("spike", &[], "spike"),
+    ("rtl", &["firesim", "cycle-exact"], "firesim"),
+];
+
 /// All registered backend names, in registry order.
-pub fn simulator_names() -> &'static [&'static str] {
-    &["qemu", "spike", "rtl"]
+pub fn simulator_names() -> Vec<&'static str> {
+    BACKENDS.iter().map(|b| b.0).collect()
 }
 
 /// Resolves a user-supplied backend name (with aliases) to its canonical
 /// registry name.
 pub fn resolve_backend(name: &str) -> Option<&'static str> {
-    match name {
-        "qemu" | "functional" => Some("qemu"),
-        "spike" => Some("spike"),
-        "rtl" | "firesim" | "cycle-exact" => Some("rtl"),
-        _ => None,
-    }
+    BACKENDS
+        .iter()
+        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name))
+        .map(|b| b.0)
 }
 
 /// The backend a workload runs on when `--sim` is not given: the spec's
@@ -280,23 +254,12 @@ pub fn simulator_for(
     }
 }
 
-/// Every registered backend's declared log prefixes, deduplicated, in
-/// registry order — the canonicalization set [`crate::test::clean_output`]
-/// strips. Adding a backend extends this automatically; no hand-maintained
-/// prefix list can go stale.
+/// Every registered backend's banner prefix, in registry order — the
+/// canonicalization set [`crate::test::clean_output`] strips, so references
+/// written against one backend match every other. Adding a backend to the
+/// registry extends this; no second prefix list can go stale.
 pub fn all_log_prefixes() -> Vec<&'static str> {
-    let spec = WorkloadSpec::default();
-    let opts = BackendOptions::default();
-    let mut prefixes = Vec::new();
-    for name in simulator_names() {
-        let backend = simulator_for(name, &spec, &opts).expect("registered backend");
-        for p in backend.log_prefixes() {
-            if !prefixes.contains(p) {
-                prefixes.push(*p);
-            }
-        }
-    }
-    prefixes
+    BACKENDS.iter().map(|b| b.2).collect()
 }
 
 #[cfg(test)]
@@ -312,7 +275,8 @@ mod tests {
         let s = spec();
         let opts = BackendOptions::default();
         for name in simulator_names() {
-            assert_eq!(simulator_for(name, &s, &opts).unwrap().name(), *name);
+            assert_eq!(simulator_for(name, &s, &opts).unwrap().name(), name);
+            assert_eq!(resolve_backend(name), Some(name));
         }
         assert!(simulator_for("gem5", &s, &opts).is_err());
     }
@@ -338,10 +302,15 @@ mod tests {
         let mut s = spec();
         s.spike = Some("pfa-spike".to_owned());
         let backend = simulator_for("spike", &s, &BackendOptions::default()).unwrap();
-        assert_eq!(backend.features(), vec!["pfa".to_owned()]);
+        let pfa = FunctionalSim::with_binary(SimKind::Spike, "pfa-spike");
+        assert!(pfa.config().has_feature("pfa"));
+        assert_eq!(backend.config_fingerprint(), pfa.config_fingerprint());
         // The stock binary carries none.
         let stock = simulator_for("spike", &spec(), &BackendOptions::default()).unwrap();
-        assert!(stock.features().is_empty());
+        let plain = FunctionalSim::new(SimKind::Spike);
+        assert!(plain.config().features.is_empty());
+        assert_eq!(stock.config_fingerprint(), plain.config_fingerprint());
+        assert_ne!(stock.config_fingerprint(), pfa.config_fingerprint());
     }
 
     #[test]
@@ -349,18 +318,29 @@ mod tests {
         let mut s = spec();
         s.spike = Some("pfa-spike".to_owned());
         let rtl = simulator_for("rtl", &s, &BackendOptions::default()).unwrap();
-        assert_eq!(rtl.features(), vec!["pfa".to_owned()]);
-        let pfa = FireSim::new(HardwareConfig::rocket().with_remote(RemoteMemConfig::Pfa(
+        let rocket_pfa = HardwareConfig::rocket().with_remote(RemoteMemConfig::Pfa(
             marshal_sim_rtl::pfa::RemoteTimings::default(),
-        )));
-        assert_eq!(rtl.config_fingerprint(), pfa.config_fingerprint());
+        ));
+        // The same backend an explicit rocket+PFA `--hw` builds.
+        let explicit = BackendOptions {
+            hw: Some(rocket_pfa.clone()),
+            ..Default::default()
+        };
+        let explicit = simulator_for("rtl", &spec(), &explicit).unwrap();
+        assert_eq!(rtl.config_fingerprint(), explicit.config_fingerprint());
+        assert_eq!(
+            rtl.config_fingerprint(),
+            FireSim::new(rocket_pfa).config_fingerprint()
+        );
+        // Without a `pfa-spike` spec, rtl runs plain Rocket.
+        let plain = simulator_for("rtl", &spec(), &BackendOptions::default()).unwrap();
+        assert_ne!(plain.config_fingerprint(), rtl.config_fingerprint());
         // An explicit --hw wins over the feature-derived default.
         let opts = BackendOptions {
             hw: Some(HardwareConfig::boom_tage()),
             ..Default::default()
         };
         let rtl = simulator_for("rtl", &s, &opts).unwrap();
-        assert!(rtl.features().is_empty());
         assert_eq!(
             rtl.config_fingerprint(),
             FireSim::new(HardwareConfig::boom_tage()).config_fingerprint()

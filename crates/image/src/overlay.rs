@@ -8,6 +8,10 @@ use std::path::Path;
 
 use crate::fs::{FsError, FsImage, Node};
 
+/// One node a declared output covers ([`FsImage::output_nodes`]): its path
+/// relative to the declared path, and its contents (`None` for a directory).
+pub type OutputNode<'a> = (String, Option<&'a [u8]>);
+
 impl FsImage {
     /// Overlays another image on top of this one.
     ///
@@ -102,44 +106,61 @@ impl FsImage {
         Ok(())
     }
 
+    /// What a declared `outputs` path covers: the one rule behind both
+    /// writing a run's outputs to disk ([`FsImage::copy_out`]) and comparing
+    /// them across backends (`cosim`).
+    ///
+    /// A symlink at `guest_path` itself is followed ([`FsImage::resolve`]).
+    /// Below it, nothing is followed: a file covers its contents, a symlink
+    /// its target text, and a directory (`None`) itself, even when empty.
+    /// Paths are relative to `guest_path`: `""` is the path itself, and every
+    /// other path starts with `/`. Directories come before their entries,
+    /// entries in name order. `None` when `guest_path` does not resolve.
+    pub fn output_nodes(&self, guest_path: &str) -> Option<Vec<OutputNode<'_>>> {
+        fn rec<'a>(rel: String, node: &'a Node, out: &mut Vec<OutputNode<'a>>) {
+            match node {
+                Node::File { data, .. } => out.push((rel, Some(data))),
+                Node::Symlink(target) => out.push((rel, Some(target.as_bytes()))),
+                Node::Dir(dir) => {
+                    out.push((rel.clone(), None));
+                    for (name, child) in dir.children() {
+                        rec(format!("{rel}/{name}"), child, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        rec(String::new(), self.resolve(guest_path)?, &mut out);
+        Some(out)
+    }
+
     /// Copies a path (file or directory subtree) out of the image into a
-    /// host directory — used by output collection after a run.
+    /// host directory — used by output collection after a run. It writes
+    /// exactly what [`FsImage::output_nodes`] covers.
     ///
     /// # Errors
     ///
     /// [`FsError::NotFound`] when `guest_path` is missing, or I/O failures
     /// as [`FsError::BadPath`].
     pub fn copy_out(&self, guest_path: &str, host_dest: &Path) -> Result<(), FsError> {
-        let node = self
-            .resolve(guest_path)
+        let nodes = self
+            .output_nodes(guest_path)
             .ok_or_else(|| FsError::NotFound(guest_path.to_owned()))?;
-        copy_node_out(node, host_dest)
-    }
-}
-
-fn copy_node_out(node: &Node, dest: &Path) -> Result<(), FsError> {
-    match node {
-        Node::File { data, .. } => {
-            if let Some(parent) = dest.parent() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| FsError::BadPath(format!("{}: {e}", parent.display())))?;
+        let io = |path: &Path, e| FsError::BadPath(format!("{}: {e}", path.display()));
+        if let Some(parent) = host_dest.parent() {
+            std::fs::create_dir_all(parent).map_err(|e| io(parent, e))?;
+        }
+        // Directories come first, so every entry's parent exists.
+        for (rel, data) in nodes {
+            let mut dest = host_dest.to_path_buf();
+            dest.extend(rel.split('/').filter(|c| !c.is_empty()));
+            match data {
+                None => std::fs::create_dir_all(&dest),
+                Some(data) => std::fs::write(&dest, data),
             }
-            std::fs::write(dest, data)
-                .map_err(|e| FsError::BadPath(format!("{}: {e}", dest.display())))
+            .map_err(|e| io(&dest, e))?;
         }
-        Node::Dir(dir) => {
-            std::fs::create_dir_all(dest)
-                .map_err(|e| FsError::BadPath(format!("{}: {e}", dest.display())))?;
-            for (name, child) in dir.children() {
-                copy_node_out(child, &dest.join(name))?;
-            }
-            Ok(())
-        }
-        Node::Symlink(target) => {
-            // Materialise symlink contents as a file for output collection.
-            std::fs::write(dest, target.as_bytes())
-                .map_err(|e| FsError::BadPath(format!("{}: {e}", dest.display())))
-        }
+        Ok(())
     }
 }
 
@@ -215,7 +236,11 @@ mod tests {
         img.write_file("/output/results.csv", b"a,b\n1,2\n")
             .unwrap();
         img.write_file("/output/nested/log.txt", b"log").unwrap();
+        img.mkdir_p("/output/empty").unwrap();
+        img.symlink("/output/latest", "results.csv").unwrap();
         img.copy_out("/output", &dir.join("out")).unwrap();
+        img.copy_out("/output/nested/log.txt", &dir.join("one/log.txt"))
+            .unwrap();
         assert_eq!(
             std::fs::read(dir.join("out/results.csv")).unwrap(),
             b"a,b\n1,2\n"
@@ -224,8 +249,43 @@ mod tests {
             std::fs::read(dir.join("out/nested/log.txt")).unwrap(),
             b"log"
         );
+        assert!(dir.join("out/empty").is_dir());
+        assert_eq!(
+            std::fs::read(dir.join("out/latest")).unwrap(),
+            b"results.csv"
+        );
+        assert_eq!(std::fs::read(dir.join("one/log.txt")).unwrap(), b"log");
         assert!(img.copy_out("/missing", &dir.join("x")).is_err());
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn gathers_declared_outputs() {
+        let mut img = FsImage::new();
+        img.write_file("/output/a.csv", b"a\n").unwrap();
+        img.write_file("/output/sub/b.csv", b"b\n").unwrap();
+        img.mkdir_p("/output/empty").unwrap();
+        img.symlink("/output/link", "a.csv").unwrap();
+        img.write_file("/etc/hostname", b"host\n").unwrap();
+        let want = vec![
+            (String::new(), None),
+            ("/a.csv".to_owned(), Some(&b"a\n"[..])),
+            ("/empty".to_owned(), None),
+            // Symlinks below the declared path are not followed.
+            ("/link".to_owned(), Some(&b"a.csv"[..])),
+            ("/sub".to_owned(), None),
+            ("/sub/b.csv".to_owned(), Some(&b"b\n"[..])),
+        ];
+        assert_eq!(img.output_nodes("/output"), Some(want.clone()));
+        assert_eq!(img.output_nodes("/output/"), Some(want.clone()));
+        // A symlink at the declared path is followed.
+        img.symlink("/results", "/output").unwrap();
+        assert_eq!(img.output_nodes("/results"), Some(want));
+        assert_eq!(
+            img.output_nodes("/output/a.csv"),
+            Some(vec![(String::new(), Some(&b"a\n"[..]))])
+        );
+        assert_eq!(img.output_nodes("/missing"), None);
     }
 
     #[cfg(unix)]

@@ -641,7 +641,7 @@ pub mod csr {
     pub const MHARTID: u16 = 0xF14;
     /// Machine scratch register.
     pub const MSCRATCH: u16 = 0x340;
-    /// The names the assembler accepts and the disassembler prints.
+    /// The names the assembler accepts.
     pub const NAMES: [(u16, &str); 5] = [
         (CYCLE, "cycle"),
         (TIME, "time"),

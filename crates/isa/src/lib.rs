@@ -3,7 +3,7 @@
 //! A from-scratch RV64IM implementation used as the common substrate of the
 //! FireMarshal reproduction: instruction definitions, authentic binary
 //! encoding/decoding, a two-pass assembler, a deterministic object format
-//! (`MEXE`), a disassembler, and a functional interpreter core.
+//! (`MEXE`), and a functional interpreter core.
 //!
 //! Both the functional simulators (`marshal-sim-functional`) and the
 //! cycle-exact simulator (`marshal-sim-rtl`) execute *exactly* the same
@@ -51,7 +51,6 @@
 pub mod abi;
 pub mod asm;
 pub mod decode;
-pub mod disasm;
 pub mod encode;
 pub mod inst;
 pub mod interp;

@@ -170,8 +170,9 @@ impl Recorder {
             .append(true)
             .open(&journal)
             .map_err(|e| format!("create {}: {e}", journal.display()))?;
-        // Live-run pin, PoolPin-style: `<pid>-<seq>.pin` containing the
-        // pid, swept by the same scan `clean` uses for the blob pool.
+        // Live-run pin, PoolPin-style: `<pid>-<seq>.pin`, swept by the
+        // same scan `clean` uses for the blob pool, which reads the owner
+        // from the name (the contents may not be written yet).
         let pins = runs.join(".pins");
         std::fs::create_dir_all(&pins).map_err(|e| format!("mkdir {}: {e}", pins.display()))?;
         let pin_path = pins.join(format!("{pid}-{seq}.pin"));

@@ -6,7 +6,8 @@
 mod common;
 
 use marshal_core::cli::{self, CliArgs, Command};
-use marshal_core::cosim::{cosim_workload, CosimOptions, Divergence};
+use marshal_core::cosim::{cosim_workload, observe_backend, CosimOptions, Divergence};
+use marshal_core::launch::{launch_workload, LaunchOptions};
 use marshal_core::BuildOptions;
 
 #[test]
@@ -60,6 +61,63 @@ fn pfa_workload_agrees_functional_vs_cycle_exact() {
         .unwrap();
     let report = cosim_workload(&products, &CosimOptions::default()).unwrap();
     assert!(report.agreed(), "{:?}", report.jobs);
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn output_behind_a_symlink_is_compared_and_collected() {
+    use std::os::unix::fs::PermissionsExt;
+    // The declared `/output` is a symlink to `/data`. The guest runs a
+    // loop, then writes its cycle count behind the link: the functional
+    // and the cycle-exact backend count differently, so the file differs
+    // while the serial log agrees. `cosim` must compare the file `launch`
+    // collects.
+    let root = common::tmpdir("cosim-symlink");
+    let wl = root.join("user-workloads");
+    std::fs::create_dir_all(wl.join("overlay/data")).unwrap();
+    std::fs::create_dir_all(wl.join("overlay/bin")).unwrap();
+    std::os::unix::fs::symlink("data", wl.join("overlay/output")).unwrap();
+    let spin = "_start:\n li t0, 500\nloop:\n addi t0, t0, -1\n bnez t0, loop\n \
+                li a0, 0\n li a7, 93\n ecall\n";
+    let exe = marshal_isa::asm::assemble(spin, marshal_isa::abi::USER_BASE).unwrap();
+    let bin = wl.join("overlay/bin/spin");
+    std::fs::write(&bin, exe.to_bytes()).unwrap();
+    std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755)).unwrap();
+    std::fs::write(
+        wl.join("overlay/stamp.ms"),
+        "#!mscript\nexec(\"/bin/spin\")\nwrite_file(\"/data/stamp.txt\", str(cycles()))\n",
+    )
+    .unwrap();
+    std::fs::write(
+        wl.join("linked.json"),
+        r#"{"name":"linked","base":"br-base.json","overlay":"overlay","run":"stamp.ms",
+            "outputs":["/output"]}"#,
+    )
+    .unwrap();
+    let setup = marshal_workloads::setup(&root).unwrap();
+    let mut search = setup.search;
+    search.add_dir(&wl);
+    let mut builder = marshal_core::Builder::new(setup.board, search, root.join("work")).unwrap();
+    let products = builder
+        .build("linked.json", &BuildOptions::default())
+        .unwrap();
+    let opts = CosimOptions::default();
+    let report = cosim_workload(&products, &opts).unwrap();
+    assert_eq!(report.backends, ("qemu".to_owned(), "rtl".to_owned()));
+    match &report.jobs[0].divergence {
+        Some(Divergence::Output { path, .. }) => assert_eq!(path, "/output/stamp.txt"),
+        other => panic!("expected an output divergence, got {other:?}"),
+    }
+
+    let qemu = observe_backend("qemu", &products.jobs[0], &opts).unwrap();
+    let launch_opts = LaunchOptions {
+        sim: Some("qemu".to_owned()),
+        ..LaunchOptions::default()
+    };
+    let run = launch_workload(&builder, &products, &launch_opts).unwrap();
+    let collected = std::fs::read(run.jobs[0].job_dir.join("output/stamp.txt")).unwrap();
+    assert_eq!(qemu.outputs["/output/stamp.txt"], collected);
     std::fs::remove_dir_all(root).unwrap();
 }
 

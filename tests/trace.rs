@@ -103,6 +103,40 @@ fn sim_span_names_the_canonical_backend() {
     std::fs::remove_dir_all(root).unwrap();
 }
 
+/// `launch` and `cosim` run a job through one path, so every `sim` span
+/// closes with the same keys and two runs' journals can be diffed.
+#[test]
+fn launch_and_cosim_sim_spans_end_with_the_same_keys() {
+    let root = common::tmpdir("trace-sim-keys");
+    for command in ["launch", "cosim"] {
+        let (code, log) = run(&root, &[command, "hello.json"]);
+        assert_eq!(code, 0, "{log:?}");
+    }
+    let mut ends = Vec::new();
+    for info in list_runs(&root.join("work")) {
+        let mut command = String::new();
+        let mut sim_ids = Vec::new();
+        for record in read_journal(&info.journal).unwrap().records {
+            match record.kind {
+                RecordKind::Run { name, .. } => command = name,
+                RecordKind::SpanStart { id, name, .. } if name == "sim" => sim_ids.push(id),
+                RecordKind::SpanEnd { id, args } if sim_ids.contains(&id) => {
+                    ends.push((command.clone(), args.into_keys().collect::<Vec<_>>()));
+                }
+                _ => {}
+            }
+        }
+    }
+    ends.sort();
+    let keys = ["exit_code", "instructions", "outcome", "uartlog_bytes"];
+    let want: Vec<(String, Vec<String>)> = ["cosim", "cosim", "launch"]
+        .iter()
+        .map(|c| (c.to_string(), keys.map(str::to_owned).to_vec()))
+        .collect();
+    assert_eq!(ends, want);
+    std::fs::remove_dir_all(root).unwrap();
+}
+
 #[test]
 fn parallel_j8_journal_is_ordered_and_nested() {
     let root = common::tmpdir("trace-j8");
