@@ -3,15 +3,59 @@
 //! timed head to head. Appends each backend's mean launch time, launches
 //! per second and retired instructions to `BENCH_backends.json` at the
 //! workspace root, so the numbers accumulate a trajectory across commits.
+//!
+//! The `interp_intspeed` row times the interpreter alone: the ten bare
+//! intspeed binaries run back to back on the functional simulator, and the
+//! row is the best round's host nanoseconds per retired guest instruction.
 
 use marshal_bench::{append_bench_rows, builder_in, scratch, Row};
 use marshal_core::launch::load_artifacts;
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::BuildOptions;
-use marshal_sim_functional::LaunchMode;
+use marshal_isa::{abi, assemble};
+use marshal_sim_functional::{FunctionalSim, LaunchMode, LoadedJob, SimKind};
+use marshal_workloads::intspeed;
 
 /// Timed launches per backend, after one warm-up launch.
 const SAMPLES: u32 = 10;
+
+/// Rounds over the ten intspeed binaries; the fastest one is reported.
+const ROUNDS: u32 = 5;
+
+/// Host nanoseconds per guest instruction of the functional interpreter
+/// over the ten bare intspeed binaries, best of [`ROUNDS`].
+fn interp_intspeed() -> Vec<Row> {
+    let jobs: Vec<LoadedJob> = intspeed::benchmarks()
+        .into_iter()
+        .map(|(name, source)| LoadedJob::Bare {
+            bin: assemble(&source, abi::USER_BASE)
+                .unwrap_or_else(|e| panic!("assemble {name}: {e}"))
+                .to_bytes(),
+        })
+        .collect();
+    let sim = FunctionalSim::new(SimKind::Qemu);
+    let mut best = f64::INFINITY;
+    let mut instructions = 0;
+    for _ in 0..ROUNDS {
+        let t0 = std::time::Instant::now();
+        instructions = 0;
+        for job in &jobs {
+            let (result, _) = sim.run(job, LaunchMode::Run, None).expect("run");
+            assert_eq!(result.exit_code, 0, "intspeed runs clean");
+            instructions += result.instructions;
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / instructions as f64);
+    }
+    println!(
+        "  interp_intspeed  {best:>6.2} ns/inst  (best of {ROUNDS}, {instructions} instructions)"
+    );
+    let row =
+        |metric, value, unit| Row::new("backend_launch", "interp_intspeed", metric, value, unit);
+    vec![
+        row("ns_per_inst", best, "ns"),
+        row("instructions", instructions as f64, "instructions"),
+    ]
+}
 
 fn main() {
     let root = scratch("backend-launch");
@@ -55,6 +99,7 @@ fn main() {
             row("instructions", instructions as f64, "instructions"),
         ]);
     }
+    rows.extend(interp_intspeed());
     append_bench_rows("BENCH_backends.json", &rows);
     let _ = std::fs::remove_dir_all(root);
 }

@@ -327,43 +327,6 @@ impl AluOp {
         ]
     };
 
-    /// Whether the operation is from the M extension (multiply/divide).
-    #[inline]
-    pub fn is_muldiv(self) -> bool {
-        matches!(
-            self,
-            AluOp::Mul
-                | AluOp::Mulh
-                | AluOp::Mulhsu
-                | AluOp::Mulhu
-                | AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-                | AluOp::Mulw
-                | AluOp::Divw
-                | AluOp::Divuw
-                | AluOp::Remw
-                | AluOp::Remuw
-        )
-    }
-
-    /// Whether the operation is a divide or remainder (long latency).
-    #[inline]
-    pub fn is_div(self) -> bool {
-        matches!(
-            self,
-            AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-                | AluOp::Divw
-                | AluOp::Divuw
-                | AluOp::Remw
-                | AluOp::Remuw
-        )
-    }
-
     /// The assembler mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -698,14 +661,6 @@ mod tests {
         assert_eq!(MemWidth::Hu.bytes(), 2);
         assert_eq!(MemWidth::Wu.bytes(), 4);
         assert_eq!(MemWidth::D.bytes(), 8);
-    }
-
-    #[test]
-    fn alu_op_classification() {
-        assert!(AluOp::Mul.is_muldiv());
-        assert!(AluOp::Divw.is_div());
-        assert!(!AluOp::Add.is_muldiv());
-        assert!(!AluOp::Mul.is_div());
     }
 
     #[test]

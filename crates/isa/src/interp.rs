@@ -1,15 +1,19 @@
 //! The functional interpreter core.
 //!
 //! [`Cpu::step`] executes exactly one instruction against a [`Bus`] and
-//! reports what happened as a [`StepOutcome`]. The cycle-exact simulator in
-//! `marshal-sim-rtl` consumes the same [`Retired`] records as a
+//! reports what happened as a [`StepOutcome`]. It decodes the word into
+//! the same 8-byte [`Op`] the predecoded block loop ([`crate::predecode`])
+//! runs, and both execute it through one body. The cycle-exact simulator
+//! in `marshal-sim-rtl` consumes the same [`Retired`] records as a
 //! perfectly-accurate execution trace, which guarantees both simulators run
 //! the identical instruction stream — the property FireMarshal's
 //! `launch`/`install` portability depends on.
 
-use crate::decode::decode;
-use crate::inst::{csr, AluImmOp, AluOp, CsrOp, Inst, Reg};
+use crate::inst::{csr, Reg};
 use crate::mem::Bus;
+#[cfg(doc)]
+use crate::predecode::DecodeCache;
+use crate::predecode::{Code, Op};
 
 /// An architectural trap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +114,9 @@ pub enum RetireKind {
 
 /// A fully-retired instruction, with everything a timing model needs.
 ///
-/// The record is deliberately small (no copy of the decoded [`Inst`]): the
-/// [`RetireKind`] carries every fact the timing model dispatches on,
-/// including the call/return flags of jumps.
+/// The record is deliberately small (no copy of the decoded
+/// [`Inst`](crate::inst::Inst)): the [`RetireKind`] carries every fact the
+/// timing model dispatches on, including the call/return flags of jumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
     /// PC of the instruction.
@@ -206,7 +210,8 @@ impl Cpu {
         // Counter CSRs are read-only shadows; other writes are ignored.
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: fetch, decode into an [`Op`], then the
+    /// same executor [`DecodeCache::run_block`] runs.
     ///
     /// On [`StepOutcome::Ecall`]/[`StepOutcome::Ebreak`] the PC has already
     /// advanced past the trapping instruction, so the embedder can service
@@ -219,182 +224,236 @@ impl Cpu {
     /// instruction (PC unchanged).
     pub fn step<B: Bus>(&mut self, bus: &mut B) -> Result<StepOutcome, Trap> {
         let pc = self.pc;
-        let word = bus.fetch(pc)?;
-        let inst = decode(word).map_err(|e| Trap::IllegalInstruction { word: e.word, pc })?;
-        self.exec_decoded(bus, inst)
-    }
-
-    /// Executes an already-decoded instruction as if it had just been fetched
-    /// from the current PC.
-    ///
-    /// This is the entire post-decode half of [`Cpu::step`]; the predecoded
-    /// instruction cache ([`crate::predecode::DecodeCache`]) dispatches
-    /// through it so cached and uncached execution retire bit-identical
-    /// [`Retired`] records. The caller must guarantee `inst` is the decoding
-    /// of the word currently stored at `self.pc`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Trap`] exactly as [`Cpu::step`] would for the same
-    /// instruction (PC left unchanged on trap).
-    #[inline(always)]
-    pub fn exec_decoded<B: Bus>(&mut self, bus: &mut B, inst: Inst) -> Result<StepOutcome, Trap> {
-        let pc = self.pc;
-        let mut next_pc = pc.wrapping_add(4);
-        let kind = match inst {
-            Inst::Lui { rd, imm } => {
-                self.write_reg(rd, imm as u64);
-                RetireKind::Alu
+        let op = Op::decode(bus.fetch(pc)?);
+        let (next_pc, outcome) = match self.exec(bus, op, pc, |_, _| {})? {
+            Done::Next(kind) => {
+                let next_pc = pc.wrapping_add(4);
+                (next_pc, StepOutcome::Retired(Retired { pc, next_pc, kind }))
             }
-            Inst::Auipc { rd, imm } => {
-                self.write_reg(rd, pc.wrapping_add(imm as u64));
-                RetireKind::Alu
+            Done::Jump(kind, next_pc) => {
+                (next_pc, StepOutcome::Retired(Retired { pc, next_pc, kind }))
             }
-            Inst::Jal { rd, offset } => {
-                self.write_reg(rd, next_pc);
-                next_pc = pc.wrapping_add(offset as u64);
-                RetireKind::Jump {
-                    target: next_pc,
-                    call: rd == Reg::RA,
-                }
-            }
-            Inst::Jalr { rd, rs1, offset } => {
-                let target = self.read_reg(rs1).wrapping_add(offset as u64) & !1;
-                self.write_reg(rd, next_pc);
-                next_pc = target;
-                RetireKind::JumpReg {
-                    target,
-                    call: rd == Reg::RA,
-                    ret: rd == Reg::ZERO && rs1 == Reg::RA,
-                }
-            }
-            Inst::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let taken = cond.eval(self.read_reg(rs1), self.read_reg(rs2));
-                let target = pc.wrapping_add(offset as u64);
-                if taken {
-                    next_pc = target;
-                }
-                RetireKind::Branch { taken, target }
-            }
-            Inst::Load {
-                width,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.read_reg(rs1).wrapping_add(offset as u64);
-                let size = width.bytes();
-                if !addr.is_multiple_of(size as u64) {
-                    return Err(Trap::Misaligned { addr });
-                }
-                let raw = bus.load(addr, size)?;
-                let value = match width {
-                    crate::inst::MemWidth::B => raw as u8 as i8 as i64 as u64,
-                    crate::inst::MemWidth::H => raw as u16 as i16 as i64 as u64,
-                    crate::inst::MemWidth::W => raw as u32 as i32 as i64 as u64,
-                    crate::inst::MemWidth::D => raw,
-                    crate::inst::MemWidth::Bu
-                    | crate::inst::MemWidth::Hu
-                    | crate::inst::MemWidth::Wu => raw,
-                };
-                self.write_reg(rd, value);
-                RetireKind::Load { addr }
-            }
-            Inst::Store {
-                width,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let addr = self.read_reg(rs1).wrapping_add(offset as u64);
-                let size = width.bytes();
-                if !addr.is_multiple_of(size as u64) {
-                    return Err(Trap::Misaligned { addr });
-                }
-                bus.store(addr, size, self.read_reg(rs2))?;
-                RetireKind::Store { addr }
-            }
-            Inst::AluImm { op, rd, rs1, imm } => {
-                let a = self.read_reg(rs1);
-                let v = alu_imm(op, a, imm);
-                self.write_reg(rd, v);
-                RetireKind::Alu
-            }
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                let a = self.read_reg(rs1);
-                let b = self.read_reg(rs2);
-                self.write_reg(rd, alu(op, a, b));
-                if op.is_div() {
-                    RetireKind::Div
-                } else if op.is_muldiv() {
-                    RetireKind::Mul
-                } else {
-                    RetireKind::Alu
-                }
-            }
-            Inst::Fence => RetireKind::System,
-            Inst::Ecall => {
-                self.pc = next_pc;
-                self.instret += 1;
-                self.cycle += 1;
-                return Ok(StepOutcome::Ecall);
-            }
-            Inst::Ebreak => {
-                self.pc = next_pc;
-                self.instret += 1;
-                self.cycle += 1;
-                return Ok(StepOutcome::Ebreak);
-            }
-            Inst::Csr {
-                op,
-                rd,
-                rs1,
-                csr: num,
-            } => {
-                let old = self.read_csr(num);
-                let src = self.read_reg(rs1);
-                self.apply_csr(op, num, old, src, rs1 != Reg::ZERO);
-                self.write_reg(rd, old);
-                RetireKind::Csr
-            }
-            Inst::CsrImm {
-                op,
-                rd,
-                zimm,
-                csr: num,
-            } => {
-                let old = self.read_csr(num);
-                self.apply_csr(op, num, old, zimm as u64, zimm != 0);
-                self.write_reg(rd, old);
-                RetireKind::Csr
-            }
+            Done::Ecall => (pc.wrapping_add(4), StepOutcome::Ecall),
+            Done::Ebreak => (pc.wrapping_add(4), StepOutcome::Ebreak),
+            Done::End | Done::Unmapped => unreachable!("{op:?} only occurs in a predecoded page"),
         };
         self.pc = next_pc;
         self.instret += 1;
         self.cycle += 1;
-        Ok(StepOutcome::Retired(Retired { pc, next_pc, kind }))
+        Ok(outcome)
     }
 
-    #[inline]
-    fn apply_csr(&mut self, op: CsrOp, num: u16, old: u64, src: u64, src_nonzero: bool) {
-        match op {
-            CsrOp::Rw => self.write_csr(num, src),
-            CsrOp::Rs => {
-                if src_nonzero {
-                    self.write_csr(num, old | src);
-                }
+    /// Writes `rd`; `x0` stays zero.
+    #[inline(always)]
+    fn set(&mut self, rd: u8, v: u64) {
+        self.regs[usize::from(rd & 31)] = v;
+        self.regs[0] = 0;
+    }
+
+    /// Executes `op`, the instruction at `pc`: the one execution body of
+    /// [`Cpu::step`] and [`DecodeCache::run_block`].
+    ///
+    /// It writes registers, CSRs and memory and reports where control
+    /// goes; moving the PC and counting the instruction in `instret` and
+    /// `cycle` is the caller's, so a block can keep them in locals. `sync`
+    /// runs right before a CSR access, with `true` for a read of the clock
+    /// ([`Code::Counter`]), and must bring `instret` and `cycle` up to date.
+    ///
+    /// # Errors
+    ///
+    /// The trap, with nothing written.
+    #[inline(always)]
+    pub(crate) fn exec<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        op: Op,
+        pc: u64,
+        sync: impl FnOnce(&mut Cpu, bool),
+    ) -> Result<Done, Trap> {
+        use RetireKind::{Alu, Div, Load, Mul};
+        const RA: u8 = 1;
+        let a = self.regs[usize::from(op.rs1 & 31)];
+        let b = self.regs[usize::from(op.rs2 & 31)];
+        let imm = i64::from(op.imm);
+        let addr = a.wrapping_add(imm as u64);
+        let (value, kind) = match op.code {
+            Code::Add => (a.wrapping_add(b), Alu),
+            Code::Sub => (a.wrapping_sub(b), Alu),
+            Code::Sll => (a << (b & 0x3f), Alu),
+            Code::Slt => (((a as i64) < (b as i64)) as u64, Alu),
+            Code::Sltu => ((a < b) as u64, Alu),
+            Code::Xor => (a ^ b, Alu),
+            Code::Srl => (a >> (b & 0x3f), Alu),
+            Code::Sra => (((a as i64) >> (b & 0x3f)) as u64, Alu),
+            Code::Or => (a | b, Alu),
+            Code::And => (a & b, Alu),
+            Code::Addw => ((a.wrapping_add(b) as i32) as i64 as u64, Alu),
+            Code::Subw => ((a.wrapping_sub(b) as i32) as i64 as u64, Alu),
+            Code::Sllw => ((((a as u32) << (b & 0x1f)) as i32) as i64 as u64, Alu),
+            Code::Srlw => ((((a as u32) >> (b & 0x1f)) as i32) as i64 as u64, Alu),
+            Code::Sraw => ((((a as i32) >> (b & 0x1f)) as i64) as u64, Alu),
+            Code::Mul => (a.wrapping_mul(b), Mul),
+            Code::Mulh => (
+                (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
+                Mul,
+            ),
+            Code::Mulhsu => (
+                (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
+                Mul,
+            ),
+            Code::Mulhu => ((((a as u128) * (b as u128)) >> 64) as u64, Mul),
+            Code::Div => {
+                let (a, b) = (a as i64, b as i64);
+                let v = if b == 0 {
+                    u64::MAX
+                } else if a == i64::MIN && b == -1 {
+                    a as u64
+                } else {
+                    (a / b) as u64
+                };
+                (v, Div)
             }
-            CsrOp::Rc => {
-                if src_nonzero {
-                    self.write_csr(num, old & !src);
-                }
+            Code::Divu => (a.checked_div(b).unwrap_or(u64::MAX), Div),
+            Code::Rem => {
+                let (a, b) = (a as i64, b as i64);
+                let v = if b == 0 {
+                    a as u64
+                } else if a == i64::MIN && b == -1 {
+                    0
+                } else {
+                    (a % b) as u64
+                };
+                (v, Div)
             }
+            Code::Remu => (if b == 0 { a } else { a % b }, Div),
+            Code::Mulw => (((a as i32).wrapping_mul(b as i32)) as i64 as u64, Mul),
+            Code::Divw => {
+                let (a, b) = (a as i32, b as i32);
+                let v = if b == 0 {
+                    -1
+                } else if a == i32::MIN && b == -1 {
+                    a
+                } else {
+                    a / b
+                };
+                (v as i64 as u64, Div)
+            }
+            Code::Divuw => {
+                let (a, b) = (a as u32, b as u32);
+                (
+                    a.checked_div(b).unwrap_or(u32::MAX) as i32 as i64 as u64,
+                    Div,
+                )
+            }
+            Code::Remw => {
+                let (a, b) = (a as i32, b as i32);
+                let v = if b == 0 {
+                    a
+                } else if a == i32::MIN && b == -1 {
+                    0
+                } else {
+                    a % b
+                };
+                (v as i64 as u64, Div)
+            }
+            Code::Remuw => {
+                let (a, b) = (a as u32, b as u32);
+                let v = if b == 0 { a } else { a % b };
+                (v as i32 as i64 as u64, Div)
+            }
+            Code::Addi => (a.wrapping_add(imm as u64), Alu),
+            Code::Slti => (((a as i64) < imm) as u64, Alu),
+            Code::Sltiu => ((a < imm as u64) as u64, Alu),
+            Code::Xori => (a ^ imm as u64, Alu),
+            Code::Ori => (a | imm as u64, Alu),
+            Code::Andi => (a & imm as u64, Alu),
+            Code::Slli => (a << (imm & 0x3f), Alu),
+            Code::Srli => (a >> (imm & 0x3f), Alu),
+            Code::Srai => (((a as i64) >> (imm & 0x3f)) as u64, Alu),
+            Code::Addiw => ((a.wrapping_add(imm as u64) as i32) as i64 as u64, Alu),
+            Code::Slliw => ((((a as u32) << (imm & 0x1f)) as i32) as i64 as u64, Alu),
+            Code::Srliw => ((((a as u32) >> (imm & 0x1f)) as i32) as i64 as u64, Alu),
+            Code::Sraiw => ((((a as i32) >> (imm & 0x1f)) as i64) as u64, Alu),
+            Code::Beq => return Ok(branch(pc, imm, a == b)),
+            Code::Bne => return Ok(branch(pc, imm, a != b)),
+            Code::Blt => return Ok(branch(pc, imm, (a as i64) < (b as i64))),
+            Code::Bge => return Ok(branch(pc, imm, (a as i64) >= (b as i64))),
+            Code::Bltu => return Ok(branch(pc, imm, a < b)),
+            Code::Bgeu => return Ok(branch(pc, imm, a >= b)),
+            Code::Lb => (load(bus, addr, 1)? as u8 as i8 as i64 as u64, Load { addr }),
+            Code::Lh => (
+                load(bus, addr, 2)? as u16 as i16 as i64 as u64,
+                Load { addr },
+            ),
+            Code::Lw => (
+                load(bus, addr, 4)? as u32 as i32 as i64 as u64,
+                Load { addr },
+            ),
+            Code::Ld => (load(bus, addr, 8)?, Load { addr }),
+            Code::Lbu => (load(bus, addr, 1)?, Load { addr }),
+            Code::Lhu => (load(bus, addr, 2)?, Load { addr }),
+            Code::Lwu => (load(bus, addr, 4)?, Load { addr }),
+            Code::Sb => return store(bus, addr, 1, b),
+            Code::Sh => return store(bus, addr, 2, b),
+            Code::Sw => return store(bus, addr, 4, b),
+            Code::Sd => return store(bus, addr, 8, b),
+            Code::Lui => (imm as u64, Alu),
+            Code::Auipc => (pc.wrapping_add(imm as u64), Alu),
+            Code::Jal => {
+                let target = pc.wrapping_add(imm as u64);
+                self.set(op.rd, pc.wrapping_add(4));
+                let call = op.rd == RA;
+                return Ok(Done::Jump(RetireKind::Jump { target, call }, target));
+            }
+            Code::Jalr => {
+                let target = addr & !1;
+                self.set(op.rd, pc.wrapping_add(4));
+                let kind = RetireKind::JumpReg {
+                    target,
+                    call: op.rd == RA,
+                    ret: op.rd == 0 && op.rs1 == RA,
+                };
+                return Ok(Done::Jump(kind, target));
+            }
+            Code::Counter => {
+                sync(self, true);
+                (self.cycle, RetireKind::Csr)
+            }
+            Code::Csrrw | Code::Csrrs | Code::Csrrc => {
+                sync(self, false);
+                (self.csr(op, a), RetireKind::Csr)
+            }
+            Code::Csrrwi | Code::Csrrsi | Code::Csrrci => {
+                sync(self, false);
+                (self.csr(op, u64::from(op.rs1)), RetireKind::Csr)
+            }
+            Code::Fence => return Ok(Done::Next(RetireKind::System)),
+            Code::Ecall => return Ok(Done::Ecall),
+            Code::Ebreak => return Ok(Done::Ebreak),
+            Code::Illegal => {
+                let word = op.imm as u32;
+                return Err(Trap::IllegalInstruction { word, pc });
+            }
+            Code::Unmapped => return Ok(Done::Unmapped),
+            Code::End => return Ok(Done::End),
+        };
+        self.set(op.rd, value);
+        Ok(Done::Next(kind))
+    }
+
+    /// A CSR access other than a clock read, with source value `src`
+    /// (register or immediate; `rs1` non-zero means it writes for set and
+    /// clear). Returns the old value.
+    fn csr(&mut self, op: Op, src: u64) -> u64 {
+        let num = op.imm as u16;
+        let old = self.read_csr(num);
+        match op.code {
+            Code::Csrrw | Code::Csrrwi => self.write_csr(num, src),
+            Code::Csrrs | Code::Csrrsi if op.rs1 != 0 => self.write_csr(num, old | src),
+            Code::Csrrc | Code::Csrrci if op.rs1 != 0 => self.write_csr(num, old & !src),
+            _ => {}
         }
+        old
     }
 
     /// Runs until an `ecall`, `ebreak`, trap, or `max_steps` instructions.
@@ -420,115 +479,59 @@ impl Cpu {
     }
 }
 
-#[inline]
-fn alu_imm(op: AluImmOp, a: u64, imm: i64) -> u64 {
-    match op {
-        AluImmOp::Addi => a.wrapping_add(imm as u64),
-        AluImmOp::Slti => ((a as i64) < imm) as u64,
-        AluImmOp::Sltiu => (a < imm as u64) as u64,
-        AluImmOp::Xori => a ^ imm as u64,
-        AluImmOp::Ori => a | imm as u64,
-        AluImmOp::Andi => a & imm as u64,
-        AluImmOp::Slli => a << (imm & 0x3f),
-        AluImmOp::Srli => a >> (imm & 0x3f),
-        AluImmOp::Srai => ((a as i64) >> (imm & 0x3f)) as u64,
-        AluImmOp::Addiw => (a.wrapping_add(imm as u64) as i32) as i64 as u64,
-        AluImmOp::Slliw => (((a as u32) << (imm & 0x1f)) as i32) as i64 as u64,
-        AluImmOp::Srliw => (((a as u32) >> (imm & 0x1f)) as i32) as i64 as u64,
-        AluImmOp::Sraiw => (((a as i32) >> (imm & 0x1f)) as i64) as u64,
+/// How control leaves an op [`Cpu::exec`] ran.
+pub(crate) enum Done {
+    /// Retired; execution continues at the next word.
+    Next(RetireKind),
+    /// Retired; execution continues at the target.
+    Jump(RetireKind, u64),
+    /// An `ecall` retired.
+    Ecall,
+    /// An `ebreak` retired.
+    Ebreak,
+    /// Nothing executed: a page's sentinel.
+    End,
+    /// Nothing executed: the word could not be fetched when its page was
+    /// predecoded.
+    Unmapped,
+}
+
+/// A conditional branch at `pc` by `offset`.
+#[inline(always)]
+fn branch(pc: u64, offset: i64, taken: bool) -> Done {
+    let target = pc.wrapping_add(offset as u64);
+    let kind = RetireKind::Branch { taken, target };
+    if taken {
+        Done::Jump(kind, target)
+    } else {
+        Done::Next(kind)
     }
 }
 
-#[inline]
-fn alu(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a << (b & 0x3f),
-        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
-        AluOp::Sltu => (a < b) as u64,
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a >> (b & 0x3f),
-        AluOp::Sra => ((a as i64) >> (b & 0x3f)) as u64,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Addw => (a.wrapping_add(b) as i32) as i64 as u64,
-        AluOp::Subw => (a.wrapping_sub(b) as i32) as i64 as u64,
-        AluOp::Sllw => (((a as u32) << (b & 0x1f)) as i32) as i64 as u64,
-        AluOp::Srlw => (((a as u32) >> (b & 0x1f)) as i32) as i64 as u64,
-        AluOp::Sraw => (((a as i32) >> (b & 0x1f)) as i64) as u64,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Mulh => (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
-        AluOp::Mulhsu => (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
-        AluOp::Mulhu => (((a as u128) * (b as u128)) >> 64) as u64,
-        AluOp::Div => {
-            let (a, b) = (a as i64, b as i64);
-            if b == 0 {
-                u64::MAX
-            } else if a == i64::MIN && b == -1 {
-                a as u64
-            } else {
-                (a / b) as u64
-            }
-        }
-        AluOp::Divu => a.checked_div(b).unwrap_or(u64::MAX),
-        AluOp::Rem => {
-            let (a, b) = (a as i64, b as i64);
-            if b == 0 {
-                a as u64
-            } else if a == i64::MIN && b == -1 {
-                0
-            } else {
-                (a % b) as u64
-            }
-        }
-        AluOp::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::Mulw => ((a as i32).wrapping_mul(b as i32)) as i64 as u64,
-        AluOp::Divw => {
-            let (a, b) = (a as i32, b as i32);
-            let v = if b == 0 {
-                -1
-            } else if a == i32::MIN && b == -1 {
-                a
-            } else {
-                a / b
-            };
-            v as i64 as u64
-        }
-        AluOp::Divuw => {
-            let (a, b) = (a as u32, b as u32);
-            let v = a.checked_div(b).unwrap_or(u32::MAX);
-            v as i32 as i64 as u64
-        }
-        AluOp::Remw => {
-            let (a, b) = (a as i32, b as i32);
-            let v = if b == 0 {
-                a
-            } else if a == i32::MIN && b == -1 {
-                0
-            } else {
-                a % b
-            };
-            v as i64 as u64
-        }
-        AluOp::Remuw => {
-            let (a, b) = (a as u32, b as u32);
-            let v = if b == 0 { a } else { a % b };
-            v as i32 as i64 as u64
-        }
+/// A naturally-aligned load of `size` bytes, zero-extended.
+#[inline(always)]
+fn load<B: Bus>(bus: &mut B, addr: u64, size: usize) -> Result<u64, Trap> {
+    if !addr.is_multiple_of(size as u64) {
+        return Err(Trap::Misaligned { addr });
     }
+    bus.load(addr, size)
+}
+
+/// A naturally-aligned store of the low `size` bytes of `value`.
+#[inline(always)]
+fn store<B: Bus>(bus: &mut B, addr: u64, size: usize, value: u64) -> Result<Done, Trap> {
+    if !addr.is_multiple_of(size as u64) {
+        return Err(Trap::Misaligned { addr });
+    }
+    bus.store(addr, size, value)?;
+    Ok(Done::Next(RetireKind::Store { addr }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::inst::{AluImmOp, AluOp, Inst};
     use crate::mem::FlatMemory;
 
     fn program(insts: &[Inst]) -> FlatMemory {
@@ -644,6 +647,21 @@ mod tests {
         assert_eq!(cpu.read_reg(Reg::A1), 0xff);
     }
 
+    /// `op` on `a` and `b`, through one step.
+    fn alu(op: AluOp, a: u64, b: u64) -> u64 {
+        let mut mem = program(&[Inst::Alu {
+            op,
+            rd: Reg::A0,
+            rs1: Reg::T0,
+            rs2: Reg::T1,
+        }]);
+        let mut cpu = Cpu::new(0);
+        cpu.write_reg(Reg::T0, a);
+        cpu.write_reg(Reg::T1, b);
+        cpu.step(&mut mem).unwrap();
+        cpu.read_reg(Reg::A0)
+    }
+
     #[test]
     fn division_edge_cases() {
         assert_eq!(alu(AluOp::Div, 7, 0), u64::MAX);
@@ -664,8 +682,17 @@ mod tests {
     #[test]
     fn word_ops_sign_extend() {
         assert_eq!(alu(AluOp::Addw, 0x7fff_ffff, 1), 0xffff_ffff_8000_0000);
-        assert_eq!(alu_imm(AluImmOp::Addiw, 0xffff_ffff, 1), 0);
         assert_eq!(alu(AluOp::Sllw, 1, 31), 0xffff_ffff_8000_0000);
+        let mut mem = program(&[Inst::AluImm {
+            op: AluImmOp::Addiw,
+            rd: Reg::A0,
+            rs1: Reg::T0,
+            imm: 1,
+        }]);
+        let mut cpu = Cpu::new(0);
+        cpu.write_reg(Reg::T0, 0xffff_ffff);
+        cpu.step(&mut mem).unwrap();
+        assert_eq!(cpu.read_reg(Reg::A0), 0);
     }
 
     #[test]

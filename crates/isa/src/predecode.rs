@@ -1,40 +1,59 @@
 //! Predecoded instruction cache for the interpreter hot loop.
 //!
-//! [`Cpu::step`] pays a fetch and a full [`decode`](crate::decode::decode) for every retired
-//! instruction even though the vast majority of fetches hit the same few
-//! code pages over and over. [`DecodeCache`] decodes each physical page
-//! once into a dense table of decoded instructions, and
-//! [`DecodeCache::run_block`] executes a run of them straight through
-//! [`Cpu::exec_decoded`]: one page lookup per block, then one slot read
-//! and execution per instruction.
+//! [`DecodeCache`] decodes each physical page once into a flat table of
+//! 8-byte [`Op`]s, one per word, and [`DecodeCache::run_block`] executes
+//! a run of them with one `match` per guest instruction.
 //!
-//! Correctness contract: a block must be observationally identical to the
-//! same number of [`Cpu::step`] calls, including the exact trap for every
-//! fault class.
+//! # The op table
 //!
-//! - Decoded slots execute through the same [`Cpu::exec_decoded`] body as
-//!   the uncached path, so the [`crate::interp::Retired`] stream — which the
-//!   cycle-exact timing model and cosim consume — is bit-for-bit unchanged.
-//! - Words that fail to decode are cached as `Slot::Illegal` and raise
-//!   [`Trap::IllegalInstruction`] only when the PC actually reaches them,
+//! An [`Op`] is a [`Code`] and its operands: `rd`, `rs1`, `rs2` and a
+//! 32-bit immediate. Every [`Inst`] the decoder produces maps to exactly
+//! one code — each ALU and ALU-immediate operation, branch condition and
+//! load or store width has its own — so executing an op never looks at a
+//! second tag. Three codes exist only in the table:
+//!
+//! - [`Code::Illegal`]: the word is not a valid encoding. It raises
+//!   [`Trap::IllegalInstruction`] only when the PC actually reaches it,
 //!   with the same `{word, pc}` payload as an uncached step.
-//! - Page bytes that cannot be fetched during fill are cached as
-//!   `Slot::Unmapped`; execution there falls back to one uncached step so
-//!   the authentic [`Trap::FetchFault`] (or a post-fill mapping change) is
-//!   observed.
-//! - A misaligned PC bypasses the cache entirely (slots are word-indexed)
-//!   and also takes one uncached step.
-//! - A `cycle`/`time` CSR read is cached as `Slot::Counter`: right before it
-//!   executes, the block asks its [`BlockSink`] for the clock the read must
-//!   observe. Only these reads (and the uncached fallback, whose word is
-//!   not known in advance) ask, so a timing model is consulted exactly
-//!   where the guest can see it.
+//! - [`Code::Unmapped`]: the word could not be fetched at fill time.
+//!   Execution there falls back to one uncached step, so the authentic
+//!   [`Trap::FetchFault`] (or a post-fill mapping change) is observed.
+//! - [`Code::End`]: the sentinel after the page's last word. A block that
+//!   falls through the end of its page reads it and ends, so sequential
+//!   execution needs no page-bounds check.
 //!
-//! Invalidation: a store the block retires into the cached code range
-//! drops the page it touched and ends the block, so self-modifying code
-//! refetches through a fresh decode — including a store into the page
-//! that is executing. Writes made behind the interpreter's back (syscalls
-//! filling guest buffers) are the embedder's to report through
+//! A `cycle`/`time` CSR access is [`Code::Counter`]: right before it
+//! executes, the block asks its [`BlockSink`] for the clock the read must
+//! observe. Only these reads (and the uncached fallback, whose word is not
+//! known in advance) ask, so a timing model is consulted exactly where the
+//! guest can see it.
+//!
+//! # One execution body
+//!
+//! [`Cpu::step`] fetches a word, decodes it into an [`Op`] and runs the
+//! same executor the block loop runs, so cached and uncached execution
+//! retire bit-identical [`Retired`] records — the stream the cycle-exact
+//! timing model and cosim consume. A block must be observationally
+//! identical to the same number of [`Cpu::step`] calls, including the
+//! exact trap for every fault class:
+//!
+//! - The block keeps the PC in a local and steps to the next op without
+//!   leaving the loop; a taken branch or jump whose target is an aligned
+//!   word of the same page is followed the same way. Any other target
+//!   ends the block, and a misaligned PC takes one uncached step (ops are
+//!   word-indexed).
+//! - `instret` and `cycle` are written back in one batch: before any CSR
+//!   access (which may read them), at a trap and at the end of the block.
+//!   Nothing else can observe them mid-block.
+//! - A trap leaves the CPU at the faulting instruction.
+//!
+//! # Invalidation
+//!
+//! A store the block retires into the cached code range drops the page it
+//! touched and ends the block, so self-modifying code refetches through a
+//! fresh decode — including a store into the page that is executing.
+//! Writes made behind the interpreter's back (syscalls filling guest
+//! buffers) are the embedder's to report through
 //! [`DecodeCache::invalidate_range`]. Filling a page performs only [`Bus`]
 //! loads, which are side-effect free on every bus the simulators use (RAM
 //! and read-as-zero MMIO).
@@ -47,8 +66,11 @@
 //! superset of the cached pages, which is all correctness needs);
 //! [`DecodeCache::clear`] empties it.
 
-use crate::inst::{csr, Inst};
-use crate::interp::{Cpu, RetireKind, Retired, StepOutcome, Trap};
+use crate::decode::decode;
+use crate::inst::{csr, Inst, Reg};
+#[cfg(doc)]
+use crate::inst::{AluImmOp, AluOp, BranchCond, CsrOp, MemWidth};
+use crate::interp::{Cpu, Done, RetireKind, Retired, StepOutcome, Trap};
 use crate::mem::Bus;
 
 /// Cache granule: decoded entries are kept per naturally-aligned page.
@@ -61,25 +83,234 @@ const SLOTS_PER_PAGE: usize = (PAGE_SIZE / 4) as usize;
 /// binary needs; purely a bound on pathological self-modifying workloads.
 const MAX_PAGES: usize = 64;
 
-/// One predecoded instruction slot.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// The word decoded cleanly; execute it directly.
-    Decoded(Inst),
-    /// A `cycle`/`time` CSR access: sync the clock, then execute it.
-    Counter(Inst),
-    /// The word is not a valid encoding; trap if the PC lands here.
-    Illegal(u32),
-    /// The word could not be fetched at fill time; fall back to an
-    /// uncached step so the bus reports the authoritative outcome.
+/// What an [`Op`] does: one code per instruction variant the decoder
+/// produces, plus the table-only codes (see the module docs).
+///
+/// The ALU, ALU-immediate, branch, load, store and CSR groups list their
+/// codes in the order of [`AluOp`], [`AluImmOp`], [`BranchCond`],
+/// [`MemWidth`] and [`CsrOp`], which lowering an [`Inst`] relies on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+#[allow(missing_docs)]
+pub enum Code {
+    // Register-register ALU operations, M extension included.
+    Add,
+    Sub,
+    Sll,
+    Slt,
+    Sltu,
+    Xor,
+    Srl,
+    Sra,
+    Or,
+    And,
+    Addw,
+    Subw,
+    Sllw,
+    Srlw,
+    Sraw,
+    Mul,
+    Mulh,
+    Mulhsu,
+    Mulhu,
+    Div,
+    Divu,
+    Rem,
+    Remu,
+    Mulw,
+    Divw,
+    Divuw,
+    Remw,
+    Remuw,
+    // Register-immediate ALU operations.
+    Addi,
+    Slti,
+    Sltiu,
+    Xori,
+    Ori,
+    Andi,
+    Slli,
+    Srli,
+    Srai,
+    Addiw,
+    Slliw,
+    Srliw,
+    Sraiw,
+    // Conditional branches.
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
+    // Loads and stores.
+    Lb,
+    Lh,
+    Lw,
+    Ld,
+    Lbu,
+    Lhu,
+    Lwu,
+    Sb,
+    Sh,
+    Sw,
+    Sd,
+    // Upper immediates and jumps.
+    Lui,
+    Auipc,
+    Jal,
+    Jalr,
+    // CSR accesses other than the clock; `imm` is the CSR number, `rs1`
+    // the source register or the 5-bit immediate.
+    Csrrw,
+    Csrrs,
+    Csrrc,
+    Csrrwi,
+    Csrrsi,
+    Csrrci,
+    /// Any access to `cycle` or `time`: a read of the clock.
+    Counter,
+    Fence,
+    Ecall,
+    Ebreak,
+    /// An undecodable word, held in `imm`.
+    Illegal,
+    /// A word that could not be fetched when the page was filled.
     Unmapped,
+    /// The sentinel after a page's last word.
+    End,
 }
 
-/// A fully-predecoded page of guest memory.
+impl Code {
+    /// Every code, in declaration order.
+    pub const ALL: [Code; 75] = {
+        use Code::*;
+        [
+            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Addw, Subw, Sllw, Srlw, Sraw, Mul,
+            Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu, Mulw, Divw, Divuw, Remw, Remuw, Addi, Slti,
+            Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Addiw, Slliw, Srliw, Sraiw, Beq, Bne, Blt,
+            Bge, Bltu, Bgeu, Lb, Lh, Lw, Ld, Lbu, Lhu, Lwu, Sb, Sh, Sw, Sd, Lui, Auipc, Jal, Jalr,
+            Csrrw, Csrrs, Csrrc, Csrrwi, Csrrsi, Csrrci, Counter, Fence, Ecall, Ebreak, Illegal,
+            Unmapped, End,
+        ]
+    };
+}
+
+/// One predecoded instruction: 8 bytes, so a page of them is a flat
+/// table the block loop indexes by word.
+///
+/// ```rust
+/// use marshal_isa::predecode::{Code, Op};
+/// // addi a0, a0, 1
+/// assert_eq!(Op::decode(0x0015_0513).code(), Code::Addi);
+/// assert_eq!(Op::decode(0xffff_ffff).code(), Code::Illegal);
+/// assert_eq!(std::mem::size_of::<Op>(), 8);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Op {
+    pub(crate) code: Code,
+    pub(crate) rd: u8,
+    pub(crate) rs1: u8,
+    pub(crate) rs2: u8,
+    /// The immediate: a sign-extended value, byte offset, CSR number or
+    /// (for [`Code::Illegal`]) the word itself.
+    pub(crate) imm: i32,
+}
+
+impl Op {
+    /// The op a machine word predecodes to: its instruction's code, or
+    /// [`Code::Illegal`].
+    pub fn decode(word: u32) -> Op {
+        match decode(word) {
+            Ok(inst) => Op::from(inst),
+            Err(e) => Op::new(Code::Illegal, 0, 0, 0, i64::from(e.word as i32)),
+        }
+    }
+
+    /// What the op does.
+    pub fn code(self) -> Code {
+        self.code
+    }
+
+    fn new(code: Code, rd: u8, rs1: u8, rs2: u8, imm: i64) -> Op {
+        // Every immediate the decoder produces fits: 20-bit upper
+        // immediates, 21-bit jump offsets, 12-bit CSR numbers.
+        debug_assert_eq!(imm as i32 as i64, imm, "{code:?} immediate");
+        Op {
+            code,
+            rd,
+            rs1,
+            rs2,
+            imm: imm as i32,
+        }
+    }
+}
+
+impl From<Inst> for Op {
+    fn from(inst: Inst) -> Op {
+        // Each group of codes is declared in its source enum's order.
+        let at = |first: Code, i: usize| Code::ALL[first as usize + i];
+        let r = |reg: Reg| reg.index() as u8;
+        match inst {
+            Inst::Alu { op, rd, rs1, rs2 } => {
+                Op::new(at(Code::Add, op as usize), r(rd), r(rs1), r(rs2), 0)
+            }
+            Inst::AluImm { op, rd, rs1, imm } => {
+                Op::new(at(Code::Addi, op as usize), r(rd), r(rs1), 0, imm)
+            }
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } => Op::new(at(Code::Beq, cond as usize), 0, r(rs1), r(rs2), offset),
+            Inst::Load {
+                width,
+                rd,
+                rs1,
+                offset,
+            } => Op::new(at(Code::Lb, width as usize), r(rd), r(rs1), 0, offset),
+            // A store of an unsigned width writes as many bytes.
+            Inst::Store {
+                width,
+                rs2,
+                rs1,
+                offset,
+            } => Op::new(at(Code::Sb, width as usize % 4), 0, r(rs1), r(rs2), offset),
+            Inst::Lui { rd, imm } => Op::new(Code::Lui, r(rd), 0, 0, imm),
+            Inst::Auipc { rd, imm } => Op::new(Code::Auipc, r(rd), 0, 0, imm),
+            Inst::Jal { rd, offset } => Op::new(Code::Jal, r(rd), 0, 0, offset),
+            Inst::Jalr { rd, rs1, offset } => Op::new(Code::Jalr, r(rd), r(rs1), 0, offset),
+            Inst::Csr { rd, csr: num, .. } | Inst::CsrImm { rd, csr: num, .. }
+                if num == csr::CYCLE || num == csr::TIME =>
+            {
+                Op::new(Code::Counter, r(rd), 0, 0, 0)
+            }
+            Inst::Csr {
+                op,
+                rd,
+                rs1,
+                csr: num,
+            } => Op::new(at(Code::Csrrw, op as usize), r(rd), r(rs1), 0, num.into()),
+            Inst::CsrImm {
+                op,
+                rd,
+                zimm,
+                csr: num,
+            } => Op::new(at(Code::Csrrwi, op as usize), r(rd), zimm, 0, num.into()),
+            Inst::Fence => Op::new(Code::Fence, 0, 0, 0, 0),
+            Inst::Ecall => Op::new(Code::Ecall, 0, 0, 0, 0),
+            Inst::Ebreak => Op::new(Code::Ebreak, 0, 0, 0, 0),
+        }
+    }
+}
+
+/// A fully-predecoded page of guest memory: one op per word, then the
+/// [`Code::End`] sentinel.
 #[derive(Debug)]
 struct Page {
     base: u64,
-    slots: Box<[Slot; SLOTS_PER_PAGE]>,
+    ops: Box<[Op; SLOTS_PER_PAGE + 1]>,
 }
 
 /// Receives what a block executes: the embedder's timing hook.
@@ -107,6 +338,18 @@ pub enum BlockEnd {
     Ecall,
     /// The last instruction was an `ebreak` (PC already advanced past it).
     Ebreak,
+}
+
+/// How the block loop left, before the CPU's counters are written back.
+enum Exit {
+    /// The block is over.
+    End(BlockEnd),
+    /// A retired store hit the cached code range at this address.
+    Patched(u64),
+    /// The op could not be served from the table.
+    Fallback,
+    /// The op trapped.
+    Trap(Trap),
 }
 
 /// Per-hart predecoded instruction cache.
@@ -177,36 +420,99 @@ impl DecodeCache {
             return Ok(BlockEnd::Next);
         }
         if cpu.pc & 3 != 0 {
-            // Word-indexed slots cannot represent a misaligned PC; the
+            // Word-indexed ops cannot represent a misaligned PC; the
             // uncached path reports whatever the bus does.
             return self.fallback(cpu, bus, sink);
         }
         let base = cpu.pc & !(PAGE_SIZE - 1);
         let page = self.page(base, bus);
-        let mut executed = 0;
-        loop {
-            let offset = cpu.pc.wrapping_sub(base);
-            if executed == limit || offset & !(PAGE_SIZE - 4) != 0 {
-                return Ok(BlockEnd::Next);
-            }
-            // In range already; the `%` lets the compiler see it.
-            let slot = self.pages[page].slots[(offset / 4) as usize % SLOTS_PER_PAGE];
-            self.reads += 1;
-            executed += 1;
-            let outcome = match slot {
-                Slot::Decoded(inst) => cpu.exec_decoded(bus, inst)?,
-                Slot::Counter(inst) => {
+        let ops = &self.pages[page].ops;
+        let mut pc = cpu.pc;
+        let mut slot = (pc.wrapping_sub(base) / 4) as usize;
+        let mut left = limit;
+        // Retired since `instret` and `cycle` were last written back.
+        let mut pending = 0;
+        let exit = loop {
+            let done = cpu.exec(bus, ops[slot], pc, |cpu, counter| {
+                cpu.instret += pending;
+                cpu.cycle += pending;
+                pending = 0;
+                if counter {
                     if let Some(clock) = sink.clock() {
                         cpu.cycle = clock;
                     }
-                    cpu.exec_decoded(bus, inst)?
                 }
-                Slot::Illegal(word) => return Err(Trap::IllegalInstruction { word, pc: cpu.pc }),
-                Slot::Unmapped => return self.fallback(cpu, bus, sink),
-            };
-            if let Some(end) = self.retired(outcome, bus, sink) {
-                return Ok(end);
+            });
+            match done {
+                Ok(Done::Next(kind)) => {
+                    let next_pc = pc.wrapping_add(4);
+                    sink.retire(&Retired { pc, next_pc, kind }, bus);
+                    pc = next_pc;
+                    slot += 1;
+                    pending += 1;
+                    left -= 1;
+                    if let RetireKind::Store { addr } = kind {
+                        if self.covers(addr) {
+                            break Exit::Patched(addr);
+                        }
+                    }
+                    if left == 0 {
+                        break Exit::End(BlockEnd::Next);
+                    }
+                }
+                Ok(Done::Jump(kind, target)) => {
+                    sink.retire(
+                        &Retired {
+                            pc,
+                            next_pc: target,
+                            kind,
+                        },
+                        bus,
+                    );
+                    pc = target;
+                    pending += 1;
+                    left -= 1;
+                    let offset = target.wrapping_sub(base);
+                    if left == 0 || offset & !(PAGE_SIZE - 4) != 0 {
+                        break Exit::End(BlockEnd::Next);
+                    }
+                    slot = (offset / 4) as usize;
+                }
+                Ok(Done::Ecall) => {
+                    pc = pc.wrapping_add(4);
+                    pending += 1;
+                    left -= 1;
+                    break Exit::End(BlockEnd::Ecall);
+                }
+                Ok(Done::Ebreak) => {
+                    pc = pc.wrapping_add(4);
+                    pending += 1;
+                    left -= 1;
+                    break Exit::End(BlockEnd::Ebreak);
+                }
+                Ok(Done::End) => break Exit::End(BlockEnd::Next),
+                Ok(Done::Unmapped) => {
+                    left -= 1;
+                    break Exit::Fallback;
+                }
+                Err(trap) => {
+                    left -= 1;
+                    break Exit::Trap(trap);
+                }
             }
+        };
+        cpu.pc = pc;
+        cpu.instret += pending;
+        cpu.cycle += pending;
+        self.reads += limit - left;
+        match exit {
+            Exit::End(end) => Ok(end),
+            Exit::Patched(addr) => {
+                self.invalidate(addr);
+                Ok(BlockEnd::Next)
+            }
+            Exit::Fallback => self.fallback(cpu, bus, sink),
+            Exit::Trap(trap) => Err(trap),
         }
     }
 
@@ -223,34 +529,17 @@ impl DecodeCache {
         if let Some(clock) = sink.clock() {
             cpu.cycle = clock;
         }
-        let outcome = cpu.step(bus)?;
-        Ok(self.retired(outcome, bus, sink).unwrap_or(BlockEnd::Next))
-    }
-
-    /// Reports one executed instruction to `sink`; returns why the block
-    /// ends after it, if it does.
-    #[inline(always)]
-    fn retired<B: Bus, S: BlockSink<B> + ?Sized>(
-        &mut self,
-        outcome: StepOutcome,
-        bus: &B,
-        sink: &mut S,
-    ) -> Option<BlockEnd> {
-        match outcome {
+        Ok(match cpu.step(bus)? {
             StepOutcome::Retired(r) => {
                 sink.retire(&r, bus);
-                match r.kind {
-                    // A naturally-aligned store touches one page at most.
-                    RetireKind::Store { addr } if self.covers(addr) => {
-                        self.invalidate(addr);
-                        Some(BlockEnd::Next)
-                    }
-                    _ => None,
+                if let RetireKind::Store { addr } = r.kind {
+                    self.invalidate(addr);
                 }
+                BlockEnd::Next
             }
-            StepOutcome::Ecall => Some(BlockEnd::Ecall),
-            StepOutcome::Ebreak => Some(BlockEnd::Ebreak),
-        }
+            StepOutcome::Ecall => BlockEnd::Ecall,
+            StepOutcome::Ebreak => BlockEnd::Ebreak,
+        })
     }
 
     /// Whether `addr` lies in the cached code range.
@@ -294,8 +583,8 @@ impl DecodeCache {
     }
 
     /// `(cache hits, page fills)` since creation, for diagnostics. Every
-    /// fill is followed by one slot read, which is not a hit; every other
-    /// slot read is.
+    /// fill is followed by one op read, which is not a hit; every other
+    /// op read is. Sentinel reads do not count.
     pub fn stats(&self) -> (u64, u64) {
         (self.reads - self.fills, self.fills)
     }
@@ -324,27 +613,16 @@ impl DecodeCache {
 
 /// Decodes every word of the page at `base` in one pass.
 fn fill_page<B: Bus>(base: u64, bus: &mut B) -> Page {
-    let slots = std::array::from_fn(|i| match bus.fetch(base + 4 * i as u64) {
-        Ok(word) => match crate::decode::decode(word) {
-            Ok(inst) if reads_counter(&inst) => Slot::Counter(inst),
-            Ok(inst) => Slot::Decoded(inst),
-            Err(e) => Slot::Illegal(e.word),
+    let ops = std::array::from_fn(|i| match i {
+        SLOTS_PER_PAGE => Op::new(Code::End, 0, 0, 0, 0),
+        _ => match bus.fetch(base + 4 * i as u64) {
+            Ok(word) => Op::decode(word),
+            Err(_) => Op::new(Code::Unmapped, 0, 0, 0, 0),
         },
-        Err(_) => Slot::Unmapped,
     });
     Page {
         base,
-        slots: Box::new(slots),
-    }
-}
-
-/// Whether `inst` accesses a CSR whose value is the clock.
-fn reads_counter(inst: &Inst) -> bool {
-    match *inst {
-        Inst::Csr { csr: num, .. } | Inst::CsrImm { csr: num, .. } => {
-            num == csr::CYCLE || num == csr::TIME
-        }
-        _ => false,
+        ops: Box::new(ops),
     }
 }
 
@@ -352,7 +630,7 @@ fn reads_counter(inst: &Inst) -> bool {
 mod tests {
     use super::*;
     use crate::encode::encode;
-    use crate::inst::{AluImmOp, AluOp, BranchCond, MemWidth, Reg};
+    use crate::inst::{AluImmOp, AluOp, BranchCond, CsrOp, MemWidth, Reg};
     use crate::mem::FlatMemory;
 
     fn program(insts: &[Inst]) -> FlatMemory {
@@ -602,6 +880,127 @@ mod tests {
             4,
             "a store into the highest code page refills it"
         );
+    }
+
+    #[test]
+    fn every_instruction_variant_has_a_code_of_its_own() {
+        let (rd, rs1, rs2) = (Reg::A0, Reg::A1, Reg::A2);
+        let mut insts: Vec<Inst> = Vec::new();
+        insts.extend(AluOp::ALL.map(|op| Inst::Alu { op, rd, rs1, rs2 }));
+        insts.extend(AluImmOp::ALL.map(|op| Inst::AluImm {
+            op,
+            rd,
+            rs1,
+            imm: 3,
+        }));
+        insts.extend(BranchCond::ALL.map(|cond| Inst::Branch {
+            cond,
+            rs1,
+            rs2,
+            offset: 8,
+        }));
+        insts.extend(MemWidth::ALL.map(|width| Inst::Load {
+            width,
+            rd,
+            rs1,
+            offset: 8,
+        }));
+        insts.extend(MemWidth::ALL[..4].iter().map(|&width| Inst::Store {
+            width,
+            rs2,
+            rs1,
+            offset: 8,
+        }));
+        insts.extend([
+            Inst::Lui { rd, imm: 0x1000 },
+            Inst::Auipc { rd, imm: 0x1000 },
+            Inst::Jal { rd, offset: 8 },
+            Inst::Jalr { rd, rs1, offset: 8 },
+        ]);
+        let csr = csr::MSCRATCH;
+        insts.extend(CsrOp::ALL.map(|op| Inst::Csr { op, rd, rs1, csr }));
+        insts.extend(CsrOp::ALL.map(|op| Inst::CsrImm {
+            op,
+            rd,
+            zimm: 3,
+            csr,
+        }));
+        insts.extend([rdcycle(rd), Inst::Fence, Inst::Ecall, Inst::Ebreak]);
+        let mut codes: Vec<Code> = insts
+            .iter()
+            .map(|inst| Op::decode(encode(inst).unwrap()).code())
+            .collect();
+        codes.extend([Code::Illegal, Code::Unmapped, Code::End]);
+        assert_eq!(
+            codes,
+            Code::ALL,
+            "one code per variant, in declaration order"
+        );
+    }
+
+    #[test]
+    fn falls_through_the_page_sentinel() {
+        // Jump to four words before the end of page 0 and run straight
+        // into page 1.
+        let mut mem = program(&[Inst::Jal {
+            rd: Reg::ZERO,
+            offset: 0xff0,
+        }]);
+        for (i, inst) in [
+            addi(Reg::T0, Reg::T0, 1),
+            rdcycle(Reg::A1),
+            addi(Reg::T0, Reg::T0, 2),
+            addi(Reg::T0, Reg::T0, 3),
+            addi(Reg::T0, Reg::T0, 4),
+            Inst::Ecall,
+        ]
+        .iter()
+        .enumerate()
+        {
+            let w = encode(inst).unwrap();
+            mem.store(0xff0 + 4 * i as u64, 4, w as u64).unwrap();
+        }
+        for limit in [1, 2, 3, u64::MAX] {
+            lockstep(&mem, 100, limit);
+        }
+        let mut cpu = Cpu::new(0xff0);
+        let mut cache = DecodeCache::new();
+        let mut sink = Record::default();
+        let end = cache.run_block(&mut cpu, &mut mem, u64::MAX, &mut sink);
+        assert_eq!(end, Ok(BlockEnd::Next));
+        assert_eq!(
+            (cpu.pc, cpu.instret),
+            (0x1000, 4),
+            "the sentinel ends the block"
+        );
+    }
+
+    #[test]
+    fn csr_reads_mid_block_see_exact_counters() {
+        let read = |csr| Inst::Csr {
+            op: crate::inst::CsrOp::Rs,
+            rd: Reg::A2,
+            rs1: Reg::ZERO,
+            csr,
+        };
+        let mem = program(&[
+            addi(Reg::T0, Reg::ZERO, 5),
+            read(csr::INSTRET),
+            addi(Reg::T0, Reg::T0, -1),
+            read(csr::MSCRATCH),
+            rdcycle(Reg::A1),
+            Inst::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::T0,
+                rs2: Reg::ZERO,
+                offset: -16,
+            },
+            read(csr::INSTRET),
+            Inst::Ecall,
+        ]);
+        for limit in [1, 3, u64::MAX] {
+            lockstep(&mem, 1000, limit);
+        }
     }
 
     #[test]

@@ -14,11 +14,29 @@
 //! and `jalr` to misaligned, unmapped and data targets; illegal words;
 //! `cycle`/`time` reads inside counted loops; MMIO UART output; a remote
 //! window; and WRITE/READ/ARGV syscalls that write guest memory, code
-//! pages included. Seeds are fixed ([`marshal_qcheck::MASTER_SEED`]).
+//! pages included. Destinations and sources are sometimes `x0`, `auipc`
+//! takes random upper immediates, and many programs start a few words
+//! before a page's end. Seeds are fixed ([`marshal_qcheck::MASTER_SEED`]).
+//!
+//! Both loops share one executor, so the reference also checks every step
+//! against an independent statement of the ISA ([`expected`]): the value
+//! each ALU, ALU-immediate, `lui`, `auipc` and jump leaves in its
+//! destination, where each branch and jump goes, and that `x0` stays zero.
+//!
+//! The test also asserts that the 400 programs reach every [`Code`] of
+//! the predecoded op table and every way a block can end: falling through
+//! the page's sentinel, a taken jump out of the page, a misaligned target,
+//! a store into the executing page, a counter read, a trap and a budget
+//! stop. Both loops retire the same stream, so the reference observes
+//! these on it.
 
+use std::collections::{BTreeSet, HashSet};
+
+use marshal_isa::decode::decode;
 use marshal_isa::encode::encode;
 use marshal_isa::inst::{csr, AluImmOp, AluOp, BranchCond, CsrOp, Inst, MemWidth};
 use marshal_isa::interp::StepOutcome;
+use marshal_isa::predecode::{Code, Op};
 use marshal_qcheck::{cases, Rng};
 
 use super::tests::TestOs;
@@ -32,31 +50,6 @@ const DATA: u64 = 0x3_0000;
 /// An address past the end of user memory.
 const UNMAPPED: i64 = 0x90_0000;
 
-const ALU_OPS: [AluOp; 23] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Sll,
-    AluOp::Slt,
-    AluOp::Sltu,
-    AluOp::Xor,
-    AluOp::Srl,
-    AluOp::Sra,
-    AluOp::Or,
-    AluOp::And,
-    AluOp::Addw,
-    AluOp::Subw,
-    AluOp::Sllw,
-    AluOp::Srlw,
-    AluOp::Sraw,
-    AluOp::Mul,
-    AluOp::Mulh,
-    AluOp::Mulhu,
-    AluOp::Div,
-    AluOp::Divu,
-    AluOp::Rem,
-    AluOp::Remu,
-    AluOp::Divw,
-];
 const CSRS: [u16; 4] = [csr::CYCLE, csr::TIME, csr::INSTRET, csr::MSCRATCH];
 
 /// Registers random instructions may overwrite.
@@ -72,6 +65,15 @@ const POOL: [Reg; 10] = [
     Reg::A4,
     Reg::A5,
 ];
+/// A destination or source: mostly from [`POOL`], sometimes `x0`.
+fn reg(rng: &mut Rng) -> Reg {
+    if rng.below(12) == 0 {
+        Reg::ZERO
+    } else {
+        *rng.pick(&POOL)
+    }
+}
+
 /// Code page bases: page 0, 1 and 2.
 const CODE_BASES: [Reg; 3] = [Reg::S0, Reg::S3, Reg::S4];
 /// Holds the encoding of a valid instruction, for stores into code.
@@ -110,14 +112,14 @@ fn li32(code: &mut Vec<u32>, rd: Reg, value: i64) {
 /// A random ALU, load, store or counter instruction (a store that patches
 /// nearby code takes two): the straight-line material of loop bodies.
 fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
-    let rd = *rng.pick(&POOL);
-    let rs = *rng.pick(&POOL);
+    let rd = reg(rng);
+    let rs = reg(rng);
     let inst = match rng.below(100) {
         0..=29 => Inst::Alu {
-            op: *rng.pick(&ALU_OPS),
+            op: *rng.pick(&AluOp::ALL),
             rd,
             rs1: rs,
-            rs2: *rng.pick(&POOL),
+            rs2: reg(rng),
         },
         30..=54 => {
             let op = *rng.pick(&AluImmOp::ALL);
@@ -133,7 +135,11 @@ fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
                 imm,
             }
         }
-        55..=59 => Inst::Lui {
+        55..=57 => Inst::Lui {
+            rd,
+            imm: rng.range_i64(-0x8_0000, 0x8_0000) << 12,
+        },
+        58..=59 => Inst::Auipc {
             rd,
             imm: rng.range_i64(-0x8_0000, 0x8_0000) << 12,
         },
@@ -150,6 +156,7 @@ fn simple(rng: &mut Rng, code: &mut Vec<u32>, uart: bool) {
         75..=79 => {
             // Patch a word near the PC: the next few instructions, or an
             // earlier one that a loop runs again.
+            let rd = *rng.pick(&POOL);
             push(code, Inst::Auipc { rd, imm: 0 });
             let value = *rng.pick(&[VALID_WORD, VALID_WORD, Reg::ZERO, rs]);
             Inst::Store {
@@ -190,7 +197,7 @@ fn offset(rng: &mut Rng, width: MemWidth) -> i64 {
     let size = width.bytes() as i64;
     let aligned = rng.range_i64(-2048 / size, 2048 / size) * size;
     if rng.below(30) == 0 {
-        aligned + 1
+        (aligned + 1).min(2047)
     } else {
         aligned
     }
@@ -413,6 +420,19 @@ fn program(rng: &mut Rng) -> (MexeFile, bool) {
         push(&mut code, addi(Reg::S7, Reg::S1, 0x7f8));
     }
     let len = rng.range_usize(code.len() + 16, CODE_WORDS - 16);
+    if len > 1040 && rng.bool() {
+        // Start a few words short of the first page's end, so execution
+        // falls through into the next page.
+        let target = 1024 - rng.range_i64(1, 12);
+        let offset = 4 * (target - code.len() as i64);
+        push(
+            &mut code,
+            Inst::Jal {
+                rd: Reg::ZERO,
+                offset,
+            },
+        );
+    }
     while code.len() < len {
         match rng.below(10) {
             0..=5 => simple(rng, &mut code, uart),
@@ -459,6 +479,143 @@ impl Timing for Recording {
     }
 }
 
+/// `op` on `a` and `b`, stated apart from the interpreter: 128-bit
+/// arithmetic for products and quotients, and `w` for the 32-bit forms.
+fn spec_alu(op: AluOp, a: u64, b: u64) -> u64 {
+    let (sa, sb) = (i128::from(a as i64), i128::from(b as i64));
+    let w = |v: i64| v as i32 as i64 as u64;
+    let (x32, y32) = (i64::from(a as i32), i64::from(b as i32));
+    let (ux32, uy32) = (u64::from(a as u32), u64::from(b as u32));
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Sll => a << (b & 63),
+        AluOp::Slt => u64::from(sa < sb),
+        AluOp::Sltu => u64::from(a < b),
+        AluOp::Xor => a ^ b,
+        AluOp::Srl => a >> (b & 63),
+        AluOp::Sra => ((a as i64) >> (b & 63)) as u64,
+        AluOp::Or => a | b,
+        AluOp::And => a & b,
+        AluOp::Addw => w(x32 + y32),
+        AluOp::Subw => w(x32 - y32),
+        AluOp::Sllw => w((a << (b & 31)) as i64),
+        AluOp::Srlw => w((ux32 >> (b & 31)) as i64),
+        AluOp::Sraw => (x32 >> (b & 31)) as u64,
+        AluOp::Mul => (sa * sb) as u64,
+        AluOp::Mulh => ((sa * sb) >> 64) as u64,
+        AluOp::Mulhsu => ((sa * i128::from(b)) >> 64) as u64,
+        AluOp::Mulhu => ((u128::from(a) * u128::from(b)) >> 64) as u64,
+        AluOp::Div if b == 0 => u64::MAX,
+        AluOp::Div => (sa / sb) as u64,
+        AluOp::Divu => a.checked_div(b).unwrap_or(u64::MAX),
+        AluOp::Rem if b == 0 => a,
+        AluOp::Rem => (sa % sb) as u64,
+        AluOp::Remu => a.checked_rem(b).unwrap_or(a),
+        AluOp::Mulw => w(x32 * y32),
+        AluOp::Divw if y32 == 0 => u64::MAX,
+        AluOp::Divw => w(x32 / y32),
+        AluOp::Divuw => w(ux32.checked_div(uy32).unwrap_or(u64::MAX) as i64),
+        AluOp::Remw if y32 == 0 => w(x32),
+        AluOp::Remw => w(x32 % y32),
+        AluOp::Remuw => w(ux32.checked_rem(uy32).unwrap_or(ux32) as i64),
+    }
+}
+
+/// The register-register form of `op`.
+fn reg_form(op: AluImmOp) -> AluOp {
+    match op {
+        AluImmOp::Addi => AluOp::Add,
+        AluImmOp::Slti => AluOp::Slt,
+        AluImmOp::Sltiu => AluOp::Sltu,
+        AluImmOp::Xori => AluOp::Xor,
+        AluImmOp::Ori => AluOp::Or,
+        AluImmOp::Andi => AluOp::And,
+        AluImmOp::Slli => AluOp::Sll,
+        AluImmOp::Srli => AluOp::Srl,
+        AluImmOp::Srai => AluOp::Sra,
+        AluImmOp::Addiw => AluOp::Addw,
+        AluImmOp::Slliw => AluOp::Sllw,
+        AluImmOp::Srliw => AluOp::Srlw,
+        AluImmOp::Sraiw => AluOp::Sraw,
+    }
+}
+
+/// What the instruction at the PC must leave behind if it retires:
+/// `(destination, value, next pc)`, for the ops that write a register or
+/// move control; `None` for the rest.
+fn expected(cpu: &Cpu, bus: &mut UserBus) -> Option<(Reg, u64, u64)> {
+    let pc = cpu.pc;
+    let r = |reg| cpu.read_reg(reg);
+    let next = pc.wrapping_add(4);
+    Some(match decode(bus.fetch(pc).ok()?).ok()? {
+        Inst::Alu { op, rd, rs1, rs2 } => (rd, spec_alu(op, r(rs1), r(rs2)), next),
+        Inst::AluImm { op, rd, rs1, imm } => (rd, spec_alu(reg_form(op), r(rs1), imm as u64), next),
+        Inst::Lui { rd, imm } => (rd, imm as u64, next),
+        Inst::Auipc { rd, imm } => (rd, pc.wrapping_add(imm as u64), next),
+        Inst::Jal { rd, offset } => (rd, next, pc.wrapping_add(offset as u64)),
+        Inst::Jalr { rd, rs1, offset } => (rd, next, r(rs1).wrapping_add(offset as u64) & !1),
+        Inst::Branch {
+            cond,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            let taken = cond.eval(r(rs1), r(rs2));
+            let target = if taken {
+                pc.wrapping_add(offset as u64)
+            } else {
+                next
+            };
+            (Reg::ZERO, 0, target)
+        }
+        _ => return None,
+    })
+}
+
+/// What the reference run reached: the op codes it executed and the
+/// block ends it passed.
+#[derive(Debug, Default)]
+struct Coverage {
+    codes: HashSet<Code>,
+    ends: BTreeSet<&'static str>,
+}
+
+impl Coverage {
+    /// Notes the op about to run at `pc`, as the predecoded table holds it.
+    fn op(&mut self, bus: &mut UserBus, pc: u64) {
+        if pc & 3 == 0 {
+            let code = bus
+                .fetch(pc)
+                .map_or(Code::Unmapped, |w| Op::decode(w).code());
+            if code == Code::Counter {
+                self.ends.insert("counter read");
+            }
+            self.codes.insert(code);
+        }
+    }
+
+    /// Notes how a retired instruction leaves its page.
+    fn retired(&mut self, r: &Retired) {
+        let page = |a: u64| a & !(PAGE_SIZE - 1);
+        if r.next_pc & 3 != 0 {
+            self.ends.insert("misaligned target");
+        } else if page(r.next_pc) != page(r.pc) {
+            if r.next_pc == r.pc + 4 {
+                self.codes.insert(Code::End);
+                self.ends.insert("sentinel fall-through");
+            } else {
+                self.ends.insert("jump out of the page");
+            }
+        }
+        if let RetireKind::Store { addr } = r.kind {
+            if page(addr) == page(r.pc) {
+                self.ends.insert("store into the executing page");
+            }
+        }
+    }
+}
+
 /// The reference: the per-instruction step loop, with the clock synced
 /// before and the UART drained after every instruction.
 fn run_reference<T: Timing>(
@@ -466,6 +623,7 @@ fn run_reference<T: Timing>(
     os: &mut TestOs,
     budget: u64,
     timing: &mut T,
+    coverage: &mut Coverage,
 ) -> Result<(Option<i64>, u64), SimError> {
     let start = runner.cpu.instret;
     if runner.exited.is_some() {
@@ -474,18 +632,27 @@ fn run_reference<T: Timing>(
     loop {
         let executed = runner.cpu.instret - start;
         if executed > budget {
+            coverage.ends.insert("budget stop");
             return Ok((None, executed));
         }
         if let Some(cycles) = timing.cycles() {
             runner.cpu.cycle = cycles;
         }
+        coverage.op(&mut runner.bus, runner.cpu.pc);
+        let spec = expected(&runner.cpu, &mut runner.bus);
         let step = runner.cpu.step(&mut runner.bus);
+        assert_eq!(runner.cpu.read_reg(Reg::ZERO), 0, "x0 stays zero");
         let bytes = runner.bus.drain_uart();
         if !bytes.is_empty() {
             os.serial_write(&bytes);
         }
         let end = match step {
             Ok(StepOutcome::Retired(r)) => {
+                if let Some((rd, value, next_pc)) = spec {
+                    let value = if rd == Reg::ZERO { 0 } else { value };
+                    let got = (runner.cpu.read_reg(rd), r.next_pc);
+                    assert_eq!(got, (value, next_pc), "at {:#x}", r.pc);
+                }
                 let is_remote = match r.kind {
                     RetireKind::Load { addr } | RetireKind::Store { addr } => {
                         runner.bus.is_remote(addr)
@@ -493,11 +660,15 @@ fn run_reference<T: Timing>(
                     _ => false,
                 };
                 timing.retire(&r, is_remote);
+                coverage.retired(&r);
                 continue;
             }
             Ok(StepOutcome::Ecall) => Ok(BlockEnd::Ecall),
             Ok(StepOutcome::Ebreak) => Ok(BlockEnd::Ebreak),
-            Err(trap) => Err(trap),
+            Err(trap) => {
+                coverage.ends.insert("trap");
+                Err(trap)
+            }
         };
         match runner.service(end, os)? {
             Some(sys) => timing.syscall(sys),
@@ -518,18 +689,15 @@ struct Outcome<T> {
     timing: T,
 }
 
-/// A step loop under test: the block loop or the reference.
-type StepLoop<T> =
-    fn(&mut UserRunner, &mut TestOs, u64, &mut T) -> Result<(Option<i64>, u64), SimError>;
-
 /// Runs `exe` up to three times with the given budgets (resuming after a
-/// watchdog stop) through `run`, the block loop or the reference.
+/// watchdog stop) through the block loop, or through the reference when
+/// given a [`Coverage`] to fill.
 fn execute<T: Timing>(
     exe: &MexeFile,
     uart: bool,
     budgets: &[u64],
     mut timing: T,
-    run: StepLoop<T>,
+    mut reference: Option<&mut Coverage>,
 ) -> Outcome<T> {
     let mut runner = UserRunner::new(exe, &["prog".to_owned(), "argument".to_owned()]).unwrap();
     if uart {
@@ -550,7 +718,10 @@ fn execute<T: Timing>(
     );
     let mut results = Vec::new();
     for &budget in budgets {
-        let result = run(&mut runner, &mut os, budget, &mut timing);
+        let result = match reference.as_deref_mut() {
+            Some(coverage) => run_reference(&mut runner, &mut os, budget, &mut timing, coverage),
+            None => runner.run(&mut os, budget, &mut timing),
+        };
         let done = !matches!(result, Ok((None, _)));
         results.push(result);
         if done {
@@ -579,29 +750,27 @@ fn execute<T: Timing>(
     }
 }
 
-fn block_loop<T: Timing>(
-    runner: &mut UserRunner,
-    os: &mut TestOs,
-    budget: u64,
-    timing: &mut T,
-) -> Result<(Option<i64>, u64), SimError> {
-    runner.run(os, budget, timing)
-}
-
 #[test]
 fn block_stepping_matches_the_per_instruction_reference() {
     let mut mid_block_stops = 0;
     let mut traps = 0;
+    let mut coverage = Coverage::default();
     cases(400, |rng| {
         let (exe, uart) = program(rng);
         let budgets: Vec<u64> = (0..3).map(|_| rng.range_u64(0, 2500)).collect();
 
-        let functional = execute(&exe, uart, &budgets, (), block_loop);
-        let reference = execute(&exe, uart, &budgets, (), run_reference);
+        let functional = execute(&exe, uart, &budgets, (), None);
+        let reference = execute(&exe, uart, &budgets, (), Some(&mut coverage));
         assert_eq!(functional, reference, "functional timing");
 
-        let timed = execute(&exe, uart, &budgets, Recording::default(), block_loop);
-        let mut reference = execute(&exe, uart, &budgets, Recording::default(), run_reference);
+        let timed = execute(&exe, uart, &budgets, Recording::default(), None);
+        let mut reference = execute(
+            &exe,
+            uart,
+            &budgets,
+            Recording::default(),
+            Some(&mut coverage),
+        );
         // The reference writes the clock before every step; the block loop
         // only where a counter read observes it. Every observed value is
         // in the registers, which must match.
@@ -618,4 +787,23 @@ fn block_stepping_matches_the_per_instruction_reference() {
     // The generator must reach both kinds of early stop.
     assert!(mid_block_stops > 40, "{mid_block_stops} watchdog stops");
     assert!(traps > 40, "{traps} traps");
+    let missing: Vec<Code> = Code::ALL
+        .into_iter()
+        .filter(|c| !coverage.codes.contains(c))
+        .collect();
+    assert!(missing.is_empty(), "op codes never executed: {missing:?}");
+    let ends: Vec<&str> = coverage.ends.into_iter().collect();
+    assert_eq!(
+        ends,
+        [
+            "budget stop",
+            "counter read",
+            "jump out of the page",
+            "misaligned target",
+            "sentinel fall-through",
+            "store into the executing page",
+            "trap",
+        ],
+        "block ends reached"
+    );
 }

@@ -96,72 +96,30 @@ const BATCH: usize = 4096;
 /// Full batches queued before the interpreter waits for the timing thread.
 const QUEUE: usize = 4;
 
-/// The interpreter's end of a [`Pipeline`] running on its own thread.
+/// The interpreter's end of a node's [`Pipeline`].
 ///
-/// Events go into a batch; full batches go to the timing thread over a
-/// bounded queue, which replays them into the pipeline in order and hands
-/// each one back emptied, with the cycle count after it, for reuse.
-/// [`Timing::cycles`] sends the partial batch and waits until every batch
-/// is back, so it answers exactly what a pipeline fed on this thread
-/// would.
-struct Feed {
+/// Events go into a batch. Until the first batch fills, the pipeline
+/// stays on the interpreter's thread, and [`Timing::cycles`] and
+/// [`Feed::finish`] replay the batch into it there, so a short run starts
+/// no thread. The first full batch starts the timing thread (see
+/// [`Thread`]), and the pipeline lives there from then on.
+struct Feed<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
     batch: Vec<Event>,
-    spare: Vec<Vec<Event>>,
-    to_model: SyncSender<Vec<Event>>,
-    from_model: Receiver<(Vec<Event>, u64)>,
-    in_flight: usize,
-    cycles: u64,
+    /// The pipeline while it runs on this thread.
+    local: Option<Pipeline>,
+    /// The timing thread, once the first batch has filled.
+    thread: Option<Thread<'scope>>,
 }
 
-impl Feed {
-    /// Starts `pipeline` on a thread of `scope`. The thread returns the
-    /// pipeline once the feed is closed and every event is replayed.
-    fn spawn<'scope>(
-        scope: &'scope Scope<'scope, '_>,
-        mut pipeline: Pipeline,
-    ) -> (Feed, ScopedJoinHandle<'scope, Pipeline>) {
-        let (to_model, batches) = mpsc::sync_channel::<Vec<Event>>(QUEUE);
-        let (spent, from_model) = mpsc::channel();
-        let cycles = pipeline.counters().cycles;
-        let model = scope.spawn(move || {
-            for mut batch in batches {
-                for event in batch.drain(..) {
-                    match event {
-                        Event::Retire(r, is_remote) => pipeline.retire(&r, is_remote),
-                        Event::Syscall(sys) => pipeline.syscall(sys),
-                    }
-                }
-                // A closed feed takes no batches back; they are dropped.
-                let _ = spent.send((batch, pipeline.counters().cycles));
-            }
-            pipeline
-        });
-        let feed = Feed {
+impl<'scope, 'env> Feed<'scope, 'env> {
+    fn new(scope: &'scope Scope<'scope, 'env>, pipeline: Pipeline) -> Feed<'scope, 'env> {
+        Feed {
+            scope,
             batch: Vec::with_capacity(BATCH),
-            spare: Vec::new(),
-            to_model,
-            from_model,
-            in_flight: 0,
-            cycles,
-        };
-        (feed, model)
-    }
-
-    /// Hands the current batch to the timing thread.
-    fn send(&mut self) {
-        let next = match self.spare.pop() {
-            Some(batch) => batch,
-            None => match self.from_model.try_recv() {
-                Ok((batch, _)) => {
-                    self.in_flight -= 1;
-                    batch
-                }
-                Err(_) => Vec::with_capacity(BATCH),
-            },
-        };
-        let full = std::mem::replace(&mut self.batch, next);
-        self.to_model.send(full).expect("timing thread stopped");
-        self.in_flight += 1;
+            local: Some(pipeline),
+            thread: None,
+        }
     }
 
     #[inline]
@@ -172,27 +130,44 @@ impl Feed {
         self.batch.push(event);
     }
 
-    /// Sends the last events; the timing thread ends once it has replayed
-    /// them.
-    fn close(mut self) {
-        if !self.batch.is_empty() {
-            self.send();
+    /// Hands the full batch to the timing thread, starting the thread on
+    /// the first call. Out of line, so [`Feed::push`] stays small enough
+    /// to inline into the step loop.
+    #[inline(never)]
+    fn send(&mut self) {
+        let thread = match &mut self.thread {
+            Some(thread) => thread,
+            None => {
+                let pipeline = self.local.take().expect("a pipeline on one side");
+                self.thread.insert(Thread::spawn(self.scope, pipeline))
+            }
+        };
+        thread.send(&mut self.batch);
+    }
+
+    /// The pipeline, once every event is replayed into it.
+    fn finish(self) -> Pipeline {
+        match (self.local, self.thread) {
+            (Some(mut pipeline), _) => {
+                replay(&mut pipeline, self.batch);
+                pipeline
+            }
+            (None, Some(thread)) => thread.join(self.batch),
+            (None, None) => unreachable!("the pipeline is on one side"),
         }
     }
 }
 
-impl Timing for Feed {
+impl Timing for Feed<'_, '_> {
     fn cycles(&mut self) -> Option<u64> {
-        if !self.batch.is_empty() {
-            self.send();
+        match (&mut self.local, &mut self.thread) {
+            (Some(pipeline), _) => {
+                replay(pipeline, self.batch.drain(..));
+                pipeline.cycles()
+            }
+            (None, Some(thread)) => Some(thread.sync(&mut self.batch)),
+            (None, None) => unreachable!("the pipeline is on one side"),
         }
-        while self.in_flight > 0 {
-            let (batch, cycles) = self.from_model.recv().expect("timing thread stopped");
-            self.in_flight -= 1;
-            self.cycles = cycles;
-            self.spare.push(batch);
-        }
-        Some(self.cycles)
     }
 
     #[inline]
@@ -203,6 +178,102 @@ impl Timing for Feed {
     #[inline]
     fn syscall(&mut self, sys: u64) {
         self.push(Event::Syscall(sys));
+    }
+}
+
+/// Charges `events` to `pipeline`, in order.
+fn replay(pipeline: &mut Pipeline, events: impl IntoIterator<Item = Event>) {
+    for event in events {
+        match event {
+            Event::Retire(r, is_remote) => pipeline.retire(&r, is_remote),
+            Event::Syscall(sys) => pipeline.syscall(sys),
+        }
+    }
+}
+
+/// A [`Pipeline`] running on a thread of its own.
+///
+/// Full batches go to the thread over a bounded queue; it replays them
+/// into the pipeline in order and hands each one back emptied, with the
+/// cycle count after it, for reuse. [`Thread::sync`] sends the partial
+/// batch and waits until every batch is back, so it answers exactly what
+/// a pipeline fed on this thread would.
+struct Thread<'scope> {
+    spare: Vec<Vec<Event>>,
+    to_model: SyncSender<Vec<Event>>,
+    from_model: Receiver<(Vec<Event>, u64)>,
+    in_flight: usize,
+    cycles: u64,
+    model: ScopedJoinHandle<'scope, Pipeline>,
+}
+
+impl<'scope> Thread<'scope> {
+    /// Starts `pipeline` on a thread of `scope`. The thread returns the
+    /// pipeline once the queue is closed and every event is replayed.
+    fn spawn(scope: &'scope Scope<'scope, '_>, mut pipeline: Pipeline) -> Thread<'scope> {
+        let (to_model, batches) = mpsc::sync_channel::<Vec<Event>>(QUEUE);
+        let (spent, from_model) = mpsc::channel();
+        let cycles = pipeline.counters().cycles;
+        let model = scope.spawn(move || {
+            for mut batch in batches {
+                replay(&mut pipeline, batch.drain(..));
+                // A closed queue takes no batches back; they are dropped.
+                let _ = spent.send((batch, pipeline.counters().cycles));
+            }
+            pipeline
+        });
+        Thread {
+            spare: Vec::new(),
+            to_model,
+            from_model,
+            in_flight: 0,
+            cycles,
+            model,
+        }
+    }
+
+    /// Hands `batch` to the thread, leaving an empty one in its place.
+    fn send(&mut self, batch: &mut Vec<Event>) {
+        let next = match self.spare.pop() {
+            Some(batch) => batch,
+            None => match self.from_model.try_recv() {
+                Ok((batch, _)) => {
+                    self.in_flight -= 1;
+                    batch
+                }
+                Err(_) => Vec::with_capacity(BATCH),
+            },
+        };
+        let full = std::mem::replace(batch, next);
+        self.to_model.send(full).expect("timing thread stopped");
+        self.in_flight += 1;
+    }
+
+    /// Sends the partial `batch` and waits for every batch to be
+    /// replayed; returns the cycle count after the last one.
+    fn sync(&mut self, batch: &mut Vec<Event>) -> u64 {
+        if !batch.is_empty() {
+            self.send(batch);
+        }
+        while self.in_flight > 0 {
+            let (spent, cycles) = self.from_model.recv().expect("timing thread stopped");
+            self.in_flight -= 1;
+            self.cycles = cycles;
+            self.spare.push(spent);
+        }
+        self.cycles
+    }
+
+    /// Sends the last events, closes the queue and takes the pipeline
+    /// back once the thread has replayed them.
+    fn join(mut self, mut batch: Vec<Event>) -> Pipeline {
+        if !batch.is_empty() {
+            self.send(&mut batch);
+        }
+        drop(self.to_model);
+        self.model
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -276,9 +347,10 @@ impl FireSim {
     /// system with boot checkpointing; bare jobs execute the binary
     /// directly, ignore `resume` and capture nothing.
     ///
-    /// The node's [`Pipeline`] runs on a thread of its own (see the module
-    /// docs); the report is read from it once every event is replayed,
-    /// after an error or a watchdog exit too.
+    /// The node's [`Pipeline`] runs on a thread of its own once the first
+    /// batch of events fills (see the module docs); the report is read
+    /// from it once every event is replayed, after an error or a watchdog
+    /// exit too.
     ///
     /// Restoring is cycle-exact because snapshots are only captured when
     /// the boot retired zero user instructions — the pipeline is cold at
@@ -294,13 +366,9 @@ impl FireSim {
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, PerfReport, Option<BootSnapshot>), SimError> {
         let (outcome, pipeline) = std::thread::scope(|scope| {
-            let (mut feed, model) = Feed::spawn(scope, Pipeline::new(&self.hw));
+            let mut feed = Feed::new(scope, Pipeline::new(&self.hw));
             let outcome = self.simulate(job, mode, resume, &mut feed);
-            feed.close();
-            let pipeline = model
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (outcome, pipeline)
+            (outcome, feed.finish())
         });
         let (result, captured) = outcome?;
         Ok((result, self.report(&pipeline), captured))
@@ -418,6 +486,44 @@ nofb:
             .simulate(job, LaunchMode::Run, None, &mut pipeline)
             .map(|(r, _)| (r, sim.report(&pipeline)));
         assert_eq!(decoupled, same_thread);
+    }
+
+    /// Whether a run of `job` starts the timing thread.
+    fn spawns_thread(sim: &FireSim, job: &LoadedJob) -> bool {
+        std::thread::scope(|scope| {
+            let mut feed = Feed::new(scope, Pipeline::new(&sim.hw));
+            sim.simulate(job, LaunchMode::Run, None, &mut feed).unwrap();
+            let spawned = feed.thread.is_some();
+            feed.finish();
+            spawned
+        })
+    }
+
+    #[test]
+    fn timing_thread_starts_with_the_first_full_batch() {
+        // (program, whether it fills a batch): a run that ends before the
+        // first batch fills; a rdcycle before the thread starts, whose
+        // value is the exit code; a rdcycle after it, likewise.
+        let exit = "li a7, 93\n ecall\n";
+        let cases = [
+            (format!("_start:\n li t0, 100\nl: addi t0, t0, -1\n bnez t0, l\n li a0, 0\n {exit}"), false),
+            (format!("_start:\n addi t1, t1, 1\n rdcycle a0\n li t0, 6000\nl: addi t0, t0, -1\n bnez t0, l\n {exit}"), true),
+            (format!("_start:\n li t0, 6000\nl: addi t0, t0, -1\n bnez t0, l\n rdcycle a0\n srli a0, a0, 8\n {exit}"), true),
+        ];
+        for (src, fills) in &cases {
+            let job = bare_job(src);
+            for hw in [HardwareConfig::rocket(), HardwareConfig::boom_tage()] {
+                let sim = FireSim::new(hw);
+                assert_eq!(spawns_thread(&sim, &job), *fills, "{src}");
+                let (result, _) = run(&sim, &job);
+                assert_eq!(
+                    result.exit_code > 0,
+                    *fills,
+                    "{src}: the rdcycle value exits"
+                );
+                assert_decoupled_matches(&sim, &job);
+            }
+        }
     }
 
     #[test]
