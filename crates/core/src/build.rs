@@ -51,11 +51,6 @@ pub struct BuildOptions {
     /// The remote is an accelerator, never a dependency: any fetch failure
     /// degrades to the ordinary local build.
     pub remote: Option<String>,
-    /// Runner pool selection (`--runners local[:N],remote:HOST:PORT`).
-    /// `None` uses a single local thread pool. Remote runners dispatch
-    /// level builds to `marshal serve --exec` daemons; a local fallback is
-    /// always present (see [`crate::runners::make_runners`]).
-    pub runners: Option<String>,
     /// Plan without executing (`--dry-run`): record what would build and
     /// leave the state database and filesystem untouched.
     pub dry_run: bool,
@@ -72,7 +67,6 @@ impl std::fmt::Debug for BuildOptions {
             .field("keep_going", &self.keep_going)
             .field("jobs", &self.jobs)
             .field("remote", &self.remote)
-            .field("runners", &self.runners)
             .field("dry_run", &self.dry_run)
             .field("progress", &self.progress.is_some())
             .finish()
@@ -292,13 +286,6 @@ impl Builder {
         let resolved = resolve_workload(&self.search, name)?;
         let jobs = expand_jobs(&self.search, &resolved)?;
         let source_dir = self.source_dir(name);
-        // Fail fast on a malformed --runners list, before any planning.
-        let runner_specs = match &options.runners {
-            Some(list) => {
-                Some(crate::runners::parse_runner_specs(list).map_err(MarshalError::Other)?)
-            }
-            None => None,
-        };
         if options.force && !options.dry_run {
             self.db.clear();
         }
@@ -360,14 +347,7 @@ impl Builder {
         // --- per-job tasks -------------------------------------------------
         let mut job_plans = Vec::new();
         for job in &jobs {
-            let plan = self.plan_job(
-                &mut graph,
-                &store,
-                job,
-                options,
-                source_dir.as_deref(),
-                name,
-            )?;
+            let plan = self.plan_job(&mut graph, &store, job, options, source_dir.as_deref())?;
             job_plans.push(plan);
         }
 
@@ -398,22 +378,17 @@ impl Builder {
         // pin exists, so a blob this build just decided not to rewrite
         // cannot vanish under it.
         let pin = PoolPin::acquire(store.objects_dir()).map_err(MarshalError::Io)?;
-        // One runner set per build: a dry-run planner, or the `--runners`
-        // pool (a single local pool of `threads` workers by default).
-        let (runners, exec_clients, dry_plan) = if options.dry_run {
+        // One runner per build: a dry-run planner, or a local pool of
+        // `threads` workers.
+        let (runner, dry_plan): (Box<dyn marshal_depgraph::TaskRunner>, _) = if options.dry_run {
             let (runner, plan) = marshal_depgraph::DryRunRunner::new();
-            let runners: Vec<Box<dyn marshal_depgraph::TaskRunner>> = vec![Box::new(runner)];
-            (runners, Vec::new(), Some(plan))
+            (Box::new(runner), Some(plan))
         } else {
-            let specs = runner_specs
-                .unwrap_or_else(|| vec![crate::runners::RunnerSpec::Local { threads: None }]);
-            let (runners, clients) =
-                crate::runners::make_runners(&specs, &store, threads, &self.recorder);
-            (runners, clients, None)
+            (Box::new(marshal_depgraph::LocalRunner::new(threads)), None)
         };
         let plan = marshal_depgraph::Plan {
             roots: Some(&roots),
-            runners,
+            runner,
         };
         let report = graph.execute(&mut self.db, plan, &opts);
         drop(pin);
@@ -438,17 +413,6 @@ impl Builder {
                 );
             }
         }
-        // Remote *runner* degradations (exec refused, daemon died, fell
-        // back to local) surface the same way fetch degradations do.
-        for client in &exec_clients {
-            for note in client.take_notes() {
-                warnings.push(
-                    Warning::with_code("remote-runner", note, "remote-runner")
-                        .severity(Severity::Degraded),
-                );
-            }
-        }
-
         let jobs = job_plans
             .into_iter()
             .map(|p| JobArtifacts {
@@ -476,7 +440,6 @@ impl Builder {
         job: &marshal_config::jobs::ExpandedJob,
         options: &BuildOptions,
         source_dir: Option<&Path>,
-        workload: &str,
     ) -> Result<JobPlan, MarshalError> {
         let spec = &job.workload.spec;
         let qualified = job.qualified_name.clone();
@@ -560,7 +523,6 @@ impl Builder {
                     prev_key.clone(),
                     key.clone(),
                     source_dir,
-                    workload,
                 )?;
                 if let Some(p) = &prev_task {
                     task = task.dep(p.clone());
@@ -676,15 +638,20 @@ impl Builder {
         parent_key: String,
         key: String,
         source_dir: Option<&Path>,
-        workload: &str,
     ) -> Result<Task, MarshalError> {
         // Gather level inputs eagerly so the fingerprint covers them.
-        let overlay_dir = match &level.overlay {
+        // The overlay is read once, here, into an image: its Merkle
+        // fingerprint (node kinds, exec bits, symlink targets) keys the
+        // level, and the task applies exactly the tree that was hashed.
+        let overlay = match &level.overlay {
             Some(o) => {
                 let dir = self
                     .locate_in_sources(o, source_dir)
                     .ok_or_else(|| MarshalError::Other(format!("overlay `{o}` not found")))?;
-                Some(dir)
+                let mut tree = FsImage::new();
+                tree.overlay_host_dir(&dir, "/")
+                    .map_err(|e| MarshalError::Io(format!("overlay `{o}`: {e}")))?;
+                Some(tree)
             }
             None => None,
         };
@@ -726,8 +693,8 @@ impl Builder {
 
         let mut input_hash = marshal_depgraph::Hasher128::new();
         input_hash.update_field(key.as_bytes());
-        if let Some(dir) = &overlay_dir {
-            hash_host_dir(&mut input_hash, dir)?;
+        if let Some(tree) = &overlay {
+            input_hash.update_field(tree.fingerprint().to_string().as_bytes());
         }
         for (p, guest) in &files {
             input_hash.update_field(guest.as_bytes());
@@ -754,10 +721,6 @@ impl Builder {
         let objects_dir = store.objects_dir().to_path_buf();
         let input_fp = input_hash.finish();
         let by_input_path = store.by_input_path(input_fp);
-        // The serialized description a remote runner ships to a `marshal
-        // serve --exec` daemon. Deliberately NOT part of the fingerprint:
-        // where a task runs must not dirty whether it is up to date.
-        let remote_desc = crate::runners::level_spec(workload, &key, input_fp);
         let remote = self.remote_client.clone();
         // Just the backend-selection slice of the level spec: which
         // functional simulator boots the guest-init script.
@@ -786,10 +749,8 @@ impl Builder {
                 (None, Some(base)) => base.clone(),
                 (None, None) => store.load(&parent_key)?,
             };
-            if let Some(dir) = &overlay_dir {
-                image
-                    .overlay_host_dir(dir, "/")
-                    .map_err(|e| format!("overlay: {e}"))?;
+            if let Some(tree) = &overlay {
+                image.apply_overlay(tree);
             }
             for (p, guest) in &files {
                 let data = std::fs::read(p).map_err(|e| format!("read {}: {e}", p.display()))?;
@@ -803,7 +764,6 @@ impl Builder {
             store.store_with_input(&key, Some(input_fp), image)
         })
         .input(input_fp.to_string().as_bytes())
-        .remote_spec(remote_desc)
         .output(out_path)
         .claim(by_input_path)
         // Blob paths are content-derived, so the whole pool is claimed as a
@@ -949,26 +909,6 @@ fn split_command(line: &str) -> (String, Vec<String>) {
     let mut parts = line.split_whitespace();
     let script = parts.next().unwrap_or("").to_owned();
     (script, parts.map(str::to_owned).collect())
-}
-
-fn hash_host_dir(h: &mut marshal_depgraph::Hasher128, dir: &Path) -> Result<(), MarshalError> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| MarshalError::Io(format!("read {}: {e}", dir.display())))?
-        .filter_map(Result::ok)
-        .collect();
-    entries.sort_by_key(|e| e.file_name());
-    for entry in entries {
-        let path = entry.path();
-        h.update_field(path.file_name().unwrap_or_default().as_encoded_bytes());
-        if path.is_dir() {
-            hash_host_dir(h, &path)?;
-        } else {
-            let data = std::fs::read(&path)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", path.display())))?;
-            h.update_field(&data);
-        }
-    }
-    Ok(())
 }
 
 /// Runs a level's one-shot guest-init script by booting the image on the

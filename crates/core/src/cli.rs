@@ -56,7 +56,7 @@ pub struct CliArgs {
 /// One of Table I's commands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// `build [--no-disk] [--force] [--keep-going] [-j N] [--runners LIST]
+    /// `build [--no-disk] [--force] [--keep-going] [-j N] [--remote HOST:PORT]
     /// [--dry-run] [--progress] <workload>`.
     Build {
         /// Target workload file.
@@ -73,9 +73,6 @@ pub enum Command {
         /// (`--remote HOST:PORT`, or the `MARSHAL_REMOTE` environment
         /// variable when the flag is absent).
         remote: Option<String>,
-        /// Runner pool (`--runners local[:N],remote:HOST:PORT`); `None`
-        /// builds on a single local thread pool.
-        runners: Option<String>,
         /// Plan without executing (`--dry-run`).
         dry_run: bool,
         /// Live single-line progress on stderr (`--progress`).
@@ -130,8 +127,6 @@ pub enum Command {
         /// Worker threads for the build phase and jobs launched at once
         /// (`-j N`); `None` = available parallelism.
         jobs: Option<usize>,
-        /// Runner pool for the build phase (`--runners`).
-        runners: Option<String>,
         /// Disable boot checkpointing (`--no-checkpoint`).
         no_checkpoint: bool,
     },
@@ -148,8 +143,6 @@ pub enum Command {
         /// `marshal serve` daemon to fetch pre-built levels from during
         /// the build phase (`--remote` / `MARSHAL_REMOTE`).
         remote: Option<String>,
-        /// Runner pool for the build phase (`--runners`).
-        runners: Option<String>,
     },
     /// `clean [--keep-runs N] <workload>`.
     Clean {
@@ -165,9 +158,6 @@ pub enum Command {
         /// TCP port to listen on (`--port`, default 9300; 0 picks a free
         /// port and prints it).
         port: u16,
-        /// Accept remote-execution requests (`--exec`): build levels on
-        /// behalf of `--runners remote:...` clients.
-        exec: bool,
     },
     /// `scrub [--remote HOST:PORT]`: verify every pool blob and level
     /// manifest, quarantine corruption, and self-heal from a remote.
@@ -199,7 +189,7 @@ pub enum Command {
 /// Usage text.
 pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|launch|cosim|test|install|clean|serve|scrub|trace> [options] <workload>
   build   [--no-disk] [--force] [--keep-going] [-j N] [--remote HOST:PORT]
-          [--runners LIST] [--dry-run] [--progress]
+          [--dry-run] [--progress]
                                   construct the filesystem image and boot-binary;
                                   --keep-going builds past failures (only dependents
                                   of a failed task are skipped) and reports them all;
@@ -209,11 +199,6 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   levels from a marshal serve daemon before building
                                   them locally — fetch failures degrade to a normal
                                   local build, never fail it;
-                                  --runners local[:N],remote:HOST:PORT executes
-                                  tasks on a runner pool: remote entries dispatch
-                                  level builds to marshal serve --exec daemons
-                                  (a local fallback is always present; a dead
-                                  remote degrades to local, never fails or hangs);
                                   --dry-run plans without executing or writing;
                                   --progress renders a live one-line status on
                                   stderr while the build runs
@@ -237,20 +222,17 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   --inject-divergence corrupts one output byte as a
                                   checker self-test (must exit nonzero);
                                   -j runs up to N backend runs at once
-  test    [--manual DIR] [--timeout-insts N] [-j N] [--runners LIST]
-          [--no-checkpoint]
+  test    [--manual DIR] [--timeout-insts N] [-j N] [--no-checkpoint]
                                   compare outputs against a reference (build+launch, or a prior run dir);
                                   -j bounds both the build and the launch
-  install [--hw CONFIG] [--sim C] [--remote HOST:PORT] [--runners LIST]
+  install [--hw CONFIG] [--sim C] [--remote HOST:PORT]
                                   generate RTL simulator configuration (firesim/vcs/verilator)
   clean   [--keep-runs N]         remove built artifacts and state; also prunes
                                   recorded run journals beyond the newest N
                                   (default 20; journals of live runs are kept)
-  serve   [--port N] [--exec]     export this workdir's built levels and blobs to
+  serve   [--port N]              export this workdir's built levels and blobs to
                                   other builders (default port 9300; Ctrl-C drains
-                                  in-flight connections before exiting); --exec
-                                  additionally accepts remote-execution requests
-                                  from --runners clients, building levels here
+                                  in-flight connections before exiting)
   scrub   [--remote HOST:PORT]    verify every pool blob and level manifest,
                                   quarantine corruption, and re-fetch damaged blobs
                                   from a remote when one is configured
@@ -341,10 +323,8 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
     let mut sim: Option<String> = None;
     let mut inject_divergence = false;
     let mut remote: Option<String> = None;
-    let mut runners: Option<String> = None;
     let mut dry_run = false;
     let mut progress = false;
-    let mut exec = false;
     let mut port: Option<u16> = None;
     let mut keep_runs: Option<usize> = None;
     let mut export: Option<String> = None;
@@ -370,7 +350,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             "--keep-going" => keep_going = true,
             "--dry-run" => dry_run = true,
             "--progress" => progress = true,
-            "--exec" => exec = true,
             "--inject-divergence" => inject_divergence = true,
             "--summary" => summary = true,
             "--last" => last = true,
@@ -390,14 +369,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             "--hw" => hw = Some(flag_value(flag, it.next(), "a config name")?),
             "--sim" => sim = Some(flag_value(flag, it.next(), "a backend/connector name")?),
             "--remote" => remote = Some(flag_value(flag, it.next(), "a HOST:PORT address")?),
-            "--runners" => {
-                let list: String =
-                    flag_value(flag, it.next(), "a list (local[:N],remote:HOST:PORT)")?;
-                // Validate eagerly so a typo fails with usage, not mid-build.
-                crate::runners::parse_runner_specs(&list)
-                    .map_err(|e| err(&format!("--runners: {e}")))?;
-                runners = Some(list);
-            }
             other if other.starts_with('-') => {
                 return Err(err(&format!("unknown option `{other}`")))
             }
@@ -422,7 +393,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             keep_going,
             jobs,
             remote,
-            runners,
             dry_run,
             progress,
         },
@@ -449,7 +419,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             manual,
             timeout_insts,
             jobs,
-            runners,
             no_checkpoint,
         },
         "install" => Command::Install {
@@ -457,7 +426,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             hw: hw.unwrap_or_else(|| "boom-tage".to_owned()),
             connector: sim.unwrap_or_else(|| "firesim".to_owned()),
             remote,
-            runners,
         },
         "clean" => Command::Clean {
             workload: need_workload()?,
@@ -469,7 +437,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             }
             Command::Serve {
                 port: port.unwrap_or(9300),
-                exec,
             }
         }
         "scrub" => {
@@ -635,7 +602,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             keep_going,
             jobs,
             remote,
-            runners,
             dry_run,
             progress,
         } => {
@@ -645,7 +611,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 keep_going: *keep_going,
                 jobs: *jobs,
                 remote: effective_remote(remote),
-                runners: runners.clone(),
                 dry_run: *dry_run,
                 progress: progress_renderer(*progress),
             };
@@ -865,12 +830,10 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             manual,
             timeout_insts,
             jobs,
-            runners,
             no_checkpoint,
         } => {
             let build_opts = BuildOptions {
                 jobs: *jobs,
-                runners: runners.clone(),
                 ..BuildOptions::default()
             };
             let outcomes_result = match manual {
@@ -949,7 +912,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             hw,
             connector,
             remote,
-            runners,
         } => {
             or_fail!(hardware_arg(hw));
             let Some(conn) = crate::connector::connector_by_name(connector) else {
@@ -960,7 +922,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             };
             let build_opts = BuildOptions {
                 remote: effective_remote(remote),
-                runners: runners.clone(),
                 ..BuildOptions::default()
             };
             let products = or_fail!(builder.build(workload, &build_opts));
@@ -1025,29 +986,20 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             }
             (0, log)
         }
-        Command::Serve { port, exec } => {
+        Command::Serve { port } => {
             marshal_netstore::server::install_sigint_handler();
             let addr = format!("0.0.0.0:{port}");
-            let mut server = or_fail!(marshal_netstore::Server::bind(
+            let server = or_fail!(marshal_netstore::Server::bind(
                 &addr,
                 std::path::Path::new(&args.workdir),
                 std::time::Duration::from_secs(10),
             ));
-            if *exec {
-                let handler = or_fail!(crate::runners::serve_exec_handler(
-                    builder.board().clone(),
-                    builder.search().clone(),
-                    &args.workdir,
-                ));
-                server.set_exec_handler(handler);
-            }
             // The daemon blocks until drained, so announce readiness now
             // rather than in the post-run log.
             match server.local_addr() {
                 Ok(a) => println!(
-                    "marshal serve: exporting {} on {a}{} (Ctrl-C to drain and exit)",
-                    args.workdir,
-                    if *exec { " with remote execution" } else { "" }
+                    "marshal serve: exporting {} on {a} (Ctrl-C to drain and exit)",
+                    args.workdir
                 ),
                 Err(e) => fail!(e),
             }
@@ -1207,7 +1159,6 @@ mod tests {
                 keep_going: false,
                 jobs: None,
                 remote: None,
-                runners: None,
                 dry_run: false,
                 progress: false
             }
@@ -1215,35 +1166,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_runners_dry_run_progress() {
-        let args = parse(&[
-            "build",
-            "--runners",
-            "remote:cache:9021,local:2",
-            "--dry-run",
-            "--progress",
-            "w.json",
-        ])
-        .unwrap();
+    fn parse_dry_run_progress() {
+        let args = parse(&["build", "--dry-run", "--progress", "w.json"]).unwrap();
         assert!(matches!(
             args.command,
-            Command::Build { ref runners, dry_run: true, progress: true, .. }
-                if runners.as_deref() == Some("remote:cache:9021,local:2")
+            Command::Build {
+                dry_run: true,
+                progress: true,
+                ..
+            }
         ));
-        let args = parse(&["test", "--runners", "local:4", "w.json"]).unwrap();
-        assert!(matches!(
-            args.command,
-            Command::Test { ref runners, .. } if runners.as_deref() == Some("local:4")
-        ));
-        let args = parse(&["install", "--runners", "local", "w.json"]).unwrap();
-        assert!(matches!(
-            args.command,
-            Command::Install { ref runners, .. } if runners.as_deref() == Some("local")
-        ));
-        // Malformed lists fail at parse time with a usage error.
-        assert!(parse(&["build", "--runners", "ssh:box", "w.json"]).is_err());
-        assert!(parse(&["build", "--runners", "local:0", "w.json"]).is_err());
-        assert!(parse(&["build", "--runners"]).is_err());
     }
 
     #[test]
@@ -1264,21 +1196,10 @@ mod tests {
     #[test]
     fn parse_serve_and_scrub() {
         let args = parse(&["serve"]).unwrap();
-        assert_eq!(
-            args.command,
-            Command::Serve {
-                port: 9300,
-                exec: false
-            }
-        );
-        let args = parse(&["serve", "--port", "7777", "--exec"]).unwrap();
-        assert_eq!(
-            args.command,
-            Command::Serve {
-                port: 7777,
-                exec: true
-            }
-        );
+        assert_eq!(args.command, Command::Serve { port: 9300 });
+        let args = parse(&["serve", "--port", "7777"]).unwrap();
+        assert_eq!(args.command, Command::Serve { port: 7777 });
+        assert!(parse(&["serve", "--exec"]).is_err());
         assert!(parse(&["serve", "--port", "notaport"]).is_err());
         assert!(parse(&["serve", "w.json"]).is_err());
         let args = parse(&["scrub"]).unwrap();
@@ -1474,8 +1395,7 @@ mod tests {
                 workload: "w.json".into(),
                 hw: "boom-gshare".into(),
                 connector: "firesim".into(),
-                remote: None,
-                runners: None
+                remote: None
             }
         );
         let args = parse(&["install", "--sim", "vcs", "w.json"]).unwrap();

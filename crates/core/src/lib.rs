@@ -51,7 +51,6 @@ pub mod install;
 pub mod integrity;
 pub mod launch;
 pub mod output;
-pub mod runners;
 pub mod scrub;
 pub mod simulator;
 pub mod test;
@@ -66,9 +65,6 @@ pub use error::MarshalError;
 pub use imagestore::{ImageStore, PoolPin};
 pub use install::InstallManifest;
 pub use launch::{LaunchOptions, LaunchOutput};
-pub use runners::{
-    level_spec, make_runners, parse_level_spec, parse_runner_specs, serve_exec_handler, RunnerSpec,
-};
 pub use scrub::{scrub_pool, ScrubReport};
 pub use simulator::{simulator_for, simulator_names, BackendOptions, SimRun, Simulator};
 pub use test::{clean_output, TestOutcome, TestReport};

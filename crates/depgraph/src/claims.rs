@@ -43,15 +43,6 @@ impl Drop for ClaimScope {
     }
 }
 
-/// Runs `f` with `task`'s write claims installed, so artifact writes inside
-/// `f` are audited exactly as they would be inside the task's own action.
-/// Remote runners use this around artifact-fetch hooks, which write a
-/// task's outputs without going through [`crate::runner::run_task`].
-pub fn with_claims<T>(task: &Task, f: impl FnOnce() -> T) -> T {
-    let _scope = ClaimScope::enter(task);
-    f()
-}
-
 /// Debug-asserts that the currently running task declared `path` as a write
 /// claim. Outside a task action (host-init, output collection, tests that
 /// call actions directly) there is no context and the call is a no-op, as

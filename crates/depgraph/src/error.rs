@@ -37,9 +37,8 @@ pub enum BuildError {
     },
     /// The persistent state database could not be read or written.
     State(String),
-    /// The runner configuration is unusable: no runners, a mix of dry-run
-    /// and live runners, or a scheduler stall caused by a runner breaking
-    /// its event contract.
+    /// The scheduler stalled because the runner broke its event contract
+    /// (tasks pending, none in flight, none dispatchable).
     Runner(String),
 }
 

@@ -1,15 +1,15 @@
-//! Build execution: up-to-date checking and running over pluggable task
-//! runners, with fail-fast and keep-going failure policies.
+//! Build execution: up-to-date checking and running over one pluggable
+//! task runner, with fail-fast and keep-going failure policies.
 //!
 //! Execution is split in two: a single-threaded scheduler (the private
 //! `sched` module) owns the graph walk, the up-to-date checks, the claim
-//! audit, and the poisoning policy; [`crate::runner::TaskRunner`]s
-//! own nothing but execution and report back over the
+//! audit, and the poisoning policy; the [`crate::runner::TaskRunner`]
+//! owns nothing but execution and reports back over the
 //! [`crate::ExecEvent`] channel. [`Graph::execute`] is the one entry
 //! point: a [`Plan`] names what to build (the whole graph or a root
-//! subset) and which runners build it — [`Plan::local`] for a
-//! [`crate::runner::LocalRunner`] thread pool, or any caller-assembled
-//! set of remote, local, or dry-run runners.
+//! subset) and the runner that builds it — [`Plan::local`] for a
+//! [`crate::runner::LocalRunner`] thread pool, or a
+//! [`crate::runner::DryRunRunner`] that only plans.
 //!
 //! # Parallel safety
 //!
@@ -62,17 +62,14 @@ impl fmt::Debug for ExecOptions {
     }
 }
 
-/// What [`Graph::execute`] builds and where: the tasks in scope and the
-/// runner set that executes them.
+/// What [`Graph::execute`] builds and how: the tasks in scope and the
+/// runner that executes them.
 pub struct Plan<'a> {
     /// Build only these tasks and their transitive dependencies; `None`
     /// builds the whole graph.
     pub roots: Option<&'a [&'a str]>,
-    /// The runners, in the order ready tasks are offered to them: put
-    /// remote runners first to shard eligible work onto them, with a local
-    /// runner after for everything else. Dry-run and live runners cannot
-    /// be mixed.
-    pub runners: Vec<Box<dyn TaskRunner>>,
+    /// The runner every dispatched task goes to.
+    pub runner: Box<dyn TaskRunner>,
 }
 
 impl Plan<'_> {
@@ -83,7 +80,7 @@ impl Plan<'_> {
     pub fn local(threads: usize) -> Self {
         Plan {
             roots: None,
-            runners: vec![Box::new(LocalRunner::new(threads))],
+            runner: Box::new(LocalRunner::new(threads)),
         }
     }
 }
@@ -260,25 +257,25 @@ pub(crate) fn cumulative_fingerprints(
 }
 
 impl Graph {
-    /// Builds the tasks `plan` selects over its runners, skipping
-    /// up-to-date ones.
+    /// Builds the tasks `plan` selects on its runner, skipping up-to-date
+    /// ones.
     ///
     /// A task is up to date when its cumulative fingerprint matches the
     /// state database, all of its declared outputs exist, and none of its
     /// dependencies executed during this build. On success the state
     /// database records the new fingerprints (the caller decides when to
-    /// [`StateDb::flush`]); dry-run runners leave it untouched.
+    /// [`StateDb::flush`]); a dry-run runner leaves it untouched.
     ///
     /// # Errors
     ///
     /// Graph validation errors and [`BuildError::Conflict`] from the claim
     /// audit, both before anything runs. [`BuildError::Runner`] when the
-    /// runner set is empty, mixes dry-run and live runners, or breaks the
-    /// event contract. With [`ExecOptions::keep_going`] unset, also the
-    /// first task failure (when several tasks fail concurrently, the error
-    /// with the lexicographically smallest task id is reported); with it
-    /// set, task failures land in [`BuildReport::failed`] /
-    /// [`BuildReport::poisoned`] and the call returns `Ok`.
+    /// runner breaks the event contract. With [`ExecOptions::keep_going`]
+    /// unset, also the first task failure (when several tasks fail
+    /// concurrently, the error with the lexicographically smallest task id
+    /// is reported); with it set, task failures land in
+    /// [`BuildReport::failed`] / [`BuildReport::poisoned`] and the call
+    /// returns `Ok`.
     pub fn execute(
         &self,
         db: &mut StateDb,
@@ -292,11 +289,9 @@ impl Graph {
         // Audit write claims for every plan, serial included: two unordered
         // writers of one path is a latent bug at any thread count.
         audit_claims(self, &order)?;
-        let mut runners = plan.runners;
-        for r in runners.iter_mut() {
-            r.set_recorder(opts.recorder.clone());
-        }
-        let mut report = crate::sched::run_scheduler(self, &order, db, opts, &mut runners)?;
+        let mut runner = plan.runner;
+        runner.set_recorder(opts.recorder.clone());
+        let mut report = crate::sched::run_scheduler(self, &order, db, opts, runner.as_mut())?;
         canonicalize_report(&mut report, &order);
         Ok(report)
     }

@@ -8,8 +8,9 @@
 //!
 //! [`Graph::execute`] is the one way to run a graph. Its [`Plan`] says
 //! what to build (every task, or a root subset and its dependencies) and
-//! which [`TaskRunner`]s build it; [`Plan::local`] is a [`LocalRunner`]
-//! pool of a given width. [`ExecOptions`] carries the settings that hold
+//! the one [`TaskRunner`] that builds it; [`Plan::local`] is a
+//! [`LocalRunner`] pool of a given width, and a [`DryRunRunner`] plans
+//! without executing. [`ExecOptions`] carries the settings that hold
 //! whatever runs the tasks: keep-going, the run-journal recorder, and the
 //! progress callback.
 //!
@@ -59,15 +60,14 @@ mod sched;
 pub mod state;
 pub mod task;
 
-pub use claims::{assert_claimed, with_claims};
+pub use claims::assert_claimed;
 pub use error::{BuildError, ExecError};
-pub use events::{EventSender, ExecEvent, ExecProgress, ProgressFn, RunnerId};
+pub use events::{EventSender, ExecEvent, ExecProgress, ProgressFn};
 pub use exec::{BuildReport, ExecOptions, Plan};
 pub use graph::Graph;
 pub use hash::{Fingerprint, Hasher128};
 pub use runner::{
-    run_and_report, run_ordered, run_task, Assignment, DryRunPlan, DryRunRunner, LocalRunner,
-    PlannedTask, TaskRunner,
+    run_ordered, Assignment, DryRunPlan, DryRunRunner, LocalRunner, PlannedTask, TaskRunner,
 };
 pub use state::StateDb;
 pub use task::Task;

@@ -1,11 +1,10 @@
-//! Task runners: the execution half of the event-driven executor.
+//! The task runner: the execution half of the event-driven executor.
 //!
 //! A [`TaskRunner`] consumes [`Assignment`]s from the scheduler and
 //! reports [`crate::ExecEvent`]s back over the channel. The scheduler never
-//! runs a task itself; it only decides *what* may run and *where*. Two
-//! runners ship here — [`LocalRunner`] (a thread pool) and
-//! [`DryRunRunner`] (a no-op plan recorder) — and `marshal-netstore`
-//! provides a remote runner speaking the MNET EXEC protocol.
+//! runs a task itself; it only decides *what* may run and *when*. A build
+//! has exactly one runner, and two ship here: [`LocalRunner`] (a thread
+//! pool) and [`DryRunRunner`] (a no-op plan recorder).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -49,30 +48,17 @@ impl Assignment {
 /// - [`TaskRunner::submit`] must not block on task execution; it enqueues
 ///   the assignment and returns. Every submitted assignment must
 ///   eventually produce exactly one terminal event (`Finished`, `Failed`,
-///   or `Panicked`) *or* be covered by a `RunnerLost` event, so the
-///   scheduler never waits forever.
+///   or `Panicked`), so the scheduler never waits forever.
 /// - The scheduler keeps at most [`TaskRunner::slots`] assignments in
-///   flight on a runner, and only offers tasks for which
-///   [`TaskRunner::can_run`] returned `true`.
+///   flight.
 /// - [`TaskRunner::shutdown`] is called once after the scheduler drains;
 ///   it must join any worker threads.
 pub trait TaskRunner: Send {
-    /// Human-readable runner name for journals and error messages.
-    fn label(&self) -> String;
-
     /// How many assignments this runner executes concurrently.
     fn slots(&self) -> usize;
 
-    /// Whether this runner can execute the given task. Runners that need
-    /// a serialized task description (remote runners) decline tasks
-    /// without one; the scheduler then offers the task elsewhere.
-    fn can_run(&self, _task: &Task) -> bool {
-        true
-    }
-
     /// Whether this runner only estimates work instead of performing it.
-    /// The scheduler refuses to mix dry-run and live runners, and skips
-    /// all state-database writes when the whole pool is dry.
+    /// The scheduler skips all state-database writes for a dry runner.
     fn is_dry_run(&self) -> bool {
         false
     }
@@ -92,14 +78,11 @@ pub trait TaskRunner: Send {
 /// The task's write claims are installed for the duration, so undeclared
 /// writes trip the debug assertion in [`crate::claims::assert_claimed`].
 ///
-/// This is the single action entry point every runner shares; remote
-/// runners call it too when they fall back to executing locally.
-///
 /// # Errors
 ///
 /// The action's final error message, suffixed with the attempt count when
 /// the task had a retry budget.
-pub fn run_task(task: &Task) -> Result<(), String> {
+fn run_task(task: &Task) -> Result<(), String> {
     let _claims = ClaimScope::enter(task);
     let budget = task.retry_budget();
     let mut attempt = 0;
@@ -111,30 +94,6 @@ pub fn run_task(task: &Task) -> Result<(), String> {
                 return Err(format!("{message} (after {} attempts)", attempt + 1))
             }
             Err(message) => return Err(message),
-        }
-    }
-}
-
-/// Runs `task` with [`run_task`] on the calling thread, catching a panic,
-/// then ends `span` with the outcome and sends the terminal event;
-/// `executed` are the span's closing args when the task succeeds. The
-/// worker body of [`LocalRunner`]; remote runners call it when they fall
-/// back to executing locally.
-pub fn run_and_report(task: &Task, span: Span, events: &EventSender, executed: &[(&str, &str)]) {
-    let id = task.id();
-    match catch_unwind(AssertUnwindSafe(|| run_task(task))) {
-        Ok(Ok(())) => {
-            span.end_with(executed);
-            events.finished(id);
-        }
-        Ok(Err(message)) => {
-            span.end_with(&[("outcome", "failed"), ("error", &message)]);
-            events.failed(id, message);
-        }
-        Err(payload) => {
-            let message = panic_message(payload);
-            span.end_with(&[("outcome", "panicked"), ("error", &message)]);
-            events.panicked(id, message);
         }
     }
 }
@@ -226,7 +185,22 @@ impl LocalRunner {
                 // The task span lives on the worker thread that runs the
                 // action.
                 let span = assignment.start(&events, &rec, &label);
-                run_and_report(&assignment.task, span, &events, &[("outcome", "executed")]);
+                let id = assignment.task.id();
+                match catch_unwind(AssertUnwindSafe(|| run_task(&assignment.task))) {
+                    Ok(Ok(())) => {
+                        span.end_with(&[("outcome", "executed")]);
+                        events.finished(id);
+                    }
+                    Ok(Err(message)) => {
+                        span.end_with(&[("outcome", "failed"), ("error", &message)]);
+                        events.failed(id, message);
+                    }
+                    Err(payload) => {
+                        let message = panic_message(payload);
+                        span.end_with(&[("outcome", "panicked"), ("error", &message)]);
+                        events.panicked(id, message);
+                    }
+                }
             }));
         }
         self.shared_rx = Some(rx);
@@ -299,10 +273,6 @@ pub fn run_ordered<R: Send, E: Send>(
 }
 
 impl TaskRunner for LocalRunner {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
     fn slots(&self) -> usize {
         self.threads
     }
@@ -365,8 +335,8 @@ impl DryRunPlan {
 
 /// A cost-estimating no-op runner: records what *would* run and reports
 /// instant success without executing anything. Powers `build --dry-run`.
-/// The scheduler persists nothing when the runner pool is dry, so a dry
-/// run leaves the state database and the filesystem untouched.
+/// The scheduler persists nothing for a dry runner, so a dry run leaves
+/// the state database and the filesystem untouched.
 #[derive(Debug, Default)]
 pub struct DryRunRunner {
     plan: DryRunPlan,
@@ -381,10 +351,6 @@ impl DryRunRunner {
 }
 
 impl TaskRunner for DryRunRunner {
-    fn label(&self) -> String {
-        "dry-run".to_owned()
-    }
-
     fn slots(&self) -> usize {
         // Effectively unbounded: nothing executes, so there is nothing to
         // limit. A finite-but-huge value keeps slot arithmetic simple.
@@ -419,7 +385,7 @@ mod tests {
 
     fn harness() -> (EventSender, mpsc::Receiver<crate::ExecEvent>) {
         let (tx, rx) = mpsc::channel();
-        (EventSender::new(0, tx), rx)
+        (EventSender::new(tx), rx)
     }
 
     #[test]

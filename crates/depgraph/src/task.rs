@@ -33,7 +33,6 @@ pub struct Task {
     claims: Vec<PathBuf>,
     claim_trees: Vec<PathBuf>,
     retries: u32,
-    remote_spec: Option<Vec<u8>>,
     action: Action,
 }
 
@@ -62,7 +61,6 @@ impl Task {
             claims: Vec::new(),
             claim_trees: Vec::new(),
             retries: 0,
-            remote_spec: None,
             action: Arc::new(action),
         }
     }
@@ -131,25 +129,6 @@ impl Task {
     /// The retry budget set with [`Task::retries`] (0 = fail on first error).
     pub fn retry_budget(&self) -> u32 {
         self.retries
-    }
-
-    /// Attaches an opaque serialized description of this task so runners
-    /// that cannot invoke the in-process action (remote runners — closures
-    /// do not cross the wire) can execute an equivalent build elsewhere.
-    ///
-    /// The payload format is a contract between whoever builds the graph
-    /// and whoever configures the remote runner; the graph engine never
-    /// interprets it. Like claims and retries, the spec is execution
-    /// metadata and does not change the task fingerprint.
-    pub fn remote_spec(mut self, bytes: impl Into<Vec<u8>>) -> Task {
-        self.remote_spec = Some(bytes.into());
-        self
-    }
-
-    /// The serialized task description set with [`Task::remote_spec`], if
-    /// any. Runners that need one decline tasks without it.
-    pub fn remote_payload(&self) -> Option<&[u8]> {
-        self.remote_spec.as_deref()
     }
 
     /// The unique task id.
@@ -287,19 +266,6 @@ mod tests {
         assert_eq!(trees, vec!["/work/objects", "/work/cache"]);
         // Tree claims are not exact claims.
         assert_eq!(t.claims().count(), 0);
-    }
-
-    #[test]
-    fn remote_spec_does_not_change_fingerprint() {
-        // The remote spec describes *where* a task may run, not *what* it
-        // builds: attaching one must not invalidate previously built state.
-        let a = Task::new("t", || Ok(())).input(b"x");
-        let b = Task::new("t", || Ok(()))
-            .input(b"x")
-            .remote_spec(b"spec-v1".to_vec());
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(b.remote_payload(), Some(&b"spec-v1"[..]));
-        assert_eq!(a.remote_payload(), None);
     }
 
     #[test]

@@ -577,21 +577,6 @@ pub enum Inst {
     },
 }
 
-impl Inst {
-    /// True when this instruction may redirect control flow.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
-        )
-    }
-
-    /// True for loads and stores.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-}
-
 /// Well-known CSR numbers used by this model.
 pub mod csr {
     /// Cycle counter (read-only shadow).
@@ -661,24 +646,5 @@ mod tests {
         assert_eq!(MemWidth::Hu.bytes(), 2);
         assert_eq!(MemWidth::Wu.bytes(), 4);
         assert_eq!(MemWidth::D.bytes(), 8);
-    }
-
-    #[test]
-    fn inst_classification() {
-        let b = Inst::Branch {
-            cond: BranchCond::Eq,
-            rs1: Reg::A0,
-            rs2: Reg::ZERO,
-            offset: 8,
-        };
-        assert!(b.is_control_flow());
-        assert!(!b.is_mem());
-        let l = Inst::Load {
-            width: MemWidth::D,
-            rd: Reg::A0,
-            rs1: Reg::SP,
-            offset: 0,
-        };
-        assert!(l.is_mem());
     }
 }

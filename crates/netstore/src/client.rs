@@ -131,9 +131,6 @@ pub(crate) fn message_kind(msg: &Message) -> &'static str {
         Message::HaveManifest { .. } => "have-manifest",
         Message::GetManifest { .. } => "get-manifest",
         Message::GetBlobs { .. } => "get-blobs",
-        Message::ExecTask { .. } => "exec-task",
-        Message::ExecDone { .. } => "exec-done",
-        Message::ExecFailed { .. } => "exec-failed",
         _ => "other",
     }
 }
@@ -266,9 +263,7 @@ impl RemoteStore {
     }
 
     /// Appends a human-readable note for the end-of-build warning drain.
-    /// Public so the remote runner can report fallbacks through the same
-    /// channel fetch failures use.
-    pub fn note(&self, line: String) {
+    fn note(&self, line: String) {
         self.notes.lock().expect("notes lock").push(line);
     }
 
@@ -551,40 +546,6 @@ impl RemoteStore {
         self.stats.blobs_fetched.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_fetched.fetch_add(len, Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Asks the daemon to execute one build task described by `spec`
-    /// (a serialized task description the daemon knows how to interpret;
-    /// see `docs/serve-protocol.md`). Blocks until the daemon reports the
-    /// build done or failed — artifacts do *not* ride the reply; the
-    /// caller fetches them through the manifest/blob protocol afterwards.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason: the daemon refused or reported a build
-    /// failure, the transport died after retries, or the breaker is open.
-    /// Callers treat every error as "run this task locally instead".
-    pub fn exec_task(&self, task: &str, spec: &[u8]) -> Result<(), String> {
-        let reply = self
-            .request(&Message::ExecTask {
-                task: task.to_owned(),
-                spec: spec.to_vec(),
-            })
-            .map_err(|e| format!("remote {}: exec of `{task}` failed ({e})", self.label))?;
-        match reply {
-            Message::ExecDone { task: done } if done == task => Ok(()),
-            Message::ExecFailed {
-                task: failed,
-                message,
-            } if failed == task => Err(format!(
-                "remote {}: `{task}` failed remotely: {message}",
-                self.label
-            )),
-            other => Err(format!(
-                "remote {}: expected ExecDone/ExecFailed for `{task}`, got {other:?}",
-                self.label
-            )),
-        }
     }
 
     /// [`RemoteStore::fetch_level`] with the error policy applied: any

@@ -17,9 +17,6 @@
 //!   exponential backoff and deterministic jitter, a circuit breaker that
 //!   degrades a whole build to local-only after consecutive failures, and
 //!   hash verification with quarantine of every received blob.
-//! - [`runner`]: the remote task runner — plugs a `marshal serve --exec`
-//!   daemon into the depgraph scheduler as a [`RemoteRunner`], falling
-//!   back to local execution and retiring itself on any remote failure.
 //!
 //! Robustness is the headline: a dead or lying daemon must cost one timeout
 //! and a structured warning, never a wedged or failed build.
@@ -28,14 +25,12 @@
 
 pub mod client;
 pub mod proto;
-pub mod runner;
 pub mod server;
 pub mod transport;
 
 pub use client::{RemoteFetchSummary, RemoteStore, RetryPolicy};
 pub use proto::{decode_frame, encode_frame, Message, NetError, NET_VERSION};
-pub use runner::{FetchHook, RemoteRunner};
-pub use server::{ExecHandler, ServeSummary, Server, ServerHandle};
+pub use server::{ServeSummary, Server, ServerHandle};
 pub use transport::{
     FaultPlan, FaultTransport, LoopbackTransport, NetFaultKind, TcpTransport, Transport,
 };

@@ -16,6 +16,10 @@
 //! `HaveManifest`/`GetManifest` for level manifests (keyed by the level's
 //! *input fingerprint*, so a hit is exactly a build-cache hit) and batched
 //! `GetBlobs` for the payloads its local pool is missing.
+//!
+//! Tags 0–9 are assigned. Tags 10–12 carried the retired remote-execution
+//! frames; like any unassigned tag they now decode as
+//! `unknown message tag N`, so an old client gets a structured error.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -141,32 +145,6 @@ pub enum Message {
         /// Human-readable reason.
         message: String,
     },
-    /// Execute a build task on the server (`marshal serve --exec`). The
-    /// spec is the task's opaque [`marshal_depgraph::Task::remote_spec`]
-    /// payload; the server parses it with whatever handler the daemon was
-    /// configured with and answers [`Message::ExecDone`] /
-    /// [`Message::ExecFailed`] once the build settles. Artifacts do NOT
-    /// ride this reply — the client fetches them through the ordinary
-    /// manifest/blob messages afterwards.
-    ExecTask {
-        /// The task id, for logs and error attribution.
-        task: String,
-        /// Opaque serialized task description.
-        spec: Vec<u8>,
-    },
-    /// The [`Message::ExecTask`] build completed; its artifacts are now
-    /// fetchable from this server.
-    ExecDone {
-        /// The task id echoed back.
-        task: String,
-    },
-    /// The [`Message::ExecTask`] build failed on the server.
-    ExecFailed {
-        /// The task id echoed back.
-        task: String,
-        /// The failure message.
-        message: String,
-    },
 }
 
 fn encode_payload(msg: &Message) -> Vec<u8> {
@@ -198,12 +176,6 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             &mut w
         }
         Message::ErrorMsg { message } => w.u8(9).field32(message.as_bytes()),
-        Message::ExecTask { task, spec } => w.u8(10).field32(task.as_bytes()).field32(spec),
-        Message::ExecDone { task } => w.u8(11).field32(task.as_bytes()),
-        Message::ExecFailed { task, message } => w
-            .u8(12)
-            .field32(task.as_bytes())
-            .field32(message.as_bytes()),
     };
     w.into_bytes()
 }
@@ -259,17 +231,6 @@ fn parse_payload(payload: &[u8]) -> Result<Message, NetError> {
             Message::Blobs { entries }
         }
         9 => Message::ErrorMsg {
-            message: r.str32()?.to_owned(),
-        },
-        10 => Message::ExecTask {
-            task: r.str32()?.to_owned(),
-            spec: r.field32()?.to_vec(),
-        },
-        11 => Message::ExecDone {
-            task: r.str32()?.to_owned(),
-        },
-        12 => Message::ExecFailed {
-            task: r.str32()?.to_owned(),
             message: r.str32()?.to_owned(),
         },
         t => return Err(NetError::BadFrame(format!("unknown message tag {t}"))),
@@ -399,17 +360,6 @@ mod tests {
             },
             Message::ErrorMsg {
                 message: "no thanks".to_owned(),
-            },
-            Message::ExecTask {
-                task: "level:br-base+tools".to_owned(),
-                spec: b"marshal-level-v1\n...".to_vec(),
-            },
-            Message::ExecDone {
-                task: "level:br-base+tools".to_owned(),
-            },
-            Message::ExecFailed {
-                task: "level:br-base+tools".to_owned(),
-                message: "distro build failed".to_owned(),
             },
         ]
     }

@@ -33,35 +33,16 @@ use crate::proto::{
 /// shutdown flags. Bounds drain latency.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Executes a remote build request on behalf of the daemon: given the task
-/// id and its opaque `remote_spec` payload, build the artifact into this
-/// server's workdir so manifest/blob fetches can find it. Installed with
-/// [`ServeRoot::set_exec_handler`] (the `marshal serve --exec` flag).
-pub type ExecHandler = Arc<dyn Fn(&str, &[u8]) -> Result<(), String> + Send + Sync>;
-
 /// Request handling over a workdir — the daemon's brain, separated from the
 /// socket plumbing so [`crate::LoopbackTransport`] and tests can drive it
 /// in-process.
+#[derive(Debug)]
 pub struct ServeRoot {
     blobs: BlobStore,
     by_input: PathBuf,
     /// Run-journal recorder (disabled by default); each answered request
     /// records a `remote.request` instant.
     recorder: Recorder,
-    /// Build-on-request handler; absent unless the daemon opted in with
-    /// `--exec`, in which case [`Message::ExecTask`] requests build here.
-    exec: Option<ExecHandler>,
-}
-
-impl std::fmt::Debug for ServeRoot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeRoot")
-            .field("blobs", &self.blobs)
-            .field("by_input", &self.by_input)
-            .field("recorder", &self.recorder)
-            .field("exec", &self.exec.is_some())
-            .finish()
-    }
 }
 
 impl ServeRoot {
@@ -72,20 +53,12 @@ impl ServeRoot {
             blobs: BlobStore::new(workdir.join("objects")),
             by_input: workdir.join("levels").join("by-input"),
             recorder: Recorder::disabled(),
-            exec: None,
         }
     }
 
     /// Installs a run-journal recorder (set before the serve loop starts).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Enables remote task execution: [`Message::ExecTask`] requests are
-    /// routed through `handler` (set before the serve loop starts).
-    /// Without a handler, exec requests are refused with an error message.
-    pub fn set_exec_handler(&mut self, handler: ExecHandler) {
-        self.exec = Some(handler);
     }
 
     /// Where the manifest for a level-input fingerprint lives.
@@ -143,18 +116,6 @@ impl ServeRoot {
                         (*fp, payload)
                     })
                     .collect(),
-            },
-            Message::ExecTask { task, spec } => match &self.exec {
-                Some(handler) => match handler(task, spec) {
-                    Ok(()) => Message::ExecDone { task: task.clone() },
-                    Err(message) => Message::ExecFailed {
-                        task: task.clone(),
-                        message,
-                    },
-                },
-                None => Message::ErrorMsg {
-                    message: "exec not enabled on this daemon (start with --exec)".to_owned(),
-                },
             },
             other => Message::ErrorMsg {
                 message: format!("unexpected message: {other:?}"),
@@ -279,15 +240,6 @@ impl Server {
         self.listener
             .local_addr()
             .map_err(|e| NetError::Io(format!("local addr: {e}")))
-    }
-
-    /// Enables remote task execution on this daemon. Must be called before
-    /// [`Server::run`] spawns connection threads (the root is still
-    /// uniquely owned then); later calls are ignored.
-    pub fn set_exec_handler(&mut self, handler: ExecHandler) {
-        if let Some(root) = Arc::get_mut(&mut self.root) {
-            root.set_exec_handler(handler);
-        }
     }
 
     /// Installs a run-journal recorder on the serve root. Must be called

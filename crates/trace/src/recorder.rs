@@ -379,16 +379,6 @@ impl Recorder {
         self.instant("task.poisoned", &[("task", task)]);
     }
 
-    /// A task runner died mid-build (transport lost, worker crashed).
-    pub fn runner_lost(&self, runner: &str, reason: &str) {
-        self.instant("runner.lost", &[("runner", runner), ("reason", reason)]);
-    }
-
-    /// A task requeued onto a surviving runner after its runner was lost.
-    pub fn task_requeued(&self, task: &str) {
-        self.instant("task.requeued", &[("task", task)]);
-    }
-
     /// Level-image cache attribution (in-memory or manifest load).
     pub fn cache_event(&self, level: &str, hit: bool) {
         self.instant(

@@ -210,3 +210,114 @@ fn artifacts_are_byte_identical_across_builds() {
     std::fs::remove_dir_all(root_a).unwrap();
     std::fs::remove_dir_all(root_b).unwrap();
 }
+
+/// Every artifact file of a build (boot binary, disk image and their `.fp`
+/// sidecars), in job order.
+fn artifact_bytes(products: &marshal_core::BuildProducts) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for job in &products.jobs {
+        let JobKind::Linux {
+            boot_path,
+            disk_path,
+        } = &job.kind
+        else {
+            panic!("expected a Linux job");
+        };
+        for p in std::iter::once(boot_path).chain(disk_path) {
+            out.push(std::fs::read(p).unwrap());
+            out.push(std::fs::read(marshal_core::integrity::sidecar_path(p)).unwrap());
+        }
+    }
+    out
+}
+
+/// Writes `w.json`, a workload over `br-base` whose overlay is `ov/`, into
+/// the quickstart source directory and returns the overlay path.
+fn overlay_workload(root: &std::path::Path) -> std::path::PathBuf {
+    let dir = root.join("workloads/quickstart");
+    std::fs::write(
+        dir.join("w.json"),
+        r#"{"name":"w","base":"br-base.json","overlay":"ov","command":"/bin/sh"}"#,
+    )
+    .unwrap();
+    let ov = dir.join("ov");
+    let _ = std::fs::remove_dir_all(&ov);
+    std::fs::create_dir_all(ov.join("a")).unwrap();
+    ov
+}
+
+#[test]
+fn overlay_edits_rebuild_to_the_cold_build() {
+    // Claim 1 under incremental builds: after each overlay edit, the
+    // rebuilt artifacts must change and must equal a cold build of the
+    // edited tree in a fresh workdir. Each edit keeps every file's bytes,
+    // so only the tree's shape, an exec bit or a node kind tells them
+    // apart.
+    use std::os::unix::fs::{symlink, PermissionsExt};
+    let root = common::tmpdir("fig3-overlay-edits");
+    let mut builder = common::builder_in(&root);
+    let ov = overlay_workload(&root);
+    std::fs::write(ov.join("a/b"), b"bee").unwrap();
+    std::fs::write(ov.join("a/c"), b"sea").unwrap();
+    symlink("a/b", ov.join("s")).unwrap();
+
+    let mut previous = artifact_bytes(&builder.build("w.json", &BuildOptions::default()).unwrap());
+    let edits: [(&str, &dyn Fn()); 3] = [
+        ("mv ov/a/c ov/c", &|| {
+            std::fs::rename(ov.join("a/c"), ov.join("c")).unwrap();
+        }),
+        ("chmod +x ov/a/b", &|| {
+            let mut perms = std::fs::metadata(ov.join("a/b")).unwrap().permissions();
+            perms.set_mode(perms.mode() | 0o111);
+            std::fs::set_permissions(ov.join("a/b"), perms).unwrap();
+        }),
+        ("symlink ov/s -> a/b becomes a file of a/b's bytes", &|| {
+            std::fs::remove_file(ov.join("s")).unwrap();
+            std::fs::write(ov.join("s"), b"bee").unwrap();
+        }),
+    ];
+    for (step, (what, edit)) in edits.iter().enumerate() {
+        edit();
+        let incremental =
+            artifact_bytes(&builder.build("w.json", &BuildOptions::default()).unwrap());
+        assert_ne!(incremental, previous, "`{what}` must rebuild");
+        let setup = marshal_workloads::setup(&root).unwrap();
+        let mut cold = marshal_core::Builder::new(
+            setup.board,
+            setup.search,
+            root.join(format!("cold-{step}")),
+        )
+        .unwrap();
+        let cold = artifact_bytes(&cold.build("w.json", &BuildOptions::default()).unwrap());
+        assert!(
+            incremental == cold,
+            "after `{what}` the incremental build differs from a cold build"
+        );
+        previous = incremental;
+    }
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
+fn dangling_overlay_symlink_builds() {
+    // The image stores a symlink verbatim, so its target need not exist
+    // on the host.
+    let root = common::tmpdir("fig3-overlay-dangling");
+    let mut builder = common::builder_in(&root);
+    let ov = overlay_workload(&root);
+    std::os::unix::fs::symlink("/no/such/target", ov.join("a/dangling")).unwrap();
+    let products = builder.build("w.json", &BuildOptions::default()).unwrap();
+    let JobKind::Linux {
+        disk_path: Some(disk),
+        ..
+    } = &products.jobs[0].kind
+    else {
+        panic!("expected a Linux job with a disk");
+    };
+    let image = FsImage::from_bytes(&std::fs::read(disk).unwrap()).unwrap();
+    assert_eq!(
+        image.node("/a/dangling"),
+        Some(&marshal_image::Node::Symlink("/no/such/target".to_owned()))
+    );
+    std::fs::remove_dir_all(root).unwrap();
+}

@@ -4,7 +4,10 @@
 
 mod common;
 
-use common::run_cli as run;
+use std::collections::BTreeSet;
+
+use common::{run_cli as run, sorted_tree};
+use marshal_core::{BuildOptions, ImageStore};
 
 #[test]
 fn build_command_reports_jobs_and_tasks() {
@@ -136,4 +139,55 @@ fn install_with_vcs_connector() {
     assert_eq!(code, 1);
     assert!(log[0].contains("unknown simulator connector"));
     std::fs::remove_dir_all(root).unwrap();
+}
+
+/// `--dry-run` reports the full task plan without executing anything: no
+/// level manifests, no pool objects, no job artifacts, no state-database
+/// progress — the real build afterwards executes exactly the planned set.
+#[test]
+fn dry_run_plans_without_touching_anything() {
+    let root = common::tmpdir("exec-dry");
+    let mut b = common::builder_in(&root);
+    let products = b
+        .build(
+            "hello.json",
+            &BuildOptions {
+                dry_run: true,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+    let plan = products.dry_run.expect("dry-run builds report a plan");
+    assert!(!plan.is_empty(), "a fresh workdir has tasks to plan");
+    for t in &plan {
+        for out in &t.outputs {
+            assert!(
+                !out.exists(),
+                "dry run must not write planned output {} (task `{}`)",
+                out.display(),
+                t.id
+            );
+        }
+    }
+    let store = ImageStore::new(&root.join("work"));
+    for dir in [store.levels_dir(), store.objects_dir()] {
+        let files: Vec<String> = sorted_tree(dir).into_iter().map(|(n, _)| n).collect();
+        assert!(
+            files.is_empty(),
+            "dry run left {} untouched: {files:?}",
+            dir.display()
+        );
+    }
+
+    // The real build executes exactly what the dry run planned.
+    let real = b.build("hello.json", &BuildOptions::default()).unwrap();
+    assert!(real.dry_run.is_none(), "real builds report no plan");
+    let planned: BTreeSet<String> = plan.into_iter().map(|t| t.id).collect();
+    let executed: BTreeSet<String> = real.report.executed.iter().cloned().collect();
+    assert_eq!(
+        planned, executed,
+        "the dry-run plan predicts the real build exactly"
+    );
+
+    let _ = std::fs::remove_dir_all(root);
 }

@@ -32,31 +32,6 @@ pub fn simulate(job: &marshal_core::JobArtifacts) -> marshal_sim_functional::Sim
     run.result
 }
 
-/// Spawns a `marshal serve --exec` daemon rooted at `root`: its own
-/// workload sources, its own workdir, real TCP on an ephemeral port.
-/// Returns the daemon address plus a handle/join pair for shutdown.
-#[allow(dead_code)]
-pub fn spawn_exec_server(
-    root: &std::path::Path,
-) -> (
-    String,
-    marshal_netstore::ServerHandle,
-    std::thread::JoinHandle<marshal_netstore::ServeSummary>,
-) {
-    let setup = marshal_workloads::setup(root).expect("materialise workloads");
-    let work = root.join("work");
-    let handler = marshal_core::serve_exec_handler(setup.board, setup.search, &work)
-        .expect("daemon exec handler");
-    let mut server =
-        marshal_netstore::Server::bind("127.0.0.1:0", &work, std::time::Duration::from_secs(5))
-            .expect("bind");
-    server.set_exec_handler(handler);
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = server.handle().expect("handle");
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
-
 /// Runs `marshal <words>` through the CLI layer exactly as the binary
 /// does, with `root/work` as the workdir.
 #[allow(dead_code)]

@@ -44,18 +44,12 @@ fn cycle_counts_repeat_exactly() {
 #[test]
 fn parallel_build_is_bit_identical_to_serial() {
     // The scheduler must be invisible in the artifacts: for the bringup
-    // suite and the PFA workload, a `-j 8` build and a build spread over
-    // two `marshal serve --exec` workers both produce the same boot
+    // suite and the PFA workload, a `-j 8` build produces the same boot
     // binary, disk image, and `.fp` checksum sidecars, byte for byte, as
     // a `-j 1` build in a fresh directory.
-    let worker_a = common::tmpdir("det-worker-a");
-    let worker_b = common::tmpdir("det-worker-b");
-    let (addr_a, handle_a, join_a) = common::spawn_exec_server(&worker_a);
-    let (addr_b, handle_b, join_b) = common::spawn_exec_server(&worker_b);
     for workload in ["hello.json", "coremark.json", "latency-microbenchmark.json"] {
         let serial_root = common::tmpdir(&format!("det-j1-{workload}"));
         let parallel_root = common::tmpdir(&format!("det-j8-{workload}"));
-        let remote_root = common::tmpdir(&format!("det-remote-{workload}"));
         let build = |root: &std::path::Path, opts: &BuildOptions| -> Vec<(String, Vec<u8>)> {
             let mut builder = common::builder_in(root);
             let products = builder.build(workload, opts).unwrap();
@@ -100,62 +94,36 @@ fn parallel_build_is_bit_identical_to_serial() {
                 ..BuildOptions::default()
             },
         );
-        let remote = build(
-            &remote_root,
-            &BuildOptions {
-                runners: Some(format!("remote:{addr_a},remote:{addr_b}")),
-                ..BuildOptions::default()
-            },
-        );
-        for (variant, other) in [("-j 8", &parallel), ("2 remote workers", &remote)] {
+        assert_eq!(serial.len(), parallel.len(), "{workload}: artifact sets");
+        for ((name, a), (name2, b)) in serial.iter().zip(parallel.iter()) {
+            assert_eq!(name, name2, "{workload}: artifact order");
             assert_eq!(
-                serial.len(),
-                other.len(),
-                "{workload}: artifact sets ({variant})"
+                marshal_depgraph::Fingerprint::of(a),
+                marshal_depgraph::Fingerprint::of(b),
+                "{workload}: `{name}` differs between -j 1 and -j 8"
             );
-            for ((name, a), (name2, b)) in serial.iter().zip(other.iter()) {
-                assert_eq!(name, name2, "{workload}: artifact order ({variant})");
-                assert_eq!(
-                    marshal_depgraph::Fingerprint::of(a),
-                    marshal_depgraph::Fingerprint::of(b),
-                    "{workload}: `{name}` differs between -j 1 and {variant}"
-                );
-            }
         }
         // The store itself must also be scheduler-invisible: the level
         // manifests and the content-addressed blob pool come out identical.
         for sub in ["levels", "objects"] {
             let serial_files = sorted_tree(&serial_root.join("work").join(sub));
-            for (variant, root) in [("-j 8", &parallel_root), ("2 remote workers", &remote_root)] {
-                let other_files = sorted_tree(&root.join("work").join(sub));
+            let parallel_files = sorted_tree(&parallel_root.join("work").join(sub));
+            assert_eq!(
+                serial_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                parallel_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                "{workload}: {sub}/ file sets differ between -j 1 and -j 8"
+            );
+            for ((name, a), (_, b)) in serial_files.iter().zip(parallel_files.iter()) {
                 assert_eq!(
-                    serial_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-                    other_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-                    "{workload}: {sub}/ file sets differ between -j 1 and {variant}"
+                    marshal_depgraph::Fingerprint::of(a),
+                    marshal_depgraph::Fingerprint::of(b),
+                    "{workload}: {sub}/{name} differs between -j 1 and -j 8"
                 );
-                for ((name, a), (_, b)) in serial_files.iter().zip(other_files.iter()) {
-                    assert_eq!(
-                        marshal_depgraph::Fingerprint::of(a),
-                        marshal_depgraph::Fingerprint::of(b),
-                        "{workload}: {sub}/{name} differs between -j 1 and {variant}"
-                    );
-                }
             }
         }
         std::fs::remove_dir_all(serial_root).unwrap();
         std::fs::remove_dir_all(parallel_root).unwrap();
-        std::fs::remove_dir_all(remote_root).unwrap();
     }
-    handle_a.shutdown();
-    handle_b.shutdown();
-    let served_a = join_a.join().expect("worker a").requests;
-    let served_b = join_b.join().expect("worker b").requests;
-    assert!(
-        served_a + served_b >= 1,
-        "the remote builds actually exercised the workers"
-    );
-    let _ = std::fs::remove_dir_all(worker_a);
-    let _ = std::fs::remove_dir_all(worker_b);
 }
 
 #[test]

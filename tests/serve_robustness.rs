@@ -162,7 +162,6 @@ fn dead_daemon_degrades_to_local_build() {
             keep_going: false,
             jobs: None,
             remote: Some(dead_addr),
-            runners: None,
             dry_run: false,
             progress: false,
         },
@@ -539,6 +538,34 @@ fn malformed_frames_rejected_without_harming_daemon() {
         // Server closes on us; nothing to read back reliably.
     }
 
+    // Tags 10-12 carried the retired remote-execution frames. Sent under
+    // a valid checksum, each is answered as an unknown tag, so an old
+    // client gets a structured error instead of a hang.
+    for tag in [10u8, 11, 12] {
+        use marshal_netstore::proto::{read_frame, write_frame};
+        let field = |bytes: &[u8]| [&(bytes.len() as u32).to_le_bytes()[..], bytes].concat();
+        let mut payload = vec![tag];
+        payload.extend(field(b"level:br-base"));
+        if tag != 11 {
+            payload.extend(field(b"marshal-level-v1"));
+        }
+        let mut frame = b"MNET".to_vec();
+        frame.extend((payload.len() as u32).to_le_bytes());
+        frame.extend(&payload);
+        frame.extend(Fingerprint::of(&payload).0.to_le_bytes());
+        let mut s = std::net::TcpStream::connect(&addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut s, &frame).unwrap();
+        let reply = decode_frame(&read_frame(&mut s).expect("a reply, not a hang")).unwrap();
+        match reply {
+            Message::ErrorMsg { message } => assert!(
+                message.contains(&format!("unknown message tag {tag}")),
+                "tag {tag}: {message}"
+            ),
+            other => panic!("tag {tag}: expected an error reply, got {other:?}"),
+        }
+    }
+
     // A well-formed client afterwards is served normally.
     let client = RemoteStore::tcp(&addr, RetryPolicy::fast());
     let root_b = common::tmpdir("srv-mal-b");
@@ -554,8 +581,8 @@ fn malformed_frames_rejected_without_harming_daemon() {
     handle.shutdown();
     let serve = join.join().expect("server thread");
     assert!(
-        serve.bad_frames >= 1,
-        "the bad frame was counted: {serve:?}"
+        serve.bad_frames >= 4,
+        "the bad frames were counted: {serve:?}"
     );
     assert!(serve.requests > 0);
     let _ = std::fs::remove_dir_all(root);
