@@ -332,10 +332,7 @@ impl Builder {
                 ))
             })?;
             let (script_file, args) = split_command(hi);
-            let script_path = dir.join(&script_file);
-            let script = std::fs::read_to_string(&script_path).map_err(|e| {
-                MarshalError::Io(format!("host-init {}: {e}", script_path.display()))
-            })?;
+            let script = read_text_input(&dir.join(&script_file), "host-init")?;
             let mut env = HostEnv::new(&dir);
             let mut interp = Interp::new();
             let argv: Vec<Value> = args.iter().map(|a| Value::Str(a.clone())).collect();
@@ -402,8 +399,11 @@ impl Builder {
         }
         let report = report?;
         // Flush even when keep-going recorded partial progress: the
-        // successful subtrees stay incremental on the next attempt.
-        self.db.flush()?;
+        // successful subtrees stay incremental on the next attempt. A dry
+        // run changed nothing and writes nothing.
+        if !options.dry_run {
+            self.db.flush()?;
+        }
 
         if let Some(r) = &remote {
             for note in r.take_notes() {
@@ -450,25 +450,25 @@ impl Builder {
             let bin_name = spec.bin.clone().ok_or_else(|| {
                 MarshalError::Other(format!("bare-metal job `{qualified}` needs a `bin` option"))
             })?;
-            // Host-init may not have run yet at planning time, so the path
-            // need not exist yet; the task validates at execution.
             let src = source_dir.map(|d| d.join(&bin_name)).ok_or_else(|| {
                 MarshalError::Other(format!(
                     "job `{qualified}`: binary `{bin_name}` not found (did host-init build it?)"
                 ))
             })?;
+            // Host-init has run by now, except in a dry run. A binary that
+            // cannot be read keys as empty and fails only this task, so
+            // `--keep-going` still builds every other job.
+            let data = Arc::new(read_input(&src, "bin").map_err(|e| e.to_string()));
             let bin_path = image_dir.join("bin.mexe");
             let task_id = format!("bin:{qualified}");
             let bin_out = bin_path.clone();
+            let task_data = Arc::clone(&data);
             let task = Task::new(task_id.clone(), move || {
-                // Copy the (possibly host-init-generated) binary into the
-                // artifact directory.
-                let data =
-                    std::fs::read(&src).map_err(|e| format!("read {}: {e}", src.display()))?;
-                crate::integrity::write_artifact(&bin_out, &data)
+                let data = task_data.as_deref().map_err(Clone::clone)?;
+                crate::integrity::write_artifact(&bin_out, data)
             })
             .input(bin_name.as_bytes())
-            .input(&bin_input_hash(source_dir, &bin_name))
+            .input(data.as_deref().unwrap_or_default())
             .output(&bin_path)
             .output(crate::integrity::sidecar_path(&bin_path));
             graph.add(task)?;
@@ -574,7 +574,8 @@ impl Builder {
         {
             let board = self.board.clone();
             let spec_for_task = spec.clone();
-            let fragments = self.resolve_fragments(spec, source_dir)?;
+            let fragments: Arc<[String]> = self.resolve_fragments(spec, source_dir)?.into();
+            let task_fragments = Arc::clone(&fragments);
             let boot_out = boot_path.clone();
             let no_disk = options.no_disk;
             let objects_dir = store.objects_dir().to_path_buf();
@@ -584,7 +585,7 @@ impl Builder {
                 let boot = build_boot_binary(
                     &board,
                     &spec_for_task,
-                    &fragments,
+                    &task_fragments,
                     if no_disk {
                         Some(store.load(&format!("job:{spec_name}"))?)
                     } else {
@@ -602,7 +603,7 @@ impl Builder {
             // Diskless boots load the job image, and a load may quarantine
             // or heal pool blobs — writes under the shared pool tree.
             .claim_tree(objects_dir);
-            for f in self.resolve_fragments(spec, source_dir)? {
+            for f in fragments.iter() {
                 task = task.input(f.as_bytes());
             }
             // Diskless boots embed the job image, so depend on it.
@@ -639,15 +640,13 @@ impl Builder {
         key: String,
         source_dir: Option<&Path>,
     ) -> Result<Task, MarshalError> {
-        // Gather level inputs eagerly so the fingerprint covers them.
-        // The overlay is read once, here, into an image: its Merkle
-        // fingerprint (node kinds, exec bits, symlink targets) keys the
-        // level, and the task applies exactly the tree that was hashed.
+        // Every level input is read once, here: the fingerprint covers the
+        // bytes that were read and the task applies those same bytes. The
+        // overlay becomes an image whose Merkle fingerprint (node kinds,
+        // exec bits, symlink targets) keys the level.
         let overlay = match &level.overlay {
             Some(o) => {
-                let dir = self
-                    .locate_in_sources(o, source_dir)
-                    .ok_or_else(|| MarshalError::Other(format!("overlay `{o}` not found")))?;
+                let dir = self.locate_in_sources(o, "overlay", source_dir)?;
                 let mut tree = FsImage::new();
                 tree.overlay_host_dir(&dir, "/")
                     .map_err(|e| MarshalError::Io(format!("overlay `{o}`: {e}")))?;
@@ -655,34 +654,24 @@ impl Builder {
             }
             None => None,
         };
-        let files: Vec<(PathBuf, String)> = level
+        let files: Vec<(String, Vec<u8>)> = level
             .files
             .iter()
             .map(|f| {
-                self.locate_in_sources(&f.host, source_dir)
-                    .map(|p| (p, f.guest.clone()))
-                    .ok_or_else(|| MarshalError::Other(format!("file `{}` not found", f.host)))
+                let path = self.locate_in_sources(&f.host, "file", source_dir)?;
+                Ok((f.guest.clone(), read_input(&path, "file")?))
             })
-            .collect::<Result<_, _>>()?;
-        let guest_init =
-            match &level.guest_init {
-                Some(gi) => {
-                    let path = self.locate_in_sources(gi, source_dir).ok_or_else(|| {
-                        MarshalError::Other(format!("guest-init `{gi}` not found"))
-                    })?;
-                    Some(std::fs::read_to_string(&path).map_err(|e| {
-                        MarshalError::Io(format!("guest-init {}: {e}", path.display()))
-                    })?)
-                }
-                None => None,
-            };
+            .collect::<Result<_, MarshalError>>()?;
+        let guest_init = match &level.guest_init {
+            Some(gi) => Some(read_text_input(
+                &self.locate_in_sources(gi, "guest-init", source_dir)?,
+                "guest-init",
+            )?),
+            None => None,
+        };
         let hard_img = match &level.img {
             Some(img) => {
-                let path = self
-                    .locate_in_sources(img, source_dir)
-                    .ok_or_else(|| MarshalError::Other(format!("img `{img}` not found")))?;
-                let bytes = std::fs::read(&path)
-                    .map_err(|e| MarshalError::Io(format!("img {}: {e}", path.display())))?;
+                let bytes = read_input(&self.locate_in_sources(img, "img", source_dir)?, "img")?;
                 Some(
                     FsImage::from_bytes(&bytes)
                         .map_err(|e| MarshalError::Other(format!("img `{img}`: {e}")))?,
@@ -696,11 +685,9 @@ impl Builder {
         if let Some(tree) = &overlay {
             input_hash.update_field(tree.fingerprint().to_string().as_bytes());
         }
-        for (p, guest) in &files {
+        for (guest, data) in &files {
             input_hash.update_field(guest.as_bytes());
-            let data = std::fs::read(p)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", p.display())))?;
-            input_hash.update_field(&data);
+            input_hash.update_field(data);
         }
         if let Some(gi) = &guest_init {
             input_hash.update_field(gi.as_bytes());
@@ -752,10 +739,9 @@ impl Builder {
             if let Some(tree) = &overlay {
                 image.apply_overlay(tree);
             }
-            for (p, guest) in &files {
-                let data = std::fs::read(p).map_err(|e| format!("read {}: {e}", p.display()))?;
+            for (guest, data) in &files {
                 image
-                    .write_exec(guest, &data)
+                    .write_exec(guest, data)
                     .map_err(|e| format!("file {guest}: {e}"))?;
             }
             if let Some(script) = &guest_init {
@@ -772,22 +758,21 @@ impl Builder {
         Ok(task)
     }
 
-    /// Finds a workload-relative path: the workload's own directory first,
-    /// then every search directory.
-    fn locate_in_sources(&self, rel: &str, source_dir: Option<&Path>) -> Option<PathBuf> {
-        if let Some(dir) = source_dir {
-            let p = dir.join(rel);
-            if p.exists() {
-                return Some(p);
-            }
-        }
-        for dir in self.search.dirs() {
-            let p = dir.join(rel);
-            if p.exists() {
-                return Some(p);
-            }
-        }
-        None
+    /// Finds a workload-relative build input (`what` names it in the
+    /// error): the workload's own directory first, then every search
+    /// directory.
+    fn locate_in_sources(
+        &self,
+        rel: &str,
+        what: &str,
+        source_dir: Option<&Path>,
+    ) -> Result<PathBuf, MarshalError> {
+        source_dir
+            .into_iter()
+            .chain(self.search.dirs().iter().map(PathBuf::as_path))
+            .map(|dir| dir.join(rel))
+            .find(|p| p.exists())
+            .ok_or_else(|| MarshalError::Other(format!("{what} `{rel}` not found")))
     }
 
     /// Resolves `linux.config` fragment references to their contents.
@@ -799,6 +784,7 @@ impl Builder {
         let Some(linux) = &spec.linux else {
             return Ok(Vec::new());
         };
+        let what = "kernel config fragment";
         linux
             .config
             .iter()
@@ -807,14 +793,26 @@ impl Builder {
                     // Inline fragment text.
                     return Ok(frag.clone());
                 }
-                let path = self.locate_in_sources(frag, source_dir).ok_or_else(|| {
-                    MarshalError::Other(format!("kernel config fragment `{frag}` not found"))
-                })?;
-                std::fs::read_to_string(&path)
-                    .map_err(|e| MarshalError::Io(format!("fragment {}: {e}", path.display())))
+                read_text_input(&self.locate_in_sources(frag, what, source_dir)?, what)
             })
             .collect()
     }
+}
+
+/// Reads one host build input (`what` names it in the error). Every input
+/// file (host-init script, `files`, `bin`, guest-init, `img`, kernel config
+/// fragments) is read here once, at plan time, and the task keyed by the
+/// bytes owns them: an edit after planning cannot store one content under
+/// another content's key. Overlay directories are read the same way, once,
+/// by `FsImage::overlay_host_dir`.
+fn read_input(path: &Path, what: &str) -> Result<Vec<u8>, MarshalError> {
+    std::fs::read(path).map_err(|e| MarshalError::Io(format!("{what} {}: {e}", path.display())))
+}
+
+/// [`read_input`] for a text input: a script or a config fragment.
+fn read_text_input(path: &Path, what: &str) -> Result<String, MarshalError> {
+    String::from_utf8(read_input(path, what)?)
+        .map_err(|e| MarshalError::Io(format!("{what} {}: {e}", path.display())))
 }
 
 struct JobPlan {
@@ -894,15 +892,6 @@ fn boot_payload(spec: &WorkloadSpec) -> Option<BootPayload> {
             format!("/{r}")
         })
     })
-}
-
-/// Hashes a bare-metal `bin` file's contents (post-host-init), so a
-/// regenerated binary retriggers the copy task.
-fn bin_input_hash(source_dir: Option<&Path>, bin_name: &str) -> Vec<u8> {
-    let Some(dir) = source_dir else {
-        return Vec::new();
-    };
-    std::fs::read(dir.join(bin_name)).unwrap_or_default()
 }
 
 fn split_command(line: &str) -> (String, Vec<String>) {

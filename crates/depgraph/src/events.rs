@@ -24,13 +24,6 @@ pub enum ExecEvent {
         /// The task id.
         task: String,
     },
-    /// A progress note from a long-running task (free-form, advisory).
-    Progress {
-        /// The task id.
-        task: String,
-        /// Human-readable progress note.
-        note: String,
-    },
     /// The task's action completed successfully.
     Finished {
         /// The task id.
@@ -81,14 +74,6 @@ impl EventSender {
     pub fn started(&self, task: &str) {
         self.send(ExecEvent::Started {
             task: task.to_owned(),
-        });
-    }
-
-    /// Reports an advisory progress note for a running task.
-    pub fn progress(&self, task: &str, note: &str) {
-        self.send(ExecEvent::Progress {
-            task: task.to_owned(),
-            note: note.to_owned(),
         });
     }
 
@@ -146,13 +131,12 @@ mod tests {
         let (tx, rx) = channel();
         let sender = EventSender::new(tx);
         sender.started("a");
-        sender.progress("a", "halfway");
         sender.finished("a");
         sender.failed("b", "boom");
         sender.panicked("c", "ouch");
         let events: Vec<ExecEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[2], ExecEvent::Finished { task: "a".into() });
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[1], ExecEvent::Finished { task: "a".into() });
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Sched<'_> {
     /// that no longer makes sense (a duplicate terminal event) is ignored.
     fn handle(&mut self, db: &mut StateDb, ev: ExecEvent) {
         match ev {
-            ExecEvent::Started { .. } | ExecEvent::Progress { .. } => {}
+            ExecEvent::Started { .. } => {}
             ExecEvent::Finished { task } => {
                 if !self.in_flight.remove(&task) {
                     return;
