@@ -27,30 +27,118 @@
 //! `(i + 1) % chunk`: a one-bit rotation of the fold. The bit leaving the
 //! window would land on `len % chunk`, so XORing it there cancels it. The
 //! register therefore equals the from-scratch fold after every update.
+//! A table's index fold (10 bits) and tag fold (11 bits) share one `u64`,
+//! so one such sequence updates both.
+//!
+//! # Resolving a branch
+//!
+//! [`Predictor`] is an enum over the four kinds, so the pipeline calls the
+//! one it has without a virtual call, and [`Predictor::mispredicts`]
+//! resolves a batch's branches with one dispatch. TAGE makes one pass over
+//! its tables per branch: it hashes the branch with each table's folds,
+//! keeps the hashes in locals, sets a bit per table in a `hits` mask (the
+//! entry carries the branch's tag) and a `free` mask (the entry is not
+//! useful), and advances the folds. The provider is the highest bit of
+//! `hits` and the allocation target the lowest bit of `free` above it;
+//! the predictions are those of a table-by-table search.
 
 use crate::config::BpredConfig;
 
-/// A direction predictor for conditional branches.
-pub trait DirectionPredictor {
+/// The direction predictor of a [`Pipeline`](crate::pipeline::Pipeline),
+/// dispatched statically over the four kinds.
+#[derive(Debug, Clone)]
+pub enum Predictor {
+    /// Always-taken or never-taken.
+    Static(StaticPredictor),
+    /// PC-indexed 2-bit counters.
+    Bimodal(BimodalPredictor),
+    /// Global history XOR PC.
+    Gshare(GsharePredictor),
+    /// Tagged tables over geometric history lengths.
+    Tage(TagePredictor),
+}
+
+impl Predictor {
+    /// Builds the predictor described by a [`BpredConfig`].
+    pub fn new(config: &BpredConfig) -> Predictor {
+        match *config {
+            BpredConfig::AlwaysTaken => Predictor::Static(StaticPredictor::new(true)),
+            BpredConfig::NeverTaken => Predictor::Static(StaticPredictor::new(false)),
+            BpredConfig::Bimodal { table_bits } => {
+                Predictor::Bimodal(BimodalPredictor::new(table_bits))
+            }
+            BpredConfig::Gshare {
+                history_bits,
+                table_bits,
+            } => Predictor::Gshare(GsharePredictor::new(history_bits, table_bits)),
+            BpredConfig::Tage {
+                tables,
+                table_bits,
+                min_history,
+                max_history,
+            } => Predictor::Tage(TagePredictor::new(
+                tables,
+                table_bits,
+                min_history,
+                max_history,
+            )),
+        }
+    }
+
     /// Predicts the direction of the branch at `pc`, then trains with the
     /// resolved outcome `taken`. Returns the prediction.
-    fn resolve(&mut self, pc: u64, taken: bool) -> bool;
+    #[inline]
+    pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+        match self {
+            Predictor::Static(p) => p.taken,
+            Predictor::Bimodal(p) => p.resolve(pc, taken),
+            Predictor::Gshare(p) => p.resolve(pc, taken),
+            Predictor::Tage(p) => p.resolve(pc, taken),
+        }
+    }
 
-    /// The predictor's display name.
-    fn name(&self) -> &'static str;
+    /// Resolves a run of conditional branches, `(pc, taken)` in program
+    /// order, with one dispatch for the run; returns how many it
+    /// mispredicted.
+    pub fn mispredicts(&mut self, branches: &[(u64, bool)]) -> u64 {
+        fn count(branches: &[(u64, bool)], mut resolve: impl FnMut(u64, bool) -> bool) -> u64 {
+            branches
+                .iter()
+                .map(|&(pc, taken)| u64::from(resolve(pc, taken) != taken))
+                .sum()
+        }
+        match self {
+            Predictor::Static(p) => count(branches, |_, _| p.taken),
+            Predictor::Bimodal(p) => count(branches, |pc, taken| p.resolve(pc, taken)),
+            Predictor::Gshare(p) => count(branches, |pc, taken| p.resolve(pc, taken)),
+            Predictor::Tage(p) => p.mispredicts(branches),
+        }
+    }
+
+    /// The predictor's display name (the [`BpredConfig::name`] it was
+    /// built from).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Predictor::Static(StaticPredictor { taken: true }) => "always-taken",
+            Predictor::Static(StaticPredictor { taken: false }) => "never-taken",
+            Predictor::Bimodal(_) => "bimodal",
+            Predictor::Gshare(_) => "gshare",
+            Predictor::Tage(_) => "tage",
+        }
+    }
 }
 
 /// Saturating 2-bit counter helpers.
+#[inline]
 fn counter_taken(c: u8) -> bool {
     c >= 2
 }
 
+/// Counts `c` up towards 3 when `taken`, else down towards 0. Arithmetic
+/// rather than a branch on the outcome, which the host cannot predict.
+#[inline]
 fn counter_update(c: u8, taken: bool) -> u8 {
-    if taken {
-        (c + 1).min(3)
-    } else {
-        c.saturating_sub(1)
-    }
+    c + u8::from(taken & (c < 3)) - u8::from(!taken & (c > 0))
 }
 
 /// Always-taken / never-taken.
@@ -63,19 +151,6 @@ impl StaticPredictor {
     /// Creates a static predictor.
     pub fn new(taken: bool) -> StaticPredictor {
         StaticPredictor { taken }
-    }
-}
-
-impl DirectionPredictor for StaticPredictor {
-    fn resolve(&mut self, _pc: u64, _taken: bool) -> bool {
-        self.taken
-    }
-    fn name(&self) -> &'static str {
-        if self.taken {
-            "always-taken"
-        } else {
-            "never-taken"
-        }
     }
 }
 
@@ -95,17 +170,14 @@ impl BimodalPredictor {
             mask: (size - 1) as u64,
         }
     }
-}
 
-impl DirectionPredictor for BimodalPredictor {
-    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+    /// Predicts the branch at `pc`, then trains with `taken`.
+    #[inline]
+    pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
         let c = &mut self.counters[((pc >> 2) & self.mask) as usize];
         let predicted = counter_taken(*c);
         *c = counter_update(*c, taken);
         predicted
-    }
-    fn name(&self) -> &'static str {
-        "bimodal"
     }
 }
 
@@ -129,19 +201,16 @@ impl GsharePredictor {
             table_mask: (size - 1) as u64,
         }
     }
-}
 
-impl DirectionPredictor for GsharePredictor {
-    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+    /// Predicts the branch at `pc`, then trains with `taken`.
+    #[inline]
+    pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
         let i = (((pc >> 2) ^ self.history) & self.table_mask) as usize;
         let c = &mut self.counters[i];
         let predicted = counter_taken(*c);
         *c = counter_update(*c, taken);
         self.history = ((self.history << 1) | taken as u64) & self.history_mask;
         predicted
-    }
-    fn name(&self) -> &'static str {
-        "gshare"
     }
 }
 
@@ -152,84 +221,72 @@ struct TageEntry {
     useful: u8,
 }
 
-/// A `len`-bit history window folded into `CHUNK` bits, kept as a
-/// circular-shift register (see the module docs).
-#[derive(Debug, Clone, Copy)]
-struct FoldedHistory<const CHUNK: u32> {
-    value: u64,
-    /// Fold position the bit leaving the window lands on: `len % CHUNK`.
-    out_shift: u32,
-}
+/// Where a table's two folds sit in its one register: the 10-bit index
+/// fold in bits 0..10 and the 11-bit tag fold from bit [`TAG_FOLD`] up.
+const TAG_FOLD: u32 = 32;
 
-impl<const CHUNK: u32> FoldedHistory<CHUNK> {
-    fn new(len: u32) -> FoldedHistory<CHUNK> {
-        FoldedHistory {
-            value: 0,
-            out_shift: len % CHUNK,
-        }
-    }
+/// The bits of both folds.
+const FOLDS: u64 = 0x3ff | 0x7ff << TAG_FOLD;
 
-    /// Shifts `taken` into the window and `out` (the window's oldest bit
-    /// before the shift) out of it.
-    fn push(&mut self, taken: u64, out: u64) {
-        let mut f = (self.value << 1) | taken;
-        f ^= out << self.out_shift;
-        f ^= f >> CHUNK;
-        self.value = f & ((1 << CHUNK) - 1);
-    }
-}
-
-/// One tagged TAGE table, the folds of its history window, and where the
-/// branch being resolved falls in it.
+/// One tagged TAGE table: its history window, where that window's folds
+/// change, its salts and where its entries start in [`TagePredictor`]'s
+/// shared array. Its folds live in [`TagePredictor::folds`].
 ///
 /// Index and tag use *different* chunk widths (like the circular shift
 /// registers of real TAGE), so a history pattern that aliases in the index
-/// fold still disambiguates through the tag.
-#[derive(Debug, Clone)]
+/// fold still disambiguates through the tag. Both folds share one `u64`
+/// (see [`TAG_FOLD`]), as do both salts, so one shift-and-XOR sequence
+/// updates the two registers and one XOR applies them to a branch.
+#[derive(Debug, Clone, Copy)]
 struct TaggedTable {
-    entries: Vec<TageEntry>,
     history_len: u32,
-    index_fold: FoldedHistory<10>,
-    tag_fold: FoldedHistory<11>,
-    index_salt: u64,
-    tag_salt: u64,
-    /// The entry index of the branch being resolved.
-    slot: usize,
-    /// The tag of the branch being resolved.
-    tag: u16,
+    /// Where the bit leaving the window lands in each fold:
+    /// `len % 10` and `TAG_FOLD + len % 11`.
+    out: u64,
+    /// The index salt and the tag salt, placed like the folds.
+    salts: u64,
+    /// The table's first entry in the shared array.
+    first: usize,
 }
 
 impl TaggedTable {
     fn new(table: usize, size: usize, history_len: u32) -> TaggedTable {
+        let (index_salt, tag_salt) = ((table as u64).wrapping_mul(0x9e37), (table as u64) << 7);
         TaggedTable {
-            entries: vec![TageEntry::default(); size],
             history_len,
-            index_fold: FoldedHistory::new(history_len),
-            tag_fold: FoldedHistory::new(history_len),
-            index_salt: (table as u64).wrapping_mul(0x9e37),
-            tag_salt: (table as u64) << 7,
-            slot: 0,
-            tag: 0,
+            out: 1 << (history_len % 10) | 1 << (TAG_FOLD + history_len % 11),
+            salts: index_salt | tag_salt << TAG_FOLD,
+            first: table * size,
         }
     }
 
-    /// Maps the branch at `pc` to its slot and tag under the current folds.
-    fn look_up(&mut self, pc: u64) {
-        let mask = self.entries.len() as u64 - 1;
-        self.slot = (((pc >> 2) ^ self.index_fold.value ^ self.index_salt) & mask) as usize;
-        self.tag = ((((pc >> 2) >> 4) ^ self.tag_fold.value ^ self.tag_salt) & 0x3ff) as u16 | 1;
+    /// The entry (in the shared array) and the tag of a branch whose hash
+    /// under this table's folds is `hashed`; `mask` is the table size less
+    /// one.
+    #[inline]
+    fn entry(&self, hashed: u64, mask: u64) -> (usize, u16) {
+        let tag = ((hashed >> TAG_FOLD) & 0x3ff) as u16 | 1;
+        (self.first + (hashed & mask) as usize, tag)
     }
 
-    /// Whether the branch's slot carries its tag.
-    fn hits(&self) -> bool {
-        self.entries[self.slot].tag == self.tag
-    }
-
-    /// The branch's slot.
-    fn entry(&mut self) -> &mut TageEntry {
-        &mut self.entries[self.slot]
+    /// `folds` after the newest outcome shifts in (`taken` is 0 or a 1 at
+    /// the bottom of each fold) and the window's oldest bit shifts out of
+    /// `history`: the update of the module docs, once per fold.
+    #[inline]
+    fn push(&self, folds: u64, taken: u64, history: &[u64; 2]) -> u64 {
+        let oldest = self.history_len - 1;
+        let out = history[(oldest >> 6) as usize & 1] >> (oldest & 63) & 1;
+        let mut f = (folds << 1) | taken;
+        // A select the host cannot predict: keep it a conditional move.
+        f ^= std::hint::select_unpredictable(out == 1, self.out, 0);
+        f ^= (f >> 10) & 1 | (f >> 11) & 1 << TAG_FOLD;
+        f & FOLDS
     }
 }
+
+/// The most tagged tables a [`TagePredictor`] takes: one bit each in the
+/// masks a TAGE lookup selects with.
+pub const MAX_TAGE_TABLES: u32 = 64;
 
 /// A TAGE predictor: a bimodal base plus tagged tables indexed with
 /// geometrically growing history lengths. The longest matching table
@@ -238,17 +295,37 @@ impl TaggedTable {
 pub struct TagePredictor {
     base: BimodalPredictor,
     tables: Vec<TaggedTable>,
-    /// Global history, newest outcome in bit 0 (lengths are at most 127).
-    history: u128,
+    /// Each table's index and tag folds, in one register per table.
+    folds: Vec<u64>,
+    /// Every tagged table's entries, table after table.
+    entries: Vec<TageEntry>,
+    /// Entries per table, less one.
+    mask: u64,
+    /// Global history, newest outcome in bit 0 of the first word (lengths
+    /// are at most 127).
+    history: [u64; 2],
 }
 
 impl TagePredictor {
     /// Creates a TAGE predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` exceeds [`MAX_TAGE_TABLES`] or `table_bits`
+    /// exceeds 32.
     pub fn new(tables: u32, table_bits: u32, min_history: u32, max_history: u32) -> TagePredictor {
+        assert!(
+            tables <= MAX_TAGE_TABLES,
+            "TAGE takes at most {MAX_TAGE_TABLES} tagged tables, not {tables}"
+        );
+        assert!(
+            table_bits <= TAG_FOLD,
+            "TAGE tables take at most 2^{TAG_FOLD} entries, not 2^{table_bits}"
+        );
         let size = 1usize << table_bits;
         let tables = tables.max(1);
         // Geometric history series from min to max.
-        let tagged = (0..tables)
+        let tagged: Vec<TaggedTable> = (0..tables)
             .map(|i| {
                 let f = if tables == 1 {
                     0.0
@@ -262,8 +339,11 @@ impl TagePredictor {
             .collect();
         TagePredictor {
             base: BimodalPredictor::new(table_bits),
+            folds: vec![0; tagged.len()],
             tables: tagged,
-            history: 0,
+            entries: vec![TageEntry::default(); tables as usize * size],
+            mask: (size - 1) as u64,
+            history: [0; 2],
         }
     }
 
@@ -271,29 +351,123 @@ impl TagePredictor {
     pub fn history_lengths(&self) -> Vec<u32> {
         self.tables.iter().map(|t| t.history_len).collect()
     }
+
+    /// Predicts the branch at `pc`, then trains with `taken`.
+    pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
+        taken ^ (self.mispredicts(&[(pc, taken)]) == 1)
+    }
+
+    /// Resolves `(pc, taken)` branches in program order; returns how many
+    /// it mispredicted.
+    ///
+    /// The run keeps the tables and their folds in locals. The paper's
+    /// four tables get arrays of four, which lets the compiler unroll the
+    /// table loop and keep the folds in registers.
+    fn mispredicts(&mut self, branches: &[(u64, bool)]) -> u64 {
+        match *self.tables {
+            [a, b, c, d] => {
+                let folds = [self.folds[0], self.folds[1], self.folds[2], self.folds[3]];
+                self.run(&[a, b, c, d], folds, [0; 4], branches)
+            }
+            _ => {
+                let tables = std::mem::take(&mut self.tables);
+                let folds = self.folds.clone();
+                let hashes = vec![0; tables.len()];
+                let mispredicts = self.run(&tables, folds, hashes, branches);
+                self.tables = tables;
+                mispredicts
+            }
+        }
+    }
+
+    /// [`TagePredictor::mispredicts`] with everything a branch touches in
+    /// locals: `tables`, `folds` (a copy of [`TagePredictor::folds`]) and
+    /// the global history, written back at the end, and `hashes` as
+    /// scratch.
+    #[inline(always)]
+    fn run<F: AsMut<[u64]>>(
+        &mut self,
+        tables: &[TaggedTable],
+        mut folds: F,
+        mut hashes: F,
+        branches: &[(u64, bool)],
+    ) -> u64 {
+        let mut pass = Pass {
+            tables,
+            folds: folds.as_mut(),
+            hashes: hashes.as_mut(),
+            history: self.history,
+            entries: &mut self.entries,
+            base: &mut self.base,
+            mask: self.mask,
+        };
+        let mispredicts = branches
+            .iter()
+            .map(|&(pc, taken)| u64::from(pass.step(pc, taken) != taken))
+            .sum();
+        self.history = pass.history;
+        self.folds.copy_from_slice(pass.folds);
+        mispredicts
+    }
 }
 
-impl DirectionPredictor for TagePredictor {
-    fn resolve(&mut self, pc: u64, taken: bool) -> bool {
-        for t in &mut self.tables {
-            t.look_up(pc);
+/// A [`TagePredictor`] taken apart for a run of branches.
+struct Pass<'a> {
+    tables: &'a [TaggedTable],
+    folds: &'a mut [u64],
+    hashes: &'a mut [u64],
+    history: [u64; 2],
+    entries: &'a mut [TageEntry],
+    base: &'a mut BimodalPredictor,
+    /// Entries per table, less one.
+    mask: u64,
+}
+
+impl Pass<'_> {
+    /// Predicts the branch at `pc` and trains with `taken`.
+    ///
+    /// One pass over the tables hashes the branch with each table's folds,
+    /// keeps the hash in `hashes`, and sets a bit per table in two masks:
+    /// the entry carries the branch's tag (`hits`), and that entry is not
+    /// useful (`free`). The same pass advances the table's folds, as
+    /// nothing reads them again for this branch. The provider is the
+    /// highest hit and the allocation target the lowest free table above
+    /// it.
+    #[inline(always)]
+    fn step(&mut self, pc: u64, taken: bool) -> bool {
+        // The pc bits the index hashes below the tag's, placed like the
+        // folds.
+        let key = (pc >> 2) & 0xffff_ffff | (pc >> 6) << TAG_FOLD;
+        let mask = self.mask;
+        let bit = u64::from(taken) * (1 | 1 << TAG_FOLD);
+        let (mut hits, mut free, mut provider_slot) = (0u64, 0u64, 0);
+        let tables = self
+            .tables
+            .iter()
+            .zip(&mut *self.folds)
+            .zip(&mut *self.hashes);
+        for (i, ((t, fold), hashed)) in tables.enumerate() {
+            *hashed = key ^ *fold ^ t.salts;
+            let (slot, tag) = t.entry(*hashed, mask);
+            let e = self.entries[slot];
+            let hit = e.tag == tag;
+            hits |= u64::from(hit) << i;
+            free |= u64::from(e.useful == 0) << i;
+            // Longest history table with a tag match provides.
+            provider_slot = std::hint::select_unpredictable(hit, slot, provider_slot);
+            *fold = t.push(*fold, bit, &self.history);
         }
-        // Longest history table with a tag match provides.
-        let provider = self.tables.iter().rposition(TaggedTable::hits);
+        let provider = hits.checked_ilog2().map(|p| p as usize);
         let predicted = match provider {
-            Some(p) => {
-                let e = self.tables[p].entry();
+            Some(_) => {
+                let e = &mut self.entries[provider_slot];
                 let predicted = e.counter >= 0;
-                e.counter = if taken {
-                    (e.counter + 1).min(3)
-                } else {
-                    (e.counter - 1).max(-4)
-                };
-                if predicted == taken {
-                    e.useful = (e.useful + 1).min(3);
-                } else {
-                    e.useful = e.useful.saturating_sub(1);
-                }
+                let right = predicted == taken;
+                // Saturating counts, in arithmetic rather than branches on
+                // the outcome: -4..=3 for the counter, 0..=3 for `useful`.
+                e.counter +=
+                    i8::from(taken & (e.counter < 3)) - i8::from(!taken & (e.counter > -4));
+                e.useful = counter_update(e.useful, right);
                 predicted
             }
             None => self.base.resolve(pc, taken),
@@ -301,63 +475,33 @@ impl DirectionPredictor for TagePredictor {
 
         // Allocate a new entry in a longer-history table on a mispredict.
         if predicted != taken {
-            let longer = &mut self.tables[provider.map_or(0, |p| p + 1)..];
-            match longer.iter_mut().find(|t| t.entries[t.slot].useful == 0) {
-                Some(t) => {
-                    let tag = t.tag;
-                    *t.entry() = TageEntry {
-                        tag,
-                        counter: if taken { 0 } else { -1 },
-                        useful: 0,
-                    };
-                }
+            let longer = provider.map_or(u64::MAX, |p| u64::MAX << p << 1);
+            let target = free & longer;
+            if target != 0 {
+                let i = target.trailing_zeros() as usize;
+                let (slot, tag) = self.tables[i].entry(self.hashes[i], mask);
+                self.entries[slot] = TageEntry {
+                    tag,
+                    counter: if taken { 0 } else { -1 },
+                    useful: 0,
+                };
+            } else {
                 // Decay usefulness so future allocations can succeed.
-                None => {
-                    for t in longer {
-                        let e = t.entry();
+                for (i, (t, &hashed)) in self.tables.iter().zip(&*self.hashes).enumerate() {
+                    if longer >> i & 1 == 1 {
+                        let e = &mut self.entries[t.entry(hashed, mask).0];
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
             }
         }
 
-        // Advance global history and every table's folds.
-        let bit = taken as u64;
-        for t in &mut self.tables {
-            let out = (self.history >> (t.history_len - 1)) as u64 & 1;
-            t.index_fold.push(bit, out);
-            t.tag_fold.push(bit, out);
-        }
-        self.history = (self.history << 1) | taken as u128;
+        // Advance global history.
+        self.history = [
+            self.history[0] << 1 | u64::from(taken),
+            self.history[1] << 1 | self.history[0] >> 63,
+        ];
         predicted
-    }
-
-    fn name(&self) -> &'static str {
-        "tage"
-    }
-}
-
-/// Builds the predictor described by a [`BpredConfig`].
-pub fn build_predictor(config: &BpredConfig) -> Box<dyn DirectionPredictor + Send> {
-    match config {
-        BpredConfig::AlwaysTaken => Box::new(StaticPredictor::new(true)),
-        BpredConfig::NeverTaken => Box::new(StaticPredictor::new(false)),
-        BpredConfig::Bimodal { table_bits } => Box::new(BimodalPredictor::new(*table_bits)),
-        BpredConfig::Gshare {
-            history_bits,
-            table_bits,
-        } => Box::new(GsharePredictor::new(*history_bits, *table_bits)),
-        BpredConfig::Tage {
-            tables,
-            table_bits,
-            min_history,
-            max_history,
-        } => Box::new(TagePredictor::new(
-            *tables,
-            *table_bits,
-            *min_history,
-            *max_history,
-        )),
     }
 }
 
@@ -416,7 +560,7 @@ mod tests {
     use super::*;
 
     /// Measures accuracy of a predictor on a synthetic branch trace.
-    fn accuracy(p: &mut dyn DirectionPredictor, trace: &[(u64, bool)]) -> f64 {
+    fn accuracy(p: &mut Predictor, trace: &[(u64, bool)]) -> f64 {
         let correct = trace
             .iter()
             .filter(|(pc, taken)| p.resolve(*pc, *taken) == *taken)
@@ -443,14 +587,16 @@ mod tests {
 
     #[test]
     fn static_predictors() {
-        let mut t = StaticPredictor::new(true);
+        let mut t = Predictor::new(&BpredConfig::AlwaysTaken);
         assert!(t.resolve(0, false));
         assert!(t.resolve(0, false));
+        let mut n = Predictor::new(&BpredConfig::NeverTaken);
+        assert!(!n.resolve(0, true));
     }
 
     #[test]
     fn bimodal_learns_bias() {
-        let mut p = BimodalPredictor::new(10);
+        let mut p = Predictor::Bimodal(BimodalPredictor::new(10));
         let trace: Vec<(u64, bool)> = (0..100).map(|_| (0x40u64, true)).collect();
         assert!(accuracy(&mut p, &trace) > 0.95);
     }
@@ -458,8 +604,8 @@ mod tests {
     #[test]
     fn gshare_learns_patterns_bimodal_cannot() {
         let trace = pattern_trace(3000);
-        let mut bimodal = BimodalPredictor::new(12);
-        let mut gshare = GsharePredictor::new(12, 12);
+        let mut bimodal = Predictor::Bimodal(BimodalPredictor::new(12));
+        let mut gshare = Predictor::Gshare(GsharePredictor::new(12, 12));
         let acc_b = accuracy(&mut bimodal, &trace);
         let acc_g = accuracy(&mut gshare, &trace);
         assert!(
@@ -479,8 +625,8 @@ mod tests {
         // all look identical), so it mispredicts every exit; TAGE's long
         // tables learn the full trip count.
         let trace = loop_trace(2_000, 24);
-        let mut gshare = GsharePredictor::new(12, 12);
-        let mut tage = TagePredictor::new(4, 10, 4, 64);
+        let mut gshare = Predictor::Gshare(GsharePredictor::new(12, 12));
+        let mut tage = Predictor::Tage(TagePredictor::new(4, 10, 4, 64));
         let acc_g = accuracy(&mut gshare, &trace);
         let acc_t = accuracy(&mut tage, &trace);
         assert!(
@@ -493,7 +639,7 @@ mod tests {
     #[test]
     fn tage_handles_loops() {
         let trace = loop_trace(200, 8);
-        let mut tage = TagePredictor::new(4, 10, 4, 64);
+        let mut tage = Predictor::Tage(TagePredictor::new(4, 10, 4, 64));
         let acc = accuracy(&mut tage, &trace);
         assert!(acc > 0.9, "tage loop accuracy {acc:.3}");
     }
@@ -511,26 +657,34 @@ mod tests {
 
     #[test]
     fn folds_equal_scratch_folds_after_every_update() {
-        let mut tage = TagePredictor::new(6, 10, 1, 127);
-        assert_eq!(tage.history_lengths(), [1, 3, 7, 18, 48, 127]);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for step in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            tage.resolve(x & 0xfffc, x >> 63 == 1);
-            for t in &tage.tables {
-                let len = t.history_len;
-                assert_eq!(
-                    t.index_fold.value,
-                    scratch_fold(tage.history, len, 10),
-                    "index fold, len {len}, step {step}"
-                );
-                assert_eq!(
-                    t.tag_fold.value,
-                    scratch_fold(tage.history, len, 11),
-                    "tag fold, len {len}, step {step}"
-                );
+        // Six tables take the general path, the paper's four the unrolled
+        // one.
+        for (tables, min, max, lengths) in [
+            (6, 1, 127, &[1, 3, 7, 18, 48, 127][..]),
+            (4, 4, 64, &[4, 10, 25, 64]),
+        ] {
+            let mut tage = TagePredictor::new(tables, 10, min, max);
+            assert_eq!(tage.history_lengths(), lengths);
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for step in 0..2_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                tage.resolve(x & 0xfffc, x >> 63 == 1);
+                let history = u128::from(tage.history[1]) << 64 | u128::from(tage.history[0]);
+                for (t, &folds) in tage.tables.iter().zip(&tage.folds) {
+                    let len = t.history_len;
+                    assert_eq!(
+                        folds & 0x3ff,
+                        scratch_fold(history, len, 10),
+                        "index fold, len {len}, step {step}"
+                    );
+                    assert_eq!(
+                        folds >> TAG_FOLD,
+                        scratch_fold(history, len, 11),
+                        "tag fold, len {len}, step {step}"
+                    );
+                }
             }
         }
     }
@@ -539,7 +693,7 @@ mod tests {
     fn predictors_deterministic() {
         let trace = pattern_trace(500);
         let run = || {
-            let mut p = build_predictor(&BpredConfig::default_tage());
+            let mut p = Predictor::new(&BpredConfig::default_tage());
             trace
                 .iter()
                 .map(|(pc, taken)| p.resolve(*pc, *taken))
@@ -595,7 +749,7 @@ mod tests {
             BpredConfig::default_gshare(),
             BpredConfig::default_tage(),
         ] {
-            let p = build_predictor(&cfg);
+            let p = Predictor::new(&cfg);
             assert_eq!(p.name(), cfg.name());
         }
     }

@@ -97,11 +97,43 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
         self.stats.accesses += 1;
-        let line = addr >> self.line_shift;
+        let line = self.line_of(addr);
         if self.last_line == Some(line) {
             return Access::Hit;
         }
         self.last_line = Some(line);
+        self.access_line(line)
+    }
+
+    /// The line `addr` falls in.
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
+    /// The line of the last access, which repeating hits for free.
+    pub(crate) fn last_line(&self) -> Option<u64> {
+        self.last_line
+    }
+
+    /// Records `line` as the last access, for a caller that keeps the
+    /// repeat filter of [`Cache::access`] itself while it calls
+    /// [`Cache::access_line`].
+    pub(crate) fn set_last_line(&mut self, line: Option<u64>) {
+        self.last_line = line;
+    }
+
+    /// Counts `n` accesses made through [`Cache::access_line`] or the
+    /// caller's own repeat filter.
+    pub(crate) fn count_accesses(&mut self, n: u64) {
+        self.stats.accesses += n;
+    }
+
+    /// Looks `line` up, filling it on a miss: [`Cache::access`] after its
+    /// repeat filter. Counts a miss, but neither the access nor `line` as
+    /// the last one.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64) -> Access {
         self.tick += 1;
         let first = (line & self.set_mask) as usize * self.assoc;
         let tag = line >> self.set_bits;

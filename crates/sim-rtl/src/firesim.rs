@@ -12,8 +12,14 @@
 //! The interpreter depends on timing only through the clock that
 //! `cycle`/`time` CSR reads observe, and it waits for the pipeline to
 //! catch up before each such read, so the split changes host time only.
+//!
+//! A record is the 16-byte [`Record`]: the pc and a code byte in one
+//! word, the one operand the model reads in the other, and a documented
+//! escape for a pc that does not fit. Each batch is charged by
+//! [`Pipeline::charge`], the pipeline's one charging body.
 
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use marshal_isa::interp::Retired;
@@ -27,7 +33,7 @@ use marshal_sim_functional::syscall::Timing;
 use crate::cache::CacheStats;
 use crate::config::HardwareConfig;
 use crate::pfa::PfaStats;
-use crate::pipeline::{PerfCounters, Pipeline};
+use crate::pipeline::{PerfCounters, Pipeline, Record};
 
 /// The performance report of one simulated node.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,30 +88,29 @@ impl PerfReport {
     }
 }
 
-/// One event of the stream the interpreter reports, in program order.
-enum Event {
-    /// A retired instruction; the flag marks a remote-window access.
-    Retire(Retired, bool),
-    /// A serviced syscall (its number).
-    Syscall(u64),
-}
-
-/// Events per batch handed to the timing thread.
+/// Records per batch handed to the timing thread, at most.
 const BATCH: usize = 4096;
 
 /// Full batches queued before the interpreter waits for the timing thread.
-const QUEUE: usize = 4;
+const QUEUE: usize = 8;
+
+/// Queued batches that wake a sleeping timing thread, and the queue length
+/// at or below which the timing thread wakes a sleeping interpreter: each
+/// side that sleeps then has several batches to work through before the
+/// next wake-up. A wake-up across host cores costs far more than a batch.
+const WAKE: usize = QUEUE / 2;
 
 /// The interpreter's end of a node's [`Pipeline`].
 ///
-/// Events go into a batch. Until the first batch fills, the pipeline
-/// stays on the interpreter's thread, and [`Timing::cycles`] and
-/// [`Feed::finish`] replay the batch into it there, so a short run starts
-/// no thread. The first full batch starts the timing thread (see
-/// [`Thread`]), and the pipeline lives there from then on.
+/// Each retired instruction and syscall goes into a batch as its
+/// [`Record`]s, in program order. Until the first batch fills, the
+/// pipeline stays on the interpreter's thread, and [`Timing::cycles`] and
+/// [`Feed::finish`] charge the batch to it there, so a short run starts no
+/// thread. The first full batch starts the timing thread (see [`Thread`]),
+/// and the pipeline lives there from then on.
 struct Feed<'scope, 'env> {
     scope: &'scope Scope<'scope, 'env>,
-    batch: Vec<Event>,
+    batch: Vec<Record>,
     /// The pipeline while it runs on this thread.
     local: Option<Pipeline>,
     /// The timing thread, once the first batch has filled.
@@ -122,17 +127,26 @@ impl<'scope, 'env> Feed<'scope, 'env> {
         }
     }
 
+    /// Whether the batch has room for the two records of a wide-pc
+    /// escape, which a batch never splits.
     #[inline]
-    fn push(&mut self, event: Event) {
-        if self.batch.len() == BATCH {
+    fn has_room(&self) -> bool {
+        self.batch.len() < BATCH - 1
+    }
+
+    /// [`Timing::retire`] off the fast path: a branch or jump, a full
+    /// batch or a pc that takes the escape.
+    #[inline(never)]
+    fn retire_slow(&mut self, r: &Retired, is_remote: bool) {
+        if !self.has_room() {
             self.send();
         }
-        self.batch.push(event);
+        Record::encode(r, is_remote, |record| self.batch.push(record));
     }
 
     /// Hands the full batch to the timing thread, starting the thread on
-    /// the first call. Out of line, so [`Feed::push`] stays small enough
-    /// to inline into the step loop.
+    /// the first call. Out of line, so [`Timing::retire`] stays small
+    /// enough to inline into the step loop.
     #[inline(never)]
     fn send(&mut self) {
         let thread = match &mut self.thread {
@@ -145,11 +159,11 @@ impl<'scope, 'env> Feed<'scope, 'env> {
         thread.send(&mut self.batch);
     }
 
-    /// The pipeline, once every event is replayed into it.
+    /// The pipeline, once every record is charged to it.
     fn finish(self) -> Pipeline {
         match (self.local, self.thread) {
             (Some(mut pipeline), _) => {
-                replay(&mut pipeline, self.batch);
+                pipeline.charge(&self.batch);
                 pipeline
             }
             (None, Some(thread)) => thread.join(self.batch),
@@ -162,7 +176,8 @@ impl Timing for Feed<'_, '_> {
     fn cycles(&mut self) -> Option<u64> {
         match (&mut self.local, &mut self.thread) {
             (Some(pipeline), _) => {
-                replay(pipeline, self.batch.drain(..));
+                pipeline.charge(&self.batch);
+                self.batch.clear();
                 pipeline.cycles()
             }
             (None, Some(thread)) => Some(thread.sync(&mut self.batch)),
@@ -172,105 +187,194 @@ impl Timing for Feed<'_, '_> {
 
     #[inline]
     fn retire(&mut self, r: &Retired, is_remote: bool) {
-        self.push(Event::Retire(*r, is_remote));
-    }
-
-    #[inline]
-    fn syscall(&mut self, sys: u64) {
-        self.push(Event::Syscall(sys));
-    }
-}
-
-/// Charges `events` to `pipeline`, in order.
-fn replay(pipeline: &mut Pipeline, events: impl IntoIterator<Item = Event>) {
-    for event in events {
-        match event {
-            Event::Retire(r, is_remote) => pipeline.retire(&r, is_remote),
-            Event::Syscall(sys) => pipeline.syscall(sys),
+        match Record::straight(r, is_remote) {
+            Some(record) if self.has_room() => self.batch.push(record),
+            _ => self.retire_slow(r, is_remote),
         }
+    }
+
+    fn syscall(&mut self, sys: u64) {
+        if !self.has_room() {
+            self.send();
+        }
+        self.batch.push(Record::syscall(sys));
     }
 }
 
 /// A [`Pipeline`] running on a thread of its own.
 ///
-/// Full batches go to the thread over a bounded queue; it replays them
-/// into the pipeline in order and hands each one back emptied, with the
-/// cycle count after it, for reuse. [`Thread::sync`] sends the partial
-/// batch and waits until every batch is back, so it answers exactly what
-/// a pipeline fed on this thread would.
+/// Full batches of [`Record`]s go to the thread through a bounded queue
+/// (the [`Handoff`]); it charges them to the pipeline in order and hands
+/// each one back emptied, with the cycle count after it, for reuse.
+/// [`Thread::sync`] sends the partial batch and waits until every batch is
+/// back, so it answers exactly what a pipeline fed on this thread would.
 struct Thread<'scope> {
-    spare: Vec<Vec<Event>>,
-    to_model: SyncSender<Vec<Event>>,
-    from_model: Receiver<(Vec<Event>, u64)>,
-    in_flight: usize,
-    cycles: u64,
+    handoff: Arc<Handoff>,
     model: ScopedJoinHandle<'scope, Pipeline>,
+}
+
+/// The queue between a [`Feed`] and its [`Thread`], under one lock.
+///
+/// A side that must wait sleeps on its condition variable at once rather
+/// than spinning first: the two threads may share one host core, and a
+/// spinning waiter takes the time the other needs. A side wakes the other
+/// only when it sleeps, and then only once [`WAKE`] batches are waiting
+/// for it (or when the interpreter waits for every batch).
+struct Handoff {
+    queue: Mutex<Queue>,
+    /// Signalled when a full batch arrives or the feed closes.
+    filled: Condvar,
+    /// Signalled when a batch comes back charged or the model stops.
+    emptied: Condvar,
+}
+
+struct Queue {
+    full: VecDeque<Vec<Record>>,
+    /// Charged batches, emptied for reuse.
+    empty: Vec<Vec<Record>>,
+    /// Batches sent and not yet charged.
+    in_flight: usize,
+    /// Modelled cycles after the last charged batch.
+    cycles: u64,
+    /// The feed sends no more batches.
+    closed: bool,
+    /// The model thread has exited (after `closed`, or by panicking).
+    stopped: bool,
+    model_sleeps: bool,
+    feed_sleeps: bool,
+}
+
+impl Handoff {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on `emptied` until `done` holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model thread has stopped.
+    fn feed_waits<'a>(
+        &self,
+        mut queue: MutexGuard<'a, Queue>,
+        done: impl Fn(&Queue) -> bool,
+    ) -> MutexGuard<'a, Queue> {
+        loop {
+            assert!(!queue.stopped, "timing thread stopped");
+            if done(&queue) {
+                return queue;
+            }
+            queue.feed_sleeps = true;
+            queue = self
+                .emptied
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.feed_sleeps = false;
+        }
+    }
+}
+
+/// Marks the model thread stopped when it exits, however it exits, and
+/// wakes the feed.
+struct Stops<'a>(&'a Handoff);
+
+impl Drop for Stops<'_> {
+    fn drop(&mut self) {
+        self.0.lock().stopped = true;
+        self.0.emptied.notify_one();
+    }
 }
 
 impl<'scope> Thread<'scope> {
     /// Starts `pipeline` on a thread of `scope`. The thread returns the
-    /// pipeline once the queue is closed and every event is replayed.
+    /// pipeline once the feed closes and every record is charged.
     fn spawn(scope: &'scope Scope<'scope, '_>, mut pipeline: Pipeline) -> Thread<'scope> {
-        let (to_model, batches) = mpsc::sync_channel::<Vec<Event>>(QUEUE);
-        let (spent, from_model) = mpsc::channel();
-        let cycles = pipeline.counters().cycles;
-        let model = scope.spawn(move || {
-            for mut batch in batches {
-                replay(&mut pipeline, batch.drain(..));
-                // A closed queue takes no batches back; they are dropped.
-                let _ = spent.send((batch, pipeline.counters().cycles));
-            }
-            pipeline
+        let handoff = Arc::new(Handoff {
+            queue: Mutex::new(Queue {
+                full: VecDeque::with_capacity(QUEUE),
+                empty: Vec::new(),
+                in_flight: 0,
+                cycles: pipeline.counters().cycles,
+                closed: false,
+                stopped: false,
+                model_sleeps: false,
+                feed_sleeps: false,
+            }),
+            filled: Condvar::new(),
+            emptied: Condvar::new(),
         });
-        Thread {
-            spare: Vec::new(),
-            to_model,
-            from_model,
-            in_flight: 0,
-            cycles,
-            model,
-        }
+        let shared = Arc::clone(&handoff);
+        let model = scope.spawn(move || {
+            let _stops = Stops(&shared);
+            loop {
+                let mut queue = shared.lock();
+                let mut batch = loop {
+                    if let Some(batch) = queue.full.pop_front() {
+                        break batch;
+                    }
+                    if queue.closed {
+                        return pipeline;
+                    }
+                    queue.model_sleeps = true;
+                    queue = shared
+                        .filled
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    queue.model_sleeps = false;
+                };
+                drop(queue);
+                pipeline.charge(&batch);
+                batch.clear();
+                let mut queue = shared.lock();
+                queue.empty.push(batch);
+                queue.in_flight -= 1;
+                queue.cycles = pipeline.counters().cycles;
+                if queue.feed_sleeps && (queue.full.len() <= WAKE || queue.in_flight == 0) {
+                    shared.emptied.notify_one();
+                }
+            }
+        });
+        Thread { handoff, model }
     }
 
-    /// Hands `batch` to the thread, leaving an empty one in its place.
-    fn send(&mut self, batch: &mut Vec<Event>) {
-        let next = match self.spare.pop() {
-            Some(batch) => batch,
-            None => match self.from_model.try_recv() {
-                Ok((batch, _)) => {
-                    self.in_flight -= 1;
-                    batch
-                }
-                Err(_) => Vec::with_capacity(BATCH),
-            },
-        };
-        let full = std::mem::replace(batch, next);
-        self.to_model.send(full).expect("timing thread stopped");
-        self.in_flight += 1;
+    /// Hands `batch` to the thread, leaving an empty one in its place;
+    /// waits while [`QUEUE`] full batches are queued.
+    fn send(&mut self, batch: &mut Vec<Record>) {
+        let handoff = &*self.handoff;
+        let mut queue = handoff.feed_waits(handoff.lock(), |q| q.full.len() < QUEUE);
+        let next = queue
+            .empty
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(BATCH));
+        queue.full.push_back(std::mem::replace(batch, next));
+        queue.in_flight += 1;
+        if queue.model_sleeps && queue.full.len() >= WAKE {
+            handoff.filled.notify_one();
+        }
     }
 
     /// Sends the partial `batch` and waits for every batch to be
-    /// replayed; returns the cycle count after the last one.
-    fn sync(&mut self, batch: &mut Vec<Event>) -> u64 {
+    /// charged; returns the cycle count after the last one.
+    fn sync(&mut self, batch: &mut Vec<Record>) -> u64 {
         if !batch.is_empty() {
             self.send(batch);
         }
-        while self.in_flight > 0 {
-            let (spent, cycles) = self.from_model.recv().expect("timing thread stopped");
-            self.in_flight -= 1;
-            self.cycles = cycles;
-            self.spare.push(spent);
+        let handoff = &*self.handoff;
+        let queue = handoff.lock();
+        if queue.model_sleeps {
+            handoff.filled.notify_one();
         }
-        self.cycles
+        handoff.feed_waits(queue, |q| q.in_flight == 0).cycles
     }
 
-    /// Sends the last events, closes the queue and takes the pipeline
-    /// back once the thread has replayed them.
-    fn join(mut self, mut batch: Vec<Event>) -> Pipeline {
+    /// Sends the last records, closes the queue and takes the pipeline
+    /// back once the thread has charged them.
+    fn join(mut self, mut batch: Vec<Record>) -> Pipeline {
         if !batch.is_empty() {
             self.send(&mut batch);
         }
-        drop(self.to_model);
+        self.handoff.lock().closed = true;
+        self.handoff.filled.notify_one();
         self.model
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -348,8 +452,8 @@ impl FireSim {
     /// directly, ignore `resume` and capture nothing.
     ///
     /// The node's [`Pipeline`] runs on a thread of its own once the first
-    /// batch of events fills (see the module docs); the report is read
-    /// from it once every event is replayed, after an error or a watchdog
+    /// batch of records fills (see the module docs); the report is read
+    /// from it once every record is charged, after an error or a watchdog
     /// exit too.
     ///
     /// Restoring is cycle-exact because snapshots are only captured when

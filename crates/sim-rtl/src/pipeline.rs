@@ -6,14 +6,220 @@
 //! remote-memory faults). The same instruction stream the functional
 //! simulators execute is what gets timed — timing never changes
 //! architectural behaviour.
+//!
+//! The stream arrives as 16-byte [`Record`]s, and [`Pipeline::charge`]
+//! charges a batch of them in one loop: the one charging body, which the
+//! one-record [`Timing`] calls go through too.
 
 use marshal_isa::interp::{RetireKind, Retired};
 use marshal_sim_functional::syscall::Timing;
 
-use crate::bpred::{build_predictor, DirectionPredictor, ReturnAddressStack};
+use crate::bpred::{Predictor, ReturnAddressStack};
 use crate::cache::{Access, Cache, CacheStats};
 use crate::config::{HardwareConfig, RemoteMemConfig};
 use crate::pfa::{PfaStats, RemoteMemory, RemoteMode};
+
+/// The codes of a [`Record`]'s top byte: a kind in the low nibble, flags
+/// above it. The retired kinds are numbered in [`RetireKind`]'s order, so
+/// the encoder's match maps a kind to itself.
+mod code {
+    pub const ALU: u8 = 0;
+    pub const MUL: u8 = 1;
+    pub const DIV: u8 = 2;
+    pub const LOAD: u8 = 3;
+    pub const STORE: u8 = 4;
+    pub const BRANCH: u8 = 5;
+    pub const JUMP: u8 = 6;
+    pub const JUMP_REG: u8 = 7;
+    pub const CSR: u8 = 8;
+    pub const SYSTEM: u8 = 9;
+    pub const SYSCALL: u8 = 10;
+    /// The escape for a pc that does not fit the word.
+    pub const WIDE_PC: u8 = 11;
+    pub const KIND: u8 = 0x0f;
+    pub const TAKEN: u8 = 0x10;
+    pub const CALL: u8 = 0x20;
+    pub const RET: u8 = 0x40;
+    pub const REMOTE: u8 = 0x80;
+}
+
+/// One retired instruction or serviced syscall as the timing model reads
+/// it: 16 bytes, `Copy`.
+///
+/// The first word holds the pc in its low 56 bits and a code byte in its
+/// top 8: the kind, and the taken, call, ret and remote flags. The second
+/// holds the one operand the model reads: the load or store address, the
+/// `jalr` target or the syscall number. `next_pc` and the branch and `jal`
+/// targets are never read, so they are not sent.
+///
+/// A pc at or above 2^56 does not fit. It takes an escape rather than a
+/// truncation: a wide-pc record whose operand is the full pc goes first,
+/// and the instruction's own record, with a zero pc field, follows it.
+/// [`Record::encode`] emits both, and a batch never splits them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Record {
+    word: u64,
+    operand: u64,
+}
+
+/// `bits` when `set`, else none: a code byte's flag.
+#[inline]
+fn flag(set: bool, bits: u8) -> u8 {
+    u8::from(set) * bits
+}
+
+/// The pc bits of a [`Record`]'s first word.
+const PC_MASK: u64 = (1 << 56) - 1;
+
+impl Record {
+    #[inline]
+    fn new(code: u8, pc: u64, operand: u64) -> Record {
+        Record {
+            word: (code as u64) << 56 | pc,
+            operand,
+        }
+    }
+
+    /// Whether `pc` fits a record's word. An instruction at a pc that does
+    /// not takes the escape of [`Record::encode`].
+    #[inline]
+    fn fits(pc: u64) -> bool {
+        pc <= PC_MASK
+    }
+
+    /// The record of a retired instruction that is not a jump and whose pc
+    /// is below 2^56, or `None`: the interpreter's fast path, where these
+    /// make most of the stream. Reading no jump flags keeps it small enough
+    /// to inline into the step loop; [`Record::encode`] takes the rest.
+    /// `is_remote` marks an access to the remote-memory window.
+    #[inline]
+    pub fn straight(r: &Retired, is_remote: bool) -> Option<Record> {
+        use code::*;
+        let (kind, operand) = match r.kind {
+            RetireKind::Alu => (ALU, 0),
+            RetireKind::Mul => (MUL, 0),
+            RetireKind::Div => (DIV, 0),
+            RetireKind::Load { addr } => (LOAD, addr),
+            RetireKind::Store { addr } => (STORE, addr),
+            RetireKind::Csr => (CSR, 0),
+            RetireKind::System => (SYSTEM, 0),
+            RetireKind::Branch { taken, .. } => (BRANCH | flag(taken, TAKEN), 0),
+            RetireKind::Jump { .. } | RetireKind::JumpReg { .. } => return None,
+        };
+        let code = kind | flag(is_remote, REMOTE);
+        Record::fits(r.pc).then(|| Record::new(code, r.pc, operand))
+    }
+
+    /// Emits the records of one retired instruction at any pc: its own,
+    /// preceded by the wide-pc escape when the pc does not fit.
+    pub fn encode(r: &Retired, is_remote: bool, mut emit: impl FnMut(Record)) {
+        let (code, operand) = Record::fields(r, is_remote);
+        if Record::fits(r.pc) {
+            emit(Record::new(code, r.pc, operand));
+        } else {
+            emit(Record::new(code::WIDE_PC, 0, r.pc));
+            emit(Record::new(code, 0, operand));
+        }
+    }
+
+    /// The code byte and operand of a retired instruction.
+    #[inline]
+    fn fields(r: &Retired, is_remote: bool) -> (u8, u64) {
+        use code::*;
+        let (kind, operand) = match r.kind {
+            RetireKind::Alu => (ALU, 0),
+            RetireKind::Mul => (MUL, 0),
+            RetireKind::Div => (DIV, 0),
+            RetireKind::Load { addr } => (LOAD, addr),
+            RetireKind::Store { addr } => (STORE, addr),
+            RetireKind::Branch { taken, .. } => (BRANCH | flag(taken, TAKEN), 0),
+            RetireKind::Jump { call, .. } => (JUMP | flag(call, CALL), 0),
+            RetireKind::JumpReg { target, call, ret } => {
+                (JUMP_REG | flag(call, CALL) | flag(ret, RET), target)
+            }
+            RetireKind::Csr => (CSR, 0),
+            RetireKind::System => (SYSTEM, 0),
+        };
+        (kind | flag(is_remote, REMOTE), operand)
+    }
+
+    /// The record of a serviced syscall.
+    #[inline]
+    pub fn syscall(sys: u64) -> Record {
+        Record::new(code::SYSCALL, 0, sys)
+    }
+
+    #[inline]
+    fn code(self) -> u8 {
+        (self.word >> 56) as u8
+    }
+}
+
+/// One event of a [`Record`] stream, read back by [`decode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoded {
+    /// A retired instruction and its remote flag. What a record does not
+    /// carry reads as zero: `next_pc` and the branch and `jal` targets.
+    Retire(Retired, bool),
+    /// A serviced syscall (its number).
+    Syscall(u64),
+}
+
+/// Reads a stream of records back into the events they encode.
+///
+/// # Panics
+///
+/// Panics on a wide-pc escape without its record, or an unknown kind.
+pub fn decode(records: &[Record]) -> Vec<Decoded> {
+    use code::*;
+    let mut out = Vec::new();
+    let mut records = records.iter();
+    while let Some(&rec) = records.next() {
+        let (pc, rec) = match rec.code() {
+            WIDE_PC => (
+                rec.operand,
+                *records.next().expect("a record after the escape"),
+            ),
+            _ => (rec.word & PC_MASK, rec),
+        };
+        let (code, operand) = (rec.code(), rec.operand);
+        let has = |flag: u8| code & flag != 0;
+        let kind = match code & KIND {
+            SYSCALL => {
+                out.push(Decoded::Syscall(operand));
+                continue;
+            }
+            ALU => RetireKind::Alu,
+            CSR => RetireKind::Csr,
+            SYSTEM => RetireKind::System,
+            MUL => RetireKind::Mul,
+            DIV => RetireKind::Div,
+            LOAD => RetireKind::Load { addr: operand },
+            STORE => RetireKind::Store { addr: operand },
+            BRANCH => RetireKind::Branch {
+                taken: has(TAKEN),
+                target: 0,
+            },
+            JUMP => RetireKind::Jump {
+                target: 0,
+                call: has(CALL),
+            },
+            JUMP_REG => RetireKind::JumpReg {
+                target: operand,
+                call: has(CALL),
+                ret: has(RET),
+            },
+            other => panic!("record kind {other}"),
+        };
+        let r = Retired {
+            pc,
+            next_pc: 0,
+            kind,
+        };
+        out.push(Decoded::Retire(r, has(REMOTE)));
+    }
+    out
+}
 
 /// Performance counters for one simulated node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,13 +279,16 @@ impl PerfCounters {
 pub struct Pipeline {
     core: crate::config::CoreConfig,
     dram_latency: u64,
-    predictor: Box<dyn DirectionPredictor + Send>,
+    predictor: Predictor,
     ras: ReturnAddressStack,
     icache: Cache,
     dcache: Cache,
     l2: Option<Cache>,
     remote: Option<RemoteMemory>,
     counters: PerfCounters,
+    /// The conditional branches of the batch being charged, `(pc, taken)`:
+    /// the predictor resolves them in a second pass.
+    branches: Vec<(u64, bool)>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -89,6 +298,14 @@ impl std::fmt::Debug for Pipeline {
             .field("counters", &self.counters)
             .finish()
     }
+}
+
+/// What [`Pipeline::charge`] keeps in locals for a batch: the counters and
+/// the last I- and D-line, which repeat for free.
+struct Locals {
+    counters: PerfCounters,
+    i_line: Option<u64>,
+    d_line: Option<u64>,
 }
 
 impl Pipeline {
@@ -104,13 +321,14 @@ impl Pipeline {
         Pipeline {
             core: hw.core,
             dram_latency: hw.dram_latency,
-            predictor: build_predictor(&hw.bpred),
+            predictor: Predictor::new(&hw.bpred),
             ras: ReturnAddressStack::default(),
             icache: Cache::new(hw.icache),
             dcache: Cache::new(hw.dcache),
             l2: hw.l2.map(Cache::new),
             remote,
             counters: PerfCounters::default(),
+            branches: Vec::new(),
         }
     }
 
@@ -139,6 +357,160 @@ impl Pipeline {
         self.remote.as_ref().map(RemoteMemory::stats)
     }
 
+    /// L2 statistics (when configured).
+    pub fn l2_stats(&self) -> Option<CacheStats> {
+        self.l2.as_ref().map(Cache::stats)
+    }
+
+    /// Charges a batch of records, in order: the pipeline's one charging
+    /// body.
+    ///
+    /// The counters and the last I- and D-line live in locals for the
+    /// batch and are written back at its end. The L1 access counts are
+    /// added then too, since every instruction fetches once and every load
+    /// and store accesses the D-cache once. Conditional branches are
+    /// predicted in a second pass over the batch: predictor state follows
+    /// the branch sequence alone and cycles add up, so every count is the
+    /// one a record-by-record body gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch ends between a wide-pc escape and its record.
+    pub fn charge(&mut self, records: &[Record]) {
+        let before = self.counters;
+        let mut locals = Locals {
+            counters: before,
+            i_line: self.icache.last_line(),
+            d_line: self.dcache.last_line(),
+        };
+        let mut records = records.iter();
+        while let Some(&rec) = records.next() {
+            let (pc, rec) = match rec.code() {
+                code::WIDE_PC => (
+                    rec.operand,
+                    *records.next().expect("a record after the wide-pc escape"),
+                ),
+                _ => (rec.word & PC_MASK, rec),
+            };
+            self.charge_one(&mut locals, pc, rec);
+        }
+        let c = &mut locals.counters;
+        let mispredicts = self.predictor.mispredicts(&self.branches);
+        self.branches.clear();
+        c.mispredicts += mispredicts;
+        c.user_cycles += mispredicts * self.core.mispredict_penalty;
+        c.cycles = before.cycles
+            + (c.user_cycles - before.user_cycles)
+            + (c.kernel_cycles - before.kernel_cycles);
+        self.icache.set_last_line(locals.i_line);
+        self.dcache.set_last_line(locals.d_line);
+        self.icache
+            .count_accesses(c.instructions - before.instructions);
+        self.dcache
+            .count_accesses(c.loads + c.stores - before.loads - before.stores);
+        self.counters = *c;
+    }
+
+    /// Charges one record of the instruction at `pc` to `locals`; total
+    /// cycles and branch outcomes are left to [`Pipeline::charge`].
+    #[inline(always)]
+    fn charge_one(&mut self, locals: &mut Locals, pc: u64, rec: Record) {
+        use code::*;
+        let c = &mut locals.counters;
+        let code = rec.code();
+        if code & KIND == SYSCALL {
+            c.syscalls += 1;
+            c.kernel_cycles += self.core.syscall_base_cost + syscall_cost(rec.operand);
+            return;
+        }
+        let mut cycles = 1u64;
+        c.instructions += 1;
+
+        // Front end: instruction fetch (L1I -> L2 -> DRAM).
+        let line = self.icache.line_of(pc);
+        if locals.i_line != Some(line) {
+            locals.i_line = Some(line);
+            if self.icache.access_line(line) == Access::Miss {
+                cycles += self.miss_beyond_l1(pc);
+            }
+        }
+
+        match code & KIND {
+            ALU | CSR | SYSTEM => {}
+            MUL => {
+                c.mul_ops += 1;
+                cycles += self.core.mul_latency - 1;
+            }
+            DIV => {
+                c.div_ops += 1;
+                cycles += self.core.div_latency - 1;
+            }
+            LOAD | STORE => {
+                let addr = rec.operand;
+                if code & KIND == LOAD {
+                    c.loads += 1;
+                } else {
+                    c.stores += 1;
+                }
+                if code & REMOTE != 0 {
+                    if let Some(remote) = &mut self.remote {
+                        let stall = remote.access(addr);
+                        c.remote_stall_cycles += stall;
+                        // Software paging burns the stall in the kernel;
+                        // the PFA stalls the hart in user mode.
+                        if remote.mode() == RemoteMode::SoftwarePaging {
+                            c.kernel_cycles += stall;
+                        } else {
+                            cycles += stall;
+                        }
+                    }
+                }
+                let line = self.dcache.line_of(addr);
+                let hit = locals.d_line == Some(line) || {
+                    locals.d_line = Some(line);
+                    self.dcache.access_line(line) == Access::Hit
+                };
+                if hit {
+                    cycles += self.dcache.config().hit_latency - 1;
+                } else {
+                    cycles += self.miss_beyond_l1(addr);
+                }
+            }
+            BRANCH => {
+                // Predicted after the batch: predictor state follows the
+                // branch sequence alone, and cycles add up the same.
+                c.branches += 1;
+                self.branches.push((pc, code & TAKEN != 0));
+            }
+            JUMP => {
+                // Direct jumps resolve in the front end (BTB assumed);
+                // calls push the RAS.
+                if code & CALL != 0 {
+                    self.ras.push(pc.wrapping_add(4));
+                }
+            }
+            JUMP_REG => {
+                c.indirect_jumps += 1;
+                let mut predicted = false;
+                if code & RET != 0 {
+                    // `ret`: consult the RAS.
+                    if self.ras.pop() == Some(rec.operand) {
+                        predicted = true;
+                        c.ras_hits += 1;
+                    }
+                } else if code & CALL != 0 {
+                    // Indirect call: push the return address.
+                    self.ras.push(pc.wrapping_add(4));
+                }
+                if !predicted {
+                    cycles += self.core.jalr_penalty;
+                }
+            }
+            other => unreachable!("record kind {other} after the escape"),
+        }
+        c.user_cycles += cycles;
+    }
+
     /// Cost of an L1 miss: the L2 (when present) absorbs it at its hit
     /// latency, otherwise DRAM.
     fn miss_beyond_l1(&mut self, addr: u64) -> u64 {
@@ -150,14 +522,26 @@ impl Pipeline {
             None => self.dram_latency,
         }
     }
+}
 
-    /// L2 statistics (when configured).
-    pub fn l2_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.l2.as_ref().map(Cache::stats)
+/// The modelled kernel cost of syscall `sys`, beyond the core's base cost.
+fn syscall_cost(sys: u64) -> u64 {
+    use marshal_isa::abi::sys as s;
+    match sys {
+        s::WRITE => 300,
+        s::READ => 250,
+        s::OPEN => 1000,
+        s::CLOSE => 200,
+        s::EXIT => 100,
+        s::ARGC | s::ARGV => 50,
+        s::MMAP_REMOTE => 1500,
+        s::TRACE => 100,
+        _ => 400,
     }
 }
 
-/// The cycle-exact timing model of [`marshal_sim_functional::syscall::UserRunner::run`].
+/// The cycle-exact timing model of [`marshal_sim_functional::syscall::UserRunner::run`]:
+/// one-record calls into [`Pipeline::charge`].
 impl Timing for Pipeline {
     /// Modelled cycles so far, for `rdcycle`.
     #[inline]
@@ -167,109 +551,19 @@ impl Timing for Pipeline {
 
     /// Charges one retired instruction; `is_remote` marks memory accesses
     /// that fall in the guest's `mmap_remote` window.
-    #[inline]
     fn retire(&mut self, r: &Retired, is_remote: bool) {
-        let mut cycles = 1u64;
-        let mut kernel_extra = 0u64;
-        self.counters.instructions += 1;
-
-        // Front end: instruction fetch (L1I -> L2 -> DRAM).
-        if self.icache.access(r.pc) == Access::Miss {
-            cycles += self.miss_beyond_l1(r.pc);
-        }
-
-        match r.kind {
-            RetireKind::Alu | RetireKind::Csr | RetireKind::System => {}
-            RetireKind::Mul => {
-                self.counters.mul_ops += 1;
-                cycles += self.core.mul_latency - 1;
-            }
-            RetireKind::Div => {
-                self.counters.div_ops += 1;
-                cycles += self.core.div_latency - 1;
-            }
-            RetireKind::Load { addr } | RetireKind::Store { addr } => {
-                let is_load = matches!(r.kind, RetireKind::Load { .. });
-                if is_load {
-                    self.counters.loads += 1;
-                } else {
-                    self.counters.stores += 1;
-                }
-                if is_remote {
-                    if let Some(remote) = &mut self.remote {
-                        let stall = remote.access(addr);
-                        self.counters.remote_stall_cycles += stall;
-                        // Software paging burns the stall in the kernel;
-                        // the PFA stalls the hart in user mode.
-                        if remote.mode() == RemoteMode::SoftwarePaging {
-                            kernel_extra += stall;
-                        } else {
-                            cycles += stall;
-                        }
-                    }
-                }
-                if self.dcache.access(addr) == Access::Miss {
-                    cycles += self.miss_beyond_l1(addr);
-                } else {
-                    cycles += self.dcache.config().hit_latency - 1;
-                }
-            }
-            RetireKind::Branch { taken, .. } => {
-                self.counters.branches += 1;
-                if self.predictor.resolve(r.pc, taken) != taken {
-                    self.counters.mispredicts += 1;
-                    cycles += self.core.mispredict_penalty;
-                }
-            }
-            RetireKind::Jump { call, .. } => {
-                // Direct jumps resolve in the front end (BTB assumed);
-                // calls push the RAS.
-                if call {
-                    self.ras.push(r.pc + 4);
-                }
-            }
-            RetireKind::JumpReg { target, call, ret } => {
-                self.counters.indirect_jumps += 1;
-                let mut predicted = false;
-                if ret {
-                    // `ret`: consult the RAS.
-                    if self.ras.pop() == Some(target) {
-                        predicted = true;
-                        self.counters.ras_hits += 1;
-                    }
-                } else if call {
-                    // Indirect call: push the return address.
-                    self.ras.push(r.pc + 4);
-                }
-                if !predicted {
-                    cycles += self.core.jalr_penalty;
-                }
-            }
-        }
-
-        self.counters.user_cycles += cycles;
-        self.counters.kernel_cycles += kernel_extra;
-        self.counters.cycles += cycles + kernel_extra;
+        let mut records = [Record::default(); 2];
+        let mut len = 0;
+        Record::encode(r, is_remote, |rec| {
+            records[len] = rec;
+            len += 1;
+        });
+        self.charge(&records[..len]);
     }
 
     /// Charges the modelled kernel cost of a syscall.
     fn syscall(&mut self, sys: u64) {
-        use marshal_isa::abi::sys as s;
-        self.counters.syscalls += 1;
-        let extra = match sys {
-            s::WRITE => 300,
-            s::READ => 250,
-            s::OPEN => 1000,
-            s::CLOSE => 200,
-            s::EXIT => 100,
-            s::ARGC | s::ARGV => 50,
-            s::MMAP_REMOTE => 1500,
-            s::TRACE => 100,
-            _ => 400,
-        };
-        let cost = self.core.syscall_base_cost + extra;
-        self.counters.kernel_cycles += cost;
-        self.counters.cycles += cost;
+        self.charge(&[Record::syscall(sys)]);
     }
 }
 
@@ -429,6 +723,26 @@ leaf:
         assert_eq!(pipe.counters().kernel_cycles, cost);
         assert_eq!(pipe.counters().user_cycles, 0);
         assert_eq!(pipe.counters().syscalls, 1);
+    }
+
+    #[test]
+    fn batches_hand_the_last_lines_to_the_next_batch() {
+        // The charging loop keeps the last I- and D-line in locals; the
+        // caches must hold them after each batch, so a batch that starts
+        // on the same lines repeats them without a set lookup.
+        let load = |pc, addr| Retired {
+            pc,
+            next_pc: pc + 4,
+            kind: RetireKind::Load { addr },
+        };
+        let mut pipe = Pipeline::new(&HardwareConfig::rocket());
+        for (pc, addr) in [(0x1000, 0x8000), (0x1040, 0x8040), (0x1044, 0x8048)] {
+            pipe.retire(&load(pc, addr), false);
+            assert_eq!(pipe.icache.last_line(), Some(pc >> 6));
+            assert_eq!(pipe.dcache.last_line(), Some(addr >> 6));
+        }
+        assert_eq!(pipe.icache_stats().misses, 2);
+        assert_eq!(pipe.dcache_stats().misses, 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `marshal` command-line tool (Table I of the paper).
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -13,7 +14,7 @@ fn main() -> ExitCode {
     };
     // `help` needs no workload setup (and must not create a workdir).
     if matches!(parsed.command, marshal_core::cli::Command::Help) {
-        println!("{}", marshal_core::cli::USAGE);
+        print_lines([marshal_core::cli::USAGE]);
         return ExitCode::SUCCESS;
     }
     let setup = match marshal_workloads::setup(std::path::Path::new(&parsed.workdir)) {
@@ -24,8 +25,21 @@ fn main() -> ExitCode {
         }
     };
     let (code, log) = marshal_core::cli::run_command(&parsed, setup.board, setup.search);
-    for line in log {
-        println!("{line}");
-    }
+    print_lines(&log);
     ExitCode::from(code as u8)
+}
+
+/// Writes `lines` to stdout, one per line. A reader that has gone away
+/// (`marshal ... | head -1`) ends the output quietly; the exit code still
+/// reports the command.
+fn print_lines<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) {
+    let mut out = std::io::stdout().lock();
+    let written = lines
+        .into_iter()
+        .try_for_each(|line| writeln!(out, "{}", line.as_ref()))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => eprintln!("error: writing output: {e}"),
+        _ => {}
+    }
 }

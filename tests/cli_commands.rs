@@ -95,6 +95,21 @@ fn marshal_binary_smoke() {
 }
 
 #[test]
+fn marshal_survives_a_closed_stdout() {
+    // `marshal help | true`: the reader is gone before the first line.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_marshal"))
+        .arg("help")
+        .stdout(writer)
+        .output()
+        .expect("run marshal");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn test_manual_compares_existing_outputs() {
     // §III-E: "users can verify the outputs using the test command with
     // the --manual option to compare outputs as if FireMarshal had run the
