@@ -18,8 +18,7 @@
 //! escape for a pc that does not fit. Each batch is charged by
 //! [`Pipeline::charge`], the pipeline's one charging body.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use marshal_isa::interp::Retired;
@@ -88,17 +87,14 @@ impl PerfReport {
     }
 }
 
-/// Records per batch handed to the timing thread, at most.
-const BATCH: usize = 4096;
+/// Records per batch handed to the timing thread, at most. A timing
+/// thread that keeps up with the interpreter sleeps between batches, and
+/// each wake-up costs the interpreter microseconds on a virtualised host,
+/// so a batch is large enough to make them rare.
+const BATCH: usize = 16384;
 
 /// Full batches queued before the interpreter waits for the timing thread.
-const QUEUE: usize = 8;
-
-/// Queued batches that wake a sleeping timing thread, and the queue length
-/// at or below which the timing thread wakes a sleeping interpreter: each
-/// side that sleeps then has several batches to work through before the
-/// next wake-up. A wake-up across host cores costs far more than a batch.
-const WAKE: usize = QUEUE / 2;
+const QUEUE: usize = 4;
 
 /// The interpreter's end of a node's [`Pipeline`].
 ///
@@ -134,14 +130,15 @@ impl<'scope, 'env> Feed<'scope, 'env> {
         self.batch.len() < BATCH - 1
     }
 
-    /// [`Timing::retire`] off the fast path: a branch or jump, a full
-    /// batch or a pc that takes the escape.
+    /// [`Timing::retire`] off the fast path: a jump, a full batch or a pc
+    /// that takes the escape. It takes the instruction by value, so the
+    /// step loop copies it out only on this path.
     #[inline(never)]
-    fn retire_slow(&mut self, r: &Retired, is_remote: bool) {
+    fn retire_slow(&mut self, r: Retired, is_remote: bool) {
         if !self.has_room() {
             self.send();
         }
-        Record::encode(r, is_remote, |record| self.batch.push(record));
+        Record::encode(&r, is_remote, |record| self.batch.push(record));
     }
 
     /// Hands the full batch to the timing thread, starting the thread on
@@ -189,7 +186,7 @@ impl Timing for Feed<'_, '_> {
     fn retire(&mut self, r: &Retired, is_remote: bool) {
         match Record::straight(r, is_remote) {
             Some(record) if self.has_room() => self.batch.push(record),
-            _ => self.retire_slow(r, is_remote),
+            _ => self.retire_slow(*r, is_remote),
         }
     }
 
@@ -203,154 +200,63 @@ impl Timing for Feed<'_, '_> {
 
 /// A [`Pipeline`] running on a thread of its own.
 ///
-/// Full batches of [`Record`]s go to the thread through a bounded queue
-/// (the [`Handoff`]); it charges them to the pipeline in order and hands
-/// each one back emptied, with the cycle count after it, for reuse.
-/// [`Thread::sync`] sends the partial batch and waits until every batch is
-/// back, so it answers exactly what a pipeline fed on this thread would.
+/// Full batches of [`Record`]s go to the thread over a bounded queue; it
+/// charges them to the pipeline in order and hands each one back emptied,
+/// with the cycle count after it, for reuse. [`Thread::sync`] sends the
+/// partial batch and waits until every batch is back, so it answers
+/// exactly what a pipeline fed on this thread would. Dropping a `Thread`
+/// closes the queue, so the timing thread ends even when the interpreter
+/// unwinds from a panic.
 struct Thread<'scope> {
-    handoff: Arc<Handoff>,
-    model: ScopedJoinHandle<'scope, Pipeline>,
-}
-
-/// The queue between a [`Feed`] and its [`Thread`], under one lock.
-///
-/// A side that must wait sleeps on its condition variable at once rather
-/// than spinning first: the two threads may share one host core, and a
-/// spinning waiter takes the time the other needs. A side wakes the other
-/// only when it sleeps, and then only once [`WAKE`] batches are waiting
-/// for it (or when the interpreter waits for every batch).
-struct Handoff {
-    queue: Mutex<Queue>,
-    /// Signalled when a full batch arrives or the feed closes.
-    filled: Condvar,
-    /// Signalled when a batch comes back charged or the model stops.
-    emptied: Condvar,
-}
-
-struct Queue {
-    full: VecDeque<Vec<Record>>,
-    /// Charged batches, emptied for reuse.
-    empty: Vec<Vec<Record>>,
-    /// Batches sent and not yet charged.
+    spare: Vec<Vec<Record>>,
+    to_model: SyncSender<Vec<Record>>,
+    from_model: Receiver<(Vec<Record>, u64)>,
     in_flight: usize,
-    /// Modelled cycles after the last charged batch.
     cycles: u64,
-    /// The feed sends no more batches.
-    closed: bool,
-    /// The model thread has exited (after `closed`, or by panicking).
-    stopped: bool,
-    model_sleeps: bool,
-    feed_sleeps: bool,
-}
-
-impl Handoff {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Waits on `emptied` until `done` holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model thread has stopped.
-    fn feed_waits<'a>(
-        &self,
-        mut queue: MutexGuard<'a, Queue>,
-        done: impl Fn(&Queue) -> bool,
-    ) -> MutexGuard<'a, Queue> {
-        loop {
-            assert!(!queue.stopped, "timing thread stopped");
-            if done(&queue) {
-                return queue;
-            }
-            queue.feed_sleeps = true;
-            queue = self
-                .emptied
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
-            queue.feed_sleeps = false;
-        }
-    }
-}
-
-/// Marks the model thread stopped when it exits, however it exits, and
-/// wakes the feed.
-struct Stops<'a>(&'a Handoff);
-
-impl Drop for Stops<'_> {
-    fn drop(&mut self) {
-        self.0.lock().stopped = true;
-        self.0.emptied.notify_one();
-    }
+    model: ScopedJoinHandle<'scope, Pipeline>,
 }
 
 impl<'scope> Thread<'scope> {
     /// Starts `pipeline` on a thread of `scope`. The thread returns the
-    /// pipeline once the feed closes and every record is charged.
+    /// pipeline once the queue is closed and every record is charged.
     fn spawn(scope: &'scope Scope<'scope, '_>, mut pipeline: Pipeline) -> Thread<'scope> {
-        let handoff = Arc::new(Handoff {
-            queue: Mutex::new(Queue {
-                full: VecDeque::with_capacity(QUEUE),
-                empty: Vec::new(),
-                in_flight: 0,
-                cycles: pipeline.counters().cycles,
-                closed: false,
-                stopped: false,
-                model_sleeps: false,
-                feed_sleeps: false,
-            }),
-            filled: Condvar::new(),
-            emptied: Condvar::new(),
-        });
-        let shared = Arc::clone(&handoff);
+        let (to_model, batches) = mpsc::sync_channel::<Vec<Record>>(QUEUE);
+        let (spent, from_model) = mpsc::channel();
+        let cycles = pipeline.counters().cycles;
         let model = scope.spawn(move || {
-            let _stops = Stops(&shared);
-            loop {
-                let mut queue = shared.lock();
-                let mut batch = loop {
-                    if let Some(batch) = queue.full.pop_front() {
-                        break batch;
-                    }
-                    if queue.closed {
-                        return pipeline;
-                    }
-                    queue.model_sleeps = true;
-                    queue = shared
-                        .filled
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue.model_sleeps = false;
-                };
-                drop(queue);
+            for mut batch in batches {
                 pipeline.charge(&batch);
                 batch.clear();
-                let mut queue = shared.lock();
-                queue.empty.push(batch);
-                queue.in_flight -= 1;
-                queue.cycles = pipeline.counters().cycles;
-                if queue.feed_sleeps && (queue.full.len() <= WAKE || queue.in_flight == 0) {
-                    shared.emptied.notify_one();
-                }
+                // A closed queue takes no batches back; they are dropped.
+                let _ = spent.send((batch, pipeline.counters().cycles));
             }
+            pipeline
         });
-        Thread { handoff, model }
+        Thread {
+            spare: Vec::new(),
+            to_model,
+            from_model,
+            in_flight: 0,
+            cycles,
+            model,
+        }
     }
 
-    /// Hands `batch` to the thread, leaving an empty one in its place;
-    /// waits while [`QUEUE`] full batches are queued.
+    /// Hands `batch` to the thread, leaving an empty one in its place.
     fn send(&mut self, batch: &mut Vec<Record>) {
-        let handoff = &*self.handoff;
-        let mut queue = handoff.feed_waits(handoff.lock(), |q| q.full.len() < QUEUE);
-        let next = queue
-            .empty
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(BATCH));
-        queue.full.push_back(std::mem::replace(batch, next));
-        queue.in_flight += 1;
-        if queue.model_sleeps && queue.full.len() >= WAKE {
-            handoff.filled.notify_one();
-        }
+        let next = match self.spare.pop() {
+            Some(batch) => batch,
+            None => match self.from_model.try_recv() {
+                Ok((batch, _)) => {
+                    self.in_flight -= 1;
+                    batch
+                }
+                Err(_) => Vec::with_capacity(BATCH),
+            },
+        };
+        let full = std::mem::replace(batch, next);
+        self.to_model.send(full).expect("timing thread stopped");
+        self.in_flight += 1;
     }
 
     /// Sends the partial `batch` and waits for every batch to be
@@ -359,12 +265,13 @@ impl<'scope> Thread<'scope> {
         if !batch.is_empty() {
             self.send(batch);
         }
-        let handoff = &*self.handoff;
-        let queue = handoff.lock();
-        if queue.model_sleeps {
-            handoff.filled.notify_one();
+        while self.in_flight > 0 {
+            let (spent, cycles) = self.from_model.recv().expect("timing thread stopped");
+            self.in_flight -= 1;
+            self.cycles = cycles;
+            self.spare.push(spent);
         }
-        handoff.feed_waits(queue, |q| q.in_flight == 0).cycles
+        self.cycles
     }
 
     /// Sends the last records, closes the queue and takes the pipeline
@@ -373,8 +280,7 @@ impl<'scope> Thread<'scope> {
         if !batch.is_empty() {
             self.send(&mut batch);
         }
-        self.handoff.lock().closed = true;
-        self.handoff.filled.notify_one();
+        drop(self.to_model);
         self.model
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -608,11 +514,13 @@ nofb:
         // (program, whether it fills a batch): a run that ends before the
         // first batch fills; a rdcycle before the thread starts, whose
         // value is the exit code; a rdcycle after it, likewise.
+        // The filling loops retire two instructions per iteration, so
+        // `BATCH` iterations fill the first batch.
         let exit = "li a7, 93\n ecall\n";
         let cases = [
             (format!("_start:\n li t0, 100\nl: addi t0, t0, -1\n bnez t0, l\n li a0, 0\n {exit}"), false),
-            (format!("_start:\n addi t1, t1, 1\n rdcycle a0\n li t0, 6000\nl: addi t0, t0, -1\n bnez t0, l\n {exit}"), true),
-            (format!("_start:\n li t0, 6000\nl: addi t0, t0, -1\n bnez t0, l\n rdcycle a0\n srli a0, a0, 8\n {exit}"), true),
+            (format!("_start:\n addi t1, t1, 1\n rdcycle a0\n li t0, {BATCH}\nl: addi t0, t0, -1\n bnez t0, l\n {exit}"), true),
+            (format!("_start:\n li t0, {BATCH}\nl: addi t0, t0, -1\n bnez t0, l\n rdcycle a0\n srli a0, a0, 8\n {exit}"), true),
         ];
         for (src, fills) in &cases {
             let job = bare_job(src);
@@ -632,21 +540,22 @@ nofb:
 
     #[test]
     fn decoupled_rdcycle_in_a_hot_loop_matches_same_thread() {
-        // 40 rounds of a 1,500-iteration branchy loop, ~13,000 events
-        // each: rdcycle is read three times a round, so runs of several
-        // full batches pass between reads. The exit code folds every
+        // 10 rounds of a 10,000-iteration branchy loop, ~80,000 events
+        // each: rdcycle is read four times a round (at its start, when
+        // the counter reaches 8,192 and 4,096, and at its end), so up to
+        // two full batches pass between reads. The exit code folds every
         // read in.
         let src = r#"
         .data
 msg:    .ascii "rounds done\n"
         .text
 _start:
-        li      s0, 40         # rounds
+        li      s0, 10         # rounds
         li      s1, 0          # checksum of cycle deltas
         li      t3, 0xACE      # lfsr state
 round:
         rdcycle s2
-        li      t0, 1500
+        li      t0, 10000
 inner:
         andi    t4, t3, 1
         srli    t3, t3, 1
@@ -654,7 +563,7 @@ inner:
         li      t6, 0xB400
         xor     t3, t3, t6
 nofb:
-        andi    t5, t0, 1023
+        slli    t5, t0, 52     # the low 12 bits
         bnez    t5, next
         rdcycle t5
         add     s1, s1, t5
@@ -676,7 +585,9 @@ next:
         ecall
 "#;
         for hw in [HardwareConfig::boom_gshare(), HardwareConfig::boom_tage()] {
-            assert_decoupled_matches(&FireSim::new(hw), &bare_job(src));
+            let sim = FireSim::new(hw);
+            assert!(spawns_thread(&sim, &bare_job(src)));
+            assert_decoupled_matches(&sim, &bare_job(src));
         }
     }
 
@@ -936,5 +847,36 @@ l:      addi    t1, t1, -1
                 < 1e-12
         );
         assert!(report.summary().contains("bpred="));
+    }
+
+    #[test]
+    fn a_panic_after_the_timing_thread_starts_unwinds() {
+        // The interpreter side panics once the timing thread holds the
+        // pipeline: dropping the feed must end that thread, so the scope
+        // joins it and the panic comes out rather than a hang.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let hw = HardwareConfig::boom_tage();
+            let unwound = std::panic::catch_unwind(|| {
+                std::thread::scope(|scope| {
+                    let mut feed = Feed::new(scope, Pipeline::new(&hw));
+                    let r = Retired {
+                        pc: 0x1000,
+                        next_pc: 0x1004,
+                        kind: marshal_isa::interp::RetireKind::Alu,
+                    };
+                    for _ in 0..3 * BATCH {
+                        feed.retire(&r, false);
+                    }
+                    assert!(feed.thread.is_some(), "the timing thread started");
+                    panic!("interpreter fault");
+                })
+            });
+            let _ = done.send(unwound.is_err());
+        });
+        let unwound = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hangs after a panic");
+        assert!(unwound, "the panic propagates");
     }
 }

@@ -62,6 +62,8 @@ pub struct Record {
     operand: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<Record>() == 16);
+
 /// `bits` when `set`, else none: a code byte's flag.
 #[inline]
 fn flag(set: bool, bits: u8) -> u8 {
@@ -89,25 +91,36 @@ impl Record {
 
     /// The record of a retired instruction that is not a jump and whose pc
     /// is below 2^56, or `None`: the interpreter's fast path, where these
-    /// make most of the stream. Reading no jump flags keeps it small enough
-    /// to inline into the step loop; [`Record::encode`] takes the rest.
+    /// make most of the stream. [`Record::encode`] takes the rest.
     /// `is_remote` marks an access to the remote-memory window.
+    ///
+    /// Each match yields a value only, and the kind codes follow
+    /// [`RetireKind`]'s order, so the compiler reads the kind once and
+    /// selects the fields without a jump per kind: a jump the host
+    /// mispredicts whenever the kind changes.
     #[inline]
     pub fn straight(r: &Retired, is_remote: bool) -> Option<Record> {
         use code::*;
-        let (kind, operand) = match r.kind {
-            RetireKind::Alu => (ALU, 0),
-            RetireKind::Mul => (MUL, 0),
-            RetireKind::Div => (DIV, 0),
-            RetireKind::Load { addr } => (LOAD, addr),
-            RetireKind::Store { addr } => (STORE, addr),
-            RetireKind::Csr => (CSR, 0),
-            RetireKind::System => (SYSTEM, 0),
-            RetireKind::Branch { taken, .. } => (BRANCH | flag(taken, TAKEN), 0),
-            RetireKind::Jump { .. } | RetireKind::JumpReg { .. } => return None,
+        let kind = match r.kind {
+            RetireKind::Alu => ALU,
+            RetireKind::Mul => MUL,
+            RetireKind::Div => DIV,
+            RetireKind::Load { .. } => LOAD,
+            RetireKind::Store { .. } => STORE,
+            RetireKind::Branch { .. } => BRANCH,
+            RetireKind::Jump { .. } => JUMP,
+            RetireKind::JumpReg { .. } => JUMP_REG,
+            RetireKind::Csr => CSR,
+            RetireKind::System => SYSTEM,
         };
-        let code = kind | flag(is_remote, REMOTE);
-        Record::fits(r.pc).then(|| Record::new(code, r.pc, operand))
+        let operand = match r.kind {
+            RetireKind::Load { addr } | RetireKind::Store { addr } => addr,
+            _ => 0,
+        };
+        let taken = matches!(r.kind, RetireKind::Branch { taken: true, .. });
+        let code = kind | flag(taken, TAKEN) | flag(is_remote, REMOTE);
+        let straight = kind != JUMP && kind != JUMP_REG && Record::fits(r.pc);
+        straight.then(|| Record::new(code, r.pc, operand))
     }
 
     /// Emits the records of one retired instruction at any pc: its own,
@@ -153,72 +166,6 @@ impl Record {
     fn code(self) -> u8 {
         (self.word >> 56) as u8
     }
-}
-
-/// One event of a [`Record`] stream, read back by [`decode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decoded {
-    /// A retired instruction and its remote flag. What a record does not
-    /// carry reads as zero: `next_pc` and the branch and `jal` targets.
-    Retire(Retired, bool),
-    /// A serviced syscall (its number).
-    Syscall(u64),
-}
-
-/// Reads a stream of records back into the events they encode.
-///
-/// # Panics
-///
-/// Panics on a wide-pc escape without its record, or an unknown kind.
-pub fn decode(records: &[Record]) -> Vec<Decoded> {
-    use code::*;
-    let mut out = Vec::new();
-    let mut records = records.iter();
-    while let Some(&rec) = records.next() {
-        let (pc, rec) = match rec.code() {
-            WIDE_PC => (
-                rec.operand,
-                *records.next().expect("a record after the escape"),
-            ),
-            _ => (rec.word & PC_MASK, rec),
-        };
-        let (code, operand) = (rec.code(), rec.operand);
-        let has = |flag: u8| code & flag != 0;
-        let kind = match code & KIND {
-            SYSCALL => {
-                out.push(Decoded::Syscall(operand));
-                continue;
-            }
-            ALU => RetireKind::Alu,
-            CSR => RetireKind::Csr,
-            SYSTEM => RetireKind::System,
-            MUL => RetireKind::Mul,
-            DIV => RetireKind::Div,
-            LOAD => RetireKind::Load { addr: operand },
-            STORE => RetireKind::Store { addr: operand },
-            BRANCH => RetireKind::Branch {
-                taken: has(TAKEN),
-                target: 0,
-            },
-            JUMP => RetireKind::Jump {
-                target: 0,
-                call: has(CALL),
-            },
-            JUMP_REG => RetireKind::JumpReg {
-                target: operand,
-                call: has(CALL),
-                ret: has(RET),
-            },
-            other => panic!("record kind {other}"),
-        };
-        let r = Retired {
-            pc,
-            next_pc: 0,
-            kind,
-        };
-        out.push(Decoded::Retire(r, has(REMOTE)));
-    }
-    out
 }
 
 /// Performance counters for one simulated node.
