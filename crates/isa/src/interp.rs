@@ -3,17 +3,18 @@
 //! [`Cpu::step`] executes exactly one instruction against a [`Bus`] and
 //! reports what happened as a [`StepOutcome`]. It decodes the word into
 //! the same 8-byte [`Op`] the predecoded block loop ([`crate::predecode`])
-//! runs, and both execute it through one body. The cycle-exact simulator
-//! in `marshal-sim-rtl` consumes the same [`Retired`] records as a
-//! perfectly-accurate execution trace, which guarantees both simulators run
-//! the identical instruction stream — the property FireMarshal's
-//! `launch`/`install` portability depends on.
+//! runs, and both execute it through one body, which emits each op's
+//! dynamic facts ([`Emit`]) as it retires. The cycle-exact simulator in
+//! `marshal-sim-rtl` rebuilds the exact instruction stream from those facts
+//! and the op table, which guarantees both simulators run the identical
+//! instruction stream — the property FireMarshal's `launch`/`install`
+//! portability depends on.
 
 use crate::inst::{csr, Reg};
 use crate::mem::Bus;
 #[cfg(doc)]
 use crate::predecode::DecodeCache;
-use crate::predecode::{Code, Op};
+use crate::predecode::{Class, Code, Emit, Op};
 
 /// An architectural trap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +64,8 @@ impl std::fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
-/// Classification of a retired instruction, consumed by the timing model.
+/// Classification of a retired instruction: its op's [`Class`] with the
+/// dynamic facts the executor emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireKind {
     /// Simple integer ALU operation (1-cycle class).
@@ -112,11 +114,43 @@ pub enum RetireKind {
     System,
 }
 
+impl RetireKind {
+    /// The class of the op this kind was built from.
+    pub fn class(&self) -> Class {
+        match self {
+            RetireKind::Alu => Class::Alu,
+            RetireKind::Mul => Class::Mul,
+            RetireKind::Div => Class::Div,
+            RetireKind::Load { .. } => Class::Load,
+            RetireKind::Store { .. } => Class::Store,
+            RetireKind::Branch { .. } => Class::Branch,
+            RetireKind::Jump { .. } => Class::Jump,
+            RetireKind::JumpReg { .. } => Class::JumpReg,
+            RetireKind::Csr => Class::Csr,
+            RetireKind::System => Class::System,
+        }
+    }
+
+    /// Where control goes after this kind of instruction at `pc`.
+    pub fn next_pc(&self, pc: u64) -> u64 {
+        match *self {
+            RetireKind::Branch {
+                taken: true,
+                target,
+            }
+            | RetireKind::Jump { target, .. }
+            | RetireKind::JumpReg { target, .. } => target,
+            _ => pc.wrapping_add(4),
+        }
+    }
+}
+
 /// A fully-retired instruction, with everything a timing model needs.
 ///
 /// The record is deliberately small (no copy of the decoded
 /// [`Inst`](crate::inst::Inst)): the [`RetireKind`] carries every fact the
 /// timing model dispatches on, including the call/return flags of jumps.
+/// Only [`Cpu::step`] builds one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
     /// PC of the instruction.
@@ -225,22 +259,21 @@ impl Cpu {
     pub fn step<B: Bus>(&mut self, bus: &mut B) -> Result<StepOutcome, Trap> {
         let pc = self.pc;
         let op = Op::decode(bus.fetch(pc)?);
-        let (next_pc, outcome) = match self.exec(bus, op, pc, |_, _| {})? {
-            Done::Next(kind) => {
-                let next_pc = pc.wrapping_add(4);
-                (next_pc, StepOutcome::Retired(Retired { pc, next_pc, kind }))
-            }
-            Done::Jump(kind, next_pc) => {
-                (next_pc, StepOutcome::Retired(Retired { pc, next_pc, kind }))
-            }
-            Done::Ecall => (pc.wrapping_add(4), StepOutcome::Ecall),
-            Done::Ebreak => (pc.wrapping_add(4), StepOutcome::Ebreak),
+        let mut facts = Facts::default();
+        let (next_pc, outcome) = match self.exec(bus, op, pc, &mut facts, |_, _, _| {})? {
+            Done::Next | Done::Store(_) => (pc.wrapping_add(4), None),
+            Done::Jump(target) => (target, None),
+            Done::Ecall => (pc.wrapping_add(4), Some(StepOutcome::Ecall)),
+            Done::Ebreak => (pc.wrapping_add(4), Some(StepOutcome::Ebreak)),
             Done::End | Done::Unmapped => unreachable!("{op:?} only occurs in a predecoded page"),
         };
         self.pc = next_pc;
         self.instret += 1;
         self.cycle += 1;
-        Ok(outcome)
+        Ok(outcome.unwrap_or_else(|| {
+            let kind = facts.kind(op, pc);
+            StepOutcome::Retired(Retired { pc, next_pc, kind })
+        }))
     }
 
     /// Writes `rd`; `x0` stays zero.
@@ -253,80 +286,78 @@ impl Cpu {
     /// Executes `op`, the instruction at `pc`: the one execution body of
     /// [`Cpu::step`] and [`DecodeCache::run_block`].
     ///
-    /// It writes registers, CSRs and memory and reports where control
-    /// goes; moving the PC and counting the instruction in `instret` and
-    /// `cycle` is the caller's, so a block can keep them in locals. `sync`
-    /// runs right before a CSR access, with `true` for a read of the clock
+    /// It writes registers, CSRs and memory, emits the op's dynamic facts
+    /// to `emit` once it retires, and reports where control goes; moving
+    /// the PC and counting the instruction in `instret` and `cycle` is the
+    /// caller's, so a block can keep them in locals. `sync` runs right
+    /// before a CSR access, with `true` for a read of the clock
     /// ([`Code::Counter`]), and must bring `instret` and `cycle` up to date.
     ///
     /// # Errors
     ///
-    /// The trap, with nothing written.
+    /// The trap, with nothing written or emitted.
     #[inline(always)]
-    pub(crate) fn exec<B: Bus>(
+    pub(crate) fn exec<B: Bus, E: Emit + ?Sized>(
         &mut self,
         bus: &mut B,
         op: Op,
         pc: u64,
-        sync: impl FnOnce(&mut Cpu, bool),
+        emit: &mut E,
+        sync: impl FnOnce(&mut Cpu, &mut E, bool),
     ) -> Result<Done, Trap> {
-        use RetireKind::{Alu, Div, Load, Mul};
-        const RA: u8 = 1;
         let a = self.regs[usize::from(op.rs1 & 31)];
         let b = self.regs[usize::from(op.rs2 & 31)];
         let imm = i64::from(op.imm);
         let addr = a.wrapping_add(imm as u64);
-        let (value, kind) = match op.code {
-            Code::Add => (a.wrapping_add(b), Alu),
-            Code::Sub => (a.wrapping_sub(b), Alu),
-            Code::Sll => (a << (b & 0x3f), Alu),
-            Code::Slt => (((a as i64) < (b as i64)) as u64, Alu),
-            Code::Sltu => ((a < b) as u64, Alu),
-            Code::Xor => (a ^ b, Alu),
-            Code::Srl => (a >> (b & 0x3f), Alu),
-            Code::Sra => (((a as i64) >> (b & 0x3f)) as u64, Alu),
-            Code::Or => (a | b, Alu),
-            Code::And => (a & b, Alu),
-            Code::Addw => ((a.wrapping_add(b) as i32) as i64 as u64, Alu),
-            Code::Subw => ((a.wrapping_sub(b) as i32) as i64 as u64, Alu),
-            Code::Sllw => ((((a as u32) << (b & 0x1f)) as i32) as i64 as u64, Alu),
-            Code::Srlw => ((((a as u32) >> (b & 0x1f)) as i32) as i64 as u64, Alu),
-            Code::Sraw => ((((a as i32) >> (b & 0x1f)) as i64) as u64, Alu),
-            Code::Mul => (a.wrapping_mul(b), Mul),
-            Code::Mulh => (
-                (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
-                Mul,
-            ),
-            Code::Mulhsu => (
-                (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
-                Mul,
-            ),
-            Code::Mulhu => ((((a as u128) * (b as u128)) >> 64) as u64, Mul),
+        let value = match op.code {
+            Code::Add => a.wrapping_add(b),
+            Code::Sub => a.wrapping_sub(b),
+            Code::Sll => a << (b & 0x3f),
+            Code::Slt => ((a as i64) < (b as i64)) as u64,
+            Code::Sltu => (a < b) as u64,
+            Code::Xor => a ^ b,
+            Code::Srl => a >> (b & 0x3f),
+            Code::Sra => ((a as i64) >> (b & 0x3f)) as u64,
+            Code::Or => a | b,
+            Code::And => a & b,
+            Code::Addw => (a.wrapping_add(b) as i32) as i64 as u64,
+            Code::Subw => (a.wrapping_sub(b) as i32) as i64 as u64,
+            Code::Sllw => (((a as u32) << (b & 0x1f)) as i32) as i64 as u64,
+            Code::Srlw => (((a as u32) >> (b & 0x1f)) as i32) as i64 as u64,
+            Code::Sraw => (((a as i32) >> (b & 0x1f)) as i64) as u64,
+            Code::Mul => a.wrapping_mul(b),
+            Code::Mulh => (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
+            Code::Mulhsu => (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
+            Code::Mulhu => (((a as u128) * (b as u128)) >> 64) as u64,
             Code::Div => {
                 let (a, b) = (a as i64, b as i64);
-                let v = if b == 0 {
+                if b == 0 {
                     u64::MAX
                 } else if a == i64::MIN && b == -1 {
                     a as u64
                 } else {
                     (a / b) as u64
-                };
-                (v, Div)
+                }
             }
-            Code::Divu => (a.checked_div(b).unwrap_or(u64::MAX), Div),
+            Code::Divu => a.checked_div(b).unwrap_or(u64::MAX),
             Code::Rem => {
                 let (a, b) = (a as i64, b as i64);
-                let v = if b == 0 {
+                if b == 0 {
                     a as u64
                 } else if a == i64::MIN && b == -1 {
                     0
                 } else {
                     (a % b) as u64
-                };
-                (v, Div)
+                }
             }
-            Code::Remu => (if b == 0 { a } else { a % b }, Div),
-            Code::Mulw => (((a as i32).wrapping_mul(b as i32)) as i64 as u64, Mul),
+            Code::Remu => {
+                if b == 0 {
+                    a
+                } else {
+                    a % b
+                }
+            }
+            Code::Mulw => ((a as i32).wrapping_mul(b as i32)) as i64 as u64,
             Code::Divw => {
                 let (a, b) = (a as i32, b as i32);
                 let v = if b == 0 {
@@ -336,14 +367,11 @@ impl Cpu {
                 } else {
                     a / b
                 };
-                (v as i64 as u64, Div)
+                v as i64 as u64
             }
             Code::Divuw => {
                 let (a, b) = (a as u32, b as u32);
-                (
-                    a.checked_div(b).unwrap_or(u32::MAX) as i32 as i64 as u64,
-                    Div,
-                )
+                a.checked_div(b).unwrap_or(u32::MAX) as i32 as i64 as u64
             }
             Code::Remw => {
                 let (a, b) = (a as i32, b as i32);
@@ -354,80 +382,68 @@ impl Cpu {
                 } else {
                     a % b
                 };
-                (v as i64 as u64, Div)
+                v as i64 as u64
             }
             Code::Remuw => {
                 let (a, b) = (a as u32, b as u32);
                 let v = if b == 0 { a } else { a % b };
-                (v as i32 as i64 as u64, Div)
+                v as i32 as i64 as u64
             }
-            Code::Addi => (a.wrapping_add(imm as u64), Alu),
-            Code::Slti => (((a as i64) < imm) as u64, Alu),
-            Code::Sltiu => ((a < imm as u64) as u64, Alu),
-            Code::Xori => (a ^ imm as u64, Alu),
-            Code::Ori => (a | imm as u64, Alu),
-            Code::Andi => (a & imm as u64, Alu),
-            Code::Slli => (a << (imm & 0x3f), Alu),
-            Code::Srli => (a >> (imm & 0x3f), Alu),
-            Code::Srai => (((a as i64) >> (imm & 0x3f)) as u64, Alu),
-            Code::Addiw => ((a.wrapping_add(imm as u64) as i32) as i64 as u64, Alu),
-            Code::Slliw => ((((a as u32) << (imm & 0x1f)) as i32) as i64 as u64, Alu),
-            Code::Srliw => ((((a as u32) >> (imm & 0x1f)) as i32) as i64 as u64, Alu),
-            Code::Sraiw => ((((a as i32) >> (imm & 0x1f)) as i64) as u64, Alu),
-            Code::Beq => return Ok(branch(pc, imm, a == b)),
-            Code::Bne => return Ok(branch(pc, imm, a != b)),
-            Code::Blt => return Ok(branch(pc, imm, (a as i64) < (b as i64))),
-            Code::Bge => return Ok(branch(pc, imm, (a as i64) >= (b as i64))),
-            Code::Bltu => return Ok(branch(pc, imm, a < b)),
-            Code::Bgeu => return Ok(branch(pc, imm, a >= b)),
-            Code::Lb => (load(bus, addr, 1)? as u8 as i8 as i64 as u64, Load { addr }),
-            Code::Lh => (
-                load(bus, addr, 2)? as u16 as i16 as i64 as u64,
-                Load { addr },
-            ),
-            Code::Lw => (
-                load(bus, addr, 4)? as u32 as i32 as i64 as u64,
-                Load { addr },
-            ),
-            Code::Ld => (load(bus, addr, 8)?, Load { addr }),
-            Code::Lbu => (load(bus, addr, 1)?, Load { addr }),
-            Code::Lhu => (load(bus, addr, 2)?, Load { addr }),
-            Code::Lwu => (load(bus, addr, 4)?, Load { addr }),
-            Code::Sb => return store(bus, addr, 1, b),
-            Code::Sh => return store(bus, addr, 2, b),
-            Code::Sw => return store(bus, addr, 4, b),
-            Code::Sd => return store(bus, addr, 8, b),
-            Code::Lui => (imm as u64, Alu),
-            Code::Auipc => (pc.wrapping_add(imm as u64), Alu),
+            Code::Addi => a.wrapping_add(imm as u64),
+            Code::Slti => ((a as i64) < imm) as u64,
+            Code::Sltiu => (a < imm as u64) as u64,
+            Code::Xori => a ^ imm as u64,
+            Code::Ori => a | imm as u64,
+            Code::Andi => a & imm as u64,
+            Code::Slli => a << (imm & 0x3f),
+            Code::Srli => a >> (imm & 0x3f),
+            Code::Srai => ((a as i64) >> (imm & 0x3f)) as u64,
+            Code::Addiw => (a.wrapping_add(imm as u64) as i32) as i64 as u64,
+            Code::Slliw => (((a as u32) << (imm & 0x1f)) as i32) as i64 as u64,
+            Code::Srliw => (((a as u32) >> (imm & 0x1f)) as i32) as i64 as u64,
+            Code::Sraiw => (((a as i32) >> (imm & 0x1f)) as i64) as u64,
+            Code::Beq => return Ok(branch(emit, pc, imm, a == b)),
+            Code::Bne => return Ok(branch(emit, pc, imm, a != b)),
+            Code::Blt => return Ok(branch(emit, pc, imm, (a as i64) < (b as i64))),
+            Code::Bge => return Ok(branch(emit, pc, imm, (a as i64) >= (b as i64))),
+            Code::Bltu => return Ok(branch(emit, pc, imm, a < b)),
+            Code::Bgeu => return Ok(branch(emit, pc, imm, a >= b)),
+            Code::Lb => load(bus, emit, addr, 1)? as u8 as i8 as i64 as u64,
+            Code::Lh => load(bus, emit, addr, 2)? as u16 as i16 as i64 as u64,
+            Code::Lw => load(bus, emit, addr, 4)? as u32 as i32 as i64 as u64,
+            Code::Ld => load(bus, emit, addr, 8)?,
+            Code::Lbu => load(bus, emit, addr, 1)?,
+            Code::Lhu => load(bus, emit, addr, 2)?,
+            Code::Lwu => load(bus, emit, addr, 4)?,
+            Code::Sb => return store(bus, emit, addr, 1, b),
+            Code::Sh => return store(bus, emit, addr, 2, b),
+            Code::Sw => return store(bus, emit, addr, 4, b),
+            Code::Sd => return store(bus, emit, addr, 8, b),
+            Code::Lui => imm as u64,
+            Code::Auipc => pc.wrapping_add(imm as u64),
             Code::Jal => {
-                let target = pc.wrapping_add(imm as u64);
                 self.set(op.rd, pc.wrapping_add(4));
-                let call = op.rd == RA;
-                return Ok(Done::Jump(RetireKind::Jump { target, call }, target));
+                return Ok(Done::Jump(op.target(pc)));
             }
             Code::Jalr => {
                 let target = addr & !1;
                 self.set(op.rd, pc.wrapping_add(4));
-                let kind = RetireKind::JumpReg {
-                    target,
-                    call: op.rd == RA,
-                    ret: op.rd == 0 && op.rs1 == RA,
-                };
-                return Ok(Done::Jump(kind, target));
+                emit.jump(target);
+                return Ok(Done::Jump(target));
             }
             Code::Counter => {
-                sync(self, true);
-                (self.cycle, RetireKind::Csr)
+                sync(self, emit, true);
+                self.cycle
             }
             Code::Csrrw | Code::Csrrs | Code::Csrrc => {
-                sync(self, false);
-                (self.csr(op, a), RetireKind::Csr)
+                sync(self, emit, false);
+                self.csr(op, a)
             }
             Code::Csrrwi | Code::Csrrsi | Code::Csrrci => {
-                sync(self, false);
-                (self.csr(op, u64::from(op.rs1)), RetireKind::Csr)
+                sync(self, emit, false);
+                self.csr(op, u64::from(op.rs1))
             }
-            Code::Fence => return Ok(Done::Next(RetireKind::System)),
+            Code::Fence => return Ok(Done::Next),
             Code::Ecall => return Ok(Done::Ecall),
             Code::Ebreak => return Ok(Done::Ebreak),
             Code::Illegal => {
@@ -438,7 +454,7 @@ impl Cpu {
             Code::End => return Ok(Done::End),
         };
         self.set(op.rd, value);
-        Ok(Done::Next(kind))
+        Ok(Done::Next)
     }
 
     /// A CSR access other than a clock read, with source value `src`
@@ -482,9 +498,12 @@ impl Cpu {
 /// How control leaves an op [`Cpu::exec`] ran.
 pub(crate) enum Done {
     /// Retired; execution continues at the next word.
-    Next(RetireKind),
+    Next,
+    /// A store retired at this address; execution continues at the next
+    /// word.
+    Store(u64),
     /// Retired; execution continues at the target.
-    Jump(RetireKind, u64),
+    Jump(u64),
     /// An `ecall` retired.
     Ecall,
     /// An `ebreak` retired.
@@ -496,35 +515,111 @@ pub(crate) enum Done {
     Unmapped,
 }
 
+/// The dynamic facts of one retired op, as [`Emit`] reports them: with the
+/// op they make its [`RetireKind`] ([`Facts::kind`]). [`Cpu::step`]
+/// builds its record this way, and so can a consumer that walks the pages
+/// a block ran on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Facts {
+    /// Whether a conditional branch was taken.
+    pub taken: bool,
+    /// A load or store address.
+    pub addr: u64,
+    /// A `jalr` target.
+    pub target: u64,
+}
+
+impl Emit for Facts {
+    #[inline]
+    fn branch(&mut self, taken: bool) {
+        self.taken = taken;
+    }
+
+    #[inline]
+    fn access(&mut self, addr: u64) {
+        self.addr = addr;
+    }
+
+    #[inline]
+    fn jump(&mut self, target: u64) {
+        self.target = target;
+    }
+}
+
+impl Facts {
+    /// The kind of `op`, retired at `pc` with these facts: its class,
+    /// flags and static target, and the facts its class emits.
+    pub fn kind(&self, op: Op, pc: u64) -> RetireKind {
+        match op.class() {
+            Class::Alu => RetireKind::Alu,
+            Class::Mul => RetireKind::Mul,
+            Class::Div => RetireKind::Div,
+            Class::Csr => RetireKind::Csr,
+            Class::System => RetireKind::System,
+            Class::Load => RetireKind::Load { addr: self.addr },
+            Class::Store => RetireKind::Store { addr: self.addr },
+            Class::Branch => RetireKind::Branch {
+                taken: self.taken,
+                target: op.target(pc),
+            },
+            Class::Jump => RetireKind::Jump {
+                target: op.target(pc),
+                call: op.is_call(),
+            },
+            Class::JumpReg => RetireKind::JumpReg {
+                target: self.target,
+                call: op.is_call(),
+                ret: op.is_ret(),
+            },
+            Class::Ecall | Class::Ebreak | Class::Stop => {
+                unreachable!("{op:?} retires no record")
+            }
+        }
+    }
+}
+
 /// A conditional branch at `pc` by `offset`.
 #[inline(always)]
-fn branch(pc: u64, offset: i64, taken: bool) -> Done {
-    let target = pc.wrapping_add(offset as u64);
-    let kind = RetireKind::Branch { taken, target };
+fn branch<E: Emit + ?Sized>(emit: &mut E, pc: u64, offset: i64, taken: bool) -> Done {
+    emit.branch(taken);
     if taken {
-        Done::Jump(kind, target)
+        Done::Jump(pc.wrapping_add(offset as u64))
     } else {
-        Done::Next(kind)
+        Done::Next
     }
 }
 
 /// A naturally-aligned load of `size` bytes, zero-extended.
 #[inline(always)]
-fn load<B: Bus>(bus: &mut B, addr: u64, size: usize) -> Result<u64, Trap> {
+fn load<B: Bus, E: Emit + ?Sized>(
+    bus: &mut B,
+    emit: &mut E,
+    addr: u64,
+    size: usize,
+) -> Result<u64, Trap> {
     if !addr.is_multiple_of(size as u64) {
         return Err(Trap::Misaligned { addr });
     }
-    bus.load(addr, size)
+    let value = bus.load(addr, size)?;
+    emit.access(addr);
+    Ok(value)
 }
 
 /// A naturally-aligned store of the low `size` bytes of `value`.
 #[inline(always)]
-fn store<B: Bus>(bus: &mut B, addr: u64, size: usize, value: u64) -> Result<Done, Trap> {
+fn store<B: Bus, E: Emit + ?Sized>(
+    bus: &mut B,
+    emit: &mut E,
+    addr: u64,
+    size: usize,
+    value: u64,
+) -> Result<Done, Trap> {
     if !addr.is_multiple_of(size as u64) {
         return Err(Trap::Misaligned { addr });
     }
     bus.store(addr, size, value)?;
-    Ok(Done::Next(RetireKind::Store { addr }))
+    emit.access(addr);
+    Ok(Done::Store(addr))
 }
 
 #[cfg(test)]

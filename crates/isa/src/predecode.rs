@@ -28,14 +28,31 @@
 //! known in advance) ask, so a timing model is consulted exactly where the
 //! guest can see it.
 //!
+//! # What a block reports
+//!
+//! Each op has a static timing [`Class`] ([`Op::class`], with
+//! [`Op::is_call`] and [`Op::is_ret`]): what a timing model charges it for
+//! follows from the table alone. So a block does not report instructions.
+//! It reports where it runs ([`BlockSink::enter`]: the page and the pc),
+//! the dynamic facts of its ops as they execute ([`Emit`]: a taken bit per
+//! conditional branch, an address per load and store, a target per
+//! `jalr`), and how many ops it retired ([`BlockSink::leave`]). Walking
+//! the same page from the same pc with those facts rebuilds the exact
+//! instruction stream. A filled [`Page`] is immutable and shared (`Arc`):
+//! a refill after a code store makes a new one, so a sink that keeps the
+//! pages it was handed sees what each block ran. The facts are emitted
+//! inside the executor's arms, so plain ops emit nothing, and `()` sinks
+//! nothing at all.
+//!
 //! # One execution body
 //!
 //! [`Cpu::step`] fetches a word, decodes it into an [`Op`] and runs the
-//! same executor the block loop runs, so cached and uncached execution
-//! retire bit-identical [`Retired`] records — the stream the cycle-exact
-//! timing model and cosim consume. A block must be observationally
-//! identical to the same number of [`Cpu::step`] calls, including the
-//! exact trap for every fault class:
+//! same executor the block loop runs, and builds its [`Retired`] record
+//! from the op's class and the facts the executor emitted — the record an
+//! uncached fallback step reports ([`BlockSink::step`]) and cosim and the
+//! reference loops consume. A block must be observationally identical to
+//! the same number of [`Cpu::step`] calls, including the exact trap for
+//! every fault class:
 //!
 //! - The block keeps the PC in a local and steps to the next op without
 //!   leaving the loop; a taken branch or jump whose target is an aligned
@@ -66,6 +83,8 @@
 //! superset of the cached pages, which is all correctness needs);
 //! [`DecodeCache::clear`] empties it.
 
+use std::sync::Arc;
+
 use crate::decode::decode;
 use crate::inst::{csr, Inst, Reg};
 #[cfg(doc)]
@@ -77,11 +96,12 @@ use crate::mem::Bus;
 pub const PAGE_SIZE: u64 = 4096;
 
 /// 32-bit instruction slots per page.
-const SLOTS_PER_PAGE: usize = (PAGE_SIZE / 4) as usize;
+pub const SLOTS_PER_PAGE: usize = (PAGE_SIZE / 4) as usize;
 
-/// Pages held before the cache resets itself. Far above what any MEXE
-/// binary needs; purely a bound on pathological self-modifying workloads.
-const MAX_PAGES: usize = 64;
+/// Pages held before the cache resets itself, and so the number of slots
+/// a [`BlockSink`] sees. Far above what any MEXE binary needs; purely a
+/// bound on pathological self-modifying workloads.
+pub const MAX_PAGES: usize = 64;
 
 /// What an [`Op`] does: one code per instruction variant the decoder
 /// produces, plus the table-only codes (see the module docs).
@@ -196,6 +216,84 @@ impl Code {
     };
 }
 
+impl Code {
+    /// The timing class of every op with this code.
+    pub const fn class(self) -> Class {
+        use Code::*;
+        match self {
+            Mul | Mulh | Mulhsu | Mulhu | Mulw => Class::Mul,
+            Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw => Class::Div,
+            Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And | Addw | Subw | Sllw
+            | Srlw | Sraw | Addi | Slti | Sltiu | Xori | Ori | Andi | Slli | Srli | Srai
+            | Addiw | Slliw | Srliw | Sraiw | Lui | Auipc => Class::Alu,
+            Beq | Bne | Blt | Bge | Bltu | Bgeu => Class::Branch,
+            Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu => Class::Load,
+            Sb | Sh | Sw | Sd => Class::Store,
+            Jal => Class::Jump,
+            Jalr => Class::JumpReg,
+            Csrrw | Csrrs | Csrrc | Csrrwi | Csrrsi | Csrrci | Counter => Class::Csr,
+            Fence => Class::System,
+            Ecall => Class::Ecall,
+            Ebreak => Class::Ebreak,
+            Illegal | Unmapped | End => Class::Stop,
+        }
+    }
+}
+
+/// What a timing model charges an op for, known from the op table alone:
+/// the one statement of it. [`Cpu::step`] builds a retired record's
+/// [`RetireKind`] from it, and a timing model fed by a [`BlockSink`] reads
+/// it from the page the block ran on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Class {
+    /// A one-cycle integer op: ALU, ALU-immediate, `lui`, `auipc`.
+    Alu,
+    /// A multiply.
+    Mul,
+    /// A divide or remainder.
+    Div,
+    /// A CSR access, the clock reads included.
+    Csr,
+    /// A fence.
+    System,
+    /// A load; its address is a dynamic fact.
+    Load,
+    /// A store; its address is a dynamic fact.
+    Store,
+    /// A conditional branch; whether it is taken is a dynamic fact.
+    Branch,
+    /// `jal`: a direct jump.
+    Jump,
+    /// `jalr`: its target is a dynamic fact.
+    JumpReg,
+    /// `ecall`: ends the block, and the embedder services it.
+    Ecall,
+    /// `ebreak`: ends the block.
+    Ebreak,
+    /// Never retires: an illegal word, an unfetchable one, or a page's
+    /// sentinel.
+    Stop,
+}
+
+impl Class {
+    /// Every class, in declaration order.
+    pub const ALL: [Class; 13] = {
+        use Class::*;
+        [
+            Alu, Mul, Div, Csr, System, Load, Store, Branch, Jump, JumpReg, Ecall, Ebreak, Stop,
+        ]
+    };
+
+    /// Whether the op emits no dynamic fact and falls through to the next
+    /// word: its timing follows from the class alone.
+    pub const fn is_plain(self) -> bool {
+        matches!(
+            self,
+            Class::Alu | Class::Mul | Class::Div | Class::Csr | Class::System
+        )
+    }
+}
+
 /// One predecoded instruction: 8 bytes, so a page of them is a flat
 /// table the block loop indexes by word.
 ///
@@ -232,6 +330,30 @@ impl Op {
         self.code
     }
 
+    /// Its timing class.
+    #[inline]
+    pub fn class(self) -> Class {
+        self.code.class()
+    }
+
+    /// A call: a `jal` or `jalr` that links `ra`.
+    #[inline]
+    pub fn is_call(self) -> bool {
+        matches!(self.code, Code::Jal | Code::Jalr) && self.rd == RA
+    }
+
+    /// A return: a `jalr` through `ra` that links nothing.
+    #[inline]
+    pub fn is_ret(self) -> bool {
+        self.code == Code::Jalr && self.rd == 0 && self.rs1 == RA
+    }
+
+    /// The target of a branch or `jal` at `pc`.
+    #[inline]
+    pub fn target(self, pc: u64) -> u64 {
+        pc.wrapping_add(i64::from(self.imm) as u64)
+    }
+
     fn new(code: Code, rd: u8, rs1: u8, rs2: u8, imm: i64) -> Op {
         // Every immediate the decoder produces fits: 20-bit upper
         // immediates, 21-bit jump offsets, 12-bit CSR numbers.
@@ -245,6 +367,9 @@ impl Op {
         }
     }
 }
+
+/// The index of `ra`, the link register of calls and returns.
+const RA: u8 = 1;
 
 impl From<Inst> for Op {
     fn from(inst: Inst) -> Op {
@@ -306,25 +431,92 @@ impl From<Inst> for Op {
 }
 
 /// A fully-predecoded page of guest memory: one op per word, then the
-/// [`Code::End`] sentinel.
+/// [`Code::End`] sentinel. Immutable once filled, and shared with the
+/// [`BlockSink`] of every block that runs on it.
 #[derive(Debug)]
-struct Page {
-    base: u64,
-    ops: Box<[Op; SLOTS_PER_PAGE + 1]>,
+pub struct Page {
+    ops: [Op; SLOTS_PER_PAGE + 1],
+}
+
+impl Page {
+    /// The op of each word, then the sentinel.
+    #[inline]
+    pub fn ops(&self) -> &[Op; SLOTS_PER_PAGE + 1] {
+        &self.ops
+    }
+}
+
+/// The dynamic facts of the ops a block retires: what the op table cannot
+/// know. The executor emits each one as its op retires; plain ops emit
+/// none.
+pub trait Emit {
+    /// A conditional branch retired, taken or not.
+    fn branch(&mut self, taken: bool);
+
+    /// A load or store retired at `addr`.
+    fn access(&mut self, addr: u64);
+
+    /// A `jalr` retired to `target`.
+    fn jump(&mut self, target: u64);
 }
 
 /// Receives what a block executes: the embedder's timing hook.
 ///
-/// `B` is the bus the block runs on, handed back with every retired
-/// record so the sink can classify its address.
-pub trait BlockSink<B: ?Sized> {
+/// A block is reported as [`BlockSink::enter`], the [`Emit`] facts of its
+/// ops in order, then [`BlockSink::leave`] with the number of ops it
+/// retired, counting neither an `ecall`/`ebreak` that ends it nor an op
+/// that traps. A `cycle`/`time` read splits the block: the sink sees
+/// `leave`, then [`BlockSink::clock`], then `enter` at the reading op. An
+/// uncached fallback step is one [`BlockSink::step`] outside any block.
+pub trait BlockSink: Emit {
     /// The clock a `cycle`/`time` CSR read is about to observe, written to
     /// [`Cpu::cycle`] first; `None` keeps the CPU's own count. Called right
-    /// before each such read and before each uncached fallback step.
+    /// before each such read and before each uncached fallback step, never
+    /// inside an open block.
     fn clock(&mut self) -> Option<u64>;
 
-    /// One retired instruction, in program order.
-    fn retire(&mut self, r: &Retired, bus: &B);
+    /// A block starts at `pc` on `page`, which the cache holds in `slot`
+    /// (below [`MAX_PAGES`]). Returns the most ops the block may retire; 0 opens no
+    /// block and runs the op at `pc` as an uncached step instead. A block
+    /// re-entered after a clock read keeps the bound it started with.
+    fn enter(&mut self, slot: usize, page: &Arc<Page>, pc: u64) -> u64;
+
+    /// The open block retired `retired` ops.
+    fn leave(&mut self, retired: u64);
+
+    /// One instruction retired by an uncached step.
+    fn step(&mut self, r: &Retired);
+}
+
+/// The functional timing: no facts.
+impl Emit for () {
+    #[inline(always)]
+    fn branch(&mut self, _taken: bool) {}
+
+    #[inline(always)]
+    fn access(&mut self, _addr: u64) {}
+
+    #[inline(always)]
+    fn jump(&mut self, _target: u64) {}
+}
+
+/// The functional timing: no clock, no bound, nothing recorded.
+impl BlockSink for () {
+    #[inline(always)]
+    fn clock(&mut self) -> Option<u64> {
+        None
+    }
+
+    #[inline(always)]
+    fn enter(&mut self, _slot: usize, _page: &Arc<Page>, _pc: u64) -> u64 {
+        u64::MAX
+    }
+
+    #[inline(always)]
+    fn leave(&mut self, _retired: u64) {}
+
+    #[inline(always)]
+    fn step(&mut self, _r: &Retired) {}
 }
 
 /// Why [`DecodeCache::run_block`] stopped.
@@ -352,14 +544,23 @@ enum Exit {
     Trap(Trap),
 }
 
+/// A page the cache holds, and where.
+#[derive(Debug)]
+struct Cached {
+    base: u64,
+    page: Arc<Page>,
+}
+
 /// Per-hart predecoded instruction cache.
 ///
 /// Lives outside [`Cpu`] (which stays pure architectural state, `Clone` +
 /// `PartialEq`); the embedder threads it through its step loop.
 #[derive(Debug)]
 pub struct DecodeCache {
-    pages: Vec<Page>,
-    /// Index of the most recently used page: a block that stays on it
+    /// At most [`MAX_PAGES`] slots. A page keeps its slot until it is
+    /// dropped, which empties the slot for the next fill.
+    pages: Vec<Option<Cached>>,
+    /// Slot of the most recently used page: a block that stays on it
     /// never searches.
     last: usize,
     /// Lowest and highest page base filled since the cache was last empty
@@ -395,21 +596,23 @@ impl DecodeCache {
     /// - an `ecall`, `ebreak` or trap;
     /// - a retired store lands in the cached code range (the touched page
     ///   is dropped first);
-    /// - `limit` instructions have executed.
+    /// - `limit` instructions have executed, or as many as
+    ///   [`BlockSink::enter`] allows.
     ///
     /// At least one instruction executes (for any `limit > 0`). A
-    /// misaligned PC or an unmapped slot takes one uncached [`Cpu::step`]
-    /// and ends the block. Every retired instruction is reported to
-    /// `sink`; `cycle`/`time` CSR reads observe [`BlockSink::clock`].
-    /// The run is identical to the same number of [`Cpu::step`] calls; see
-    /// the module docs for the case analysis.
+    /// misaligned PC, an unmapped slot or a sink that allows none takes
+    /// one uncached [`Cpu::step`] and ends the block. The block is
+    /// reported to `sink` (see [`BlockSink`]); `cycle`/`time` CSR reads
+    /// observe [`BlockSink::clock`]. The run is identical to the same
+    /// number of [`Cpu::step`] calls; see the module docs for the case
+    /// analysis.
     ///
     /// # Errors
     ///
     /// Returns exactly the [`Trap`] an uncached [`Cpu::step`] would, with
     /// the CPU left at the faulting instruction.
     #[inline]
-    pub fn run_block<B: Bus, S: BlockSink<B> + ?Sized>(
+    pub fn run_block<B: Bus, S: BlockSink + ?Sized>(
         &mut self,
         cpu: &mut Cpu,
         bus: &mut B,
@@ -425,33 +628,46 @@ impl DecodeCache {
             return self.fallback(cpu, bus, sink);
         }
         let base = cpu.pc & !(PAGE_SIZE - 1);
-        let page = self.page(base, bus);
-        let ops = &self.pages[page].ops;
+        let index = self.page(base, bus);
+        let Some(cached) = &self.pages[index] else {
+            unreachable!("a page was just looked up in slot {index}")
+        };
+        let page = &cached.page;
+        let bound = sink.enter(index, page, cpu.pc);
+        if bound == 0 {
+            return self.fallback(cpu, bus, sink);
+        }
+        let limit = limit.min(bound);
+        let ops = page.ops();
         let mut pc = cpu.pc;
         let mut slot = (pc.wrapping_sub(base) / 4) as usize;
         let mut left = limit;
         // Retired since `instret` and `cycle` were last written back.
         let mut pending = 0;
+        // Executed before the sink's open block was entered.
+        let mut opened = 0;
         let exit = loop {
-            let done = cpu.exec(bus, ops[slot], pc, |cpu, counter| {
+            let done = cpu.exec(bus, ops[slot], pc, sink, |cpu, sink, counter| {
                 cpu.instret += pending;
                 cpu.cycle += pending;
                 pending = 0;
                 if counter {
+                    let executed = limit - left;
+                    sink.leave(executed - opened);
+                    opened = executed;
                     if let Some(clock) = sink.clock() {
                         cpu.cycle = clock;
                     }
+                    sink.enter(index, page, pc);
                 }
             });
             match done {
-                Ok(Done::Next(kind)) => {
-                    let next_pc = pc.wrapping_add(4);
-                    sink.retire(&Retired { pc, next_pc, kind }, bus);
-                    pc = next_pc;
+                Ok(done @ (Done::Next | Done::Store(_))) => {
+                    pc = pc.wrapping_add(4);
                     slot += 1;
                     pending += 1;
                     left -= 1;
-                    if let RetireKind::Store { addr } = kind {
+                    if let Done::Store(addr) = done {
                         if self.covers(addr) {
                             break Exit::Patched(addr);
                         }
@@ -460,15 +676,7 @@ impl DecodeCache {
                         break Exit::End(BlockEnd::Next);
                     }
                 }
-                Ok(Done::Jump(kind, target)) => {
-                    sink.retire(
-                        &Retired {
-                            pc,
-                            next_pc: target,
-                            kind,
-                        },
-                        bus,
-                    );
+                Ok(Done::Jump(target)) => {
                     pc = target;
                     pending += 1;
                     left -= 1;
@@ -505,6 +713,13 @@ impl DecodeCache {
         cpu.instret += pending;
         cpu.cycle += pending;
         self.reads += limit - left;
+        // The last op read retired nothing the sink charges when it was an
+        // `ecall`/`ebreak`, an unmapped slot or a trap.
+        let unretired = match exit {
+            Exit::End(BlockEnd::Next) | Exit::Patched(_) => 0,
+            Exit::End(_) | Exit::Fallback | Exit::Trap(_) => 1,
+        };
+        sink.leave(limit - left - opened - unretired);
         match exit {
             Exit::End(end) => Ok(end),
             Exit::Patched(addr) => {
@@ -520,7 +735,7 @@ impl DecodeCache {
     /// known in advance, so the clock is synced as for a counter read.
     #[cold]
     #[inline(never)]
-    fn fallback<B: Bus, S: BlockSink<B> + ?Sized>(
+    fn fallback<B: Bus, S: BlockSink + ?Sized>(
         &mut self,
         cpu: &mut Cpu,
         bus: &mut B,
@@ -531,7 +746,7 @@ impl DecodeCache {
         }
         Ok(match cpu.step(bus)? {
             StepOutcome::Retired(r) => {
-                sink.retire(&r, bus);
+                sink.step(&r);
                 if let RetireKind::Store { addr } = r.kind {
                     self.invalidate(addr);
                 }
@@ -557,9 +772,8 @@ impl DecodeCache {
             return;
         }
         let base = addr & !(PAGE_SIZE - 1);
-        if let Some(i) = self.pages.iter().position(|p| p.base == base) {
-            self.pages.swap_remove(i);
-            self.last = 0;
+        if let Some(i) = self.slot_of(base) {
+            self.pages[i] = None;
         }
     }
 
@@ -570,8 +784,14 @@ impl DecodeCache {
         }
         let first = addr & !(PAGE_SIZE - 1);
         let last = addr.saturating_add(len as u64 - 1) & !(PAGE_SIZE - 1);
-        self.pages.retain(|p| p.base < first || p.base > last);
-        self.last = 0;
+        for slot in &mut self.pages {
+            if slot
+                .as_ref()
+                .is_some_and(|p| first <= p.base && p.base <= last)
+            {
+                *slot = None;
+            }
+        }
     }
 
     /// Drops every cached page (e.g. after remapping bus regions).
@@ -589,40 +809,58 @@ impl DecodeCache {
         (self.reads - self.fills, self.fills)
     }
 
-    /// The index of the cached page at `base`, filling it on a miss.
+    /// The slot holding the page at `base`, if any.
+    #[inline]
+    fn slot_of(&self, base: u64) -> Option<usize> {
+        self.pages
+            .iter()
+            .position(|p| p.as_ref().is_some_and(|p| p.base == base))
+    }
+
+    /// The slot of the cached page at `base`, filling it on a miss: into
+    /// the first empty slot, or a new one, or the first after a reset
+    /// once all [`MAX_PAGES`] are taken.
     #[inline]
     fn page<B: Bus>(&mut self, base: u64, bus: &mut B) -> usize {
-        if self.pages.get(self.last).is_some_and(|p| p.base == base) {
+        if matches!(self.pages.get(self.last), Some(Some(p)) if p.base == base) {
             return self.last;
         }
-        if let Some(i) = self.pages.iter().position(|p| p.base == base) {
+        if let Some(i) = self.slot_of(base) {
             self.last = i;
             return i;
         }
-        if self.pages.len() >= MAX_PAGES {
-            self.clear();
-        }
+        let slot = match self.pages.iter().position(Option::is_none) {
+            Some(i) => i,
+            None => {
+                if self.pages.len() >= MAX_PAGES {
+                    self.clear();
+                }
+                self.pages.push(None);
+                self.pages.len() - 1
+            }
+        };
         self.fills += 1;
         self.lo = self.lo.min(base);
         self.hi = self.hi.max(base);
-        self.last = self.pages.len();
-        self.pages.push(fill_page(base, bus));
-        self.last
+        self.last = slot;
+        self.pages[slot] = Some(Cached {
+            base,
+            page: Arc::new(fill_page(base, bus)),
+        });
+        slot
     }
 }
 
 /// Decodes every word of the page at `base` in one pass.
 fn fill_page<B: Bus>(base: u64, bus: &mut B) -> Page {
-    let ops = std::array::from_fn(|i| match i {
-        SLOTS_PER_PAGE => Op::new(Code::End, 0, 0, 0, 0),
-        _ => match bus.fetch(base + 4 * i as u64) {
-            Ok(word) => Op::decode(word),
-            Err(_) => Op::new(Code::Unmapped, 0, 0, 0, 0),
-        },
-    });
     Page {
-        base,
-        ops: Box::new(ops),
+        ops: std::array::from_fn(|i| match i {
+            SLOTS_PER_PAGE => Op::new(Code::End, 0, 0, 0, 0),
+            _ => match bus.fetch(base + 4 * i as u64) {
+                Ok(word) => Op::decode(word),
+                Err(_) => Op::new(Code::Unmapped, 0, 0, 0, 0),
+            },
+        }),
     }
 }
 
@@ -631,6 +869,7 @@ mod tests {
     use super::*;
     use crate::encode::encode;
     use crate::inst::{AluImmOp, AluOp, BranchCond, CsrOp, MemWidth, Reg};
+    use crate::interp::Facts;
     use crate::mem::FlatMemory;
 
     fn program(insts: &[Inst]) -> FlatMemory {
@@ -642,20 +881,90 @@ mod tests {
         m
     }
 
-    /// Records every retired instruction and serves a clock that counts
-    /// them, so counter reads see a value the CPU's own count does not.
-    #[derive(Default)]
+    /// Rebuilds every retired instruction from the blocks it is told of
+    /// (walking each block's page with the facts it emitted) and from the
+    /// uncached steps, and serves a clock that counts them, so counter
+    /// reads see a value the CPU's own count does not. Each block may
+    /// retire `bound` ops at most.
     struct Record {
         retired: Vec<Retired>,
         clocks: u64,
+        bound: u64,
+        open: Option<(Arc<Page>, u64)>,
+        facts: std::collections::VecDeque<Facts>,
     }
 
-    impl<B> BlockSink<B> for Record {
+    impl Default for Record {
+        fn default() -> Record {
+            Record::bounded(u64::MAX)
+        }
+    }
+
+    impl Record {
+        fn bounded(bound: u64) -> Record {
+            Record {
+                retired: Vec::new(),
+                clocks: 0,
+                bound,
+                open: None,
+                facts: Default::default(),
+            }
+        }
+    }
+
+    impl Emit for Record {
+        fn branch(&mut self, taken: bool) {
+            self.facts.push_back(Facts {
+                taken,
+                ..Facts::default()
+            });
+        }
+        fn access(&mut self, addr: u64) {
+            self.facts.push_back(Facts {
+                addr,
+                ..Facts::default()
+            });
+        }
+        fn jump(&mut self, target: u64) {
+            self.facts.push_back(Facts {
+                target,
+                ..Facts::default()
+            });
+        }
+    }
+
+    impl BlockSink for Record {
         fn clock(&mut self) -> Option<u64> {
+            assert!(self.open.is_none(), "the clock is read between blocks");
             self.clocks += 1;
             Some(1000 + 10 * self.retired.len() as u64)
         }
-        fn retire(&mut self, r: &Retired, _bus: &B) {
+        fn enter(&mut self, slot: usize, page: &Arc<Page>, pc: u64) -> u64 {
+            assert!(slot < MAX_PAGES && self.open.is_none());
+            if self.bound > 0 {
+                self.open = Some((page.clone(), pc));
+            }
+            self.bound
+        }
+        fn leave(&mut self, retired: u64) {
+            let (page, mut pc) = self.open.take().expect("an open block");
+            for _ in 0..retired {
+                let op = page.ops()[(pc % PAGE_SIZE / 4) as usize];
+                let facts = match op.class() {
+                    Class::Load | Class::Store | Class::Branch | Class::JumpReg => {
+                        self.facts.pop_front().expect("a fact")
+                    }
+                    _ => Facts::default(),
+                };
+                let kind = facts.kind(op, pc);
+                let next_pc = kind.next_pc(pc);
+                self.retired.push(Retired { pc, next_pc, kind });
+                pc = next_pc;
+            }
+            assert!(self.facts.is_empty(), "every fact is read");
+        }
+        fn step(&mut self, r: &Retired) {
+            assert!(self.open.is_none() && self.facts.is_empty());
             self.retired.push(*r);
         }
     }
@@ -680,14 +989,21 @@ mod tests {
 
     /// Runs the same program in blocks of at most `limit` and one step at
     /// a time; the retired stream, the stopping outcome, the registers and
-    /// memory must all match.
+    /// memory must all match. Blocks bounded by the sink, down to none
+    /// (every instruction stepped uncached), must match too.
     fn lockstep(mem: &FlatMemory, steps: u64, limit: u64) {
+        for bound in [u64::MAX, 3, 1, 0] {
+            lockstep_bounded(mem, steps, limit, bound);
+        }
+    }
+
+    fn lockstep_bounded(mem: &FlatMemory, steps: u64, limit: u64, bound: u64) {
         let mut cold_mem = mem.clone();
         let (mut cold, cold_retired, cold_end) = reference(&mut cold_mem, steps);
         let mut hot_mem = mem.clone();
         let mut hot = Cpu::new(0);
         let mut cache = DecodeCache::new();
-        let mut sink = Record::default();
+        let mut sink = Record::bounded(bound);
         let mut hot_end = None;
         while hot.instret < steps {
             let left = (steps - hot.instret).min(limit);

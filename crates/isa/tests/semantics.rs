@@ -9,9 +9,9 @@
 
 use marshal_isa::encode::encode;
 use marshal_isa::inst::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg};
-use marshal_isa::interp::{Retired, StepOutcome};
+use marshal_isa::interp::StepOutcome;
 use marshal_isa::mem::{Bus, FlatMemory};
-use marshal_isa::predecode::{BlockEnd, BlockSink, DecodeCache};
+use marshal_isa::predecode::{BlockEnd, DecodeCache};
 use marshal_isa::Cpu;
 
 /// Register operands: the edge values, then the shift amounts not already
@@ -34,16 +34,6 @@ const IMMS: [i64; 5] = [0, 1, -1, 2047, -2048];
 /// Where loads and stores go.
 const DATA: u64 = 0x100;
 
-/// Sinks nothing; serves no clock.
-struct Quiet;
-
-impl<B> BlockSink<B> for Quiet {
-    fn clock(&mut self) -> Option<u64> {
-        None
-    }
-    fn retire(&mut self, _r: &Retired, _bus: &B) {}
-}
-
 /// Runs `inst` at pc 0 with `t0 = a`, `t1 = b` and `mem` at [`DATA`],
 /// either stepping or as a one-instruction block.
 fn run(inst: Inst, a: u64, b: u64, mem: u64, block: bool) -> (Cpu, FlatMemory) {
@@ -54,7 +44,7 @@ fn run(inst: Inst, a: u64, b: u64, mem: u64, block: bool) -> (Cpu, FlatMemory) {
     cpu.write_reg(Reg::T0, a);
     cpu.write_reg(Reg::T1, b);
     if block {
-        let end = DecodeCache::new().run_block(&mut cpu, &mut bus, 1, &mut Quiet);
+        let end = DecodeCache::new().run_block(&mut cpu, &mut bus, 1, &mut ());
         assert_eq!(end, Ok(BlockEnd::Next), "{inst:?}");
     } else {
         let out = cpu.step(&mut bus);

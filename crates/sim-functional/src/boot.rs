@@ -357,7 +357,7 @@ fn run_bare<T: Timing + ?Sized>(
     };
     if !timed_out {
         let after = timing
-            .cycles()
+            .clock()
             .map(|cycles| format!(" after {cycles} cycles"))
             .unwrap_or_default();
         os.serial

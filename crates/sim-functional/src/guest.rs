@@ -34,9 +34,9 @@ pub fn exec_timed<T: Timing + ?Sized>(
 ) -> Result<(i64, u64), SimError> {
     let budget = os.remaining_budget()?;
     let mut runner = UserRunner::new(exe, args)?;
-    let start = timing.cycles();
+    let start = timing.clock();
     let (exit, insts) = runner.run(os, budget, timing)?;
-    let end = timing.cycles();
+    let end = timing.clock();
     let cycles = |insts: u64| match (start, end) {
         (Some(start), Some(end)) => end - start,
         _ => insts,

@@ -4,15 +4,16 @@
 //! `ecall`s are serviced against an [`OsServices`] implementation — the
 //! functional guest OS here, or the cycle-exact simulator's timed variant.
 //! [`UserRunner::run`] is the one step loop both simulator tiers share: it
-//! executes a predecoded block at a time and reports every retired
-//! instruction and serviced syscall to a [`Timing`] model — `()` for the
-//! functional tier, the rtl pipeline for the cycle-exact one — so both
-//! observe the exact same execution.
+//! executes a predecoded block at a time and reports every block, serviced
+//! syscall and remote-memory window to a [`Timing`] model — `()` for the
+//! functional tier, the rtl pipeline's feed for the cycle-exact one — so
+//! both observe the exact same execution.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use marshal_isa::abi::{self, fd, flags, sys};
-use marshal_isa::interp::{Cpu, RetireKind, Retired};
+use marshal_isa::interp::Cpu;
 use marshal_isa::mem::{Bus, PagedMemory};
 use marshal_isa::predecode::{BlockEnd, BlockSink, DecodeCache};
 use marshal_isa::{MexeFile, Reg, Trap};
@@ -50,59 +51,33 @@ pub trait OsServices {
 /// A timing model attached to [`UserRunner::run`].
 ///
 /// The functional simulators use `()`: no model, and the CPU's own clock
-/// ticks once per instruction. The cycle-exact simulator's pipeline
-/// charges every retired instruction and syscall and feeds its modelled
-/// time back to `rdcycle`.
-pub trait Timing {
-    /// Modelled cycles so far; `None` keeps the functional clock (one
-    /// cycle per instruction). Asked only where the value is observed:
-    /// right before a `cycle`/`time` CSR read, which sees it, and by
-    /// [`crate::guest::exec_timed`] around a program, which charges it to
-    /// the guest clock. A model may therefore lag behind the interpreter
-    /// between calls, as long as each call first takes in every event
-    /// reported so far.
-    fn cycles(&mut self) -> Option<u64>;
-
-    /// Charges one retired instruction; `is_remote` marks a load or store
-    /// that falls in the program's mapped remote-memory window.
-    fn retire(&mut self, r: &Retired, is_remote: bool);
-
+/// ticks once per instruction. The cycle-exact simulator's pipeline is fed
+/// the blocks the program runs (as a [`BlockSink`]), every serviced
+/// syscall, and the remote-memory window that classes its loads and
+/// stores, and feeds its modelled time back to `rdcycle`.
+///
+/// [`BlockSink::clock`] is asked only where the value is observed: right
+/// before a `cycle`/`time` CSR read, which sees it, and by
+/// [`crate::guest::exec_timed`] around a program, which charges it to the
+/// guest clock. A model may therefore lag behind the interpreter between
+/// calls, as long as each call first takes in everything reported so far.
+pub trait Timing: BlockSink {
     /// Charges one serviced syscall (`sys` is the syscall number).
     fn syscall(&mut self, sys: u64);
+
+    /// The program's remote-memory window, empty when none is mapped: a
+    /// load or store inside it is remote. Told when a run starts and after
+    /// each serviced syscall, before the next block.
+    fn remote(&mut self, window: Range<u64>);
 }
 
 /// The functional timing: no model.
 impl Timing for () {
     #[inline]
-    fn cycles(&mut self) -> Option<u64> {
-        None
-    }
-
-    #[inline]
-    fn retire(&mut self, _r: &Retired, _is_remote: bool) {}
-
-    #[inline]
     fn syscall(&mut self, _sys: u64) {}
-}
-
-/// The [`BlockSink`] of [`UserRunner::run`]: charges each retired
-/// instruction to the timing model, marking accesses to the remote window.
-struct Charge<'a, T: ?Sized>(&'a mut T);
-
-impl<T: Timing + ?Sized> BlockSink<UserBus> for Charge<'_, T> {
-    #[inline]
-    fn clock(&mut self) -> Option<u64> {
-        self.0.cycles()
-    }
 
     #[inline]
-    fn retire(&mut self, r: &Retired, bus: &UserBus) {
-        let is_remote = match r.kind {
-            RetireKind::Load { addr } | RetireKind::Store { addr } => bus.is_remote(addr),
-            _ => false,
-        };
-        self.0.retire(r, is_remote);
-    }
+    fn remote(&mut self, _window: Range<u64>) {}
 }
 
 struct OpenFile {
@@ -163,6 +138,13 @@ impl UserBus {
     #[inline]
     pub fn is_remote(&self, addr: u64) -> bool {
         self.remote.as_ref().is_some_and(|r| r.contains(addr, 1))
+    }
+
+    /// The mapped remote window, empty when none is mapped.
+    pub fn remote_window(&self) -> Range<u64> {
+        self.remote
+            .as_ref()
+            .map_or(0..0, |r| r.base()..r.base() + r.size() as u64)
     }
 
     /// The local memory (for loaders and argument setup).
@@ -246,14 +228,14 @@ impl UserRunner {
         self.exited
     }
 
-    /// Runs to completion within an instruction budget, charging every
-    /// retired instruction and serviced syscall to `timing`.
+    /// Runs to completion within an instruction budget, reporting every
+    /// block, serviced syscall and remote window to `timing`.
     ///
     /// This is the one step loop of both simulator tiers. It executes a
     /// predecoded block at a time ([`DecodeCache::run_block`]); each block
     /// may run only as far as the budget allows, so a hung guest stops at
     /// the same instruction as a per-step loop would. A `cycle`/`time` CSR
-    /// read first sets the CPU clock from [`Timing::cycles`] (when the
+    /// read first sets the CPU clock from [`BlockSink::clock`] (when the
     /// model keeps one), so `rdcycle` observes modelled time. Returns the
     /// exit code — `None` when the program retired more than `budget`
     /// instructions — and the instructions retired.
@@ -272,18 +254,15 @@ impl UserRunner {
         if self.exited.is_some() {
             return Ok((self.exited, 0));
         }
-        let mut sink = Charge(timing);
+        timing.remote(self.bus.remote_window());
         loop {
             let executed = self.cpu.instret - start;
             if executed > budget {
                 return Ok((None, executed));
             }
-            let end = self.dcache.run_block(
-                &mut self.cpu,
-                &mut self.bus,
-                budget + 1 - executed,
-                &mut sink,
-            );
+            let end =
+                self.dcache
+                    .run_block(&mut self.cpu, &mut self.bus, budget + 1 - executed, timing);
             // Forward MMIO UART traffic to the console before anything the
             // block's last instruction asks for (a syscall, or a trap).
             if !self.bus.uart_tx.is_empty() {
@@ -292,7 +271,10 @@ impl UserRunner {
             }
             if end != Ok(BlockEnd::Next) {
                 match self.service(end, os)? {
-                    Some(sys) => sink.0.syscall(sys),
+                    Some(sys) => {
+                        timing.syscall(sys);
+                        timing.remote(self.bus.remote_window());
+                    }
                     None => return Ok((self.exited, self.cpu.instret - start)),
                 }
             }

@@ -6,8 +6,11 @@
 //! instruction and drains the UART after every one. The retired streams,
 //! the final CPU, memory, serial output, files and exit status must be
 //! identical, under both the functional timing and a recording one whose
-//! clock moves with every event. Budgets are small, so many runs stop in
-//! the middle of a block and resume from there.
+//! clock moves with every event. The recording rebuilds each block's
+//! retired instructions by walking the page it ran on with the facts it
+//! emitted, so the stream a cycle-exact model rebuilds is checked against
+//! [`Cpu::step`]'s records. Budgets are small, so many runs stop in the
+//! middle of a block and resume from there.
 //!
 //! The programs mix ALU and M-extension ops; loads and stores, including
 //! stores into the executing code page and the others; branches, `jal`
@@ -30,13 +33,14 @@
 //! stop. Both loops retire the same stream, so the reference observes
 //! these on it.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::sync::Arc;
 
 use marshal_isa::decode::decode;
 use marshal_isa::encode::encode;
 use marshal_isa::inst::{csr, AluImmOp, AluOp, BranchCond, CsrOp, Inst, MemWidth};
-use marshal_isa::interp::StepOutcome;
-use marshal_isa::predecode::{Code, Op};
+use marshal_isa::interp::{Facts, RetireKind, Retired, StepOutcome};
+use marshal_isa::predecode::{Class, Code, Emit, Op, Page, PAGE_SIZE as OP_PAGE};
 use marshal_qcheck::{cases, Rng};
 
 use super::tests::TestOs;
@@ -456,26 +460,103 @@ fn program(rng: &mut Rng) -> (MexeFile, bool) {
 enum Event {
     Retire(Retired, bool),
     Syscall(u64),
+    Remote(std::ops::Range<u64>),
 }
 
 /// Every event a timing model receives, with a clock that moves with
-/// each one so a stale counter read shows.
-#[derive(Debug, Default, PartialEq)]
+/// each one so a stale counter read shows. Blocks are rebuilt into their
+/// retired instructions when they close.
+#[derive(Debug, Default)]
 struct Recording {
     events: Vec<Event>,
+    window: std::ops::Range<u64>,
+    open: Option<(Arc<Page>, u64)>,
+    facts: VecDeque<Facts>,
 }
 
-impl Timing for Recording {
-    fn cycles(&mut self) -> Option<u64> {
+impl PartialEq for Recording {
+    fn eq(&self, other: &Recording) -> bool {
+        self.events == other.events
+    }
+}
+
+impl Recording {
+    fn retire(&mut self, r: Retired) {
+        let is_remote = match r.kind {
+            RetireKind::Load { addr } | RetireKind::Store { addr } => self.window.contains(&addr),
+            _ => false,
+        };
+        self.events.push(Event::Retire(r, is_remote));
+    }
+}
+
+impl Emit for Recording {
+    fn branch(&mut self, taken: bool) {
+        self.facts.push_back(Facts {
+            taken,
+            ..Facts::default()
+        });
+    }
+
+    fn access(&mut self, addr: u64) {
+        self.facts.push_back(Facts {
+            addr,
+            ..Facts::default()
+        });
+    }
+
+    fn jump(&mut self, target: u64) {
+        self.facts.push_back(Facts {
+            target,
+            ..Facts::default()
+        });
+    }
+}
+
+impl BlockSink for Recording {
+    fn clock(&mut self) -> Option<u64> {
+        assert!(self.open.is_none(), "the clock is read between blocks");
         Some(7 * self.events.len() as u64 + 3)
     }
 
-    fn retire(&mut self, r: &Retired, is_remote: bool) {
-        self.events.push(Event::Retire(*r, is_remote));
+    fn enter(&mut self, _slot: usize, page: &Arc<Page>, pc: u64) -> u64 {
+        assert!(self.open.replace((page.clone(), pc)).is_none());
+        u64::MAX
     }
 
+    fn leave(&mut self, retired: u64) {
+        let (page, mut pc) = self.open.take().expect("an open block");
+        for _ in 0..retired {
+            let op = page.ops()[(pc % OP_PAGE / 4) as usize];
+            let facts = match op.class() {
+                Class::Load | Class::Store | Class::Branch | Class::JumpReg => {
+                    self.facts.pop_front().expect("a fact per dynamic op")
+                }
+                _ => Facts::default(),
+            };
+            let kind = facts.kind(op, pc);
+            let next_pc = kind.next_pc(pc);
+            self.retire(Retired { pc, next_pc, kind });
+            pc = next_pc;
+        }
+        assert!(self.facts.is_empty(), "every fact is read");
+    }
+
+    fn step(&mut self, r: &Retired) {
+        self.retire(*r);
+    }
+}
+
+impl Timing for Recording {
     fn syscall(&mut self, sys: u64) {
         self.events.push(Event::Syscall(sys));
+    }
+
+    fn remote(&mut self, window: std::ops::Range<u64>) {
+        if window != self.window {
+            self.events.push(Event::Remote(window.clone()));
+            self.window = window;
+        }
     }
 }
 
@@ -629,13 +710,14 @@ fn run_reference<T: Timing>(
     if runner.exited.is_some() {
         return Ok((runner.exited, 0));
     }
+    timing.remote(runner.bus.remote_window());
     loop {
         let executed = runner.cpu.instret - start;
         if executed > budget {
             coverage.ends.insert("budget stop");
             return Ok((None, executed));
         }
-        if let Some(cycles) = timing.cycles() {
+        if let Some(cycles) = timing.clock() {
             runner.cpu.cycle = cycles;
         }
         coverage.op(&mut runner.bus, runner.cpu.pc);
@@ -653,13 +735,11 @@ fn run_reference<T: Timing>(
                     let got = (runner.cpu.read_reg(rd), r.next_pc);
                     assert_eq!(got, (value, next_pc), "at {:#x}", r.pc);
                 }
-                let is_remote = match r.kind {
-                    RetireKind::Load { addr } | RetireKind::Store { addr } => {
-                        runner.bus.is_remote(addr)
-                    }
-                    _ => false,
-                };
-                timing.retire(&r, is_remote);
+                if let RetireKind::Load { addr } | RetireKind::Store { addr } = r.kind {
+                    let window = runner.bus.remote_window();
+                    assert_eq!(window.contains(&addr), runner.bus.is_remote(addr));
+                }
+                timing.step(&r);
                 coverage.retired(&r);
                 continue;
             }
@@ -671,7 +751,10 @@ fn run_reference<T: Timing>(
             }
         };
         match runner.service(end, os)? {
-            Some(sys) => timing.syscall(sys),
+            Some(sys) => {
+                timing.syscall(sys);
+                timing.remote(runner.bus.remote_window());
+            }
             None => return Ok((runner.exited, runner.cpu.instret - start)),
         }
     }

@@ -111,6 +111,19 @@ impl Cache {
         addr >> self.line_shift
     }
 
+    /// The first address of `line`.
+    #[inline]
+    pub(crate) fn line_start(&self, line: u64) -> u64 {
+        line << self.line_shift
+    }
+
+    /// Lines from one instruction's to the next: 1, unless a line is
+    /// shorter than an instruction.
+    #[inline]
+    pub(crate) fn lines_per_instruction(&self) -> u64 {
+        (4u64 >> self.line_shift).max(1)
+    }
+
     /// The line of the last access, which repeating hits for free.
     pub(crate) fn last_line(&self) -> Option<u64> {
         self.last_line

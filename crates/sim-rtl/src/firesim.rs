@@ -6,22 +6,29 @@
 //! cluster simulations for `jobs` workloads (the intspeed suite's ten
 //! parallel nodes, the PFA client/server pair).
 //!
-//! Each node's pipeline runs on a thread of its own, fed batches of
-//! retired records by the interpreter (the functional/timing split of
-//! Chiou et al., "FPGA-Accelerated Simulation Technologies", MICRO 2007).
-//! The interpreter depends on timing only through the clock that
-//! `cycle`/`time` CSR reads observe, and it waits for the pipeline to
-//! catch up before each such read, so the split changes host time only.
+//! Each node's pipeline runs on a thread of its own, fed batches of the
+//! interpreter's stream (the functional/timing split of Chiou et al.,
+//! "FPGA-Accelerated Simulation Technologies", MICRO 2007). The
+//! interpreter depends on timing only through the clock that `cycle`/`time`
+//! CSR reads observe, and it waits for the pipeline to catch up before each
+//! such read, so the split changes host time only.
 //!
-//! A record is the 16-byte [`Record`]: the pc and a code byte in one
-//! word, the one operand the model reads in the other, and a documented
-//! escape for a pc that does not fit. Each batch is charged by
+//! The stream carries control flow and addresses, not instructions (see
+//! [`crate::pipeline`]): a mark per block, naming the shared predecoded
+//! page it ran on, then a taken bit per conditional branch and a word per
+//! load/store address and `jalr` target. Plain ops cost the interpreter
+//! nothing: the block loop emits facts from inside the executor's arms,
+//! and its functional instance (`()`) emits none. Each batch is charged by
 //! [`Pipeline::charge`], the pipeline's one charging body.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 
 use marshal_isa::interp::Retired;
+use marshal_isa::predecode::{BlockSink, Emit, Page};
 use marshal_sim_functional::boot::run_job;
 use marshal_sim_functional::checkpoint::BootSnapshot;
 use marshal_sim_functional::machine::{
@@ -32,7 +39,7 @@ use marshal_sim_functional::syscall::Timing;
 use crate::cache::CacheStats;
 use crate::config::HardwareConfig;
 use crate::pfa::PfaStats;
-use crate::pipeline::{PerfCounters, Pipeline, Record};
+use crate::pipeline::{Batch, PerfCounters, Pipeline};
 
 /// The performance report of one simulated node.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,26 +94,40 @@ impl PerfReport {
     }
 }
 
-/// Records per batch handed to the timing thread, at most. A timing
-/// thread that keeps up with the interpreter sleeps between batches, and
-/// each wake-up costs the interpreter microseconds on a virtualised host,
-/// so a batch is large enough to make them rare.
-const BATCH: usize = 16384;
-
 /// Full batches queued before the interpreter waits for the timing thread.
 const QUEUE: usize = 4;
 
+/// Room below which a batch is handed over before the next block, so a
+/// block is rarely cut short by the batch's end.
+const MIN_ROOM: u64 = 256;
+
+/// Stream bytes handed to timing models in this process.
+static HANDOFF_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The bytes of stream the interpreter has handed to cycle-exact timing
+/// models in this process so far: block marks, facts, explicit records and
+/// page handles. Deterministic for a given set of runs.
+pub fn handoff_bytes() -> u64 {
+    HANDOFF_BYTES.load(Ordering::Relaxed)
+}
+
 /// The interpreter's end of a node's [`Pipeline`].
 ///
-/// Each retired instruction and syscall goes into a batch as its
-/// [`Record`]s, in program order. Until the first batch fills, the
-/// pipeline stays on the interpreter's thread, and [`Timing::cycles`] and
-/// [`Feed::finish`] charge the batch to it there, so a short run starts no
-/// thread. The first full batch starts the timing thread (see [`Thread`]),
-/// and the pipeline lives there from then on.
+/// Blocks, facts, uncached steps, syscalls and remote windows go into a
+/// [`Batch`], in program order. A page goes with the first block that
+/// runs on it after it fills its decode-cache slot. Until the first batch
+/// fills, the pipeline stays on the interpreter's thread, and
+/// [`BlockSink::clock`] and [`Feed::finish`] charge the batch to it there,
+/// so a short run starts no thread. The first full batch starts the
+/// timing thread (see [`Thread`]), and the pipeline lives there from then
+/// on.
 struct Feed<'scope, 'env> {
     scope: &'scope Scope<'scope, 'env>,
-    batch: Vec<Record>,
+    batch: Batch,
+    /// The page last sent for each decode-cache slot.
+    sent: Vec<Option<Arc<Page>>>,
+    /// The remote window last sent.
+    window: Range<u64>,
     /// The pipeline while it runs on this thread.
     local: Option<Pipeline>,
     /// The timing thread, once the first batch has filled.
@@ -117,35 +138,20 @@ impl<'scope, 'env> Feed<'scope, 'env> {
     fn new(scope: &'scope Scope<'scope, 'env>, pipeline: Pipeline) -> Feed<'scope, 'env> {
         Feed {
             scope,
-            batch: Vec::with_capacity(BATCH),
+            batch: Batch::new(),
+            sent: Vec::new(),
+            window: 0..0,
             local: Some(pipeline),
             thread: None,
         }
     }
 
-    /// Whether the batch has room for the two records of a wide-pc
-    /// escape, which a batch never splits.
-    #[inline]
-    fn has_room(&self) -> bool {
-        self.batch.len() < BATCH - 1
-    }
-
-    /// [`Timing::retire`] off the fast path: a jump, a full batch or a pc
-    /// that takes the escape. It takes the instruction by value, so the
-    /// step loop copies it out only on this path.
-    #[inline(never)]
-    fn retire_slow(&mut self, r: Retired, is_remote: bool) {
-        if !self.has_room() {
-            self.send();
-        }
-        Record::encode(&r, is_remote, |record| self.batch.push(record));
-    }
-
-    /// Hands the full batch to the timing thread, starting the thread on
-    /// the first call. Out of line, so [`Timing::retire`] stays small
-    /// enough to inline into the step loop.
+    /// Hands the batch to the timing thread, starting the thread on the
+    /// first call. Out of line, so the sink's block calls stay small
+    /// enough to inline into the block loop.
     #[inline(never)]
     fn send(&mut self) {
+        HANDOFF_BYTES.fetch_add(self.batch.bytes() as u64, Ordering::Relaxed);
         let thread = match &mut self.thread {
             Some(thread) => thread,
             None => {
@@ -156,8 +162,26 @@ impl<'scope, 'env> Feed<'scope, 'env> {
         thread.send(&mut self.batch);
     }
 
-    /// The pipeline, once every record is charged to it.
+    /// Sends the batch first unless `words` more words and `insts` more
+    /// instructions fit.
+    fn reserve(&mut self, words: usize, insts: usize) {
+        if !self.batch.has_room(words, insts) {
+            self.send();
+        }
+    }
+
+    /// Records `page` as sent for `slot`.
+    #[cold]
+    fn publish(&mut self, slot: usize, page: &Arc<Page>) {
+        if self.sent.len() <= slot {
+            self.sent.resize(slot + 1, None);
+        }
+        self.sent[slot] = Some(Arc::clone(page));
+    }
+
+    /// The pipeline, once everything is charged to it.
     fn finish(self) -> Pipeline {
+        HANDOFF_BYTES.fetch_add(self.batch.bytes() as u64, Ordering::Relaxed);
         match (self.local, self.thread) {
             (Some(mut pipeline), _) => {
                 pipeline.charge(&self.batch);
@@ -169,13 +193,31 @@ impl<'scope, 'env> Feed<'scope, 'env> {
     }
 }
 
-impl Timing for Feed<'_, '_> {
-    fn cycles(&mut self) -> Option<u64> {
+impl Emit for Feed<'_, '_> {
+    #[inline(always)]
+    fn branch(&mut self, taken: bool) {
+        self.batch.branch(taken);
+    }
+
+    #[inline(always)]
+    fn access(&mut self, addr: u64) {
+        self.batch.access(addr);
+    }
+
+    #[inline(always)]
+    fn jump(&mut self, target: u64) {
+        self.batch.jump(target);
+    }
+}
+
+impl BlockSink for Feed<'_, '_> {
+    fn clock(&mut self) -> Option<u64> {
         match (&mut self.local, &mut self.thread) {
             (Some(pipeline), _) => {
+                HANDOFF_BYTES.fetch_add(self.batch.bytes() as u64, Ordering::Relaxed);
                 pipeline.charge(&self.batch);
                 self.batch.clear();
-                pipeline.cycles()
+                Some(pipeline.counters().cycles)
             }
             (None, Some(thread)) => Some(thread.sync(&mut self.batch)),
             (None, None) => unreachable!("the pipeline is on one side"),
@@ -183,34 +225,59 @@ impl Timing for Feed<'_, '_> {
     }
 
     #[inline]
-    fn retire(&mut self, r: &Retired, is_remote: bool) {
-        match Record::straight(r, is_remote) {
-            Some(record) if self.has_room() => self.batch.push(record),
-            _ => self.retire_slow(*r, is_remote),
-        }
-    }
-
-    fn syscall(&mut self, sys: u64) {
-        if !self.has_room() {
+    fn enter(&mut self, slot: usize, page: &Arc<Page>, pc: u64) -> u64 {
+        if !self
+            .batch
+            .has_room(2 + MIN_ROOM as usize, MIN_ROOM as usize)
+        {
             self.send();
         }
-        self.batch.push(Record::syscall(sys));
+        let publish = !matches!(self.sent.get(slot), Some(Some(sent)) if Arc::ptr_eq(sent, page));
+        if publish {
+            self.publish(slot, page);
+        }
+        self.batch.enter(slot, page, publish, pc)
+    }
+
+    #[inline(always)]
+    fn leave(&mut self, retired: u64) {
+        self.batch.leave(retired);
+    }
+
+    fn step(&mut self, r: &Retired) {
+        self.reserve(3, 1);
+        self.batch.step(r);
+    }
+}
+
+impl Timing for Feed<'_, '_> {
+    fn syscall(&mut self, sys: u64) {
+        self.reserve(2, 0);
+        self.batch.syscall(sys);
+    }
+
+    fn remote(&mut self, window: Range<u64>) {
+        if window != self.window {
+            self.reserve(3, 0);
+            self.batch.remote(window.clone());
+            self.window = window;
+        }
     }
 }
 
 /// A [`Pipeline`] running on a thread of its own.
 ///
-/// Full batches of [`Record`]s go to the thread over a bounded queue; it
-/// charges them to the pipeline in order and hands each one back emptied,
-/// with the cycle count after it, for reuse. [`Thread::sync`] sends the
-/// partial batch and waits until every batch is back, so it answers
-/// exactly what a pipeline fed on this thread would. Dropping a `Thread`
-/// closes the queue, so the timing thread ends even when the interpreter
-/// unwinds from a panic.
+/// Full [`Batch`]es go to the thread over a bounded queue; it charges them
+/// to the pipeline in order and hands each one back emptied, with the
+/// cycle count after it, for reuse. [`Thread::sync`] sends the partial
+/// batch and waits until every batch is back, so it answers exactly what a
+/// pipeline fed on this thread would. Dropping a `Thread` closes the
+/// queue, so the timing thread ends even when the interpreter unwinds from
+/// a panic.
 struct Thread<'scope> {
-    spare: Vec<Vec<Record>>,
-    to_model: SyncSender<Vec<Record>>,
-    from_model: Receiver<(Vec<Record>, u64)>,
+    spare: Vec<Batch>,
+    to_model: SyncSender<Batch>,
+    from_model: Receiver<(Batch, u64)>,
     in_flight: usize,
     cycles: u64,
     model: ScopedJoinHandle<'scope, Pipeline>,
@@ -218,9 +285,9 @@ struct Thread<'scope> {
 
 impl<'scope> Thread<'scope> {
     /// Starts `pipeline` on a thread of `scope`. The thread returns the
-    /// pipeline once the queue is closed and every record is charged.
+    /// pipeline once the queue is closed and every batch is charged.
     fn spawn(scope: &'scope Scope<'scope, '_>, mut pipeline: Pipeline) -> Thread<'scope> {
-        let (to_model, batches) = mpsc::sync_channel::<Vec<Record>>(QUEUE);
+        let (to_model, batches) = mpsc::sync_channel::<Batch>(QUEUE);
         let (spent, from_model) = mpsc::channel();
         let cycles = pipeline.counters().cycles;
         let model = scope.spawn(move || {
@@ -243,7 +310,7 @@ impl<'scope> Thread<'scope> {
     }
 
     /// Hands `batch` to the thread, leaving an empty one in its place.
-    fn send(&mut self, batch: &mut Vec<Record>) {
+    fn send(&mut self, batch: &mut Batch) {
         let next = match self.spare.pop() {
             Some(batch) => batch,
             None => match self.from_model.try_recv() {
@@ -251,7 +318,7 @@ impl<'scope> Thread<'scope> {
                     self.in_flight -= 1;
                     batch
                 }
-                Err(_) => Vec::with_capacity(BATCH),
+                Err(_) => Batch::new(),
             },
         };
         let full = std::mem::replace(batch, next);
@@ -261,8 +328,9 @@ impl<'scope> Thread<'scope> {
 
     /// Sends the partial `batch` and waits for every batch to be
     /// charged; returns the cycle count after the last one.
-    fn sync(&mut self, batch: &mut Vec<Record>) -> u64 {
+    fn sync(&mut self, batch: &mut Batch) -> u64 {
         if !batch.is_empty() {
+            HANDOFF_BYTES.fetch_add(batch.bytes() as u64, Ordering::Relaxed);
             self.send(batch);
         }
         while self.in_flight > 0 {
@@ -274,9 +342,9 @@ impl<'scope> Thread<'scope> {
         self.cycles
     }
 
-    /// Sends the last records, closes the queue and takes the pipeline
-    /// back once the thread has charged them.
-    fn join(mut self, mut batch: Vec<Record>) -> Pipeline {
+    /// Sends the last batch, closes the queue and takes the pipeline back
+    /// once the thread has charged everything.
+    fn join(mut self, mut batch: Batch) -> Pipeline {
         if !batch.is_empty() {
             self.send(&mut batch);
         }
@@ -358,7 +426,7 @@ impl FireSim {
     /// directly, ignore `resume` and capture nothing.
     ///
     /// The node's [`Pipeline`] runs on a thread of its own once the first
-    /// batch of records fills (see the module docs); the report is read
+    /// batch of the stream fills (see the module docs); the report is read
     /// from it once every record is charged, after an error or a watchdog
     /// exit too.
     ///
@@ -428,6 +496,7 @@ impl FireSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::BATCH;
     use marshal_firmware::BootBinary;
     use marshal_firmware::{build_firmware, link_boot_binary, FirmwareBuild};
     use marshal_image::FsImage;
@@ -485,16 +554,67 @@ nofb:
         .to_owned()
     }
 
+    /// The same-thread per-instruction reference: no block is entered, so
+    /// every instruction takes an uncached [`marshal_isa::Cpu::step`] and
+    /// is charged as an explicit record, on the interpreter's thread.
+    struct Stepped {
+        pipeline: Pipeline,
+        batch: Batch,
+    }
+
+    impl Emit for Stepped {
+        fn branch(&mut self, _taken: bool) {
+            unreachable!("no block is entered")
+        }
+        fn access(&mut self, _addr: u64) {
+            unreachable!("no block is entered")
+        }
+        fn jump(&mut self, _target: u64) {
+            unreachable!("no block is entered")
+        }
+    }
+
+    impl BlockSink for Stepped {
+        fn clock(&mut self) -> Option<u64> {
+            self.pipeline.charge(&self.batch);
+            self.batch.clear();
+            Some(self.pipeline.counters().cycles)
+        }
+        fn enter(&mut self, _slot: usize, _page: &Arc<Page>, _pc: u64) -> u64 {
+            0
+        }
+        fn leave(&mut self, _retired: u64) {
+            unreachable!("no block is entered")
+        }
+        fn step(&mut self, r: &Retired) {
+            self.batch.step(r);
+        }
+    }
+
+    impl Timing for Stepped {
+        fn syscall(&mut self, sys: u64) {
+            self.batch.syscall(sys);
+        }
+        fn remote(&mut self, window: Range<u64>) {
+            self.batch.remote(window);
+        }
+    }
+
     /// `sim.run(job)` must return exactly what the same run returns with
-    /// its pipeline fed on the interpreter's thread, straight from the
-    /// step loop (which the block-stepping oracle in sim-functional checks
-    /// against a per-instruction loop).
+    /// every instruction stepped and charged on the interpreter's thread
+    /// (see [`Stepped`]).
     fn assert_decoupled_matches(sim: &FireSim, job: &LoadedJob) {
         let decoupled = sim.run(job, LaunchMode::Run, None).map(|(r, p, _)| (r, p));
-        let mut pipeline = Pipeline::new(&sim.hw);
+        let mut stepped = Stepped {
+            pipeline: Pipeline::new(&sim.hw),
+            batch: Batch::new(),
+        };
         let same_thread = sim
-            .simulate(job, LaunchMode::Run, None, &mut pipeline)
-            .map(|(r, _)| (r, sim.report(&pipeline)));
+            .simulate(job, LaunchMode::Run, None, &mut stepped)
+            .map(|(r, _)| {
+                stepped.clock();
+                (r, sim.report(&stepped.pipeline))
+            });
         assert_eq!(decoupled, same_thread);
     }
 
@@ -866,7 +986,7 @@ l:      addi    t1, t1, -1
                         kind: marshal_isa::interp::RetireKind::Alu,
                     };
                     for _ in 0..3 * BATCH {
-                        feed.retire(&r, false);
+                        feed.step(&r);
                     }
                     assert!(feed.thread.is_some(), "the timing thread started");
                     panic!("interpreter fault");

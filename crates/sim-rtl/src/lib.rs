@@ -13,8 +13,8 @@
 //! - [`bpred`]: branch predictors — Gshare, TAGE, bimodal, static — plus a
 //!   return-address stack.
 //! - [`cache`]: set-associative I/D caches with LRU replacement.
-//! - [`pipeline`]: the per-instruction timing model and performance
-//!   counters.
+//! - [`pipeline`]: the timing model, the stream of blocks and facts it
+//!   charges, and the performance counters.
 //! - [`pfa`]: the Page Fault Accelerator model and its software-paging
 //!   baseline (the §IV-A case study).
 //! - [`nic`]: the RDMA NIC + network model the PFA fetches pages through.

@@ -1,170 +1,254 @@
-//! The per-instruction timing model.
+//! The timing model of one hart.
 //!
-//! Consumes the retired-instruction stream from the shared functional
-//! interpreter and charges cycles for front-end (I-cache, branch
-//! prediction), execute (mul/div latency), and memory (D-cache, DRAM,
-//! remote-memory faults). The same instruction stream the functional
-//! simulators execute is what gets timed — timing never changes
-//! architectural behaviour.
+//! Consumes the stream the shared functional interpreter emits and charges
+//! cycles for front-end (I-cache, branch prediction), execute (mul/div
+//! latency), and memory (D-cache, DRAM, remote-memory faults). The same
+//! instruction stream the functional simulators execute is what gets
+//! timed — timing never changes architectural behaviour.
 //!
-//! The stream arrives as 16-byte [`Record`]s, and [`Pipeline::charge`]
-//! charges a batch of them in one loop: the one charging body, which the
-//! one-record [`Timing`] calls go through too.
+//! # The stream
+//!
+//! The interpreter does not send instructions. It sends control flow and
+//! addresses, in [`Batch`]es:
+//!
+//! - a block mark per block: the slot of the predecoded [`Page`] it ran on,
+//!   its first pc, and the exact number of ops it retired;
+//! - with a block's first mark on a page it has not sent before, the page
+//!   itself: filled pages are immutable and shared, and a refill after a
+//!   code store is a new page, so self-modifying code stays exact;
+//! - a taken bit per conditional branch, and a word per load or store
+//!   address and per `jalr` target;
+//! - an explicit record only for an instruction an uncached fallback step
+//!   retired (its pc, [`Class`] and call/return flags);
+//! - a record per serviced syscall, and the remote-memory window whenever
+//!   it changes.
+//!
+//! [`Pipeline::charge`], the one charging body, walks each block's page
+//! from its pc to rebuild the pc sequence, reading the facts in order. It
+//! charges each run of plain ops ([`Class::is_plain`]) in one step —
+//! instructions, a cycle each, mul/div latency and one I-cache probe per
+//! line the run enters — from per-slot run summaries it computes once,
+//! when a page is published to it.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use marshal_isa::interp::{RetireKind, Retired};
-use marshal_sim_functional::syscall::Timing;
+use marshal_isa::predecode::{Class, Emit, Page, MAX_PAGES, PAGE_SIZE, SLOTS_PER_PAGE};
 
 use crate::bpred::{Predictor, ReturnAddressStack};
 use crate::cache::{Access, Cache, CacheStats};
 use crate::config::{HardwareConfig, RemoteMemConfig};
 use crate::pfa::{PfaStats, RemoteMemory, RemoteMode};
 
-/// The codes of a [`Record`]'s top byte: a kind in the low nibble, flags
-/// above it. The retired kinds are numbered in [`RetireKind`]'s order, so
-/// the encoder's match maps a kind to itself.
-mod code {
-    pub const ALU: u8 = 0;
-    pub const MUL: u8 = 1;
-    pub const DIV: u8 = 2;
-    pub const LOAD: u8 = 3;
-    pub const STORE: u8 = 4;
-    pub const BRANCH: u8 = 5;
-    pub const JUMP: u8 = 6;
-    pub const JUMP_REG: u8 = 7;
-    pub const CSR: u8 = 8;
-    pub const SYSTEM: u8 = 9;
-    pub const SYSCALL: u8 = 10;
-    /// The escape for a pc that does not fit the word.
-    pub const WIDE_PC: u8 = 11;
-    pub const KIND: u8 = 0x0f;
-    pub const TAKEN: u8 = 0x10;
-    pub const CALL: u8 = 0x20;
-    pub const RET: u8 = 0x40;
-    pub const REMOTE: u8 = 0x80;
+/// Instructions one [`Batch`] carries at most. A timing thread that keeps
+/// up with the interpreter sleeps between batches, and each wake-up costs
+/// the interpreter microseconds on a virtualised host, so a batch is large
+/// enough to make them rare.
+pub const BATCH: usize = 16384;
+
+/// Words one [`Batch`] holds: marks, explicit records and facts. An
+/// instruction emits at most one word, so a block may retire as many ops
+/// as the smaller room allows. The ten intspeed binaries emit about 0.15
+/// words per instruction, so instructions fill a batch first; the array
+/// stays small because every run allocates one.
+const WORDS: usize = BATCH / 4;
+
+/// The tag in the low byte of a record's first word.
+mod tag {
+    /// A block: `count << 32 | slot << 8 | PUBLISH? | BLOCK`, then its pc.
+    pub const BLOCK: u64 = 0;
+    /// An uncached step: `ret << 17 | call << 16 | class << 8 | STEP`,
+    /// then its pc; its facts follow as a block's do.
+    pub const STEP: u64 = 1;
+    /// A serviced syscall, then its number.
+    pub const SYSCALL: u64 = 2;
+    /// The remote-memory window, then its start and end.
+    pub const REMOTE: u64 = 3;
+    /// The bits of the tag.
+    pub const MASK: u64 = 3;
+    /// A block whose page comes next in [`super::Batch`]'s page list.
+    pub const PUBLISH: u64 = 4;
 }
 
-/// One retired instruction or serviced syscall as the timing model reads
-/// it: 16 bytes, `Copy`.
+/// One batch of the interpreter's stream (see the module docs), written in
+/// program order and read by [`Pipeline::charge`].
 ///
-/// The first word holds the pc in its low 56 bits and a code byte in its
-/// top 8: the kind, and the taken, call, ret and remote flags. The second
-/// holds the one operand the model reads: the load or store address, the
-/// `jalr` target or the syscall number. `next_pc` and the branch and `jal`
-/// targets are never read, so they are not sent.
-///
-/// A pc at or above 2^56 does not fit. It takes an escape rather than a
-/// truncation: a wide-pc record whose operand is the full pc goes first,
-/// and the instruction's own record, with a zero pc field, follows it.
-/// [`Record::encode`] emits both, and a batch never splits them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Record {
-    word: u64,
-    operand: u64,
+/// A block entered with [`Batch::enter`] may retire as many ops as it
+/// returns: each op writes at most one word and one bit, so facts are
+/// written without a bounds check that could fail.
+#[derive(Debug)]
+pub struct Batch {
+    words: Box<[u64; WORDS]>,
+    len: usize,
+    bits: Box<[u64; BATCH / 64]>,
+    branches: usize,
+    insts: usize,
+    /// The index of the open block's mark.
+    open: usize,
+    pages: Vec<Arc<Page>>,
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() == 16);
-
-/// `bits` when `set`, else none: a code byte's flag.
-#[inline]
-fn flag(set: bool, bits: u8) -> u8 {
-    u8::from(set) * bits
+impl Default for Batch {
+    fn default() -> Batch {
+        Batch::new()
+    }
 }
 
-/// The pc bits of a [`Record`]'s first word.
-const PC_MASK: u64 = (1 << 56) - 1;
-
-impl Record {
-    #[inline]
-    fn new(code: u8, pc: u64, operand: u64) -> Record {
-        Record {
-            word: (code as u64) << 56 | pc,
-            operand,
+impl Batch {
+    /// An empty batch.
+    pub fn new() -> Batch {
+        Batch {
+            words: Box::new([0; WORDS]),
+            len: 0,
+            bits: Box::new([0; BATCH / 64]),
+            branches: 0,
+            insts: 0,
+            open: 0,
+            pages: Vec::new(),
         }
     }
 
-    /// Whether `pc` fits a record's word. An instruction at a pc that does
-    /// not takes the escape of [`Record::encode`].
-    #[inline]
-    fn fits(pc: u64) -> bool {
-        pc <= PC_MASK
+    /// Whether nothing is written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    /// The record of a retired instruction that is not a jump and whose pc
-    /// is below 2^56, or `None`: the interpreter's fast path, where these
-    /// make most of the stream. [`Record::encode`] takes the rest.
-    /// `is_remote` marks an access to the remote-memory window.
-    ///
-    /// Each match yields a value only, and the kind codes follow
-    /// [`RetireKind`]'s order, so the compiler reads the kind once and
-    /// selects the fields without a jump per kind: a jump the host
-    /// mispredicts whenever the kind changes.
-    #[inline]
-    pub fn straight(r: &Retired, is_remote: bool) -> Option<Record> {
-        use code::*;
-        let kind = match r.kind {
-            RetireKind::Alu => ALU,
-            RetireKind::Mul => MUL,
-            RetireKind::Div => DIV,
-            RetireKind::Load { .. } => LOAD,
-            RetireKind::Store { .. } => STORE,
-            RetireKind::Branch { .. } => BRANCH,
-            RetireKind::Jump { .. } => JUMP,
-            RetireKind::JumpReg { .. } => JUMP_REG,
-            RetireKind::Csr => CSR,
-            RetireKind::System => SYSTEM,
-        };
-        let operand = match r.kind {
-            RetireKind::Load { addr } | RetireKind::Store { addr } => addr,
-            _ => 0,
-        };
-        let taken = matches!(r.kind, RetireKind::Branch { taken: true, .. });
-        let code = kind | flag(taken, TAKEN) | flag(is_remote, REMOTE);
-        let straight = kind != JUMP && kind != JUMP_REG && Record::fits(r.pc);
-        straight.then(|| Record::new(code, r.pc, operand))
+    /// Whether `words` more words and `insts` more instructions fit.
+    pub fn has_room(&self, words: usize, insts: usize) -> bool {
+        self.len + words <= WORDS && self.insts + insts <= BATCH
     }
 
-    /// Emits the records of one retired instruction at any pc: its own,
-    /// preceded by the wide-pc escape when the pc does not fit.
-    pub fn encode(r: &Retired, is_remote: bool, mut emit: impl FnMut(Record)) {
-        let (code, operand) = Record::fields(r, is_remote);
-        if Record::fits(r.pc) {
-            emit(Record::new(code, r.pc, operand));
-        } else {
-            emit(Record::new(code::WIDE_PC, 0, r.pc));
-            emit(Record::new(code, 0, operand));
+    /// The instructions written so far.
+    pub fn instructions(&self) -> usize {
+        self.insts
+    }
+
+    /// The bytes the batch hands over: its words, its taken bits and its
+    /// page handles.
+    pub fn bytes(&self) -> usize {
+        8 * self.len + self.branches.div_ceil(8) + std::mem::size_of_val(&self.pages[..])
+    }
+
+    /// Empties the batch for reuse.
+    pub fn clear(&mut self) {
+        self.bits[..self.branches.div_ceil(64)].fill(0);
+        self.len = 0;
+        self.branches = 0;
+        self.insts = 0;
+        self.pages.clear();
+    }
+
+    #[inline(always)]
+    fn push(&mut self, word: u64) {
+        debug_assert!(self.len < WORDS, "a fact beyond the block's bound");
+        self.words[self.len & (WORDS - 1)] = word;
+        self.len += 1;
+    }
+
+    /// Opens a block at `pc` on the page in `slot`, handing `page` over
+    /// when `publish` is set (the slot's first block since it was filled).
+    /// Returns the most ops the block may retire; it needs room for its
+    /// mark.
+    #[inline]
+    pub fn enter(&mut self, slot: usize, page: &Arc<Page>, publish: bool, pc: u64) -> u64 {
+        debug_assert!(slot < MAX_PAGES && self.has_room(2, 0));
+        self.open = self.len;
+        self.push(((slot as u64) << 8) | (u64::from(publish) * tag::PUBLISH) | tag::BLOCK);
+        self.push(pc);
+        if publish {
+            self.publish(page);
+        }
+        (BATCH - self.insts).min(WORDS - self.len) as u64
+    }
+
+    #[cold]
+    fn publish(&mut self, page: &Arc<Page>) {
+        self.pages.push(Arc::clone(page));
+    }
+
+    /// Closes the open block: it retired `retired` ops.
+    #[inline]
+    pub fn leave(&mut self, retired: u64) {
+        self.words[self.open & (WORDS - 1)] |= retired << 32;
+        self.insts += retired as usize;
+    }
+
+    /// An instruction retired by an uncached step. Needs room for three
+    /// words and one instruction.
+    pub fn step(&mut self, r: &Retired) {
+        let (call, ret) = match r.kind {
+            RetireKind::Jump { call, .. } => (call, false),
+            RetireKind::JumpReg { call, ret, .. } => (call, ret),
+            _ => (false, false),
+        };
+        let class = r.kind.class() as u64;
+        self.push((u64::from(ret) << 17) | (u64::from(call) << 16) | (class << 8) | tag::STEP);
+        self.push(r.pc);
+        self.insts += 1;
+        match r.kind {
+            RetireKind::Load { addr } | RetireKind::Store { addr } => self.access(addr),
+            RetireKind::Branch { taken, .. } => self.branch(taken),
+            RetireKind::JumpReg { target, .. } => self.jump(target),
+            _ => {}
         }
     }
 
-    /// The code byte and operand of a retired instruction.
-    #[inline]
-    fn fields(r: &Retired, is_remote: bool) -> (u8, u64) {
-        use code::*;
-        let (kind, operand) = match r.kind {
-            RetireKind::Alu => (ALU, 0),
-            RetireKind::Mul => (MUL, 0),
-            RetireKind::Div => (DIV, 0),
-            RetireKind::Load { addr } => (LOAD, addr),
-            RetireKind::Store { addr } => (STORE, addr),
-            RetireKind::Branch { taken, .. } => (BRANCH | flag(taken, TAKEN), 0),
-            RetireKind::Jump { call, .. } => (JUMP | flag(call, CALL), 0),
-            RetireKind::JumpReg { target, call, ret } => {
-                (JUMP_REG | flag(call, CALL) | flag(ret, RET), target)
-            }
-            RetireKind::Csr => (CSR, 0),
-            RetireKind::System => (SYSTEM, 0),
-        };
-        (kind | flag(is_remote, REMOTE), operand)
+    /// A serviced syscall. Needs room for two words.
+    pub fn syscall(&mut self, sys: u64) {
+        self.push(tag::SYSCALL);
+        self.push(sys);
     }
 
-    /// The record of a serviced syscall.
+    /// The remote-memory window from here on. Needs room for three words.
+    pub fn remote(&mut self, window: Range<u64>) {
+        self.push(tag::REMOTE);
+        self.push(window.start);
+        self.push(window.end);
+    }
+}
+
+impl Emit for Batch {
+    #[inline(always)]
+    fn branch(&mut self, taken: bool) {
+        let i = self.branches;
+        debug_assert!(i < BATCH, "a branch beyond the block's bound");
+        self.bits[(i / 64) & (BATCH / 64 - 1)] |= u64::from(taken) << (i % 64);
+        self.branches = i + 1;
+    }
+
+    #[inline(always)]
+    fn access(&mut self, addr: u64) {
+        self.push(addr);
+    }
+
+    #[inline(always)]
+    fn jump(&mut self, target: u64) {
+        self.push(target);
+    }
+}
+
+/// Reads a [`Batch`] back in order.
+struct Reader<'a> {
+    words: &'a [u64],
+    at: usize,
+    bits: &'a [u64],
+    branch: usize,
+}
+
+impl Reader<'_> {
     #[inline]
-    pub fn syscall(sys: u64) -> Record {
-        Record::new(code::SYSCALL, 0, sys)
+    fn word(&mut self) -> u64 {
+        let word = self.words[self.at];
+        self.at += 1;
+        word
     }
 
     #[inline]
-    fn code(self) -> u8 {
-        (self.word >> 56) as u8
+    fn taken(&mut self) -> bool {
+        let i = self.branch;
+        self.branch += 1;
+        (self.bits[i / 64] >> (i % 64)) & 1 != 0
     }
 }
 
@@ -222,6 +306,69 @@ impl PerfCounters {
     }
 }
 
+/// What a block walk does from one slot of a page: the plain run that
+/// starts there (the consecutive plain ops, and the multiplies and divides
+/// among them), then the op that ends it. Runs end at the first op that is
+/// not plain, at the latest the page's sentinel.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    run: u16,
+    mul: u16,
+    div: u16,
+    class: Class,
+    call: bool,
+    ret: bool,
+}
+
+/// A page published to the pipeline, with the [`Step`] from each of its
+/// slots, the sentinel's included.
+#[derive(Debug)]
+struct Published {
+    page: Arc<Page>,
+    steps: Box<[Step]>,
+}
+
+impl Published {
+    fn new(page: Arc<Page>) -> Published {
+        let mut steps: Vec<Step> = Vec::with_capacity(SLOTS_PER_PAGE + 1);
+        for op in page.ops().iter().rev() {
+            let class = op.class();
+            let step = match steps.last() {
+                Some(&next) if class.is_plain() => Step {
+                    run: next.run + 1,
+                    mul: next.mul + u16::from(class == Class::Mul),
+                    div: next.div + u16::from(class == Class::Div),
+                    ..next
+                },
+                _ => Step {
+                    run: 0,
+                    mul: 0,
+                    div: 0,
+                    class,
+                    call: op.is_call(),
+                    ret: op.is_ret(),
+                },
+            };
+            steps.push(step);
+        }
+        steps.reverse();
+        Published {
+            page,
+            steps: steps.into_boxed_slice(),
+        }
+    }
+}
+
+/// Where an op sends control, as [`Pipeline::execute`] reads it.
+enum Flow {
+    /// To the next word.
+    Next,
+    /// To the op's static target: a taken branch or a `jal`.
+    Taken,
+    /// To a `jalr` target.
+    To(u64),
+}
+
 /// The timing pipeline attached to one hart.
 pub struct Pipeline {
     core: crate::config::CoreConfig,
@@ -232,10 +379,14 @@ pub struct Pipeline {
     dcache: Cache,
     l2: Option<Cache>,
     remote: Option<RemoteMemory>,
+    /// The remote-memory window, as `(start, length)`.
+    window: (u64, u64),
     counters: PerfCounters,
     /// The conditional branches of the batch being charged, `(pc, taken)`:
     /// the predictor resolves them in a second pass.
     branches: Vec<(u64, bool)>,
+    /// The page published in each decode-cache slot.
+    pages: Vec<Option<Published>>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -274,8 +425,10 @@ impl Pipeline {
             dcache: Cache::new(hw.dcache),
             l2: hw.l2.map(Cache::new),
             remote,
+            window: (0, 0),
             counters: PerfCounters::default(),
             branches: Vec::new(),
+            pages: (0..MAX_PAGES).map(|_| None).collect(),
         }
     }
 
@@ -309,8 +462,7 @@ impl Pipeline {
         self.l2.as_ref().map(Cache::stats)
     }
 
-    /// Charges a batch of records, in order: the pipeline's one charging
-    /// body.
+    /// Charges a batch, in order: the pipeline's one charging body.
     ///
     /// The counters and the last I- and D-line live in locals for the
     /// batch and are written back at its end. The L1 access counts are
@@ -318,28 +470,59 @@ impl Pipeline {
     /// and store accesses the D-cache once. Conditional branches are
     /// predicted in a second pass over the batch: predictor state follows
     /// the branch sequence alone and cycles add up, so every count is the
-    /// one a record-by-record body gives.
+    /// one an instruction-by-instruction body gives.
     ///
     /// # Panics
     ///
-    /// Panics if the batch ends between a wide-pc escape and its record.
-    pub fn charge(&mut self, records: &[Record]) {
+    /// Panics if a block runs on a slot no page was published to, or reads
+    /// past the facts the batch holds.
+    pub fn charge(&mut self, batch: &Batch) {
         let before = self.counters;
         let mut locals = Locals {
             counters: before,
             i_line: self.icache.last_line(),
             d_line: self.dcache.last_line(),
         };
-        let mut records = records.iter();
-        while let Some(&rec) = records.next() {
-            let (pc, rec) = match rec.code() {
-                code::WIDE_PC => (
-                    rec.operand,
-                    *records.next().expect("a record after the wide-pc escape"),
-                ),
-                _ => (rec.word & PC_MASK, rec),
-            };
-            self.charge_one(&mut locals, pc, rec);
+        let mut reader = Reader {
+            words: &batch.words[..batch.len],
+            at: 0,
+            bits: &batch.bits[..],
+            branch: 0,
+        };
+        let mut pages = batch.pages.iter();
+        while reader.at < batch.len {
+            let head = reader.word();
+            match head & tag::MASK {
+                tag::BLOCK => {
+                    let pc = reader.word();
+                    let slot = (head >> 8) as u8 as usize;
+                    if head & tag::PUBLISH != 0 {
+                        let page = pages.next().expect("a published page");
+                        self.pages[slot] = Some(Published::new(Arc::clone(page)));
+                    }
+                    let page = self.pages[slot].take().expect("a page in the slot");
+                    self.walk(&mut locals, &mut reader, &page, pc, head >> 32);
+                    self.pages[slot] = Some(page);
+                }
+                tag::STEP => {
+                    let pc = reader.word();
+                    let class = Class::ALL[(head >> 8) as u8 as usize];
+                    let (call, ret) = ((head >> 16) & 1 != 0, (head >> 17) & 1 != 0);
+                    let (mul, div) = (class == Class::Mul, class == Class::Div);
+                    self.charge_run(&mut locals, pc, 1, u64::from(mul), u64::from(div));
+                    self.execute(&mut locals, &mut reader, pc, class, call, ret);
+                }
+                tag::SYSCALL => {
+                    let sys = reader.word();
+                    let c = &mut locals.counters;
+                    c.syscalls += 1;
+                    c.kernel_cycles += self.core.syscall_base_cost + syscall_cost(sys);
+                }
+                _ => {
+                    let (start, end) = (reader.word(), reader.word());
+                    self.window = (start, end - start);
+                }
+            }
         }
         let c = &mut locals.counters;
         let mispredicts = self.predictor.mispredicts(&self.branches);
@@ -358,49 +541,109 @@ impl Pipeline {
         self.counters = *c;
     }
 
-    /// Charges one record of the instruction at `pc` to `locals`; total
-    /// cycles and branch outcomes are left to [`Pipeline::charge`].
-    #[inline(always)]
-    fn charge_one(&mut self, locals: &mut Locals, pc: u64, rec: Record) {
-        use code::*;
+    /// Charges the `count` ops of a block that starts at `pc` on `page`,
+    /// following its control flow with the facts in `reader`: a [`Step`]
+    /// at a time, its run and the op that ends it fetched in one sweep.
+    #[inline]
+    fn walk(
+        &mut self,
+        locals: &mut Locals,
+        reader: &mut Reader,
+        page: &Published,
+        mut pc: u64,
+        count: u64,
+    ) {
+        let base = pc & !(PAGE_SIZE - 1);
+        let mut left = count;
+        while left > 0 {
+            let slot = ((pc - base) / 4) as usize;
+            let step = page.steps[slot];
+            let run = u64::from(step.run);
+            if run >= left {
+                // The block ends inside the run: charge its first `left`
+                // ops, whose multiplies and divides are the run's less
+                // those of the run from the slot after them.
+                let rest = page.steps[slot + left as usize];
+                let (mul, div) = (step.mul - rest.mul, step.div - rest.div);
+                self.charge_run(locals, pc, left, u64::from(mul), u64::from(div));
+                return;
+            }
+            let (mul, div) = (u64::from(step.mul), u64::from(step.div));
+            self.charge_run(locals, pc, run + 1, mul, div);
+            pc += 4 * run;
+            let flow = self.execute(locals, reader, pc, step.class, step.call, step.ret);
+            pc = match flow {
+                Flow::Next => pc + 4,
+                Flow::Taken => page.page.ops()[slot + run as usize].target(pc),
+                Flow::To(target) => target,
+            };
+            left -= run + 1;
+        }
+    }
+
+    /// Charges the fetch of `n` instructions from `pc`, a cycle each, and
+    /// the extra latency of `mul` multiplies and `div` divides among them:
+    /// all that a plain op costs. The I-cache is probed once per line the
+    /// run enters.
+    #[inline]
+    fn charge_run(&mut self, locals: &mut Locals, pc: u64, n: u64, mul: u64, div: u64) {
         let c = &mut locals.counters;
-        let code = rec.code();
-        if code & KIND == SYSCALL {
-            c.syscalls += 1;
-            c.kernel_cycles += self.core.syscall_base_cost + syscall_cost(rec.operand);
-            return;
+        c.instructions += n;
+        c.mul_ops += mul;
+        c.div_ops += div;
+        let mut cycles = n + mul * (self.core.mul_latency - 1) + div * (self.core.div_latency - 1);
+        let first = self.icache.line_of(pc);
+        let last = self.icache.line_of(pc + 4 * (n - 1));
+        let stride = self.icache.lines_per_instruction();
+        let mut line = first;
+        loop {
+            if locals.i_line != Some(line) {
+                locals.i_line = Some(line);
+                if self.icache.access_line(line) == Access::Miss {
+                    let at = if line == first {
+                        pc
+                    } else {
+                        self.icache.line_start(line)
+                    };
+                    cycles += self.miss_beyond_l1(at);
+                }
+            }
+            if line >= last {
+                break;
+            }
+            line += stride;
         }
-        let mut cycles = 1u64;
-        c.instructions += 1;
+        locals.counters.user_cycles += cycles;
+    }
 
-        // Front end: instruction fetch (L1I -> L2 -> DRAM).
-        let line = self.icache.line_of(pc);
-        if locals.i_line != Some(line) {
-            locals.i_line = Some(line);
-            if self.icache.access_line(line) == Access::Miss {
-                cycles += self.miss_beyond_l1(pc);
-            }
-        }
-
-        match code & KIND {
-            ALU | CSR | SYSTEM => {}
-            MUL => {
-                c.mul_ops += 1;
-                cycles += self.core.mul_latency - 1;
-            }
-            DIV => {
-                c.div_ops += 1;
-                cycles += self.core.div_latency - 1;
-            }
-            LOAD | STORE => {
-                let addr = rec.operand;
-                if code & KIND == LOAD {
+    /// Charges what an op of `class` at `pc` costs beyond its fetch and
+    /// its cycle ([`Pipeline::charge_run`]), reading its facts from
+    /// `reader`; branch outcomes and total cycles are left to
+    /// [`Pipeline::charge`]. Plain ops cost nothing more. Returns where it
+    /// sends control.
+    #[inline(always)]
+    fn execute(
+        &mut self,
+        locals: &mut Locals,
+        reader: &mut Reader,
+        pc: u64,
+        class: Class,
+        call: bool,
+        ret: bool,
+    ) -> Flow {
+        let c = &mut locals.counters;
+        let mut cycles = 0;
+        let flow = match class {
+            Class::Alu | Class::Mul | Class::Div | Class::Csr | Class::System => Flow::Next,
+            Class::Load | Class::Store => {
+                let addr = reader.word();
+                if class == Class::Load {
                     c.loads += 1;
                 } else {
                     c.stores += 1;
                 }
-                if code & REMOTE != 0 {
-                    if let Some(remote) = &mut self.remote {
+                if let Some(remote) = &mut self.remote {
+                    if addr.wrapping_sub(self.window.0) < self.window.1 {
                         let stall = remote.access(addr);
                         c.remote_stall_cycles += stall;
                         // Software paging burns the stall in the kernel;
@@ -422,40 +665,53 @@ impl Pipeline {
                 } else {
                     cycles += self.miss_beyond_l1(addr);
                 }
+                Flow::Next
             }
-            BRANCH => {
+            Class::Branch => {
                 // Predicted after the batch: predictor state follows the
                 // branch sequence alone, and cycles add up the same.
+                let taken = reader.taken();
                 c.branches += 1;
-                self.branches.push((pc, code & TAKEN != 0));
-            }
-            JUMP => {
-                // Direct jumps resolve in the front end (BTB assumed);
-                // calls push the RAS.
-                if code & CALL != 0 {
-                    self.ras.push(pc.wrapping_add(4));
+                self.branches.push((pc, taken));
+                if taken {
+                    Flow::Taken
+                } else {
+                    Flow::Next
                 }
             }
-            JUMP_REG => {
+            Class::Jump => {
+                // Direct jumps resolve in the front end (BTB assumed);
+                // calls push the RAS.
+                if call {
+                    self.ras.push(pc.wrapping_add(4));
+                }
+                Flow::Taken
+            }
+            Class::JumpReg => {
+                let target = reader.word();
                 c.indirect_jumps += 1;
                 let mut predicted = false;
-                if code & RET != 0 {
+                if ret {
                     // `ret`: consult the RAS.
-                    if self.ras.pop() == Some(rec.operand) {
+                    if self.ras.pop() == Some(target) {
                         predicted = true;
                         c.ras_hits += 1;
                     }
-                } else if code & CALL != 0 {
+                } else if call {
                     // Indirect call: push the return address.
                     self.ras.push(pc.wrapping_add(4));
                 }
                 if !predicted {
                     cycles += self.core.jalr_penalty;
                 }
+                Flow::To(target)
             }
-            other => unreachable!("record kind {other} after the escape"),
-        }
+            Class::Ecall | Class::Ebreak | Class::Stop => {
+                unreachable!("a {class:?} op retires no record")
+            }
+        };
         c.user_cycles += cycles;
+        flow
     }
 
     /// Cost of an L1 miss: the L2 (when present) absorbs it at its hit
@@ -487,33 +743,6 @@ fn syscall_cost(sys: u64) -> u64 {
     }
 }
 
-/// The cycle-exact timing model of [`marshal_sim_functional::syscall::UserRunner::run`]:
-/// one-record calls into [`Pipeline::charge`].
-impl Timing for Pipeline {
-    /// Modelled cycles so far, for `rdcycle`.
-    #[inline]
-    fn cycles(&mut self) -> Option<u64> {
-        Some(self.counters.cycles)
-    }
-
-    /// Charges one retired instruction; `is_remote` marks memory accesses
-    /// that fall in the guest's `mmap_remote` window.
-    fn retire(&mut self, r: &Retired, is_remote: bool) {
-        let mut records = [Record::default(); 2];
-        let mut len = 0;
-        Record::encode(r, is_remote, |rec| {
-            records[len] = rec;
-            len += 1;
-        });
-        self.charge(&records[..len]);
-    }
-
-    /// Charges the modelled kernel cost of a syscall.
-    fn syscall(&mut self, sys: u64) {
-        self.charge(&[Record::syscall(sys)]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,7 +751,20 @@ mod tests {
     use marshal_isa::asm::assemble;
     use marshal_isa::inst::Reg;
     use marshal_isa::interp::{Cpu, StepOutcome};
-    use marshal_isa::mem::FlatMemory;
+    use marshal_isa::mem::{Bus, FlatMemory};
+
+    /// Charges `r` as an uncached step in a batch of its own; `is_remote`
+    /// puts its address in the remote window first.
+    fn retire(pipe: &mut Pipeline, r: &Retired, is_remote: bool) {
+        let mut batch = Batch::new();
+        let window = match r.kind {
+            RetireKind::Load { addr } | RetireKind::Store { addr } if is_remote => addr..addr + 1,
+            _ => 0..0,
+        };
+        batch.remote(window);
+        batch.step(r);
+        pipe.charge(&batch);
+    }
 
     /// Runs a program through both the functional core and the pipeline,
     /// returning the cycles charged for each retired instruction.
@@ -538,7 +780,7 @@ mod tests {
             match cpu.step(&mut mem).unwrap() {
                 StepOutcome::Retired(r) => {
                     let before = pipe.counters().cycles;
-                    pipe.retire(&r, false);
+                    retire(&mut pipe, &r, false);
                     costs.push(pipe.counters().cycles - before);
                 }
                 StepOutcome::Ecall => break,
@@ -664,7 +906,9 @@ leaf:
     #[test]
     fn syscall_cost_is_kernel_time() {
         let mut pipe = Pipeline::new(&HardwareConfig::rocket());
-        pipe.syscall(marshal_isa::abi::sys::WRITE);
+        let mut batch = Batch::new();
+        batch.syscall(marshal_isa::abi::sys::WRITE);
+        pipe.charge(&batch);
         let cost = pipe.counters().cycles;
         assert!(cost > 0);
         assert_eq!(pipe.counters().kernel_cycles, cost);
@@ -684,12 +928,62 @@ leaf:
         };
         let mut pipe = Pipeline::new(&HardwareConfig::rocket());
         for (pc, addr) in [(0x1000, 0x8000), (0x1040, 0x8040), (0x1044, 0x8048)] {
-            pipe.retire(&load(pc, addr), false);
+            retire(&mut pipe, &load(pc, addr), false);
             assert_eq!(pipe.icache.last_line(), Some(pc >> 6));
             assert_eq!(pipe.dcache.last_line(), Some(addr >> 6));
         }
         assert_eq!(pipe.icache_stats().misses, 2);
         assert_eq!(pipe.dcache_stats().misses, 2);
+    }
+
+    /// The page of a program of `nop`s at address 0.
+    fn plain_page() -> Arc<Page> {
+        struct Grab(Option<Arc<Page>>);
+        impl Emit for Grab {
+            fn branch(&mut self, _taken: bool) {}
+            fn access(&mut self, _addr: u64) {}
+            fn jump(&mut self, _target: u64) {}
+        }
+        impl marshal_isa::BlockSink for Grab {
+            fn clock(&mut self) -> Option<u64> {
+                None
+            }
+            fn enter(&mut self, _slot: usize, page: &Arc<Page>, _pc: u64) -> u64 {
+                self.0 = Some(Arc::clone(page));
+                u64::MAX
+            }
+            fn leave(&mut self, _retired: u64) {}
+            fn step(&mut self, _r: &Retired) {}
+        }
+        let mut mem = FlatMemory::new(1 << 13);
+        for pc in (0..PAGE_SIZE).step_by(4) {
+            mem.store(pc, 4, 0x13).unwrap(); // addi x0, x0, 0
+        }
+        let mut grab = Grab(None);
+        marshal_isa::DecodeCache::new()
+            .run_block(&mut Cpu::new(0), &mut mem, 1, &mut grab)
+            .unwrap();
+        grab.0.expect("a block ran")
+    }
+
+    #[test]
+    fn a_block_never_outgrows_its_batch() {
+        // Plain ops write no words, so a batch of long plain blocks runs
+        // out of instructions (and taken bits) long before words: each
+        // block's bound must respect both rooms.
+        let page = plain_page();
+        let mut batch = Batch::new();
+        let mut publish = true;
+        while batch.has_room(2, 1) {
+            let bound = batch.enter(0, &page, publish, 0);
+            publish = false;
+            assert!(batch.instructions() as u64 + bound <= BATCH as u64);
+            batch.leave(bound.min(1000));
+        }
+        assert!(batch.instructions() <= BATCH);
+        let mut pipe = Pipeline::new(&HardwareConfig::rocket());
+        pipe.charge(&batch);
+        assert_eq!(pipe.counters().instructions, batch.instructions() as u64);
     }
 
     #[test]
@@ -704,14 +998,14 @@ leaf:
         let mut sw = Pipeline::new(
             &HardwareConfig::rocket().with_remote(RemoteMemConfig::SoftwarePaging(t)),
         );
-        sw.retire(&retired, true);
+        retire(&mut sw, &retired, true);
         assert!(
             sw.counters().kernel_cycles > 0,
             "sw paging stalls in kernel"
         );
 
         let mut hw = Pipeline::new(&HardwareConfig::rocket().with_remote(RemoteMemConfig::Pfa(t)));
-        hw.retire(&retired, true);
+        retire(&mut hw, &retired, true);
         assert_eq!(hw.counters().kernel_cycles, 0, "pfa stalls in hardware");
         assert!(hw.counters().remote_stall_cycles > 0);
         assert!(

@@ -2,13 +2,22 @@
 //! invariants, predictor sanity, and remote-memory accounting, plus the
 //! fast models checked against naive references (TAGE with from-scratch
 //! history folds and as a per-table transcription, LRU caches as recency
-//! lists, the batch charging kernel as a per-instruction pipeline).
+//! lists, the batch charging kernel as a per-instruction pipeline), and
+//! whole generated runs through `FireSim::run` checked against the same
+//! programs stepped one instruction at a time into that per-instruction
+//! pipeline.
 //!
 //! Uses the in-repo `marshal-qcheck` harness (offline build environment);
 //! every case derives from a fixed seed and replays deterministically.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use marshal_isa::interp::{RetireKind, Retired};
+use marshal_isa::predecode::{BlockSink, Emit, Page};
 use marshal_qcheck::cases;
+use marshal_sim_functional::boot::run_job;
+use marshal_sim_functional::machine::{LaunchMode, LoadedJob};
 use marshal_sim_functional::syscall::Timing;
 use marshal_sim_rtl::bpred::{
     BimodalPredictor, GsharePredictor, Predictor, ReturnAddressStack, TagePredictor,
@@ -18,7 +27,8 @@ use marshal_sim_rtl::config::{
     BpredConfig, CacheConfig, CoreConfig, HardwareConfig, RemoteMemConfig,
 };
 use marshal_sim_rtl::pfa::{PfaStats, RemoteMemory, RemoteMode, RemoteTimings};
-use marshal_sim_rtl::pipeline::{PerfCounters, Pipeline, Record};
+use marshal_sim_rtl::pipeline::{Batch, PerfCounters, Pipeline};
+use marshal_sim_rtl::{FireSim, PerfReport};
 
 /// Misses never exceed accesses; stats count every access.
 #[test]
@@ -815,10 +825,11 @@ fn stats(p: &Pipeline) -> Stats {
 }
 
 /// One event of the stream the interpreter reports.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Event {
-    Retire(Retired, bool),
+    Retire(Retired),
     Syscall(u64),
+    Remote(Range<u64>),
 }
 
 /// The base of the guest's remote-memory window in [`event_stream`].
@@ -826,11 +837,11 @@ const REMOTE_BASE: u64 = 0x4000_0000;
 
 /// A stream of every kind of event: code that runs straight through
 /// I-lines and jumps between a few regions (one at pc 0, one that runs
-/// across 2^56 and one above it, where pcs take the record's escape),
-/// loads and stores over a small and a large working set, the remote
-/// window and the operand edges 0, 2^56 - 1, 2^56 and `u64::MAX`, calls
-/// and returns that hit and miss the return-address stack (at edge and
-/// misaligned `jalr` targets too), branches in patterns, and syscalls.
+/// across 2^56 and one above it), loads and stores over a small and a
+/// large working set, the remote window and the operand edges 0,
+/// 2^56 - 1, 2^56 and `u64::MAX`, calls and returns that hit and miss the
+/// return-address stack (at edge and misaligned `jalr` targets too),
+/// branches in patterns, syscalls, and the remote window moving.
 fn event_stream(rng: &mut marshal_qcheck::Rng, len: usize) -> Vec<Event> {
     let regions = [
         0,
@@ -852,7 +863,14 @@ fn event_stream(rng: &mut marshal_qcheck::Rng, len: usize) -> Vec<Event> {
             3 => *rng.pick(&[0, (1 << 56) - 1, 1 << 56, u64::MAX]),
             _ => rng.range_u64(0, 1 << 40),
         };
-        let remote = (REMOTE_BASE..REMOTE_BASE + (16 << 12)).contains(&addr) || rng.below(16) == 0;
+        if rng.below(256) == 0 {
+            let window = match rng.below(3) {
+                0 => 0..0,
+                1 => REMOTE_BASE..REMOTE_BASE + (16 << 12),
+                _ => addr..addr.saturating_add(rng.range_u64(1, 1 << 20)),
+            };
+            out.push(Event::Remote(window));
+        }
         let mut next = pc.wrapping_add(4);
         let kind = match rng.below(20) {
             0..=4 => RetireKind::Alu,
@@ -916,14 +934,11 @@ fn event_stream(rng: &mut marshal_qcheck::Rng, len: usize) -> Vec<Event> {
                 continue;
             }
         };
-        out.push(Event::Retire(
-            Retired {
-                pc,
-                next_pc: next,
-                kind,
-            },
-            remote,
-        ));
+        out.push(Event::Retire(Retired {
+            pc,
+            next_pc: next,
+            kind,
+        }));
         pc = next;
     }
     out
@@ -966,14 +981,20 @@ fn hardware(rng: &mut marshal_qcheck::Rng) -> HardwareConfig {
     hw
 }
 
+/// Whether `r` accesses `window`.
+fn is_remote(r: &Retired, window: &Range<u64>) -> bool {
+    match r.kind {
+        RetireKind::Load { addr } | RetireKind::Store { addr } => window.contains(&addr),
+        _ => false,
+    }
+}
+
 /// The batch kernel charges exactly what the per-instruction body
 /// charges: on every counter and every cache, L2 and PFA statistic, for
-/// batches split anywhere between events, with `cycles()` read between
-/// batches, and for the same stream fed one event at a time. The batches
-/// are encoded as the interpreter encodes them ([`Record::straight`] where
-/// it applies, else [`Record::encode`]); one at a time, every instruction
-/// goes through [`Record::encode`]. So each kind, flag, escape and operand
-/// edge of the record is read back by the one reader, the kernel.
+/// batches split anywhere between events, with the cycles read between
+/// batches. Every instruction is an explicit record (as an uncached step
+/// writes it), so each kind, flag and operand edge is read back by the one
+/// reader, the kernel; blocks are checked by the whole-run test below.
 #[test]
 fn batch_kernel_matches_per_instruction_reference() {
     cases(96, |rng| {
@@ -982,39 +1003,238 @@ fn batch_kernel_matches_per_instruction_reference() {
         let events = event_stream(rng, len);
         let mut reference = RefPipeline::new(&hw);
         let mut batched = Pipeline::new(&hw);
-        let mut single = Pipeline::new(&hw);
-        let mut records = Vec::new();
+        let mut batch = Batch::new();
+        let mut window = 0..0;
         let mut pending = 0;
         for (i, event) in events.iter().enumerate() {
-            match *event {
-                Event::Retire(r, remote) => {
-                    reference.retire(&r, remote);
-                    single.retire(&r, remote);
-                    match Record::straight(&r, remote) {
-                        Some(rec) => records.push(rec),
-                        None => Record::encode(&r, remote, |rec| records.push(rec)),
-                    }
+            match event {
+                Event::Retire(r) => {
+                    reference.retire(r, is_remote(r, &window));
+                    batch.step(r);
                 }
                 Event::Syscall(sys) => {
-                    reference.syscall(sys);
-                    single.syscall(sys);
-                    records.push(Record::syscall(sys));
+                    reference.syscall(*sys);
+                    batch.syscall(*sys);
+                }
+                Event::Remote(w) => {
+                    window = w.clone();
+                    batch.remote(w.clone());
                 }
             }
             pending += 1;
             let last = i + 1 == events.len();
-            if last || rng.below(64) == 0 {
-                batched.charge(&records);
-                records.clear();
+            if last || rng.below(64) == 0 || !batch.has_room(3, 1) {
+                batched.charge(&batch);
+                batch.clear();
                 assert_eq!(
-                    batched.cycles(),
-                    Some(reference.counters.cycles),
+                    batched.counters().cycles,
+                    reference.counters.cycles,
                     "{hw:?}, cycles after event {i} ({pending} in the batch)"
                 );
                 assert_eq!(stats(&batched), reference.stats(), "{hw:?}, event {i}");
                 pending = 0;
             }
         }
-        assert_eq!(stats(&single), reference.stats(), "{hw:?}, one at a time");
     });
+}
+
+/// The per-instruction reference of a whole run: no block is entered, so
+/// every instruction takes an uncached step, and its record is charged to
+/// a [`RefPipeline`] on the interpreter's thread.
+struct Stepped {
+    pipe: RefPipeline,
+    window: Range<u64>,
+}
+
+impl Emit for Stepped {
+    fn branch(&mut self, _taken: bool) {
+        unreachable!("no block is entered")
+    }
+    fn access(&mut self, _addr: u64) {
+        unreachable!("no block is entered")
+    }
+    fn jump(&mut self, _target: u64) {
+        unreachable!("no block is entered")
+    }
+}
+
+impl BlockSink for Stepped {
+    fn clock(&mut self) -> Option<u64> {
+        Some(self.pipe.counters.cycles)
+    }
+    fn enter(&mut self, _slot: usize, _page: &Arc<Page>, _pc: u64) -> u64 {
+        0
+    }
+    fn leave(&mut self, _retired: u64) {
+        unreachable!("no block is entered")
+    }
+    fn step(&mut self, r: &Retired) {
+        self.pipe.retire(r, is_remote(r, &self.window));
+    }
+}
+
+impl Timing for Stepped {
+    fn syscall(&mut self, sys: u64) {
+        self.pipe.syscall(sys);
+    }
+    fn remote(&mut self, window: Range<u64>) {
+        self.window = window;
+    }
+}
+
+/// A random bare program: a counted loop whose body mixes ALU and M ops,
+/// loads and stores over a data buffer or the remote window (mapped with
+/// `mmap_remote`), data-dependent branches, calls and returns, indirect
+/// jumps, `rdcycle` reads folded into the exit code, and a store that
+/// turns an `addi` of the running page into a `mul` (so the page is
+/// refilled, and a stale copy would time the wrong op); after the loop,
+/// an exit or a `jalr` to a misaligned, unmapped or wide (2^56 and up)
+/// target.
+fn bare_program(rng: &mut marshal_qcheck::Rng) -> String {
+    let mut text = String::from("_start:\n li t0, 1\n li t1, 3\n li t2, 7\n li t5, 0\n");
+    if rng.bool() {
+        let pages = rng.range_u64(1, 8);
+        text += &format!(" li a0, {pages}\n li a7, 2002\n ecall\n mv s1, a0\n");
+        text += &format!(" li s2, {}\n", pages * 4096);
+    } else {
+        text += " la s1, buf\n li s2, 8192\n";
+    }
+    text += &format!(" li s0, {}\nloop:\n", rng.range_u64(1, 4000));
+    let mut functions = String::new();
+    for i in 0..rng.range_usize(1, 24) {
+        match rng.below(10) {
+            0 => text += " add t0, t0, t1\n xor t1, t1, t0\n slli t2, t2, 1\n",
+            1 => text += " mul t1, t1, t2\n addi t2, t2, 13\n",
+            2 => text += " divu t3, t0, t2\n rem t4, t1, t2\n",
+            3 => {
+                // An address inside the buffer or window, 8-aligned.
+                text +=
+                    &format!(
+                    " mul t3, s0, t2\n remu t3, t3, s2\n andi t3, t3, -8\n add t3, t3, s1\n {}\n",
+                    if rng.bool() { "ld t4, 0(t3)" } else { "sd t0, 0(t3)" }
+                );
+            }
+            4 => {
+                text += &format!(
+                    " andi t4, t0, {}\n beqz t4, skip{i}\n addi t5, t5, 1\nskip{i}:\n",
+                    1 << rng.below(3)
+                );
+            }
+            5 => text += " rdcycle t6\n add t5, t5, t6\n",
+            6 => {
+                text += &format!(" call fn{i}\n");
+                functions += &format!("fn{i}:\n addi t1, t1, 5\n ret\n");
+            }
+            7 => {
+                // From the second iteration on, the `addi` is a `mul`.
+                text += &format!(
+                    "patch{i}:\n addi t2, t2, 1\n la t3, patch{i}\n la t4, alt{i}\n lw t4, 0(t4)\n sw t4, 0(t3)\n"
+                );
+                functions += &format!("alt{i}:\n mul t2, t2, t1\n");
+            }
+            8 => {
+                text += &format!(" la t3, via{i}\n jr t3\n addi t5, t5, 99\nvia{i}:\n");
+            }
+            _ => text += " srli t0, t0, 1\n addi t0, t0, 17\n sub t1, t1, t0\n",
+        }
+    }
+    text += " addi s0, s0, -1\n bnez s0, loop\n";
+    match rng.below(6) {
+        0 => text += " la t3, loop\n addi t3, t3, 2\n jr t3\n",
+        1 => text += " li t3, 0x7f000000\n jr t3\n",
+        2 => text += " li t3, 1\n slli t3, t3, 56\n jr t3\n",
+        _ => {}
+    }
+    text += " andi a0, t5, 127\n li a7, 93\n ecall\n";
+    text + &functions + "\n .data\nbuf: .space 8192\n"
+}
+
+/// Every predictor kind, on cores with and without an L2, with no remote
+/// memory, software paging or the PFA.
+fn whole_run_hardware(rng: &mut marshal_qcheck::Rng) -> HardwareConfig {
+    let base = match rng.below(3) {
+        0 => HardwareConfig::rocket(),
+        1 => HardwareConfig::boom_gshare(),
+        _ => HardwareConfig::boom_tage(),
+    };
+    let bpred = match rng.below(5) {
+        0 => BpredConfig::AlwaysTaken,
+        1 => BpredConfig::NeverTaken,
+        2 => BpredConfig::Bimodal { table_bits: 6 },
+        3 => BpredConfig::default_gshare(),
+        _ => BpredConfig::default_tage(),
+    };
+    let t = RemoteTimings::default();
+    let remote = match rng.below(3) {
+        0 => RemoteMemConfig::None,
+        1 => RemoteMemConfig::SoftwarePaging(t),
+        _ => RemoteMemConfig::Pfa(t),
+    };
+    base.with_bpred(bpred).with_remote(remote)
+}
+
+/// `FireSim::run`, which hands blocks to a timing thread once a batch
+/// fills and charges plain runs in one step, returns exactly the
+/// `SimResult` and every `PerfReport` field of the same run stepped one
+/// instruction at a time into the per-instruction [`RefPipeline`], on
+/// generated programs (see [`bare_program`]) under budgets that cut runs
+/// off mid-block.
+#[test]
+fn whole_runs_match_the_per_instruction_reference() {
+    let (mut threaded, mut cut, mut traps) = (0, 0, 0);
+    cases(64, |rng| {
+        let src = bare_program(rng);
+        let exe = marshal_isa::assemble(&src, marshal_isa::abi::USER_BASE)
+            .unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let job = LoadedJob::Bare {
+            bin: exe.to_bytes(),
+        };
+        let hw = whole_run_hardware(rng);
+        let mut sim = FireSim::new(hw.clone());
+        if rng.bool() {
+            sim = sim.with_budget(rng.range_u64(1, 60_000));
+        }
+        let decoupled = sim.run(&job, LaunchMode::Run, None).map(|(r, p, _)| (r, p));
+        let mut stepped = Stepped {
+            pipe: RefPipeline::new(&hw),
+            window: 0..0,
+        };
+        let banner = format!("firesim: bare-metal node ({})", hw.name);
+        let reference = run_job(
+            &sim.sim_config(),
+            &job,
+            LaunchMode::Run,
+            None,
+            &banner,
+            &mut stepped,
+        )
+        .map(|(result, _)| {
+            let stats = stepped.pipe.stats();
+            let report = PerfReport {
+                config_name: hw.name.clone(),
+                bpred: Predictor::new(&hw.bpred).name(),
+                counters: stats.counters,
+                icache: stats.icache,
+                dcache: stats.dcache,
+                l2: stats.l2,
+                pfa: stats.pfa,
+                freq_mhz: hw.freq_mhz,
+            };
+            (result, report)
+        });
+        match &reference {
+            Ok((result, _)) => {
+                threaded += usize::from(result.instructions > 2 * 16384);
+                cut += usize::from(result.timed_out);
+            }
+            Err(_) => traps += 1,
+        }
+        assert_eq!(decoupled, reference, "{hw:?}\n{src}");
+    });
+    assert!(
+        threaded > 12,
+        "{threaded} runs long enough to start the timing thread"
+    );
+    assert!(cut > 8, "{cut} runs cut off by the budget");
+    assert!(traps > 8, "{traps} runs end in a trap");
 }
