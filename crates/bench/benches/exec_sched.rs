@@ -7,12 +7,17 @@
 //! bookkeeping, and an event channel on top of raw pooling; this bench
 //! asserts all of that costs no more than 5% wall-clock on a realistic
 //! task mix, and records the measurement in `BENCH_exec.json`.
+//!
+//! Each variant also records the process's CPU time per task
+//! (`cpu_ns_per_task`). Four workers and the scheduler thread share the
+//! host's cores, so a wall-clock gap with equal CPU per task is
+//! oversubscription, not scheduler work.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use marshal_bench::{append_bench_rows, median, Row};
+use marshal_bench::{append_bench_rows, cpu_ns, median, CpuClock, Row};
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
 
 /// 8 layers of 8 tasks: each task depends on two tasks of the previous
@@ -35,6 +40,18 @@ fn spin(seed: u64) {
         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
     }
     std::hint::black_box(acc);
+}
+
+/// Starts the clocks a run is measured on: wall time and the process's
+/// CPU time.
+fn clocks() -> (Instant, Option<u64>) {
+    (Instant::now(), cpu_ns(CpuClock::Process))
+}
+
+/// Wall time and process CPU nanoseconds since `start` was taken.
+fn elapsed((t0, cpu0): (Instant, Option<u64>)) -> (Duration, Option<u64>) {
+    let cpu = cpu_ns(CpuClock::Process).zip(cpu0).map(|(c1, c0)| c1 - c0);
+    (t0.elapsed(), cpu)
 }
 
 /// The task grid as (id, dep indices) pairs, in layer order.
@@ -74,13 +91,13 @@ fn sched_graph() -> Graph {
 }
 
 /// One run through the event-channel scheduler.
-fn run_scheduler(g: &Graph) -> Duration {
+fn run_scheduler(g: &Graph) -> (Duration, Option<u64>) {
     let mut db = StateDb::in_memory();
-    let t0 = Instant::now();
+    let start = clocks();
     let report = g
         .execute(&mut db, Plan::local(THREADS), &ExecOptions::default())
         .unwrap();
-    let elapsed = t0.elapsed();
+    let elapsed = elapsed(start);
     assert_eq!(report.executed.len(), TASKS);
     elapsed
 }
@@ -89,7 +106,7 @@ fn run_scheduler(g: &Graph) -> Duration {
 /// worker pool over a shared ready queue with per-task dependency counts —
 /// pure pooling, none of the scheduler's fingerprint/state/event work.
 /// This is the baseline the refactor must stay within 5% of.
-fn run_condvar_pool() -> Duration {
+fn run_condvar_pool() -> (Duration, Option<u64>) {
     struct State {
         ready: VecDeque<usize>,
         remaining: Vec<usize>,
@@ -121,7 +138,7 @@ fn run_condvar_pool() -> Duration {
         Condvar::new(),
     ));
 
-    let t0 = Instant::now();
+    let start = clocks();
     let workers: Vec<_> = (0..THREADS)
         .map(|_| {
             let shared = Arc::clone(&shared);
@@ -158,7 +175,7 @@ fn run_condvar_pool() -> Duration {
     for w in workers {
         w.join().unwrap();
     }
-    let elapsed = t0.elapsed();
+    let elapsed = elapsed(start);
     assert_eq!(shared.0.lock().unwrap().done, TASKS);
     elapsed
 }
@@ -168,36 +185,45 @@ fn main() {
     // Warm-up, then interleave the variants so drift hits both equally.
     run_condvar_pool();
     run_scheduler(&g);
-    let mut pool_runs = Vec::with_capacity(RUNS);
-    let mut sched_runs = Vec::with_capacity(RUNS);
+    let (mut pool_runs, mut sched_runs) = (Vec::new(), Vec::new());
     for _ in 0..RUNS {
         pool_runs.push(run_condvar_pool());
         sched_runs.push(run_scheduler(&g));
     }
-    let pool = median(pool_runs);
-    let sched = median(sched_runs);
+    // Median wall time and median CPU time per task, each over the runs.
+    let medians = |runs: Vec<(Duration, Option<u64>)>| {
+        let (walls, cpus): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        let cpu = median(cpus).map(|ns| ns as f64 / TASKS as f64);
+        (median(walls), cpu)
+    };
+    let (pool, pool_cpu) = medians(pool_runs);
+    let (sched, sched_cpu) = medians(sched_runs);
     let ratio = sched.as_secs_f64() / pool.as_secs_f64();
     println!("== exec_sched: event-channel scheduler vs pre-refactor pool ==");
     println!("  {TASKS}-task graph ({LAYERS}x{WIDTH}), {THREADS} threads, median of {RUNS}");
-    println!("  condvar pool: {pool:?}");
-    println!("  scheduler:    {sched:?}");
+    println!("  condvar pool: {pool:?}, {pool_cpu:?} CPU ns/task");
+    println!("  scheduler:    {sched:?}, {sched_cpu:?} CPU ns/task");
     println!("  ratio:        {ratio:.3}x");
-    let rows: Vec<Row> = [("condvar_pool", pool), ("scheduler", sched)]
-        .iter()
-        .flat_map(|(variant, wall)| {
-            let variant = format!("{variant}/tasks={TASKS}/threads={THREADS}");
-            [
-                Row::new(
-                    "exec_sched",
-                    &*variant,
-                    "wall_ns",
-                    wall.as_nanos() as f64,
-                    "ns",
-                ),
-                Row::new("exec_sched", variant, "sched_pool_ratio", ratio, "ratio"),
-            ]
-        })
-        .collect();
+    if let Some((s, p)) = sched_cpu.zip(pool_cpu) {
+        println!("  CPU ratio:    {:.3}x", s / p);
+    }
+    let rows: Vec<Row> = [
+        ("condvar_pool", pool, pool_cpu),
+        ("scheduler", sched, sched_cpu),
+    ]
+    .into_iter()
+    .flat_map(|(variant, wall, cpu)| {
+        let variant = format!("{variant}/tasks={TASKS}/threads={THREADS}");
+        let wall = wall.as_nanos() as f64;
+        let cpu = cpu.map(|ns| Row::new("exec_sched", &*variant, "cpu_ns_per_task", ns, "ns"));
+        [
+            Row::new("exec_sched", &*variant, "wall_ns", wall, "ns"),
+            Row::new("exec_sched", &*variant, "sched_pool_ratio", ratio, "ratio"),
+        ]
+        .into_iter()
+        .chain(cpu)
+    })
+    .collect();
     // Record the measurement first, so a run that fails the gate still
     // leaves its rows in the ledger.
     append_bench_rows("BENCH_exec.json", &rows);

@@ -15,8 +15,10 @@
 //! | `exec_sched` | the task scheduler vs a raw Condvar pool | ≤1.05x | `BENCH_exec.json` |
 //! | `parallel_jobs` | E8: a 10-node cluster serial vs parallel, and the `-j N` build sweep | — | `BENCH_exec.json` |
 //! | `image_chain` | flat vs content-addressed image persistence | ≥5x | `BENCH_image.json` |
-//! | `serve_fetch` | cold vs warm delta fetch from a serve root | ≥4x | `BENCH_serve.json` |
 //! | `ablation` | design-choice sweeps of the timing model, printed only | — | — |
+//!
+//! `BENCH_serve.json` keeps the rows of the retired artifact-serving bench
+//! as history; no bench appends to it.
 //!
 //! The paper's exact figures (Fig. 3 sizes, Fig. 5 and Fig. 6 counts,
 //! incremental-build task counts, exact-cycle repeatability) are golden

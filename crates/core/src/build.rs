@@ -20,7 +20,6 @@ use marshal_image::{initsys, BootPayload, FsImage, InitSystem};
 use marshal_linux::kconfig::KernelConfig;
 use marshal_linux::kernel::build_kernel;
 use marshal_linux::InitramfsSpec;
-use marshal_netstore::{RemoteFetchSummary, RemoteStore, RetryPolicy};
 use marshal_script::{HostEnv, Interp, Value};
 use marshal_sim_functional::LaunchMode;
 use marshal_trace::Recorder;
@@ -29,7 +28,7 @@ use crate::board::Board;
 use crate::error::MarshalError;
 use crate::imagestore::{ImageStore, PoolPin};
 use crate::simulator::{default_backend, simulator_for, BackendOptions};
-use crate::warnings::{Severity, Warning};
+use crate::warnings::Warning;
 
 /// Options for `build`.
 #[derive(Clone, Default)]
@@ -46,11 +45,6 @@ pub struct BuildOptions {
     /// available parallelism ([`marshal_depgraph::LocalRunner::host_threads`]);
     /// `Some(1)` builds serially.
     pub jobs: Option<usize>,
-    /// A `marshal serve` daemon (`HOST:PORT`) to fetch pre-built levels
-    /// from before building them locally (`--remote` / `MARSHAL_REMOTE`).
-    /// The remote is an accelerator, never a dependency: any fetch failure
-    /// degrades to the ordinary local build.
-    pub remote: Option<String>,
     /// Plan without executing (`--dry-run`): record what would build and
     /// leave the state database and filesystem untouched.
     pub dry_run: bool,
@@ -66,7 +60,6 @@ impl std::fmt::Debug for BuildOptions {
             .field("force", &self.force)
             .field("keep_going", &self.keep_going)
             .field("jobs", &self.jobs)
-            .field("remote", &self.remote)
             .field("dry_run", &self.dry_run)
             .field("progress", &self.progress.is_some())
             .finish()
@@ -119,9 +112,6 @@ pub struct BuildProducts {
     /// recovery, interrupted-task rebuilds). The CLI prints each once;
     /// library code never writes to stderr.
     pub warnings: Vec<Warning>,
-    /// Remote-fetch accounting when the build ran with a `--remote`
-    /// daemon configured (`None` for purely local builds).
-    pub remote: Option<RemoteFetchSummary>,
     /// For `--dry-run` builds, the tasks that would have executed, in
     /// dispatch order (`None` for real builds).
     pub dry_run: Option<Vec<marshal_depgraph::PlannedTask>>,
@@ -137,12 +127,9 @@ pub struct Builder {
     /// Warnings gathered while opening the state database, handed to the
     /// first build's [`BuildProducts::warnings`].
     open_warnings: Vec<Warning>,
-    /// Memoized artifact-distribution client; kept across builds so the
-    /// circuit breaker's history survives within one process.
-    remote_client: Option<Arc<RemoteStore>>,
     /// Run-journal recorder; disabled by default. Cloned into the task
-    /// executor, the image store, and the remote client so the whole build
-    /// lands in one journal.
+    /// executor and the image store so the whole build lands in one
+    /// journal.
     recorder: Recorder,
 }
 
@@ -177,7 +164,6 @@ impl Builder {
             workdir,
             db,
             open_warnings,
-            remote_client: None,
             recorder: Recorder::disabled(),
         })
     }
@@ -192,14 +178,6 @@ impl Builder {
     /// installed one).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// Installs a pre-constructed artifact-distribution client, used by
-    /// builds whose options do not name a `remote` address. Tests use this
-    /// to build over loopback or fault-injecting transports; the CLI goes
-    /// through [`BuildOptions::remote`] instead.
-    pub fn set_remote_client(&mut self, client: Arc<RemoteStore>) {
-        self.remote_client = Some(client);
     }
 
     /// If opening the state database recovered from corruption, the
@@ -290,27 +268,10 @@ impl Builder {
             self.db.clear();
         }
 
-        // Artifact-distribution client, memoized across builds on this
-        // builder so the circuit breaker's failure history carries over.
-        if let Some(addr) = &options.remote {
-            let stale = match &self.remote_client {
-                Some(c) => c.label() != addr,
-                None => true,
-            };
-            if stale {
-                self.remote_client = Some(Arc::new(RemoteStore::tcp(addr, RetryPolicy::default())));
-            }
-        }
-        let remote = self.remote_client.clone();
-
         let mut graph = Graph::new();
         // Shared store for images produced by level tasks within this build.
         let mut store = ImageStore::new(&self.workdir);
         store.set_recorder(self.recorder.clone());
-        if let Some(r) = &remote {
-            // Loads heal corrupt/missing pool blobs from the remote too.
-            store.set_remote(Arc::clone(r));
-        }
         let store = store;
 
         // --- host-init (§III-B step 3) -----------------------------------
@@ -405,14 +366,6 @@ impl Builder {
             self.db.flush()?;
         }
 
-        if let Some(r) = &remote {
-            for note in r.take_notes() {
-                warnings.push(
-                    Warning::with_code("remote", note, "remote-degraded")
-                        .severity(Severity::Degraded),
-                );
-            }
-        }
         let jobs = job_plans
             .into_iter()
             .map(|p| JobArtifacts {
@@ -428,7 +381,6 @@ impl Builder {
             report,
             source_dir,
             warnings,
-            remote: remote.as_ref().map(|r| r.summary()),
             dry_run: dry_plan.map(|p| p.tasks()),
         })
     }
@@ -601,7 +553,7 @@ impl Builder {
             .output(&boot_path)
             .output(crate::integrity::sidecar_path(&boot_path))
             // Diskless boots load the job image, and a load may quarantine
-            // or heal pool blobs — writes under the shared pool tree.
+            // a pool blob — a write under the shared pool tree.
             .claim_tree(objects_dir);
             for f in fragments.iter() {
                 task = task.input(f.as_bytes());
@@ -707,8 +659,6 @@ impl Builder {
         let out_path = store.path_for(&key);
         let objects_dir = store.objects_dir().to_path_buf();
         let input_fp = input_hash.finish();
-        let by_input_path = store.by_input_path(input_fp);
-        let remote = self.remote_client.clone();
         // Just the backend-selection slice of the level spec: which
         // functional simulator boots the guest-init script.
         let sim_spec = WorkloadSpec {
@@ -720,17 +670,6 @@ impl Builder {
             ..WorkloadSpec::default()
         };
         let task = Task::new(task_id, move || {
-            // Fetch-before-build (§distribution): a remote that already has
-            // this exact level — same input fingerprint — supplies the
-            // manifest plus only the blobs missing locally. Every failure
-            // path inside try_fetch_level degrades to the local build
-            // below; the remote is an accelerator, never a dependency.
-            if let Some(remote) = &remote {
-                if let Some(manifest) = remote.try_fetch_level(store.blobs(), input_fp) {
-                    return store.install_fetched_manifest(&key, input_fp, &manifest);
-                }
-                remote.note_local_build();
-            }
             let mut image = match (&hard_img, &base) {
                 (Some(img), _) => img.clone(),
                 (None, Some(base)) => base.clone(),
@@ -747,11 +686,10 @@ impl Builder {
             if let Some(script) = &guest_init {
                 run_guest_init(&board, &mut image, script, &sim_spec)?;
             }
-            store.store_with_input(&key, Some(input_fp), image)
+            store.store(&key, image)
         })
         .input(input_fp.to_string().as_bytes())
         .output(out_path)
-        .claim(by_input_path)
         // Blob paths are content-derived, so the whole pool is claimed as a
         // shared tree; concurrent level tasks dedupe writes in the store.
         .claim_tree(objects_dir);

@@ -111,13 +111,12 @@ pub fn clean_workload(
 }
 
 /// Removes the temp files of writers that died inside
-/// [`persist::write_atomic`] from the pool shards, `levels/`, the by-input
-/// index and the checkpoint store.
+/// [`persist::write_atomic`] from the pool shards, `levels/` and the
+/// checkpoint store.
 fn sweep_dead_temps(workdir: &Path, store: &ImageStore) {
     let shards = std::fs::read_dir(store.objects_dir()).into_iter().flatten();
     let dirs = shards.filter_map(|e| Some(e.ok()?.path())).chain([
         store.levels_dir().to_path_buf(),
-        store.by_input_dir(),
         CheckpointStore::new(workdir).dir().to_path_buf(),
     ]);
     let entries = dirs.filter_map(|d| std::fs::read_dir(d).ok()).flatten();
@@ -317,25 +316,6 @@ pub(crate) fn pool_blobs(store: &ImageStore) -> Vec<(std::path::PathBuf, Fingerp
     out
 }
 
-/// Removes by-input index entries whose manifests are damaged or reference
-/// a blob no longer in the pool, so `marshal serve` never advertises a level
-/// it cannot actually supply. Returns how many entries were removed.
-pub(crate) fn sweep_by_input(store: &ImageStore) -> usize {
-    let dir = store.by_input_dir();
-    let stale = level_files(&dir)
-        .into_iter()
-        .filter(|(_, refs)| match refs {
-            Err(StoreError::Io(_)) => false,
-            Err(_) => true,
-            Ok(refs) => refs.iter().any(|fp| !store.blobs().has(*fp)),
-        });
-    let removed = stale
-        .filter(|(path, _)| std::fs::remove_file(path).is_ok())
-        .count();
-    let _ = std::fs::remove_dir(&dir);
-    removed
-}
-
 /// Deletes every blob in `workdir/objects/` that no surviving manifest in
 /// `workdir/levels/` references; returns (blobs removed, bytes reclaimed,
 /// deferred-reason). Pruning is deferred entirely while another process
@@ -375,9 +355,6 @@ fn prune_objects(store: &ImageStore) -> (usize, u64, Option<String>) {
             let _ = std::fs::remove_dir(shard.path());
         }
     }
-    // The by-input distribution index must never outlive the blobs it
-    // references: drop entries the prune just invalidated.
-    sweep_by_input(store);
     (pruned, bytes_reclaimed, None)
 }
 
@@ -523,8 +500,8 @@ mod tests {
         let dead = [
             work.join("objects/ab")
                 .join(format!(".{fp}.blob.4000000000.0.tmp")),
-            work.join("levels/by-input")
-                .join(format!(".{fp}.man.4000000000.1.tmp")),
+            work.join("levels")
+                .join(format!(".{fp}.img.4000000000.1.tmp")),
             work.join("checkpoints")
                 .join(format!(".{fp}.ckpt.4000000000.2.tmp")),
         ];

@@ -10,8 +10,7 @@
 //!   test    [--manual DIR]           Build, launch, and compare against a reference
 //!   install [--hw CONFIG] [--sim C]  Set up an RTL simulator (firesim/vcs/verilator)
 //!   clean   [--keep-runs N]          Remove built artifacts and state
-//!   serve   [--port N]               Export this workdir's built levels to the network
-//!   scrub   [--remote HOST:PORT]     Verify the blob pool; quarantine and heal damage
+//!   scrub                            Verify the blob pool; quarantine damage
 //!   trace   [RUN] [--summary]        Inspect recorded run journals
 //! ```
 
@@ -56,8 +55,8 @@ pub struct CliArgs {
 /// One of Table I's commands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// `build [--no-disk] [--force] [--keep-going] [-j N] [--remote HOST:PORT]
-    /// [--dry-run] [--progress] <workload>`.
+    /// `build [--no-disk] [--force] [--keep-going] [-j N] [--dry-run]
+    /// [--progress] <workload>`.
     Build {
         /// Target workload file.
         workload: String,
@@ -69,10 +68,6 @@ pub enum Command {
         keep_going: bool,
         /// Worker threads (`-j N`); `None` = available parallelism.
         jobs: Option<usize>,
-        /// `marshal serve` daemon to fetch pre-built levels from
-        /// (`--remote HOST:PORT`, or the `MARSHAL_REMOTE` environment
-        /// variable when the flag is absent).
-        remote: Option<String>,
         /// Plan without executing (`--dry-run`).
         dry_run: bool,
         /// Live single-line progress on stderr (`--progress`).
@@ -140,9 +135,6 @@ pub enum Command {
         /// contextual — for `install` it names a connector, for
         /// `launch`/`cosim` a backend.
         connector: String,
-        /// `marshal serve` daemon to fetch pre-built levels from during
-        /// the build phase (`--remote` / `MARSHAL_REMOTE`).
-        remote: Option<String>,
     },
     /// `clean [--keep-runs N] <workload>`.
     Clean {
@@ -152,20 +144,9 @@ pub enum Command {
         /// default 20); older journals are pruned, live runs never.
         keep_runs: Option<usize>,
     },
-    /// `serve [--port N]`: export this workdir's built levels and blobs
-    /// over the wire for other builders to fetch.
-    Serve {
-        /// TCP port to listen on (`--port`, default 9300; 0 picks a free
-        /// port and prints it).
-        port: u16,
-    },
-    /// `scrub [--remote HOST:PORT]`: verify every pool blob and level
-    /// manifest, quarantine corruption, and self-heal from a remote.
-    Scrub {
-        /// Daemon to re-fetch damaged blobs from (`--remote` /
-        /// `MARSHAL_REMOTE`).
-        remote: Option<String>,
-    },
+    /// `scrub`: verify every pool blob and level manifest and quarantine
+    /// corruption.
+    Scrub,
     /// `trace [RUN] [--last] [--summary] [--export chrome|json]`: inspect
     /// recorded run journals.
     Trace {
@@ -187,18 +168,13 @@ pub enum Command {
 }
 
 /// Usage text.
-pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|launch|cosim|test|install|clean|serve|scrub|trace> [options] <workload>
-  build   [--no-disk] [--force] [--keep-going] [-j N] [--remote HOST:PORT]
-          [--dry-run] [--progress]
+pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|launch|cosim|test|install|clean|scrub|trace> [options] <workload>
+  build   [--no-disk] [--force] [--keep-going] [-j N] [--dry-run] [--progress]
                                   construct the filesystem image and boot-binary;
                                   --keep-going builds past failures (only dependents
                                   of a failed task are skipped) and reports them all;
                                   -j runs up to N independent tasks in parallel
                                   (default: available CPUs; -j 1 builds serially);
-                                  --remote (or MARSHAL_REMOTE) fetches pre-built
-                                  levels from a marshal serve daemon before building
-                                  them locally — fetch failures degrade to a normal
-                                  local build, never fail it;
                                   --dry-run plans without executing or writing;
                                   --progress renders a live one-line status on
                                   stderr while the build runs
@@ -225,17 +201,14 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
   test    [--manual DIR] [--timeout-insts N] [-j N] [--no-checkpoint]
                                   compare outputs against a reference (build+launch, or a prior run dir);
                                   -j bounds both the build and the launch
-  install [--hw CONFIG] [--sim C] [--remote HOST:PORT]
+  install [--hw CONFIG] [--sim C]
                                   generate RTL simulator configuration (firesim/vcs/verilator)
   clean   [--keep-runs N]         remove built artifacts and state; also prunes
                                   recorded run journals beyond the newest N
                                   (default 20; journals of live runs are kept)
-  serve   [--port N]              export this workdir's built levels and blobs to
-                                  other builders (default port 9300; Ctrl-C drains
-                                  in-flight connections before exiting)
-  scrub   [--remote HOST:PORT]    verify every pool blob and level manifest,
-                                  quarantine corruption, and re-fetch damaged blobs
-                                  from a remote when one is configured
+  scrub                           verify every pool blob and level manifest and
+                                  quarantine corruption; run it on a copied workdir
+                                  before trusting its artifacts
   trace   [RUN] [--last] [--summary] [--export chrome|json]
                                   inspect recorded run journals: with no RUN, list
                                   them; with a RUN (or --last for the newest, e.g.
@@ -322,10 +295,8 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
     let mut hw: Option<String> = None;
     let mut sim: Option<String> = None;
     let mut inject_divergence = false;
-    let mut remote: Option<String> = None;
     let mut dry_run = false;
     let mut progress = false;
-    let mut port: Option<u16> = None;
     let mut keep_runs: Option<usize> = None;
     let mut export: Option<String> = None;
     let mut summary = false;
@@ -363,12 +334,10 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
                     flag_value::<NonZeroUsize>(flag, it.next(), "a positive thread count")?.get(),
                 )
             }
-            "--port" => port = Some(flag_value(flag, it.next(), "a port number")?),
             "--job" => job = Some(flag_value(flag, it.next(), "a name")?),
             "--manual" => manual = Some(flag_value(flag, it.next(), "a directory")?),
             "--hw" => hw = Some(flag_value(flag, it.next(), "a config name")?),
             "--sim" => sim = Some(flag_value(flag, it.next(), "a backend/connector name")?),
-            "--remote" => remote = Some(flag_value(flag, it.next(), "a HOST:PORT address")?),
             other if other.starts_with('-') => {
                 return Err(err(&format!("unknown option `{other}`")))
             }
@@ -392,7 +361,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             force,
             keep_going,
             jobs,
-            remote,
             dry_run,
             progress,
         },
@@ -425,25 +393,16 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             workload: need_workload()?,
             hw: hw.unwrap_or_else(|| "boom-tage".to_owned()),
             connector: sim.unwrap_or_else(|| "firesim".to_owned()),
-            remote,
         },
         "clean" => Command::Clean {
             workload: need_workload()?,
             keep_runs,
         },
-        "serve" => {
-            if workload.is_some() {
-                return Err(err("serve takes no workload argument"));
-            }
-            Command::Serve {
-                port: port.unwrap_or(9300),
-            }
-        }
         "scrub" => {
             if workload.is_some() {
                 return Err(err("scrub takes no workload argument"));
             }
-            Command::Scrub { remote }
+            Command::Scrub
         }
         "trace" => {
             if last && workload.is_some() {
@@ -485,9 +444,9 @@ fn hardware_arg(name: &str) -> Result<HardwareConfig, String> {
 }
 
 /// The journal header a command records, when it records one: the command
-/// name and the workload argument. `trace`, `clean`, `serve`, and `help`
-/// run untraced — inspection and retention must not mint the very
-/// journals they manage, and the serve daemon is long-lived.
+/// name and the workload argument. `trace`, `clean` and `help` run
+/// untraced — inspection and retention must not mint the very journals
+/// they manage.
 fn trace_target(command: &Command) -> Option<(&'static str, Option<&str>)> {
     match command {
         Command::Build { workload, .. } => Some(("build", Some(workload))),
@@ -495,7 +454,7 @@ fn trace_target(command: &Command) -> Option<(&'static str, Option<&str>)> {
         Command::Cosim { workload, .. } => Some(("cosim", Some(workload))),
         Command::Test { workload, .. } => Some(("test", Some(workload))),
         Command::Install { workload, .. } => Some(("install", Some(workload))),
-        Command::Scrub { .. } => Some(("scrub", None)),
+        Command::Scrub => Some(("scrub", None)),
         _ => None,
     }
 }
@@ -530,7 +489,7 @@ fn render_warnings(
 /// The caller provides the board and the base search path (normally from
 /// `marshal-workloads`).
 ///
-/// Traced commands (all but `trace`, `clean`, `serve` and `help`) record
+/// Traced commands (all but `trace`, `clean` and `help`) record
 /// a journal under `workdir/runs/<run-id>/` and report the run id on
 /// success; a journal that cannot be created degrades to an untraced run
 /// rather than failing the command.
@@ -601,7 +560,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             force,
             keep_going,
             jobs,
-            remote,
             dry_run,
             progress,
         } => {
@@ -610,7 +568,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 force: *force,
                 keep_going: *keep_going,
                 jobs: *jobs,
-                remote: effective_remote(remote),
                 dry_run: *dry_run,
                 progress: progress_renderer(*progress),
             };
@@ -633,9 +590,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     log.push(format!("  would run {}", t.id));
                 }
                 return (0, log);
-            }
-            if let Some(summary) = &products.remote {
-                log.push(summary.describe());
             }
             log.push(format!(
                 "built `{}`: {} job(s), {} task(s) run, {} up to date",
@@ -911,7 +865,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             workload,
             hw,
             connector,
-            remote,
         } => {
             or_fail!(hardware_arg(hw));
             let Some(conn) = crate::connector::connector_by_name(connector) else {
@@ -920,15 +873,8 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     crate::connector::connector_names().join(", ")
                 ));
             };
-            let build_opts = BuildOptions {
-                remote: effective_remote(remote),
-                ..BuildOptions::default()
-            };
-            let products = or_fail!(builder.build(workload, &build_opts));
+            let products = or_fail!(builder.build(workload, &BuildOptions::default()));
             render_warnings(&mut log, rec, &mut seen, &products.warnings);
-            if let Some(summary) = &products.remote {
-                log.push(summary.describe());
-            }
             // Every install writes the FireSim manifest; another connector
             // adds its own files to the same install dir.
             let installed = install_workload(builder, &products).and_then(|(_, manifest)| {
@@ -986,53 +932,17 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             }
             (0, log)
         }
-        Command::Serve { port } => {
-            marshal_netstore::server::install_sigint_handler();
-            let addr = format!("0.0.0.0:{port}");
-            let server = or_fail!(marshal_netstore::Server::bind(
-                &addr,
-                std::path::Path::new(&args.workdir),
-                std::time::Duration::from_secs(10),
-            ));
-            // The daemon blocks until drained, so announce readiness now
-            // rather than in the post-run log.
-            match server.local_addr() {
-                Ok(a) => println!(
-                    "marshal serve: exporting {} on {a} (Ctrl-C to drain and exit)",
-                    args.workdir
-                ),
-                Err(e) => fail!(e),
-            }
-            let summary = server.run();
-            log.push(format!(
-                "serve drained: {} connection(s), {} request(s), \
-                 {} malformed frame(s) rejected",
-                summary.connections, summary.requests, summary.bad_frames
-            ));
-            (0, log)
-        }
-        Command::Scrub { remote } => {
-            let client = effective_remote(remote).map(|addr| {
-                marshal_netstore::RemoteStore::tcp(&addr, marshal_netstore::RetryPolicy::default())
-            });
-            if let Some(client) = &client {
-                client.set_recorder(rec.clone());
-            }
-            let report = or_fail!(crate::scrub::scrub_pool(
-                Path::new(&args.workdir),
-                client.as_ref(),
-                rec
-            ));
+        Command::Scrub => {
+            let report = or_fail!(crate::scrub::scrub_pool(Path::new(&args.workdir), rec));
             render_warnings(&mut log, rec, &mut seen, &report.warnings);
             log.push(format!(
                 "scrubbed pool: {} blob(s) ({} bytes) verified, {} corrupt \
-                     ({} bytes quarantined), {} healed from remote, {} unrecoverable; \
+                     ({} bytes quarantined), {} unrecoverable; \
                      {} manifest(s) checked, {} torn or orphaned removed",
                 report.blobs_checked,
                 report.bytes_checked,
                 report.corrupt,
                 report.quarantined_bytes,
-                report.healed,
                 report.unrecoverable,
                 report.manifests_checked,
                 report.manifests_removed
@@ -1128,14 +1038,21 @@ fn progress_renderer(enabled: bool) -> Option<marshal_depgraph::ProgressFn> {
     }))
 }
 
-/// The effective remote daemon address: the `--remote` flag, else the
-/// `MARSHAL_REMOTE` environment variable, else none.
-fn effective_remote(flag: &Option<String>) -> Option<String> {
-    flag.clone().or_else(|| {
-        std::env::var("MARSHAL_REMOTE")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
+/// Rejects a set `MARSHAL_REMOTE`. It named a `marshal serve` daemon to
+/// fetch levels from; artifact serving is retired, and a script that still
+/// sets it must learn that it no longer has any effect.
+///
+/// # Errors
+///
+/// [`MarshalError::Other`] with the usage text when `remote` is set.
+pub fn check_retired_env(remote: Option<&std::ffi::OsStr>) -> Result<(), MarshalError> {
+    match remote {
+        Some(_) => Err(usage_error(
+            "MARSHAL_REMOTE is retired: artifact serving was removed; share a workdir \
+             by copying it, then run `marshal scrub` on the copy",
+        )),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1158,7 +1075,6 @@ mod tests {
                 force: false,
                 keep_going: false,
                 jobs: None,
-                remote: None,
                 dry_run: false,
                 progress: false
             }
@@ -1179,39 +1095,30 @@ mod tests {
     }
 
     #[test]
-    fn parse_remote() {
-        let args = parse(&["build", "--remote", "cache:9300", "w.json"]).unwrap();
-        assert!(matches!(
-            args.command,
-            Command::Build { ref remote, .. } if remote.as_deref() == Some("cache:9300")
-        ));
-        let args = parse(&["install", "--remote", "cache:9300", "w.json"]).unwrap();
-        assert!(matches!(
-            args.command,
-            Command::Install { ref remote, .. } if remote.as_deref() == Some("cache:9300")
-        ));
-        assert!(parse(&["build", "--remote"]).is_err());
+    fn parse_scrub() {
+        assert_eq!(parse(&["scrub"]).unwrap().command, Command::Scrub);
+        assert!(parse(&["scrub", "w.json"]).is_err());
     }
 
     #[test]
-    fn parse_serve_and_scrub() {
-        let args = parse(&["serve"]).unwrap();
-        assert_eq!(args.command, Command::Serve { port: 9300 });
-        let args = parse(&["serve", "--port", "7777"]).unwrap();
-        assert_eq!(args.command, Command::Serve { port: 7777 });
-        assert!(parse(&["serve", "--exec"]).is_err());
-        assert!(parse(&["serve", "--port", "notaport"]).is_err());
-        assert!(parse(&["serve", "w.json"]).is_err());
-        let args = parse(&["scrub"]).unwrap();
-        assert_eq!(args.command, Command::Scrub { remote: None });
-        let args = parse(&["scrub", "--remote", "cache:9300"]).unwrap();
-        assert_eq!(
-            args.command,
-            Command::Scrub {
-                remote: Some("cache:9300".into())
-            }
-        );
-        assert!(parse(&["scrub", "w.json"]).is_err());
+    fn artifact_serving_is_rejected() {
+        for line in [
+            "serve",
+            "serve --port 9300",
+            "build --remote cache:9300 w.json",
+            "install --remote cache:9300 w.json",
+            "scrub --remote cache:9300",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = parse(&args).unwrap_err().to_string();
+            assert!(err.contains(USAGE), "{line}: {err}");
+        }
+        assert!(check_retired_env(None).is_ok());
+        let err = check_retired_env(Some("cache:9300".as_ref()))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("MARSHAL_REMOTE is retired"), "{err}");
+        assert!(err.contains(USAGE), "{err}");
     }
 
     #[test]
@@ -1395,7 +1302,6 @@ mod tests {
                 workload: "w.json".into(),
                 hw: "boom-gshare".into(),
                 connector: "firesim".into(),
-                remote: None
             }
         );
         let args = parse(&["install", "--sim", "vcs", "w.json"]).unwrap();
@@ -1415,9 +1321,9 @@ mod tests {
         for line in [
             "launch --no-disk hello.json",
             "build --sim rtl hello.json",
-            "clean --port 1 hello.json",
+            "clean --keep-going hello.json",
             "test --hw rocket w.json",
-            "serve --jobs 2",
+            "scrub --jobs 2",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let err = parse(&args).unwrap_err().to_string();

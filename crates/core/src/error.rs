@@ -24,8 +24,6 @@ pub enum MarshalError {
     Corrupt(String),
     /// Host I/O failures.
     Io(String),
-    /// Artifact-distribution network failures (`--remote` / `serve`).
-    Net(marshal_netstore::NetError),
     /// Anything else (bad CLI usage, missing artifacts, ...).
     Other(String),
 }
@@ -42,7 +40,6 @@ impl fmt::Display for MarshalError {
             MarshalError::Script(m) => write!(f, "script: {m}"),
             MarshalError::Corrupt(m) => write!(f, "corrupt artifact: {m}"),
             MarshalError::Io(m) => write!(f, "io: {m}"),
-            MarshalError::Net(e) => write!(f, "network: {e}"),
             MarshalError::Other(m) => write!(f, "{m}"),
         }
     }
@@ -89,12 +86,6 @@ impl From<marshal_image::FsError> for MarshalError {
 impl From<std::io::Error> for MarshalError {
     fn from(e: std::io::Error) -> MarshalError {
         MarshalError::Io(e.to_string())
-    }
-}
-
-impl From<marshal_netstore::NetError> for MarshalError {
-    fn from(e: marshal_netstore::NetError) -> MarshalError {
-        MarshalError::Net(e)
     }
 }
 

@@ -18,8 +18,6 @@ use std::path::Path;
 
 use marshal_qcheck::Rng;
 
-pub use marshal_netstore::{FaultPlan, FaultTransport, NetFaultKind};
-
 /// What kind of damage to inflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -63,13 +61,6 @@ impl Injector {
         Injector {
             rng: Rng::new(seed),
         }
-    }
-
-    /// A network [`FaultPlan`] seeded from this injector's stream, so
-    /// wire-level chaos replays from the same master seed as on-disk
-    /// corruption.
-    pub fn net_plan(&mut self, kind: NetFaultKind, skip_first: u64, max_faults: u64) -> FaultPlan {
-        FaultPlan::new(kind, skip_first, max_faults, self.rng.next_u64())
     }
 
     /// Corrupts bytes in memory, returning what was done.

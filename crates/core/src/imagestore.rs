@@ -9,15 +9,9 @@
 //! [`marshal_depgraph::Task::claim_tree`] over [`ImageStore::objects_dir`],
 //! since blob paths are content-derived and unknown at planning time.
 //!
-//! Level manifests are additionally indexed by their task's *input
-//! fingerprint* under `levels/by-input/` — the distribution key `marshal
-//! serve` exports and the fetch-before-build client looks levels up by, so
-//! a remote hit is exactly a build-cache hit.
-//!
-//! Loads self-defend: a corrupt blob is quarantined (and re-fetched from a
-//! configured remote when possible), and an unhealable, torn or unsealed
-//! manifest is removed so the owning level rebuilds instead of wedging
-//! every consumer.
+//! Loads self-defend: a corrupt blob is quarantined, and the manifest of
+//! an unloadable level (torn, unsealed, or referencing a bad blob) is
+//! removed so the owning level rebuilds instead of wedging every consumer.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,7 +20,6 @@ use std::sync::{Arc, Mutex};
 
 use marshal_depgraph::{persist, Fingerprint};
 use marshal_image::{BlobStore, FsImage, StoreError, StoreStats};
-use marshal_netstore::RemoteStore;
 use marshal_trace::Recorder;
 
 /// Level images are persisted to disk (so incremental rebuilds can load a
@@ -38,9 +31,6 @@ pub struct ImageStore {
     stats: Arc<Mutex<StoreStats>>,
     dir: PathBuf,
     blobs: BlobStore,
-    /// When configured, load failures try to self-heal by re-fetching the
-    /// offending blob before giving up.
-    remote: Option<Arc<RemoteStore>>,
     /// Run-journal recorder for cache hit/miss and blob byte accounting;
     /// disabled by default.
     recorder: Recorder,
@@ -54,15 +44,8 @@ impl ImageStore {
             stats: Arc::new(Mutex::new(StoreStats::default())),
             dir: workdir.join("levels"),
             blobs: BlobStore::new(workdir.join("objects")),
-            remote: None,
             recorder: Recorder::disabled(),
         }
-    }
-
-    /// Configures a remote to self-heal corrupt or missing blobs from
-    /// during loads. Set before cloning the store into build tasks.
-    pub fn set_remote(&mut self, remote: Arc<RemoteStore>) {
-        self.remote = Some(remote);
     }
 
     /// Installs a run-journal recorder; loads and stores through this store
@@ -86,21 +69,9 @@ impl ImageStore {
         &self.blobs
     }
 
-    /// The by-input-fingerprint manifest index directory
-    /// (`workdir/levels/by-input`), the tree `marshal serve` exports.
-    pub fn by_input_dir(&self) -> PathBuf {
-        self.dir.join("by-input")
-    }
-
-    /// Where the by-input manifest copy for a level-input fingerprint
-    /// lives.
-    pub fn by_input_path(&self, input: Fingerprint) -> PathBuf {
-        self.by_input_dir().join(format!("{input}.man"))
-    }
-
     /// Where the manifest for a level key lives.
     pub fn path_for(&self, key: &str) -> PathBuf {
-        let fp = marshal_depgraph::Fingerprint::of(key.as_bytes()).short();
+        let fp = Fingerprint::of(key.as_bytes()).short();
         let last = key.rsplit('/').next().unwrap_or(key);
         self.dir.join(format!("{last}-{fp}.img"))
     }
@@ -113,29 +84,11 @@ impl ImageStore {
     ///
     /// I/O failures as strings (the task-action error type).
     pub fn store(&self, key: &str, image: FsImage) -> Result<(), String> {
-        self.store_with_input(key, None, image)
-    }
-
-    /// [`ImageStore::store`], additionally indexing the manifest under the
-    /// level's input fingerprint so `marshal serve` can distribute it.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures as strings (the task-action error type).
-    pub fn store_with_input(
-        &self,
-        key: &str,
-        input: Option<Fingerprint>,
-        image: FsImage,
-    ) -> Result<(), String> {
         let (manifest, stats) = self
             .blobs
             .write_manifest(&image)
             .map_err(|e| e.to_string())?;
         persist::write_sealed(&self.path_for(key), &manifest).map_err(|e| e.to_string())?;
-        if let Some(fp) = input {
-            self.write_by_input(fp, &manifest)?;
-        }
         self.recorder.blob_put(key, stats.bytes_written);
         self.stats.lock().expect("stats poisoned").absorb(&stats);
         self.cache
@@ -145,46 +98,12 @@ impl ImageStore {
         Ok(())
     }
 
-    /// Installs a manifest fetched from a remote as the level file for
-    /// `key` (and its by-input index entry), sealing it on the way to disk.
-    /// The image itself is *not*
-    /// materialised — consumers load it lazily from the (already fetched)
-    /// blobs.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures as strings (the task-action error type).
-    pub fn install_fetched_manifest(
-        &self,
-        key: &str,
-        input: Fingerprint,
-        manifest: &[u8],
-    ) -> Result<(), String> {
-        persist::write_sealed(&self.path_for(key), manifest).map_err(|e| e.to_string())?;
-        self.write_by_input(input, manifest)?;
-        // A fetched level invalidates any stale cached copy under this key.
-        self.cache.lock().expect("store poisoned").remove(key);
-        Ok(())
-    }
-
-    /// Write-once by-input index entry: as with blob puts, concurrent
-    /// writers of the same level are benign. An entry that fails its seal
-    /// (an older workdir's, or a damaged one) is rewritten.
-    fn write_by_input(&self, input: Fingerprint, manifest: &[u8]) -> Result<(), String> {
-        let path = self.by_input_path(input);
-        if marshal_image::read_level(&path).is_ok() {
-            return Ok(());
-        }
-        persist::write_sealed(&path, manifest).map_err(|e| e.to_string())
-    }
-
     /// Loads the image for a level key. Cache hits are O(1) — images are
     /// copy-on-write, so the returned clone shares every allocation with
     /// the cached copy. Misses read the sealed manifest from disk.
     ///
     /// A load that trips on pool damage self-defends: a corrupt blob is
-    /// quarantined and (with a remote configured) re-fetched, and when the
-    /// level stays unloadable its manifest is removed so the owning task
+    /// quarantined and the level's manifest is removed, so the owning task
     /// rebuilds it on the next run instead of failing every consumer
     /// forever.
     ///
@@ -214,8 +133,8 @@ impl ImageStore {
         Ok(img)
     }
 
-    /// The recovery path for a failed manifest load: quarantine, optional
-    /// remote heal, else invalidate the manifest so the level rebuilds.
+    /// The recovery path for a failed manifest load: quarantine a corrupt
+    /// blob and invalidate the manifest so the level rebuilds.
     fn recover_load(&self, key: &str, path: &Path, err: StoreError) -> Result<FsImage, String> {
         let (fp, quarantined) = match &err {
             StoreError::CorruptBlob { expected, .. } => {
@@ -231,14 +150,6 @@ impl ImageStore {
             }
             StoreError::Io(_) => return Err(format!("image `{key}`: {err}")),
         };
-        // Self-heal: a configured remote may still have the payload.
-        if let Some(remote) = &self.remote {
-            if remote.fetch_blob(&self.blobs, fp).unwrap_or(false) {
-                if let Ok(img) = self.blobs.load_image(path) {
-                    return Ok(img);
-                }
-            }
-        }
         self.invalidate_manifest(path);
         let action = if quarantined {
             "quarantined"
@@ -361,25 +272,6 @@ pub(crate) fn pid_alive(pid: u32) -> bool {
 mod tests {
     use super::*;
     use marshal_qcheck::scratch_dir;
-
-    #[test]
-    fn by_input_index_written_and_idempotent() {
-        let dir = scratch_dir("byinput");
-        let store = ImageStore::new(&dir);
-        let mut img = FsImage::new();
-        img.write_file("/f", b"payload").unwrap();
-        let input = Fingerprint::of(b"input-key");
-        store
-            .store_with_input("lvl", Some(input), img.clone())
-            .unwrap();
-        let idx = store.by_input_path(input);
-        assert!(idx.is_file());
-        let first = std::fs::read(&idx).unwrap();
-        // Second store of the same level leaves the entry untouched.
-        store.store_with_input("lvl", Some(input), img).unwrap();
-        assert_eq!(std::fs::read(&idx).unwrap(), first);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
 
     #[test]
     fn corrupt_blob_load_quarantines_and_invalidates() {

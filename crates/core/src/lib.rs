@@ -12,7 +12,7 @@
 //! | `test` | [`test`](mod@test) | §III-D: reference-output matching with output cleaning |
 //! | `install` | [`install`] | §III-E: cycle-exact simulator configuration generation |
 //! | `clean` | [`clean`] | artifact/state removal |
-//! | `serve` / `scrub` | [`scrub`], marshal-netstore | resilient artifact distribution |
+//! | `scrub` | [`scrub`] | pool verification and quarantine |
 //!
 //! The [`cli`] module is the `marshal` command-line front-end.
 //!

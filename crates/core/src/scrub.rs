@@ -1,12 +1,11 @@
-//! The `scrub` command: verify the blob pool and level manifests,
-//! quarantine corruption, and self-heal from a remote daemon.
+//! The `scrub` command: verify the blob pool and level manifests and
+//! quarantine corruption.
 //!
 //! Blobs are content-addressed, so verification is just re-hashing: a blob
 //! whose bytes no longer hash to its file name has rotted on disk. Scrub
 //! moves such blobs into `objects/.quarantine/` (never deletes — the bytes
-//! are evidence), re-fetches live ones from a configured `marshal serve`
-//! remote, and removes any manifest left pointing at an unrecoverable blob
-//! so the owning level rebuilds instead of wedging its consumers. Level
+//! are evidence) and removes any manifest left pointing at a lost blob so
+//! the owning level rebuilds instead of wedging its consumers. Level
 //! manifests are read through [`marshal_image::read_level`], so a torn,
 //! rotted or unsealed one is removed the same way.
 
@@ -15,12 +14,11 @@ use std::path::Path;
 
 use marshal_depgraph::Fingerprint;
 use marshal_image::StoreError;
-use marshal_netstore::RemoteStore;
 
-use crate::clean::{level_files, live_refs, pool_blobs, sweep_by_input};
+use crate::clean::{level_files, live_refs, pool_blobs};
 use crate::error::MarshalError;
 use crate::imagestore::ImageStore;
-use crate::warnings::{Severity, Warning};
+use crate::warnings::Warning;
 use marshal_trace::Recorder;
 
 /// What a pool scrub found and fixed.
@@ -34,12 +32,10 @@ pub struct ScrubReport {
     pub corrupt: u64,
     /// Bytes moved into `objects/.quarantine/`.
     pub quarantined_bytes: u64,
-    /// Corrupt blobs restored from the remote.
-    pub healed: u64,
-    /// Corrupt blobs that could not be restored (no remote, or the remote
-    /// lacked them); their manifests were invalidated.
+    /// Corrupt blobs that a level still referenced; those manifests were
+    /// invalidated.
     pub unrecoverable: u64,
-    /// Level manifests parsed (both `levels/` and `levels/by-input/`).
+    /// Level manifests parsed under `levels/`.
     pub manifests_checked: u64,
     /// Manifests removed: torn/malformed ones, plus manifests left
     /// referencing an unrecoverable blob.
@@ -49,28 +45,23 @@ pub struct ScrubReport {
 }
 
 /// Scrubs the pool under `workdir`: every blob is re-hashed, every level
-/// manifest re-parsed. Corrupt blobs are quarantined and — when `remote`
-/// is given — re-fetched; manifests that end up unsatisfiable are removed
-/// so their levels rebuild. The scrub runs under a `scrub` span of
-/// `recorder` whose closing args carry the damage counts.
+/// manifest re-parsed. Corrupt blobs are quarantined; manifests that end
+/// up unsatisfiable are removed so their levels rebuild. The scrub runs
+/// under a `scrub` span of `recorder` whose closing args carry the damage
+/// counts.
 ///
 /// # Errors
 ///
 /// [`MarshalError::Io`] when the workdir itself is unreadable. Individual
 /// damaged files are never errors — finding them is the job.
-pub fn scrub_pool(
-    workdir: &Path,
-    remote: Option<&RemoteStore>,
-    recorder: &Recorder,
-) -> Result<ScrubReport, MarshalError> {
+pub fn scrub_pool(workdir: &Path, recorder: &Recorder) -> Result<ScrubReport, MarshalError> {
     let span = recorder.span("scrub", &[]);
-    let report = scrub_pool_inner(workdir, remote);
+    let report = scrub_pool_inner(workdir);
     match &report {
         Ok(r) => span.end_with(&[
             ("outcome", "ok"),
             ("blobs_checked", &r.blobs_checked.to_string()),
             ("corrupt", &r.corrupt.to_string()),
-            ("healed", &r.healed.to_string()),
             ("manifests_removed", &r.manifests_removed.to_string()),
         ]),
         Err(_) => span.end_with(&[("outcome", "error")]),
@@ -78,39 +69,34 @@ pub fn scrub_pool(
     report
 }
 
-fn scrub_pool_inner(
-    workdir: &Path,
-    remote: Option<&RemoteStore>,
-) -> Result<ScrubReport, MarshalError> {
+fn scrub_pool_inner(workdir: &Path) -> Result<ScrubReport, MarshalError> {
     let store = ImageStore::new(workdir);
     let mut report = ScrubReport::default();
 
-    // --- manifests: read both indexes, removing damaged ones ------------
-    for dir in [store.levels_dir().to_path_buf(), store.by_input_dir()] {
-        for (path, refs) in level_files(&dir) {
-            if let Err(StoreError::Io(_)) = refs {
-                continue;
-            }
-            report.manifests_checked += 1;
-            let Err(e) = refs else {
-                continue;
-            };
-            if std::fs::remove_file(&path).is_ok() {
-                report.manifests_removed += 1;
-                report.warnings.push(Warning::with_code(
-                    "scrub",
-                    format!(
-                        "torn or malformed manifest {} removed ({e}); \
-                         its level will rebuild",
-                        path.display()
-                    ),
-                    "scrub-torn-manifest",
-                ));
-            }
+    // --- manifests: read every level, removing damaged ones -------------
+    for (path, refs) in level_files(store.levels_dir()) {
+        if let Err(StoreError::Io(_)) = refs {
+            continue;
+        }
+        report.manifests_checked += 1;
+        let Err(e) = refs else {
+            continue;
+        };
+        if std::fs::remove_file(&path).is_ok() {
+            report.manifests_removed += 1;
+            report.warnings.push(Warning::with_code(
+                "scrub",
+                format!(
+                    "torn or malformed manifest {} removed ({e}); \
+                     its level will rebuild",
+                    path.display()
+                ),
+                "scrub-torn-manifest",
+            ));
         }
     }
 
-    // --- blobs: re-hash everything, quarantine + heal mismatches ---------
+    // --- blobs: re-hash everything, quarantine mismatches ----------------
     let live = live_refs(&store);
     let mut lost: BTreeSet<Fingerprint> = BTreeSet::new();
     for (path, fp) in pool_blobs(&store) {
@@ -141,23 +127,8 @@ fn scrub_pool_inner(
                 "scrub-corrupt-blob",
             )),
         }
-        // Dead blobs (nothing references them) need no healing; a live one
-        // is worth a round-trip when a remote is configured.
-        let healed = live.contains(&fp)
-            && remote
-                .map(|r| r.fetch_blob(store.blobs(), fp).unwrap_or(false))
-                .unwrap_or(false);
-        if healed {
-            report.healed += 1;
-            report.warnings.push(
-                Warning::with_code(
-                    "scrub",
-                    format!("blob {fp} re-fetched from remote"),
-                    "scrub-healed",
-                )
-                .severity(Severity::Info),
-            );
-        } else if live.contains(&fp) {
+        // A dead blob (nothing references it) costs no level.
+        if live.contains(&fp) {
             report.unrecoverable += 1;
             lost.insert(fp);
         }
@@ -184,8 +155,6 @@ fn scrub_pool_inner(
             ));
         }
     }
-    // Keep the distribution index consistent with whatever survived.
-    report.manifests_removed += sweep_by_input(&store) as u64;
     Ok(report)
 }
 
@@ -203,7 +172,7 @@ mod tests {
         img.write_file("/a", b"alpha").unwrap();
         img.write_file("/b", b"beta").unwrap();
         store.store("lvl", img).unwrap();
-        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
+        let report = scrub_pool(&dir, &Recorder::disabled()).unwrap();
         assert!(report.blobs_checked > 0);
         assert_eq!(report.corrupt, 0);
         assert_eq!(report.manifests_removed, 0);
@@ -222,10 +191,10 @@ mod tests {
         let refs = refs.unwrap();
         std::fs::write(store.blobs().blob_path(refs[0]), b"bitrot").unwrap();
 
-        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
+        let report = scrub_pool(&dir, &Recorder::disabled()).unwrap();
         assert_eq!(report.corrupt, 1);
         assert!(report.quarantined_bytes > 0, "quarantined bytes reported");
-        assert_eq!(report.unrecoverable, 1, "no remote to heal from");
+        assert_eq!(report.unrecoverable, 1, "the level referenced it");
         assert!(
             report.manifests_removed >= 1,
             "referencing manifest removed"
@@ -245,7 +214,7 @@ mod tests {
         let path = store.path_for("lvl");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
+        let report = scrub_pool(&dir, &Recorder::disabled()).unwrap();
         assert!(report.manifests_removed >= 1);
         assert!(!path.exists());
         std::fs::remove_dir_all(dir).unwrap();
@@ -257,23 +226,21 @@ mod tests {
         let store = ImageStore::new(&dir);
         let mut img = FsImage::new();
         img.write_file("/a", b"payload").unwrap();
-        let input = Fingerprint::of(b"input");
-        store
-            .store_with_input("lvl", Some(input), img.clone())
-            .unwrap();
-        // A flat image left by an old workdir, and a by-input entry whose
+        store.store("lvl", img.clone()).unwrap();
+        store.store("other", img.clone()).unwrap();
+        // A flat image left by an old workdir, and a level manifest whose
         // path bytes rotted without changing its length.
         let flat = store.levels_dir().join("old-level.img");
         std::fs::write(&flat, img.to_bytes()).unwrap();
-        let index = store.by_input_path(input);
-        let mut rotted = std::fs::read(&index).unwrap();
+        let other = store.path_for("other");
+        let mut rotted = std::fs::read(&other).unwrap();
         let at = rotted.windows(2).rposition(|w| w == b"/a").unwrap();
         rotted[at + 1] = b'b';
-        std::fs::write(&index, rotted).unwrap();
-        let report = scrub_pool(&dir, None, &Recorder::disabled()).unwrap();
+        std::fs::write(&other, rotted).unwrap();
+        let report = scrub_pool(&dir, &Recorder::disabled()).unwrap();
         assert_eq!(report.manifests_checked, 3);
         assert_eq!(report.manifests_removed, 2);
-        assert!(!flat.exists() && !index.exists());
+        assert!(!flat.exists() && !other.exists());
         assert!(store.path_for("lvl").exists(), "the intact level stays");
         let codes: Vec<&str> = report.warnings.iter().map(|w| w.code).collect();
         assert_eq!(codes, ["scrub-torn-manifest"; 2]);

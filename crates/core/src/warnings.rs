@@ -21,13 +21,11 @@ use std::fmt;
 /// to promote `Degraded` conditions to hard failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Severity {
-    /// Informational: something recovered or was healed automatically.
-    Info,
     /// A condition worth the user's attention (the default).
     #[default]
     Warn,
-    /// A capability was lost for this run (e.g. the remote degraded to
-    /// local-only builds) but the operation still succeeded.
+    /// A capability was lost for this run (e.g. a launch fell back to a
+    /// cold boot) but the operation still succeeded.
     Degraded,
 }
 
@@ -35,7 +33,6 @@ impl Severity {
     /// The stable lowercase name used in journals.
     pub fn as_str(self) -> &'static str {
         match self {
-            Severity::Info => "info",
             Severity::Warn => "warn",
             Severity::Degraded => "degraded",
         }
@@ -53,7 +50,7 @@ pub struct Warning {
     /// How serious the condition is. Does not affect rendering.
     pub severity: Severity,
     /// Stable machine-readable kind, e.g. `state-recovered` or
-    /// `remote-degraded`. `"generic"` for warnings without a specific
+    /// `checkpoint-corrupt`. `"generic"` for warnings without a specific
     /// classification; the CLI's dedupe treats two `generic` warnings as
     /// the same only when their messages also match.
     pub code: &'static str,
@@ -120,8 +117,8 @@ mod tests {
         let w = Warning::new("ctx", "msg");
         assert_eq!(w.code, "generic");
         assert_eq!(w.severity, Severity::Warn);
-        let w = Warning::with_code("ctx", "msg", "remote-degraded").severity(Severity::Degraded);
-        assert_eq!(w.code, "remote-degraded");
+        let w = Warning::with_code("ctx", "msg", "checkpoint-corrupt").severity(Severity::Degraded);
+        assert_eq!(w.code, "checkpoint-corrupt");
         assert_eq!(w.severity, Severity::Degraded);
         assert_eq!(w.severity.as_str(), "degraded");
     }

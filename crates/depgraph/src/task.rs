@@ -166,6 +166,9 @@ impl Task {
     }
 
     /// The fingerprint of this task's own inputs (not including deps).
+    /// Output paths are left out, so a copied or moved workdir keeps its
+    /// tasks up to date; a missing output still forces a re-run
+    /// ([`Task::outputs_exist`]).
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = Hasher128::new();
         h.update_field(self.id.as_bytes());
@@ -174,9 +177,6 @@ impl Task {
         }
         for i in &self.inputs {
             h.update_field(i);
-        }
-        for o in &self.outputs {
-            h.update_field(o.to_string_lossy().as_bytes());
         }
         h.finish()
     }

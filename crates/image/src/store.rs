@@ -205,23 +205,6 @@ impl BlobStore {
         Ok((dst, size))
     }
 
-    /// Preserves bytes that arrived from a remote but failed hash
-    /// verification. They are written to quarantine directly and never
-    /// enter the pool.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failure.
-    pub fn quarantine_received(
-        &self,
-        fp: Fingerprint,
-        bytes: &[u8],
-    ) -> Result<PathBuf, StoreError> {
-        let dst = self.quarantine_dir().join(format!("{fp}.recv.blob"));
-        persist::write_atomic(&dst, bytes).map_err(|e| StoreError::Io(e.to_string()))?;
-        Ok(dst)
-    }
-
     /// Loads and verifies the blob with this fingerprint.
     ///
     /// # Errors
@@ -396,7 +379,7 @@ fn parse_manifest(bytes: &[u8]) -> Result<ParsedManifest, ImageFormatError> {
     }
     let limit = r.u64()?;
     let nentries = r.u32()?;
-    // No preallocation: the count is untrusted (a remote's manifest).
+    // No preallocation: the count is untrusted (a damaged manifest).
     let mut entries = Vec::new();
     for _ in 0..nentries {
         let tag = r.u8()?;

@@ -3,8 +3,8 @@
 //!
 //! Every binary format FireMarshal reads back decodes through [`Reader`]:
 //! `MEXE` executables, `MIMG` images and `MMAN` manifests, `MKRN` kernels,
-//! `MBBN` boot binaries, boot snapshots, `MCKP` checkpoints and `MNET`
-//! frames. Those bytes come from disk, from a remote peer or from a guest
+//! `MBBN` boot binaries, boot snapshots and `MCKP` checkpoints. Those
+//! bytes come from disk, from a spec's input files or from a guest
 //! program, so no length is trusted and no method panics:
 //!
 //! - [`Reader::take`] adds with `checked_add`, so a length near `u64::MAX`

@@ -10,21 +10,21 @@
 //! individually checksummed, and the reader stops at the first torn line),
 //! so the journal doubles as the crash-forensics record.
 //!
-//! This crate sits at the bottom of the workspace — `marshal-depgraph`,
-//! `marshal-netstore`, and `marshal-core` all emit through the same
-//! [`Recorder`], which is a cheap clonable handle: disabled recorders are a
-//! single `Option` check on the hot path (no channel send, no allocation),
-//! enabled ones push events over an mpsc channel to a dedicated writer
-//! thread so recording never blocks builders on I/O.
+//! This crate sits at the bottom of the workspace — `marshal-depgraph`
+//! and `marshal-core` both emit through the same [`Recorder`], which is a
+//! cheap clonable handle: disabled recorders are a single `Option` check
+//! on the hot path (no channel send, no allocation), enabled ones push
+//! events over an mpsc channel to a dedicated writer thread so recording
+//! never blocks builders on I/O.
 //!
 //! It also hosts the workspace's one JSON codec, [`Json`]: the parser
 //! behind journal lines, the Chrome export, workload specs and install
 //! manifests, and the writer of all but journal lines. The parser builds
 //! any [`JsonTree`]; `marshal-config` parses straight into its own `Value`
 //! that way. Beside it sits the one binary codec, [`bytes`]: the
-//! bounds-checked [`bytes::Reader`] every little-endian artifact and wire
-//! format decodes through, and the matching [`bytes::Writer`]. The crate
-//! has no dependencies, so any crate can use it — `marshal-isa` included.
+//! bounds-checked [`bytes::Reader`] every little-endian artifact format
+//! decodes through, and the matching [`bytes::Writer`]. The crate has no
+//! dependencies, so any crate can use it — `marshal-isa` included.
 
 #![warn(missing_docs)]
 

@@ -406,31 +406,6 @@ impl Recorder {
         );
     }
 
-    /// One remote request's outcome, after its retry loop.
-    pub fn remote_request(&self, kind: &str, attempts: u64, outcome: &str) {
-        self.instant(
-            "remote.request",
-            &[
-                ("kind", kind),
-                ("attempts", &attempts.to_string()),
-                ("outcome", outcome),
-            ],
-        );
-    }
-
-    /// A retry of a remote request (attempt numbers start at 1).
-    pub fn remote_retry(&self, kind: &str, attempt: u64) {
-        self.instant(
-            "remote.retry",
-            &[("kind", kind), ("attempt", &attempt.to_string())],
-        );
-    }
-
-    /// The client circuit breaker tripping open.
-    pub fn breaker_trip(&self, failures: u64) {
-        self.instant("remote.breaker", &[("failures", &failures.to_string())]);
-    }
-
     /// Span over one simulator launch.
     pub fn sim_span(&self, backend: &str, job: &str) -> Span {
         self.span("sim", &[("backend", backend), ("job", job)])

@@ -45,8 +45,6 @@ pub struct RunSummary {
     pub tasks_poisoned: u64,
     /// Warnings mirrored into the journal.
     pub warnings: u64,
-    /// Remote requests, retries, and breaker trips.
-    pub remote: (u64, u64, u64),
     /// Whether the journal tail was torn (crashed run).
     pub torn: bool,
 }
@@ -93,11 +91,6 @@ pub fn summarize(journal: &Journal) -> RunSummary {
                     finished: end_args.is_some(),
                 });
                 intervals.push((rec.t_us, end_t.max(rec.t_us)));
-                // Client-side requests are spans; server-side ones are
-                // `remote.request` instants. Both count as requests.
-                if name == "remote" {
-                    s.remote.0 += 1;
-                }
             }
             RecordKind::Instant { name, args } => match name.as_str() {
                 "cache" => {
@@ -112,9 +105,6 @@ pub fn summarize(journal: &Journal) -> RunSummary {
                 "task.skipped" => s.tasks_skipped += 1,
                 "task.poisoned" => s.tasks_poisoned += 1,
                 "warning" => s.warnings += 1,
-                "remote.request" => s.remote.0 += 1,
-                "remote.retry" => s.remote.1 += 1,
-                "remote.breaker" => s.remote.2 += 1,
                 _ => {}
             },
             _ => {}
@@ -212,12 +202,6 @@ impl RunSummary {
             out.push(format!(
                 "  tasks: {} skipped up-to-date, {} poisoned",
                 self.tasks_skipped, self.tasks_poisoned
-            ));
-        }
-        if self.remote != (0, 0, 0) {
-            out.push(format!(
-                "  remote: {} request(s), {} retrie(s), {} breaker trip(s)",
-                self.remote.0, self.remote.1, self.remote.2
             ));
         }
         if self.warnings > 0 {

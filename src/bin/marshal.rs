@@ -5,7 +5,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match marshal_core::cli::parse_args(&args) {
+    let remote = std::env::var_os("MARSHAL_REMOTE");
+    let parsed = marshal_core::cli::check_retired_env(remote.as_deref())
+        .and_then(|()| marshal_core::cli::parse_args(&args));
+    let parsed = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");

@@ -211,6 +211,66 @@ fn artifacts_are_byte_identical_across_builds() {
     std::fs::remove_dir_all(root_b).unwrap();
 }
 
+/// Copies the tree at `from` to `to`, symlinks as symlinks.
+fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let (src, dst) = (entry.path(), to.join(entry.file_name()));
+        let kind = entry.file_type().unwrap();
+        if kind.is_symlink() {
+            std::os::unix::fs::symlink(std::fs::read_link(&src).unwrap(), &dst).unwrap();
+        } else if kind.is_dir() {
+            copy_tree(&src, &dst);
+        } else {
+            std::fs::copy(&src, &dst).unwrap();
+        }
+    }
+}
+
+/// The built artifacts of the workdir under `root`: `images/` (with the
+/// `.fp` sidecars), `levels/` and `objects/`.
+fn workdir_artifacts(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    ["images", "levels", "objects"]
+        .iter()
+        .flat_map(|d| common::sorted_tree(&root.join("work").join(d)))
+        .collect()
+}
+
+/// Sharing artifacts is copying a workdir: a copied, then renamed, workdir
+/// builds as a no-op and keeps its artifacts byte for byte.
+#[test]
+fn a_copied_workdir_builds_as_a_no_op() {
+    let parent = common::tmpdir("relocate");
+    let root = parent.join("a");
+    let (code, log) = common::run_cli(&root, &["build", "hello.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    let built = workdir_artifacts(&root);
+    assert!(!built.is_empty());
+
+    let copy = parent.join("b");
+    copy_tree(&root, &copy);
+    let moved = parent.join("c");
+    for (at, step) in [(&copy, None), (&moved, Some(&copy))] {
+        if let Some(from) = step {
+            std::fs::rename(from, at).unwrap();
+        }
+        let (code, log) = common::run_cli(at, &["build", "hello.json"]);
+        assert_eq!(code, 0, "{log:?}");
+        assert!(
+            log.iter().any(|l| l.contains(" 0 task(s) run")),
+            "{}: {log:?}",
+            at.display()
+        );
+        assert!(
+            workdir_artifacts(at) == built,
+            "{}: artifacts differ from the original workdir's",
+            at.display()
+        );
+    }
+    std::fs::remove_dir_all(parent).unwrap();
+}
+
 /// Every artifact file of a build (boot binary, disk image and their `.fp`
 /// sidecars), in job order.
 fn artifact_bytes(products: &marshal_core::BuildProducts) -> Vec<Vec<u8>> {

@@ -1,8 +1,8 @@
-//! Damage to a binary artifact or wire frame is an error, never a panic.
+//! Damage to a binary artifact is an error, never a panic.
 //!
 //! Every binary decoder reads through `marshal_trace::bytes::Reader`. For
-//! one valid sample of each of the eight formats (`MEXE`, `MIMG`, `MMAN`,
-//! `MKRN`, `MBBN`, the boot snapshot, `MCKP` and `MNET`) and of the `cpio`
+//! one valid sample of each of the seven formats (`MEXE`, `MIMG`, `MMAN`,
+//! `MKRN`, `MBBN`, the boot snapshot and `MCKP`) and of the `cpio`
 //! initramfs archive, every truncation and a trailing byte must fail to
 //! decode, and every 4- or 8-byte window overwritten with `0xFF` — a
 //! length near `u64::MAX` wherever it lands on one — must return. Two
@@ -19,11 +19,8 @@ use marshal_firmware::{build_firmware, link_boot_binary, BootBinary, FirmwareBui
 use marshal_image::{cpio, BlobStore, FsImage};
 use marshal_isa::{abi, assemble, MexeFile};
 use marshal_linux::{build_kernel, InitramfsSpec, KernelArtifact, KernelConfig, KernelSource};
-use marshal_netstore::proto::FRAME_MAGIC;
-use marshal_netstore::{decode_frame, encode_frame, Message};
 use marshal_sim_functional::guest::{exec_timed, GuestOs};
 use marshal_sim_functional::{BootSnapshot, SimConfig, SimError, SimKind};
-use marshal_trace::bytes::Writer;
 
 /// Decodes the intact sample, the sample with a trailing byte and every
 /// truncation of it (each must be an error), and every 4- and 8-byte
@@ -155,25 +152,6 @@ fn mckp_damage_is_contained() {
         }
     });
     std::fs::remove_dir_all(root).unwrap();
-}
-
-/// Whole frames, and payloads re-framed under a valid checksum so the
-/// message parser sees the damage.
-#[test]
-fn mnet_damage_is_contained() {
-    let frame = encode_frame(&Message::Blobs {
-        entries: vec![
-            (Fingerprint(1), Some(b"payload".to_vec())),
-            (Fingerprint(2), None),
-        ],
-    });
-    assert_damage_is_contained(&frame, decode_frame);
-    let payload = &frame[8..frame.len() - 16];
-    assert_damage_is_contained(payload, |p| {
-        let mut w = Writer::default();
-        w.bytes(FRAME_MAGIC).field32(p).u128(Fingerprint::of(p).0);
-        decode_frame(&w.into_bytes())
-    });
 }
 
 /// `MIMG` bytes whose last entry claims a data length near `u64::MAX`.

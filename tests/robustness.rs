@@ -8,15 +8,21 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use common::rootfs_of;
 use marshal_core::cli::{self, CliArgs, Command};
 use marshal_core::faultinject::{FaultKind, Injector};
 use marshal_core::{
-    install, integrity, launch, BuildOptions, JobKind, LaunchOptions, MarshalError,
+    install, integrity, launch, scrub_pool, BuildOptions, ImageStore, JobKind, LaunchOptions,
+    MarshalError,
 };
-use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
+use marshal_depgraph::{persist, ExecOptions, Fingerprint, Graph, Plan, StateDb, Task};
+use marshal_image::{manifest_refs, read_level};
 use marshal_sim_rtl::HardwareConfig;
+use marshal_trace::Recorder;
 
 /// A ten-task graph with one injected failure. Shape:
 ///
@@ -450,6 +456,193 @@ fn cli_launch_surfaces_timeout_exit_code() {
     assert!(
         log.iter().any(|l| l.contains("TIMED OUT")),
         "diagnostic in log: {log:?}"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Every MMAN manifest under `levels/` with its blob references.
+fn level_manifests(work: &Path) -> Vec<(PathBuf, Vec<Fingerprint>)> {
+    let store = ImageStore::new(work);
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(store.levels_dir()).expect("levels dir") {
+        let path = entry.expect("dir entry").path();
+        if !path.is_file() {
+            continue;
+        }
+        let bytes = read_level(&path).expect("read manifest");
+        out.push((path, manifest_refs(&bytes).expect("parse manifest")));
+    }
+    out
+}
+
+/// Satellite: a torn (half-written) level manifest is detected on the next
+/// build's preflight and the level rebuilds — no panic, no wedged workdir.
+#[test]
+fn torn_manifest_triggers_level_rebuild_not_panic() {
+    let root = common::tmpdir("srv-torn");
+    let mut b = common::builder_in(&root);
+    b.build("hello.json", &BuildOptions::default()).unwrap();
+
+    let work = root.join("work");
+    let (path, _) = level_manifests(&work)
+        .into_iter()
+        .find(|(p, _)| {
+            // A chain-level manifest, not the final job image's
+            // (`job:<name>-…`): the satellite is about *level* rebuilds.
+            !p.file_name()
+                .map(|n| n.to_string_lossy().starts_with("job:"))
+                .unwrap_or(false)
+        })
+        .expect("a chain-level manifest to tear");
+    let mut inj = Injector::new(0x70c4);
+    inj.tear_image_write(&path).unwrap();
+
+    let products = b.build("hello.json", &BuildOptions::default()).unwrap();
+    assert!(
+        products
+            .warnings
+            .iter()
+            .any(|w| w.to_string().contains("torn")),
+        "preflight reports the torn manifest: {:?}",
+        products.warnings
+    );
+    assert!(
+        products
+            .report
+            .executed
+            .iter()
+            .any(|t| t.starts_with("img:")),
+        "the owning level re-ran: {:?}",
+        products.report.executed
+    );
+    // And the workdir is whole again.
+    let scrub = scrub_pool(&work, &Recorder::disabled()).unwrap();
+    assert_eq!(scrub.corrupt, 0);
+    assert_eq!(scrub.manifests_removed, 0);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Satellite: a corrupt pool blob under `--keep-going` poisons only the
+/// affected job's cone — the bad blob is quarantined, the independent job
+/// completes, and the next ordinary build self-heals by rebuilding the
+/// affected levels.
+#[test]
+fn corrupt_pool_poisons_only_affected_cone_under_keep_going() {
+    let root = common::tmpdir("srv-cone");
+    let mut b = common::builder_in(&root);
+    let products = b
+        .build("latency-microbenchmark.json", &BuildOptions::default())
+        .unwrap();
+    let client_rootfs = rootfs_of(&products, "client");
+
+    // Rot a blob every chain manifest references (base-image content
+    // survives the whole inheritance chain), and drop the client's flat
+    // rootfs so its image task re-runs and actually loads the chain.
+    let work = root.join("work");
+    let manifests = level_manifests(&work);
+    let shared: BTreeSet<Fingerprint> = manifests
+        .iter()
+        .map(|(_, refs)| refs.iter().copied().collect::<BTreeSet<_>>())
+        .reduce(|a, b| a.intersection(&b).copied().collect())
+        .expect("manifests exist");
+    let fp = *shared.iter().next().expect("a blob shared by every level");
+    let store = ImageStore::new(&work);
+    std::fs::write(store.blobs().blob_path(fp), b"rotted shared blob").unwrap();
+    std::fs::remove_file(&client_rootfs).unwrap();
+
+    let products = b
+        .build(
+            "latency-microbenchmark.json",
+            &BuildOptions {
+                keep_going: true,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+    let report = &products.report;
+    assert_eq!(
+        report.failed.len(),
+        1,
+        "exactly the loading task fails: {:?}",
+        report.failed
+    );
+    assert!(
+        report.failed[0].0.contains("client"),
+        "the client's image task failed: {:?}",
+        report.failed
+    );
+    assert!(
+        report.poisoned.iter().all(|t| t.contains("client")),
+        "only the client's cone is poisoned: {:?}",
+        report.poisoned
+    );
+    assert!(
+        !report
+            .failed
+            .iter()
+            .map(|(t, _)| t)
+            .chain(report.poisoned.iter())
+            .any(|t| t.contains("server")),
+        "the independent server job is untouched"
+    );
+    assert!(
+        store.blobs().quarantine_dir().is_dir(),
+        "the rotted blob was quarantined"
+    );
+
+    // An ordinary follow-up build rebuilds the affected levels and fully
+    // recovers — preflight removes manifests left pointing at the
+    // quarantined blob before any task runs.
+    let products = b
+        .build("latency-microbenchmark.json", &BuildOptions::default())
+        .unwrap();
+    assert!(products.report.failed.is_empty() && products.report.poisoned.is_empty());
+    assert!(
+        products
+            .warnings
+            .iter()
+            .any(|w| w.to_string().contains("missing from the pool")),
+        "preflight explains the rebuild: {:?}",
+        products.warnings
+    );
+    assert!(client_rootfs.exists(), "the client artifact is back");
+    let scrub = scrub_pool(&work, &Recorder::disabled()).unwrap();
+    assert_eq!(scrub.corrupt, 0, "the pool is whole again");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A workdir from before artifact serving was retired still holds the
+/// `levels/by-input/` index. Nothing reads, counts or rewrites it any more:
+/// `build`, `scrub` and `clean` succeed around it, `scrub` counts the
+/// manifests in `levels/` alone, and the old files stay until removed by
+/// hand.
+#[test]
+fn a_leftover_levels_index_is_ignored() {
+    let root = common::tmpdir("old-index");
+    let (code, log) = common::run_cli(&root, &["build", "hello.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    let work = root.join("work");
+    let levels = level_manifests(&work);
+    let (path, _) = &levels[0];
+    let manifest = read_level(path).unwrap();
+    let index = work.join("levels/by-input");
+    let planted = index.join(format!("{}.man", Fingerprint::of(b"an old level input")));
+    persist::write_sealed(&planted, &manifest).unwrap();
+    let before = common::sorted_tree(&index);
+
+    let (code, log) = common::run_cli(&root, &["build", "hello.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    assert!(log.iter().any(|l| l.contains(" 0 task(s) run")), "{log:?}");
+    let (code, log) = common::run_cli(&root, &["scrub"]);
+    assert_eq!(code, 0, "{log:?}");
+    let checked = format!("{} manifest(s) checked", levels.len());
+    assert!(log.iter().any(|l| l.contains(&checked)), "{log:?}");
+    let (code, log) = common::run_cli(&root, &["clean", "hello.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    assert_eq!(
+        common::sorted_tree(&index),
+        before,
+        "the old index is untouched"
     );
     let _ = std::fs::remove_dir_all(root);
 }
