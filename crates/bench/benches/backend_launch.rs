@@ -18,13 +18,14 @@
 //! bytes the interpreter handed to the timing model, which is
 //! deterministic.
 
-use marshal_bench::{append_bench_rows, builder_in, cpu_ns, median, scratch, CpuClock, Row};
+use marshal_bench::{append_bench_rows, builder_in, median, scratch, Row};
 use marshal_core::launch::load_artifacts;
 use marshal_core::simulator::{simulator_for, BackendOptions};
 use marshal_core::BuildOptions;
 use marshal_isa::{abi, assemble};
 use marshal_sim_functional::{FunctionalSim, LaunchMode, LoadedJob, SimKind, SimResult};
 use marshal_sim_rtl::{FireSim, HardwareConfig};
+use marshal_trace::{cpu_ns, CpuClock};
 use marshal_workloads::intspeed;
 
 /// Timed launches per backend, after one warm-up launch.

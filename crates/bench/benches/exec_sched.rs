@@ -1,24 +1,30 @@
-//! Executor-refactor regression gate: the event-channel scheduler
-//! (`run_scheduler` + `LocalRunner`) against a compact replica of the
-//! pre-refactor Condvar worker pool, on the same 64-task layered graph
-//! with identical CPU-bound task bodies.
+//! Executor regression gate: the build executor (`Graph::execute` on
+//! `Plan::local`) against a compact replica of the Condvar worker pool it
+//! grew from, on the same 64-task layered graph with identical CPU-bound
+//! task bodies.
 //!
-//! The scheduler adds a dispatch loop, per-task fingerprints, state-db
-//! bookkeeping, and an event channel on top of raw pooling; this bench
-//! asserts all of that costs no more than 5% wall-clock on a realistic
-//! task mix, and records the measurement in `BENCH_exec.json`.
+//! The executor is that same shape of pool: its workers take ready tasks
+//! under one lock and run them, and the calling thread is one of the
+//! workers. On top of raw pooling it adds per-task fingerprints, the
+//! up-to-date check, state-db bookkeeping and the claim audit; there is
+//! no event channel and no dispatch thread. This bench asserts all of
+//! that costs no more than 5% wall-clock on a realistic task mix, and
+//! records the measurement in `BENCH_exec.json`. The ledger keeps the
+//! variant name `scheduler` for the executor, so its rows continue the
+//! series measured before the executor became a pool.
 //!
 //! Each variant also records the process's CPU time per task
-//! (`cpu_ns_per_task`). Four workers and the scheduler thread share the
-//! host's cores, so a wall-clock gap with equal CPU per task is
-//! oversubscription, not scheduler work.
+//! (`cpu_ns_per_task`). Both variants run four workers, so a wall-clock
+//! gap with equal CPU per task is the host's scheduling, not executor
+//! work.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use marshal_bench::{append_bench_rows, cpu_ns, median, CpuClock, Row};
+use marshal_bench::{append_bench_rows, median, Row};
 use marshal_depgraph::{ExecOptions, Graph, Plan, StateDb, Task};
+use marshal_trace::{cpu_ns, CpuClock};
 
 /// 8 layers of 8 tasks: each task depends on two tasks of the previous
 /// layer, the dependency shape of an inheritance chain fan-out.
@@ -72,7 +78,7 @@ fn grid() -> Vec<(String, Vec<usize>)> {
     out
 }
 
-/// The 64-task graph for the real scheduler.
+/// The 64-task graph for the executor.
 fn sched_graph() -> Graph {
     let grid = grid();
     let mut g = Graph::new();
@@ -90,8 +96,8 @@ fn sched_graph() -> Graph {
     g
 }
 
-/// One run through the event-channel scheduler.
-fn run_scheduler(g: &Graph) -> (Duration, Option<u64>) {
+/// One run through the executor's worker pool.
+fn run_executor(g: &Graph) -> (Duration, Option<u64>) {
     let mut db = StateDb::in_memory();
     let start = clocks();
     let report = g
@@ -102,10 +108,10 @@ fn run_scheduler(g: &Graph) -> (Duration, Option<u64>) {
     elapsed
 }
 
-/// Compact replica of the pre-refactor executor: a Condvar-signalled
-/// worker pool over a shared ready queue with per-task dependency counts —
-/// pure pooling, none of the scheduler's fingerprint/state/event work.
-/// This is the baseline the refactor must stay within 5% of.
+/// Compact replica of the executor's pool: a Condvar-signalled worker
+/// pool over a shared ready queue with per-task dependency counts — pure
+/// pooling, none of the executor's fingerprint/state work. This is the
+/// baseline the executor must stay within 5% of.
 fn run_condvar_pool() -> (Duration, Option<u64>) {
     struct State {
         ready: VecDeque<usize>,
@@ -184,11 +190,11 @@ fn main() {
     let g = sched_graph();
     // Warm-up, then interleave the variants so drift hits both equally.
     run_condvar_pool();
-    run_scheduler(&g);
+    run_executor(&g);
     let (mut pool_runs, mut sched_runs) = (Vec::new(), Vec::new());
     for _ in 0..RUNS {
         pool_runs.push(run_condvar_pool());
-        sched_runs.push(run_scheduler(&g));
+        sched_runs.push(run_executor(&g));
     }
     // Median wall time and median CPU time per task, each over the runs.
     let medians = |runs: Vec<(Duration, Option<u64>)>| {
@@ -199,10 +205,10 @@ fn main() {
     let (pool, pool_cpu) = medians(pool_runs);
     let (sched, sched_cpu) = medians(sched_runs);
     let ratio = sched.as_secs_f64() / pool.as_secs_f64();
-    println!("== exec_sched: event-channel scheduler vs pre-refactor pool ==");
+    println!("== exec_sched: build executor vs raw condvar pool ==");
     println!("  {TASKS}-task graph ({LAYERS}x{WIDTH}), {THREADS} threads, median of {RUNS}");
     println!("  condvar pool: {pool:?}, {pool_cpu:?} CPU ns/task");
-    println!("  scheduler:    {sched:?}, {sched_cpu:?} CPU ns/task");
+    println!("  executor:     {sched:?}, {sched_cpu:?} CPU ns/task");
     println!("  ratio:        {ratio:.3}x");
     if let Some((s, p)) = sched_cpu.zip(pool_cpu) {
         println!("  CPU ratio:    {:.3}x", s / p);
@@ -229,7 +235,7 @@ fn main() {
     append_bench_rows("BENCH_exec.json", &rows);
     assert!(
         ratio <= 1.05,
-        "the scheduler must stay within 5% of the raw pool \
-         (scheduler {sched:?} vs pool {pool:?}, {ratio:.3}x)"
+        "the executor must stay within 5% of the raw pool \
+         (executor {sched:?} vs pool {pool:?}, {ratio:.3}x)"
     );
 }

@@ -12,7 +12,7 @@
 //! | `backend_launch` | launch throughput of each backend on the same artifacts | — | `BENCH_backends.json` |
 //! | `launch_hot` | launches with the boot checkpoint off vs on | ≥10x | `BENCH_backends.json` |
 //! | `trace_overhead` | launches with the run journal off vs on | ±5% | `BENCH_backends.json` |
-//! | `exec_sched` | the task scheduler vs a raw Condvar pool | ≤1.05x | `BENCH_exec.json` |
+//! | `exec_sched` | the build executor vs a raw Condvar pool | ≤1.05x | `BENCH_exec.json` |
 //! | `parallel_jobs` | E8: a 10-node cluster serial vs parallel, and the `-j N` build sweep | — | `BENCH_exec.json` |
 //! | `image_chain` | flat vs content-addressed image persistence | ≥5x | `BENCH_image.json` |
 //! | `ablation` | design-choice sweeps of the timing model, printed only | — | — |
@@ -45,49 +45,6 @@ pub fn builder_in(root: &Path) -> marshal_core::Builder {
     let setup = marshal_workloads::setup(root).expect("setup workloads");
     marshal_core::Builder::new(setup.board, setup.search, root.join("work"))
         .expect("create builder")
-}
-
-/// A CPU-time clock of [`cpu_ns`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuClock {
-    /// Every thread of this process.
-    Process,
-    /// The calling thread.
-    Thread,
-}
-
-/// Nanoseconds of CPU time on `clock` so far, read with `clock_gettime`
-/// from the C library std already links; `None` off Linux. Read it around
-/// a span, never per instruction.
-pub fn cpu_ns(clock: CpuClock) -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        #[repr(C)]
-        struct Timespec {
-            tv_sec: i64,
-            tv_nsec: i64,
-        }
-        extern "C" {
-            fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
-        }
-        // CLOCK_PROCESS_CPUTIME_ID and CLOCK_THREAD_CPUTIME_ID.
-        let id = match clock {
-            CpuClock::Process => 2,
-            CpuClock::Thread => 3,
-        };
-        let mut ts = Timespec {
-            tv_sec: 0,
-            tv_nsec: 0,
-        };
-        // SAFETY: `ts` is a valid, writable timespec for the call.
-        let ok = unsafe { clock_gettime(id, &mut ts) } == 0;
-        ok.then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = clock;
-        None
-    }
 }
 
 /// The middle of `runs` once sorted: the statistic every bench gates and

@@ -42,14 +42,16 @@ pub struct BuildOptions {
     /// first failure aborts the build.
     pub keep_going: bool,
     /// Worker threads for task execution (`-j N`). `None` uses the host's
-    /// available parallelism ([`marshal_depgraph::LocalRunner::host_threads`]);
+    /// available parallelism ([`marshal_depgraph::host_threads`]);
     /// `Some(1)` builds serially.
     pub jobs: Option<usize>,
-    /// Plan without executing (`--dry-run`): record what would build and
-    /// leave the state database and filesystem untouched.
+    /// Plan without executing (`--dry-run`): the report's `executed` lists
+    /// what would build, and the state database and filesystem are left
+    /// untouched.
     pub dry_run: bool,
-    /// Live progress callback (`--progress`), invoked from the scheduler
-    /// thread whenever the ready/running/done/failed picture changes.
+    /// Live progress callback (`--progress`), called under the executor
+    /// lock by the worker that changed the state, once per task claim and
+    /// once per settle.
     pub progress: Option<marshal_depgraph::ProgressFn>,
 }
 
@@ -104,7 +106,8 @@ pub struct BuildProducts {
     /// Per-job artifacts, in job declaration order.
     pub jobs: Vec<JobArtifacts>,
     /// Which tasks executed vs. were skipped (the §III-B incremental-build
-    /// behaviour).
+    /// behaviour). For a `--dry-run` build, `executed` lists the tasks that
+    /// would have run, in topological order.
     pub report: BuildReport,
     /// The workload's source directory (for hooks and reference outputs).
     pub source_dir: Option<PathBuf>,
@@ -112,9 +115,6 @@ pub struct BuildProducts {
     /// recovery, interrupted-task rebuilds). The CLI prints each once;
     /// library code never writes to stderr.
     pub warnings: Vec<Warning>,
-    /// For `--dry-run` builds, the tasks that would have executed, in
-    /// dispatch order (`None` for real builds).
-    pub dry_run: Option<Vec<marshal_depgraph::PlannedTask>>,
 }
 
 /// The FireMarshal build engine.
@@ -319,9 +319,7 @@ impl Builder {
         plan_span.end_with(&[("jobs", &job_plans.len().to_string())]);
 
         let roots: Vec<&str> = job_plans.iter().map(|p| p.final_task.as_str()).collect();
-        let threads = options
-            .jobs
-            .unwrap_or_else(marshal_depgraph::LocalRunner::host_threads);
+        let threads = options.jobs.unwrap_or_else(marshal_depgraph::host_threads);
         let opts = marshal_depgraph::ExecOptions {
             keep_going: options.keep_going,
             recorder: self.recorder.clone(),
@@ -336,17 +334,10 @@ impl Builder {
         // pin exists, so a blob this build just decided not to rewrite
         // cannot vanish under it.
         let pin = PoolPin::acquire(store.objects_dir()).map_err(MarshalError::Io)?;
-        // One runner per build: a dry-run planner, or a local pool of
-        // `threads` workers.
-        let (runner, dry_plan): (Box<dyn marshal_depgraph::TaskRunner>, _) = if options.dry_run {
-            let (runner, plan) = marshal_depgraph::DryRunRunner::new();
-            (Box::new(runner), Some(plan))
-        } else {
-            (Box::new(marshal_depgraph::LocalRunner::new(threads)), None)
-        };
         let plan = marshal_depgraph::Plan {
             roots: Some(&roots),
-            runner,
+            threads,
+            dry_run: options.dry_run,
         };
         let report = graph.execute(&mut self.db, plan, &opts);
         drop(pin);
@@ -381,7 +372,6 @@ impl Builder {
             report,
             source_dir,
             warnings,
-            dry_run: dry_plan.map(|p| p.tasks()),
         })
     }
 

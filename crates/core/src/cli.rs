@@ -580,14 +580,14 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             }
             let products = or_fail!(result);
             render_warnings(&mut log, rec, &mut seen, &products.warnings);
-            if let Some(plan) = &products.dry_run {
+            if *dry_run {
                 log.push(format!(
                     "dry run: {} task(s) would execute, {} up to date",
-                    plan.len(),
+                    products.report.executed.len(),
                     products.report.skipped.len()
                 ));
-                for t in plan {
-                    log.push(format!("  would run {}", t.id));
+                for id in &products.report.executed {
+                    log.push(format!("  would run {id}"));
                 }
                 return (0, log);
             }
@@ -1018,9 +1018,9 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
 }
 
 /// The `--progress` status line: a single carriage-returned line on
-/// stderr, redrawn from the scheduler thread whenever the picture
-/// changes. Stderr so piping stdout stays clean; the Build dispatch
-/// clears the line before any warning or summary prints.
+/// stderr, redrawn by the executor on every task claim and settle.
+/// Stderr so piping stdout stays clean; the Build dispatch clears the
+/// line before any warning or summary prints.
 fn progress_renderer(enabled: bool) -> Option<marshal_depgraph::ProgressFn> {
     if !enabled {
         return None;

@@ -37,15 +37,7 @@ pub enum BuildError {
     },
     /// The persistent state database could not be read or written.
     State(String),
-    /// The scheduler stalled because the runner broke its event contract
-    /// (tasks pending, none in flight, none dispatchable).
-    Runner(String),
 }
-
-/// The execution-facing alias for [`BuildError`]: scheduler errors such as
-/// [`BuildError::Conflict`] and [`BuildError::TaskFailed`] are reported
-/// through the same type graph-construction errors use.
-pub type ExecError = BuildError;
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -69,7 +61,6 @@ impl fmt::Display for BuildError {
                  them distinct output paths"
             ),
             BuildError::State(msg) => write!(f, "state database error: {msg}"),
-            BuildError::Runner(msg) => write!(f, "runner error: {msg}"),
         }
     }
 }

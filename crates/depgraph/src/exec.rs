@@ -1,19 +1,18 @@
-//! Build execution: up-to-date checking and running over one pluggable
-//! task runner, with fail-fast and keep-going failure policies.
+//! Build execution: up-to-date checking and running on one worker pool,
+//! with fail-fast and keep-going failure policies.
 //!
-//! Execution is split in two: a single-threaded scheduler (the private
-//! `sched` module) owns the graph walk, the up-to-date checks, the claim
-//! audit, and the poisoning policy; the [`crate::runner::TaskRunner`]
-//! owns nothing but execution and reports back over the
-//! [`crate::ExecEvent`] channel. [`Graph::execute`] is the one entry
-//! point: a [`Plan`] names what to build (the whole graph or a root
-//! subset) and the runner that builds it — [`Plan::local`] for a
-//! [`crate::runner::LocalRunner`] thread pool, or a
-//! [`crate::runner::DryRunRunner`] that only plans.
+//! [`Graph::execute`] is the one entry point: a [`Plan`] names what to
+//! build (the whole graph or a root subset), how many threads build it,
+//! and whether it is a dry run. The threads are one pool (the private
+//! `pool` module) whose workers share the build state under one lock:
+//! each takes ready tasks, settles the poisoned and up-to-date ones
+//! inline, and claims and runs the rest, the calling thread among them. A
+//! dry run classifies the same way on the calling thread and runs
+//! nothing.
 //!
 //! # Parallel safety
 //!
-//! Before anything runs, the scheduler audits the write claims of every
+//! Before anything runs, the executor audits the write claims of every
 //! task in the plan ([`crate::Task::claim`]): two tasks that claim the same
 //! path without a dependency ordering them are rejected with
 //! [`BuildError::Conflict`]. Reports are canonicalized to topological order
@@ -27,13 +26,31 @@ use std::fmt;
 use marshal_trace::Recorder;
 
 use crate::error::BuildError;
-use crate::events::ProgressFn;
 use crate::graph::Graph;
 use crate::hash::{Fingerprint, Hasher128};
-use crate::runner::{LocalRunner, TaskRunner};
 use crate::state::StateDb;
 
-/// Options controlling how a graph is executed, whatever runs it.
+/// A point-in-time snapshot of the build, delivered to the
+/// [`ExecOptions::progress`] callback on every claim and every settle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecProgress {
+    /// Total tasks in the plan.
+    pub total: usize,
+    /// Tasks ready to claim (dependencies settled, not yet taken).
+    pub ready: usize,
+    /// Tasks whose actions are running.
+    pub running: usize,
+    /// Tasks settled successfully (executed or skipped as up to date).
+    pub done: usize,
+    /// Tasks failed or poisoned by a failed dependency.
+    pub failed: usize,
+}
+
+/// The progress-callback type: called under the executor lock by the
+/// worker that changed the state, so it must not block for long.
+pub type ProgressFn = std::sync::Arc<dyn Fn(&ExecProgress) + Send + Sync>;
+
+/// Options controlling how a graph is executed, whatever its width.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
     /// After a task fails, keep building every task that is not a
@@ -46,9 +63,9 @@ pub struct ExecOptions {
     /// costs one branch per would-be event — no channel sends, no clock
     /// reads on the scheduling hot path.
     pub recorder: Recorder,
-    /// Invoked from the scheduler thread with a fresh
-    /// [`crate::ExecProgress`] snapshot whenever the ready/running/done
-    /// picture may have changed. Must not block for long.
+    /// Called under the executor lock by the worker that changed the
+    /// state, with a fresh [`ExecProgress`] snapshot: once per claim and
+    /// once per settle. Must not block for long.
     pub progress: Option<ProgressFn>,
 }
 
@@ -62,25 +79,30 @@ impl fmt::Debug for ExecOptions {
     }
 }
 
-/// What [`Graph::execute`] builds and how: the tasks in scope and the
-/// runner that executes them.
+/// What [`Graph::execute`] builds and how: the tasks in scope, the width
+/// of the pool that builds them, and whether to run them at all.
+#[derive(Debug, Clone, Copy)]
 pub struct Plan<'a> {
     /// Build only these tasks and their transitive dependencies; `None`
     /// builds the whole graph.
     pub roots: Option<&'a [&'a str]>,
-    /// The runner every dispatched task goes to.
-    pub runner: Box<dyn TaskRunner>,
+    /// Worker threads, the calling thread included (`0` is clamped to
+    /// `1`; `1` builds serially on the calling thread).
+    pub threads: usize,
+    /// Classify without executing: every task that would run settles as
+    /// executed, nothing runs and nothing is persisted.
+    pub dry_run: bool,
 }
 
 impl Plan<'_> {
-    /// The whole graph on one [`LocalRunner`] pool of `threads` workers
-    /// (`0` is clamped to `1`; `1` builds serially). Narrow it to a root
-    /// subset with struct update syntax:
+    /// The whole graph on `threads` workers. Narrow it to a root subset
+    /// with struct update syntax:
     /// `Plan { roots: Some(&roots), ..Plan::local(n) }`.
     pub fn local(threads: usize) -> Self {
         Plan {
             roots: None,
-            runner: Box::new(LocalRunner::new(threads)),
+            threads,
+            dry_run: false,
         }
     }
 }
@@ -209,8 +231,8 @@ fn audit_claims(graph: &Graph, order: &[String]) -> Result<(), BuildError> {
 }
 
 /// Rewrites a report into canonical form: every list in topological order
-/// (never completion order) and free of duplicates, so parallel builds are
-/// observably deterministic.
+/// (never completion order), so parallel builds are observably
+/// deterministic. Each task settles once, so no list repeats a task.
 fn canonicalize_report(report: &mut BuildReport, order: &[String]) {
     let pos: BTreeMap<&str, usize> = order
         .iter()
@@ -224,10 +246,8 @@ fn canonicalize_report(report: &mut BuildReport, order: &[String]) {
         &mut report.poisoned,
     ] {
         list.sort_by_key(|id| rank(id));
-        list.dedup();
     }
     report.failed.sort_by_key(|(id, _)| rank(id));
-    report.failed.dedup_by(|a, b| a.0 == b.0);
 }
 
 /// Computes each task's *cumulative* fingerprint: its own inputs combined
@@ -257,25 +277,32 @@ pub(crate) fn cumulative_fingerprints(
 }
 
 impl Graph {
-    /// Builds the tasks `plan` selects on its runner, skipping up-to-date
-    /// ones.
+    /// Builds the tasks `plan` selects on a pool of `plan.threads`
+    /// workers, skipping up-to-date ones.
     ///
     /// A task is up to date when its cumulative fingerprint matches the
     /// state database, all of its declared outputs exist, and none of its
     /// dependencies executed during this build. On success the state
     /// database records the new fingerprints (the caller decides when to
-    /// [`StateDb::flush`]); a dry-run runner leaves it untouched.
+    /// [`StateDb::flush`]); a dry run leaves it untouched and reports the
+    /// tasks that would run as [`BuildReport::executed`].
     ///
     /// # Errors
     ///
     /// Graph validation errors and [`BuildError::Conflict`] from the claim
-    /// audit, both before anything runs. [`BuildError::Runner`] when the
-    /// runner breaks the event contract. With [`ExecOptions::keep_going`]
+    /// audit, both before anything runs. With [`ExecOptions::keep_going`]
     /// unset, also the first task failure (when several tasks fail
     /// concurrently, the error with the lexicographically smallest task id
     /// is reported); with it set, task failures land in
     /// [`BuildReport::failed`] / [`BuildReport::poisoned`] and the call
     /// returns `Ok`.
+    ///
+    /// # Panics
+    ///
+    /// When a task's action panics: no further task is claimed, the
+    /// running ones finish, and the call panics with
+    /// ``task `<id>` panicked: <message>``, leaving that task's
+    /// in-progress mark set so the next run sees the interruption.
     pub fn execute(
         &self,
         db: &mut StateDb,
@@ -289,9 +316,8 @@ impl Graph {
         // Audit write claims for every plan, serial included: two unordered
         // writers of one path is a latent bug at any thread count.
         audit_claims(self, &order)?;
-        let mut runner = plan.runner;
-        runner.set_recorder(opts.recorder.clone());
-        let mut report = crate::sched::run_scheduler(self, &order, db, opts, runner.as_mut())?;
+        let mut report =
+            crate::pool::run_graph(self, &order, db, plan.threads, plan.dry_run, opts)?;
         canonicalize_report(&mut report, &order);
         Ok(report)
     }
@@ -301,7 +327,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::task::Task;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
     /// A build on `threads` local workers with default options.
@@ -778,7 +804,7 @@ mod tests {
 
     #[test]
     fn parallel_report_is_topo_ordered() {
-        // Independent siblings finish in scheduler order, but the report
+        // Independent siblings finish in claim order, but the report
         // lists them canonically regardless of thread count.
         let mut expected = vec!["root".to_owned()];
         for threads in [1, 2, 8] {
@@ -830,7 +856,7 @@ mod tests {
             db.flush().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 3);
-        // Simulate a crash mid-`b`: the scheduler marks a task in-progress
+        // Simulate a crash mid-`b`: the executor marks a task in-progress
         // and flushes right before running it; a crash never clears it.
         {
             let mut db = StateDb::open(&file).unwrap();
@@ -862,6 +888,220 @@ mod tests {
         let mut db = StateDb::in_memory();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&g, &mut db, 1)));
         assert!(result.is_err(), "undeclared write must panic in debug");
+    }
+
+    #[test]
+    fn dry_run_plans_without_touching_state() {
+        let mut g = Graph::new();
+        g.add(Task::new("a", || Err("must never run".into())))
+            .unwrap();
+        g.add(Task::new("b", || Err("must never run".into())).dep("a"))
+            .unwrap();
+        let mut db = StateDb::in_memory();
+        let plan = Plan {
+            dry_run: true,
+            ..Plan::local(4)
+        };
+        let report = g.execute(&mut db, plan, &ExecOptions::default()).unwrap();
+        assert_eq!(report.executed, vec!["a", "b"]);
+        // Nothing persisted: a later live build still sees both as dirty.
+        assert_eq!(db.last("a"), None);
+        assert_eq!(db.last("b"), None);
+        assert!(db.in_progress().is_empty());
+    }
+
+    #[test]
+    fn progress_callback_reaches_terminal_counts() {
+        let g = counting_graph(&Arc::new(AtomicUsize::new(0)), b"v1");
+        let mut db = StateDb::in_memory();
+        let seen: Arc<Mutex<Vec<ExecProgress>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let opts = ExecOptions {
+            progress: Some(Arc::new(move |p: &ExecProgress| {
+                sink.lock().unwrap().push(*p);
+            })),
+            ..ExecOptions::default()
+        };
+        g.execute(&mut db, Plan::local(2), &opts).unwrap();
+        let snaps = seen.lock().unwrap();
+        let last = snaps.last().expect("at least one progress snapshot");
+        assert_eq!(last.total, 3);
+        assert_eq!(last.done, 3);
+        assert_eq!(last.running, 0);
+        assert_eq!(last.failed, 0);
+    }
+
+    #[test]
+    fn failures_report_the_retry_suffix_at_every_width() {
+        for threads in [1, 4] {
+            let mut g = Graph::new();
+            g.add(Task::new("bad", || Err("boom".to_owned())).retries(2))
+                .unwrap();
+            let mut db = StateDb::in_memory();
+            let report = g
+                .execute(&mut db, Plan::local(threads), &keep_going())
+                .unwrap();
+            let failed = [("bad".to_owned(), "boom (after 3 attempts)".to_owned())];
+            assert_eq!(report.failed, failed, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn serial_build_runs_tasks_on_the_calling_thread() {
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let mut g = Graph::new();
+        for (id, dep) in [("a", None), ("b", Some("a")), ("c", None)] {
+            let ran_on = ran_on.clone();
+            let mut t = Task::new(id, move || {
+                ran_on.lock().unwrap().push(std::thread::current().id());
+                Ok(())
+            });
+            if let Some(d) = dep {
+                t = t.dep(d);
+            }
+            g.add(t).unwrap();
+        }
+        let mut db = StateDb::in_memory();
+        run(&g, &mut db, 1).unwrap();
+        let caller = std::thread::current().id();
+        assert_eq!(*ran_on.lock().unwrap(), vec![caller; 3]);
+    }
+
+    #[test]
+    fn a_panic_drains_running_siblings_and_leaves_its_task_interrupted() {
+        let dir = std::env::temp_dir().join(format!("depgraph-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("state.db");
+        // All four tasks are in flight at once before `boom` panics: each
+        // of the four workers holds one at the barrier.
+        let all_running = Arc::new(std::sync::Barrier::new(4));
+        let mut g = Graph::new();
+        for id in ["s1", "s2", "s3"] {
+            let all_running = all_running.clone();
+            g.add(Task::new(id, move || {
+                all_running.wait();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(())
+            }))
+            .unwrap();
+        }
+        g.add(Task::new("boom", move || {
+            all_running.wait();
+            panic!("shrapnel")
+        }))
+        .unwrap();
+        let mut db = StateDb::open(&file).unwrap();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.execute(&mut db, Plan::local(4), &ExecOptions::default())
+        }))
+        .expect_err("a panicking task panics the build");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, "task `boom` panicked: shrapnel");
+        drop(db);
+        let db = StateDb::open(&file).unwrap();
+        assert_eq!(db.interrupted(), ["boom"]);
+        // The siblings in flight finished and were recorded.
+        for id in ["s1", "s2", "s3"] {
+            assert!(db.last(id).is_some(), "{id} settled");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_progress_callback_stops_every_worker() {
+        // The callback runs under the lock on whichever worker changed the
+        // state; its panic must end the build, not strand the others.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut g = Graph::new();
+            for i in 0..16 {
+                g.add(Task::new(format!("t{i:02}"), || Ok(()))).unwrap();
+            }
+            let broke = AtomicBool::new(false);
+            let opts = ExecOptions {
+                // The first call comes from a claim: that task is in
+                // flight and will never settle. Later calls succeed, so
+                // the other workers carry on and wait for it.
+                progress: Some(Arc::new(move |_: &ExecProgress| {
+                    if !broke.swap(true, Ordering::SeqCst) {
+                        panic!("progress sink broke");
+                    }
+                })),
+                ..ExecOptions::default()
+            };
+            let mut db = StateDb::in_memory();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.execute(&mut db, Plan::local(4), &opts)
+            }));
+            tx.send(result.is_err()).unwrap();
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the build ends instead of waiting forever");
+        assert!(panicked, "the callback's panic reaches the caller");
+    }
+
+    /// `a ─► b` (up to date on a rebuild), `fresh` (its input changes
+    /// between builds) and `bad ─► mid ─► top` (a failure and its cone).
+    fn mixed_graph(fresh_input: &[u8]) -> Graph {
+        let mut g = Graph::new();
+        g.add(Task::new("a", || Ok(()))).unwrap();
+        g.add(Task::new("b", || Ok(())).dep("a")).unwrap();
+        g.add(Task::new("fresh", || Ok(())).input(fresh_input))
+            .unwrap();
+        g.add(Task::new("bad", || Err("kaboom".into()))).unwrap();
+        g.add(Task::new("mid", || Ok(())).dep("bad")).unwrap();
+        g.add(Task::new("top", || Ok(())).dep("mid")).unwrap();
+        g
+    }
+
+    #[test]
+    fn journal_counters_and_progress_come_once_per_claim_and_settle() {
+        use marshal_trace::{read_journal, RecordKind};
+        for threads in [1, 4] {
+            let dir = std::env::temp_dir().join(format!(
+                "depgraph-counters-{threads}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = StateDb::in_memory();
+            mixed_graph(b"v1")
+                .execute(&mut db, Plan::local(threads), &keep_going())
+                .unwrap();
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counted = calls.clone();
+            let opts = ExecOptions {
+                keep_going: true,
+                recorder: Recorder::create(&dir, "build", &[]).unwrap(),
+                progress: Some(Arc::new(move |_: &ExecProgress| {
+                    counted.fetch_add(1, Ordering::SeqCst);
+                })),
+            };
+            let report = mixed_graph(b"v2")
+                .execute(&mut db, Plan::local(threads), &opts)
+                .unwrap();
+            assert_eq!(report.executed, ["fresh"]);
+            assert_eq!(report.skipped, ["a", "b"]);
+            assert_eq!(report.failed.len(), 1);
+            assert_eq!(report.poisoned, ["mid", "top"]);
+            // Two claims (`fresh`, `bad`) and six settles.
+            let done = opts.recorder.finish().unwrap();
+            let journal = read_journal(&done.journal).unwrap();
+            let count = |counter: &str| {
+                journal
+                    .records
+                    .iter()
+                    .filter(
+                        |r| matches!(&r.kind, RecordKind::Counter { name, .. } if name == counter),
+                    )
+                    .count()
+            };
+            assert_eq!(count("busy_workers"), 8, "threads={threads}");
+            assert_eq!(count("ready_tasks"), 8, "threads={threads}");
+            assert_eq!(calls.load(Ordering::SeqCst), 8, "threads={threads}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! whose fingerprint is unchanged and whose outputs still exist.
 //!
 //! [`Graph::execute`] is the one way to run a graph. Its [`Plan`] says
-//! what to build (every task, or a root subset and its dependencies) and
-//! the one [`TaskRunner`] that builds it; [`Plan::local`] is a
-//! [`LocalRunner`] pool of a given width, and a [`DryRunRunner`] plans
-//! without executing. [`ExecOptions`] carries the settings that hold
-//! whatever runs the tasks: keep-going, the run-journal recorder, and the
-//! progress callback.
+//! what to build (every task, or a root subset and its dependencies), on
+//! how many threads, and whether to run anything: [`Plan::local`] is the
+//! whole graph on a pool of a given width, and a dry run plans without
+//! executing. The pool's workers share the build state under one lock and
+//! the calling thread is one of them, so `-j 1` builds on the caller.
+//! [`ExecOptions`] carries the settings that hold at every width:
+//! keep-going, the run-journal recorder, and the progress callback.
 //!
 //! Work that is not a graph — N independent jobs whose results are wanted
 //! in order, such as the simulations of one workload's jobs — goes
-//! through [`run_ordered`], the one ordered worker pool.
+//! through [`run_ordered`], the one ordered worker pool. Both pools take
+//! their default width from [`host_threads`].
 //!
 //! ## Example
 //!
@@ -50,24 +52,19 @@
 
 pub mod claims;
 pub mod error;
-pub mod events;
 pub mod exec;
 pub mod graph;
 pub mod hash;
 pub mod persist;
-pub mod runner;
-mod sched;
+mod pool;
 pub mod state;
 pub mod task;
 
 pub use claims::assert_claimed;
-pub use error::{BuildError, ExecError};
-pub use events::{EventSender, ExecEvent, ExecProgress, ProgressFn};
-pub use exec::{BuildReport, ExecOptions, Plan};
+pub use error::BuildError;
+pub use exec::{BuildReport, ExecOptions, ExecProgress, Plan, ProgressFn};
 pub use graph::Graph;
 pub use hash::{Fingerprint, Hasher128};
-pub use runner::{
-    run_ordered, Assignment, DryRunPlan, DryRunRunner, LocalRunner, PlannedTask, TaskRunner,
-};
+pub use pool::{host_threads, run_ordered};
 pub use state::StateDb;
 pub use task::Task;

@@ -483,7 +483,7 @@ mod tests {
         let file = dir.join("state.db");
         let mut db = StateDb::open(&file).unwrap();
         db.record("done", Fingerprint::of(b"1"));
-        // Simulate the scheduler's pre-run mark on a task that also has a
+        // Simulate the executor's pre-run mark on a task that also has a
         // stale fingerprint from an earlier build.
         db.record("torn", Fingerprint::of(b"old"));
         db.mark_in_progress("torn");

@@ -87,7 +87,7 @@ impl Task {
     /// Declares an additional write claim: a path this task's action writes
     /// that is not a tracked output (checksum sidecars, shared caches).
     ///
-    /// The scheduler rejects a graph in which two tasks claim the same path
+    /// The executor rejects a graph in which two tasks claim the same path
     /// unless one depends (transitively) on the other, so claims are what
     /// make parallel execution safe. In debug builds, writes routed through
     /// [`crate::claims::assert_claimed`] additionally verify at run time
@@ -105,7 +105,7 @@ impl Task {
     /// This is the claim shape for content-addressed stores, where the
     /// exact paths are derived from content at run time and concurrent
     /// writes of the same path are idempotent (write-once blobs landed via
-    /// [`crate::persist::write_atomic`]). The scheduler therefore allows any
+    /// [`crate::persist::write_atomic`]). The executor therefore allows any
     /// number of unordered tree claimants of the same root, but still
     /// rejects an unordered *exact* claim under another task's tree — an
     /// exclusive writer racing the shared pool is a real conflict. Like

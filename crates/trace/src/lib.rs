@@ -23,13 +23,16 @@
 //! any [`JsonTree`]; `marshal-config` parses straight into its own `Value`
 //! that way. Beside it sits the one binary codec, [`bytes`]: the
 //! bounds-checked [`bytes::Reader`] every little-endian artifact format
-//! decodes through, and the matching [`bytes::Writer`]. The crate has no
-//! dependencies, so any crate can use it — `marshal-isa` included.
+//! decodes through, and the matching [`bytes::Writer`]. And it reads the
+//! one CPU-time clock, [`cpu_ns`], that `task` spans and the benches
+//! record on-CPU time with. The crate has no dependencies, so any crate
+//! can use it — `marshal-isa` included.
 
 #![warn(missing_docs)]
 
 pub mod bytes;
 mod chrome;
+mod clock;
 mod journal;
 mod json;
 mod record;
@@ -37,6 +40,7 @@ mod recorder;
 mod summary;
 
 pub use chrome::chrome_trace;
+pub use clock::{cpu_ns, CpuClock};
 pub use journal::{list_runs, read_journal, Journal, RunInfo};
 pub use json::{parse_json, Json, JsonTree, ParseError};
 pub use record::{checksum_line, seal_line, Args, Record, RecordKind};

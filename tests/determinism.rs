@@ -9,7 +9,7 @@ use common::sorted_tree;
 use marshal_core::cosim::{cosim_workload, CosimOptions};
 use marshal_core::launch::{launch_workload, load_artifacts, LaunchOptions};
 use marshal_core::{BuildOptions, CheckpointStore, JobKind};
-use marshal_depgraph::LocalRunner;
+use marshal_depgraph::host_threads;
 use marshal_sim_functional::LaunchMode;
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
@@ -302,9 +302,7 @@ fn failing_job_is_reported_at_every_width() {
         let ran: Vec<usize> = (0..products.jobs.len())
             .filter(|&i| run_root.join(&products.jobs[i].name).exists())
             .collect();
-        let pool = width
-            .unwrap_or_else(LocalRunner::host_threads)
-            .min(products.jobs.len());
+        let pool = width.unwrap_or_else(host_threads).min(products.jobs.len());
         assert!(
             ran.starts_with(&(0..K).collect::<Vec<_>>()),
             "width {width:?}: every job before {K} ran: {ran:?}"
